@@ -32,7 +32,7 @@ def main():
         cfg = microsim.MicroConfig(r=r, seed=42, q_mode="zero",
                                    resample_offsets=True)
         t0 = time.perf_counter()
-        samp = harness.sample_tau1(scene, cfg, n)
+        samp = microsim.sample_tau1_distribution(scene, cfg, n)
         ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(samp.tau1),
                                cdf)
         dt = time.perf_counter() - t0

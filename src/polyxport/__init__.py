@@ -17,12 +17,12 @@ from .lattice import (AffineLattice, CrystalMedium, PoissonMedium,
                       ScaledGrainLattice, bcc_matrix, is_commensurable,
                       points_in_tube)
 from .microsim import (BetaSpec, CollisionEvent, MicroConfig, MicroRuntime,
-                       first_collision, sample_tau1_distribution, trajectory)
+                       first_collision, first_collisions,
+                       sample_tau1_distribution, trajectory)
 from .polykernel import (check_transport_identity, poisson_psi, psi,
                          psi0_full, psi0_marg, psi_marg_w, psi_tail_bound,
                          survival_psi, survival_psi0_marg)
-from .scattering import (cross_section, exit_param, frame, impact_param,
-                         reflect)
+from .scattering import cross_section, exit_param, impact_param, reflect
 from .flight import (Ensemble, evolve, n_collision_histogram, sample_collision,
                      sample_initial, sample_xi_w, stationarity_test)
 

@@ -89,7 +89,8 @@ def cmd_kernels(args):
 
 
 def cmd_psi(args):
-    doc = json.load(open(args.config, encoding="utf-8"))
+    with open(args.config, encoding="utf-8") as fh:
+        doc = json.load(fh)
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
     x = _vec(args.x)
     v = _vec(args.v)
@@ -123,8 +124,8 @@ def cmd_microsim(args):
     os.makedirs(out, exist_ok=True)
     lam = cfg.options.get("lambda")
     for r in rs:
-        samp = harness.sample_tau1(cfg.scene, harness.micro_config(cfg, r),
-                                   n, lam, cfg.threads)
+        samp = microsim.sample_tau1_distribution(
+            cfg.scene, harness.micro_config(cfg, r), n, lam, cfg.threads)
         path = os.path.join(out, f"microsim_r{r:g}.csv")
         harness.write_tau1_csv(path, samp)
         print(path)

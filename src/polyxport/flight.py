@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels as KK
 from . import polykernel, scattering, stats
-from .geometry import SceneError
+from .geometry import SceneError, clip_grain_rows
 
 _SEG_TOL = 1e-12
 _MAX_ROUNDS = 20000
@@ -31,21 +31,6 @@ _MAX_ROUNDS = 20000
 # ---------------------------------------------------------------------------
 # segment walkers
 # ---------------------------------------------------------------------------
-
-def _clip_grain_rows(grain, xs, vs):
-    """Vectorized ray clipping: entry/exit/valid arrays over rows."""
-    nv = vs @ grain.normals.T
-    nx = xs @ grain.normals.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (grain.offsets[None, :] - nx) / nv
-    lo = np.where(nv < 0, t, -np.inf).max(axis=1)
-    hi = np.where(nv > 0, t, np.inf).min(axis=1)
-    dead = np.any((nv == 0.0) & (nx >= grain.offsets[None, :]), axis=1)
-    entry = np.maximum(lo, 0.0)
-    tol = _SEG_TOL * (1.0 + np.abs(hi))
-    valid = ~dead & np.isfinite(hi) & (hi - entry > tol)
-    return entry, hi, valid
-
 
 class FiniteSceneWalker:
     """All grain segments per ray, precomputed and sorted by entry."""
@@ -56,7 +41,7 @@ class FiniteSceneWalker:
         entries = np.full((n, G), np.inf)
         exits = np.full((n, G), np.inf)
         for j, g in enumerate(scene.grains):
-            e, h, ok = _clip_grain_rows(g, xs, vs)
+            e, h, ok = clip_grain_rows(g, xs, vs)
             entries[:, j] = np.where(ok, e, np.inf)
             exits[:, j] = np.where(ok, h, np.inf)
         order = np.argsort(entries, axis=1, kind="stable")

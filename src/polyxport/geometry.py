@@ -323,6 +323,21 @@ def ray_grain_intersect(grain, x, v):
     return (t_in, hi)
 
 
+def clip_grain_rows(grain, xs, vs):
+    """Vectorized ray clipping: entry/exit/valid arrays over rows."""
+    nv = vs @ grain.normals.T
+    nx = xs @ grain.normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (grain.offsets[None, :] - nx) / nv
+    lo = np.where(nv < 0, t, -np.inf).max(axis=1)
+    hi = np.where(nv > 0, t, np.inf).min(axis=1)
+    dead = np.any((nv == 0.0) & (nx >= grain.offsets[None, :]), axis=1)
+    entry = np.maximum(lo, 0.0)
+    tol = REL_TOL * (1.0 + np.abs(hi))
+    valid = ~dead & np.isfinite(hi) & (hi - entry > tol)
+    return entry, hi, valid
+
+
 def _segments_plain(scene, x, v, horizon):
     raw = []
     for g in scene.grains:

@@ -338,4 +338,6 @@ class KernelModel:
 def for_medium(medium, dimension):
     """KernelModel for a medium descriptor (object with .kind) or name."""
     kind = getattr(medium, "kind", medium)
-    return KernelModel("crystal" if kind == "crystal" else "poisson", dimension)
+    if kind not in ("crystal", "poisson"):
+        raise ValueError(f"unknown medium kind {kind!r}")
+    return KernelModel(kind, dimension)

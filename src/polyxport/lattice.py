@@ -157,7 +157,12 @@ def is_commensurable(lat1, lat2):
 
 @dataclass(frozen=True, eq=False)
 class ScaledGrainLattice:
-    """Scatterer centers anchor + eps (Z^d + omega) M of one grain."""
+    """Scatterer centers anchor + eps (Z^d + omega) M of one grain.
+
+    M^-1 and its operator norm are computed once here.  The coordinate
+    maps take an optional omega, one row per point, so annealed sampling
+    can move the lattice offset per sample without building a new object.
+    """
 
     lattice: AffineLattice
     epsilon: float
@@ -167,72 +172,112 @@ class ScaledGrainLattice:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
-        object.__setattr__(self, "_Minv", np.linalg.inv(self.lattice.M))
+        Minv = np.linalg.inv(self.lattice.M)
+        object.__setattr__(self, "_Minv", Minv)
+        object.__setattr__(self, "minv_norm", float(np.linalg.norm(Minv, 2)))
 
-    def to_lattice_coords(self, p):
-        return (np.asarray(p, dtype=float) - self.anchor) / self.epsilon \
-            @ self._Minv - self.lattice.omega
+    def tube_margin(self, radius):
+        """Lattice-coordinate distance covering a euclidean radius."""
+        return radius / self.epsilon * self.minv_norm + 1e-9
 
-    def from_integer(self, ks):
+    def to_lattice_coords(self, p, omega=None):
+        omega = self.lattice.omega if omega is None else omega
+        return rows_times((np.asarray(p, dtype=float) - self.anchor)
+                          / self.epsilon, self._Minv) - omega
+
+    def from_integer(self, ks, omega=None):
+        omega = self.lattice.omega if omega is None else omega
         ks = np.atleast_2d(np.asarray(ks, dtype=float))
-        return self.anchor + self.epsilon * ((ks + self.lattice.omega)
-                                             @ self.lattice.M)
+        return self.anchor + self.epsilon * rows_times(ks + omega,
+                                                       self.lattice.M)
+
+
+def rows_times(a, m):
+    """a @ m for row vectors a (..., d), summed in a fixed order per row.
+
+    Unlike a BLAS product, each row's result does not depend on how many
+    rows are passed together, so block and one-row tracing agree exactly.
+    """
+    out = a[..., 0, None] * m[0]
+    for k in range(1, m.shape[0]):
+        out = out + a[..., k, None] * m[k]
+    return out
+
+
+def integer_points_near_segments(a0, a1, margin):
+    """All k in Z^d within margin of each segment [a0[i], a1[i]].
+
+    Returns (rows, ks): ks[m] is near segment rows[m].  The result holds
+    every k with |k - a(t)|_inf <= margin for some point a(t) of the
+    segment (so every k within euclidean distance margin) and may
+    overshoot; callers filter by exact distance.  Each segment walks the
+    integer slabs along its own dominant axis; in slab m the segment's
+    parameter window where |a(t)_j - m| <= margin bounds the other axes to
+    a small box.  Slabs and boxes are expanded over all segments at once.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    n, d = a0.shape
+    u = a1 - a0
+    j = np.argmax(np.abs(u), axis=1)
+    seg = np.arange(n)
+    flip = u[seg, j] < 0
+    b0 = np.where(flip[:, None], a1, a0)
+    u = np.where(flip[:, None], -u, u)
+    b0j, uj = b0[seg, j], u[seg, j]
+    m_lo = np.floor(b0j - margin).astype(np.int64)
+    m_hi = np.ceil(b0j + uj + margin).astype(np.int64)
+    slab_seg, m = repeat_with_rank(seg, m_hi - m_lo + 1)
+    m = m + m_lo[slab_seg]
+    step = np.where(uj > 0.0, uj, 1.0)[slab_seg]
+    bj = b0j[slab_seg]
+    t_lo = np.clip((m - margin - bj) / step, 0.0, 1.0)
+    t_hi = np.clip((m + margin - bj) / step, 0.0, 1.0)
+    c0 = b0[slab_seg] + t_lo[:, None] * u[slab_seg]
+    c1 = b0[slab_seg] + t_hi[:, None] * u[slab_seg]
+    lo = np.ceil(np.minimum(c0, c1) - margin).astype(np.int64)
+    hi = np.floor(np.maximum(c0, c1) + margin).astype(np.int64)
+    slabs = np.arange(len(m))
+    lo[slabs, j[slab_seg]] = m
+    hi[slabs, j[slab_seg]] = m
+    extent = np.maximum(hi - lo + 1, 0)
+    slab, local = repeat_with_rank(slabs, np.prod(extent, axis=1))
+    ks = np.empty((len(slab), d), dtype=np.int64)
+    ext = extent[slab]
+    for axis in range(d - 1, -1, -1):
+        ks[:, axis] = lo[slab, axis] + local % ext[:, axis]
+        local = local // ext[:, axis]
+    return slab_seg[slab], ks
+
+
+def segment_cover_bound(a0, a1, margin):
+    """Upper bound on the rows integer_points_near_segments returns per segment.
+
+    A slab's box spans at most 4 margin per non-dominant axis, so it holds
+    at most floor(4 margin) + 1 integers there.
+    """
+    span = np.max(np.abs(np.asarray(a1) - np.asarray(a0)), axis=1)
+    d = np.shape(a0)[1]
+    return (np.ceil(span + 2.0 * margin) + 2.0) \
+        * (np.floor(4.0 * margin) + 1.0) ** (d - 1)
+
+
+def repeat_with_rank(owner, counts):
+    """Repeat owner[i] counts[i] times; also return each copy's rank
+    0 .. counts[i]-1 (ragged expansion without a Python loop)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    rep = np.repeat(owner, counts)
+    starts = np.cumsum(counts) - counts
+    return rep, np.arange(len(rep), dtype=np.int64) - np.repeat(starts, counts)
 
 
 def integer_points_near_segment(a0, a1, margin):
     """All k in Z^d within margin (euclidean) of the segment [a0, a1].
 
-    May overshoot (superset); callers filter by exact distance.  Works by
-    integer slabs along the dominant axis of the segment.
+    One-segment form of integer_points_near_segments (a superset).
     """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    d = a0.size
-    u = a1 - a0
-    j = int(np.argmax(np.abs(u)))
-    if abs(u[j]) < 1.0:
-        los = np.floor(np.minimum(a0, a1) - margin).astype(int)
-        his = np.ceil(np.maximum(a0, a1) + margin).astype(int)
-        grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(los, his)],
-                            indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    if u[j] < 0:
-        a0, a1 = a1, a0
-        u = -u
-    ms = np.arange(int(np.floor(a0[j] - margin)), int(np.ceil(a1[j] + margin)) + 1)
-    # parameter window on [0,1] where |a(t)_j - m| <= margin
-    t_lo = np.clip((ms - margin - a0[j]) / u[j], 0.0, 1.0)
-    t_hi = np.clip((ms + margin - a0[j]) / u[j], 0.0, 1.0)
-    others = [i for i in range(d) if i != j]
-    pieces = []
-    per_axis_ranges = []
-    for i in others:
-        c0 = a0[i] + t_lo * u[i]
-        c1 = a0[i] + t_hi * u[i]
-        lo_i = np.ceil(np.minimum(c0, c1) - margin).astype(int)
-        hi_i = np.floor(np.maximum(c0, c1) + margin).astype(int)
-        per_axis_ranges.append((lo_i, hi_i))
-    counts = [np.maximum(hi - lo + 1, 0) for lo, hi in per_axis_ranges]
-    if d == 1:
-        return ms[:, None]
-    max_counts = [int(c.max()) if c.size else 0 for c in counts]
-    if any(mc == 0 for mc in max_counts):
-        return np.empty((0, d), dtype=int)
-    # broadcast slab index x offsets over the (small) cross-section box
-    offset_grids = np.meshgrid(*[np.arange(mc) for mc in max_counts],
-                               indexing="ij")
-    offs = np.stack([g.ravel() for g in offset_grids], axis=1)  # (m, d-1)
-    n_slab, n_off = ms.size, offs.shape[0]
-    out = np.empty((n_slab, n_off, d), dtype=int)
-    out[:, :, j] = ms[:, None]
-    valid = np.ones((n_slab, n_off), dtype=bool)
-    for a, i in enumerate(others):
-        lo_i, hi_i = per_axis_ranges[a]
-        vals = lo_i[:, None] + offs[None, :, a]
-        out[:, :, i] = vals
-        valid &= vals <= hi_i[:, None]
-    return out[valid]
+    return integer_points_near_segments(np.atleast_2d(a0),
+                                        np.atleast_2d(a1), margin)[1]
 
 
 def dist_point_segment(pts, p0, p1):
@@ -261,14 +306,9 @@ def points_in_tube(sgl, x, v, t0, t1, radius, return_indices=False):
     v = np.asarray(v, dtype=float)
     p0 = x + t0 * v
     p1 = x + t1 * v
-    a0 = sgl.to_lattice_coords(p0)
-    a1 = sgl.to_lattice_coords(p1)
-    op_norm = np.linalg.norm(sgl._Minv, 2)
-    margin = radius / sgl.epsilon * op_norm + 1e-9
-    ks = integer_points_near_segment(a0, a1, margin)
-    if ks.size == 0:
-        pts = np.empty((0, x.size))
-        return (pts, ks) if return_indices else pts
+    ks = integer_points_near_segment(sgl.to_lattice_coords(p0),
+                                     sgl.to_lattice_coords(p1),
+                                     sgl.tube_margin(radius))
     pts = sgl.from_integer(ks)
     keep = dist_point_segment(pts, p0, p1) <= radius
     pts, ks = pts[keep], ks[keep]

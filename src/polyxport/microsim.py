@@ -2,25 +2,44 @@
 
 A particle moves straight and reflects specularly off balls of radius r
 centered on the per-grain scatterer sets.  The scaling eps = r^((d-1)/d)
-keeps the mean free path of order one as r -> 0.  First-hit search walks
-the grains traversed by the ray in order and enumerates candidate centers
-inside a thin tube around the ray, so the expected work per free path is
-O(1) at this scaling.
+keeps the mean free path of order one as r -> 0.
+
+First-hit search runs on blocks of rays (`first_collisions`): every ray is
+clipped against every grain inflated by r, the candidate centers inside a
+thin tube around each clipped segment are enumerated for all rays at once
+(integer slabs of the grain lattice, or the cells of a sorted Poisson
+grid), and the entry roots are reduced to one minimum per ray.  The
+expected work per free path is O(1) at this scaling.  One-ray calls
+(`first_collision`, `trajectory`) and the tau_1 sampler use the same
+engine.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import scattering
-from .geometry import SceneError, ray_grain_intersect
+# ray_grain_intersect is unused here but stays importable from this
+# module: perfbench/tracing.py wraps it in this namespace.
+from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
+                       ray_grain_intersect)
 from .lattice import (ScaledGrainLattice, dist_point_segment,
-                      integer_points_near_segment, points_in_tube)
+                      integer_points_near_segments, points_in_tube,
+                      repeat_with_rank, rows_times, segment_cover_bound)
 
 MAX_EVENTS = 10 ** 7
+
+# Candidate (ray, center) rows the engine expands per vectorized step: it
+# bounds the temporaries of one step to a few MB whatever the tube length.
+ROW_BUDGET = 1 << 13
+
+# tau_1 samples per offset stream [seed, 0x0FF5E7, chunk]; worker pools
+# trace whole chunks, so results do not depend on the worker count.
+SAMPLE_CHUNK = 20000
 
 
 def epsilon_for(r, dimension):
@@ -48,17 +67,17 @@ class BetaSpec:
             raise ValueError("radial beta needs alpha in [0, pi/2]")
 
     def __call__(self, v):
+        """beta for one direction (d,) or for each row of (n, d)."""
         v = np.asarray(v, dtype=float)
         if self.mode == "zero":
             return np.zeros_like(v)
-        d = v.size
-        if d == 2:
-            perp = np.array([-v[1], v[0]])
+        if v.shape[-1] == 2:
+            perp = np.stack([-v[..., 1], v[..., 0]], axis=-1)
         else:
-            ref = np.array([0.0, 0.0, 1.0]) if abs(v[2]) < 0.9 \
-                else np.array([1.0, 0.0, 0.0])
+            ref = np.where((np.abs(v[..., 2]) < 0.9)[..., None],
+                           [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
             perp = np.cross(v, ref)
-            perp /= np.linalg.norm(perp)
+            perp /= np.linalg.norm(perp, axis=-1, keepdims=True)
         return math.cos(self.alpha) * v + math.sin(self.alpha) * perp
 
 
@@ -72,7 +91,6 @@ class MicroConfig:
     on_scatterer: bool = False      # start on a scatterer of start_grain
     start_grain: Optional[int] = None
     cutoff_factor: float = 10.0     # escape cutoff in scene diameters
-    chunk_length: Optional[float] = None   # tube query granularity (tests)
     resample_offsets: bool = False  # fresh lattice offsets per sample
 
     def __post_init__(self):
@@ -97,30 +115,74 @@ class CollisionEvent:
 
 
 class PointGrid:
-    """Uniform cell hash over a fixed point set for segment-tube queries."""
+    """Fixed point set hashed into uniform cells, stored sorted by cell.
+
+    The points of each occupied cell are a contiguous run of `_order`
+    (an argsort of the linear cell keys); a query looks its cells up with
+    `searchsorted`, for many segments at once.
+    """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
-        self._index = {}
-        keys = np.floor(self.points / self.cell).astype(int)
-        for i, k in enumerate(map(tuple, keys)):
-            self._index.setdefault(k, []).append(i)
+        keys = np.floor(self.points / self.cell).astype(np.int64)
+        if len(keys):
+            self._lo = keys.min(axis=0)
+            self._shape = keys.max(axis=0) - self._lo + 1
+        else:
+            self._lo = self._shape = np.zeros(self.points.shape[1], np.int64)
+        lin = self._linear(keys)
+        self._order = np.argsort(lin, kind="stable")
+        self._cells, self._start, counts = np.unique(
+            lin[self._order], return_index=True, return_counts=True)
+        self._stop = self._start + counts
+
+    def _linear(self, keys):
+        """Row-major cell index inside the occupied box; -1 outside it."""
+        rel = keys - self._lo
+        inside = np.all((rel >= 0) & (rel < self._shape), axis=1)
+        lin = np.zeros(len(keys), dtype=np.int64)
+        for axis in range(keys.shape[1]):
+            lin = lin * self._shape[axis] + rel[:, axis]
+        return np.where(inside, lin, -1)
+
+    def _margin(self, radius):
+        # in cell units a point lies within 1/2 (per axis) of its cell's
+        # center, so cells are taken within that plus radius
+        return radius / self.cell + 0.5 + 1e-9
+
+    def cover(self, p0, p1, radius):
+        """Indices of all points in cells near each segment [p0[i], p1[i]].
+
+        Returns (rows, idx), a superset of the points within radius of
+        their segment.
+        """
+        rows, cells = integer_points_near_segments(
+            np.asarray(p0) / self.cell - 0.5, np.asarray(p1) / self.cell - 0.5,
+            self._margin(radius))
+        lin = self._linear(cells)
+        pos = np.minimum(np.searchsorted(self._cells, lin),
+                         max(len(self._cells) - 1, 0))
+        found = (lin >= 0) & (self._cells[pos] == lin) if len(self._cells) \
+            else np.zeros(len(lin), dtype=bool)
+        rows, pos = rows[found], pos[found]
+        owner, rank = repeat_with_rank(np.arange(len(pos)),
+                                       self._stop[pos] - self._start[pos])
+        return rows[owner], self._order[self._start[pos][owner] + rank]
+
+    def cover_bound(self, p0, p1, radius):
+        """Upper bound on the cells `cover` visits per segment."""
+        return segment_cover_bound(np.asarray(p0) / self.cell,
+                                   np.asarray(p1) / self.cell,
+                                   self._margin(radius))
 
     def query_segment(self, p0, p1, radius):
-        d = self.points.shape[1] if self.points.size else len(p0)
-        margin = radius / self.cell + math.sqrt(d) + 1e-9
-        cells = integer_points_near_segment(np.asarray(p0) / self.cell,
-                                            np.asarray(p1) / self.cell, margin)
-        idx = []
-        for c in map(tuple, cells):
-            idx.extend(self._index.get(c, ()))
-        if not idx:
-            return np.empty((0, d))
-        pts = self.points[sorted(set(idx))]
-        keep = dist_point_segment(pts, np.asarray(p0, dtype=float),
-                                  np.asarray(p1, dtype=float)) <= radius
-        return pts[keep]
+        """Points within radius of the segment [p0, p1] (one-segment cover)."""
+        p0 = np.asarray(p0, dtype=float)
+        p1 = np.asarray(p1, dtype=float)
+        _, idx = self.cover(p0[None], p1[None], radius)
+        pts = self.points[np.sort(idx)]
+        return pts[dist_point_segment(pts, p0, p1) <= radius]
 
 
 def poisson_realization(grain, epsilon, rng):
@@ -134,8 +196,18 @@ def poisson_realization(grain, epsilon, rng):
     return pts[keep]
 
 
+def _inside(grain, pts):
+    """Strict interior test per row, summed in a fixed order per row."""
+    return np.all(rows_times(pts, grain.normals.T) < grain.offsets, axis=1)
+
+
 class MicroRuntime:
-    """Scene + radius bound to concrete scatterer sets for one run."""
+    """Scene + radius bound to concrete scatterer sets for one run.
+
+    Per grain it holds the scatterer store (a ScaledGrainLattice, which
+    caches M^-1 and its norm, or a PointGrid) and the grain inflated by r,
+    whose clip window holds every hit on that grain's balls.
+    """
 
     def __init__(self, scene, cfg):
         if scene.periodic_box is not None:
@@ -160,6 +232,9 @@ class MicroRuntime:
                 pts = poisson_realization(g, self.epsilon, rng)
                 cell = max(self.epsilon, 4.0 * self.r)
                 self._media[g.id] = ("poisson", PointGrid(pts, cell))
+        self._inflated = [dataclasses.replace(g, offsets=g.offsets + self.r,
+                                              vertices=None)
+                          for g in scene.grains]
         allv = np.vstack([g.get_vertices() for g in scene.grains])
         self.scene_diameter = float(np.linalg.norm(allv.max(0) - allv.min(0)))
         self.cutoff = cfg.cutoff_factor * self.scene_diameter
@@ -170,134 +245,177 @@ class MicroRuntime:
                 raise SceneError("per-sample offsets need random-offset "
                                  f"crystal media everywhere (grains {bad})")
 
-    def resample_media(self, rng):
-        """Fresh uniform lattice offsets (random-offset annealed sampling)."""
-        for g, m in zip(self.scene.grains, self.scene.media):
-            lat = m.lattice.with_omega(rng.uniform(0.0, 1.0,
-                                                   self.scene.dimension))
-            self._media[g.id] = ("crystal",
-                                 ScaledGrainLattice(lat, self.epsilon,
-                                                    np.zeros(self.scene.dimension)))
+    @property
+    def _draws_q(self):
+        return self.cfg.q_mode == "random" and not self.cfg.on_scatterer
 
-    def scatterers(self, grain_id):
+    def resample_media(self, rng, n):
+        """Fresh lattice offsets for n annealed samples, in one draw.
+
+        Row i holds sample i's uniforms in the order a per-sample loop
+        draws them: each grain's omega in scene order, then the start
+        point's q when it is random.  Returns omegas (n, G, d) and q
+        (n, d), or None when q is not drawn.
+        """
+        d, G = self.scene.dimension, len(self.scene.grains)
+        u = rng.uniform(0.0, 1.0, (n, G * d + (d if self._draws_q else 0)))
+        return u[:, :G * d].reshape(n, G, d), (u[:, G * d:]
+                                               if self._draws_q else None)
+
+    def scatterers(self, grain_id, omega=None):
+        """Every scatterer center of the grain (omega overrides a crystal's)."""
         kind, store = self._media[grain_id]
         if kind == "crystal":
             grain = self.scene.grain_by_id(grain_id)
-            ks = _lattice_points_in_grain(store, grain)
-            return store.from_integer(ks) if ks.size else np.empty((0, self.scene.dimension))
+            ks = _lattice_points_in_grain(store, grain, omega)
+            return store.from_integer(ks, omega) if ks.size \
+                else np.empty((0, self.scene.dimension))
         return store.points
 
     def candidates(self, grain_id, x, v, t0, t1):
-        """All scatterer centers of the grain within r of x + [t0,t1] v."""
+        """All scatterer centers of the grain within r of x + [t0,t1] v.
+
+        An exact one-segment query; the engine uses the superset `_cover`.
+        """
         kind, store = self._media[grain_id]
-        grain = self.scene.grain_by_id(grain_id)
         radius = self.r * (1.0 + 1e-12)
-        chunk = self.cfg.chunk_length or (t1 - t0)
-        pieces = []
-        t = t0
-        while t < t1:
-            s = min(t + chunk, t1)
-            if kind == "crystal":
-                pts, ks = points_in_tube(store, x, v, t, s, radius,
-                                         return_indices=True)
-                if len(pts):
-                    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
-                    pts = pts[keep]
-            else:
-                pts = store.query_segment(x + t * np.asarray(v),
-                                          x + s * np.asarray(v), radius)
-            if len(pts):
-                pieces.append(pts)
-            t = s
-        if not pieces:
-            return np.empty((0, self.scene.dimension))
-        pts = np.vstack(pieces)
-        if len(pieces) > 1:
-            pts = np.unique(pts, axis=0)
-        return pts
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if kind == "crystal":
+            pts = points_in_tube(store, x, v, t0, t1, radius)
+            return pts[_inside(self.scene.grain_by_id(grain_id), pts)]
+        return store.query_segment(x + t0 * v, x + t1 * v, radius)
+
+    def _cover(self, j, p0, p1, omega):
+        """Superset of grain j's centers near each segment: (rows, centers).
+
+        omega: None, or one lattice offset per segment (crystal grains).
+        """
+        grain = self.scene.grains[j]
+        kind, store = self._media[grain.id]
+        radius = self.r * (1.0 + 1e-12)
+        if kind == "poisson":
+            rows, idx = store.cover(p0, p1, radius)
+            return rows, store.points[idx]
+        rows, ks = integer_points_near_segments(
+            store.to_lattice_coords(p0, omega),
+            store.to_lattice_coords(p1, omega), store.tube_margin(radius))
+        centers = store.from_integer(ks, None if omega is None else omega[rows])
+        keep = _inside(grain, centers)
+        return rows[keep], centers[keep]
+
+    def _cover_bound(self, j, p0, p1):
+        kind, store = self._media[self.scene.grains[j].id]
+        radius = self.r * (1.0 + 1e-12)
+        if kind == "poisson":
+            return store.cover_bound(p0, p1, radius)
+        return segment_cover_bound(store.to_lattice_coords(p0),
+                                   store.to_lattice_coords(p1),
+                                   store.tube_margin(radius))
 
 
-def _lattice_points_in_grain(sgl, grain):
-    verts = grain.get_vertices()
-    lo = sgl.to_lattice_coords(verts.min(axis=0))
-    corners = np.array([sgl.to_lattice_coords(v) for v in verts])
+def _lattice_points_in_grain(sgl, grain, omega=None):
+    corners = sgl.to_lattice_coords(grain.get_vertices(), omega)
     los = np.floor(corners.min(axis=0)) - 1
     his = np.ceil(corners.max(axis=0)) + 1
     grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(los, his)],
                         indexing="ij")
     ks = np.stack([g.ravel() for g in grids], axis=1)
-    pts = sgl.from_integer(ks)
-    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
-    return ks[keep]
+    return ks[_inside(grain, sgl.from_integer(ks, omega))]
 
 
-def _search_segments(runtime, x, v):
-    """Grain windows along the ray, inflated by r so near-boundary
-    scatterers poking out of their grain are still found."""
-    segs = []
-    r = runtime.r
-    for g in runtime.scene.grains:
-        inflated = replace_offsets(g, g.offsets + r)
-        hit = ray_grain_intersect(inflated, x, v)
-        if hit is not None:
-            segs.append((hit[0], hit[1], g.id))
-    segs.sort()
-    return segs
+def _budget_slices(cost, budget):
+    """Consecutive slices of rows whose costs sum to at most budget
+    (a single row over budget gets a slice of its own)."""
+    cum = np.cumsum(cost)
+    start = 0
+    while start < len(cum):
+        base = cum[start - 1] if start else 0.0
+        stop = max(int(np.searchsorted(cum, base + budget, side="right")),
+                   start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
-def replace_offsets(grain, offsets):
-    import dataclasses
-    return dataclasses.replace(grain, offsets=offsets, vertices=None)
+class Hits(NamedTuple):
+    """First hits of a block of rays; escapes have time inf and grain -1."""
+    time: np.ndarray      # (n,)
+    center: np.ndarray    # (n, d)
+    grain: np.ndarray     # (n,) grain ids
+    w1: np.ndarray        # (n, d) unit impact points, zero rows for escapes
+
+
+def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
+    """Earliest sphere hit along each ray xs[i] + t vs[i].
+
+    exclude: optional (n, d) center per ray that the ray ignores (a start
+    on that scatterer).  omegas: optional (n, G, d) lattice offsets of
+    the crystal grains, one set per ray (annealed sampling).
+    """
+    xs = np.asarray(xs, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    n, d = xs.shape
+    r, cutoff = runtime.r, runtime.cutoff
+    best_t = np.full(n, np.inf)
+    best_c = np.zeros((n, d))
+    best_g = np.full(n, -1, dtype=np.int64)
+    for j, (grain, inflated) in enumerate(zip(runtime.scene.grains,
+                                              runtime._inflated)):
+        t0, t1, ok = clip_grain_rows(inflated, xs, vs)
+        t1 = np.minimum(t1, cutoff + 2.0 * r)
+        rows = np.flatnonzero(ok & (t0 <= cutoff) & (t1 > t0))
+        if not len(rows):
+            continue
+        p0 = xs[rows] + t0[rows, None] * vs[rows]
+        p1 = xs[rows] + t1[rows, None] * vs[rows]
+        cost = runtime._cover_bound(j, p0, p1)
+        for part in _budget_slices(cost, ROW_BUDGET):
+            ray = rows[part]
+            om = None if omegas is None else omegas[ray, j]
+            k, centers = runtime._cover(j, p0[part], p1[part], om)
+            ray = ray[k]
+            u = centers - xs[ray]
+            tc = np.sum(u * vs[ray], axis=1)
+            q = np.sum(u * u, axis=1)
+            disc = r * r - (q - tc * tc)
+            ok = (disc > 0.0) & (tc > 0.0) & (q > r * r * (1.0 + 1e-12))
+            if exclude is not None:
+                ok &= np.linalg.norm(centers - exclude[ray], axis=1) \
+                    > 1e-9 * runtime.epsilon
+            ray, centers, q, tc, disc = (a[ok] for a in
+                                         (ray, centers, q, tc, disc))
+            if not len(ray):
+                continue
+            # entry root of |x + t v - y|^2 = r^2 in the cancellation-free form
+            thit = (q - r * r) / (tc + np.sqrt(disc))
+            order = np.lexsort((thit, ray))
+            first = order[np.r_[True, ray[order][1:] != ray[order][:-1]]]
+            better = first[thit[first] < best_t[ray[first]]]
+            best_t[ray[better]] = thit[better]
+            best_c[ray[better]] = centers[better]
+            best_g[ray[better]] = grain.id
+    hit = best_t <= cutoff
+    best_t[~hit] = np.inf
+    best_g[~hit] = -1
+    w1 = np.zeros((n, d))
+    w1[hit] = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
+    w1[hit] /= np.linalg.norm(w1[hit], axis=1, keepdims=True)
+    return Hits(best_t, best_c, best_g, w1)
 
 
 def first_collision(runtime, x, v, exclude_center=None):
-    """Earliest sphere hit along x + t v, or None when the ray escapes.
-
-    The search visits grain windows in ray order and stops as soon as no
-    later grain can produce an earlier hit.
-    """
+    """Earliest sphere hit along x + t v, or None when the ray escapes."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    r = runtime.r
-    cutoff = runtime.cutoff
-    best_t = np.inf
-    best = None
-    for a, b, gid in _search_segments(runtime, x, v):
-        if best_t < a - 2.0 * r or a > cutoff:
-            break
-        t0 = max(a, 0.0)
-        t1 = min(b, cutoff + 2.0 * r)
-        if t1 <= t0:
-            continue
-        centers = runtime.candidates(gid, x, v, t0, t1)
-        if exclude_center is not None and len(centers):
-            keep = np.linalg.norm(centers - exclude_center, axis=1) \
-                > 1e-9 * runtime.epsilon
-            centers = centers[keep]
-        if not len(centers):
-            continue
-        u = centers - x
-        tc = u @ v
-        q = np.sum(u * u, axis=1)
-        disc = r * r - (q - tc * tc)
-        ok = (disc > 0.0) & (tc > 0.0) & (q > r * r * (1.0 + 1e-12))
-        if not ok.any():
-            continue
-        # entry root of |x + t v - y|^2 = r^2 in the cancellation-free form
-        thit = np.full(len(centers), np.inf)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        thit[ok] = (q[ok] - r * r) / (tc[ok] + sq[ok])
-        i = int(np.argmin(thit))
-        if thit[i] < best_t:
-            best_t = float(thit[i])
-            best = (centers[i], gid)
-    if best is None or best_t > cutoff:
+    hits = first_collisions(runtime, x[None], v[None],
+                            exclude=None if exclude_center is None
+                            else np.asarray(exclude_center, dtype=float)[None])
+    if hits.grain[0] < 0:
         return None
-    center, gid = best
-    w1 = (x + best_t * v - center) / r
-    w1 = w1 / np.linalg.norm(w1)
-    v_out = scattering.reflect(v, w1)
-    return CollisionEvent(best_t, center, w1, gid, v.copy(), v_out)
+    w1 = hits.w1[0]
+    return CollisionEvent(float(hits.time[0]), hits.center[0], w1,
+                          int(hits.grain[0]), v.copy(),
+                          scattering.reflect(v, w1))
 
 
 def trajectory(runtime, x0, v0, t_max):
@@ -373,62 +491,95 @@ def sample_direction_lambda(rng, dimension, spec=None, n=None):
     raise ValueError(f"unknown direction law {kind!r}")
 
 
-def _start_point(runtime, rng):
+def _start_points(runtime, n, q=None, omegas=None):
+    """n base points: anchor + eps q, or a scatterer center of start_grain.
+
+    q: (n, d) uniforms for q_mode 'random'.  omegas: (n, G, d) per-sample
+    lattice offsets (annealed sampling) for starts on a scatterer.
+    """
     scene, cfg = runtime.scene, runtime.cfg
-    x = scene.anchor.copy()
-    if cfg.on_scatterer:
-        kind, store = runtime._media[cfg.start_grain]
-        if kind != "crystal":
-            centers = runtime.scatterers(cfg.start_grain)
-            if not len(centers):
-                raise SceneError("start grain holds no scatterers at this radius")
-            return centers[int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
-        k = np.round(store.to_lattice_coords(x))
-        center = store.from_integer(k)[0]
-        grain = scene.grain_by_id(cfg.start_grain)
-        if not grain.contains(center):
-            centers = runtime.scatterers(cfg.start_grain)
-            if not len(centers):
-                raise SceneError("start grain holds no scatterers at this radius")
-            center = centers[int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
-        return center
-    if cfg.q_mode == "zero":
-        q = np.zeros(scene.dimension)
-    elif cfg.q_mode == "fixed":
-        q = np.asarray(cfg.q, dtype=float)
+    x = np.broadcast_to(scene.anchor, (n, scene.dimension))
+    if not cfg.on_scatterer:
+        if cfg.q_mode == "zero":
+            return x.copy()
+        if cfg.q_mode == "fixed":
+            q = np.asarray(cfg.q, dtype=float)
+        return x + runtime.epsilon * q
+    gid = cfg.start_grain
+    grain = scene.grain_by_id(gid)
+    kind, store = runtime._media[gid]
+    om = None
+    if omegas is not None:
+        om = omegas[:, [g.id for g in scene.grains].index(gid)]
+    if kind != "crystal":
+        centers = np.empty((n, scene.dimension))
+        inside = np.zeros(n, dtype=bool)
     else:
-        q = rng.uniform(0.0, 1.0, scene.dimension)
-    return x + runtime.epsilon * q
+        k = np.round(store.to_lattice_coords(x, om))
+        centers = store.from_integer(k, om)
+        inside = _inside(grain, centers)
+    for i in np.flatnonzero(~inside):
+        cands = runtime.scatterers(gid, None if om is None else om[i])
+        if not len(cands):
+            raise SceneError("start grain holds no scatterers at this radius")
+        centers[i] = cands[int(np.argmin(np.linalg.norm(cands - x[i], axis=1)))]
+    return centers
+
+
+def _start_point(runtime, rng):
+    """The run's base point; draws q from rng when q_mode is 'random'."""
+    d = runtime.scene.dimension
+    q = rng.uniform(0.0, 1.0, (1, d)) if runtime._draws_q else None
+    return _start_points(runtime, 1, q)[0]
+
+
+def _trace_chunk(job):
+    """First hits of one chunk of directions: (tau_1, grain ids, w1)."""
+    rt, dirs, base, chunk_id = job
+    cfg = rt.cfg
+    n = len(dirs)
+    omegas = None
+    starts = np.broadcast_to(base, dirs.shape)
+    if cfg.resample_offsets:
+        rng = np.random.default_rng([cfg.seed, 0x0FF5E7, chunk_id])
+        omegas, q = rt.resample_media(rng, n)
+        starts = _start_points(rt, n, q, omegas)
+    hits = first_collisions(rt, starts + cfg.r * cfg.beta(dirs), dirs,
+                            exclude=starts if cfg.on_scatterer else None,
+                            omegas=omegas)
+    return hits.time, hits.grain, hits.w1
 
 
 def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
-                             runtime=None):
-    """Empirical (tau_1, -w1 K(v)) law over n directions drawn from lambda."""
-    rt = runtime or MicroRuntime(scene, cfg)
+                             threads=1):
+    """Empirical (tau_1, -w1 K(v)) law over n directions drawn from lambda.
+
+    Streams: [seed, 0x7A01] draws the base point, then the directions;
+    with resample_offsets, [seed, 0x0FF5E7, chunk] draws the per-sample
+    offsets (and q) of each SAMPLE_CHUNK-sized chunk.  threads > 1 traces
+    the chunks in worker processes; the result is the same for any count.
+    """
+    rt = MicroRuntime(scene, cfg)
     rng = np.random.default_rng([cfg.seed, 0x7A01])
     base = _start_point(rt, rng)
     dirs = sample_direction_lambda(rng, scene.dimension, lambda_spec, n_samples)
-    tau1 = np.full(n_samples, np.inf)
-    grains = np.full(n_samples, -1, dtype=int)
-    u_imp = np.zeros((n_samples, scene.dimension))
-    exit_w = np.zeros((n_samples, scene.dimension - 1))
-    for i in range(n_samples):
-        v = dirs[i]
-        if cfg.resample_offsets:
-            rt.resample_media(rng)
-            base = _start_point(rt, rng)
-        start = base + cfg.r * cfg.beta(v)
-        Kv = scattering.frame_matrix(v)
-        if cfg.on_scatterer:
-            exit_w[i] = (cfg.beta(v) @ Kv)[1:]
-        ev = first_collision(rt, start, v,
-                             exclude_center=base if cfg.on_scatterer else None)
-        if ev is None:
-            continue
-        tau1[i] = ev.time
-        grains[i] = ev.grain_id
-        u_imp[i] = -(ev.w1 @ Kv)
-    escaped = ~np.isfinite(tau1)
+    jobs = [(rt, dirs[i:i + SAMPLE_CHUNK], base, i // SAMPLE_CHUNK)
+            for i in range(0, n_samples, SAMPLE_CHUNK)]
+    if threads > 1 and len(jobs) > 1:
+        import multiprocessing
+        with multiprocessing.get_context("spawn").Pool(threads) as pool:
+            parts = pool.map(_trace_chunk, jobs)
+    else:
+        parts = [_trace_chunk(job) for job in jobs]
+    tau1 = np.concatenate([p[0] for p in parts])
+    grains = np.concatenate([p[1] for p in parts])
+    w1 = np.concatenate([p[2] for p in parts])
+    hit = grains >= 0
+    K = scattering.frame_matrices(dirs)
+    u_imp = np.zeros_like(dirs)
+    u_imp[hit] = -np.einsum("ni,nij->nj", w1[hit], K[hit])
+    exit_w = None
+    if cfg.on_scatterer:
+        exit_w = np.einsum("ni,nij->nj", cfg.beta(dirs), K)[:, 1:]
     return Tau1Sample(cfg.r, rt.epsilon, cfg.seed, tau1, grains, u_imp,
-                      dirs, escaped, base,
-                      exit_w if cfg.on_scatterer else None)
+                      dirs, ~hit, base, exit_w)

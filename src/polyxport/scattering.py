@@ -7,17 +7,9 @@ unit sphere points in the frame of the outgoing velocity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GRAZE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Frame:
-    v: np.ndarray
-    K: np.ndarray
 
 
 def frame_matrix(v):
@@ -60,10 +52,6 @@ def frame_matrices(vs):
         fb[0, 0] = fb[1, 1] = -1.0
         K[~ok] = fb
     return K
-
-
-def frame(v):
-    return Frame(np.asarray(v, dtype=float), frame_matrix(v))
 
 
 def reflect(v, w):

@@ -117,12 +117,6 @@ def kolmogorov_sf(lam):
     return float(min(max(total, 0.0), 1.0))
 
 
-def ks_pvalue(d, n):
-    """Asymptotic one-sample p-value with the standard finite-n correction."""
-    s = np.sqrt(n)
-    return kolmogorov_sf((s + 0.12 + 0.11 / s) * d)
-
-
 def chi2_pvalue(stat, dof):
     """Right tail of the chi-square distribution."""
     if dof <= 0:

@@ -281,7 +281,7 @@ def convergence_run():
     for r in R_SCHEDULE:
         cfg = microsim.MicroConfig(r=r, seed=107, q_mode="zero",
                                    resample_offsets=True)
-        samples[r] = harness.sample_tau1(scene, cfg, N_PER_R)
+        samples[r] = microsim.sample_tau1_distribution(scene, cfg, N_PER_R)
     return scene, cdf, samples
 
 

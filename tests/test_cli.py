@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from polyxport import harness, microsim
 from polyxport.cli import main
 
 
@@ -100,3 +101,54 @@ def test_reproducible_byte_identical(scene_config, tmp_path):
     main(["freepath", "--config", str(scene_config), "--out", str(b)])
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_psi_closes_config_file(scene_config, monkeypatch, capsys):
+    opened = []
+    real_open = open
+
+    def tracking_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", tracking_open)
+    assert main(["psi", "eval", "--config", str(scene_config),
+                 "--x", "0.15,0.15", "--v", "1,0", "--xi", "0.1"]) == 0
+    assert opened and all(fh.closed for fh in opened)
+
+
+def test_microsim_cli_matches_library(tmp_path):
+    doc = {
+        "scene": {
+            "dimension": 2, "anchor": [0.15, 0.15],
+            "assume_incommensurable": True,
+            "grains": [
+                {"id": 1, "box": [[0.0, 0.0], [0.3, 0.3]],
+                 "medium": {"type": "crystal",
+                            "matrix": [["1", "0"], ["0", "1"]],
+                            "offset": [0.318, 0.577],
+                            "mode": "random-offset"}},
+                {"id": 2, "box": [[0.35, 0.0], [0.65, 0.3]],
+                 "medium": {"type": "crystal",
+                            "matrix": [[0.5403023058681398, 0.8414709848078965],
+                                       [-0.8414709848078965,
+                                        0.5403023058681398]],
+                            "offset": [0.414, 0.162],
+                            "mode": "random-offset"}},
+            ],
+        },
+        "experiment": {"kind": "freepath", "seed": 11, "samples": 1500,
+                       "r_schedule": [3e-3], "resample_offsets": True},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["microsim", "--config", str(path),
+                 "--out", str(tmp_path / "ms")]) == 0
+    lines = (tmp_path / "ms" / "microsim_r0.003.csv").read_text().split("\n")
+    cli_tau1 = np.array([float(line.split(",")[2]) for line in lines[1:-1]])
+    cfg = harness.ExperimentConfig.from_dict(doc)
+    lib = microsim.sample_tau1_distribution(
+        cfg.scene, harness.micro_config(cfg, 3e-3), cfg.samples)
+    assert np.array_equal(cli_tau1, lib.tau1)
+    assert np.isfinite(lib.tau1).sum() > 100

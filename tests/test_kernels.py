@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
 from polyxport import kernels as K
+from polyxport.lattice import PoissonMedium
 from polyxport.kernels import (F, G, KernelModel, RangeError, ZETA3, d_phi,
                                phi0_2d, phi0_3d, phi_freepath, phi_marginal,
                                poisson_kernels, tail_bound, upsilon)
@@ -257,6 +258,12 @@ class TestKernelModel:
     def test_model_range_guard(self):
         with pytest.raises(RangeError):
             KernelModel("crystal", 2).phi0(0.7, 0.0, 0.0)
+
+    def test_for_medium_rejects_unknown_kind(self):
+        assert K.for_medium("poisson", 2).medium == "poisson"
+        assert K.for_medium(PoissonMedium(), 3).medium == "poisson"
+        with pytest.raises(ValueError, match="amorphous"):
+            K.for_medium("amorphous", 2)
 
     @pytest.mark.parametrize("medium,dim", [("crystal", 2), ("crystal", 3),
                                             ("poisson", 2), ("poisson", 3)])

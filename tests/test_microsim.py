@@ -1,30 +1,103 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyxport import microsim, presets, scattering
+from polyxport import make_scene, microsim, presets, scattering
 from polyxport.geometry import SceneError
+from polyxport.lattice import PoissonMedium, dist_point_segment
 from polyxport.microsim import BetaSpec, MicroConfig, MicroRuntime
 
 
-def brute_force_first_hit(rt, x, v, exclude=None):
-    """Full enumeration over every scatterer: the search oracle."""
+def brute_force_first_hit(rt, x, v, exclude=None, omegas=None):
+    """Full enumeration over every scatterer: the search oracle.
+
+    omegas: optional (G, d) lattice offsets of the crystal grains.  The
+    entry root is written as in the engine, so a disagreement can only
+    come from the candidate search.
+    """
     best_t, best_g = np.inf, -1
     r = rt.r
-    for g in rt.scene.grains:
-        for y in rt.scatterers(g.id):
-            if exclude is not None and \
-                    np.linalg.norm(y - exclude) < 1e-9 * rt.epsilon:
-                continue
-            u = y - x
-            tc = u @ v
-            q = u @ u
-            disc = r * r - (q - tc * tc)
-            if disc <= 0 or tc <= 0 or q <= r * r * (1 + 1e-12):
-                continue
-            t = (q - r * r) / (tc + np.sqrt(disc))
-            if 0 < t < best_t:
-                best_t, best_g = t, g.id
+    for j, g in enumerate(rt.scene.grains):
+        ys = rt.scatterers(g.id, None if omegas is None else omegas[j])
+        if exclude is not None and len(ys):
+            ys = ys[np.linalg.norm(ys - exclude, axis=1) > 1e-9 * rt.epsilon]
+        u = ys - x
+        tc = np.sum(u * v, axis=1)
+        q = np.sum(u * u, axis=1)
+        disc = r * r - (q - tc * tc)
+        ok = (disc > 0) & (tc > 0) & (q > r * r * (1 + 1e-12))
+        if not ok.any():
+            continue
+        t = (q[ok] - r * r) / (tc[ok] + np.sqrt(disc[ok]))
+        if t.min() < best_t:
+            best_t, best_g = float(t.min()), g.id
+    if best_t > rt.cutoff:
+        return np.inf, -1
     return best_t, best_g
+
+
+def oracle_scene(kind, rng):
+    """2D random boxes or the 3D two-box scene, crystal/Poisson/mixed."""
+    dim, medium = kind.split("-")
+    if dim == "2d":
+        scene = presets.random_scene_2d(
+            rng, n_grains=3, medium="poisson" if medium == "poisson"
+            else "crystal")
+    else:
+        scene = presets.two_boxes_3d(
+            medium="poisson" if medium == "poisson" else "crystal")
+    if medium != "mixed":
+        return scene
+    media = tuple(PoissonMedium() if i % 2 else m
+                  for i, m in enumerate(scene.media))
+    return make_scene(scene.dimension, scene.grains, media,
+                      anchor=scene.anchor, assume_incommensurable=True)
+
+
+def oracle_rays(rt, rng, n):
+    """Generic, near-grazing, near-boundary and on-scatterer rays.
+
+    Returns xs, vs and the per-ray excluded center (far away when the ray
+    does not start on a scatterer).
+    """
+    scene = rt.scene
+    d = scene.dimension
+    centers = np.vstack([rt.scatterers(g.id) for g in scene.grains])
+    xs = scene.anchor + rng.uniform(-0.2, 0.2, (n, d))
+    vs = scattering.sample_direction(rng, d, n)
+    exclude = np.full((n, d), 1e6)
+    kind = rng.integers(0, 4, n)
+    for i in range(n):
+        v = vs[i]
+        perp = rng.normal(size=d)
+        perp -= (perp @ v) * v
+        perp /= np.linalg.norm(perp)
+        y = centers[rng.integers(len(centers))]
+        if kind[i] == 1:      # passes a center at r (1 +- delta)
+            delta = 10.0 ** rng.uniform(-9, -2) * rng.choice([-1.0, 1.0])
+            xs[i] = y - rng.uniform(0.01, 0.3) * v \
+                + rt.r * (1.0 + delta) * perp
+        elif kind[i] == 2:    # starts on a grain face, nearly along it
+            g = scene.grains[rng.integers(len(scene.grains))]
+            k = rng.integers(len(g.normals))
+            nrm = g.normals[k]
+            verts = g.get_vertices()
+            on_face = verts[np.abs(verts @ nrm - g.offsets[k]) < 1e-9]
+            w = rng.dirichlet(np.ones(len(on_face)))
+            xs[i] = w @ on_face + rng.uniform(-2.0, 2.0) * rt.r * nrm
+            t = rng.normal(size=d)
+            t -= (t @ nrm) * nrm
+            t /= np.linalg.norm(t)
+            tilt = 10.0 ** rng.uniform(-8, -1) * rng.choice([-1.0, 1.0])
+            vs[i] = (t + tilt * nrm) / np.linalg.norm(t + tilt * nrm)
+        elif kind[i] == 3:    # leaves the surface of the ball at y
+            w = rng.normal(size=d)
+            w /= np.linalg.norm(w)
+            if w @ v < 0:
+                w = -w
+            xs[i] = y + rt.r * w
+            exclude[i] = y
+    return xs, vs, exclude
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +106,53 @@ def runtime(two_squares):
 
 
 class TestFirstCollision:
-    def test_matches_brute_force(self, runtime, two_squares):
-        rng = np.random.default_rng(1)
-        for _ in range(250):
-            th = rng.uniform(0, 2 * np.pi)
-            v = np.array([np.cos(th), np.sin(th)])
-            x = two_squares.anchor + runtime.epsilon * rng.uniform(0, 1, 2)
-            ev = microsim.first_collision(runtime, x, v)
-            bt, bg = brute_force_first_hit(runtime, x, v)
-            if ev is None:
-                assert not np.isfinite(bt)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["2d-crystal", "2d-poisson", "2d-mixed",
+                                 "3d-crystal", "3d-poisson", "3d-mixed"]),
+           annealed=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force(self, seed, kind, annealed):
+        rng = np.random.default_rng(seed)
+        scene = oracle_scene(kind, rng)
+        r = rng.uniform(2e-3, 1e-2) if scene.dimension == 2 \
+            else rng.uniform(1e-3, 3e-3)
+        rt = MicroRuntime(scene, MicroConfig(r=r, seed=seed))
+        n = 120
+        xs, vs, exclude = oracle_rays(rt, rng, n)
+        omegas = rng.uniform(0, 1, (n, len(scene.grains), scene.dimension)) \
+            if annealed else None
+        hits = microsim.first_collisions(rt, xs, vs, exclude=exclude,
+                                         omegas=omegas)
+        for i in range(n):
+            bt, bg = brute_force_first_hit(
+                rt, xs[i], vs[i], exclude[i],
+                None if omegas is None else omegas[i])
+            if np.isfinite(bt):
+                assert hits.time[i] == pytest.approx(bt, rel=1e-12)
             else:
-                assert ev.time == pytest.approx(bt, rel=1e-12)
-                assert ev.grain_id == bg
+                assert not np.isfinite(hits.time[i])
+            assert hits.grain[i] == bg
+        assert (hits.grain >= 0).sum() >= 3     # the search is exercised
+        for i in range(5):
+            p0, p1 = xs[i], xs[i] + 0.5 * vs[i]
+            for g in scene.grains:
+                ys = rt.scatterers(g.id)
+                near = ys[dist_point_segment(ys, p0, p1) <= r * (1 + 1e-12)]
+                got = rt.candidates(g.id, xs[i], vs[i], 0.0, 0.5)
+                assert sorted(map(tuple, got)) == sorted(map(tuple, near))
+
+    def test_one_ray_call_matches_block(self, runtime, two_squares):
+        rng = np.random.default_rng(1)
+        xs = two_squares.anchor + runtime.epsilon * rng.uniform(0, 1, (50, 2))
+        vs = scattering.sample_direction(rng, 2, 50)
+        hits = microsim.first_collisions(runtime, xs, vs)
+        for i in range(50):
+            ev = microsim.first_collision(runtime, xs[i], vs[i])
+            if ev is None:
+                assert hits.grain[i] == -1
+            else:
+                assert ev.time == hits.time[i]
+                assert np.array_equal(ev.w1, hits.w1[i])
 
     def test_head_on_geometry(self):
         scene = presets.single_square_2d(side=0.34)
@@ -80,24 +187,6 @@ class TestFirstCollision:
             # impact direction lands in the incoming hemisphere
             u = -(ev.w1 @ scattering.frame_matrix(v))
             assert u[0] > 0
-
-    def test_chunking_invariance(self, two_squares):
-        base_cfg = MicroConfig(r=3e-3, seed=7)
-        fine_cfg = MicroConfig(r=3e-3, seed=7, chunk_length=0.03)
-        rt1 = MicroRuntime(two_squares, base_cfg)
-        rt2 = MicroRuntime(two_squares, fine_cfg)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            th = rng.uniform(0, 2 * np.pi)
-            v = np.array([np.cos(th), np.sin(th)])
-            x = two_squares.anchor + rt1.epsilon * rng.uniform(0, 1, 2)
-            a = microsim.first_collision(rt1, x, v)
-            b = microsim.first_collision(rt2, x, v)
-            if a is None:
-                assert b is None
-            else:
-                assert a.time == b.time
-                assert np.array_equal(a.center, b.center)
 
     def test_near_boundary_scatterer_found(self):
         # a sphere poking out of its grain must be hit by rays passing
@@ -160,6 +249,27 @@ class TestTrajectory:
         samp2 = microsim.sample_tau1_distribution(two_squares, cfg, 200)
         assert np.array_equal(samp1.tau1, samp2.tau1)
         assert np.array_equal(samp1.u_impact, samp2.u_impact)
+
+
+    def test_worker_count_invariance(self):
+        scene = presets.two_squares_2d(mode="random-offset")
+        cfg = MicroConfig(r=1e-2, seed=3, q_mode="zero",
+                          resample_offsets=True)
+        n = microsim.SAMPLE_CHUNK + 500
+        one = microsim.sample_tau1_distribution(scene, cfg, n)
+        two = microsim.sample_tau1_distribution(scene, cfg, n, threads=2)
+        assert np.array_equal(one.tau1, two.tau1)
+        assert np.array_equal(one.u_impact, two.u_impact)
+
+    def test_block_offsets_replay_per_sample_draws(self):
+        scene = presets.two_squares_2d(mode="random-offset")
+        rt = MicroRuntime(scene, MicroConfig(r=1e-2, resample_offsets=True))
+        omegas, q = rt.resample_media(np.random.default_rng([5, 1]), 40)
+        rng = np.random.default_rng([5, 1])
+        for i in range(40):
+            for j in range(len(scene.grains)):
+                assert np.array_equal(omegas[i, j], rng.uniform(0, 1, 2))
+            assert np.array_equal(q[i], rng.uniform(0, 1, 2))
 
 
 class TestScaling:

@@ -110,6 +110,19 @@ def test_run_poisson_baseline_small():
     assert report["gap_ks"] < 0.03
 
 
+def test_poisson_baseline_thresholds_from_config():
+    def verdict(thresholds):
+        doc = {"scene": tiled_scene_doc("poisson"),
+               "experiment": {"kind": "poisson-baseline", "seed": 9,
+                              "samples": 4000, "thresholds": thresholds}}
+        return harness.run_poisson_baseline(
+            ExperimentConfig.from_dict(doc))["verdict"]
+
+    loose = {"alpha": 1e-9, "freepath_ks": 1.0}
+    assert verdict(loose)
+    assert not verdict(dict(loose, freepath_ks=1e-9))
+
+
 def test_run_stationarity_small():
     cfg = ExperimentConfig.from_dict({
         "scene": tiled_scene_doc("crystal"),

@@ -129,6 +129,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("key,value", [("xi_eval", [0.1]),
+                                           ("family", "psi"),
+                                           ("kind", "kernel-tables")])
+    def test_keys_and_kinds_without_consumer_rejected(self, key, value):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"][key] = value
+        with pytest.raises(ConfigError, match=key if key != "kind" else value):
+            ExperimentConfig.from_dict(doc)
+
     def test_increasing_schedule_rejected(self):
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"]["r_schedule"] = [1e-3, 1e-2]
