@@ -14,8 +14,7 @@ from .kernels import (KernelModel, RangeError, F, G, d_phi, phi0_2d, phi0_3d,
                       phi_freepath, phi_marginal, poisson_kernels, sigma_bar,
                       tail_bound, upsilon)
 from .lattice import (AffineLattice, CrystalMedium, PoissonMedium,
-                      ScaledGrainLattice, bcc_matrix, is_commensurable,
-                      points_in_tube)
+                      ScaledGrainLattice, bcc_matrix, points_in_tube)
 from .microsim import (BetaSpec, CollisionEvent, MicroConfig, MicroRuntime,
                        first_collision, first_collisions,
                        sample_tau1_distribution, trajectory)

@@ -8,9 +8,14 @@ kernel family does not depend on the impact parameters (any disordered
 medium, planar crystals within the explicit range), and a general path
 runs exact rejection against the gap-discounted exponential envelope.
 
-Ensemble operations are vectorized over particles; segment walking is a
-precomputed table for finite scenes and an incremental cell walk for
-periodic boxes tiled by a single grain.  Escapes are first-class: a
+Ensemble operations are vectorized over particles.  The grain segments
+along the rays form one segment table (rays x segments: entry, exit,
+grain id): the clipped grains of a finite scene, or the merged per-axis
+cell crossings of a periodic box tiled by a single grain.  The rejection
+sampler's budget walk and the n=0 survival oracle are array operations on
+blocks of that table; the factorized sampler, which draws once per segment,
+steps one segment per round (a cursor over the table, or the cell walker
+that the tiled table is built from).  Escapes are first-class: a
 particle whose flight never meets another grain gets xi = +inf and flies
 straight forever.
 """
@@ -27,39 +32,101 @@ from .geometry import SceneError, clip_grain_rows
 _SEG_TOL = 1e-12
 _MAX_ROUNDS = 20000
 
+# Rays per segment table: a block's arrays are rows x segments, and the
+# segment count grows with the horizon, so blocks bound the temporaries.
+TABLE_ROWS = 1 << 7
+
 
 # ---------------------------------------------------------------------------
-# segment walkers
+# segment table and walkers
 # ---------------------------------------------------------------------------
+
+def _finite_table(scene, xs, vs):
+    """All grain segments per ray of a finite scene, sorted by entry."""
+    n = len(xs)
+    G = len(scene.grains)
+    entries = np.full((n, G), np.inf)
+    exits = np.full((n, G), np.inf)
+    for j, g in enumerate(scene.grains):
+        e, h, ok = clip_grain_rows(g, xs, vs)
+        entries[:, j] = np.where(ok, e, np.inf)
+        exits[:, j] = np.where(ok, h, np.inf)
+    order = np.argsort(entries, axis=1, kind="stable")
+    entries = np.take_along_axis(entries, order, axis=1)
+    exits = np.take_along_axis(exits, order, axis=1)
+    base_gids = np.broadcast_to(np.array([g.id for g in scene.grains]),
+                                (n, G))
+    gids = np.take_along_axis(base_gids, order, axis=1)
+    entries[:, 0] = np.where(entries[:, 0] <= _SEG_TOL, 0.0, entries[:, 0])
+    with np.errstate(invalid="ignore"):
+        for k in range(1, G):
+            gap_k = entries[:, k] - exits[:, k - 1]
+            snap = np.isfinite(entries[:, k]) \
+                & (np.abs(gap_k) <= _SEG_TOL * (1.0 + entries[:, k]))
+            entries[snap, k] = exits[snap, k - 1]
+    return entries, exits, gids
+
+
+def _tiled_table(scene, xs, vs, horizon):
+    """Cell segments per ray of a tiled box, through the first exit past
+    horizon.
+
+    Each axis's crossings are one cumsum of [tnext, delta, delta, ...] from
+    the walker's start state, which is the walker's repeated += bit for bit;
+    the sorted union of all axes is the walker's sequence of cell exits.
+    """
+    wk = TiledBoxWalker(scene, xs, vs)
+    pad = polykernel._HORIZON_PAD
+    reach = np.asarray(horizon, dtype=float) * (1.0 + pad) + pad
+    reach = np.broadcast_to(reach, (len(xs),))[:, None]
+    fin = np.isfinite(wk.tnext)
+    beyond = np.zeros(wk.tnext.shape)
+    np.divide(reach - wk.tnext, wk.delta, out=beyond, where=fin)
+    # crossings per axis up to reach, plus the first one past it
+    count = int(np.max(np.floor(beyond), initial=0.0)) + 2
+    steps = np.empty(wk.tnext.shape + (count,))
+    steps[..., 0] = wk.tnext
+    steps[..., 1:] = wk.delta[..., None]
+    exits = np.sort(np.cumsum(steps, axis=2).reshape(len(xs), -1), axis=1)
+    nseg = np.sum(exits <= reach, axis=1) + 1
+    exits = np.ascontiguousarray(exits[:, :np.max(nseg, initial=1)])
+    entries = np.zeros_like(exits)
+    entries[:, 1:] = exits[:, :-1]
+    past = np.arange(exits.shape[1]) >= nseg[:, None]
+    entries[past] = np.inf
+    exits[past] = np.inf
+    return entries, exits, np.full(exits.shape, wk.gid)
+
+
+def segment_table(scene, xs, vs, horizon):
+    """Grain segments along the rays x + t v, one row per ray.
+
+    Returns (entry, exit, gid) arrays of shape rows x segments, sorted by
+    entry and padded with entry = exit = inf.  A finite scene lists every
+    grain the ray crosses; a tiled box lists its cells through the first
+    exit beyond horizon (a scalar or one value per row), zero-length cells
+    of rays through cell edges included.
+    """
+    if _walks_tiled_box(scene):
+        return _tiled_table(scene, xs, vs, horizon)
+    return _finite_table(scene, xs, vs)
+
+
+def _table_blocks(scene, xs, vs, horizon):
+    """(rows, entry, exit, gid) over consecutive blocks of TABLE_ROWS rows."""
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(xs),))
+    for start in range(0, len(xs), TABLE_ROWS):
+        rows = slice(start, start + TABLE_ROWS)
+        yield (rows,) + segment_table(scene, xs[rows], vs[rows], horizon[rows])
+
 
 class FiniteSceneWalker:
-    """All grain segments per ray, precomputed and sorted by entry."""
+    """Cursor over the segment table of a finite scene."""
 
     def __init__(self, scene, xs, vs):
-        n = len(xs)
-        G = len(scene.grains)
-        entries = np.full((n, G), np.inf)
-        exits = np.full((n, G), np.inf)
-        for j, g in enumerate(scene.grains):
-            e, h, ok = clip_grain_rows(g, xs, vs)
-            entries[:, j] = np.where(ok, e, np.inf)
-            exits[:, j] = np.where(ok, h, np.inf)
-        order = np.argsort(entries, axis=1, kind="stable")
-        entries = np.take_along_axis(entries, order, axis=1)
-        exits = np.take_along_axis(exits, order, axis=1)
-        base_gids = np.broadcast_to(np.array([g.id for g in scene.grains]),
-                                    (n, G)).copy()
-        gids = np.take_along_axis(base_gids, order, axis=1)
-        entries[:, 0] = np.where(entries[:, 0] <= _SEG_TOL, 0.0, entries[:, 0])
-        with np.errstate(invalid="ignore"):
-            for k in range(1, G):
-                gap_k = entries[:, k] - exits[:, k - 1]
-                snap = np.isfinite(entries[:, k]) \
-                    & (np.abs(gap_k) <= _SEG_TOL * (1.0 + entries[:, k]))
-                entries[snap, k] = exits[snap, k - 1]
-        self.entries, self.exits, self.gids = entries, exits, gids
-        self.ptr = np.zeros(n, dtype=int)
-        self.nseg = G
+        self.entries, self.exits, self.gids = _finite_table(scene, xs, vs)
+        self.ptr = np.zeros(len(xs), dtype=int)
+        self.nseg = self.entries.shape[1]
 
     def current(self):
         n = len(self.ptr)
@@ -109,7 +176,16 @@ class TiledBoxWalker:
 
 
 def is_tiled_box(scene):
-    """True for a periodic scene whose single grain is exactly the box."""
+    """True for a periodic scene whose single grain is exactly the box.
+
+    Decided once per scene and kept on it, like its grain index.
+    """
+    if "_tiled_box" not in scene.__dict__:
+        object.__setattr__(scene, "_tiled_box", _tiles_box(scene))
+    return scene._tiled_box
+
+
+def _tiles_box(scene):
     if scene.periodic_box is None or len(scene.grains) != 1:
         return False
     g = scene.grains[0]
@@ -126,13 +202,20 @@ def is_tiled_box(scene):
     return True
 
 
-def make_walker(scene, xs, vs):
+def _walks_tiled_box(scene):
+    """False for a finite scene, True for a tiled box; other scenes raise."""
     if scene.periodic_box is None:
-        return FiniteSceneWalker(scene, xs, vs)
+        return False
     if is_tiled_box(scene):
-        return TiledBoxWalker(scene, xs, vs)
+        return True
     raise SceneError("flight sampling supports finite scenes and periodic "
                      "boxes fully tiled by a single grain")
+
+
+def make_walker(scene, xs, vs):
+    if _walks_tiled_box(scene):
+        return TiledBoxWalker(scene, xs, vs)
+    return FiniteSceneWalker(scene, xs, vs)
 
 
 def _uniform_kernel(scene):
@@ -229,7 +312,6 @@ def _walk_to_budget(scene, kern, xs, vs, budget, kind):
     the scatterer-start branch whose factor is the survival marginal.
     """
     n = len(xs)
-    walker = make_walker(scene, xs, vs)
     xi_p = np.full(n, np.inf)
     u_off = np.zeros(n)
     ing = np.zeros(n)
@@ -237,38 +319,34 @@ def _walk_to_budget(scene, kern, xs, vs, budget, kind):
     ell1 = np.zeros(n)
     in_first = np.zeros(n, dtype=bool)
     escaped = np.zeros(n, dtype=bool)
-    pending = np.ones(n, dtype=bool)
-    round_i = 0
-    for _ in range(_MAX_ROUNDS):
-        entry, exit_, gid, valid = walker.current()
-        died = pending & ~valid
-        escaped[died] = True
-        pending &= valid
-        if not pending.any():
-            return xi_p, u_off, ing, prod, ell1, in_first, escaped
-        act = np.flatnonzero(pending)
-        ell = exit_[act] - entry[act]
-        if round_i == 0:
-            ell1[act] = ell
-        rem = budget[act] - ing[act]
-        land = rem < ell
-        rows = act[land]
-        if len(rows):
-            u_off[rows] = rem[land]
-            xi_p[rows] = entry[rows] + rem[land]
-            in_first[rows] = round_i == 0
-            ing[rows] = budget[rows]
-            pending[rows] = False
-        surv = act[~land]
-        if len(surv):
-            ing[surv] += ell[~land]
-            if not (round_i == 0 and kind == "psi0"):
-                prod[surv] *= np.asarray(kern.d_phi(ell[~land]))
-            m = np.zeros(n, dtype=bool)
-            m[surv] = True
-            walker.advance(m)
-        round_i += 1
-    raise RuntimeError("budget walk did not terminate")
+    for rows, entry, exit_, _ in _table_blocks(scene, xs, vs, budget):
+        valid = np.isfinite(entry)
+        ell = np.zeros(entry.shape)
+        np.subtract(exit_, entry, out=ell, where=valid)
+        done = np.cumsum(ell, axis=1)
+        before = np.zeros_like(done)
+        before[:, 1:] = done[:, :-1]
+        rem = budget[rows, None] - before
+        land = valid & (rem < ell)
+        landed = land.any(axis=1)
+        k = np.argmax(land, axis=1)
+        last = np.where(landed, k, entry.shape[1])
+        completed = valid & (np.arange(entry.shape[1]) < last[:, None])
+        if kind == "psi0":
+            completed[:, 0] = False
+        factor = np.ones(entry.shape)
+        if completed.any():
+            factor[completed] = kern.d_phi(ell[completed])
+        prod[rows] = np.cumprod(factor, axis=1)[:, -1]
+        ell1[rows] = ell[:, 0]
+        i = np.arange(len(k))
+        r = rem[i, k]
+        u_off[rows] = np.where(landed, r, 0.0)
+        xi_p[rows] = np.where(landed, entry[i, k] + r, np.inf)
+        ing[rows] = np.where(landed, budget[rows], done[:, -1])
+        in_first[rows] = landed & (k == 0)
+        escaped[rows] = ~landed
+    return xi_p, u_off, ing, prod, ell1, in_first, escaped
 
 
 def _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z):
@@ -287,8 +365,8 @@ def _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z):
     w = np.zeros((n, d - 1))
     pending = np.arange(n)
     if kind == "psi0":
-        e0, _, _, ok0 = make_walker(scene, xs, vs).current()
-        pending = pending[ok0 & (e0 == 0.0)]   # off-grain starts escape
+        e0 = segment_table(scene, xs, vs, 0.0)[0][:, 0]
+        pending = pending[e0 == 0.0]   # off-grain starts escape
     for _ in range(_MAX_ROUNDS):
         if not len(pending):
             return xi, w
@@ -478,12 +556,39 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng,
     """Oracle for the n=0 fraction: mean survival of f0 beyond t.
 
     Uses the closed-form survival of the generic-start density, which is
-    independent of the ensemble evolution path.
+    independent of the ensemble evolution path.  It is one product of D_Phi
+    over the segment table that the rejection sampler walks, taken to
+    horizon t; the tests pin it to the scalar polykernel.survival_psi.
     """
     xs = sample_positions(scene, n_mc, rng, position)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
-    surv = [polykernel.survival_psi(scene, x, v, t) for x, v in zip(xs, vs)]
-    return float(np.mean(surv))
+    return float(np.mean(_survival_rows(scene, xs, vs, t)))
+
+
+def _survival_rows(scene, xs, vs, t):
+    """P(path length >= t) of the generic-start density, one value per ray.
+
+    Fully traversed segments contribute D_Phi of their length and the
+    segment holding t contributes D_Phi(t - entry), as in survival_psi.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    kinds = {}
+    for g, m in zip(scene.grains, scene.media):
+        kinds.setdefault(m.kind, []).append(g.id)
+    out = np.empty(len(xs))
+    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, t):
+        seen = entry <= t
+        length = np.zeros(entry.shape)
+        np.subtract(np.minimum(exit_, t), entry, out=length, where=seen)
+        factor = np.ones(entry.shape)
+        for kind, ids in kinds.items():
+            sel = seen & np.isin(gid, ids)
+            if sel.any():
+                factor[sel] = KK.for_medium(kind, scene.dimension).d_phi(
+                    length[sel])
+        out[rows] = np.cumprod(factor, axis=1)[:, -1]
+    return out
 
 
 def wrap_positions(scene, xs):

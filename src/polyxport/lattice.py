@@ -1,4 +1,4 @@
-"""Affine unimodular lattices, commensurability, and thin-tube enumeration.
+"""Affine unimodular lattices and thin-tube enumeration.
 
 A lattice is the point set (Z^d + omega) M with det M = 1.  Scatterer
 centers of a grain are anchor + eps * (Z^d + omega) M, and the ray tracer
@@ -16,10 +16,6 @@ from typing import Optional
 import numpy as np
 
 DET_TOL = 1e-12
-
-
-class CommensurabilityUndecidable(ValueError):
-    """Raised when a float matrix has no exact rational representation."""
 
 
 def bcc_matrix():
@@ -131,28 +127,6 @@ class CrystalMedium:
 class PoissonMedium:
     """Disordered grain medium: scatterers on a unit-intensity Poisson set."""
     kind = "poisson"
-
-
-def is_commensurable(lat1, lat2):
-    """Commensurator membership test for the pair of lattice matrices.
-
-    Two unimodular matrices are commensurable iff M1 M2^-1 equals
-    (det T)^(-1/d) T for a rational T with det T > 0.  Matrices supplied
-    with exact rational forms always satisfy this (the commensurator is a
-    group containing every normalized rational matrix), so the test
-    returns True for any exact pair and raises for float-only input, where
-    the property is undecidable.
-    """
-    f1 = lat1.rational_form if isinstance(lat1, AffineLattice) else _parse_rational_matrix(lat1)
-    f2 = lat2.rational_form if isinstance(lat2, AffineLattice) else _parse_rational_matrix(lat2)
-    if f1 is None or f2 is None:
-        raise CommensurabilityUndecidable(
-            "commensurability is undecidable on floats; supply exact "
-            "rational entries or assert incommensurability in the config")
-    d1, d2 = _frac_det([list(r) for r in f1]), _frac_det([list(r) for r in f2])
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("rational forms must have positive determinant")
-    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
 from polyxport import flight, kernels, polykernel, presets, scattering, stats
@@ -57,6 +58,155 @@ class TestWalkers:
                         periodic_box=PeriodicBox((0, 0), (0.4, 0.4)))
         with pytest.raises(SceneError):
             make_walker(sc, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+
+
+class TestSegmentTable:
+    def test_tiled_table_replays_walker(self, tiled_crystal, tiled_crystal_3d):
+        # the per-axis cumsum must give the walker's exits bit for bit
+        rng = np.random.default_rng(20)
+        for scene, side in ((tiled_crystal, 0.35), (tiled_crystal_3d, 0.14)):
+            d = scene.dimension
+            n = 50
+            xs = rng.uniform(0.0, 3 * side, (n, d))
+            vs = scattering.sample_direction(rng, d, n)
+            vs[0] = np.eye(d)[0]                 # axis-parallel
+            vs[1] = np.ones(d) / np.sqrt(d)      # through cell edges
+            xs[1] = side / 2
+            entry, exit_, gid = flight.segment_table(scene, xs, vs, 2.0)
+            assert np.all(gid == scene.grains[0].id)
+            wk = TiledBoxWalker(scene, xs, vs)
+            for k in range(entry.shape[1]):
+                e, h, _, _ = wk.current()
+                listed = np.isfinite(entry[:, k])
+                assert np.array_equal(entry[listed, k], e[listed])
+                assert np.array_equal(exit_[listed, k], h[listed])
+                # each row lists its cells through the first exit past 2
+                assert np.all(listed == (e <= 2.0))
+                assert np.all(np.isinf(exit_[~listed, k]))
+                wk.advance(np.ones(n, dtype=bool))
+            assert np.any(exit_[1, 1:] == entry[1, 1:])   # zero-length cell
+
+
+def _row_strategy(d):
+    """(cell fraction, direction) of one ray: generic, axis-parallel, or
+    from the cell centre along a diagonal, which crosses cell edges (two
+    axes at the same time: zero-length segments)."""
+    frac = st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d)
+    component = st.floats(-1.0, 1.0, allow_subnormal=False)
+    generic = st.tuples(frac, st.lists(component, min_size=d,
+                                       max_size=d).map(
+        lambda v: v if np.linalg.norm(v) > 0.1 else [1.0] + v[1:]))
+    axis = st.tuples(frac, st.tuples(st.integers(0, d - 1),
+                                     st.sampled_from([-1.0, 1.0])).map(
+        lambda a: list(a[1] * np.eye(d)[a[0]])))
+    diagonal = st.tuples(st.just([0.5] * d),
+                         st.lists(st.sampled_from([-1.0, 1.0]), min_size=d,
+                                  max_size=d))
+    return st.one_of(generic, axis, diagonal)
+
+
+def _scalar_walk(scene, kern, x, v, budget, kind):
+    """The budget walk of one ray over geometry.itinerary, one segment at a
+    time; also the in-grain lengths at which it could change segment."""
+    segs = itinerary(scene, x, v, budget + 1.0)
+    ell1 = segs[0].sejour if segs else 0.0
+    ing, prod, marks = 0.0, 1.0, []
+    for k, s in enumerate(segs):
+        rem = budget - ing
+        if rem < s.sejour:
+            return (s.entry + rem, rem, budget, prod, ell1, k == 0,
+                    False), marks
+        ing += s.sejour
+        marks.append(ing)
+        if not (k == 0 and kind == "psi0"):
+            prod *= float(kern.d_phi(s.sejour))
+    return (np.inf, 0.0, ing, prod, ell1, False, True), marks
+
+
+class TestBudgetWalk:
+    @given(data=st.data(), which=st.sampled_from(["tiled2", "tiled3",
+                                                  "finite"]),
+           kind=st.sampled_from(["psi", "psi0"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_itinerary_walk(self, data, which, kind,
+                                           tiled_crystal, tiled_crystal_3d,
+                                           two_squares):
+        # scene, box of the starts, period of the tiling (0: finite), and
+        # the largest budget: 30 cells, or past all grain of two_squares
+        scene, lo, hi, period, top = {
+            "tiled2": (tiled_crystal, (0.0,) * 2, (0.35,) * 2, 0.35, 10.5),
+            "tiled3": (tiled_crystal_3d, (0.0,) * 3, (0.14,) * 3, 0.14, 4.2),
+            "finite": (two_squares, (-0.1, -0.1), (0.85, 0.5), 0.0, 1.0),
+        }[which]
+        d = scene.dimension
+        rows = data.draw(st.lists(_row_strategy(d), min_size=1, max_size=6))
+        cells = data.draw(st.lists(st.integers(-3, 3), min_size=d,
+                                   max_size=d))
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        xs = np.array([lo + np.asarray(f) * (hi - lo)
+                       + np.asarray(cells) * period for f, _ in rows])
+        vs = np.array([np.asarray(v) / np.linalg.norm(v) for _, v in rows])
+        budget = np.array(data.draw(st.lists(
+            st.floats(0.0, top), min_size=len(rows), max_size=len(rows))))
+        kern = flight._uniform_kernel(scene)
+        got = flight._walk_to_budget(scene, kern, xs, vs, budget, kind)
+        for i in range(len(xs)):
+            want, marks = _scalar_walk(scene, kern, xs[i], vs[i], budget[i],
+                                       kind)
+            # a budget on a segment end may land on either side of it
+            assume(all(abs(budget[i] - m) > 1e-9 * (1.0 + m) for m in marks))
+            scale = 1e-12 * (1.0 + budget[i])
+            for name, g, w in zip(("xi", "u", "ing", "prod", "ell1"),
+                                  [a[i] for a in got[:5]], want[:5]):
+                if np.isinf(w):
+                    assert g == w, name
+                else:
+                    assert g == pytest.approx(w, rel=1e-12, abs=scale), name
+            assert got[5][i] == want[5]
+            assert got[6][i] == want[6]
+
+
+class TestSurvivalOracle:
+    @pytest.mark.parametrize("which", ["tiled2", "tiled3", "finite"])
+    def test_matches_scalar_survival(self, which, tiled_crystal,
+                                     tiled_crystal_3d, two_squares):
+        scene = {"tiled2": tiled_crystal, "tiled3": tiled_crystal_3d,
+                 "finite": two_squares}[which]
+        d = scene.dimension
+        rng = np.random.default_rng(21)
+        n = 300
+        assert n > 2 * flight.TABLE_ROWS    # several blocks of the table
+        if which == "finite":
+            xs = rng.uniform((-0.1, -0.1), (0.85, 0.5), (n, 2))
+        else:
+            xs = flight.sample_positions(scene, n, rng, "uniform_box")
+        vs = scattering.sample_direction(rng, d, n)
+        vs[1] = np.eye(d)[0]
+        xs[2] = 0.1
+        vs[2] = np.eye(d)[0]              # through both finite grains
+        segs = itinerary(scene, xs[2], vs[2], 3.0)
+        ts = [0.0, 0.37, 0.9, segs[1].entry]      # the last on a crossing
+        if which == "finite":
+            ts.append(2.0)       # beyond every segment: the escape mass
+            assert max(s.exit for x, v in zip(xs, vs)
+                       for s in itinerary(scene, x, v, 2.0)) < 2.0
+        for t in ts:
+            got = flight._survival_rows(scene, xs, vs, t)
+            want = [polykernel.survival_psi(scene, x, v, t)
+                    for x, v in zip(xs, vs)]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_quadrature_is_mean_survival(self, tiled_crystal_3d):
+        got = flight.no_collision_fraction_quadrature(
+            tiled_crystal_3d, 1.0, 500, np.random.default_rng(22),
+            position="uniform_box")
+        rng = np.random.default_rng(22)
+        xs = flight.sample_positions(tiled_crystal_3d, 500, rng,
+                                     "uniform_box")
+        vs = scattering.sample_direction(rng, 3, 500)
+        want = np.mean([polykernel.survival_psi(tiled_crystal_3d, x, v, 1.0)
+                        for x, v in zip(xs, vs)])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSamplers:

@@ -3,10 +3,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from polyxport import bcc_matrix, is_commensurable, points_in_tube
-from polyxport.lattice import (AffineLattice, CommensurabilityUndecidable,
-                               ScaledGrainLattice, dist_point_segment,
-                               integer_points_near_segment)
+from polyxport import bcc_matrix, points_in_tube
+from polyxport.lattice import (AffineLattice, ScaledGrainLattice,
+                               dist_point_segment, integer_points_near_segment)
 
 
 def test_bcc_matrix():
@@ -25,25 +24,6 @@ def test_bcc_rotated_keeps_det():
 def test_affine_lattice_rejects_bad_det():
     with pytest.raises(ValueError):
         AffineLattice(2 * np.eye(2), np.zeros(2))
-
-
-def test_commensurable_identity():
-    ident = AffineLattice.from_rows([["1", "0"], ["0", "1"]])
-    assert is_commensurable(ident, ident)
-
-
-def test_commensurable_rational_rotation():
-    ident = AffineLattice.from_rows([["1", "0"], ["0", "1"]])
-    rot = AffineLattice.from_rows([["4/5", "3/5"], ["-3/5", "4/5"]])
-    assert is_commensurable(ident, rot)
-
-
-def test_commensurable_undecidable_on_floats():
-    ident = AffineLattice.from_rows([["1", "0"], ["0", "1"]])
-    c, s = np.cos(1.0), np.sin(1.0)
-    rot = AffineLattice(np.array([[c, s], [-s, c]]), np.zeros(2))
-    with pytest.raises(CommensurabilityUndecidable):
-        is_commensurable(ident, rot)
 
 
 def test_rational_form_normalization():
