@@ -12,8 +12,9 @@ Ensemble operations are vectorized over particles.  The grain segments
 along the rays form one segment table (rays x segments: entry, exit,
 grain id): the clipped grains of a finite scene, or the merged per-axis
 cell crossings of a periodic box tiled by a single grain.  The rejection
-sampler's budget walk and the n=0 survival oracle are array operations on
-blocks of that table; the factorized sampler, which draws once per segment,
+sampler's budget walk and the survival curves (the limit free-path CDF,
+the gap-scene and n=0 oracles) are array operations on blocks of that
+table; the factorized sampler, which draws once per segment,
 steps one segment per round (a cursor over the table, or the cell walker
 that the tiled table is built from).  Escapes are first-class: a
 particle whose flight never meets another grain gets xi = +inf and flies
@@ -556,39 +557,111 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng,
     """Oracle for the n=0 fraction: mean survival of f0 beyond t.
 
     Uses the closed-form survival of the generic-start density, which is
-    independent of the ensemble evolution path.  It is one product of D_Phi
-    over the segment table that the rejection sampler walks, taken to
-    horizon t; the tests pin it to the scalar polykernel.survival_psi.
+    independent of the ensemble evolution path: survival_curves at the
+    one-point grid [t], over the segment table that the rejection sampler
+    walks.  The tests pin it to the scalar polykernel.survival_psi.
     """
     xs = sample_positions(scene, n_mc, rng, position)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
-    return float(np.mean(_survival_rows(scene, xs, vs, t)))
+    return float(np.mean(survival_curves(scene, xs, vs, [t])[:, 0]))
 
 
-def _survival_rows(scene, xs, vs, t):
-    """P(path length >= t) of the generic-start density, one value per ray.
+class OffGrainStart(SceneError):
+    """A scatterer-start survival row whose ray does not start in a grain."""
 
-    Fully traversed segments contribute D_Phi of their length and the
-    segment holding t contributes D_Phi(t - entry), as in survival_psi.
+
+def survival_blocks(scene, xs, vs, grid, z=None):
+    """P(path length >= g) at every point g of a sorted grid, one row per ray.
+
+    The generic-start family multiplies D_Phi of each segment that g has
+    fully traversed and D_Phi(g - entry) of the segment holding g.  Given
+    exit parameters z (one row per ray), the scatterer-start marginal
+    Phi(., z) replaces D_Phi on the first segment, which must start at 0
+    (OffGrainStart otherwise).  Factors multiply in segment order, so a
+    row carries the bits of the scalar product along its itinerary.
+
+    Yields (rows, curves) over blocks of TABLE_ROWS rays of the segment
+    table to grid[-1], curves being rows x grid: per block and medium kind,
+    one kernel call on the full segments and one on the ragged array of
+    grid points inside a segment.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    grid = np.asarray(grid, dtype=float)
+    if grid[0] < 0:
+        raise ValueError("grid must be nonnegative")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    if z is not None:
+        z = np.atleast_2d(np.asarray(z, dtype=float))
     kinds = {}
     for g, m in zip(scene.grains, scene.media):
         kinds.setdefault(m.kind, []).append(g.id)
-    out = np.empty(len(xs))
-    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, t):
-        seen = entry <= t
-        length = np.zeros(entry.shape)
-        np.subtract(np.minimum(exit_, t), entry, out=length, where=seen)
-        factor = np.ones(entry.shape)
-        for kind, ids in kinds.items():
-            sel = seen & np.isin(gid, ids)
-            if sel.any():
-                factor[sel] = KK.for_medium(kind, scene.dimension).d_phi(
-                    length[sel])
-        out[rows] = np.cumprod(factor, axis=1)[:, -1]
-    return out
+    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, grid[-1]):
+        if z is not None and np.any(entry[:, 0] != 0.0):
+            raise OffGrainStart("scatterer-start survival needs every ray "
+                                "to start in a grain")
+        yield rows, _block_curves(scene, kinds, grid, entry, exit_, gid,
+                                  None if z is None else z[rows])
+
+
+def survival_curves(scene, xs, vs, grid, z=None):
+    """survival_blocks as one rows x grid array."""
+    return np.concatenate([c for _, c in survival_blocks(scene, xs, vs, grid,
+                                                         z)])
+
+
+def _block_curves(scene, kinds, grid, entry, exit_, gid, z):
+    n, nseg = entry.shape
+    m = len(grid)
+    valid = np.isfinite(entry)
+    ell = np.zeros(entry.shape)
+    np.subtract(exit_, entry, out=ell, where=valid)
+    # factor code per segment: 2 * kind index, plus 1 on the first segment
+    # of the scatterer-start branch; -1 on the padding
+    code = np.full(entry.shape, -1, dtype=np.int8)
+    for i, ids in enumerate(kinds.values()):
+        code[valid & np.isin(gid, ids)] = 2 * i
+    if z is not None:
+        code[:, 0] += 1
+    # grid points inside segment (r, k), lo <= col < hi, as one ragged
+    # array; pos is the flat index r * m + col of the output
+    lo = np.searchsorted(grid, entry)
+    hi = np.searchsorted(grid, exit_)
+    segs = np.flatnonzero(hi > lo)
+    count = (hi - lo).ravel()[segs]
+    shift = np.cumsum(count) - count - lo.ravel()[segs]
+    cols = np.arange(int(count.sum())) - np.repeat(shift, count)
+    pos = cols + np.repeat(segs // nseg * m, count)
+    u = grid[cols] - np.repeat(entry.ravel()[segs], count)
+    pcode = np.repeat(code.ravel()[segs], count)
+    # u turns from in-segment lengths into their factors
+    factor = np.ones(entry.shape)
+    for i, kind in enumerate(kinds):
+        kern = KK.for_medium(kind, scene.dimension)
+        for lead in (False, True):
+            full = code == 2 * i + lead
+            if full.any():
+                factor[full] = _factor(kern, lead, ell[full], z,
+                                       np.nonzero(full)[0])
+            inner = pcode == 2 * i + lead
+            if inner.any():
+                u[inner] = _factor(kern, lead, u[inner], z, pos[inner] // m)
+    # grid points in [hi of segment k-1, hi of segment k) have traversed
+    # segments 0..k-1 fully: the prefix product before segment k
+    prefix = np.ones((n, nseg + 1))
+    prefix[:, 1:] = np.cumprod(factor, axis=1)
+    edges = np.zeros((n, nseg + 2), dtype=int)
+    edges[:, 1:-1] = hi
+    edges[:, -1] = m
+    surv = np.repeat(prefix.ravel(), np.diff(edges, axis=1).ravel())
+    surv[pos] *= u
+    return surv.reshape(n, m)
+
+
+def _factor(kern, lead, lengths, z, rows):
+    """Phi(., z) of the rows on a leading segment, D_Phi elsewhere."""
+    if lead:
+        return kern.phi_marg(lengths, z[rows])
+    return kern.d_phi(lengths)
 
 
 def wrap_positions(scene, xs):

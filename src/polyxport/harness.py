@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import flight, kernels, microsim, polykernel, scattering, stats
+from . import flight, kernels, microsim, scattering, stats
 from .geometry import ConvexGrain, PeriodicBox, make_scene
 from .lattice import AffineLattice, CrystalMedium, PoissonMedium
 
@@ -131,6 +131,9 @@ class ExperimentConfig:
         kind = exp.get("kind")
         if kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
+        if kind in ("freepath", "transition") and scene.periodic_box is not None:
+            raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
+                              "the microscopic dynamics of a finite scene")
         seed = int(exp.get("seed", 0))
         samples = int(exp.get("samples", 1000))
         if samples < 1000:
@@ -202,59 +205,44 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
                        on_scatterer=False, beta=None, m_dirs=2048):
     """CDF of the limiting free path law, averaged over directions.
 
-    Uses the closed-form survival products; returns (grid, cdf values) for
-    linear interpolation.  In the on-scatterer mode the exit parameter of
-    each direction enters the scatterer-start marginal.
+    Each direction's survival curve on the xi grid (closed-form survival
+    products over the segment table from x) is one row of
+    flight.survival_blocks, which yields blocks of flight.TABLE_ROWS
+    directions; the weighted CDFs add up direction by direction.  In the on-scatterer mode
+    the exit parameter beta(v) of each direction enters the
+    scatterer-start marginal, and a base point outside every grain raises
+    ConfigError.  Returns (grid, cdf values) for linear interpolation.
     """
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
     dirs, wts = direction_grid(scene, lambda_spec, m_dirs)
+    z = None
+    if on_scatterer:
+        z = np.array([(beta(v) @ scattering.frame_matrix(v))[1:]
+                      for v in dirs])
+    xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
     acc = np.zeros_like(xi_grid)
-    for v, wt in zip(dirs, wts):
-        segs = polykernel._segments_upto(scene, np.asarray(x, float), v,
-                                         float(xi_grid[-1]) + 1.0)
-        if on_scatterer:
-            wpar = (beta(v) @ scattering.frame_matrix(v))[1:]
-            surv = _survival_curve_psi0(scene, segs, xi_grid, wpar)
-        else:
-            surv = _survival_curve_psi(scene, segs, xi_grid)
-        acc += wt * (1.0 - surv)
+    try:
+        for rows, surv in flight.survival_blocks(scene, xs, dirs, xi_grid, z):
+            np.subtract(1.0, surv, out=surv)
+            surv *= wts[rows, None]
+            # one add per direction: a blocked sum would round differently
+            for cdf in surv:
+                acc += cdf
+            del surv, cdf    # free this block before the next is built
+    except flight.OffGrainStart as exc:
+        raise ConfigError("on-scatterer limit needs an in-grain base "
+                          "point") from exc
     return xi_grid, acc
 
 
-def _survival_curve_psi(scene, segs, grid):
-    surv = np.ones_like(grid)
-    for s in segs:
-        kern = polykernel.kernel_for_grain(scene, s.grain_id)
-        full = grid >= s.exit
-        part = (grid >= s.entry) & ~full
-        if full.any():
-            surv[full] *= float(kern.d_phi(s.sejour))
-        if part.any():
-            surv[part] *= np.asarray(kern.d_phi(grid[part] - s.entry))
-    return surv
-
-
-def _survival_curve_psi0(scene, segs, grid, wpar):
-    if not segs or segs[0].entry != 0.0:
-        raise ConfigError("on-scatterer limit needs an in-grain base point")
-    surv = np.ones_like(grid)
-    k1 = polykernel.kernel_for_grain(scene, segs[0].grain_id)
-    s0 = segs[0]
-    full = grid >= s0.exit
-    part = (grid >= 0) & ~full
-    surv[part] *= np.asarray(k1.phi_marg(grid[part], wpar))
-    if full.any():
-        surv[full] *= float(k1.phi_marg(s0.sejour, wpar))
-    for s in segs[1:]:
-        kern = polykernel.kernel_for_grain(scene, s.grain_id)
-        full = grid >= s.exit
-        part = (grid >= s.entry) & ~full
-        if full.any():
-            surv[full] *= float(kern.d_phi(s.sejour))
-        if part.any():
-            surv[part] *= np.asarray(kern.d_phi(grid[part] - s.entry))
-    return surv
+def mean_survival_curve(scene, xs, vs, grid):
+    """Mean generic-start survival curve over rays (x, v), added ray by ray."""
+    total = np.zeros(len(grid))
+    for _, surv in flight.survival_blocks(scene, xs, vs, grid):
+        for curve in surv:
+            total += curve
+    return total / len(xs)
 
 
 def interp_cdf(grid, values):
@@ -483,14 +471,7 @@ def run_poisson_baseline(config):
         # oracle CDF: average closed-form survival over the same (x, v) set
         sub = slice(0, min(n_gap, 4000))
         grid = np.linspace(0.0, 5.0 / sb, 513)
-        surv = np.zeros_like(grid)
-        m_sub = 0
-        for x, v in zip(xs[sub], vs[sub]):
-            segs = polykernel._segments_upto(scene=gap_scene, x=x, v=v,
-                                             xi=float(grid[-1]) + 1.0)
-            surv += _survival_curve_psi(gap_scene, segs, grid)
-            m_sub += 1
-        surv /= m_sub
+        surv = mean_survival_curve(gap_scene, xs[sub], vs[sub], grid)
         cdf = interp_cdf(grid, 1.0 - surv)
         ks_gap = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi_g), cdf)
         report["gap_ks"] = ks_gap

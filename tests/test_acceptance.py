@@ -350,12 +350,8 @@ def test_criterion_09_poisson_baseline():
     vs = scattering.sample_direction(rng3, 2, ng)
     xi_g, _ = flight.sample_xi_w(gap_scene, xs, vs, rng3, kind="psi")
     grid = np.linspace(0, 2.5, 801)
-    surv = np.zeros_like(grid)
     m_sub = 5000
-    for x, v in zip(xs[:m_sub], vs[:m_sub]):
-        segs = polykernel._segments_upto(gap_scene, x, v, 3.5)
-        surv += harness._survival_curve_psi(gap_scene, segs, grid)
-    surv /= m_sub
+    surv = harness.mean_survival_curve(gap_scene, xs[:m_sub], vs[:m_sub], grid)
     ks_gap = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi_g),
                                harness.interp_cdf(grid, 1 - surv))
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -152,3 +154,23 @@ def test_microsim_cli_matches_library(tmp_path):
         cfg.scene, harness.micro_config(cfg, 3e-3), cfg.samples)
     assert np.array_equal(cli_tau1, lib.tau1)
     assert np.isfinite(lib.tau1).sum() > 100
+
+
+def test_periodic_freepath_fails_before_any_quadrature(scene_config,
+                                                       monkeypatch):
+    doc = json.loads(scene_config.read_text())
+    doc["scene"]["periodic_box"] = {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}
+    scene_config.write_text(json.dumps(doc))
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("limit quadrature ran before the config check")
+    monkeypatch.setattr(harness, "limit_freepath_cdf", no_quadrature)
+    with pytest.raises(harness.ConfigError, match=r"scene\.periodic_box"):
+        main(["freepath", "--config", str(scene_config)])
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyxport.cli", "freepath", "--config",
+         str(scene_config)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "ConfigError: scene.periodic_box" in proc.stderr

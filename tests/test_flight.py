@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
-from polyxport import flight, kernels, polykernel, presets, scattering, stats
+from polyxport import (flight, harness, kernels, polykernel, presets,
+                       scattering, stats)
 from polyxport.flight import (Ensemble, FiniteSceneWalker, TiledBoxWalker,
                               evolve, make_walker, n_collision_histogram,
                               sample_collision, sample_initial, sample_xi_w)
@@ -191,7 +192,7 @@ class TestSurvivalOracle:
             assert max(s.exit for x, v in zip(xs, vs)
                        for s in itinerary(scene, x, v, 2.0)) < 2.0
         for t in ts:
-            got = flight._survival_rows(scene, xs, vs, t)
+            got = flight.survival_curves(scene, xs, vs, [t])[:, 0]
             want = [polykernel.survival_psi(scene, x, v, t)
                     for x, v in zip(xs, vs)]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -207,6 +208,86 @@ class TestSurvivalOracle:
         want = np.mean([polykernel.survival_psi(tiled_crystal_3d, x, v, 1.0)
                         for x, v in zip(xs, vs)])
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _mixed_squares():
+    """presets.two_squares_2d geometry: a crystal grain, then a Poisson one."""
+    from polyxport import ConvexGrain, make_scene
+    from polyxport.lattice import CrystalMedium, PoissonMedium
+    g1 = ConvexGrain.box(1, (0.0, 0.0), (0.3, 0.3))
+    g2 = ConvexGrain.box(2, (0.35, 0.0), (0.65, 0.3))
+    m1 = CrystalMedium(presets.identity_lattice(2, (0.318, 0.577)))
+    return make_scene(2, (g1, g2), (m1, PoissonMedium()), anchor=(0.15, 0.15))
+
+
+class TestSurvivalCurves:
+    """survival_curves against the scalar polykernel survival functions."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self, two_squares, tiled_crystal, tiled_crystal_3d):
+        return {"finite2": two_squares, "finite3": presets.two_boxes_3d(),
+                "mixed": _mixed_squares(), "tiled2": tiled_crystal,
+                "tiled3": tiled_crystal_3d}
+
+    @staticmethod
+    def _rays(scene, n, rng, in_grain):
+        d = scene.dimension
+        if scene.periodic_box is not None:
+            xs = flight.sample_positions(scene, n, rng, "uniform_box")
+        elif in_grain:
+            xs = flight.sample_positions(scene, n, rng, "uniform_grains")
+        else:       # gap and outside starts too
+            verts = np.vstack([g.get_vertices() for g in scene.grains])
+            xs = rng.uniform(verts.min(axis=0) - 0.1, verts.max(axis=0) + 0.1,
+                             (n, d))
+            xs[1] = scene.anchor
+        vs = scattering.sample_direction(rng, d, n)
+        vs[:2] = np.eye(d)[0]            # along the row of grains
+        return xs, vs
+
+    @staticmethod
+    def _grid(scene, xs, vs, top):
+        """0, a regular grid, every entry and exit of two rays, and top:
+        beyond every segment of a finite scene (its escape mass)."""
+        entry, exit_, _ = flight.segment_table(scene, xs[:2], vs[:2], top)
+        marks = np.concatenate([entry.ravel(), exit_.ravel()])
+        marks = marks[marks < top]
+        if scene.periodic_box is None:
+            assert np.max(exit_[np.isfinite(exit_)]) < top
+        assert len(marks) >= 4
+        return np.unique(np.concatenate([np.linspace(0.0, top, 33), marks]))
+
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_psi_matches_scalar(self, which, scenes):
+        scene = scenes[which]
+        xs, vs = self._rays(scene, 12, np.random.default_rng(31), False)
+        top = 1.0 if scene.periodic_box is not None else 2.0
+        grid = self._grid(scene, xs, vs, top)
+        got = flight.survival_curves(scene, xs, vs, grid)
+        for x, v, row in zip(xs, vs, got):
+            want = [polykernel.survival_psi(scene, x, v, t) for t in grid]
+            assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["finite3", "tiled3", "mixed"])
+    def test_psi0_matches_scalar(self, which, scenes):
+        scene = scenes[which]
+        rng = np.random.default_rng(32)
+        xs, vs = self._rays(scene, 10, rng, True)
+        z = scattering.sample_ball(rng, scene.dimension - 1, len(xs))
+        assert np.all(np.linalg.norm(z, axis=1) > 0)
+        top = 1.0 if scene.periodic_box is not None else 2.0
+        grid = self._grid(scene, xs, vs, top)
+        got = flight.survival_curves(scene, xs, vs, grid, z)
+        for x, v, w, row in zip(xs, vs, z, got):
+            want = [polykernel.survival_psi0_marg(scene, x, v, t, w)
+                    for t in grid]
+            assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_psi0_off_grain_start_rejected(self, two_squares):
+        with pytest.raises(flight.OffGrainStart):
+            flight.survival_curves(two_squares, [[0.32, 0.1]], [[0.0, 1.0]],
+                                   [0.0, 1.0], z=[[0.2]])
 
 
 class TestSamplers:
@@ -226,14 +307,9 @@ class TestSamplers:
         xs = flight.sample_positions(tiled_crystal, n, rng, "uniform_box")
         vs = scattering.sample_direction(rng, 2, n)
         xi, _ = sample_xi_w(tiled_crystal, xs, vs, rng, kind="psi")
-        from polyxport.harness import _survival_curve_psi
         grid = np.linspace(0, 3.0, 601)
-        surv = np.zeros_like(grid)
         m = 2500
-        for x, v in zip(xs[:m], vs[:m]):
-            segs = polykernel._segments_upto(tiled_crystal, x, v, 4.0)
-            surv += _survival_curve_psi(tiled_crystal, segs, grid)
-        surv /= m
+        surv = harness.mean_survival_curve(tiled_crystal, xs[:m], vs[:m], grid)
         ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi),
                                harness_interp(grid, 1 - surv))
         assert ks < 0.012

@@ -2,7 +2,12 @@
 golden files byte for byte (generated once by this implementation)."""
 import os
 
-from polyxport import harness
+import pytest
+
+from polyxport import harness, presets
+from polyxport.geometry import ConvexGrain, make_scene
+from polyxport.lattice import CrystalMedium, PoissonMedium
+from polyxport.microsim import BetaSpec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -32,3 +37,41 @@ def test_golden_freepath(tmp_path):
         with open(path, "rb") as fh:
             fresh = fh.read()
         assert fresh == golden, f"{name} drifted from the frozen output"
+
+
+def _two_boxes_mixed():
+    """presets.two_boxes_3d geometry: a crystal grain, then a Poisson one."""
+    g1 = ConvexGrain.box(1, (0, 0, 0), (0.12, 0.12, 0.12))
+    g2 = ConvexGrain.box(2, (0.16, 0, 0), (0.28, 0.12, 0.12))
+    m1 = CrystalMedium(presets.identity_lattice(3, (0.318, 0.577, 0.236)))
+    return make_scene(3, (g1, g2), (m1, PoissonMedium()),
+                      anchor=(0.06,) * 3, assume_incommensurable=True)
+
+
+# golden file -> (scene, limit_freepath_cdf keywords)
+LIMIT_CASES = {
+    "limit_cdf_mixed_3d_psi.txt": (_two_boxes_mixed, {}),
+    "limit_cdf_two_squares_psi0.txt": (
+        presets.two_squares_2d,
+        {"on_scatterer": True, "beta": BetaSpec("radial", 0.6)}),
+    "limit_cdf_single_box_3d_psi0.txt": (
+        presets.single_box_3d,
+        {"on_scatterer": True, "beta": BetaSpec("radial", 0.6)}),
+}
+
+
+def limit_cdf_lines(name):
+    """repr(float) lines 'xi,cdf' of the limit CDF at the scene anchor."""
+    make, kwargs = LIMIT_CASES[name]
+    scene = make()
+    grid, vals = harness.limit_freepath_cdf(scene, scene.anchor, None,
+                                            m_dirs=256, **kwargs)
+    return [f"{float(x)!r},{float(c)!r}\n" for x, c in zip(grid, vals)]
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_golden_limit_cdf(name):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        golden = fh.read()
+    assert "".join(limit_cdf_lines(name)) == golden, \
+        f"{name} drifted from the frozen output"

@@ -138,6 +138,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key if key != "kind" else value):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("kind", ["freepath", "transition"])
+    def test_periodic_scene_rejected(self, kind):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["kind"] = kind
+        doc["scene"]["periodic_box"] = {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}
+        with pytest.raises(ConfigError, match=r"scene\.periodic_box"):
+            ExperimentConfig.from_dict(doc)
+
     def test_increasing_schedule_rejected(self):
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"]["r_schedule"] = [1e-3, 1e-2]
@@ -166,6 +174,13 @@ class TestLimitCurves:
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] == 0.0
         assert vals[-1] <= 1.0
+
+    def test_on_scatterer_limit_needs_in_grain_base_point(self, two_squares):
+        from polyxport.microsim import BetaSpec
+        with pytest.raises(ConfigError, match="in-grain base point"):
+            harness.limit_freepath_cdf(two_squares, [0.32, 0.1], None,
+                                       on_scatterer=True,
+                                       beta=BetaSpec("radial", 0.6), m_dirs=16)
 
     def test_limit_cdf_poisson_single_grain_quadrature(self):
         # against per-direction closed form on a disordered square
