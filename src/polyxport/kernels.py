@@ -66,7 +66,7 @@ def phi0_2d(xi, w, z):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = num / den
     frac = np.where(den == 0.0, np.where(num == 0.0, 0.0,
-                                         np.sign(num) * np.inf), frac)
+                                         np.copysign(np.inf, num)), frac)
     return 6.0 / np.pi ** 2 * upsilon(1.0 + frac)
 
 

@@ -54,6 +54,9 @@ class TestPhi02d:
         # w + z = 0: value follows the sign of the numerator
         assert phi0_2d(0.3, 0.5, -0.5) == pytest.approx(6 / PI ** 2)
         assert phi0_2d(4.0, 0.9, -0.9) == 0.0
+        # 0/0 (xi = 1, w = z = 0) is taken as 0, without a RuntimeWarning
+        assert phi0_2d(1.0, 0.0, 0.0) == pytest.approx(6 / PI ** 2)
+        assert phi0_2d(1.0, -0.0, -0.0) == pytest.approx(6 / PI ** 2)
 
 
 class TestF:
