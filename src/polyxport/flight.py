@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as KK
-from . import polykernel, scattering, stats
+from . import polykernel, scattering, stats, streams
 from .geometry import SceneError, clip_grain_rows
 
 _SEG_TOL = 1e-12
@@ -694,7 +694,7 @@ def stationarity_test(scene, n, t, seed, method="auto", position="uniform_box"):
     """Evolve an ensemble initialized from the stationary law and compare
     marginals at time t against time 0 (two-sample tests).
     """
-    rng = np.random.default_rng([seed, 0x57A7])
+    rng = streams.rng("stationarity.marginals", seed)
     ens0 = sample_initial(scene, n, rng, position=position, method=method)
     ens1 = evolve(scene, ens0, t, rng, method=method)
     f0, f1 = np.isfinite(ens0.xi), np.isfinite(ens1.xi)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import flight, kernels, microsim, scattering, stats
+from . import flight, kernels, microsim, scattering, stats, streams
 from .geometry import ConvexGrain, PeriodicBox, make_scene
 from .lattice import AffineLattice, CrystalMedium, PoissonMedium
 
@@ -411,7 +411,7 @@ def run_poisson_baseline(config):
               "seed": seed, "sigma_bar": sb}
 
     # (a) free path law on the configured (tiled) scene
-    rng = np.random.default_rng([seed, 0xBA5E])
+    rng = streams.rng("baseline.freepath", seed)
     ens = flight.sample_initial(scene, n, rng, position="uniform_box"
                                 if scene.periodic_box is not None
                                 else "uniform_grains")
@@ -421,7 +421,7 @@ def run_poisson_baseline(config):
 
     # (b) memorylessness: xi after a collision vs previous incoming direction
     m_chain = max(n // 10, 1000)
-    rng2 = np.random.default_rng([seed, 0x3E3])
+    rng2 = streams.rng("baseline.memoryless", seed)
     x0 = flight.sample_positions(scene, m_chain, rng2,
                                  "uniform_box" if scene.periodic_box is not None
                                  else "uniform_grains")
@@ -443,7 +443,7 @@ def run_poisson_baseline(config):
     if scene.periodic_box is not None:
         t = float(config.options.get("time", 2.0 / sb))
         m_cnt = min(n, 200000)
-        rng3 = np.random.default_rng([seed, 0xC07])
+        rng3 = streams.rng("baseline.counts", seed)
         ens3 = flight.sample_initial(scene, m_cnt, rng3, position="uniform_box")
         ens3 = flight.evolve(scene, ens3, t, rng3)
         counts = flight.n_collision_histogram(ens3)
@@ -463,7 +463,7 @@ def run_poisson_baseline(config):
     if "gap_scene" in config.options:
         gap_scene = parse_scene(config.options["gap_scene"],
                                 "experiment.gap_scene")
-        rng4 = np.random.default_rng([seed, 0x6A9])
+        rng4 = streams.rng("baseline.gap", seed)
         n_gap = min(n, 200000)
         xs = flight.sample_positions(gap_scene, n_gap, rng4, "uniform_grains")
         vs = scattering.sample_direction(rng4, gap_scene.dimension, n_gap)
@@ -498,11 +498,11 @@ def run_stationarity(config):
     for k in range(n_seeds):
         seed = config.seed + k
         rep = flight.stationarity_test(scene, n, t, seed, method=method)
-        rng = np.random.default_rng([seed, 0x59117])
+        rng = streams.rng("stationarity.whole", seed)
         ens0 = flight.sample_initial(scene, n, rng, position="uniform_box",
                                      method=method)
         whole = flight.evolve(scene, ens0, t, rng, method=method)
-        rng_b = np.random.default_rng([seed, 0x59118])
+        rng_b = streams.rng("stationarity.split", seed)
         ens_b = flight.evolve(scene, ens0, float(split[0]), rng_b, method=method)
         ens_b = flight.evolve(scene, ens_b, float(split[1]), rng_b, method=method)
         ks_split = stats.ks_two_sample(whole.xi[np.isfinite(whole.xi)],
@@ -538,13 +538,13 @@ def run_flight(config):
     sb = kernels.sigma_bar(scene.dimension)
     t = float(config.options.get("time", 2.0 / sb))
     flavor = config.options.get("report", "ncollision")
-    rng = np.random.default_rng([config.seed, 0xF11])
+    rng = streams.rng("flight.evolve", config.seed)
     pos = "uniform_box" if scene.periodic_box is not None else "uniform_grains"
     ens0 = flight.sample_initial(scene, n, rng, position=pos)
     esc0 = ens0.escape_fraction
     ens = flight.evolve(scene, ens0, t, rng)
     counts = flight.n_collision_histogram(ens)
-    rng_o = np.random.default_rng([config.seed, 0x0AC1E])
+    rng_o = streams.rng("flight.n0_oracle", config.seed)
     frac0_oracle = flight.no_collision_fraction_quadrature(
         scene, t, min(n, 20000), rng_o, position=pos)
     report = {

@@ -12,6 +12,7 @@ is the total scattering cross section.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,20 @@ def disk_section_area(t):
 F = disk_section_area
 
 
+def _section_area_scalar(t):
+    """disk_section_area of one Python float, bit for bit, as a float.
+
+    The quadrature integrands call it about 1.3e5 times per G-table build;
+    the array version spends most of that in np.asarray and its range scans.
+    The arithmetic after the arccos is the same IEEE operations on floats.
+    np.arccos is kept on purpose: math.acos (libm) differs from numpy's
+    arccos in the last bit on some inputs, which would move the table.
+    """
+    if not 0.0 <= t < 1.0:
+        raise ValueError("t must lie in [0, 1)")
+    return np.pi - float(np.arccos(t)) + t * math.sqrt(1.0 - t * t)
+
+
 class _GTable:
     """Quadrature-backed evaluation of the quadratic-coefficient weight G.
 
@@ -89,6 +104,15 @@ class _GTable:
     derivative blow-up which the rule handles after splitting at the
     breakpoints r = 1-w and r = 1+w.  A cubic interpolant on a dense grid
     serves the samplers, validated against direct quadrature in the tests.
+
+    The integrands evaluate F through `_section_area_scalar`, which returns
+    the same bits as `disk_section_area` on a float, and do their own
+    arithmetic on Python floats (the same IEEE operations as on numpy
+    scalars, without their overhead), so the adaptive rule takes the same
+    steps and the 2001 node values are those of the array version
+    (`tests/golden/g_table_nodes.txt` pins them).  The np.arccos calls must
+    not become math.acos: libm's arccos moves over a hundred of the nodes
+    by up to 1.8e-15, and with them every golden on the G path.
     """
 
     def __init__(self, n_grid=2001):
@@ -103,14 +127,14 @@ class _GTable:
             raise ValueError("w must lie in [0, 1]")
         total = 0.0
         if w < 1.0:
-            i1, _ = quad(lambda r: float(disk_section_area(0.5 * r)) * r,
+            i1, _ = quad(lambda r: _section_area_scalar(0.5 * r) * r,
                          0.0, 1.0 - w, epsabs=1e-10, epsrel=1e-12, limit=200)
             total += np.pi * i1
 
         def inner(r):
             c = (w * w + r * r - 1.0) / (2.0 * w * r)
-            c = min(1.0, max(-1.0, c))
-            return float(disk_section_area(0.5 * r)) * np.arccos(c) * r
+            c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+            return _section_area_scalar(0.5 * r) * float(np.arccos(c)) * r
 
         if w > 0.0:
             # arccos has sqrt-type derivative blow-up at both ends; the
@@ -146,12 +170,15 @@ def second_order_weight(w, method="interp"):
     """G(w): weight of the quadratic term of the d=3 marginal survival.
 
     Known endpoints: G(0) = pi (4 pi + 3 sqrt 3)/16, G(1) = 5 pi^2/16 + 1;
-    continuous and strictly increasing in between.
+    continuous and strictly increasing in between.  method "interp" reads
+    the cubic table, "quad" integrates directly (the tests' oracle).
     """
     if method == "quad":
         if np.ndim(w) == 0:
             return _GTable.direct(w)
         return np.array([_GTable.direct(t) for t in np.ravel(w)]).reshape(np.shape(w))
+    if method != "interp":
+        raise ValueError(f"unknown G method {method!r}; use 'interp' or 'quad'")
     return _G_TABLE(w)
 
 

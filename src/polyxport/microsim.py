@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import scattering
+from . import scattering, streams
 # ray_grain_intersect is unused here but stays importable from this
 # module: perfbench/tracing.py wraps it in this namespace.
 from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
@@ -37,8 +37,8 @@ MAX_EVENTS = 10 ** 7
 # bounds the temporaries of one step to a few MB whatever the tube length.
 ROW_BUDGET = 1 << 13
 
-# tau_1 samples per offset stream [seed, 0x0FF5E7, chunk]; worker pools
-# trace whole chunks, so results do not depend on the worker count.
+# tau_1 samples per "micro.chunk_offsets" stream; worker pools trace whole
+# chunks, so results do not depend on the worker count.
 SAMPLE_CHUNK = 20000
 
 
@@ -220,7 +220,7 @@ class MicroRuntime:
         for g, m in zip(scene.grains, scene.media):
             if m.kind == "crystal":
                 if m.mode == "random-offset":
-                    rng = np.random.default_rng([cfg.seed, 0x0FF5E7, g.id])
+                    rng = streams.rng("micro.grain_offset", cfg.seed, g.id)
                     lat = m.lattice.with_omega(rng.uniform(0.0, 1.0, scene.dimension))
                     sgl = ScaledGrainLattice(lat, self.epsilon,
                                              np.zeros(scene.dimension))
@@ -228,7 +228,7 @@ class MicroRuntime:
                     sgl = ScaledGrainLattice(m.lattice, self.epsilon, scene.anchor)
                 self._media[g.id] = ("crystal", sgl)
             else:
-                rng = np.random.default_rng([cfg.seed, 0x9012550, g.id])
+                rng = streams.rng("micro.poisson_points", cfg.seed, g.id)
                 pts = poisson_realization(g, self.epsilon, rng)
                 cell = max(self.epsilon, 4.0 * self.r)
                 self._media[g.id] = ("poisson", PointGrid(pts, cell))
@@ -541,7 +541,7 @@ def _trace_chunk(job):
     omegas = None
     starts = np.broadcast_to(base, dirs.shape)
     if cfg.resample_offsets:
-        rng = np.random.default_rng([cfg.seed, 0x0FF5E7, chunk_id])
+        rng = streams.rng("micro.chunk_offsets", cfg.seed, chunk_id)
         omegas, q = rt.resample_media(rng, n)
         starts = _start_points(rt, n, q, omegas)
     hits = first_collisions(rt, starts + cfg.r * cfg.beta(dirs), dirs,
@@ -554,13 +554,14 @@ def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
                              threads=1):
     """Empirical (tau_1, -w1 K(v)) law over n directions drawn from lambda.
 
-    Streams: [seed, 0x7A01] draws the base point, then the directions;
-    with resample_offsets, [seed, 0x0FF5E7, chunk] draws the per-sample
-    offsets (and q) of each SAMPLE_CHUNK-sized chunk.  threads > 1 traces
-    the chunks in worker processes; the result is the same for any count.
+    Streams: "micro.directions" draws the base point, then the directions;
+    with resample_offsets, "micro.chunk_offsets" (key: chunk) draws the
+    per-sample offsets (and q) of each SAMPLE_CHUNK-sized chunk.  threads
+    > 1 traces the chunks in worker processes; the result is the same for
+    any count.
     """
     rt = MicroRuntime(scene, cfg)
-    rng = np.random.default_rng([cfg.seed, 0x7A01])
+    rng = streams.rng("micro.directions", cfg.seed)
     base = _start_point(rt, rng)
     dirs = sample_direction_lambda(rng, scene.dimension, lambda_spec, n_samples)
     jobs = [(rt, dirs[i:i + SAMPLE_CHUNK], base, i // SAMPLE_CHUNK)

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson as poisson_dist
 
 from polyxport import (flight, harness, kernels, microsim, polykernel,
-                       presets, scattering, stats)
+                       presets, scattering, stats, streams)
 from polyxport.kernels import ZETA3
 
 PI = np.pi
@@ -370,10 +370,10 @@ def test_criterion_10_stationarity():
     rejected = []
     for seed in range(10):
         rep = flight.stationarity_test(scene, n, t_total, seed=seed)
-        rng = np.random.default_rng([seed, 0x59117])
+        rng = streams.rng("stationarity.whole", seed)
         ens0 = flight.sample_initial(scene, n, rng, position="uniform_box")
         whole = flight.evolve(scene, ens0, t_total, rng)
-        rng_b = np.random.default_rng([seed, 0x59118])
+        rng_b = streams.rng("stationarity.split", seed)
         part = flight.evolve(scene, ens0, 2 * 0.5, rng_b)
         part = flight.evolve(scene, part, 3 * 0.5, rng_b)
         ks_split = stats.ks_two_sample(whole.xi, part.xi)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from polyxport.kernels import (F, G, KernelModel, RangeError, ZETA3, d_phi,
                                poisson_kernels, tail_bound, upsilon)
 
 PI = np.pi
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestUpsilon:
@@ -86,6 +89,23 @@ class TestF:
         with pytest.raises(ValueError):
             F(-0.1)
 
+    def test_scalar_twin_is_bitwise(self):
+        # the G-table integrands use the scalar twin; any differing bit
+        # would move the adaptive quadrature and the table's nodes
+        rng = np.random.default_rng(3)
+        ts = np.concatenate([
+            np.linspace(0.0, 1.0, 10001)[:-1],
+            rng.uniform(0.0, 1.0, 2000),
+            1.0 - np.logspace(-16, -1, 200),
+            [0.0, 0.5, np.nextafter(1.0, 0.0), 5e-324]])
+        for t in ts.tolist():
+            assert K._section_area_scalar(t) == float(F(t)), t
+
+    @pytest.mark.parametrize("t", [-0.1, 1.0, float("nan")])
+    def test_scalar_twin_domain(self, t):
+        with pytest.raises(ValueError):
+            K._section_area_scalar(t)
+
 
 class TestG:
     def test_endpoints(self):
@@ -102,6 +122,21 @@ class TestG:
     def test_interp_matches_quad(self):
         for w in (0.0, 0.17, 0.5, 0.83, 1.0):
             assert G(w) == pytest.approx(G(w, method="quad"), abs=1e-9)
+
+    def test_table_nodes_match_golden(self):
+        # a cubic spline returns its node values at its knots, so a fresh
+        # table read at the grid gives the 2001 quadrature nodes
+        with open(os.path.join(GOLDEN_DIR, "g_table_nodes.txt"),
+                  encoding="utf-8") as fh:
+            golden = np.array([float(line) for line in fh])
+        table = K._GTable()
+        nodes = table(np.linspace(0.0, 1.0, table.n_grid))
+        assert len(golden) == table.n_grid
+        assert np.array_equal(nodes, golden)
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="'iterp'"):
+            G(0.5, method="iterp")
 
     def test_disk_integral_identity(self):
         # int_{|z|<1} F(|w-z|/2) dz = 2 G(|w|), via cartesian dblquad oracle
