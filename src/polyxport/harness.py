@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,18 +37,27 @@ _BOX_KEYS = {"lo", "hi"}
 _EXPERIMENT_KEYS = {"kind", "seed", "samples", "r_schedule", "lambda", "q_mode",
                     "q", "beta", "on_scatterer", "start_grain", "time",
                     "particles", "cells", "thresholds", "threads", "n_seeds",
-                    "split_times", "gap_scene",
-                    "sampling_method", "resample_offsets", "report"}
+                    "split_times", "gap_scene", "resample_offsets", "report"}
 _OUTPUT_KEYS = {"dir", "timings"}
 _TOP_KEYS = {"scene", "experiment", "output"}
-_KINDS = {"freepath", "transition", "flight", "stationarity",
-          "poisson-baseline"}
+
+# Verdict thresholds by experiment kind: the defaults, and the only keys
+# that experiment.thresholds may set.  The flight subcommand's stationarity
+# report runs the stationarity runner on a flight config.
+THRESHOLDS = {
+    "freepath": {"ks_final": 0.02},
+    "transition": {"chi2_alpha": 0.01},
+    "poisson-baseline": {"alpha": 0.01, "freepath_ks": 0.005, "gap_ks": 0.01},
+    "stationarity": {"ks_alpha": 0.01},
+    "flight": {"ks_alpha": 0.01},
+}
 
 
 def _check_keys(d, allowed, path):
-    unknown = set(d) - allowed
+    unknown = sorted(set(d) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys at {path}: {sorted(unknown)}")
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(f"{path}.{key}" for key in unknown))
 
 
 def parse_medium(d, path="medium"):
@@ -108,6 +117,19 @@ def parse_scene(d, path="scene"):
                                                    False))
 
 
+def _check_scene_for_kind(scene, kind):
+    box = scene.periodic_box
+    if kind in ("freepath", "transition") and box is not None:
+        raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
+                          "the microscopic dynamics of a finite scene")
+    if kind == "stationarity" and box is None:
+        raise ConfigError("scene.periodic_box: stationarity experiments need "
+                          "a periodic box tiled by one grain")
+    if box is not None and not flight.is_tiled_box(scene):
+        raise ConfigError(f"scene.periodic_box: {kind} experiments need the "
+                          "periodic box tiled by one grain")
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -117,6 +139,7 @@ class ExperimentConfig:
     samples: int
     r_schedule: list
     options: dict
+    thresholds: dict
     out_dir: Optional[str] = None
     timings: bool = False
 
@@ -129,11 +152,13 @@ class ExperimentConfig:
         exp = doc["experiment"]
         _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
         kind = exp.get("kind")
-        if kind not in _KINDS:
+        if kind not in THRESHOLDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        if kind in ("freepath", "transition") and scene.periodic_box is not None:
-            raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
-                              "the microscopic dynamics of a finite scene")
+        _check_scene_for_kind(scene, kind)
+        given = exp.get("thresholds", {})
+        _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
+        thresholds = dict(THRESHOLDS[kind])
+        thresholds.update((key, float(value)) for key, value in given.items())
         seed = int(exp.get("seed", 0))
         samples = int(exp.get("samples", 1000))
         if samples < 1000:
@@ -143,7 +168,7 @@ class ExperimentConfig:
             raise ConfigError("r schedule must be strictly decreasing")
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
-        return cls(doc, scene, kind, seed, samples, rs, dict(exp),
+        return cls(doc, scene, kind, seed, samples, rs, dict(exp), thresholds,
                    out.get("dir"), bool(out.get("timings", False)))
 
     @classmethod
@@ -284,8 +309,7 @@ def run_freepath(config):
     if not config.r_schedule:
         raise ConfigError("freepath needs an r_schedule")
     lam = config.options.get("lambda")
-    thresholds = config.options.get("thresholds", {})
-    ks_limit = float(thresholds.get("ks_final", 0.02))
+    ks_limit = config.thresholds["ks_final"]
     on_scatterer = bool(config.options.get("on_scatterer", False))
     beta = _beta_from_options(config.options)
     grid, cdf_vals = limit_freepath_cdf(
@@ -293,7 +317,6 @@ def run_freepath(config):
         on_scatterer=on_scatterer, beta=beta if on_scatterer else None)
     cdf = interp_cdf(grid, cdf_vals)
     rows = []
-    samples_by_r = {}
     for r in config.r_schedule:
         cfg = micro_config(config, r)
         samp = sample_tau1(scene, cfg, config.samples, lam, config.threads)
@@ -302,7 +325,6 @@ def run_freepath(config):
         rows.append({"r": r, "epsilon": samp.epsilon, "n": samp.n,
                      "ks": ks, "escape_fraction": samp.escape_fraction,
                      "limit_escape": 1.0 - float(cdf_vals[-1])})
-        samples_by_r[r] = samp
     ks_seq = [row["ks"] for row in rows]
     report = {
         "experiment": "freepath",
@@ -316,7 +338,7 @@ def run_freepath(config):
         "limit_cdf": cdf_vals.tolist(),
     }
     report["verdict"] = bool(report["ks_decreasing"] and report["ks_final_ok"])
-    return report, samples_by_r
+    return report
 
 
 def transition_cells(scene, config):
@@ -352,19 +374,16 @@ def limit_transition_mass(scene, x, lambda_spec, xi_edges, u_edges,
     return out
 
 
-def run_transition(config, samples_by_r=None):
+def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
     scene = config.scene
     lam = config.options.get("lambda")
-    alpha = float(config.options.get("thresholds", {}).get("chi2_alpha", 0.01))
-    r = config.r_schedule[-1] if config.r_schedule else None
-    if r is None:
+    alpha = config.thresholds["chi2_alpha"]
+    if not config.r_schedule:
         raise ConfigError("transition needs an r_schedule")
-    if samples_by_r and r in samples_by_r:
-        samp = samples_by_r[r]
-    else:
-        samp = sample_tau1(scene, micro_config(config, r), config.samples,
-                           lam, config.threads)
+    r = config.r_schedule[-1]
+    samp = sample_tau1(scene, micro_config(config, r), config.samples,
+                       lam, config.threads)
     xi_edges, u_edges = transition_cells(scene, config)
     limit = limit_transition_mass(scene, scene.anchor, lam, xi_edges, u_edges)
     fin = np.isfinite(samp.tau1)
@@ -403,10 +422,9 @@ def run_poisson_baseline(config):
     sb = kernels.sigma_bar(scene.dimension)
     n = config.samples
     seed = config.seed
-    thresholds = config.options.get("thresholds", {})
-    alpha = float(thresholds.get("alpha", 0.01))
-    freepath_ks_limit = float(thresholds.get("freepath_ks", 0.005))
-    gap_ks_limit = float(thresholds.get("gap_ks", 0.01))
+    alpha = config.thresholds["alpha"]
+    freepath_ks_limit = config.thresholds["freepath_ks"]
+    gap_ks_limit = config.thresholds["gap_ks"]
     report = {"experiment": "poisson-baseline", "config_hash": config.hash(),
               "seed": seed, "sigma_bar": sb}
 
@@ -491,28 +509,13 @@ def run_stationarity(config):
     sb = kernels.sigma_bar(scene.dimension)
     t = float(config.options.get("time", 5.0 / sb))
     n_seeds = int(config.options.get("n_seeds", 10))
-    alpha = float(config.options.get("thresholds", {}).get("ks_alpha", 0.01))
+    alpha = config.thresholds["ks_alpha"]
     split = config.options.get("split_times", [0.4 * t, 0.6 * t])
-    method = config.options.get("sampling_method", "auto")
     per_seed = []
     for k in range(n_seeds):
         seed = config.seed + k
-        rep = flight.stationarity_test(scene, n, t, seed, method=method)
-        rng = streams.rng("stationarity.whole", seed)
-        ens0 = flight.sample_initial(scene, n, rng, position="uniform_box",
-                                     method=method)
-        whole = flight.evolve(scene, ens0, t, rng, method=method)
-        rng_b = streams.rng("stationarity.split", seed)
-        ens_b = flight.evolve(scene, ens0, float(split[0]), rng_b, method=method)
-        ens_b = flight.evolve(scene, ens_b, float(split[1]), rng_b, method=method)
-        ks_split = stats.ks_two_sample(whole.xi[np.isfinite(whole.xi)],
-                                       ens_b.xi[np.isfinite(ens_b.xi)])
-        per_seed.append({
-            "seed": seed,
-            "ks_xi": rep.ks_xi, "ks_vplus": rep.ks_vplus,
-            "ks_v": rep.ks_v, "ks_cell": rep.ks_cell,
-            "ks_split": ks_split,
-        })
+        rep = flight.stationarity_test(scene, n, t, seed, split=split)
+        per_seed.append({"seed": seed, **asdict(rep)})
     ok = all(row["ks_xi"][1] > alpha and row["ks_vplus"][1] > alpha
              and row["ks_split"][1] > alpha for row in per_seed)
     return {
@@ -574,7 +577,7 @@ def run_flight(config):
 
 
 RUNNERS = {
-    "freepath": lambda cfg: run_freepath(cfg)[0],
+    "freepath": run_freepath,
     "transition": run_transition,
     "poisson-baseline": run_poisson_baseline,
     "stationarity": run_stationarity,

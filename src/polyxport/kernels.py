@@ -293,14 +293,6 @@ class KernelModel:
         return sigma_bar(self.dimension)
 
     @property
-    def zeta_d(self):
-        return zeta(self.dimension)
-
-    @property
-    def xi_max(self):
-        return np.inf if self.medium == "poisson" else XI_MAX[self.dimension]
-
-    @property
     def wz_free(self):
         """True when the whole family is independent of w and z."""
         return self.medium == "poisson" or self.dimension == 2

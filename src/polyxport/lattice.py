@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-DET_TOL = 1e-12
-
 
 def bcc_matrix():
     """Unimodular generator of the body-centered cubic lattice."""

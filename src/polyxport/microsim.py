@@ -33,6 +33,9 @@ from .lattice import (ScaledGrainLattice, dist_point_segment,
 
 MAX_EVENTS = 10 ** 7
 
+# A ray that meets no scatterer within this many scene diameters escapes.
+CUTOFF_FACTOR = 10.0
+
 # Candidate (ray, center) rows the engine expands per vectorized step: it
 # bounds the temporaries of one step to a few MB whatever the tube length.
 ROW_BUDGET = 1 << 13
@@ -90,7 +93,6 @@ class MicroConfig:
     q: Optional[np.ndarray] = None
     on_scatterer: bool = False      # start on a scatterer of start_grain
     start_grain: Optional[int] = None
-    cutoff_factor: float = 10.0     # escape cutoff in scene diameters
     resample_offsets: bool = False  # fresh lattice offsets per sample
 
     def __post_init__(self):
@@ -237,7 +239,7 @@ class MicroRuntime:
                           for g in scene.grains]
         allv = np.vstack([g.get_vertices() for g in scene.grains])
         self.scene_diameter = float(np.linalg.norm(allv.max(0) - allv.min(0)))
-        self.cutoff = cfg.cutoff_factor * self.scene_diameter
+        self.cutoff = CUTOFF_FACTOR * self.scene_diameter
         if cfg.resample_offsets:
             bad = [g.id for g, m in zip(scene.grains, scene.media)
                    if m.kind != "crystal" or m.mode != "random-offset"]
@@ -457,7 +459,6 @@ class Tau1Sample:
     u_impact: np.ndarray    # rows -w1 K(v), zero rows for escapes
     directions: np.ndarray
     escaped: np.ndarray
-    start_point: np.ndarray
     exit_w: Optional[np.ndarray] = None   # (beta(v) K(v))_perp, on-scatterer runs
 
     @property
@@ -583,4 +584,4 @@ def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
     if cfg.on_scatterer:
         exit_w = np.einsum("ni,nij->nj", cfg.beta(dirs), K)[:, 1:]
     return Tau1Sample(cfg.r, rt.epsilon, cfg.seed, tau1, grains, u_imp,
-                      dirs, ~hit, base, exit_w)
+                      dirs, ~hit, exit_w)

@@ -1,12 +1,11 @@
 """Empirical CDFs, Kolmogorov-Smirnov and chi-square machinery.
 
-Two independent KS implementations live here on purpose: the fast
-searchsorted-based ones are the production path, and the merge-based
-"slow" twins act as self-oracles in the test suite.
+The KS statistics are searchsorted-based; their independent slow twins
+(a grid scan and a merge walk) live with the tests as oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,16 +18,15 @@ class EmpiricalCDF:
 
     values: np.ndarray
     total_mass: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_samples(cls, samples, meta=None):
+    def from_samples(cls, samples):
         """Build from raw draws; non-finite entries count as escape mass."""
         samples = np.asarray(samples, dtype=float)
         fin = np.isfinite(samples)
         vals = np.sort(samples[fin])
         total = fin.mean() if len(samples) else 1.0
-        return cls(vals, float(total), dict(meta or {}))
+        return cls(vals, float(total))
 
     @property
     def n(self):
@@ -64,17 +62,6 @@ def ks_distance(samples_or_ecdf, cdf: Callable):
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(f - lo))))
 
 
-def ks_distance_slow(samples, cdf, grid=None):
-    """Grid-scan oracle for ks_distance (dense evaluation, O(n*grid))."""
-    samples = np.asarray(samples, dtype=float)
-    fin = samples[np.isfinite(samples)]
-    total = len(fin) / len(samples)
-    if grid is None:
-        grid = np.unique(np.concatenate([fin, fin - 1e-9, fin + 1e-9]))
-    emp = np.array([(fin <= g).mean() * total for g in grid])
-    return float(np.max(np.abs(emp - np.asarray(cdf(grid)))))
-
-
 def ks_two_sample(a, b):
     """Two-sample KS statistic and asymptotic p-value."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -86,21 +73,6 @@ def ks_two_sample(a, b):
     d = float(np.max(np.abs(fa - fb)))
     ne = n * m / (n + m)
     return d, kolmogorov_sf((np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d)
-
-
-def ks_two_sample_slow(a, b):
-    """Merge-walk oracle for the two-sample statistic."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    i = j = 0
-    d = 0.0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            i += 1
-        else:
-            j += 1
-        d = max(d, abs(i / len(a) - j / len(b)))
-    return d
 
 
 def kolmogorov_sf(lam):

@@ -27,9 +27,8 @@ SALTS = {
     "baseline.memoryless": 0x3E3,
     "baseline.counts": 0xC07,
     "baseline.gap": 0x6A9,
-    # stationarity: marginals test, whole-interval and split evolutions
+    # stationarity: the ensemble and its whole evolution, the split evolution
     "stationarity.marginals": 0x57A7,
-    "stationarity.whole": 0x59117,
     "stationarity.split": 0x59118,
     # flight runner: ensemble evolution and its n=0 quadrature oracle
     "flight.evolve": 0xF11,

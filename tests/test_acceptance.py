@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson as poisson_dist
 
 from polyxport import (flight, harness, kernels, microsim, polykernel,
-                       presets, scattering, stats, streams)
+                       presets, scattering, stats)
 from polyxport.kernels import ZETA3
 
 PI = np.pi
@@ -364,27 +364,36 @@ def test_criterion_09_poisson_baseline():
 
 def test_criterion_10_stationarity():
     t0 = time.perf_counter()
-    scene = presets.tiled_box_2d(side=0.35, medium="crystal")
-    n = 100000
-    t_total = 5 * 0.5   # five mean free paths
-    rejected = []
-    for seed in range(10):
-        rep = flight.stationarity_test(scene, n, t_total, seed=seed)
-        rng = streams.rng("stationarity.whole", seed)
-        ens0 = flight.sample_initial(scene, n, rng, position="uniform_box")
-        whole = flight.evolve(scene, ens0, t_total, rng)
-        rng_b = streams.rng("stationarity.split", seed)
-        part = flight.evolve(scene, ens0, 2 * 0.5, rng_b)
-        part = flight.evolve(scene, part, 3 * 0.5, rng_b)
-        ks_split = stats.ks_two_sample(whole.xi, part.xi)
-        for name, p in (("xi", rep.ks_xi[1]), ("vplus", rep.ks_vplus[1]),
-                        ("split", ks_split[1])):
-            if p < 0.01:
-                rejected.append((seed, name, p))
+    # presets.tiled_box_2d(side=0.35, medium="crystal") as a config scene
+    doc = {
+        "scene": {
+            "dimension": 2, "anchor": [0.175, 0.175],
+            "periodic_box": {"lo": [0.0, 0.0], "hi": [0.35, 0.35]},
+            "grains": [
+                {"id": 1, "box": [[0.0, 0.0], [0.35, 0.35]],
+                 "medium": {"type": "crystal",
+                            "matrix": [["1", "0"], ["0", "1"]],
+                            "offset": [0.318, 0.577],
+                            "mode": "random-offset"}},
+            ],
+        },
+        "experiment": {"kind": "stationarity", "seed": 0,
+                       "particles": 100000, "n_seeds": 10,
+                       "time": 5 * 0.5,     # five mean free paths
+                       "split_times": [2 * 0.5, 3 * 0.5]},
+    }
+    report = harness.run_stationarity(harness.ExperimentConfig.from_dict(doc))
+    rows = report["per_seed"]
+    tests = (("xi", "ks_xi"), ("vplus", "ks_vplus"), ("split", "ks_split"))
+    rejected = [(row["seed"], name, row[key][1]) for row in rows
+                for name, key in tests if row[key][1] < report["alpha"]]
+    min_p = ", ".join(f"{name} {min(row[key][1] for row in rows):.3f}"
+                      for name, key in tests)
     elapsed = time.perf_counter() - t0
-    _report(10, not rejected,
-            f"10 seeds x (xi, v_plus, semigroup split), rejections: "
-            f"{rejected if rejected else 'none'}", elapsed, budget=600.0)
+    _report(10, report["verdict"],
+            f"10 seeds x (xi, v_plus, semigroup split), min p: {min_p}, "
+            f"rejections: {rejected if rejected else 'none'}",
+            elapsed, budget=600.0)
 
 
 # -- criterion 11: reproducibility -------------------------------------------
@@ -409,9 +418,9 @@ def test_criterion_11_reproducibility(tmp_path):
     }
     cfg = harness.ExperimentConfig.from_dict(doc)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    rep_a = harness.run_freepath(cfg)[0]
+    rep_a = harness.run_freepath(cfg)
     harness.emit(rep_a, str(out_a), cfg)
-    rep_b = harness.run_freepath(cfg)[0]
+    rep_b = harness.run_freepath(cfg)
     harness.emit(rep_b, str(out_b), cfg)
     same = True
     import os

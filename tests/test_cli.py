@@ -167,10 +167,22 @@ def test_periodic_freepath_fails_before_any_quadrature(scene_config,
     monkeypatch.setattr(harness, "limit_freepath_cdf", no_quadrature)
     with pytest.raises(harness.ConfigError, match=r"scene\.periodic_box"):
         main(["freepath", "--config", str(scene_config)])
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyxport.cli", "freepath", "--config",
-         str(scene_config)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
+    proc = _cli_in_subprocess("freepath", "--config", str(scene_config))
     assert proc.returncode == 1
     assert "ConfigError: scene.periodic_box" in proc.stderr
+
+
+def test_stationarity_on_finite_scene_fails_at_parse_time(scene_config):
+    doc = json.loads(scene_config.read_text())
+    doc["experiment"] = {"kind": "stationarity", "particles": 1000}
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("stationarity", "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert "ConfigError: scene.periodic_box" in proc.stderr
+
+
+def _cli_in_subprocess(*args):
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run([sys.executable, "-m", "polyxport.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))

@@ -87,6 +87,15 @@ class TestSegmentTable:
                 wk.advance(np.ones(n, dtype=bool))
             assert np.any(exit_[1, 1:] == entry[1, 1:])   # zero-length cell
 
+    def test_near_axis_ray_lists_only_the_moving_axis(self, tiled_crystal):
+        # a subnormal y-component makes the y crossings overflow to inf
+        xs = np.array([[0.175, 0.175]])
+        vs = np.array([[1.0, 2.2250738585072014e-308]])
+        entry, exit_, _ = flight.segment_table(tiled_crystal, xs, vs, 4.0)
+        listed = np.isfinite(exit_[0])
+        assert np.allclose(np.diff(exit_[0, listed]), 0.35)
+        assert exit_[0, listed][-1] > 4.0
+
 
 def _row_strategy(d):
     """(cell fraction, direction) of one ray: generic, axis-parallel, or
@@ -495,3 +504,12 @@ class TestStationarity:
         assert rep.ks_xi[1] > 0.01
         assert rep.ks_vplus[1] > 0.01
         assert rep.ks_cell[1] > 0.01
+
+    def test_split_leaves_the_marginal_tests_alone(self, tiled_crystal):
+        plain = flight.stationarity_test(tiled_crystal, 5000, 1.0, seed=3)
+        split = flight.stationarity_test(tiled_crystal, 5000, 1.0, seed=3,
+                                         split=(0.4, 0.6))
+        assert plain.ks_split is None
+        for name in ("ks_xi", "ks_vplus", "ks_v", "ks_cell"):
+            assert getattr(split, name) == getattr(plain, name)
+        assert split.ks_split[1] > 0.001

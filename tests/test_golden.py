@@ -28,7 +28,7 @@ DOC = {
 
 def test_golden_freepath(tmp_path):
     cfg = harness.ExperimentConfig.from_dict(DOC)
-    report, _ = harness.run_freepath(cfg)
+    report = harness.run_freepath(cfg)
     files = harness.emit(report, str(tmp_path), cfg)
     for path in files:
         name = os.path.basename(path)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from polyxport import harness
+from polyxport import flight, harness
 from polyxport.harness import ExperimentConfig
 
 
@@ -48,11 +48,10 @@ def test_run_freepath_small():
                        "resample_offsets": True,
                        "thresholds": {"ks_final": 0.05}},
     })
-    report, samples = harness.run_freepath(cfg)
-    assert set(samples) == {3e-3, 1e-3}
+    report = harness.run_freepath(cfg)
+    assert [row["r"] for row in report["per_r"]] == [3e-3, 1e-3]
     assert report["ks_final"] < 0.05
     assert report["verdict"] in (True, False)
-    assert len(report["per_r"]) == 2
 
 
 def test_run_freepath_on_scatterer_mode():
@@ -70,7 +69,7 @@ def test_run_freepath_on_scatterer_mode():
                        "beta": {"mode": "radial", "alpha": 0.6},
                        "thresholds": {"ks_final": 0.08}},
     }
-    report, _ = harness.run_freepath(ExperimentConfig.from_dict(doc))
+    report = harness.run_freepath(ExperimentConfig.from_dict(doc))
     # the scatterer-start limit differs from the generic one near 0
     assert report["per_r"][0]["ks"] < 0.08
 
@@ -133,6 +132,29 @@ def test_run_stationarity_small():
     assert len(report["per_seed"]) == 2
     for row in report["per_seed"]:
         assert row["ks_xi"][1] > 0.001
+
+
+def test_run_stationarity_evolves_each_seed_once(monkeypatch):
+    # per seed: the whole evolution and the two split legs, nothing else
+    calls = []
+    evolve = flight.evolve
+
+    def counted(scene, ens, dt, rng, **kwargs):
+        calls.append(dt)
+        return evolve(scene, ens, dt, rng, **kwargs)
+
+    monkeypatch.setattr(flight, "evolve", counted)
+    cfg = ExperimentConfig.from_dict({
+        "scene": tiled_scene_doc("crystal"),
+        "experiment": {"kind": "stationarity", "seed": 0, "particles": 2000,
+                       "time": 1.0, "n_seeds": 2,
+                       "split_times": [0.25, 0.75]},
+    })
+    report = harness.run_stationarity(cfg)
+    assert calls == [1.0, 0.25, 0.75] * 2
+    assert [row["seed"] for row in report["per_seed"]] == [0, 1]
+    assert all(set(row) == {"seed", "ks_xi", "ks_vplus", "ks_v", "ks_cell",
+                            "ks_split"} for row in report["per_seed"])
 
 
 def test_run_flight_reports():

@@ -7,6 +7,8 @@ import pytest
 from polyxport import harness, stats
 from polyxport.harness import ConfigError, ExperimentConfig
 
+from ks_oracles import ks_distance_slow, ks_two_sample_slow
+
 
 class TestKS:
     def test_one_sample_known_value(self):
@@ -25,7 +27,7 @@ class TestKS:
             x = rng.exponential(1.0, size=200)
             cdf = lambda t: 1 - np.exp(-np.asarray(t))
             fast = stats.ks_distance(x, cdf)
-            slow = stats.ks_distance_slow(x, cdf)
+            slow = ks_distance_slow(x, cdf)
             # the grid scan resolves jumps to the 1e-9 probe offset
             assert fast == pytest.approx(slow, abs=1e-7)
 
@@ -42,7 +44,7 @@ class TestKS:
             a = rng.normal(size=300)
             b = rng.normal(0.1, 1.0, size=200)
             d_fast, _ = stats.ks_two_sample(a, b)
-            assert d_fast == pytest.approx(stats.ks_two_sample_slow(a, b),
+            assert d_fast == pytest.approx(ks_two_sample_slow(a, b),
                                            abs=1e-12)
 
     def test_kolmogorov_sf_values(self):
@@ -131,6 +133,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [("xi_eval", [0.1]),
                                            ("family", "psi"),
+                                           ("sampling_method", "auto"),
                                            ("kind", "kernel-tables")])
     def test_keys_and_kinds_without_consumer_rejected(self, key, value):
         doc = json.loads(json.dumps(CONFIG))
@@ -144,6 +147,35 @@ class TestConfig:
         doc["experiment"]["kind"] = kind
         doc["scene"]["periodic_box"] = {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}
         with pytest.raises(ConfigError, match=r"scene\.periodic_box"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("kind,box", [
+        ("stationarity", None),
+        ("stationarity", {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}),
+        ("flight", {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}),
+        ("poisson-baseline", {"lo": [0.0, 0.0], "hi": [0.7, 0.35]})])
+    def test_flight_scene_must_be_a_tiled_box(self, kind, box):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["kind"] = kind
+        if box is not None:
+            doc["scene"]["periodic_box"] = box
+        with pytest.raises(ConfigError, match=r"scene\.periodic_box"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_thresholds_default_and_override(self):
+        cfg = ExperimentConfig.from_dict(CONFIG)
+        assert cfg.thresholds == harness.THRESHOLDS["freepath"]
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["thresholds"] = {"ks_final": 0.5}
+        assert ExperimentConfig.from_dict(doc).thresholds == {"ks_final": 0.5}
+
+    @pytest.mark.parametrize("key", ["ks_finall", "chi2_alpha"])
+    def test_unknown_threshold_rejected(self, key):
+        # a typo, and a threshold of another kind
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["thresholds"] = {key: 0.5}
+        with pytest.raises(ConfigError,
+                           match=rf"experiment\.thresholds\.{key}\b"):
             ExperimentConfig.from_dict(doc)
 
     def test_increasing_schedule_rejected(self):
@@ -227,8 +259,8 @@ class TestEmit:
         doc["experiment"]["samples"] = 1000
         doc["scene"]["grains"][0]["medium"] = {"type": "poisson"}
         cfg = ExperimentConfig.from_dict(doc)
-        rep1 = harness.run_freepath(cfg)[0]
-        rep2 = harness.run_freepath(cfg)[0]
+        rep1 = harness.run_freepath(cfg)
+        rep2 = harness.run_freepath(cfg)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         harness.emit(rep1, str(d1), cfg)
         harness.emit(rep2, str(d2), cfg)

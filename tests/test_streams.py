@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,12 @@ def test_grain_offsets_and_chunk_offsets_differ():
         lattice_omega = rt._media[g.id][1].lattice.omega
         assert np.array_equal(lattice_omega, grain_draw)
         assert not np.array_equal(lattice_omega, omegas[0, 0])
+
+
+def test_every_salt_names_a_stream_in_use():
+    src = pathlib.Path(streams.__file__).parent
+    text = "".join(path.read_text(encoding="utf-8")
+                   for path in sorted(src.glob("*.py"))
+                   if path.name != "streams.py")
+    unused = [name for name in streams.SALTS if f'rng("{name}"' not in text]
+    assert unused == []
