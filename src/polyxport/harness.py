@@ -138,8 +138,8 @@ class ExperimentConfig:
     seed: int
     samples: int
     r_schedule: list
-    options: dict
-    thresholds: dict
+    options: dict       # the experiment section less its thresholds
+    thresholds: dict    # THRESHOLDS[kind] with the config's overrides
     out_dir: Optional[str] = None
     timings: bool = False
 
@@ -168,7 +168,8 @@ class ExperimentConfig:
             raise ConfigError("r schedule must be strictly decreasing")
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
-        return cls(doc, scene, kind, seed, samples, rs, dict(exp), thresholds,
+        options = {k: v for k, v in exp.items() if k != "thresholds"}
+        return cls(doc, scene, kind, seed, samples, rs, options, thresholds,
                    out.get("dir"), bool(out.get("timings", False)))
 
     @classmethod
@@ -191,6 +192,15 @@ class ExperimentConfig:
         if t is None:
             t = os.environ.get("POLYXPORT_THREADS", "1")
         return max(int(t), 1)
+
+
+def _threshold(config, kind, key):
+    """The threshold `key` of the runner for `kind`.
+
+    The CLI runs each experiment subcommand on a config of any kind; a
+    config of another kind runs with that runner's default.
+    """
+    return config.thresholds.get(key, THRESHOLDS[kind][key])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +319,7 @@ def run_freepath(config):
     if not config.r_schedule:
         raise ConfigError("freepath needs an r_schedule")
     lam = config.options.get("lambda")
-    ks_limit = config.thresholds["ks_final"]
+    ks_limit = _threshold(config, "freepath", "ks_final")
     on_scatterer = bool(config.options.get("on_scatterer", False))
     beta = _beta_from_options(config.options)
     grid, cdf_vals = limit_freepath_cdf(
@@ -378,7 +388,7 @@ def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
     scene = config.scene
     lam = config.options.get("lambda")
-    alpha = config.thresholds["chi2_alpha"]
+    alpha = _threshold(config, "transition", "chi2_alpha")
     if not config.r_schedule:
         raise ConfigError("transition needs an r_schedule")
     r = config.r_schedule[-1]
@@ -422,9 +432,9 @@ def run_poisson_baseline(config):
     sb = kernels.sigma_bar(scene.dimension)
     n = config.samples
     seed = config.seed
-    alpha = config.thresholds["alpha"]
-    freepath_ks_limit = config.thresholds["freepath_ks"]
-    gap_ks_limit = config.thresholds["gap_ks"]
+    alpha = _threshold(config, "poisson-baseline", "alpha")
+    freepath_ks_limit = _threshold(config, "poisson-baseline", "freepath_ks")
+    gap_ks_limit = _threshold(config, "poisson-baseline", "gap_ks")
     report = {"experiment": "poisson-baseline", "config_hash": config.hash(),
               "seed": seed, "sigma_bar": sb}
 
@@ -509,7 +519,7 @@ def run_stationarity(config):
     sb = kernels.sigma_bar(scene.dimension)
     t = float(config.options.get("time", 5.0 / sb))
     n_seeds = int(config.options.get("n_seeds", 10))
-    alpha = config.thresholds["ks_alpha"]
+    alpha = _threshold(config, "stationarity", "ks_alpha")
     split = config.options.get("split_times", [0.4 * t, 0.6 * t])
     per_seed = []
     for k in range(n_seeds):

@@ -181,6 +181,17 @@ def test_stationarity_on_finite_scene_fails_at_parse_time(scene_config):
     assert "ConfigError: scene.periodic_box" in proc.stderr
 
 
+def test_subcommand_on_config_of_another_kind_uses_its_defaults(
+        scene_config, capsys):
+    # The freepath config sets only ks_final; transition runs with its own
+    # default chi2_alpha and exits by its verdict.
+    rc = main(["transition", "--config", str(scene_config)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["experiment"] == "transition"
+    assert report["alpha"] == harness.THRESHOLDS["transition"]["chi2_alpha"]
+    assert rc == (0 if report["verdict"] else 3)
+
+
 def _cli_in_subprocess(*args):
     src = os.path.dirname(os.path.dirname(harness.__file__))
     return subprocess.run([sys.executable, "-m", "polyxport.cli", *args],

@@ -167,7 +167,9 @@ class TestConfig:
         assert cfg.thresholds == harness.THRESHOLDS["freepath"]
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"]["thresholds"] = {"ks_final": 0.5}
-        assert ExperimentConfig.from_dict(doc).thresholds == {"ks_final": 0.5}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.thresholds == {"ks_final": 0.5}
+        assert "thresholds" not in cfg.options
 
     @pytest.mark.parametrize("key", ["ks_finall", "chi2_alpha"])
     def test_unknown_threshold_rejected(self, key):
