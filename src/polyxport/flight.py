@@ -11,14 +11,15 @@ runs exact rejection against the gap-discounted exponential envelope.
 Ensemble operations are vectorized over particles.  The grain segments
 along the rays form one segment table (rays x segments: entry, exit,
 grain id): the clipped grains of a finite scene, or the merged per-axis
-cell crossings of a periodic box tiled by a single grain.  The rejection
-sampler's budget walk and the survival curves (the limit free-path CDF,
-the gap-scene and n=0 oracles) are array operations on blocks of that
-table; the factorized sampler, which draws once per segment,
-steps one segment per round (a cursor over the table, or the cell walker
-that the tiled table is built from).  Escapes are first-class: a
-particle whose flight never meets another grain gets xi = +inf and flies
-straight forever.
+cell crossings of a periodic scene, which make_scene guarantees to be a
+box tiled by its one grain (geometry.cell_clock sets the face rule, which
+the scalar geometry.itinerary shares).  The rejection sampler's budget
+walk and the survival curves (the limit free-path CDF, the gap-scene and
+n=0 oracles) are array operations on blocks of that table; the factorized
+sampler, which draws once per segment, steps one segment per round (a
+cursor over the table, or the cell walker that the tiled table is built
+from).  Escapes are first-class: a particle whose flight never meets
+another grain gets xi = +inf and flies straight forever.
 """
 from __future__ import annotations
 
@@ -28,9 +29,8 @@ import numpy as np
 
 from . import kernels as KK
 from . import polykernel, scattering, stats, streams
-from .geometry import SceneError, clip_grain_rows
+from .geometry import REL_TOL, SceneError, cell_clock, clip_grain_rows
 
-_SEG_TOL = 1e-12
 _MAX_ROUNDS = 20000
 
 # Rays per segment table: a block's arrays are rows x segments, and the
@@ -58,12 +58,12 @@ def _finite_table(scene, xs, vs):
     base_gids = np.broadcast_to(np.array([g.id for g in scene.grains]),
                                 (n, G))
     gids = np.take_along_axis(base_gids, order, axis=1)
-    entries[:, 0] = np.where(entries[:, 0] <= _SEG_TOL, 0.0, entries[:, 0])
+    entries[:, 0] = np.where(entries[:, 0] <= REL_TOL, 0.0, entries[:, 0])
     with np.errstate(invalid="ignore"):
         for k in range(1, G):
             gap_k = entries[:, k] - exits[:, k - 1]
             snap = np.isfinite(entries[:, k]) \
-                & (np.abs(gap_k) <= _SEG_TOL * (1.0 + entries[:, k]))
+                & (np.abs(gap_k) <= REL_TOL * (1.0 + entries[:, k]))
             entries[snap, k] = exits[snap, k - 1]
     return entries, exits, gids
 
@@ -109,9 +109,10 @@ def segment_table(scene, xs, vs, horizon):
     entry and padded with entry = exit = inf.  A finite scene lists every
     grain the ray crosses; a tiled box lists its cells through the first
     exit beyond horizon (a scalar or one value per row), zero-length cells
-    of rays through cell edges included.
+    of rays through cell edges included (a start on a face is in the cell
+    that v points into, so never the first cell).
     """
-    if _walks_tiled_box(scene):
+    if scene.periodic_box is not None:
         return _tiled_table(scene, xs, vs, horizon)
     return _finite_table(scene, xs, vs)
 
@@ -148,22 +149,12 @@ class FiniteSceneWalker:
 
 
 class TiledBoxWalker:
-    """Cell-by-cell walk for a periodic box fully tiled by one grain."""
+    """Cell-by-cell walk of a periodic scene (a box tiled by one grain)."""
 
     def __init__(self, scene, xs, vs):
-        box = scene.periodic_box
         self.gid = scene.grains[0].id
-        size = box.size
-        n, d = xs.shape
-        pos = xs - box.lo
-        cell = np.floor(pos / size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = ((cell + 1.0) * size - pos) / vs
-            dn = (cell * size - pos) / vs
-            self.delta = np.where(vs != 0.0, size / np.abs(vs), np.inf)
-        tnext = np.where(vs > 0, up, np.where(vs < 0, dn, np.inf))
-        self.tnext = np.where(np.isfinite(tnext), np.maximum(tnext, 0.0), np.inf)
-        self.t_entry = np.zeros(n)
+        self.tnext, self.delta = cell_clock(scene.periodic_box, xs, vs)
+        self.t_entry = np.zeros(len(xs))
         self.t_exit = self.tnext.min(axis=1)
 
     def current(self):
@@ -179,45 +170,8 @@ class TiledBoxWalker:
         self.t_exit[rows] = self.tnext[rows].min(axis=1)
 
 
-def is_tiled_box(scene):
-    """True for a periodic scene whose single grain is exactly the box.
-
-    Decided once per scene and kept on it, like its grain index.
-    """
-    if "_tiled_box" not in scene.__dict__:
-        object.__setattr__(scene, "_tiled_box", _tiles_box(scene))
-    return scene._tiled_box
-
-
-def _tiles_box(scene):
-    if scene.periodic_box is None or len(scene.grains) != 1:
-        return False
-    g = scene.grains[0]
-    box = scene.periodic_box
-    if g.normals.shape[0] != 2 * scene.dimension:
-        return False
-    for n_, c_ in zip(g.normals, g.offsets):
-        j = int(np.argmax(np.abs(n_)))
-        if abs(abs(n_[j]) - 1.0) > 1e-12:
-            return False
-        tgt = box.hi[j] if n_[j] > 0 else -box.lo[j]
-        if abs(c_ - tgt) > 1e-9:
-            return False
-    return True
-
-
-def _walks_tiled_box(scene):
-    """False for a finite scene, True for a tiled box; other scenes raise."""
-    if scene.periodic_box is None:
-        return False
-    if is_tiled_box(scene):
-        return True
-    raise SceneError("flight sampling supports finite scenes and periodic "
-                     "boxes fully tiled by a single grain")
-
-
 def make_walker(scene, xs, vs):
-    if _walks_tiled_box(scene):
+    if scene.periodic_box is not None:
         return TiledBoxWalker(scene, xs, vs)
     return FiniteSceneWalker(scene, xs, vs)
 

@@ -1,8 +1,10 @@
 """Convex grains, scenes, ray itineraries, the gap function and inside tests.
 
 Grains are open convex polytopes stored as halfspace intersections
-{x : n_k . x < c_k}.  All ray operations clip against the halfspaces, which
-is exact up to floating point and O(#halfspaces) per grain.
+{x : n_k . x < c_k}.  Ray operations on a finite scene clip against the
+halfspaces, which is exact up to floating point and O(#halfspaces) per
+grain.  A periodic scene is a box tiled by its one grain: there the grain
+segments of a ray are its cells, walked face crossing by face crossing.
 """
 from __future__ import annotations
 
@@ -159,7 +161,11 @@ class ItinerarySegment:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Immutable grain collection with per-grain media and optional wrap."""
+    """Immutable grain collection with per-grain media.
+
+    A scene is finite, or periodic: then its one grain is exactly the
+    periodic box, whose copies tile space (see check_tiled_box).
+    """
 
     dimension: int
     grains: tuple
@@ -194,13 +200,37 @@ class Scene:
 
 def make_scene(dimension, grains, media, periodic_box=None, anchor=None,
                assume_incommensurable=False, validate=True):
+    """A Scene; a periodic box must be tiled by the one grain, validate or
+    not, because every periodic ray operation walks its cells."""
     if len(grains) != len(media):
         raise SceneError("one medium per grain required")
+    if periodic_box is not None:
+        check_tiled_box(grains, periodic_box)
     scene = Scene(dimension, tuple(grains), tuple(media), periodic_box, anchor,
                   assume_incommensurable)
     if validate:
         validate_scene(scene)
     return scene
+
+
+def check_tiled_box(grains, box):
+    """SceneError unless grains is one grain that is exactly the box."""
+    if len(grains) != 1:
+        raise SceneError(f"a periodic box must be tiled by one grain, not "
+                         f"{len(grains)}")
+    g = grains[0]
+    d = box.lo.size
+    if g.dimension == d and len(g.normals) == 2 * d:
+        # each facet normal is +-e_j, on the box face of that sign
+        j = np.argmax(np.abs(g.normals), axis=1)
+        nj = g.normals[np.arange(2 * d), j]
+        face = np.where(nj > 0, box.hi[j], -box.lo[j])
+        if (len(set(zip(j, nj > 0))) == 2 * d
+                and np.all(np.abs(np.abs(nj) - 1.0) <= 1e-12)
+                and np.all(np.abs(g.offsets - face) <= 1e-9)):
+            return
+    raise SceneError(f"grain {g.id} is not the periodic box from "
+                     f"{box.lo.tolist()} to {box.hi.tolist()}")
 
 
 def validate_scene(scene):
@@ -234,8 +264,6 @@ def validate_scene(scene):
                 "assume_incommensurable=True to assert it")
 
     _check_disjoint(scene)
-    if scene.periodic_box is not None:
-        _check_periodic(scene)
 
 
 def _cheb_point(grain):
@@ -250,13 +278,12 @@ def _cheb_point(grain):
     return res.x[:d]
 
 
-def _pair_disjoint(g1, g2, shift=None):
-    """True if the open interiors of g1 and g2 + shift are disjoint (LP)."""
+def _pair_disjoint(g1, g2):
+    """True if the open interiors of g1 and g2 are disjoint (LP)."""
     from scipy.optimize import linprog
     d = g1.dimension
-    off2 = g2.offsets if shift is None else g2.offsets + g2.normals @ shift
     normals = np.vstack([g1.normals, g2.normals])
-    offsets = np.concatenate([g1.offsets, off2])
+    offsets = np.concatenate([g1.offsets, g2.offsets])
     res = linprog(c=np.r_[np.zeros(d), -1.0],
                   A_ub=np.c_[normals, np.ones(len(normals))],
                   b_ub=offsets, bounds=[(None, None)] * d + [(0, None)],
@@ -269,24 +296,6 @@ def _check_disjoint(scene):
     for g1, g2 in itertools.combinations(scene.grains, 2):
         if not _pair_disjoint(g1, g2):
             raise SceneError(f"grains {g1.id} and {g2.id} overlap")
-
-
-def _check_periodic(scene):
-    box = scene.periodic_box
-    for g in scene.grains:
-        verts = g.get_vertices()
-        if np.any(verts < box.lo - 1e-9) or np.any(verts > box.hi + 1e-9):
-            raise SceneError(f"grain {g.id} not inside the periodic box")
-    size = box.size
-    offsets = [np.array(k) * size
-               for k in itertools.product(*[(-1, 0, 1)] * scene.dimension)
-               if any(k)]
-    for g1 in scene.grains:
-        for g2 in scene.grains:
-            for off in offsets:
-                if not _pair_disjoint(g1, g2, shift=off):
-                    raise SceneError(
-                        f"wrapped copies of grains {g1.id}/{g2.id} overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -348,44 +357,40 @@ def _segments_plain(scene, x, v, horizon):
     return raw
 
 
-def _cell_walk(box, x, v, horizon):
-    """Yield (cell_index, t_enter, t_leave) for cells visited up to horizon."""
+def cell_clock(box, xs, vs):
+    """Start of the cell walk of rays x + t v through a tiled box.
+
+    Returns (tnext, delta), rows x axes: the time of the next face crossing
+    and the time between crossings per axis.  A start on a face belongs to
+    the cell that v points into, so no first cell has zero length; an axis
+    that v does not move along is never crossed, so a ray along a face
+    stays in the grain.
+    """
     size = box.size
-    d = size.size
-    cell = np.floor((x - box.lo) / size).astype(int)
-    t = 0.0
-    # next crossing time per axis
-    tnext = np.full(d, np.inf)
-    step = np.zeros(d, dtype=int)
-    for i in range(d):
-        if v[i] > 0:
-            step[i] = 1
-            tnext[i] = ((cell[i] + 1) * size[i] + box.lo[i] - x[i]) / v[i]
-        elif v[i] < 0:
-            step[i] = -1
-            tnext[i] = (cell[i] * size[i] + box.lo[i] - x[i]) / v[i]
-    while t < horizon:
-        i = int(np.argmin(tnext))
-        yield cell.copy(), t, tnext[i]
-        t = tnext[i]
-        cell[i] += step[i]
-        tnext[i] += size[i] / abs(v[i])
+    pos = xs - box.lo
+    cell = np.floor(pos / size)
+    # a subnormal component overflows to a crossing at inf: never crossed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        up = ((cell + 1.0) * size - pos) / vs
+        dn = (cell * size - pos) / vs
+        delta = np.where(vs != 0.0, size / np.abs(vs), np.inf)
+    tnext = np.where(vs > 0, up, np.where(vs < 0, dn, np.inf))
+    # a start on the face that v leaves the cell through is in the next cell
+    return np.where(tnext > 0.0, tnext, delta), delta
 
 
 def _segments_periodic(scene, x, v, horizon):
-    box = scene.periodic_box
-    size = box.size
+    """The cells of a tiled box, one scalar step per face crossing."""
+    tnext, delta = cell_clock(scene.periodic_box, x[None], v[None])
+    tnext, delta = tnext[0], delta[0]
+    gid = scene.grains[0].id
     raw = []
-    for cell, t0, t1 in _cell_walk(box, x, v, horizon):
-        off = cell * size
-        for g in scene.grains:
-            hit = ray_grain_intersect(g, x - off, v)
-            if hit is None:
-                continue
-            a, b = max(hit[0], t0), min(hit[1], t1)
-            if b - a > REL_TOL * (1.0 + abs(b)) and a < horizon:
-                raw.append((a, b, g.id))
-    raw.sort()
+    t = 0.0
+    while t < horizon:
+        i = int(np.argmin(tnext))
+        raw.append((t, tnext[i], gid))
+        t = tnext[i]
+        tnext[i] += delta[i]
     return raw
 
 
@@ -440,26 +445,9 @@ def inside_indicator(scene, x, v):
     """True iff x is interior to a grain, or on a boundary with v inwards."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    grains = scene.grains
     if scene.periodic_box is not None:
-        box = scene.periodic_box
-        cell = np.floor((x - box.lo) / box.size).astype(int)
-        # points on a cell face may belong to a grain of the adjacent cell
-        cells = {tuple(cell)}
-        rel = (x - box.lo) / box.size - cell
-        for i in range(scene.dimension):
-            if rel[i] < 1e-9:
-                c = cell.copy(); c[i] -= 1; cells.add(tuple(c))
-            if rel[i] > 1 - 1e-9:
-                c = cell.copy(); c[i] += 1; cells.add(tuple(c))
-        for c in cells:
-            off = np.array(c) * box.size
-            for g in grains:
-                hit = ray_grain_intersect(g, x - off, v)
-                if hit is not None and hit[0] == 0.0:
-                    return True
-        return False
-    for g in grains:
+        return True     # a tiled box has no outside
+    for g in scene.grains:
         hit = ray_grain_intersect(g, x, v)
         if hit is not None and hit[0] == 0.0:
             return True

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import flight, kernels, microsim, scattering, stats, streams
-from .geometry import ConvexGrain, PeriodicBox, make_scene
+from .geometry import (ConvexGrain, PeriodicBox, SceneError, check_tiled_box,
+                       make_scene)
 from .lattice import AffineLattice, CrystalMedium, PoissonMedium
 
 
@@ -110,24 +111,25 @@ def parse_scene(d, path="scene"):
     box = None
     if "periodic_box" in d:
         _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box")
-        box = PeriodicBox(d["periodic_box"]["lo"], d["periodic_box"]["hi"])
+        try:
+            box = PeriodicBox(d["periodic_box"]["lo"], d["periodic_box"]["hi"])
+            check_tiled_box(grains, box)
+        except SceneError as err:
+            raise ConfigError(f"{path}.periodic_box: {err}") from None
     return make_scene(d["dimension"], grains, media, periodic_box=box,
                       anchor=d.get("anchor"),
                       assume_incommensurable=d.get("assume_incommensurable",
                                                    False))
 
 
-def _check_scene_for_kind(scene, kind):
+def _check_scene_for_kind(scene, kind, report):
     box = scene.periodic_box
     if kind in ("freepath", "transition") and box is not None:
         raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
                           "the microscopic dynamics of a finite scene")
-    if kind == "stationarity" and box is None:
+    if "stationarity" in (kind, report) and box is None:
         raise ConfigError("scene.periodic_box: stationarity experiments need "
                           "a periodic box tiled by one grain")
-    if box is not None and not flight.is_tiled_box(scene):
-        raise ConfigError(f"scene.periodic_box: {kind} experiments need the "
-                          "periodic box tiled by one grain")
 
 
 @dataclass
@@ -138,7 +140,8 @@ class ExperimentConfig:
     seed: int
     samples: int
     r_schedule: list
-    options: dict       # the experiment section less its thresholds
+    options: dict       # the experiment section less its thresholds,
+                        # with gap_scene parsed to a Scene
     thresholds: dict    # THRESHOLDS[kind] with the config's overrides
     out_dir: Optional[str] = None
     timings: bool = False
@@ -154,7 +157,7 @@ class ExperimentConfig:
         kind = exp.get("kind")
         if kind not in THRESHOLDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        _check_scene_for_kind(scene, kind)
+        _check_scene_for_kind(scene, kind, exp.get("report"))
         given = exp.get("thresholds", {})
         _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
         thresholds = dict(THRESHOLDS[kind])
@@ -169,6 +172,9 @@ class ExperimentConfig:
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
         options = {k: v for k, v in exp.items() if k != "thresholds"}
+        if "gap_scene" in options:
+            options["gap_scene"] = parse_scene(options["gap_scene"],
+                                               "experiment.gap_scene")
         return cls(doc, scene, kind, seed, samples, rs, options, thresholds,
                    out.get("dir"), bool(out.get("timings", False)))
 
@@ -489,8 +495,7 @@ def run_poisson_baseline(config):
 
     # (d) gap-discounted survival on a secondary scene
     if "gap_scene" in config.options:
-        gap_scene = parse_scene(config.options["gap_scene"],
-                                "experiment.gap_scene")
+        gap_scene = config.options["gap_scene"]
         rng4 = streams.rng("baseline.gap", seed)
         n_gap = min(n, 200000)
         xs = flight.sample_positions(gap_scene, n_gap, rng4, "uniform_grains")

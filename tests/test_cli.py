@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyxport import harness, microsim
+from polyxport import flight, harness, microsim
 from polyxport.cli import main
 
 
@@ -177,6 +177,52 @@ def test_stationarity_on_finite_scene_fails_at_parse_time(scene_config):
     doc["experiment"] = {"kind": "stationarity", "particles": 1000}
     scene_config.write_text(json.dumps(doc))
     proc = _cli_in_subprocess("stationarity", "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert "ConfigError: scene.periodic_box" in proc.stderr
+
+
+def test_flight_stationarity_report_on_finite_scene_fails_at_parse_time(
+        scene_config):
+    doc = json.loads(scene_config.read_text())
+    doc["experiment"] = {"kind": "flight", "particles": 1000}
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("flight", "--config", str(scene_config),
+                              "--report", "stationarity")
+    assert proc.returncode == 1
+    assert "ConfigError: scene.periodic_box" in proc.stderr
+
+
+def test_gap_scene_fails_before_any_sampling(tmp_path, monkeypatch):
+    box = [[0.0, 0.0], [0.35, 0.35]]
+    doc = {
+        "scene": {"dimension": 2, "anchor": [0.175, 0.175],
+                  "grains": [{"id": 1, "box": box,
+                              "medium": {"type": "poisson"}}],
+                  "periodic_box": {"lo": box[0], "hi": box[1]}},
+        "experiment": {
+            "kind": "poisson-baseline", "samples": 1000,
+            "gap_scene": {"dimension": 2, "grains": [
+                {"id": 1, "box": [[0.0, 0.0], [0.4, 0.4]], "shape": "round",
+                 "medium": {"type": "poisson"}}]}},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling ran before the gap scene was parsed")
+    monkeypatch.setattr(flight, "sample_initial", no_sampling)
+    monkeypatch.setattr(flight, "sample_positions", no_sampling)
+    with pytest.raises(harness.ConfigError,
+                       match=r"experiment\.gap_scene\.grains\[0\]\.shape"):
+        main(["poisson", "--config", str(path)])
+
+
+def test_psi_eval_on_partial_periodic_scene_fails(scene_config):
+    doc = json.loads(scene_config.read_text())
+    doc["scene"]["periodic_box"] = {"lo": [0.0, 0.0], "hi": [0.7, 0.35]}
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("psi", "eval", "--config", str(scene_config),
+                              "--x", "0.15,0.15", "--v", "1,0", "--xi", "0.1")
     assert proc.returncode == 1
     assert "ConfigError: scene.periodic_box" in proc.stderr
 

@@ -6,9 +6,9 @@ from scipy.stats import poisson as poisson_dist
 from polyxport import (flight, harness, kernels, polykernel, presets,
                        scattering, stats)
 from polyxport.flight import (Ensemble, FiniteSceneWalker, TiledBoxWalker,
-                              evolve, make_walker, n_collision_histogram,
+                              evolve, n_collision_histogram,
                               sample_collision, sample_initial, sample_xi_w)
-from polyxport.geometry import SceneError, itinerary
+from polyxport.geometry import SceneError, inside_indicator, itinerary
 
 
 class TestWalkers:
@@ -55,10 +55,9 @@ class TestWalkers:
         from polyxport import ConvexGrain, PeriodicBox, make_scene
         from polyxport.lattice import PoissonMedium
         g = ConvexGrain.box(1, (0, 0), (0.2, 0.2))
-        sc = make_scene(2, (g,), (PoissonMedium(),),
-                        periodic_box=PeriodicBox((0, 0), (0.4, 0.4)))
         with pytest.raises(SceneError):
-            make_walker(sc, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+            make_scene(2, (g,), (PoissonMedium(),),
+                       periodic_box=PeriodicBox((0, 0), (0.4, 0.4)))
 
 
 class TestSegmentTable:
@@ -96,11 +95,73 @@ class TestSegmentTable:
         assert np.allclose(np.diff(exit_[0, listed]), 0.35)
         assert exit_[0, listed][-1] > 4.0
 
+    def test_subnormal_component_is_never_crossed(self, tiled_crystal):
+        # 0.35 / 5e-324 overflows: no RuntimeWarning, and the same cells
+        # as the ray without that component, in the table and itinerary
+        x = np.array([0.175, 0.175])
+        table = flight.segment_table(tiled_crystal, np.array([x]),
+                                     np.array([[1.0, 5e-324]]), 4.0)
+        plain = flight.segment_table(tiled_crystal, np.array([x]),
+                                     np.array([[1.0, 0.0]]), 4.0)
+        assert all(np.array_equal(a, b) for a, b in zip(table, plain))
+        assert itinerary(tiled_crystal, x, np.array([1.0, 5e-324]), 4.0) \
+            == itinerary(tiled_crystal, x, np.array([1.0, 0.0]), 4.0)
+
+
+def _on_face(frac, v, j, sign):
+    """The ray (frac, v) moved onto the cell face of axis j, with v moving
+    along (sign 1), against (-1) or tangent to (0) that axis."""
+    frac, v = list(frac), list(v)
+    frac[j] = 0.0
+    v[j] = sign * max(abs(v[j]), 0.1)
+    if np.linalg.norm(v) < 0.1:
+        v[(j + 1) % len(v)] = 1.0
+    return frac, v
+
+
+class TestCellFaces:
+    """A start on a cell face is in the cell that v points into, and a ray
+    along a face stays in the grain, for the tiled table and the scalar
+    itinerary alike (rays on presets.tiled_box_2d())."""
+
+    RAYS = [((0.0, 0.1), (-1.0, 0.0)),    # on a face, against its axis
+            ((0.1, 0.0), (1.0, 0.0))]     # along a face
+
+    @pytest.mark.parametrize("x,v", RAYS)
+    def test_table_and_itinerary_give_the_same_cells(self, tiled_crystal,
+                                                      x, v):
+        entry, exit_, gid = flight.segment_table(
+            tiled_crystal, np.array([x]), np.array([v]), 2.0)
+        assert entry[0, 0] == 0.0 < exit_[0, 0]     # no zero-length first cell
+        table = [(int(g), e, h) for g, e, h in zip(gid[0], entry[0], exit_[0])
+                 if e < 2.0 and h > e]
+        segs = itinerary(tiled_crystal, np.array(x), np.array(v), 2.0)
+        assert table
+        assert [(s.grain_id, s.entry, s.exit) for s in segs] == table
+
+    @pytest.mark.parametrize("x,v", RAYS)
+    def test_survival_curves_match_scalar(self, tiled_crystal, x, v):
+        grid = [0.0, 0.1, 0.25, 0.35, 0.5, 0.7, 1.2]
+        z = [[0.3]]
+        got = flight.survival_curves(tiled_crystal, [x], [v], grid, z)[0]
+        want = [polykernel.survival_psi0_marg(tiled_crystal, np.array(x),
+                                              np.array(v), t, z[0])
+                for t in grid]
+        assert got.tolist() == want
+        got = flight.survival_curves(tiled_crystal, [x], [v], grid)[0]
+        want = [polykernel.survival_psi(tiled_crystal, np.array(x),
+                                        np.array(v), t) for t in grid]
+        assert got.tolist() == want
+
+    def test_tangent_ray_is_inside(self, tiled_crystal):
+        x, v = self.RAYS[1]
+        assert inside_indicator(tiled_crystal, np.array(x), np.array(v))
+
 
 def _row_strategy(d):
-    """(cell fraction, direction) of one ray: generic, axis-parallel, or
-    from the cell centre along a diagonal, which crosses cell edges (two
-    axes at the same time: zero-length segments)."""
+    """(cell fraction, direction) of one ray: generic, axis-parallel, from
+    the cell centre along a diagonal, which crosses cell edges (two axes at
+    the same time: zero-length segments), or from a cell face."""
     frac = st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d)
     component = st.floats(-1.0, 1.0, allow_subnormal=False)
     generic = st.tuples(frac, st.lists(component, min_size=d,
@@ -112,7 +173,10 @@ def _row_strategy(d):
     diagonal = st.tuples(st.just([0.5] * d),
                          st.lists(st.sampled_from([-1.0, 1.0]), min_size=d,
                                   max_size=d))
-    return st.one_of(generic, axis, diagonal)
+    face = st.builds(_on_face, frac, st.lists(component, min_size=d,
+                                              max_size=d),
+                     st.integers(0, d - 1), st.sampled_from([-1.0, 0.0, 1.0]))
+    return st.one_of(generic, axis, diagonal, face)
 
 
 def _scalar_walk(scene, kern, x, v, budget, kind):
