@@ -44,9 +44,12 @@ def _load_config(args):
     return cfg
 
 
-def _run_and_emit(cfg, args, runner):
+def _run_and_emit(cfg, args, kind):
+    """Run the runner of `kind`, which need not be the config's kind, after
+    checking that it works on the config's scene."""
+    harness.check_scene_for_kind(cfg.scene, kind)
     t0 = time.perf_counter()
-    report = runner(cfg)
+    report = harness.RUNNERS[kind](cfg)
     dt = time.perf_counter() - t0
     out = args.out or cfg.out_dir
     if out:
@@ -145,10 +148,9 @@ def cmd_flight(args):
         cfg = harness.ExperimentConfig.from_dict(doc)
         if threads is not None:
             cfg.options["threads"] = threads
-    runner = harness.RUNNERS["stationarity"] \
-        if cfg.options.get("report") == "stationarity" \
-        else harness.RUNNERS["flight"]
-    return _run_and_emit(cfg, args, runner)
+    kind = "stationarity" if cfg.options.get("report") == "stationarity" \
+        else "flight"
+    return _run_and_emit(cfg, args, kind)
 
 
 def main(argv=None):
@@ -187,14 +189,14 @@ def main(argv=None):
     pm.add_argument("--r", default=None, help="comma list of radii")
     pm.set_defaults(func=cmd_microsim)
 
-    for kind, runner in [("freepath", harness.RUNNERS["freepath"]),
-                         ("transition", harness.RUNNERS["transition"]),
-                         ("poisson", harness.RUNNERS["poisson-baseline"]),
-                         ("stationarity", harness.RUNNERS["stationarity"])]:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
+    for command, kind in [("freepath", "freepath"),
+                          ("transition", "transition"),
+                          ("poisson", "poisson-baseline"),
+                          ("stationarity", "stationarity")]:
+        p = sub.add_parser(command, help=f"run the {command} experiment")
         _add_common(p)
-        p.set_defaults(func=lambda a, r=runner: _run_and_emit(_load_config(a),
-                                                              a, r))
+        p.set_defaults(func=lambda a, k=kind: _run_and_emit(_load_config(a),
+                                                            a, k))
 
     pf = sub.add_parser("flight", help="evolve an ensemble of the limit process")
     _add_common(pf)

@@ -5,6 +5,8 @@ Grains are open convex polytopes stored as halfspace intersections
 halfspaces, which is exact up to floating point and O(#halfspaces) per
 grain.  A periodic scene is a box tiled by its one grain: there the grain
 segments of a ray are its cells, walked face crossing by face crossing.
+Scene checks solve one margin LP per grain and per pair of grains, in
+closed form when the grains are axis-aligned boxes.
 """
 from __future__ import annotations
 
@@ -117,18 +119,45 @@ class ConvexGrain:
 
 def _halfspace_vertices(normals, offsets):
     """Vertices of {x : N x <= c} via an interior (Chebyshev) point."""
-    from scipy.optimize import linprog
     from scipy.spatial import HalfspaceIntersection
-    d = normals.shape[1]
-    # maximize margin t with N x + t <= c
-    res = linprog(c=np.r_[np.zeros(d), -1.0],
-                  A_ub=np.c_[normals, np.ones(len(normals))],
+    ok, x, t = _margin_lp(normals, offsets)
+    if not ok or t <= 0:
+        raise SceneError("halfspace system has empty interior")
+    hs = HalfspaceIntersection(np.c_[normals, -offsets], x)
+    return hs.intersections
+
+
+def _margin_lp(normals, offsets):
+    """Max t subject to N x + t <= c, t >= 0, as (ok, x, t).
+
+    ok is False when the LP is infeasible or unbounded.  When every row of
+    N is +-e_j and every axis has rows of both signs, the LP splits by
+    axis: with hi_j the smallest offset of the +e_j rows and lo_j the
+    largest -offset of the -e_j rows, the optimum is t = min_j (hi_j -
+    lo_j) / 2 at x = (hi + lo) / 2, infeasible when t < 0.  Any other
+    system goes to HiGHS.
+    """
+    n, d = normals.shape
+    axis = np.argmax(np.abs(normals), axis=1)
+    sign = normals[np.arange(n), axis]
+    up = sign > 0
+    if (np.all(np.abs(sign) == 1.0) and np.count_nonzero(normals) == n
+            and np.all(np.bincount(axis + d * up, minlength=2 * d))):
+        hi = np.full(d, np.inf)
+        lo = np.full(d, -np.inf)
+        np.minimum.at(hi, axis[up], offsets[up])
+        np.maximum.at(lo, axis[~up], -offsets[~up])
+        t = float(np.min(hi - lo)) / 2.0
+        if t < 0.0:
+            return False, None, None
+        return True, (hi + lo) / 2.0, t
+    from scipy.optimize import linprog
+    res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[normals, np.ones(n)],
                   b_ub=offsets, bounds=[(None, None)] * d + [(0, None)],
                   method="highs")
-    if not res.success or res.x[-1] <= 0:
-        raise SceneError("halfspace system has empty interior")
-    hs = HalfspaceIntersection(np.c_[normals, -offsets], res.x[:d])
-    return hs.intersections
+    if not res.success:
+        return False, None, None
+    return True, res.x[:d], float(res.x[-1])
 
 
 @dataclass(frozen=True)
@@ -240,7 +269,10 @@ def validate_scene(scene):
     for g in scene.grains:
         if g.dimension != scene.dimension:
             raise SceneError("grain dimension mismatch")
-        if np.any(g.normals @ _cheb_point(g) >= g.offsets):
+        ok, x, _ = _margin_lp(g.normals, g.offsets)
+        if not ok:
+            raise SceneError("unbounded or empty grain")
+        if np.any(g.normals @ x >= g.offsets):
             raise SceneError(f"grain {g.id} has empty interior")
 
     crystal_ids = [g.id for g, m in zip(scene.grains, scene.media)
@@ -266,30 +298,12 @@ def validate_scene(scene):
     _check_disjoint(scene)
 
 
-def _cheb_point(grain):
-    from scipy.optimize import linprog
-    d = grain.dimension
-    res = linprog(c=np.r_[np.zeros(d), -1.0],
-                  A_ub=np.c_[grain.normals, np.ones(len(grain.normals))],
-                  b_ub=grain.offsets, bounds=[(None, None)] * d + [(0, None)],
-                  method="highs")
-    if not res.success:
-        raise SceneError("unbounded or empty grain")
-    return res.x[:d]
-
-
 def _pair_disjoint(g1, g2):
     """True if the open interiors of g1 and g2 are disjoint (LP)."""
-    from scipy.optimize import linprog
-    d = g1.dimension
-    normals = np.vstack([g1.normals, g2.normals])
-    offsets = np.concatenate([g1.offsets, g2.offsets])
-    res = linprog(c=np.r_[np.zeros(d), -1.0],
-                  A_ub=np.c_[normals, np.ones(len(normals))],
-                  b_ub=offsets, bounds=[(None, None)] * d + [(0, None)],
-                  method="highs")
+    ok, _, t = _margin_lp(np.vstack([g1.normals, g2.normals]),
+                          np.concatenate([g1.offsets, g2.offsets]))
     # shared interior exists iff a point fits with positive margin
-    return (not res.success) or res.x[-1] <= 1e-11
+    return not ok or t <= 1e-11
 
 
 def _check_disjoint(scene):

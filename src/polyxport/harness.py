@@ -122,7 +122,9 @@ def parse_scene(d, path="scene"):
                                                    False))
 
 
-def _check_scene_for_kind(scene, kind, report):
+def check_scene_for_kind(scene, kind, report=None):
+    """ConfigError naming scene.periodic_box unless the runner of `kind`
+    (or of a flight config's `report`) works on this scene."""
     box = scene.periodic_box
     if kind in ("freepath", "transition") and box is not None:
         raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
@@ -157,7 +159,7 @@ class ExperimentConfig:
         kind = exp.get("kind")
         if kind not in THRESHOLDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        _check_scene_for_kind(scene, kind, exp.get("report"))
+        check_scene_for_kind(scene, kind, exp.get("report"))
         given = exp.get("thresholds", {})
         _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
         thresholds = dict(THRESHOLDS[kind])

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 @dataclass
@@ -93,6 +92,7 @@ def chi2_pvalue(stat, dof):
     """Right tail of the chi-square distribution."""
     if dof <= 0:
         return 1.0
+    from scipy.special import gammaincc
     return float(gammaincc(dof / 2.0, stat / 2.0))
 
 

@@ -192,6 +192,39 @@ def test_flight_stationarity_report_on_finite_scene_fails_at_parse_time(
     assert "ConfigError: scene.periodic_box" in proc.stderr
 
 
+_TILED_BOX = {"dimension": 2, "anchor": [0.175, 0.175],
+              "periodic_box": {"lo": [0.0, 0.0], "hi": [0.35, 0.35]},
+              "grains": [{"id": 1, "box": [[0.0, 0.0], [0.35, 0.35]],
+                          "medium": {"type": "poisson"}}]}
+
+
+@pytest.mark.parametrize("command, kind, periodic", [
+    ("stationarity", "flight", False),
+    ("stationarity", "poisson-baseline", False),
+    ("freepath", "flight", True),
+    ("transition", "stationarity", True),
+])
+def test_subcommand_scene_rule_applies_at_parse_time(
+        scene_config, monkeypatch, command, kind, periodic):
+    # The config's own kind allows its scene; the subcommand's runner does
+    # not, and the rule of the runner that runs applies before it starts.
+    doc = json.loads(scene_config.read_text())
+    if periodic:
+        doc["scene"] = _TILED_BOX
+    doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000,
+                         "r_schedule": [1e-2]}
+    scene_config.write_text(json.dumps(doc))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the runner started before the scene check")
+    monkeypatch.setitem(harness.RUNNERS, command, no_run)
+    with pytest.raises(harness.ConfigError, match=r"scene\.periodic_box"):
+        main([command, "--config", str(scene_config)])
+    proc = _cli_in_subprocess(command, "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert "ConfigError: scene.periodic_box" in proc.stderr
+
+
 def test_gap_scene_fails_before_any_sampling(tmp_path, monkeypatch):
     box = [[0.0, 0.0], [0.35, 0.35]]
     doc = {

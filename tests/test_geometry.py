@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from polyxport import (ConvexGrain, PeriodicBox, SceneError, gap,
                        inside_indicator, itinerary, make_scene,
                        ray_grain_intersect)
+from polyxport.geometry import _margin_lp
 from polyxport.lattice import PoissonMedium
 from polyxport import presets
 
@@ -188,3 +189,115 @@ def test_vertices_roundtrip():
     assert g.contains([0.15, 0.1])
     assert not g.contains([0.31, 0.1])
     assert g.volume() == pytest.approx(0.06)
+
+
+# The closed-form margin of axis-aligned systems against HiGHS on the same LP
+
+def _highs_margin(normals, offsets):
+    from scipy.optimize import linprog
+    n, d = normals.shape
+    res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=np.c_[normals, np.ones(n)],
+                  b_ub=offsets, bounds=[(None, None)] * d + [(0, None)],
+                  method="highs")
+    return res.success, (res.x[-1] if res.success else None)
+
+
+def _random_box(rng, gid, d):
+    lo = rng.uniform(-0.5, 0.5, d)
+    return ConvexGrain.box(gid, lo, lo + rng.uniform(0.05, 1.0, d))
+
+
+def _face_sharing_pair(rng, d):
+    """Two boxes that meet on a face orthogonal to a random axis."""
+    g1 = _random_box(rng, 1, d)
+    hi, lo = g1.offsets[:d].copy(), -g1.offsets[d:]
+    j = rng.integers(d)
+    lo2 = lo - rng.uniform(0.0, 0.2, d)
+    hi2 = hi + rng.uniform(0.0, 0.2, d)
+    lo2[j], hi2[j] = hi[j], hi[j] + rng.uniform(0.05, 1.0)
+    return g1, ConvexGrain.box(2, lo2, hi2)
+
+
+def _systems(rng, d):
+    for _ in range(150):
+        g = _random_box(rng, 1, d)
+        yield "single", g.normals, g.offsets
+        g1, g2 = _random_box(rng, 1, d), _random_box(rng, 2, d)
+        yield "pair", *_stack(g1, g2)
+        yield "face", *_stack(*_face_sharing_pair(rng, d))
+
+
+def _stack(g1, g2):
+    return (np.vstack([g1.normals, g2.normals]),
+            np.concatenate([g1.offsets, g2.offsets]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_margin_closed_form_matches_highs(d, monkeypatch):
+    import scipy.optimize
+
+    def no_highs(*args, **kwargs):
+        raise AssertionError("an axis-aligned system reached HiGHS")
+    rng = np.random.default_rng(20 + d)
+    seen = {"single": 0, "overlap": 0, "separated": 0, "face": 0}
+    for kind, normals, offsets in _systems(rng, d):
+        want_ok, want_t = _highs_margin(normals, offsets)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_highs)
+        ok, x, t = _margin_lp(normals, offsets)
+        monkeypatch.undo()
+        assert ok == want_ok, kind
+        assert ok or kind == "pair", kind
+        if kind == "pair":
+            kind = "overlap" if ok else "separated"
+        seen[kind] += 1
+        if ok:
+            assert t == pytest.approx(want_t, abs=1e-7), kind
+            assert np.all(normals @ x + t <= offsets + 1e-12)
+            assert (t == 0.0) == (kind == "face")
+    assert seen["single"] == seen["face"] == 150
+    assert min(seen.values()) > 30, seen
+
+
+def test_half_open_axis_system_goes_to_highs():
+    # no -e_2 row: not a box, so HiGHS solves it (and finds the margin of
+    # the complete axis)
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    offsets = np.array([1.0, 0.0, 5.0])
+    ok, x, t = _margin_lp(normals, offsets)
+    assert ok and t == pytest.approx(0.5)
+    assert _highs_margin(normals, offsets) == (True, pytest.approx(t))
+
+
+@pytest.fixture()
+def counted_highs(monkeypatch):
+    import scipy.optimize
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+# the square of half-diagonal 0.5 about (0.5, 0.5), rotated by 45 degrees
+_DIAMOND = [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]]
+
+
+def test_rotated_square_overlapping_a_box_fails_through_highs(counted_highs):
+    diamond = ConvexGrain.from_vertices(1, _DIAMOND)
+    box = ConvexGrain.box(2, (0.9, 0.4), (1.4, 0.6))
+    with pytest.raises(SceneError, match="overlap"):
+        make_scene(2, (diamond, box), (PoissonMedium(), PoissonMedium()))
+    assert counted_highs     # the diamond and the pair took the LP path
+
+
+def test_rotated_square_beside_a_box_passes_through_highs(counted_highs):
+    diamond = ConvexGrain.from_vertices(1, _DIAMOND)
+    box = ConvexGrain.box(2, (1.0, 0.4), (1.5, 0.6))    # touches a corner
+    make_scene(2, (diamond, box), (PoissonMedium(), PoissonMedium()))
+    assert len(counted_highs) == 2     # the diamond, then the pair
+    counted_highs.clear()
+    make_scene(2, (box,), (PoissonMedium(),))
+    assert not counted_highs
