@@ -2,24 +2,26 @@
 
 States carry (x, v, xi, v_plus): position, velocity, distance to the next
 collision, and the velocity thereafter.  Flight lengths and impact
-parameters are drawn from the polycrystal limit densities: a factorized
-path samples the length by per-segment closed-form inversion whenever the
-kernel family does not depend on the impact parameters (any disordered
-medium, planar crystals within the explicit range), and a general path
-runs exact rejection against the gap-discounted exponential envelope.
+parameters are drawn from the polycrystal limit densities by one sampler
+for every kernel family: the length segment by segment, by inversion of
+its marginal over the impact parameter, and then the impact parameter
+given the length (uniform on the ball where the family does not depend on
+it, a short rejection against its bound over the ball for the d=3
+crystal).  Exact rejection of (xi, w) jointly against the gap-discounted
+exponential envelope is kept as the independent slow oracle.
 
 Ensemble operations are vectorized over particles.  The grain segments
 along the rays form one segment table (rays x segments: entry, exit,
 grain id): the clipped grains of a finite scene, or the merged per-axis
 cell crossings of a periodic scene, which make_scene guarantees to be a
 box tiled by its one grain (geometry.cell_clock sets the face rule, which
-the scalar geometry.itinerary shares).  The rejection sampler's budget
+the scalar geometry.itinerary shares).  The rejection oracle's budget
 walk and the survival curves (the limit free-path CDF, the gap-scene and
-n=0 oracles) are array operations on blocks of that table; the factorized
-sampler, which draws once per segment, steps one segment per round (a
-cursor over the table, or the cell walker that the tiled table is built
-from).  Escapes are first-class: a particle whose flight never meets
-another grain gets xi = +inf and flies straight forever.
+n=0 oracles) are array operations on blocks of that table; the sampler,
+which draws once per segment, steps one segment per round (a cursor over
+the table, or the cell walker that the tiled table is built from).
+Escapes are first-class: a particle whose flight never meets another
+grain gets xi = +inf and flies straight forever.
 """
 from __future__ import annotations
 
@@ -192,48 +194,61 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None, method="auto"):
 
     kind 'psi' is the generic-start family (initial condition), 'psi0' the
     scatterer-start family with exit parameters z.  Escapes come back as
-    xi = +inf with a zero parameter row.  method 'factorized' needs a
-    kernel family independent of the impact parameters; 'rejection' works
-    for every supported medium; 'auto' picks factorized when valid.
+    xi = +inf with a zero parameter row.  method 'auto' (or 'factorized')
+    draws xi segment by segment by inversion of its w-free marginal, then
+    w given xi; 'rejection' proposes (xi, w) jointly under the tail
+    envelope, the independent slow oracle of the first.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     kern = _uniform_kernel(scene)
-    if method == "auto":
-        method = "factorized" if kern.wz_free else "rejection"
-    if method == "factorized":
-        if not kern.wz_free:
-            raise ValueError("factorized sampling needs a w,z-free kernel family")
-        xi = _sample_xi_factorized(scene, kern, xs, vs, rng, kind)
-        w = scattering.sample_ball(rng, scene.dimension - 1, len(xs))
-        w[~np.isfinite(xi)] = 0.0
-        return xi, w
+    if kind == "psi0":
+        if z is None:
+            raise ValueError("scatterer-start sampling needs exit parameters z")
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        if len(z) != len(xs):
+            raise ValueError("need one exit parameter per particle")
+    if method in ("auto", "factorized"):
+        return _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z)
     if method == "rejection":
         return _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z)
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def _sample_xi_factorized(scene, kern, xs, vs, rng, kind):
+def _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z):
+    """Per-segment inversion of the flight length, then w given xi.
+
+    Integrated over w, the joint density of a segment is its w-free
+    marginal: D_Phi on a segment it survives, Phi inside the one it ends
+    in, and on the first segment of a scatterer start Phi(., z) and
+    Phi_0(., z).  So each round walks the pending rows one segment on,
+    hits with that segment's mass and inverts its CDF.  w then follows
+    the conditional law given where xi fell (_sample_w_given_xi), which
+    is uniform on the ball for the w-free families.
+    """
     n = len(xs)
     xi = np.full(n, np.inf)
+    off = np.zeros(n)                     # offset of xi inside its segment
+    lead = np.zeros(n, dtype=bool)        # xi in a scatterer start's first
     walker = make_walker(scene, xs, vs)
     pending = np.ones(n, dtype=bool)
-    first = np.full(n, kind == "psi0")
+    # a disordered medium is memoryless: its first segment is like any other
+    first = np.full(n, kind == "psi0" and kern.medium == "crystal")
     if kind == "psi0":
         e0, _, _, ok0 = walker.current()
         pending &= ok0 & (e0 == 0.0)   # off-grain starts have no mass
-    sb = kern.sigma_bar
     for _ in range(_MAX_ROUNDS):
         entry, exit_, gid, valid = walker.current()
         pending &= valid          # exhausted walkers stay at xi = inf
         if not pending.any():
-            return xi
+            break
         act = np.flatnonzero(pending)
         ell = exit_[act] - entry[act]
         isf = first[act]
-        mass = np.where(isf,
-                        1.0 - np.asarray(kern.phi_marg(ell, None)),
-                        1.0 - np.asarray(kern.d_phi(ell)))
+        mass = 1.0 - np.asarray(kern.d_phi(ell))
+        if isf.any():
+            mass = np.where(isf, 1.0 - np.asarray(kern.phi_marg(ell, z[act])),
+                            mass)
         hit = rng.random(len(act)) < mass
         if hit.any():
             rows = act[hit]
@@ -242,15 +257,17 @@ def _sample_xi_factorized(scene, kern, xs, vs, rng, kind):
             fhit = isf[hit]
             lhit = ell[hit]
             if fhit.any():
-                if kern.medium == "poisson":
-                    u[fhit] = -np.log1p(
-                        -vsel[fhit] * (1.0 - np.exp(-sb * lhit[fhit]))) / sb
-                else:
+                if kern.wz_free:    # planar: Phi(., z) is linear in xi
                     u[fhit] = vsel[fhit] * lhit[fhit]
+                else:
+                    u[fhit] = KK.invert_phi_marginal(
+                        vsel[fhit] * mass[hit][fhit], z[rows[fhit]])
             if (~fhit).any():
                 tgt = vsel[~fhit] * (1.0 - np.asarray(kern.d_phi(lhit[~fhit])))
                 u[~fhit] = np.asarray(kern.invert_phi_cdf(tgt))
             xi[rows] = entry[rows] + u
+            off[rows] = u
+            lead[rows] = fhit
             pending[rows] = False
         surv = act[~hit]
         if not len(surv):
@@ -259,7 +276,46 @@ def _sample_xi_factorized(scene, kern, xs, vs, rng, kind):
         m[surv] = True
         walker.advance(m)
         first[surv] = False
-    raise RuntimeError("flight-length sampling did not terminate")
+    else:
+        raise RuntimeError("flight-length sampling did not terminate")
+    if kern.wz_free:
+        w = scattering.sample_ball(rng, scene.dimension - 1, n)
+        w[~np.isfinite(xi)] = 0.0
+        return xi, w
+    return xi, _sample_w_given_xi(rng, xi, off, lead, z)
+
+
+def _sample_w_given_xi(rng, xi, off, lead, z):
+    """Impact parameters of the d=3 crystal given the flight length.
+
+    Given xi, w has density proportional to Phi(off, w), or to
+    phi0_3d(xi, w, z) when xi fell in the first segment of a scatterer
+    start.  Proposals are uniform on the disk, accepted against the bound
+    of each over w (kernels.phi_marginal_max, kernels.phi0_3d_max), which
+    accepts 85% or more.  Escapes keep w = 0.
+    """
+    w = np.zeros((len(xi), 2))
+    pending = np.flatnonzero(np.isfinite(xi))
+    for _ in range(_MAX_ROUNDS):
+        if not len(pending):
+            return w
+        m = len(pending)
+        wprop = scattering.sample_ball(rng, 2, m)
+        f = lead[pending]
+        target = np.empty(m)
+        bound = np.empty(m)
+        if f.any():
+            rf = pending[f]
+            target[f] = KK.phi0_3d(xi[rf], wprop[f], z[rf])
+            bound[f] = KK.phi0_3d_max(xi[rf])
+        if (~f).any():
+            u = off[pending[~f]]
+            target[~f] = KK.phi_marginal(u, wprop[~f], 3)
+            bound[~f] = KK.phi_marginal_max(u)
+        accept = rng.random(m) * bound < target
+        w[pending[accept]] = wprop[accept]
+        pending = pending[~accept]
+    raise RuntimeError("impact-parameter sampling did not terminate")
 
 
 def _walk_to_budget(scene, kern, xs, vs, budget, kind):
@@ -310,12 +366,6 @@ def _walk_to_budget(scene, kern, xs, vs, budget, kind):
 def _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z):
     n = len(xs)
     d = scene.dimension
-    if kind == "psi0":
-        if z is None:
-            raise ValueError("scatterer-start sampling needs exit parameters z")
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if len(z) != n:
-            raise ValueError("need one exit parameter per particle")
     gamma = polykernel.tail_rate(scene)
     C = polykernel.tail_prefactor(scene)
     sb = kern.sigma_bar
@@ -514,7 +564,7 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng,
 
     Uses the closed-form survival of the generic-start density, which is
     independent of the ensemble evolution path: survival_curves at the
-    one-point grid [t], over the segment table that the rejection sampler
+    one-point grid [t], over the segment table that the rejection oracle
     walks.  The tests pin it to the scalar polykernel.survival_psi.
     """
     xs = sample_positions(scene, n_mc, rng, position)

@@ -113,6 +113,10 @@ class ConvexGrain:
         return verts
 
     def volume(self):
+        box = _axis_bounds(self.normals, self.offsets)
+        if box is not None:
+            lo, hi = box
+            return float(np.prod(hi - lo))
         from scipy.spatial import ConvexHull
         return float(ConvexHull(self.get_vertices()).volume)
 
@@ -127,26 +131,39 @@ def _halfspace_vertices(normals, offsets):
     return hs.intersections
 
 
-def _margin_lp(normals, offsets):
-    """Max t subject to N x + t <= c, t >= 0, as (ok, x, t).
+def _axis_bounds(normals, offsets):
+    """(lo, hi) per axis of {x : N x <= c} when every row of N is +-e_j and
+    every axis has rows of both signs, else None.
 
-    ok is False when the LP is infeasible or unbounded.  When every row of
-    N is +-e_j and every axis has rows of both signs, the LP splits by
-    axis: with hi_j the smallest offset of the +e_j rows and lo_j the
-    largest -offset of the -e_j rows, the optimum is t = min_j (hi_j -
-    lo_j) / 2 at x = (hi + lo) / 2, infeasible when t < 0.  Any other
-    system goes to HiGHS.
+    hi_j is the smallest offset of the +e_j rows and lo_j the largest
+    -offset of the -e_j rows; lo_j > hi_j when the system is empty.
     """
     n, d = normals.shape
     axis = np.argmax(np.abs(normals), axis=1)
     sign = normals[np.arange(n), axis]
     up = sign > 0
-    if (np.all(np.abs(sign) == 1.0) and np.count_nonzero(normals) == n
+    if not (np.all(np.abs(sign) == 1.0) and np.count_nonzero(normals) == n
             and np.all(np.bincount(axis + d * up, minlength=2 * d))):
-        hi = np.full(d, np.inf)
-        lo = np.full(d, -np.inf)
-        np.minimum.at(hi, axis[up], offsets[up])
-        np.maximum.at(lo, axis[~up], -offsets[~up])
+        return None
+    hi = np.full(d, np.inf)
+    lo = np.full(d, -np.inf)
+    np.minimum.at(hi, axis[up], offsets[up])
+    np.maximum.at(lo, axis[~up], -offsets[~up])
+    return lo, hi
+
+
+def _margin_lp(normals, offsets):
+    """Max t subject to N x + t <= c, t >= 0, as (ok, x, t).
+
+    ok is False when the LP is infeasible or unbounded.  An axis-aligned
+    system (_axis_bounds) splits by axis: the optimum is t = min_j (hi_j -
+    lo_j) / 2 at x = (hi + lo) / 2, infeasible when t < 0.  Any other
+    system goes to HiGHS.
+    """
+    n, d = normals.shape
+    box = _axis_bounds(normals, offsets)
+    if box is not None:
+        lo, hi = box
         t = float(np.min(hi - lo)) / 2.0
         if t < 0.0:
             return False, None, None

@@ -153,6 +153,14 @@ class _GTable:
         ws = np.linspace(0.0, 1.0, self.n_grid)
         vals = np.array([self.direct(w) for w in ws])
         self._spline = CubicSpline(ws, vals)
+        self._node_max = float(vals.max())
+
+    def node_max(self):
+        """Largest node value: the bound on G that the samplers use, in
+        case the interpolant is not exactly monotone near w = 1."""
+        if self._spline is None:
+            self._build()
+        return self._node_max
 
     def __call__(self, w):
         if self._spline is None:
@@ -208,6 +216,18 @@ def phi0_3d(xi, w, z):
     return (1.0 - 6.0 / np.pi ** 2 * disk_section_area(sep) * xi) / ZETA3
 
 
+def phi0_3d_max(xi):
+    """Bound of phi0_3d(xi, ., .) over w and z: the section area is at
+    least pi/2 (at w = z)."""
+    xi = _check_range(xi, 3)
+    return (1.0 - 3.0 / np.pi * xi) / ZETA3
+
+
+# d=3: Phi(xi, w) = 1 - _A3 xi + _B3 G(|w|) xi^2
+_A3 = np.pi / ZETA3
+_B3 = 6.0 / (np.pi ** 2 * ZETA3)
+
+
 def phi_marginal(xi, w, dimension):
     """Survival marginal Phi(xi, w) on the explicit range.
 
@@ -218,7 +238,26 @@ def phi_marginal(xi, w, dimension):
     if dimension == 2:
         return 1.0 - 12.0 / np.pi ** 2 * xi
     r = np.linalg.norm(np.asarray(w, dtype=float), axis=-1)
-    return 1.0 - np.pi / ZETA3 * xi + 6.0 / (np.pi ** 2 * ZETA3) * G(r) * xi ** 2
+    return 1.0 - _A3 * xi + _B3 * G(r) * xi ** 2
+
+
+def phi_marginal_max(xi):
+    """Bound of the d=3 Phi(xi, .) over the disk: G increases in |w|."""
+    xi = _check_range(xi, 3)
+    return 1.0 - _A3 * xi + _B3 * _G_TABLE.node_max() * xi ** 2
+
+
+def invert_phi_marginal(mass, w):
+    """Solve 1 - Phi(u, w) = mass for u on the d=3 range.
+
+    1 - Phi = _A3 u - b u^2 with b = _B3 G(|w|); the stable root is
+    2 mass / (_A3 + sqrt(_A3^2 - 4 b mass)).  Its discriminant stays
+    positive for u <= 1/4, below the vertex _A3 / (2b) >= pi^3 / (12 G(1))
+    ~ 0.63.
+    """
+    mass = np.asarray(mass, dtype=float)
+    b = _B3 * G(np.linalg.norm(np.asarray(w, dtype=float), axis=-1))
+    return 2.0 * mass / (_A3 + np.sqrt(_A3 * _A3 - 4.0 * b * mass))
 
 
 def phi0_marginal(xi, w, dimension):
@@ -232,7 +271,11 @@ def phi0_marginal(xi, w, dimension):
 
 def phi_freepath(xi, dimension):
     """Free path density Phi(xi) of a single crystal on the explicit range."""
-    xi = _check_range(xi, dimension)
+    return _phi_freepath(_check_range(xi, dimension), dimension)
+
+
+def _phi_freepath(xi, dimension):
+    xi = np.asarray(xi, dtype=float)
     if dimension == 2:
         return 2.0 - 24.0 / np.pi ** 2 * xi
     return np.pi - np.pi ** 2 / ZETA3 * xi \
@@ -241,7 +284,11 @@ def phi_freepath(xi, dimension):
 
 def d_phi(xi, dimension):
     """Complementary distribution D_Phi(xi) = 1 - int_0^xi Phi."""
-    xi = _check_range(xi, dimension)
+    return _d_phi(_check_range(xi, dimension), dimension)
+
+
+def _d_phi(xi, dimension):
+    xi = np.asarray(xi, dtype=float)
     if dimension == 2:
         return 1.0 - 2.0 * xi + 12.0 / np.pi ** 2 * xi ** 2
     return 1.0 - np.pi * xi + np.pi ** 2 / (2.0 * ZETA3) * xi ** 2 \
@@ -339,11 +386,12 @@ class KernelModel:
             c = 12.0 / np.pi ** 2
             # 2u - c u^2 = mass, root in [0, 1/2]
             return (2.0 - np.sqrt(4.0 - 4.0 * c * mass)) / (2.0 * c)
-        # monotone cubic on [0, 1/4]: Newton from the linear estimate
-        u = np.minimum(np.asarray(mass, dtype=float) / np.pi, XI_MAX[3])
+        # monotone cubic on [0, 1/4]: Newton from the linear estimate; the
+        # iterates are clipped to the range, so only the start is checked
+        u = _check_range(np.minimum(mass / np.pi, XI_MAX[3]), 3)
         for _ in range(60):
-            f = self.phi_cdf(u) - mass
-            df = self.phi(u)
+            f = 1.0 - _d_phi(u, 3) - mass
+            df = _phi_freepath(u, 3)
             step = f / df
             u = np.clip(u - step, 0.0, XI_MAX[3])
             if np.max(np.abs(step)) < 1e-14:

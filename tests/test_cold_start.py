@@ -1,4 +1,4 @@
-"""Box scenes parse and evaluate without importing SciPy.
+"""Box scenes parse, evaluate and fly without importing SciPy.
 
 Each case runs in a fresh interpreter, since the test session itself has
 SciPy loaded.  SciPy stays imported where it is needed: grains that are
@@ -80,6 +80,20 @@ def test_psi_eval_on_box_scene_without_scipy(tmp_path):
     assert _scipy_modules_after(
         script, "psi", "eval", "--config", str(path), "--x", "0.15,0.15",
         "--v", "1,0.3", "--xi", "0.1,0.4") == []
+
+
+def test_flight_on_box_scene_without_scipy():
+    # uniform_grains weighs the grains by volume, and the n=0 oracle draws
+    # its starts the same way; flight needs one medium kind per scene
+    scene = dict(TWO_BOXES_2D, grains=[
+        dict(g, medium=_CRYSTAL_2D) for g in TWO_BOXES_2D["grains"]])
+    doc = {"scene": scene,
+           "experiment": {"kind": "flight", "particles": 200, "time": 0.5}}
+    script = ("from polyxport import harness\n"
+              "cfg = harness.ExperimentConfig.from_dict("
+              "json.loads(sys.argv[1]))\n"
+              "harness.run_experiment(cfg)\n")
+    assert _scipy_modules_after(script, json.dumps(doc)) == []
 
 
 def test_grain_that_is_not_a_box_still_imports_scipy():

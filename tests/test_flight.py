@@ -468,6 +468,72 @@ class TestSamplers:
         se = np.sqrt(probs * (1 - probs)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
         assert np.all(np.abs(emp - probs) < 5 * se + 2e-3)
 
+    @pytest.mark.parametrize("which", ["tiled", "two_boxes"])
+    @pytest.mark.parametrize("kind", ["psi", "psi0"])
+    def test_auto_vs_rejection_3d_crystal(self, which, kind,
+                                          tiled_crystal_3d):
+        # the per-segment sampler against the envelope rejection on the
+        # flight length and on the impact parameter's law given the start:
+        # |w| for a generic start, |w - z| for a scatterer start
+        scene = tiled_crystal_3d if which == "tiled" \
+            else presets.two_boxes_3d()
+        seed = {"tiled": 30, "two_boxes": 40}[which] \
+            + {"psi": 0, "psi0": 1}[kind]
+        rng = np.random.default_rng(seed)
+        n = 20000
+        z = None
+        if kind == "psi":
+            pos = "uniform_box" if which == "tiled" else "uniform_grains"
+            xs = flight.sample_positions(scene, n, rng, pos)
+            vs = scattering.sample_direction(rng, 3, n)
+        else:
+            xs = np.tile(scene.anchor, (n, 1))
+            v_prev = scattering.sample_direction(rng, 3, n)
+            vs = scattering.deflect_many(v_prev,
+                                         scattering.sample_ball(rng, 2, n))
+            z = -scattering.exit_params_many(vs, v_prev)
+        xa, wa = sample_xi_w(scene, xs, vs, rng, kind=kind, z=z)
+        xb, wb = sample_xi_w(scene, xs, vs, rng, kind=kind, z=z,
+                             method="rejection")
+        fa, fb = np.isfinite(xa), np.isfinite(xb)
+        assert np.all(wa[~fa] == 0.0)
+        assert np.all(np.linalg.norm(wa, axis=1) < 1.0)
+        ref = np.zeros((n, 2)) if z is None else z
+        _, p_xi = stats.ks_two_sample(xa[fa], xb[fb])
+        _, p_w = stats.ks_two_sample(np.linalg.norm(wa - ref, axis=1)[fa],
+                                     np.linalg.norm(wb - ref, axis=1)[fb])
+        assert p_xi > 0.001
+        assert p_w > 0.001
+
+    def test_auto_3d_crystal_matches_density(self):
+        # the "auto" twin of test_rejection_3d_crystal_matches_density
+        scene = presets.single_box_3d(side=0.14)
+        rng = np.random.default_rng(28)
+        n = 60000
+        x0 = np.tile(scene.anchor, (n, 1))
+        v_prev = scattering.sample_direction(rng, 3, n)
+        v_now = scattering.deflect_many(v_prev,
+                                        scattering.sample_ball(rng, 2, n))
+        xi, _ = sample_collision(scene, x0, v_prev, v_now, rng)
+        fin = np.isfinite(xi)
+        assert fin.mean() > 0.2
+        zs = -scattering.exit_params_many(v_now, v_prev)
+        edges = np.linspace(0, 0.13, 7)
+        emp = np.histogram(xi[fin], edges)[0] / n
+        m = 2500
+        probs = np.zeros(len(edges) - 1)
+        for i in range(m):
+            ell1 = itinerary(scene, x0[i], v_now[i], 1.0)[0].exit
+            for j, (a, c) in enumerate(zip(edges, edges[1:])):
+                c_eff = min(c, ell1)
+                if c_eff > a:
+                    grid = np.linspace(a, c_eff, 9)
+                    probs[j] += np.trapezoid(
+                        kernels.phi0_marginal(grid, zs[i], 3), grid)
+        probs /= m
+        se = np.sqrt(probs * (1 - probs)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
+        assert np.all(np.abs(emp - probs) < 5 * se + 2e-3)
+
     def test_psi0_off_grain_start_escapes(self, two_squares):
         rng = np.random.default_rng(9)
         x0 = np.array([[-0.5, -0.5]])
@@ -557,6 +623,25 @@ class TestEvolve:
         assert np.max(np.abs(c1 - c2)) < 0.015
 
 
+    def test_factorized_and_rejection_evolve_agree_3d(self,
+                                                      tiled_crystal_3d):
+        n = 10000
+        scene = tiled_crystal_3d
+        runs = []
+        for seed, method in ((19, "factorized"), (20, "rejection")):
+            rng = np.random.default_rng(seed)
+            ens = sample_initial(scene, n, rng, position="uniform_box",
+                                 method=method)
+            runs.append(evolve(scene, ens, 0.6, rng, method=method))
+        e1, e2 = runs
+        d, p = stats.ks_two_sample(e1.xi, e2.xi)
+        assert p > 0.001
+        c1 = np.bincount(e1.nu, minlength=6)[:6] / n
+        c2 = np.bincount(e2.nu, minlength=6)[:6] / n
+        # 4 standard errors of a difference of two fractions near 0.25
+        assert np.max(np.abs(c1 - c2)) < 0.025
+
+
 class TestStationarity:
     def test_poisson_exact(self, tiled_poisson):
         rep = flight.stationarity_test(tiled_poisson, 50000, 1.5, seed=5)
@@ -577,3 +662,14 @@ class TestStationarity:
         for name in ("ks_xi", "ks_vplus", "ks_v", "ks_cell"):
             assert getattr(split, name) == getattr(plain, name)
         assert split.ks_split[1] > 0.001
+
+    def test_crystal_tiling_3d(self, tiled_crystal_3d):
+        # every p-value above the Bonferroni level of a 1e-3 family
+        names = ("ks_xi", "ks_vplus", "ks_v", "ks_cell", "ks_split")
+        seeds = range(3)
+        level = 1e-3 / (len(seeds) * len(names))
+        for seed in seeds:
+            rep = flight.stationarity_test(tiled_crystal_3d, 20000, 1.0,
+                                           seed, split=(0.4, 0.6))
+            for name in names:
+                assert getattr(rep, name)[1] > level, (seed, name)

@@ -258,6 +258,21 @@ def test_margin_closed_form_matches_highs(d, monkeypatch):
     assert min(seen.values()) > 30, seen
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_volume_closed_form_matches_convex_hull(d, monkeypatch):
+    from scipy.spatial import ConvexHull
+    import scipy.spatial
+
+    def no_hull(*args, **kwargs):
+        raise AssertionError("a box volume reached ConvexHull")
+    rng = np.random.default_rng(40 + d)
+    boxes = [_random_box(rng, 1, d) for _ in range(100)]
+    want = [ConvexHull(g.get_vertices()).volume for g in boxes]
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
+    got = [g.volume() for g in boxes]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_half_open_axis_system_goes_to_highs():
     # no -e_2 row: not a box, so HiGHS solves it (and finds the margin of
     # the complete axis)

@@ -313,3 +313,48 @@ class TestKernelModel:
         mass = m.phi_cdf(u)
         back = m.invert_phi_cdf(mass)
         assert np.max(np.abs(back - u)) < 1e-10
+
+    def test_invert_phi_cdf_3d_keeps_the_checked_newton_bits(self):
+        # the loop as it was with the range check in every evaluation
+        def checked(mass):
+            mass = np.asarray(mass, dtype=float)
+            u = np.minimum(mass / PI, 0.25)
+            for _ in range(60):
+                step = (1.0 - d_phi(u, 3) - mass) / phi_freepath(u, 3)
+                u = np.clip(u - step, 0.0, 0.25)
+                if np.max(np.abs(step)) < 1e-14:
+                    break
+            return u
+        m = KernelModel("crystal", 3)
+        masses = np.linspace(0.0, 1.0 - d_phi(0.25, 3), 4001)
+        assert np.array_equal(m.invert_phi_cdf(masses), checked(masses))
+        for mass in masses[::400]:
+            assert np.array_equal(m.invert_phi_cdf(mass), checked(mass))
+        with pytest.raises(ValueError, match="nonnegative"):
+            m.invert_phi_cdf(-1e-3)
+
+
+class TestConditionalSampling3d:
+    """The d=3 pieces of the per-segment sampler: the first-segment root and
+    the bounds over w of its acceptance step."""
+
+    def test_invert_phi_marginal_round_trip(self):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.0, 0.25, 2000)
+        w = rng.uniform(-0.7, 0.7, (2000, 2))
+        back = K.invert_phi_marginal(1.0 - phi_marginal(u, w, 3), w)
+        assert np.max(np.abs(back - u)) < 1e-13
+
+    def test_bounds_dominate_and_are_reached(self):
+        rng = np.random.default_rng(4)
+        xi = rng.uniform(0.0, 0.25, 5000)
+        r = np.sqrt(rng.uniform(0.0, 1.0, (2, 5000)))
+        th = rng.uniform(0.0, 2 * PI, (2, 5000))
+        w, z = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        assert np.all(phi_marginal(xi, w, 3) <= K.phi_marginal_max(xi))
+        assert np.all(phi0_3d(xi, w, z) <= K.phi0_3d_max(xi) * (1 + 1e-15))
+        edge = np.array([1.0, 0.0])
+        assert np.allclose(phi_marginal(xi, edge, 3), K.phi_marginal_max(xi),
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(phi0_3d(xi, w, w), K.phi0_3d_max(xi),
+                           rtol=0.0, atol=1e-15)
