@@ -36,7 +36,7 @@ def main():
         print(f"  xi={xi:4.2f}: {polykernel.psi(scene, x, v, xi):.6f}")
     print("  (zero inside the gap, rescaled restart in grain 2)")
 
-    esc = polykernel.escape_mass(scene, x, v, 3.0)
+    esc = polykernel.survival_psi(scene, x, v, 3.0)
     print(f"\nescape mass along this ray: {esc:.4f}"
           "  (finite scenes have defective path laws)")
 

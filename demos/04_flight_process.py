@@ -26,12 +26,12 @@ def main():
     print("  the stationary law stays put.")
 
     rng = np.random.default_rng(2)
-    ens = flight.sample_initial(scene, n, rng, position="uniform_box")
+    ens = flight.sample_initial(scene, n, rng)
     out = flight.evolve(scene, ens, 1.0, rng)
     counts = flight.n_collision_histogram(out)
     frac0 = counts[0] / n
     oracle = flight.no_collision_fraction_quadrature(
-        scene, 1.0, 10000, np.random.default_rng(3), position="uniform_box")
+        scene, 1.0, 10000, np.random.default_rng(3))
     print(f"\ncollision decomposition at t=1.0: counts by n = {counts[:6]}...")
     print(f"  no-collision fraction {frac0:.4f}"
           f" vs closed-form survival oracle {oracle:.4f}")
@@ -39,8 +39,7 @@ def main():
     print("\ndisordered baseline (memoryless flights):")
     poisson_scene = presets.tiled_box_2d(side=0.35, medium="poisson")
     rng = np.random.default_rng(4)
-    ens = flight.sample_initial(poisson_scene, 200000, rng,
-                                position="uniform_box")
+    ens = flight.sample_initial(poisson_scene, 200000, rng)
     ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(ens.xi),
                            lambda x: 1 - np.exp(-2 * np.asarray(x)))
     print(f"  flight lengths vs Exp(2): KS = {ks:.4f}")

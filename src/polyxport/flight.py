@@ -194,10 +194,10 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None, method="auto"):
 
     kind 'psi' is the generic-start family (initial condition), 'psi0' the
     scatterer-start family with exit parameters z.  Escapes come back as
-    xi = +inf with a zero parameter row.  method 'auto' (or 'factorized')
-    draws xi segment by segment by inversion of its w-free marginal, then
-    w given xi; 'rejection' proposes (xi, w) jointly under the tail
-    envelope, the independent slow oracle of the first.
+    xi = +inf with a zero parameter row.  method 'auto' draws xi segment
+    by segment by inversion of its w-free marginal, then w given xi;
+    'rejection' proposes (xi, w) jointly under the tail envelope, the
+    independent slow oracle of the first.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -208,7 +208,7 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None, method="auto"):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if len(z) != len(xs):
             raise ValueError("need one exit parameter per particle")
-    if method in ("auto", "factorized"):
+    if method == "auto":
         return _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z)
     if method == "rejection":
         return _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z)
@@ -453,18 +453,13 @@ class Ensemble:
                         self.v_plus.copy(), self.nu.copy(), self.time)
 
 
-def sample_positions(scene, n, rng, position="uniform_grains"):
-    """Spatial part of f0: uniform over grains, over the box, or fixed."""
+def sample_positions(scene, n, rng):
+    """Spatial part of f0: uniform in the periodic box of a tiled scene,
+    uniform over the grains (weighted by volume) otherwise."""
     d = scene.dimension
-    if isinstance(position, (list, tuple, np.ndarray)):
-        return np.tile(np.asarray(position, dtype=float), (n, 1))
-    if position == "uniform_box":
-        box = scene.periodic_box
-        if box is None:
-            raise SceneError("uniform_box needs a periodic box")
+    box = scene.periodic_box
+    if box is not None:
         return rng.uniform(box.lo, box.hi, size=(n, d))
-    if position != "uniform_grains":
-        raise ValueError(f"unknown position law {position!r}")
     vols = np.array([g.volume() for g in scene.grains])
     probs = vols / vols.sum()
     choice = rng.choice(len(scene.grains), size=n, p=probs)
@@ -484,14 +479,14 @@ def sample_positions(scene, n, rng, position="uniform_grains"):
     return out
 
 
-def sample_initial(scene, n, rng, position="uniform_grains", method="auto"):
+def sample_initial(scene, n, rng, method="auto"):
     """Ensemble distributed as f0(x, v) times the stationary kernel.
 
-    Positions follow the requested spatial law, velocities are uniform on
-    the sphere, and (xi, v_plus) follow the generic-start joint density
-    with the hard-sphere cross section.
+    Positions follow the scene's spatial law (sample_positions), velocities
+    are uniform on the sphere, and (xi, v_plus) follow the generic-start
+    joint density with the hard-sphere cross section.
     """
-    xs = sample_positions(scene, n, rng, position)
+    xs = sample_positions(scene, n, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n)
     xi, w = sample_xi_w(scene, xs, vs, rng, kind="psi", method=method)
     v_plus = vs.copy()
@@ -558,8 +553,7 @@ def n_collision_histogram(ens):
     return np.bincount(ens.nu)
 
 
-def no_collision_fraction_quadrature(scene, t, n_mc, rng,
-                                     position="uniform_grains"):
+def no_collision_fraction_quadrature(scene, t, n_mc, rng):
     """Oracle for the n=0 fraction: mean survival of f0 beyond t.
 
     Uses the closed-form survival of the generic-start density, which is
@@ -567,7 +561,7 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng,
     one-point grid [t], over the segment table that the rejection oracle
     walks.  The tests pin it to the scalar polykernel.survival_psi.
     """
-    xs = sample_positions(scene, n_mc, rng, position)
+    xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
     return float(np.mean(survival_curves(scene, xs, vs, [t])[:, 0]))
 
@@ -679,7 +673,12 @@ def wrap_positions(scene, xs):
 
 @dataclass
 class StationarityReport:
-    """Two-sample KS (statistic, p-value) pairs of one stationarity seed."""
+    """Two-sample KS (statistic, p-value) pairs of one stationarity seed.
+
+    A test over several components (ks_cell, and ks_v and ks_vplus in d=3)
+    reports the component with the smallest p-value, that p-value times
+    the number of components (Bonferroni), capped at 1.
+    """
     ks_xi: tuple
     ks_vplus: tuple
     ks_v: tuple
@@ -687,8 +686,16 @@ class StationarityReport:
     ks_split: tuple = None
 
 
-def _angle(vs):
-    return np.arctan2(vs[:, 1], vs[:, 0])
+def _direction_coords(vs):
+    """The azimuth of each row, and in d=3 its polar cosine v_z as well."""
+    return np.column_stack([np.arctan2(vs[:, 1], vs[:, 0]), vs[:, 2:]])
+
+
+def _ks_columns(a, b):
+    """Two-sample KS per column, Bonferroni-combined over the columns."""
+    tests = [stats.ks_two_sample(a[:, j], b[:, j]) for j in range(a.shape[1])]
+    d, p = min(tests, key=lambda test: test[1])
+    return d, min(1.0, len(tests) * p)
 
 
 def stationarity_test(scene, n, t, seed, split=None):
@@ -700,15 +707,15 @@ def stationarity_test(scene, n, t, seed, split=None):
     the whole evolution to t (semigroup property).
     """
     rng = streams.rng("stationarity.marginals", seed)
-    ens0 = sample_initial(scene, n, rng, position="uniform_box")
+    ens0 = sample_initial(scene, n, rng)
     ens1 = evolve(scene, ens0, t, rng)
     f0, f1 = np.isfinite(ens0.xi), np.isfinite(ens1.xi)
     ks_xi = stats.ks_two_sample(ens0.xi[f0], ens1.xi[f1])
-    ks_vp = stats.ks_two_sample(_angle(ens0.v_plus[f0]), _angle(ens1.v_plus[f1]))
-    ks_v = stats.ks_two_sample(_angle(ens0.v), _angle(ens1.v))
-    c0 = wrap_positions(scene, ens0.x)[:, 0]
-    c1 = wrap_positions(scene, ens1.x)[:, 0]
-    ks_cell = stats.ks_two_sample(c0, c1)
+    ks_vp = _ks_columns(_direction_coords(ens0.v_plus[f0]),
+                        _direction_coords(ens1.v_plus[f1]))
+    ks_v = _ks_columns(_direction_coords(ens0.v), _direction_coords(ens1.v))
+    ks_cell = _ks_columns(wrap_positions(scene, ens0.x),
+                          wrap_positions(scene, ens1.x))
     ks_split = None
     if split is not None:
         s0, s1 = split

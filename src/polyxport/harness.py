@@ -261,8 +261,10 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
     dirs, wts = direction_grid(scene, lambda_spec, m_dirs)
     z = None
     if on_scatterer:
-        z = np.array([(beta(v) @ scattering.frame_matrix(v))[1:]
-                      for v in dirs])
+        K = scattering.to_frame(np.eye(scene.dimension), dirs[:, None, :])
+        # the psi0 goldens pin these bits: each row is the (1, d) @ (d, d)
+        # product that beta(v) @ K(v) makes for one direction
+        z = (beta(dirs)[:, None, :] @ K)[:, 0, 1:]
     xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
     acc = np.zeros_like(xi_grid)
     try:
@@ -448,9 +450,7 @@ def run_poisson_baseline(config):
 
     # (a) free path law on the configured (tiled) scene
     rng = streams.rng("baseline.freepath", seed)
-    ens = flight.sample_initial(scene, n, rng, position="uniform_box"
-                                if scene.periodic_box is not None
-                                else "uniform_grains")
+    ens = flight.sample_initial(scene, n, rng)
     ks_exp = stats.ks_distance(stats.EmpiricalCDF.from_samples(ens.xi),
                                lambda x: 1.0 - np.exp(-sb * x))
     report["freepath_ks"] = ks_exp
@@ -458,9 +458,7 @@ def run_poisson_baseline(config):
     # (b) memorylessness: xi after a collision vs previous incoming direction
     m_chain = max(n // 10, 1000)
     rng2 = streams.rng("baseline.memoryless", seed)
-    x0 = flight.sample_positions(scene, m_chain, rng2,
-                                 "uniform_box" if scene.periodic_box is not None
-                                 else "uniform_grains")
+    x0 = flight.sample_positions(scene, m_chain, rng2)
     v_prev = scattering.sample_direction(rng2, scene.dimension, m_chain)
     b = scattering.sample_ball(rng2, scene.dimension - 1, m_chain)
     v_now = scattering.deflect_many(v_prev, b)
@@ -480,7 +478,7 @@ def run_poisson_baseline(config):
         t = float(config.options.get("time", 2.0 / sb))
         m_cnt = min(n, 200000)
         rng3 = streams.rng("baseline.counts", seed)
-        ens3 = flight.sample_initial(scene, m_cnt, rng3, position="uniform_box")
+        ens3 = flight.sample_initial(scene, m_cnt, rng3)
         ens3 = flight.evolve(scene, ens3, t, rng3)
         counts = flight.n_collision_histogram(ens3)
         kmax = len(counts) - 1
@@ -500,7 +498,7 @@ def run_poisson_baseline(config):
         gap_scene = config.options["gap_scene"]
         rng4 = streams.rng("baseline.gap", seed)
         n_gap = min(n, 200000)
-        xs = flight.sample_positions(gap_scene, n_gap, rng4, "uniform_grains")
+        xs = flight.sample_positions(gap_scene, n_gap, rng4)
         vs = scattering.sample_direction(rng4, gap_scene.dimension, n_gap)
         xi_g, _ = flight.sample_xi_w(gap_scene, xs, vs, rng4, kind="psi")
         # oracle CDF: average closed-form survival over the same (x, v) set
@@ -559,14 +557,13 @@ def run_flight(config):
     t = float(config.options.get("time", 2.0 / sb))
     flavor = config.options.get("report", "ncollision")
     rng = streams.rng("flight.evolve", config.seed)
-    pos = "uniform_box" if scene.periodic_box is not None else "uniform_grains"
-    ens0 = flight.sample_initial(scene, n, rng, position=pos)
+    ens0 = flight.sample_initial(scene, n, rng)
     esc0 = ens0.escape_fraction
     ens = flight.evolve(scene, ens0, t, rng)
     counts = flight.n_collision_histogram(ens)
     rng_o = streams.rng("flight.n0_oracle", config.seed)
     frac0_oracle = flight.no_collision_fraction_quadrature(
-        scene, t, min(n, 20000), rng_o, position=pos)
+        scene, t, min(n, 20000), rng_o)
     report = {
         "experiment": "flight",
         "config_hash": config.hash(),

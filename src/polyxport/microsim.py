@@ -577,11 +577,10 @@ def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
     grains = np.concatenate([p[1] for p in parts])
     w1 = np.concatenate([p[2] for p in parts])
     hit = grains >= 0
-    K = scattering.frame_matrices(dirs)
     u_imp = np.zeros_like(dirs)
-    u_imp[hit] = -np.einsum("ni,nij->nj", w1[hit], K[hit])
+    u_imp[hit] = -scattering.to_frame(w1[hit], dirs[hit])
     exit_w = None
     if cfg.on_scatterer:
-        exit_w = np.einsum("ni,nij->nj", cfg.beta(dirs), K)[:, 1:]
+        exit_w = scattering.to_frame(cfg.beta(dirs), dirs)[:, 1:]
     return Tau1Sample(cfg.r, rt.epsilon, cfg.seed, tau1, grains, u_imp,
                       dirs, ~hit, exit_w)

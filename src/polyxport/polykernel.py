@@ -175,15 +175,6 @@ def survival_psi0_marg(scene, x, v, t, w):
     return float(out)
 
 
-def escape_mass(scene, x, v, horizon):
-    """Mass of trajectories never colliding within the horizon (psi family)."""
-    segs = itinerary(scene, x, v, horizon)
-    out = 1.0
-    for s in segs:
-        out *= kernel_for_grain(scene, s.grain_id).d_phi(min(s.exit, horizon) - s.entry)
-    return float(out)
-
-
 # ---------------------------------------------------------------------------
 # tail bound with the gap function
 # ---------------------------------------------------------------------------

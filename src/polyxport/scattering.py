@@ -1,9 +1,11 @@
 """Direction frames, hard-sphere specular maps, and the cross section.
 
-Row-vector convention throughout: the frame K(v) is a rotation matrix with
-v K(v) = e_1, applied as ``u @ K``.  Impact and exit parameters live in the
-open unit (d-1)-ball and are the orthogonal components (u K(v))_perp of
-unit sphere points in the frame of the outgoing velocity.
+Row-vector convention throughout: the frame K(v) is the rotation with
+v K(v) = e_1.  It is applied row by row and never stored: to_frame gives
+u K(v) and from_frame its inverse wk K(v)^T, each in O(d) per row, and
+to_frame(np.eye(d), v) is the matrix itself.  Impact and exit parameters
+live in the open unit (d-1)-ball and are the orthogonal components
+(u K(v))_perp of unit sphere points in the frame of the outgoing velocity.
 """
 from __future__ import annotations
 
@@ -12,46 +14,53 @@ import numpy as np
 GRAZE_TOL = 1e-12
 
 
-def frame_matrix(v):
-    """Rotation K with v K = e_1, continuous except at v = -e_1.
+def _dot(a, b):
+    """Row dots a.b over the last axis, kept as a length-1 axis."""
+    # A stack of (1, d) @ (d, 1) products runs on the inner-product kernel
+    # of a 1-D `@`, so to_frame(np.eye(d), v) carries the bits of the
+    # matrix I - 2 s s^T / (s @ s) + 2 v e_1^T built with that `@`.
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
-    Rotation in the (v, e_1) plane written with the subtraction-free
-    denominator |v + e_1|^2 / 2 = 1 + v_1, so it stays accurate arbitrarily
-    close to the excluded direction; exactly there a half-turn is used.
-    """
+
+def _frame_map(u, v, inverse):
+    """Rows u K(v), or u K(v)^T if inverse, with s = v + e_1:
+    u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v."""
+    u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    d = v.size
-    e1 = np.zeros(d)
+    e1 = np.zeros(v.shape[-1])
     e1[0] = 1.0
     s = v + e1
-    ss = float(s @ s)
-    if ss < 1e-18:
-        K = np.eye(d)
-        K[0, 0] = -1.0
-        K[1, 1] = -1.0
-        return K
-    K = np.eye(d) - 2.0 * np.outer(s, s) / ss + 2.0 * np.outer(v, e1)
-    return K
-
-
-def frame_matrices(vs):
-    """Vectorized frame_matrix over rows of vs, shape (n, d) -> (n, d, d)."""
-    vs = np.asarray(vs, dtype=float)
-    n, d = vs.shape
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    s = vs + e1
-    ss = np.sum(s * s, axis=1)
+    ss = _dot(s, s)
     ok = ss >= 1e-18
-    denom = np.where(ok, ss, 1.0)
-    K = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    K -= 2.0 * s[:, :, None] * s[:, None, :] / denom[:, None, None]
-    K += 2.0 * vs[:, :, None] * e1[None, None, :]
-    if not ok.all():
-        fb = np.eye(d)
-        fb[0, 0] = fb[1, 1] = -1.0
-        K[~ok] = fb
-    return K
+    out = u - 2.0 * _dot(u, s) * s / np.where(ok, ss, 1.0)
+    if inverse:
+        out += 2.0 * u[..., :1] * v
+    else:
+        out[..., 0] += 2.0 * _dot(u, v)[..., 0]
+    if ok.all():
+        return out
+    # exactly at v = -e_1, K(v) is the half-turn diag(-1, -1, 1, ...)
+    flip = np.ones(u.shape[-1])
+    flip[:2] = -1.0
+    return np.where(ok, out, u * flip)
+
+
+def to_frame(u, v):
+    """Rows u K(v) = u - 2 (u.s) s / |s|^2 + 2 (u.v) e_1, with s = v + e_1.
+
+    K(v) is the rotation in the (v, e_1) plane with v K(v) = e_1, written
+    with the subtraction-free denominator |s|^2 / 2 = 1 + v_1 so that it
+    stays accurate arbitrarily close to the excluded direction; exactly
+    there (|s|^2 < 1e-18) a half-turn is used.  u and v broadcast row by
+    row; to_frame(np.eye(d), v) is the matrix K(v) itself.
+    """
+    return _frame_map(u, v, inverse=False)
+
+
+def from_frame(wk, v):
+    """Rows wk K(v)^T = wk - 2 (wk.s) s / |s|^2 + 2 wk_0 v: the inverse of
+    to_frame."""
+    return _frame_map(wk, v, inverse=True)
 
 
 def reflect(v, w):
@@ -79,8 +88,7 @@ def impact_param(v, v_plus):
     b = (w K(v))_perp where w is the unique impact point with
     reflect(v, w) = v_plus; |b| < 1 and |b| = cos(theta/2) in d=2.
     """
-    w = _sphere_point(v, v_plus)
-    return (w @ frame_matrix(v))[1:]
+    return to_frame(_sphere_point(v, v_plus), v)[1:]
 
 
 def exit_param(v, v_prev):
@@ -89,34 +97,20 @@ def exit_param(v, v_prev):
     s = (w' K(v))_perp with w' the sphere point through which the previous
     collision (incoming v_prev, outgoing v) released the particle.
     """
-    w = _sphere_point(v_prev, v)
-    return (w @ frame_matrix(v))[1:]
-
-
-def impact_point_from_param(v, b):
-    """Invert b -> impact point: w K(v) = (-sqrt(1-|b|^2), b)."""
-    v = np.asarray(v, dtype=float)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    bb = float(b @ b)
-    if bb >= 1.0:
-        raise ValueError("impact parameter must lie in the open unit ball")
-    wk = np.concatenate(([-np.sqrt(1.0 - bb)], b))
-    return wk @ frame_matrix(v).T
-
-
-def deflect(v, b):
-    """Outgoing velocity for impact parameter b: reflect at w(b)."""
-    return reflect(v, impact_point_from_param(v, b))
+    return to_frame(_sphere_point(v_prev, v), v)[1:]
 
 
 def deflect_many(vs, bs):
-    """Vectorized deflect: vs (n,d), bs (n,d-1) -> unit rows (n,d)."""
+    """Outgoing velocities for impact parameters: vs (n,d), bs (n,d-1).
+
+    Reflects each row at its impact point w, with w K(v) = (-sqrt(1-|b|^2), b),
+    and returns unit rows (n,d).
+    """
     vs = np.asarray(vs, dtype=float)
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
     bb = np.sum(bs * bs, axis=1)
     wk = np.concatenate([-np.sqrt(1.0 - bb)[:, None], bs], axis=1)
-    K = frame_matrices(vs)
-    w = np.einsum("nj,nij->ni", wk, K)      # w = wk @ K^T per row
+    w = from_frame(wk, vs)
     vw = np.sum(vs * w, axis=1)
     out = vs - 2.0 * vw[:, None] * w
     return out / np.linalg.norm(out, axis=1, keepdims=True)
@@ -128,9 +122,7 @@ def exit_params_many(vs, v_prevs):
     diff = vs - np.asarray(v_prevs, dtype=float)
     n = np.linalg.norm(diff, axis=1, keepdims=True)
     w = diff / n
-    K = frame_matrices(vs)
-    wk = np.einsum("ni,nij->nj", w, K)
-    return wk[:, 1:]
+    return to_frame(w, vs)[:, 1:]
 
 
 def cross_section(v, v_plus, dimension=None):

@@ -325,13 +325,13 @@ def test_criterion_09_poisson_baseline():
     scene = presets.tiled_box_2d(side=0.35, medium="poisson")
     rng = np.random.default_rng(109)
     n = 1000000
-    ens = flight.sample_initial(scene, n, rng, position="uniform_box")
+    ens = flight.sample_initial(scene, n, rng)
     ks_exp = stats.ks_distance(stats.EmpiricalCDF.from_samples(ens.xi),
                                lambda x: 1 - np.exp(-2 * np.asarray(x)))
 
     m = 200000
     rng2 = np.random.default_rng(110)
-    x0 = flight.sample_positions(scene, m, rng2, "uniform_box")
+    x0 = flight.sample_positions(scene, m, rng2)
     v_prev = scattering.sample_direction(rng2, 2, m)
     b = scattering.sample_ball(rng2, 1, m)
     v_now = scattering.deflect_many(v_prev, b)
@@ -346,7 +346,7 @@ def test_criterion_09_poisson_baseline():
     gap_scene = presets.poisson_gap_squares_2d(side=0.4, gap=0.15)
     rng3 = np.random.default_rng(111)
     ng = 200000
-    xs = flight.sample_positions(gap_scene, ng, rng3, "uniform_grains")
+    xs = flight.sample_positions(gap_scene, ng, rng3)
     vs = scattering.sample_direction(rng3, 2, ng)
     xi_g, _ = flight.sample_xi_w(gap_scene, xs, vs, rng3, kind="psi")
     grid = np.linspace(0, 2.5, 801)

@@ -83,8 +83,9 @@ def test_psi_eval_on_box_scene_without_scipy(tmp_path):
 
 
 def test_flight_on_box_scene_without_scipy():
-    # uniform_grains weighs the grains by volume, and the n=0 oracle draws
-    # its starts the same way; flight needs one medium kind per scene
+    # a finite scene draws positions over the grains, weighted by volume, and
+    # the n=0 oracle draws its starts the same way; flight needs one medium
+    # kind per scene
     scene = dict(TWO_BOXES_2D, grains=[
         dict(g, medium=_CRYSTAL_2D) for g in TWO_BOXES_2D["grains"]])
     doc = {"scene": scene,

@@ -253,7 +253,7 @@ class TestSurvivalOracle:
         if which == "finite":
             xs = rng.uniform((-0.1, -0.1), (0.85, 0.5), (n, 2))
         else:
-            xs = flight.sample_positions(scene, n, rng, "uniform_box")
+            xs = flight.sample_positions(scene, n, rng)
         vs = scattering.sample_direction(rng, d, n)
         vs[1] = np.eye(d)[0]
         xs[2] = 0.1
@@ -272,11 +272,9 @@ class TestSurvivalOracle:
 
     def test_quadrature_is_mean_survival(self, tiled_crystal_3d):
         got = flight.no_collision_fraction_quadrature(
-            tiled_crystal_3d, 1.0, 500, np.random.default_rng(22),
-            position="uniform_box")
+            tiled_crystal_3d, 1.0, 500, np.random.default_rng(22))
         rng = np.random.default_rng(22)
-        xs = flight.sample_positions(tiled_crystal_3d, 500, rng,
-                                     "uniform_box")
+        xs = flight.sample_positions(tiled_crystal_3d, 500, rng)
         vs = scattering.sample_direction(rng, 3, 500)
         want = np.mean([polykernel.survival_psi(tiled_crystal_3d, x, v, 1.0)
                         for x, v in zip(xs, vs)])
@@ -305,10 +303,8 @@ class TestSurvivalCurves:
     @staticmethod
     def _rays(scene, n, rng, in_grain):
         d = scene.dimension
-        if scene.periodic_box is not None:
-            xs = flight.sample_positions(scene, n, rng, "uniform_box")
-        elif in_grain:
-            xs = flight.sample_positions(scene, n, rng, "uniform_grains")
+        if in_grain or scene.periodic_box is not None:
+            xs = flight.sample_positions(scene, n, rng)
         else:       # gap and outside starts too
             verts = np.vstack([g.get_vertices() for g in scene.grains])
             xs = rng.uniform(verts.min(axis=0) - 0.1, verts.max(axis=0) + 0.1,
@@ -366,7 +362,7 @@ class TestSurvivalCurves:
 class TestSamplers:
     def test_poisson_exponential(self, tiled_poisson):
         rng = np.random.default_rng(2)
-        xs = flight.sample_positions(tiled_poisson, 100000, rng, "uniform_box")
+        xs = flight.sample_positions(tiled_poisson, 100000, rng)
         vs = scattering.sample_direction(rng, 2, 100000)
         xi, w = sample_xi_w(tiled_poisson, xs, vs, rng, kind="psi")
         ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi),
@@ -377,7 +373,7 @@ class TestSamplers:
     def test_crystal_tiled_matches_survival_oracle(self, tiled_crystal):
         rng = np.random.default_rng(3)
         n = 100000
-        xs = flight.sample_positions(tiled_crystal, n, rng, "uniform_box")
+        xs = flight.sample_positions(tiled_crystal, n, rng)
         vs = scattering.sample_direction(rng, 2, n)
         xi, _ = sample_xi_w(tiled_crystal, xs, vs, rng, kind="psi")
         grid = np.linspace(0, 3.0, 601)
@@ -390,15 +386,15 @@ class TestSamplers:
     def test_escape_fraction_matches_quadrature(self, two_squares):
         rng = np.random.default_rng(4)
         n = 60000
-        xs = flight.sample_positions(two_squares, n, rng, "uniform_grains")
+        xs = flight.sample_positions(two_squares, n, rng)
         vs = scattering.sample_direction(rng, 2, n)
         xi, _ = sample_xi_w(two_squares, xs, vs, rng, kind="psi")
         esc_emp = np.mean(~np.isfinite(xi))
         rng2 = np.random.default_rng(5)
         m = 4000
-        xs2 = flight.sample_positions(two_squares, m, rng2, "uniform_grains")
+        xs2 = flight.sample_positions(two_squares, m, rng2)
         vs2 = scattering.sample_direction(rng2, 2, m)
-        esc_q = np.mean([polykernel.escape_mass(two_squares, x, v, 3.0)
+        esc_q = np.mean([polykernel.survival_psi(two_squares, x, v, 3.0)
                          for x, v in zip(xs2, vs2)])
         se = np.sqrt(esc_q * (1 - esc_q)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
         assert abs(esc_emp - esc_q) < 4 * se + 1e-3
@@ -406,10 +402,10 @@ class TestSamplers:
     def test_factorized_vs_rejection_psi(self, two_squares):
         rng = np.random.default_rng(6)
         n = 40000
-        xs = flight.sample_positions(two_squares, n, rng, "uniform_grains")
+        xs = flight.sample_positions(two_squares, n, rng)
         vs = scattering.sample_direction(rng, 2, n)
         xa, wa = sample_xi_w(two_squares, xs, vs, rng, kind="psi",
-                             method="factorized")
+                             method="auto")
         xb, wb = sample_xi_w(two_squares, xs, vs, rng, kind="psi",
                              method="rejection")
         d, p = stats.ks_two_sample(xa[np.isfinite(xa)], xb[np.isfinite(xb)])
@@ -417,6 +413,14 @@ class TestSamplers:
         d2, p2 = stats.ks_two_sample(wa[np.isfinite(xa), 0],
                                      wb[np.isfinite(xb), 0])
         assert p2 > 0.001
+
+    def test_unknown_method_rejected(self, two_squares):
+        xs = np.tile(two_squares.anchor, (4, 1))
+        vs = np.tile([1.0, 0.0], (4, 1))
+        for method in ("factorized", "inversion"):
+            with pytest.raises(ValueError, match="unknown sampling method"):
+                sample_xi_w(two_squares, xs, vs, np.random.default_rng(0),
+                            method=method)
 
     def test_factorized_vs_rejection_psi0(self, two_squares):
         rng = np.random.default_rng(7)
@@ -426,7 +430,7 @@ class TestSamplers:
         b = scattering.sample_ball(rng, 1, n)
         v_now = scattering.deflect_many(v_prev, b)
         xa, va = sample_collision(two_squares, x0, v_prev, v_now, rng,
-                                  method="factorized")
+                                  method="auto")
         xb, vb = sample_collision(two_squares, x0, v_prev, v_now, rng,
                                   method="rejection")
         d, p = stats.ks_two_sample(xa[np.isfinite(xa)], xb[np.isfinite(xb)])
@@ -483,8 +487,7 @@ class TestSamplers:
         n = 20000
         z = None
         if kind == "psi":
-            pos = "uniform_box" if which == "tiled" else "uniform_grains"
-            xs = flight.sample_positions(scene, n, rng, pos)
+            xs = flight.sample_positions(scene, n, rng)
             vs = scattering.sample_direction(rng, 3, n)
         else:
             xs = np.tile(scene.anchor, (n, 1))
@@ -551,7 +554,7 @@ def harness_interp(grid, values):
 class TestEvolve:
     def test_translation_only(self, tiled_poisson):
         rng = np.random.default_rng(10)
-        ens = sample_initial(tiled_poisson, 1000, rng, position="uniform_box")
+        ens = sample_initial(tiled_poisson, 1000, rng)
         dt = float(ens.xi.min()) / 2
         out = evolve(tiled_poisson, ens, dt, rng)
         assert np.allclose(out.x, ens.x + dt * ens.v)
@@ -571,7 +574,7 @@ class TestEvolve:
     def test_poisson_collision_counts(self, tiled_poisson):
         rng = np.random.default_rng(12)
         n = 100000
-        ens = sample_initial(tiled_poisson, n, rng, position="uniform_box")
+        ens = sample_initial(tiled_poisson, n, rng)
         t = 1.0
         out = evolve(tiled_poisson, ens, t, rng)
         counts = n_collision_histogram(out)
@@ -584,19 +587,17 @@ class TestEvolve:
     def test_n0_fraction_matches_survival_oracle(self, tiled_crystal):
         rng = np.random.default_rng(13)
         n = 100000
-        ens = sample_initial(tiled_crystal, n, rng, position="uniform_box")
+        ens = sample_initial(tiled_crystal, n, rng)
         t = 0.9
         out = evolve(tiled_crystal, ens, t, rng)
         frac0 = float((out.nu == 0).mean())
         oracle = flight.no_collision_fraction_quadrature(
-            tiled_crystal, t, 20000, np.random.default_rng(14),
-            position="uniform_box")
+            tiled_crystal, t, 20000, np.random.default_rng(14))
         assert frac0 == pytest.approx(oracle, rel=0.02)
 
     def test_semigroup_split_statistics(self, tiled_crystal):
         rng_a = np.random.default_rng(15)
-        ens = sample_initial(tiled_crystal, 50000, rng_a,
-                             position="uniform_box")
+        ens = sample_initial(tiled_crystal, 50000, rng_a)
         whole = evolve(tiled_crystal, ens, 1.5, rng_a)
         rng_b = np.random.default_rng(16)
         part = evolve(tiled_crystal, ens, 0.6, rng_b)
@@ -609,12 +610,10 @@ class TestEvolve:
     def test_factorized_and_rejection_evolve_agree(self, tiled_crystal):
         n = 20000
         rng1 = np.random.default_rng(17)
-        e1 = sample_initial(tiled_crystal, n, rng1, position="uniform_box",
-                            method="factorized")
-        e1 = evolve(tiled_crystal, e1, 1.0, rng1, method="factorized")
+        e1 = sample_initial(tiled_crystal, n, rng1, method="auto")
+        e1 = evolve(tiled_crystal, e1, 1.0, rng1, method="auto")
         rng2 = np.random.default_rng(18)
-        e2 = sample_initial(tiled_crystal, n, rng2, position="uniform_box",
-                            method="rejection")
+        e2 = sample_initial(tiled_crystal, n, rng2, method="rejection")
         e2 = evolve(tiled_crystal, e2, 1.0, rng2, method="rejection")
         d, p = stats.ks_two_sample(e1.xi, e2.xi)
         assert p > 0.001
@@ -628,10 +627,9 @@ class TestEvolve:
         n = 10000
         scene = tiled_crystal_3d
         runs = []
-        for seed, method in ((19, "factorized"), (20, "rejection")):
+        for seed, method in ((19, "auto"), (20, "rejection")):
             rng = np.random.default_rng(seed)
-            ens = sample_initial(scene, n, rng, position="uniform_box",
-                                 method=method)
+            ens = sample_initial(scene, n, rng, method=method)
             runs.append(evolve(scene, ens, 0.6, rng, method=method))
         e1, e2 = runs
         d, p = stats.ks_two_sample(e1.xi, e2.xi)
@@ -673,3 +671,28 @@ class TestStationarity:
                                            seed, split=(0.4, 0.6))
             for name in names:
                 assert getattr(rep, name)[1] > level, (seed, name)
+
+    def test_3d_sees_polar_angle_and_every_cell_coordinate(
+            self, tiled_crystal_3d, monkeypatch):
+        # an "evolution" that keeps every azimuth and x, y coordinate but
+        # squeezes the polar cosines towards 0 and the wrapped z
+        # coordinates towards the bottom face: only the polar and z
+        # components can see the drift
+        box = tiled_crystal_3d.periodic_box
+
+        def squeeze(scene, ens, dt, rng, method="auto"):
+            out = ens.copy()
+            for vs in (out.v, out.v_plus):
+                c = vs[:, 2] ** 3
+                vs[:, :2] *= np.sqrt((1.0 - c * c)
+                                     / (1.0 - vs[:, 2] ** 2))[:, None]
+                vs[:, 2] = c
+            frac = (out.x[:, 2] - box.lo[2]) / box.size[2]
+            out.x[:, 2] = box.lo[2] + box.size[2] * frac ** 2
+            return out
+
+        monkeypatch.setattr(flight, "evolve", squeeze)
+        rep = flight.stationarity_test(tiled_crystal_3d, 2000, 1.0, seed=0)
+        assert rep.ks_xi[1] == 1.0
+        for name in ("ks_v", "ks_vplus", "ks_cell"):
+            assert getattr(rep, name)[1] < 1e-6, name

@@ -185,7 +185,7 @@ class TestFirstCollision:
             hit = two_squares.anchor + ev.time * v
             assert np.allclose(hit, ev.center + runtime.r * ev.w1, atol=1e-12)
             # impact direction lands in the incoming hemisphere
-            u = -(ev.w1 @ scattering.frame_matrix(v))
+            u = -scattering.to_frame(ev.w1, v)
             assert u[0] > 0
 
     def test_near_boundary_scatterer_found(self):

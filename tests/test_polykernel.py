@@ -261,7 +261,7 @@ class TestSurvival:
                                    for s_ in itinerary(two_squares, x, v, 2.0)
                                    for seg in (s_.entry, s_.exit)
                                    if t < seg < 2.0])
-            esc = pk.escape_mass(two_squares, x, v, 2.0)
+            esc = pk.survival_psi(two_squares, x, v, 2.0)
             assert pk.survival_psi(two_squares, x, v, t) == pytest.approx(
                 tail + esc, abs=1e-9)
 
@@ -284,14 +284,14 @@ class TestSurvival:
         v = unit(0.0)
         total, _ = quad(lambda s: pk.psi(two_squares, x, v, s), 0, 2.0,
                         limit=400)
-        esc = pk.escape_mass(two_squares, x, v, 2.0)
+        esc = pk.survival_psi(two_squares, x, v, 2.0)
         assert total + esc == pytest.approx(1.0, abs=1e-9)
 
     def test_infinite_tiling_mass_one(self, tiled_crystal):
         x = tiled_crystal.anchor
         v = unit(0.21)
         # total mass approaches 1 when the itinerary never ends
-        esc = pk.escape_mass(tiled_crystal, x, v, 40.0)
+        esc = pk.survival_psi(tiled_crystal, x, v, 40.0)
         assert esc < 1e-4
         total, _ = quad(lambda s: pk.psi(tiled_crystal, x, v, s), 0, 12.0,
                         limit=1000)
