@@ -49,10 +49,11 @@ def to_frame(u, v):
     """Rows u K(v) = u - 2 (u.s) s / |s|^2 + 2 (u.v) e_1, with s = v + e_1.
 
     K(v) is the rotation in the (v, e_1) plane with v K(v) = e_1, written
-    with the subtraction-free denominator |s|^2 / 2 = 1 + v_1 so that it
-    stays accurate arbitrarily close to the excluded direction; exactly
-    there (|s|^2 < 1e-18) a half-turn is used.  u and v broadcast row by
-    row; to_frame(np.eye(d), v) is the matrix K(v) itself.
+    with the denominator |s|^2 = 2 (1 + v_1) as a sum of squares, which
+    does not cancel near the excluded direction v = -e_1 (the rows still
+    lose about eps / |s| there, as K jumps at -e_1); exactly there
+    (|s|^2 < 1e-18) a half-turn is used.  u and v broadcast row by row;
+    to_frame(np.eye(d), v) is the matrix K(v) itself.
     """
     return _frame_map(u, v, inverse=False)
 
