@@ -13,6 +13,7 @@ is the total scattering cross section.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,12 @@ F = disk_section_area
 def _section_area_scalar(t):
     """disk_section_area of one Python float, bit for bit, as a float.
 
-    The quadrature integrands call it about 1.3e5 times per G-table build;
-    the array version spends most of that in np.asarray and its range scans.
-    The arithmetic after the arccos is the same IEEE operations on floats.
-    np.arccos is kept on purpose: math.acos (libm) differs from numpy's
-    arccos in the last bit on some inputs, which would move the table.
+    The quadrature integrands call it about 1.3e5 times per rebuild of the
+    2001 G nodes; the array version spends most of that in np.asarray and
+    its range scans.  The arithmetic after the arccos is the same IEEE
+    operations on floats.  np.arccos is kept on purpose: math.acos (libm)
+    differs from numpy's arccos in the last bit on some inputs, which would
+    move the nodes away from the shipped table.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("t must lie in [0, 1)")
@@ -97,27 +99,28 @@ def _section_area_scalar(t):
 
 
 class _GTable:
-    """Quadrature-backed evaluation of the quadratic-coefficient weight G.
+    """The quadratic-coefficient weight G, read from a shipped cubic table.
 
-    Direct evaluation integrates twice with an adaptive Gauss-Kronrod rule
-    (abs target 1e-9); the endpoint of the arccos factor has a sqrt-type
+    `g_table.npy` holds the (4, 2000) coefficients of scipy's CubicSpline
+    through the 2001 nodes G(k / 2000) of `direct`, which the tests rebuild
+    and compare exactly.  It is loaded on the first call and evaluated in
+    the order of operations of scipy's PPoly: the spline's bits, no SciPy.
+
+    `direct` integrates twice with an adaptive Gauss-Kronrod rule (abs
+    target 1e-9); the endpoint of the arccos factor has a sqrt-type
     derivative blow-up which the rule handles after splitting at the
-    breakpoints r = 1-w and r = 1+w.  A cubic interpolant on a dense grid
-    serves the samplers, validated against direct quadrature in the tests.
-
-    The integrands evaluate F through `_section_area_scalar`, which returns
-    the same bits as `disk_section_area` on a float, and do their own
-    arithmetic on Python floats (the same IEEE operations as on numpy
-    scalars, without their overhead), so the adaptive rule takes the same
-    steps and the 2001 node values are those of the array version
-    (`tests/golden/g_table_nodes.txt` pins them).  The np.arccos calls must
+    breakpoints r = 1-w and r = 1+w.  Its integrands evaluate F through
+    `_section_area_scalar` and do their own arithmetic on Python floats,
+    the same IEEE operations as the array version, so the rule takes the
+    same steps and gives the nodes bit for bit.  The np.arccos calls must
     not become math.acos: libm's arccos moves over a hundred of the nodes
     by up to 1.8e-15, and with them every golden on the G path.
     """
 
-    def __init__(self, n_grid=2001):
-        self.n_grid = n_grid
-        self._spline = None
+    n_grid = 2001
+
+    def __init__(self):
+        self._coef = None
 
     @staticmethod
     def direct(w):
@@ -149,26 +152,33 @@ class _GTable:
         return total
 
     def _build(self):
-        from scipy.interpolate import CubicSpline
-        ws = np.linspace(0.0, 1.0, self.n_grid)
-        vals = np.array([self.direct(w) for w in ws])
-        self._spline = CubicSpline(ws, vals)
-        self._node_max = float(vals.max())
+        self._knots = np.linspace(0.0, 1.0, self.n_grid)
+        self._coef = np.load(os.path.join(os.path.dirname(__file__),
+                                          "g_table.npy"))
+        self._node_max = float(self(self._knots).max())
 
     def node_max(self):
         """Largest node value: the bound on G that the samplers use, in
         case the interpolant is not exactly monotone near w = 1."""
-        if self._spline is None:
+        if self._coef is None:
             self._build()
         return self._node_max
 
     def __call__(self, w):
-        if self._spline is None:
+        if self._coef is None:
             self._build()
         w = np.asarray(w, dtype=float)
         if np.any(w < -1e-12) or np.any(w > 1 + 1e-12):
             raise ValueError("w must lie in [0, 1]")
-        return self._spline(np.clip(w, 0.0, 1.0))
+        x = np.clip(w, 0.0, 1.0).ravel()
+        i = np.clip(np.searchsorted(self._knots, x, side="right") - 1,
+                    0, self.n_grid - 2)
+        s = x - self._knots[i]
+        res, z = 0.0, 1.0
+        for k in range(4):
+            res = res + self._coef[3 - k, i] * z
+            z = z * s
+        return res.reshape(w.shape)
 
 
 _G_TABLE = _GTable()
@@ -179,7 +189,8 @@ def second_order_weight(w, method="interp"):
 
     Known endpoints: G(0) = pi (4 pi + 3 sqrt 3)/16, G(1) = 5 pi^2/16 + 1;
     continuous and strictly increasing in between.  method "interp" reads
-    the cubic table, "quad" integrates directly (the tests' oracle).
+    the shipped cubic coefficients (no SciPy); "quad" integrates directly
+    with scipy's quad and is the oracle the tests check the table against.
     """
     if method == "quad":
         if np.ndim(w) == 0:
@@ -271,11 +282,7 @@ def phi0_marginal(xi, w, dimension):
 
 def phi_freepath(xi, dimension):
     """Free path density Phi(xi) of a single crystal on the explicit range."""
-    return _phi_freepath(_check_range(xi, dimension), dimension)
-
-
-def _phi_freepath(xi, dimension):
-    xi = np.asarray(xi, dtype=float)
+    xi = _check_range(xi, dimension)
     if dimension == 2:
         return 2.0 - 24.0 / np.pi ** 2 * xi
     return np.pi - np.pi ** 2 / ZETA3 * xi \
@@ -284,15 +291,25 @@ def _phi_freepath(xi, dimension):
 
 def d_phi(xi, dimension):
     """Complementary distribution D_Phi(xi) = 1 - int_0^xi Phi."""
-    return _d_phi(_check_range(xi, dimension), dimension)
-
-
-def _d_phi(xi, dimension):
-    xi = np.asarray(xi, dtype=float)
+    xi = _check_range(xi, dimension)
     if dimension == 2:
         return 1.0 - 2.0 * xi + 12.0 / np.pi ** 2 * xi ** 2
-    return 1.0 - np.pi * xi + np.pi ** 2 / (2.0 * ZETA3) * xi ** 2 \
-        - (3.0 * np.pi ** 2 + 16.0) / (6.0 * np.pi * ZETA3) * xi ** 3
+    return 1.0 - np.pi * xi + _CDF_A * xi ** 2 - _CDF_B * xi ** 3
+
+
+# d=3: 1 - D_Phi(u) = pi u - _CDF_A u^2 + _CDF_B u^3 is strictly increasing
+# (the discriminant 4 _CDF_A^2 - 12 pi _CDF_B of its derivative is
+# negative).  u = _CDF_H + t turns 1 - D_Phi(u) = mass into the depressed
+# cubic t^3 + p t + q = 0, with p = _CDF_P > 0 and q = _CDF_Q0 - mass /
+# _CDF_B, whose one real root is
+# t = -2 sqrt(p/3) sinh(arcsinh(1.5 q sqrt(3/p) / p) / 3).
+_CDF_A = np.pi ** 2 / (2.0 * ZETA3)
+_CDF_B = (3.0 * np.pi ** 2 + 16.0) / (6.0 * np.pi * ZETA3)
+_CDF_H = _CDF_A / (3.0 * _CDF_B)
+_CDF_P = np.pi / _CDF_B - 3.0 * _CDF_H ** 2
+_CDF_Q0 = _CDF_H * np.pi / _CDF_B - 2.0 * _CDF_H ** 3
+_CDF_K = 1.5 / _CDF_P * math.sqrt(3.0 / _CDF_P)
+_CDF_R = 2.0 * math.sqrt(_CDF_P / 3.0)
 
 
 def tail_bound(xi, dimension):
@@ -386,17 +403,17 @@ class KernelModel:
             c = 12.0 / np.pi ** 2
             # 2u - c u^2 = mass, root in [0, 1/2]
             return (2.0 - np.sqrt(4.0 - 4.0 * c * mass)) / (2.0 * c)
-        # monotone cubic on [0, 1/4]: Newton from the linear estimate; the
-        # iterates are clipped to the range, so only the start is checked
-        u = _check_range(np.minimum(mass / np.pi, XI_MAX[3]), 3)
-        for _ in range(60):
-            f = 1.0 - _d_phi(u, 3) - mass
-            df = _phi_freepath(u, 3)
-            step = f / df
-            u = np.clip(u - step, 0.0, XI_MAX[3])
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        return u
+        # the one real root of the cubic, clipped to the range, then one
+        # Newton step on the Horner form, which has no cancellation at
+        # small u; mass beyond 1 - D_Phi(1/4) gives 1/4
+        if np.any(mass < 0):
+            raise ValueError("mass must be nonnegative")
+        q = _CDF_Q0 - mass / _CDF_B
+        u = _CDF_H - _CDF_R * np.sinh(np.arcsinh(_CDF_K * q) / 3.0)
+        u = np.clip(u, 0.0, XI_MAX[3])
+        f = u * (np.pi - u * (_CDF_A - _CDF_B * u)) - mass
+        df = np.pi - u * (2.0 * _CDF_A - 3.0 * _CDF_B * u)
+        return np.clip(u - f / df, 0.0, XI_MAX[3])
 
     def tail_bound(self, xi):
         return tail_bound(xi, self.dimension)

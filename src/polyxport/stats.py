@@ -5,6 +5,7 @@ The KS statistics are searchsorted-based; their independent slow twins
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,6 +95,13 @@ def chi2_pvalue(stat, dof):
         return 1.0
     from scipy.special import gammaincc
     return float(gammaincc(dof / 2.0, stat / 2.0))
+
+
+def poisson_pmf(ks, lam):
+    """P(N = k) for each k of ks, N Poisson with mean lam > 0, in log space
+    in the order of scipy.stats.poisson.pmf."""
+    return np.array([math.exp(k * math.log(lam) - math.lgamma(k + 1) - lam)
+                     for k in ks])
 
 
 def chi2_statistic(observed, expected):

@@ -1,8 +1,10 @@
 """Box scenes parse, evaluate and fly without importing SciPy.
 
 Each case runs in a fresh interpreter, since the test session itself has
-SciPy loaded.  SciPy stays imported where it is needed: grains that are
-not boxes, the d=3 G table, and the transition and poisson runners.
+SciPy loaded.  The d=3 G table is read from shipped coefficients, so a
+flight on a tiled 3D crystal box loads no SciPy either.  SciPy stays
+imported where it is needed: grains that are not boxes, G by quadrature,
+and the chi-square tails of the transition and poisson runners.
 """
 import json
 import os
@@ -40,6 +42,13 @@ TILED_BOX_2D = {
     "periodic_box": {"lo": [0.0, 0.0], "hi": [0.35, 0.35]},
     "grains": [{"id": 1, "box": [[0.0, 0.0], [0.35, 0.35]],
                 "medium": dict(_CRYSTAL_2D, mode="random-offset")}]}
+
+TILED_BOX_3D = {
+    "dimension": 3, "anchor": [0.07, 0.07, 0.07],
+    "periodic_box": {"lo": [0.0, 0.0, 0.0], "hi": [0.14, 0.14, 0.14]},
+    "grains": [{"id": 1, "box": [[0.0, 0.0, 0.0], [0.14, 0.14, 0.14]],
+                "medium": dict(CRYSTAL_POISSON_3D["grains"][0]["medium"],
+                               mode="random-offset")}]}
 
 _REPORT_SCIPY = """
 print(json.dumps(sorted(m for m in sys.modules
@@ -90,6 +99,17 @@ def test_flight_on_box_scene_without_scipy():
         dict(g, medium=_CRYSTAL_2D) for g in TWO_BOXES_2D["grains"]])
     doc = {"scene": scene,
            "experiment": {"kind": "flight", "particles": 200, "time": 0.5}}
+    script = ("from polyxport import harness\n"
+              "cfg = harness.ExperimentConfig.from_dict("
+              "json.loads(sys.argv[1]))\n"
+              "harness.run_experiment(cfg)\n")
+    assert _scipy_modules_after(script, json.dumps(doc)) == []
+
+
+def test_flight_on_tiled_3d_crystal_without_scipy():
+    # the d=3 crystal samples through G and the inverted free-path cubic
+    doc = {"scene": TILED_BOX_3D,
+           "experiment": {"kind": "flight", "particles": 1000, "time": 1.0}}
     script = ("from polyxport import harness\n"
               "cfg = harness.ExperimentConfig.from_dict("
               "json.loads(sys.argv[1]))\n"

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_oracles import g_spline_slow, invert_phi_cdf_newton
 from scipy.integrate import dblquad, quad
 
 from polyxport import kernels as K
@@ -108,6 +109,10 @@ class TestF:
 
 
 class TestG:
+    @pytest.fixture(scope="class")
+    def g_spline(self):
+        return g_spline_slow()
+
     def test_endpoints(self):
         assert G(0.0, method="quad") == pytest.approx(
             PI * (4 * PI + 3 * np.sqrt(3)) / 16, abs=1e-9)
@@ -122,6 +127,23 @@ class TestG:
     def test_interp_matches_quad(self):
         for w in (0.0, 0.17, 0.5, 0.83, 1.0):
             assert G(w) == pytest.approx(G(w, method="quad"), abs=1e-9)
+
+    def test_shipped_coefficients_equal_the_quad_spline(self, g_spline):
+        table = K._GTable()
+        table.node_max()
+        assert np.array_equal(table._coef, g_spline.c)
+        assert np.array_equal(table._knots, g_spline.x)
+
+    def test_table_evaluates_the_spline_bit_for_bit(self, g_spline):
+        knots = g_spline.x
+        ws = np.concatenate([
+            np.random.default_rng(0).uniform(0.0, 1.0, 200000), knots,
+            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 1.0)])
+        assert np.array_equal(G(ws), g_spline(ws))
+        assert np.array_equal(G(ws[1:].reshape(-1, 2)),
+                              g_spline(ws[1:]).reshape(-1, 2))
+        assert G(0.3).shape == () and G(0.3) == g_spline(0.3)
+        assert K._GTable().node_max() == g_spline(knots).max()
 
     def test_table_nodes_match_golden(self):
         # a cubic spline returns its node values at its knots, so a fresh
@@ -314,22 +336,20 @@ class TestKernelModel:
         back = m.invert_phi_cdf(mass)
         assert np.max(np.abs(back - u)) < 1e-10
 
-    def test_invert_phi_cdf_3d_keeps_the_checked_newton_bits(self):
-        # the loop as it was with the range check in every evaluation
-        def checked(mass):
-            mass = np.asarray(mass, dtype=float)
-            u = np.minimum(mass / PI, 0.25)
-            for _ in range(60):
-                step = (1.0 - d_phi(u, 3) - mass) / phi_freepath(u, 3)
-                u = np.clip(u - step, 0.0, 0.25)
-                if np.max(np.abs(step)) < 1e-14:
-                    break
-            return u
+    def test_invert_phi_cdf_3d_matches_newton_oracle(self):
         m = KernelModel("crystal", 3)
-        masses = np.linspace(0.0, 1.0 - d_phi(0.25, 3), 4001)
-        assert np.array_equal(m.invert_phi_cdf(masses), checked(masses))
-        for mass in masses[::400]:
-            assert np.array_equal(m.invert_phi_cdf(mass), checked(mass))
+        top = 1.0 - d_phi(0.25, 3)
+        masses = np.concatenate([np.linspace(0.0, top, 4001),
+                                 [5e-324, 1e-300, 1e-12, 1e-8,
+                                  np.nextafter(top, 0.0)]])
+        u = m.invert_phi_cdf(masses)
+        assert u[0] == 0.0 and u[4000] == 0.25
+        assert np.max(np.abs(u - invert_phi_cdf_newton(masses))) <= 1e-13
+        for i in range(0, len(masses), 97):
+            assert np.array_equal(m.invert_phi_cdf(masses[i]), u[i])
+        assert np.array_equal(
+            m.invert_phi_cdf(np.array([top * (1 + 1e-12), 0.9, 1.0])),
+            [0.25, 0.25, 0.25])
         with pytest.raises(ValueError, match="nonnegative"):
             m.invert_phi_cdf(-1e-3)
 

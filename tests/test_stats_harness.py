@@ -84,6 +84,14 @@ class TestChi2:
         assert p.sum() == pytest.approx(probs.sum())
         assert np.all(p[:-1] * 100 >= 5.0 - 1e-9)
 
+    def test_poisson_pmf_matches_scipy(self):
+        from scipy.stats import poisson
+        ks = np.arange(61)
+        for lam in [*np.geomspace(0.05, 50.0, 12), 2.0, np.pi * (2.0 / np.pi)]:
+            np.testing.assert_allclose(stats.poisson_pmf(ks, lam),
+                                       poisson.pmf(ks, lam), rtol=1e-13,
+                                       atol=0.0)
+
     def test_independence_independent_table(self):
         rng = np.random.default_rng(4)
         table = np.histogram2d(rng.normal(size=5000),
