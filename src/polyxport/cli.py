@@ -103,15 +103,9 @@ def cmd_psi(args):
     cols = ["family", "xi"] + [f"x{i+1}" for i in range(scene.dimension)] \
         + ["value"]
     print(",".join(cols))
-    for xi in _floats(args.xi):
-        if args.family == "psi":
-            val = polykernel.psi(scene, x, v, xi)
-        elif args.family == "psi_marg_w":
-            val = polykernel.psi_marg_w(scene, x, v, xi, w)
-        elif args.family == "psi0_marg":
-            val = polykernel.psi0_marg(scene, x, v, xi, w)
-        else:
-            val = polykernel.psi0_full(scene, x, v, xi, w, z)
+    xis = _floats(args.xi)
+    vals = polykernel.along_ray(scene, args.family, x, v, xis, w, z)
+    for xi, val in zip(xis, vals):
         row = [args.family, repr(float(xi))] + [repr(float(t)) for t in x] \
             + [repr(float(val))]
         print(",".join(row))

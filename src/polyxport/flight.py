@@ -11,17 +11,14 @@ crystal).  Exact rejection of (xi, w) jointly against the gap-discounted
 exponential envelope is kept as the independent slow oracle.
 
 Ensemble operations are vectorized over particles.  The grain segments
-along the rays form one segment table (rays x segments: entry, exit,
-grain id): the clipped grains of a finite scene, or the merged per-axis
-cell crossings of a periodic scene, which make_scene guarantees to be a
-box tiled by its one grain (geometry.cell_clock sets the face rule, which
-the scalar geometry.itinerary shares).  The rejection oracle's budget
-walk and the survival curves (the limit free-path CDF, the gap-scene and
-n=0 oracles) are array operations on blocks of that table; the sampler,
-which draws once per segment, steps one segment per round (a cursor over
-the table, or the cell walker that the tiled table is built from).
-Escapes are first-class: a particle whose flight never meets another
-grain gets xi = +inf and flies straight forever.
+along the rays come from geometry's segment table (rays x segments:
+entry, exit, grain id).  The rejection oracle's budget walk is an array
+operation on blocks of that table, and the n=0 oracle averages
+polykernel's survival product over it; the sampler, which draws once per
+segment, steps one segment per round (geometry's cursor over the table,
+or the cell walker that the tiled table is built from).  Escapes are
+first-class: a particle whose flight never meets another grain gets
+xi = +inf and flies straight forever.
 """
 from __future__ import annotations
 
@@ -31,145 +28,10 @@ import numpy as np
 
 from . import kernels as KK
 from . import polykernel, scattering, stats, streams
-from .geometry import REL_TOL, SceneError, cell_clock, clip_grain_rows
+from .geometry import (FiniteSceneWalker, SceneError, TiledBoxWalker,
+                       _table_blocks, segment_table)
 
 _MAX_ROUNDS = 20000
-
-# Rays per segment table: a block's arrays are rows x segments, and the
-# segment count grows with the horizon, so blocks bound the temporaries.
-TABLE_ROWS = 1 << 7
-
-
-# ---------------------------------------------------------------------------
-# segment table and walkers
-# ---------------------------------------------------------------------------
-
-def _finite_table(scene, xs, vs):
-    """All grain segments per ray of a finite scene, sorted by entry."""
-    n = len(xs)
-    G = len(scene.grains)
-    entries = np.full((n, G), np.inf)
-    exits = np.full((n, G), np.inf)
-    for j, g in enumerate(scene.grains):
-        e, h, ok = clip_grain_rows(g, xs, vs)
-        entries[:, j] = np.where(ok, e, np.inf)
-        exits[:, j] = np.where(ok, h, np.inf)
-    order = np.argsort(entries, axis=1, kind="stable")
-    entries = np.take_along_axis(entries, order, axis=1)
-    exits = np.take_along_axis(exits, order, axis=1)
-    base_gids = np.broadcast_to(np.array([g.id for g in scene.grains]),
-                                (n, G))
-    gids = np.take_along_axis(base_gids, order, axis=1)
-    entries[:, 0] = np.where(entries[:, 0] <= REL_TOL, 0.0, entries[:, 0])
-    with np.errstate(invalid="ignore"):
-        for k in range(1, G):
-            gap_k = entries[:, k] - exits[:, k - 1]
-            snap = np.isfinite(entries[:, k]) \
-                & (np.abs(gap_k) <= REL_TOL * (1.0 + entries[:, k]))
-            entries[snap, k] = exits[snap, k - 1]
-    return entries, exits, gids
-
-
-def _tiled_table(scene, xs, vs, horizon):
-    """Cell segments per ray of a tiled box, through the first exit past
-    horizon.
-
-    Each axis's crossings are one cumsum of [tnext, delta, delta, ...] from
-    the walker's start state, which is the walker's repeated += bit for bit;
-    the sorted union of all axes is the walker's sequence of cell exits.
-    """
-    wk = TiledBoxWalker(scene, xs, vs)
-    pad = polykernel._HORIZON_PAD
-    reach = np.asarray(horizon, dtype=float) * (1.0 + pad) + pad
-    reach = np.broadcast_to(reach, (len(xs),))[:, None]
-    fin = np.isfinite(wk.tnext)
-    beyond = np.zeros(wk.tnext.shape)
-    np.divide(reach - wk.tnext, wk.delta, out=beyond, where=fin)
-    # crossings per axis up to reach, plus the first one past it
-    count = int(np.max(np.floor(beyond), initial=0.0)) + 2
-    steps = np.empty(wk.tnext.shape + (count,))
-    steps[..., 0] = wk.tnext
-    steps[..., 1:] = wk.delta[..., None]
-    # an axis the ray barely moves along has a huge delta: its crossings
-    # may overflow to inf, which lies past every reach as it should
-    with np.errstate(over="ignore"):
-        exits = np.sort(np.cumsum(steps, axis=2).reshape(len(xs), -1), axis=1)
-    nseg = np.sum(exits <= reach, axis=1) + 1
-    exits = np.ascontiguousarray(exits[:, :np.max(nseg, initial=1)])
-    entries = np.zeros_like(exits)
-    entries[:, 1:] = exits[:, :-1]
-    past = np.arange(exits.shape[1]) >= nseg[:, None]
-    entries[past] = np.inf
-    exits[past] = np.inf
-    return entries, exits, np.full(exits.shape, wk.gid)
-
-
-def segment_table(scene, xs, vs, horizon):
-    """Grain segments along the rays x + t v, one row per ray.
-
-    Returns (entry, exit, gid) arrays of shape rows x segments, sorted by
-    entry and padded with entry = exit = inf.  A finite scene lists every
-    grain the ray crosses; a tiled box lists its cells through the first
-    exit beyond horizon (a scalar or one value per row), zero-length cells
-    of rays through cell edges included (a start on a face is in the cell
-    that v points into, so never the first cell).
-    """
-    if scene.periodic_box is not None:
-        return _tiled_table(scene, xs, vs, horizon)
-    return _finite_table(scene, xs, vs)
-
-
-def _table_blocks(scene, xs, vs, horizon):
-    """(rows, entry, exit, gid) over consecutive blocks of TABLE_ROWS rows."""
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(xs),))
-    for start in range(0, len(xs), TABLE_ROWS):
-        rows = slice(start, start + TABLE_ROWS)
-        yield (rows,) + segment_table(scene, xs[rows], vs[rows], horizon[rows])
-
-
-class FiniteSceneWalker:
-    """Cursor over the segment table of a finite scene."""
-
-    def __init__(self, scene, xs, vs):
-        self.entries, self.exits, self.gids = _finite_table(scene, xs, vs)
-        self.ptr = np.zeros(len(xs), dtype=int)
-        self.nseg = self.entries.shape[1]
-
-    def current(self):
-        n = len(self.ptr)
-        inb = self.ptr < self.nseg
-        idx = np.minimum(self.ptr, self.nseg - 1)
-        rows = np.arange(n)
-        entry = self.entries[rows, idx]
-        exit_ = self.exits[rows, idx]
-        valid = inb & np.isfinite(entry)
-        gid = self.gids[rows, idx]
-        return entry, exit_, gid, valid
-
-    def advance(self, mask):
-        self.ptr[mask] += 1
-
-
-class TiledBoxWalker:
-    """Cell-by-cell walk of a periodic scene (a box tiled by one grain)."""
-
-    def __init__(self, scene, xs, vs):
-        self.gid = scene.grains[0].id
-        self.tnext, self.delta = cell_clock(scene.periodic_box, xs, vs)
-        self.t_entry = np.zeros(len(xs))
-        self.t_exit = self.tnext.min(axis=1)
-
-    def current(self):
-        n = len(self.t_entry)
-        gid = np.full(n, self.gid, dtype=int)
-        return self.t_entry, self.t_exit, gid, np.ones(n, dtype=bool)
-
-    def advance(self, mask):
-        rows = np.flatnonzero(mask)
-        amin = np.argmin(self.tnext[rows], axis=1)
-        self.t_entry[rows] = self.t_exit[rows]
-        self.tnext[rows, amin] += self.delta[rows, amin]
-        self.t_exit[rows] = self.tnext[rows].min(axis=1)
 
 
 def make_walker(scene, xs, vs):
@@ -557,111 +419,14 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng):
     """Oracle for the n=0 fraction: mean survival of f0 beyond t.
 
     Uses the closed-form survival of the generic-start density, which is
-    independent of the ensemble evolution path: survival_curves at the
-    one-point grid [t], over the segment table that the rejection oracle
-    walks.  The tests pin it to the scalar polykernel.survival_psi.
+    independent of the ensemble evolution path: polykernel.survival_curves
+    at the one-point grid [t], over the segment table that the rejection
+    oracle walks.
     """
     xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
-    return float(np.mean(survival_curves(scene, xs, vs, [t])[:, 0]))
-
-
-class OffGrainStart(SceneError):
-    """A scatterer-start survival row whose ray does not start in a grain."""
-
-
-def survival_blocks(scene, xs, vs, grid, z=None):
-    """P(path length >= g) at every point g of a sorted grid, one row per ray.
-
-    The generic-start family multiplies D_Phi of each segment that g has
-    fully traversed and D_Phi(g - entry) of the segment holding g.  Given
-    exit parameters z (one row per ray), the scatterer-start marginal
-    Phi(., z) replaces D_Phi on the first segment, which must start at 0
-    (OffGrainStart otherwise).  Factors multiply in segment order, so a
-    row carries the bits of the scalar product along its itinerary.
-
-    Yields (rows, curves) over blocks of TABLE_ROWS rays of the segment
-    table to grid[-1], curves being rows x grid: per block and medium kind,
-    one kernel call on the full segments and one on the ragged array of
-    grid points inside a segment.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] < 0:
-        raise ValueError("grid must be nonnegative")
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    if z is not None:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-    kinds = {}
-    for g, m in zip(scene.grains, scene.media):
-        kinds.setdefault(m.kind, []).append(g.id)
-    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, grid[-1]):
-        if z is not None and np.any(entry[:, 0] != 0.0):
-            raise OffGrainStart("scatterer-start survival needs every ray "
-                                "to start in a grain")
-        yield rows, _block_curves(scene, kinds, grid, entry, exit_, gid,
-                                  None if z is None else z[rows])
-
-
-def survival_curves(scene, xs, vs, grid, z=None):
-    """survival_blocks as one rows x grid array."""
-    return np.concatenate([c for _, c in survival_blocks(scene, xs, vs, grid,
-                                                         z)])
-
-
-def _block_curves(scene, kinds, grid, entry, exit_, gid, z):
-    n, nseg = entry.shape
-    m = len(grid)
-    valid = np.isfinite(entry)
-    ell = np.zeros(entry.shape)
-    np.subtract(exit_, entry, out=ell, where=valid)
-    # factor code per segment: 2 * kind index, plus 1 on the first segment
-    # of the scatterer-start branch; -1 on the padding
-    code = np.full(entry.shape, -1, dtype=np.int8)
-    for i, ids in enumerate(kinds.values()):
-        code[valid & np.isin(gid, ids)] = 2 * i
-    if z is not None:
-        code[:, 0] += 1
-    # grid points inside segment (r, k), lo <= col < hi, as one ragged
-    # array; pos is the flat index r * m + col of the output
-    lo = np.searchsorted(grid, entry)
-    hi = np.searchsorted(grid, exit_)
-    segs = np.flatnonzero(hi > lo)
-    count = (hi - lo).ravel()[segs]
-    shift = np.cumsum(count) - count - lo.ravel()[segs]
-    cols = np.arange(int(count.sum())) - np.repeat(shift, count)
-    pos = cols + np.repeat(segs // nseg * m, count)
-    u = grid[cols] - np.repeat(entry.ravel()[segs], count)
-    pcode = np.repeat(code.ravel()[segs], count)
-    # u turns from in-segment lengths into their factors
-    factor = np.ones(entry.shape)
-    for i, kind in enumerate(kinds):
-        kern = KK.for_medium(kind, scene.dimension)
-        for lead in (False, True):
-            full = code == 2 * i + lead
-            if full.any():
-                factor[full] = _factor(kern, lead, ell[full], z,
-                                       np.nonzero(full)[0])
-            inner = pcode == 2 * i + lead
-            if inner.any():
-                u[inner] = _factor(kern, lead, u[inner], z, pos[inner] // m)
-    # grid points in [hi of segment k-1, hi of segment k) have traversed
-    # segments 0..k-1 fully: the prefix product before segment k
-    prefix = np.ones((n, nseg + 1))
-    prefix[:, 1:] = np.cumprod(factor, axis=1)
-    edges = np.zeros((n, nseg + 2), dtype=int)
-    edges[:, 1:-1] = hi
-    edges[:, -1] = m
-    surv = np.repeat(prefix.ravel(), np.diff(edges, axis=1).ravel())
-    surv[pos] *= u
-    return surv.reshape(n, m)
-
-
-def _factor(kern, lead, lengths, z, rows):
-    """Phi(., z) of the rows on a leading segment, D_Phi elsewhere."""
-    if lead:
-        return kern.phi_marg(lengths, z[rows])
-    return kern.d_phi(lengths)
+    return float(np.mean(polykernel.survival_curves(scene, xs, vs,
+                                                   [t])[:, 0]))
 
 
 def wrap_positions(scene, xs):
@@ -693,9 +458,8 @@ def _direction_coords(vs):
 
 def _ks_columns(a, b):
     """Two-sample KS per column, Bonferroni-combined over the columns."""
-    tests = [stats.ks_two_sample(a[:, j], b[:, j]) for j in range(a.shape[1])]
-    d, p = min(tests, key=lambda test: test[1])
-    return d, min(1.0, len(tests) * p)
+    return stats.bonferroni([stats.ks_two_sample(a[:, j], b[:, j])
+                             for j in range(a.shape[1])])
 
 
 def stationarity_test(scene, n, t, seed, split=None):

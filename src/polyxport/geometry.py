@@ -4,7 +4,8 @@ Grains are open convex polytopes stored as halfspace intersections
 {x : n_k . x < c_k}.  Ray operations on a finite scene clip against the
 halfspaces, which is exact up to floating point and O(#halfspaces) per
 grain.  A periodic scene is a box tiled by its one grain: there the grain
-segments of a ray are its cells, walked face crossing by face crossing.
+segments of a ray are its cells.  The segment table of the rays is the
+one itinerary engine; itinerary, gap and inside_indicator read one row.
 Scene checks solve one margin LP per grain and per pair of grains, in
 closed form when the grains are axis-aligned boxes.
 """
@@ -378,14 +379,12 @@ def clip_grain_rows(grain, xs, vs):
     return entry, hi, valid
 
 
-def _segments_plain(scene, x, v, horizon):
-    raw = []
-    for g in scene.grains:
-        hit = ray_grain_intersect(g, x, v)
-        if hit is not None and hit[0] < horizon:
-            raw.append((hit[0], hit[1], g.id))
-    raw.sort()
-    return raw
+# Rays per segment table: a block's arrays are rows x segments, and the
+# segment count grows with the horizon, so blocks bound the temporaries.
+TABLE_ROWS = 1 << 7
+
+# A tiled table reaches this far past its horizon, relative and absolute
+_HORIZON_PAD = 1e-9
 
 
 def cell_clock(box, xs, vs):
@@ -410,54 +409,151 @@ def cell_clock(box, xs, vs):
     return np.where(tnext > 0.0, tnext, delta), delta
 
 
-def _segments_periodic(scene, x, v, horizon):
-    """The cells of a tiled box, one scalar step per face crossing."""
-    tnext, delta = cell_clock(scene.periodic_box, x[None], v[None])
-    tnext, delta = tnext[0], delta[0]
-    gid = scene.grains[0].id
-    raw = []
-    t = 0.0
-    while t < horizon:
-        i = int(np.argmin(tnext))
-        raw.append((t, tnext[i], gid))
-        t = tnext[i]
-        tnext[i] += delta[i]
-    return raw
+def _finite_table(scene, xs, vs):
+    """All grain segments per ray of a finite scene, sorted by entry."""
+    n = len(xs)
+    G = len(scene.grains)
+    entries = np.full((n, G), np.inf)
+    exits = np.full((n, G), np.inf)
+    for j, g in enumerate(scene.grains):
+        e, h, ok = clip_grain_rows(g, xs, vs)
+        entries[:, j] = np.where(ok, e, np.inf)
+        exits[:, j] = np.where(ok, h, np.inf)
+    order = np.argsort(entries, axis=1, kind="stable")
+    entries = np.take_along_axis(entries, order, axis=1)
+    exits = np.take_along_axis(exits, order, axis=1)
+    base_gids = np.broadcast_to(np.array([g.id for g in scene.grains]),
+                                (n, G))
+    gids = np.take_along_axis(base_gids, order, axis=1)
+    entries[:, 0] = np.where(entries[:, 0] <= REL_TOL, 0.0, entries[:, 0])
+    with np.errstate(invalid="ignore"):
+        for k in range(1, G):
+            gap_k = entries[:, k] - exits[:, k - 1]
+            snap = np.isfinite(entries[:, k]) \
+                & (np.abs(gap_k) <= REL_TOL * (1.0 + entries[:, k]))
+            entries[snap, k] = exits[snap, k - 1]
+    return entries, exits, gids
+
+
+def _tiled_table(scene, xs, vs, horizon):
+    """Cell segments per ray of a tiled box, through the first exit past
+    horizon.
+
+    Each axis's crossings are one cumsum of [tnext, delta, delta, ...] from
+    the walker's start state, which is the walker's repeated += bit for bit;
+    the sorted union of all axes is the walker's sequence of cell exits.
+    """
+    wk = TiledBoxWalker(scene, xs, vs)
+    reach = np.asarray(horizon, dtype=float) * (1.0 + _HORIZON_PAD) \
+        + _HORIZON_PAD
+    reach = np.broadcast_to(reach, (len(xs),))[:, None]
+    fin = np.isfinite(wk.tnext)
+    beyond = np.zeros(wk.tnext.shape)
+    np.divide(reach - wk.tnext, wk.delta, out=beyond, where=fin)
+    # crossings per axis up to reach, plus the first one past it
+    count = int(np.max(np.floor(beyond), initial=0.0)) + 2
+    steps = np.empty(wk.tnext.shape + (count,))
+    steps[..., 0] = wk.tnext
+    steps[..., 1:] = wk.delta[..., None]
+    # an axis the ray barely moves along has a huge delta: its crossings
+    # may overflow to inf, which lies past every reach as it should
+    with np.errstate(over="ignore"):
+        exits = np.sort(np.cumsum(steps, axis=2).reshape(len(xs), -1), axis=1)
+    nseg = np.sum(exits <= reach, axis=1) + 1
+    exits = np.ascontiguousarray(exits[:, :np.max(nseg, initial=1)])
+    entries = np.zeros_like(exits)
+    entries[:, 1:] = exits[:, :-1]
+    past = np.arange(exits.shape[1]) >= nseg[:, None]
+    entries[past] = np.inf
+    exits[past] = np.inf
+    return entries, exits, np.full(exits.shape, wk.gid)
+
+
+def segment_table(scene, xs, vs, horizon):
+    """Grain segments along the rays x + t v, one row per ray.
+
+    Returns (entry, exit, gid) arrays of shape rows x segments, sorted by
+    entry and padded with entry = exit = inf.  A finite scene lists every
+    grain the ray crosses; a tiled box lists its cells through the first
+    exit beyond horizon (a scalar or one value per row), zero-length cells
+    of rays through cell edges included (a start on a face is in the cell
+    that v points into, so never the first cell).  Entries within REL_TOL
+    of 0 or of the previous exit snap to it.
+    """
+    if scene.periodic_box is not None:
+        return _tiled_table(scene, xs, vs, horizon)
+    return _finite_table(scene, xs, vs)
+
+
+def _table_blocks(scene, xs, vs, horizon):
+    """(rows, entry, exit, gid) over consecutive blocks of TABLE_ROWS rows."""
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(xs),))
+    for start in range(0, len(xs), TABLE_ROWS):
+        rows = slice(start, start + TABLE_ROWS)
+        yield (rows,) + segment_table(scene, xs[rows], vs[rows], horizon[rows])
+
+
+class FiniteSceneWalker:
+    """Cursor over the segment table of a finite scene."""
+
+    def __init__(self, scene, xs, vs):
+        self.entries, self.exits, self.gids = _finite_table(scene, xs, vs)
+        self.ptr = np.zeros(len(xs), dtype=int)
+        self.nseg = self.entries.shape[1]
+
+    def current(self):
+        n = len(self.ptr)
+        inb = self.ptr < self.nseg
+        idx = np.minimum(self.ptr, self.nseg - 1)
+        rows = np.arange(n)
+        entry = self.entries[rows, idx]
+        exit_ = self.exits[rows, idx]
+        valid = inb & np.isfinite(entry)
+        gid = self.gids[rows, idx]
+        return entry, exit_, gid, valid
+
+    def advance(self, mask):
+        self.ptr[mask] += 1
+
+
+class TiledBoxWalker:
+    """Cell-by-cell walk of a periodic scene (a box tiled by one grain)."""
+
+    def __init__(self, scene, xs, vs):
+        self.gid = scene.grains[0].id
+        self.tnext, self.delta = cell_clock(scene.periodic_box, xs, vs)
+        self.t_entry = np.zeros(len(xs))
+        self.t_exit = self.tnext.min(axis=1)
+
+    def current(self):
+        n = len(self.t_entry)
+        gid = np.full(n, self.gid, dtype=int)
+        return self.t_entry, self.t_exit, gid, np.ones(n, dtype=bool)
+
+    def advance(self, mask):
+        rows = np.flatnonzero(mask)
+        amin = np.argmin(self.tnext[rows], axis=1)
+        self.t_entry[rows] = self.t_exit[rows]
+        self.tnext[rows, amin] += self.delta[rows, amin]
+        self.t_exit[rows] = self.tnext[rows].min(axis=1)
 
 
 def itinerary(scene, x, v, horizon):
     """Ordered disjoint grain segments along x+tv with entry < horizon.
 
-    The first segment has entry 0 exactly when x is in a grain or on its
-    boundary with v pointing inwards.  Nearly-coincident exit/entry pairs of
-    adjacent grains are merged so tilings chain without spurious gaps.
+    The ray's row of segment_table without its zero-length cells: the
+    first segment has entry 0 exactly when x is in a grain or on its
+    boundary with v pointing inwards, and adjacent grains chain without
+    gaps.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if scene.periodic_box is not None:
-        raw = _segments_periodic(scene, x, v, horizon)
-    else:
-        raw = _segments_plain(scene, x, v, horizon)
-
-    segs = []
-    prev_exit = 0.0
-    for a, b, gid in raw:
-        tol = REL_TOL * (1.0 + abs(a))
-        if a <= tol:
-            a = 0.0
-        if segs:
-            if a < prev_exit - REL_TOL * (1.0 + abs(a)):
-                raise SceneError("overlapping itinerary segments "
-                                 "(scene grains overlap along the ray)")
-            if a - prev_exit <= REL_TOL * (1.0 + abs(a)):
-                a = prev_exit
-        if b <= a:
-            continue
-        segs.append(ItinerarySegment(gid, a, b))
-        prev_exit = b
-    return segs
+    entry, exit_, gid = segment_table(scene, np.asarray(x, dtype=float)[None],
+                                      np.asarray(v, dtype=float)[None],
+                                      horizon)
+    return [ItinerarySegment(int(g), float(a), float(b))
+            for a, b, g in zip(entry[0], exit_[0], gid[0])
+            if a < horizon and b > a]
 
 
 def gap(scene, x, v, xi):
@@ -473,13 +569,7 @@ def gap(scene, x, v, xi):
 
 
 def inside_indicator(scene, x, v):
-    """True iff x is interior to a grain, or on a boundary with v inwards."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if scene.periodic_box is not None:
-        return True     # a tiled box has no outside
-    for g in scene.grains:
-        hit = ray_grain_intersect(g, x, v)
-        if hit is not None and hit[0] == 0.0:
-            return True
-    return False
+    """True iff x is interior to a grain, or on a boundary with v inwards:
+    the ray's first segment starts at 0."""
+    segs = itinerary(scene, x, v, 1.0)
+    return bool(segs) and segs[0].entry == 0.0

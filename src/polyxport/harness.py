@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import flight, kernels, microsim, scattering, stats, streams
+from . import (flight, kernels, microsim, polykernel, scattering, stats,
+               streams)
 from .geometry import (ConvexGrain, PeriodicBox, SceneError, check_tiled_box,
                        make_scene)
 from .lattice import AffineLattice, CrystalMedium, PoissonMedium
@@ -250,11 +251,12 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
 
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
-    flight.survival_blocks, which yields blocks of flight.TABLE_ROWS
-    directions; the weighted CDFs add up direction by direction.  In the on-scatterer mode
-    the exit parameter beta(v) of each direction enters the
-    scatterer-start marginal, and a base point outside every grain raises
-    ConfigError.  Returns (grid, cdf values) for linear interpolation.
+    polykernel.survival_blocks, which yields blocks of
+    geometry.TABLE_ROWS directions; the weighted CDFs add up direction by
+    direction.  In the on-scatterer mode the exit parameter beta(v) of
+    each direction enters the scatterer-start marginal, and a base point
+    outside every grain raises ConfigError.  Returns (grid, cdf values)
+    for linear interpolation.
     """
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
@@ -268,14 +270,15 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
     xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
     acc = np.zeros_like(xi_grid)
     try:
-        for rows, surv in flight.survival_blocks(scene, xs, dirs, xi_grid, z):
+        for rows, surv in polykernel.survival_blocks(scene, xs, dirs,
+                                                     xi_grid, z):
             np.subtract(1.0, surv, out=surv)
             surv *= wts[rows, None]
             # one add per direction: a blocked sum would round differently
             for cdf in surv:
                 acc += cdf
             del surv, cdf    # free this block before the next is built
-    except flight.OffGrainStart as exc:
+    except polykernel.OffGrainStart as exc:
         raise ConfigError("on-scatterer limit needs an in-grain base "
                           "point") from exc
     return xi_grid, acc
@@ -284,7 +287,7 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
 def mean_survival_curve(scene, xs, vs, grid):
     """Mean generic-start survival curve over rays (x, v), added ray by ray."""
     total = np.zeros(len(grid))
-    for _, surv in flight.survival_blocks(scene, xs, vs, grid):
+    for _, surv in polykernel.survival_blocks(scene, xs, vs, grid):
         for curve in surv:
             total += curve
     return total / len(xs)
@@ -455,7 +458,9 @@ def run_poisson_baseline(config):
                                lambda x: 1.0 - np.exp(-sb * x))
     report["freepath_ks"] = ks_exp
 
-    # (b) memorylessness: xi after a collision vs previous incoming direction
+    # (b) memorylessness: xi after a collision vs previous incoming
+    # direction, one table per coordinate of the direction (the azimuth,
+    # and in d=3 the polar cosine v_z), Bonferroni-combined
     m_chain = max(n // 10, 1000)
     rng2 = streams.rng("baseline.memoryless", seed)
     x0 = flight.sample_positions(scene, m_chain, rng2)
@@ -464,12 +469,14 @@ def run_poisson_baseline(config):
     v_now = scattering.deflect_many(v_prev, b)
     xi2, _ = flight.sample_collision(scene, x0, v_prev, v_now, rng2)
     fin = np.isfinite(xi2)
-    ang = np.arctan2(v_prev[fin, 1], v_prev[fin, 0])
-    abins = np.linspace(-np.pi, np.pi, 9)
+    coords = flight._direction_coords(v_prev[fin])
+    cbins = [np.linspace(-np.pi, np.pi, 9), np.linspace(-1.0, 1.0, 9)]
     qbins = np.quantile(xi2[fin], np.linspace(0, 1, 9))
     qbins[0], qbins[-1] = -np.inf, np.inf
-    table = np.histogram2d(ang, xi2[fin], bins=[abins, qbins])[0]
-    stat_mem, p_mem = stats.chi2_independence(table)
+    stat_mem, p_mem = stats.bonferroni([
+        stats.chi2_independence(np.histogram2d(
+            coords[:, j], xi2[fin], bins=[cbins[j], qbins])[0])
+        for j in range(coords.shape[1])])
     report["memoryless_chi2"] = stat_mem
     report["memoryless_p"] = p_mem
 
@@ -548,7 +555,8 @@ def run_flight(config):
     """Ensemble evolution with the n-collision decomposition.
 
     The 'marginals' report flavor adds histograms of the evolved
-    extended-state coordinates for plotting.
+    extended-state coordinates for plotting: the flight length, the
+    azimuth of v, and in d=3 its polar cosine v_z.
     """
     scene = config.scene
     n = int(config.options.get("particles", config.samples))
@@ -586,6 +594,11 @@ def run_flight(config):
         report["v_angle_hist"] = {
             "edges": ang_edges.tolist(),
             "counts": np.histogram(ang, ang_edges)[0].tolist()}
+        if scene.dimension == 3:
+            polar_edges = np.linspace(-1.0, 1.0, 41)
+            report["v_polar_hist"] = {
+                "edges": polar_edges.tolist(),
+                "counts": np.histogram(ens.v[:, 2], polar_edges)[0].tolist()}
     return report
 
 

@@ -394,20 +394,25 @@ class KernelModel:
         return 1.0 - self.d_phi(u)
 
     def invert_phi_cdf(self, mass):
-        """Solve int_0^u Phi(s) ds = mass for u (vectorized, exact branch)."""
+        """Solve int_0^u Phi(s) ds = mass for u (vectorized, exact branch).
+
+        A negative mass raises ValueError; a crystal mass beyond
+        1 - D_Phi(XI_MAX) gives XI_MAX.
+        """
         mass = np.asarray(mass, dtype=float)
+        if np.any(mass < 0):
+            raise ValueError("mass must be nonnegative")
         sb = self.sigma_bar
         if self.medium == "poisson":
             return -np.log1p(-mass) / sb
         if self.dimension == 2:
             c = 12.0 / np.pi ** 2
             # 2u - c u^2 = mass, root in [0, 1/2]
-            return (2.0 - np.sqrt(4.0 - 4.0 * c * mass)) / (2.0 * c)
+            root = np.sqrt(np.maximum(4.0 - 4.0 * c * mass, 0.0))
+            return np.clip((2.0 - root) / (2.0 * c), 0.0, XI_MAX[2])
         # the one real root of the cubic, clipped to the range, then one
         # Newton step on the Horner form, which has no cancellation at
-        # small u; mass beyond 1 - D_Phi(1/4) gives 1/4
-        if np.any(mass < 0):
-            raise ValueError("mass must be nonnegative")
+        # small u
         q = _CDF_Q0 - mass / _CDF_B
         u = _CDF_H - _CDF_R * np.sinh(np.arcsinh(_CDF_K * q) / 3.0)
         u = np.clip(u, 0.0, XI_MAX[3])

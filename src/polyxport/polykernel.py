@@ -1,4 +1,4 @@
-"""Polycrystal limit densities as itinerary products.
+"""Polycrystal limit densities as products over the segment table.
 
 Each member of the family multiplies per-grain survival factors D_Phi over
 fully traversed grains with a density factor for the grain containing the
@@ -6,6 +6,9 @@ path length xi.  Values vanish off the grain segments; starts on a grain
 boundary with inward velocity behave like interior starts (the one-sided
 limit of the formulas), and starts outside all grains make the
 scatterer-start family identically zero.
+
+family_blocks is the one product, over rows of geometry's segment table;
+the scalar names (psi, ..., survival_psi0_marg) are one-row calls of it.
 """
 from __future__ import annotations
 
@@ -14,84 +17,176 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels as K
-from .geometry import gap, inside_indicator, itinerary
-
-_HORIZON_PAD = 1e-9
-
-
-def kernel_for_grain(scene, grain_id):
-    return K.for_medium(scene.medium_by_id(grain_id), scene.dimension)
+from .geometry import (SceneError, _table_blocks, gap, inside_indicator,
+                       itinerary)
 
 
-def _segments_upto(scene, x, v, xi):
-    return itinerary(scene, x, v, xi * (1.0 + _HORIZON_PAD) + _HORIZON_PAD)
+class OffGrainStart(SceneError):
+    """A scatterer-start survival row whose ray does not start in a grain."""
 
 
-def _locate(segs, xi):
-    """Index of the segment with entry <= xi < exit, else None."""
-    idx = None
-    for i, s in enumerate(segs):
-        if s.entry <= xi:
-            idx = i
-        else:
-            break
-    if idx is not None and xi < segs[idx].exit:
-        return idx
-    return None
+# The factors of each family, each a KernelModel method and the names of
+# the row parameters it takes after the length: in the segment that holds
+# the grid point; the same on the leading segment of a scatterer start;
+# and on a fully traversed leading segment (None: the family has no
+# leading segment).  Every other traversed segment gives D_Phi(length).
+_FAMILIES = {
+    "survival_psi": (("d_phi",), None, None),
+    "survival_psi0_marg": (("d_phi",), ("phi_marg", "z"), ("phi_marg", "z")),
+    "psi": (("phi",), None, None),
+    "psi_marg_w": (("phi_marg", "w"), None, None),
+    "psi0_marg": (("phi",), ("phi0_marg", "w"), ("phi_marg", "w")),
+    "psi0_full": (("phi_marg", "w"), ("phi0", "w", "z"), ("phi_marg", "z")),
+}
 
 
-def _product_before(scene, segs, n):
-    out = 1.0
-    for s in segs[:n]:
-        out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
+def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
+    """A family of _FAMILIES at every point g of a sorted grid, one row per
+    ray x + t v, with one parameter row of w and z per ray.
+
+    The factors of the segments that g has fully traversed multiply in
+    segment order, then the factor in the segment holding g.  A density is
+    0 off the segments, and on a scatterer-start row (psi0_*) whose ray
+    does not start in a grain; a survival function carries the product on
+    past the segments, and raises OffGrainStart on such a row.  Yields
+    (rows, values) over blocks of TABLE_ROWS rays of the segment table to
+    grid[-1], values being rows x grid.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid[0] < 0:
+        raise ValueError("path lengths must be nonnegative")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    params = {k: np.atleast_2d(np.asarray(p, dtype=float))
+              for k, p in (("w", w), ("z", z)) if p is not None}
+    kinds = {}
+    for g, m in zip(scene.grains, scene.media):
+        kinds.setdefault(m.kind, []).append(g.id)
+    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, grid[-1]):
+        if family == "survival_psi0_marg" and np.any(entry[:, 0] != 0.0):
+            raise OffGrainStart("scatterer-start survival needs every ray "
+                                "to start in a grain")
+        # no reference to the block stays here: callers free each block
+        # before the next one is built
+        yield rows, _block_curves(scene, kinds, grid, family, entry, exit_,
+                                  gid, {k: p[rows] for k, p in params.items()})
+
+
+def family_curves(scene, xs, vs, grid, family, w=None, z=None):
+    """family_blocks as one rows x grid array."""
+    return np.concatenate([c for _, c in family_blocks(scene, xs, vs, grid,
+                                                       family, w, z)])
+
+
+def survival_blocks(scene, xs, vs, grid, z=None):
+    """P(path length >= g) at every point g of a sorted grid, one row per
+    ray: family_blocks of the generic start, or, given exit parameters z,
+    of the scatterer-start marginal."""
+    family = "survival_psi" if z is None else "survival_psi0_marg"
+    return family_blocks(scene, xs, vs, grid, family, z=z)
+
+
+def survival_curves(scene, xs, vs, grid, z=None):
+    """survival_blocks as one rows x grid array."""
+    return np.concatenate([c for _, c in survival_blocks(scene, xs, vs, grid,
+                                                         z)])
+
+
+def _block_curves(scene, kinds, grid, family, entry, exit_, gid, params):
+    inner, lead_inner, lead_full = _FAMILIES[family]
+    n, nseg = entry.shape
+    m = len(grid)
+    valid = np.isfinite(entry)
+    ell = np.zeros(entry.shape)
+    np.subtract(exit_, entry, out=ell, where=valid)
+    # factor code per segment: 2 * kind index, plus 1 on the leading
+    # segment of a scatterer start; -1 on the padding
+    code = np.full(entry.shape, -1, dtype=np.int8)
+    for i, ids in enumerate(kinds.values()):
+        code[valid & np.isin(gid, ids)] = 2 * i
+    if lead_full is not None:
+        code[:, 0] += valid[:, 0]
+    # grid points inside segment (r, k), lo <= col < hi, as one ragged
+    # array; pos is the flat index r * m + col of the output
+    lo = np.searchsorted(grid, entry)
+    hi = np.searchsorted(grid, exit_)
+    segs = np.flatnonzero(hi > lo)
+    count = (hi - lo).ravel()[segs]
+    shift = np.cumsum(count) - count - lo.ravel()[segs]
+    cols = np.arange(int(count.sum())) - np.repeat(shift, count)
+    pos = cols + np.repeat(segs // nseg * m, count)
+    u = grid[cols] - np.repeat(entry.ravel()[segs], count)
+    pcode = np.repeat(code.ravel()[segs], count)
+    # u turns from in-segment lengths into their factors
+    factor = np.ones(entry.shape)
+    specs = ((("d_phi",), inner), (lead_full, lead_inner))
+    for i, kind in enumerate(kinds):
+        kern = K.for_medium(kind, scene.dimension)
+        for lead, (full_spec, inner_spec) in enumerate(specs):
+            full = code == 2 * i + lead
+            if full.any():
+                factor[full] = _factor(kern, full_spec, ell[full], params,
+                                       np.nonzero(full)[0])
+            inside = pcode == 2 * i + lead
+            if inside.any():
+                u[inside] = _factor(kern, inner_spec, u[inside], params,
+                                    pos[inside] // m)
+    # grid points in [hi of segment k-1, hi of segment k) have traversed
+    # segments 0..k-1 fully: the prefix product before segment k
+    prefix = np.ones((n, nseg + 1))
+    prefix[:, 1:] = np.cumprod(factor, axis=1)
+    edges = np.zeros((n, nseg + 2), dtype=int)
+    edges[:, 1:-1] = hi
+    edges[:, -1] = m
+    surv = np.repeat(prefix.ravel(), np.diff(edges, axis=1).ravel())
+    if family.startswith("survival"):
+        surv[pos] *= u
+        return surv.reshape(n, m)
+    out = np.zeros(n * m)
+    out[pos] = surv[pos] * u
+    out = out.reshape(n, m)
+    if lead_full is not None:     # psi0_*: no mass off a grain
+        out[entry[:, 0] != 0.0] = 0.0
+    return out
+
+
+def _factor(kern, spec, lengths, params, rows):
+    """Method spec[0] of kern at lengths, with parameters spec[1:] of rows."""
+    name, *keys = spec
+    return getattr(kern, name)(lengths, *(params[k][rows] for k in keys))
+
+
+def along_ray(scene, family, x, v, xis, w=None, z=None):
+    """The family at the path lengths xis, in any order, along the one ray
+    x + t v: one row of family_blocks.  w and z must lie in the closed
+    unit ball where the family takes them, and are ignored elsewhere.
+    """
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    params = {}
+    for key, p in (("w", w), ("z", z)):
+        if any(key in spec for spec in _FAMILIES[family] if spec):
+            _check_ball(scene, p)
+            params[key] = np.atleast_1d(np.asarray(p, dtype=float))[None]
+    order = np.argsort(xis, kind="stable")
+    out = np.empty(len(xis))
+    out[order] = family_curves(scene, [x], [v], xis[order], family,
+                               **params)[0]
     return out
 
 
 def psi(scene, x, v, xi):
     """Free path density for a generic start (product form)."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
-    segs = _segments_upto(scene, x, v, xi)
-    nu = _locate(segs, xi)
-    if nu is None:
-        return 0.0
-    kern = kernel_for_grain(scene, segs[nu].grain_id)
-    return _product_before(scene, segs, nu) * float(kern.phi(xi - segs[nu].entry))
+    return float(along_ray(scene, "psi", x, v, xi)[0])
 
 
 def psi_marg_w(scene, x, v, xi, w):
     """Joint path/impact density for a generic start."""
-    _check_ball(scene, w)
-    segs = _segments_upto(scene, x, v, xi)
-    nu = _locate(segs, xi)
-    if nu is None:
-        return 0.0
-    kern = kernel_for_grain(scene, segs[nu].grain_id)
-    return _product_before(scene, segs, nu) * float(kern.phi_marg(xi - segs[nu].entry, w))
-
-
-def _first_branch_ok(scene, x, v, segs):
-    return bool(segs) and segs[0].entry == 0.0 and inside_indicator(scene, x, v)
+    return float(along_ray(scene, "psi_marg_w", x, v, xi, w)[0])
 
 
 def psi0_marg(scene, x, v, xi, w):
     """Path density for a start on a scatterer with exit parameter w."""
-    _check_ball(scene, w)
-    segs = _segments_upto(scene, x, v, xi)
-    if not _first_branch_ok(scene, x, v, segs):
-        return 0.0
-    nu = _locate(segs, xi)
-    if nu is None:
-        return 0.0
-    k1 = kernel_for_grain(scene, segs[0].grain_id)
-    if nu == 0:
-        return float(k1.phi0_marg(xi, w))
-    kern = kernel_for_grain(scene, segs[nu].grain_id)
-    mid = 1.0
-    for s in segs[1:nu]:
-        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-    return float(k1.phi_marg(segs[0].sejour, w)) * mid \
-        * float(kern.phi(xi - segs[nu].entry))
+    return float(along_ray(scene, "psi0_marg", x, v, xi, w)[0])
 
 
 def psi0_full(scene, x, v, xi, w, z):
@@ -100,23 +195,7 @@ def psi0_full(scene, x, v, xi, w, z):
     w is the impact parameter at distance xi, z the exit parameter at the
     start.  Zero unless x is in a grain or on its boundary with v inwards.
     """
-    _check_ball(scene, w)
-    _check_ball(scene, z)
-    segs = _segments_upto(scene, x, v, xi)
-    if not _first_branch_ok(scene, x, v, segs):
-        return 0.0
-    nu = _locate(segs, xi)
-    if nu is None:
-        return 0.0
-    k1 = kernel_for_grain(scene, segs[0].grain_id)
-    if nu == 0:
-        return float(k1.phi0(xi, w, z))
-    kern = kernel_for_grain(scene, segs[nu].grain_id)
-    mid = 1.0
-    for s in segs[1:nu]:
-        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-    return float(k1.phi_marg(segs[0].sejour, z)) * mid \
-        * float(kern.phi_marg(xi - segs[nu].entry, w))
+    return float(along_ray(scene, "psi0_full", x, v, xi, w, z)[0])
 
 
 def _check_ball(scene, w):
@@ -127,52 +206,15 @@ def _check_ball(scene, w):
         raise ValueError("parameter outside the closed unit ball")
 
 
-# ---------------------------------------------------------------------------
-# survival / cumulative forms (telescoped integrals of the densities)
-# ---------------------------------------------------------------------------
-
 def survival_psi(scene, x, v, t, horizon=None):
     """P(path length >= t) = int_t^inf psi + escape mass, in closed form."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 1.0
-    segs = itinerary(scene, x, v, (horizon or t) * (1 + _HORIZON_PAD) + _HORIZON_PAD)
-    out = 1.0
-    for s in segs:
-        if s.exit <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-        elif s.entry <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(t - s.entry)
-            break
-        else:
-            break
-    return float(out)
+    return float(along_ray(scene, "survival_psi", x, v, t)[0])
 
 
 def survival_psi0_marg(scene, x, v, t, w):
-    """P(path length >= t) for the scatterer-start marginal with exit w."""
-    _check_ball(scene, w)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    segs = _segments_upto(scene, x, v, max(t, 1.0))
-    if not _first_branch_ok(scene, x, v, segs):
-        raise ValueError("scatterer-start survival needs an in-grain start")
-    if t == 0:
-        return 1.0
-    k1 = kernel_for_grain(scene, segs[0].grain_id)
-    if t < segs[0].exit:
-        return float(k1.phi_marg(t, w))
-    out = float(k1.phi_marg(segs[0].sejour, w))
-    for s in segs[1:]:
-        if s.exit <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-        elif s.entry <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(t - s.entry)
-            break
-        else:
-            break
-    return float(out)
+    """P(path length >= t) for the scatterer-start marginal with exit w;
+    OffGrainStart (a ValueError) for a start outside every grain."""
+    return float(along_ray(scene, "survival_psi0_marg", x, v, t, z=w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +252,11 @@ def psi_tail_bound(scene, x, v, xi):
 # disordered closed forms
 # ---------------------------------------------------------------------------
 
-def poisson_psi(scene, x, v, xi, w=None, z=None):
+def poisson_psi(scene, x, v, xi):
     """Gap-discounted exponential forms of a fully disordered scene.
 
-    Returns a dict with the four family members at (x, v, xi); w and z are
-    accepted for signature parity but do not enter the values.
+    Returns a dict with the four family members at (x, v, xi), none of
+    which depends on the parameters w and z.
     """
     for m in scene.media:
         if m.kind != "poisson":
@@ -263,8 +305,13 @@ def _ball_quadrature(dimension, order=64):
 
 
 def integrate_psi0_marg_over_w(scene, x, v, xi, order=64):
+    """The w-integral of psi0_marg at (x, v, xi), its quadrature nodes
+    evaluated as the rows of one family_curves call."""
     nodes, weights = _ball_quadrature(scene.dimension, order)
-    vals = np.array([psi0_marg(scene, x, v, xi, n) for n in nodes])
+    shape = (len(nodes), scene.dimension)
+    vals = family_curves(scene, np.broadcast_to(x, shape),
+                         np.broadcast_to(v, shape), [xi], "psi0_marg",
+                         w=nodes)[:, 0]
     return float(vals @ weights)
 
 
@@ -284,10 +331,10 @@ def check_transport_identity(scene, samples, fd_scale=1e-6, tol_boundary=1e-12,
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         eps = fd_scale * (1.0 + xi)
-        segs = _segments_upto(scene, x, v, xi + 1.0)
+        segs = itinerary(scene, x, v, xi + 1.0)
         near = any(min(abs(xi - s.entry), abs(xi - s.exit)) < 10 * eps
                    for s in segs)
-        if near or _locate(segs, xi) is None:
+        if near or not any(s.entry <= xi < s.exit for s in segs):
             report.skipped += 1
             continue
         d_num = (psi(scene, x + eps * v, v, xi - eps) - psi(scene, x, v, xi)) / eps

@@ -145,6 +145,13 @@ def chi2_gof(observed_counts, probs, n_constraints=1, min_expected=None):
     return stat, chi2_pvalue(stat, dof)
 
 
+def bonferroni(tests):
+    """The (statistic, p-value) of the test with the smallest p-value in a
+    family, that p-value times the family size, capped at 1."""
+    stat, p = min(tests, key=lambda test: test[1])
+    return stat, min(1.0, len(tests) * p)
+
+
 def chi2_independence(table):
     """Independence test on a 2-way contingency table."""
     t = np.asarray(table, dtype=float)

@@ -39,3 +39,14 @@ def tiled_crystal_3d():
     return make_scene(3, (g,), (m,),
                       periodic_box=PeriodicBox((0.0,) * 3, (0.14,) * 3),
                       anchor=(0.07,) * 3)
+
+
+@pytest.fixture(scope="session")
+def mixed_squares():
+    """presets.two_squares_2d geometry: a crystal grain, then a Poisson one."""
+    from polyxport import ConvexGrain, make_scene
+    from polyxport.lattice import CrystalMedium, PoissonMedium
+    g1 = ConvexGrain.box(1, (0.0, 0.0), (0.3, 0.3))
+    g2 = ConvexGrain.box(2, (0.35, 0.0), (0.65, 0.3))
+    m1 = CrystalMedium(presets.identity_lattice(2, (0.318, 0.577)))
+    return make_scene(2, (g1, g2), (m1, PoissonMedium()), anchor=(0.15, 0.15))

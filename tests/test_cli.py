@@ -62,6 +62,29 @@ def test_psi_eval(scene_config, capsys):
     assert val == pytest.approx(2 * np.exp(-2 * 0.1))
 
 
+@pytest.mark.parametrize("family", ["psi", "psi_marg_w", "psi0_marg",
+                                    "psi0_full"])
+def test_psi_eval_xi_list_matches_one_call_per_value(scene_config, capsys,
+                                                     family):
+    # unsorted, with a repeat, a point in the gap between the grains and
+    # one past both
+    xis = ["0.4", "0.1", "0.17", "0.1", "0.25", "0.0", "0.7"]
+    common = ["psi", "eval", "--config", str(scene_config), "--x",
+              "0.15,0.15", "--v", "1,0", "--w", "0.3", "--z", "-0.6",
+              "--family", family]
+    assert main(common + ["--xi", ",".join(xis)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    single = []
+    for xi in xis:
+        assert main(common + ["--xi", xi]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert out[0] == lines[0]
+        single += out[1:]
+    assert lines[1:] == single
+    assert [line.split(",")[1] for line in lines[1:]] \
+        == [repr(float(xi)) for xi in xis]
+
+
 def test_freepath_subcommand_writes_files(scene_config, tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["freepath", "--config", str(scene_config),

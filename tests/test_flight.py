@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson as poisson_dist
 
-from polyxport import (flight, harness, kernels, polykernel, presets,
-                       scattering, stats)
-from polyxport.flight import (Ensemble, FiniteSceneWalker, TiledBoxWalker,
-                              evolve, n_collision_histogram,
+from polyxport import (flight, geometry, harness, kernels, polykernel,
+                       presets, scattering, stats)
+from polyxport.flight import (Ensemble, evolve, n_collision_histogram,
                               sample_collision, sample_initial, sample_xi_w)
-from polyxport.geometry import SceneError, inside_indicator, itinerary
+from polyxport.geometry import (FiniteSceneWalker, SceneError, TiledBoxWalker,
+                                inside_indicator, itinerary)
+
+import itinerary_oracles as oracle
 
 
 class TestWalkers:
@@ -22,7 +24,7 @@ class TestWalkers:
         for step in range(3):
             entry, exit_, gid, valid = wk.current()
             for i in range(n):
-                segs = itinerary(two_squares, xs[i], vs[i], 5.0)
+                segs = oracle.itinerary(two_squares, xs[i], vs[i], 5.0)
                 if step < len(segs):
                     assert valid[i]
                     assert entry[i] == pytest.approx(segs[step].entry,
@@ -72,7 +74,7 @@ class TestSegmentTable:
             vs[0] = np.eye(d)[0]                 # axis-parallel
             vs[1] = np.ones(d) / np.sqrt(d)      # through cell edges
             xs[1] = side / 2
-            entry, exit_, gid = flight.segment_table(scene, xs, vs, 2.0)
+            entry, exit_, gid = geometry.segment_table(scene, xs, vs, 2.0)
             assert np.all(gid == scene.grains[0].id)
             wk = TiledBoxWalker(scene, xs, vs)
             for k in range(entry.shape[1]):
@@ -90,7 +92,7 @@ class TestSegmentTable:
         # a subnormal y-component makes the y crossings overflow to inf
         xs = np.array([[0.175, 0.175]])
         vs = np.array([[1.0, 2.2250738585072014e-308]])
-        entry, exit_, _ = flight.segment_table(tiled_crystal, xs, vs, 4.0)
+        entry, exit_, _ = geometry.segment_table(tiled_crystal, xs, vs, 4.0)
         listed = np.isfinite(exit_[0])
         assert np.allclose(np.diff(exit_[0, listed]), 0.35)
         assert exit_[0, listed][-1] > 4.0
@@ -99,9 +101,9 @@ class TestSegmentTable:
         # 0.35 / 5e-324 overflows: no RuntimeWarning, and the same cells
         # as the ray without that component, in the table and itinerary
         x = np.array([0.175, 0.175])
-        table = flight.segment_table(tiled_crystal, np.array([x]),
+        table = geometry.segment_table(tiled_crystal, np.array([x]),
                                      np.array([[1.0, 5e-324]]), 4.0)
-        plain = flight.segment_table(tiled_crystal, np.array([x]),
+        plain = geometry.segment_table(tiled_crystal, np.array([x]),
                                      np.array([[1.0, 0.0]]), 4.0)
         assert all(np.array_equal(a, b) for a, b in zip(table, plain))
         assert itinerary(tiled_crystal, x, np.array([1.0, 5e-324]), 4.0) \
@@ -130,12 +132,12 @@ class TestCellFaces:
     @pytest.mark.parametrize("x,v", RAYS)
     def test_table_and_itinerary_give_the_same_cells(self, tiled_crystal,
                                                       x, v):
-        entry, exit_, gid = flight.segment_table(
+        entry, exit_, gid = geometry.segment_table(
             tiled_crystal, np.array([x]), np.array([v]), 2.0)
         assert entry[0, 0] == 0.0 < exit_[0, 0]     # no zero-length first cell
         table = [(int(g), e, h) for g, e, h in zip(gid[0], entry[0], exit_[0])
                  if e < 2.0 and h > e]
-        segs = itinerary(tiled_crystal, np.array(x), np.array(v), 2.0)
+        segs = oracle.itinerary(tiled_crystal, np.array(x), np.array(v), 2.0)
         assert table
         assert [(s.grain_id, s.entry, s.exit) for s in segs] == table
 
@@ -143,14 +145,14 @@ class TestCellFaces:
     def test_survival_curves_match_scalar(self, tiled_crystal, x, v):
         grid = [0.0, 0.1, 0.25, 0.35, 0.5, 0.7, 1.2]
         z = [[0.3]]
-        got = flight.survival_curves(tiled_crystal, [x], [v], grid, z)[0]
-        want = [polykernel.survival_psi0_marg(tiled_crystal, np.array(x),
-                                              np.array(v), t, z[0])
+        got = polykernel.survival_curves(tiled_crystal, [x], [v], grid, z)[0]
+        want = [oracle.survival_psi0_marg(tiled_crystal, np.array(x),
+                                          np.array(v), t, z[0])
                 for t in grid]
         assert got.tolist() == want
-        got = flight.survival_curves(tiled_crystal, [x], [v], grid)[0]
-        want = [polykernel.survival_psi(tiled_crystal, np.array(x),
-                                        np.array(v), t) for t in grid]
+        got = polykernel.survival_curves(tiled_crystal, [x], [v], grid)[0]
+        want = [oracle.survival_psi(tiled_crystal, np.array(x),
+                                    np.array(v), t) for t in grid]
         assert got.tolist() == want
 
     def test_tangent_ray_is_inside(self, tiled_crystal):
@@ -180,9 +182,10 @@ def _row_strategy(d):
 
 
 def _scalar_walk(scene, kern, x, v, budget, kind):
-    """The budget walk of one ray over geometry.itinerary, one segment at a
-    time; also the in-grain lengths at which it could change segment."""
-    segs = itinerary(scene, x, v, budget + 1.0)
+    """The budget walk of one ray over the scalar itinerary oracle, one
+    segment at a time; also the in-grain lengths at which it could change
+    segment."""
+    segs = oracle.itinerary(scene, x, v, budget + 1.0)
     ell1 = segs[0].sejour if segs else 0.0
     ing, prod, marks = 0.0, 1.0, []
     for k, s in enumerate(segs):
@@ -249,7 +252,7 @@ class TestSurvivalOracle:
         d = scene.dimension
         rng = np.random.default_rng(21)
         n = 300
-        assert n > 2 * flight.TABLE_ROWS    # several blocks of the table
+        assert n > 2 * geometry.TABLE_ROWS    # several blocks of the table
         if which == "finite":
             xs = rng.uniform((-0.1, -0.1), (0.85, 0.5), (n, 2))
         else:
@@ -258,15 +261,15 @@ class TestSurvivalOracle:
         vs[1] = np.eye(d)[0]
         xs[2] = 0.1
         vs[2] = np.eye(d)[0]              # through both finite grains
-        segs = itinerary(scene, xs[2], vs[2], 3.0)
+        segs = oracle.itinerary(scene, xs[2], vs[2], 3.0)
         ts = [0.0, 0.37, 0.9, segs[1].entry]      # the last on a crossing
         if which == "finite":
             ts.append(2.0)       # beyond every segment: the escape mass
             assert max(s.exit for x, v in zip(xs, vs)
-                       for s in itinerary(scene, x, v, 2.0)) < 2.0
+                       for s in oracle.itinerary(scene, x, v, 2.0)) < 2.0
         for t in ts:
-            got = flight.survival_curves(scene, xs, vs, [t])[:, 0]
-            want = [polykernel.survival_psi(scene, x, v, t)
+            got = polykernel.survival_curves(scene, xs, vs, [t])[:, 0]
+            want = [oracle.survival_psi(scene, x, v, t)
                     for x, v in zip(xs, vs)]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -276,28 +279,19 @@ class TestSurvivalOracle:
         rng = np.random.default_rng(22)
         xs = flight.sample_positions(tiled_crystal_3d, 500, rng)
         vs = scattering.sample_direction(rng, 3, 500)
-        want = np.mean([polykernel.survival_psi(tiled_crystal_3d, x, v, 1.0)
+        want = np.mean([oracle.survival_psi(tiled_crystal_3d, x, v, 1.0)
                         for x, v in zip(xs, vs)])
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def _mixed_squares():
-    """presets.two_squares_2d geometry: a crystal grain, then a Poisson one."""
-    from polyxport import ConvexGrain, make_scene
-    from polyxport.lattice import CrystalMedium, PoissonMedium
-    g1 = ConvexGrain.box(1, (0.0, 0.0), (0.3, 0.3))
-    g2 = ConvexGrain.box(2, (0.35, 0.0), (0.65, 0.3))
-    m1 = CrystalMedium(presets.identity_lattice(2, (0.318, 0.577)))
-    return make_scene(2, (g1, g2), (m1, PoissonMedium()), anchor=(0.15, 0.15))
-
-
 class TestSurvivalCurves:
-    """survival_curves against the scalar polykernel survival functions."""
+    """survival_curves against the scalar survival oracles."""
 
     @pytest.fixture(scope="class")
-    def scenes(self, two_squares, tiled_crystal, tiled_crystal_3d):
+    def scenes(self, two_squares, mixed_squares, tiled_crystal,
+               tiled_crystal_3d):
         return {"finite2": two_squares, "finite3": presets.two_boxes_3d(),
-                "mixed": _mixed_squares(), "tiled2": tiled_crystal,
+                "mixed": mixed_squares, "tiled2": tiled_crystal,
                 "tiled3": tiled_crystal_3d}
 
     @staticmethod
@@ -318,7 +312,7 @@ class TestSurvivalCurves:
     def _grid(scene, xs, vs, top):
         """0, a regular grid, every entry and exit of two rays, and top:
         beyond every segment of a finite scene (its escape mass)."""
-        entry, exit_, _ = flight.segment_table(scene, xs[:2], vs[:2], top)
+        entry, exit_, _ = geometry.segment_table(scene, xs[:2], vs[:2], top)
         marks = np.concatenate([entry.ravel(), exit_.ravel()])
         marks = marks[marks < top]
         if scene.periodic_box is None:
@@ -333,9 +327,9 @@ class TestSurvivalCurves:
         xs, vs = self._rays(scene, 12, np.random.default_rng(31), False)
         top = 1.0 if scene.periodic_box is not None else 2.0
         grid = self._grid(scene, xs, vs, top)
-        got = flight.survival_curves(scene, xs, vs, grid)
+        got = polykernel.survival_curves(scene, xs, vs, grid)
         for x, v, row in zip(xs, vs, got):
-            want = [polykernel.survival_psi(scene, x, v, t) for t in grid]
+            want = [oracle.survival_psi(scene, x, v, t) for t in grid]
             assert row == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("which", ["finite3", "tiled3", "mixed"])
@@ -347,16 +341,16 @@ class TestSurvivalCurves:
         assert np.all(np.linalg.norm(z, axis=1) > 0)
         top = 1.0 if scene.periodic_box is not None else 2.0
         grid = self._grid(scene, xs, vs, top)
-        got = flight.survival_curves(scene, xs, vs, grid, z)
+        got = polykernel.survival_curves(scene, xs, vs, grid, z)
         for x, v, w, row in zip(xs, vs, z, got):
-            want = [polykernel.survival_psi0_marg(scene, x, v, t, w)
+            want = [oracle.survival_psi0_marg(scene, x, v, t, w)
                     for t in grid]
             assert row == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_psi0_off_grain_start_rejected(self, two_squares):
-        with pytest.raises(flight.OffGrainStart):
-            flight.survival_curves(two_squares, [[0.32, 0.1]], [[0.0, 1.0]],
-                                   [0.0, 1.0], z=[[0.2]])
+        with pytest.raises(polykernel.OffGrainStart):
+            polykernel.survival_curves(two_squares, [[0.32, 0.1]],
+                                       [[0.0, 1.0]], [0.0, 1.0], z=[[0.2]])
 
 
 class TestSamplers:
@@ -394,8 +388,8 @@ class TestSamplers:
         m = 4000
         xs2 = flight.sample_positions(two_squares, m, rng2)
         vs2 = scattering.sample_direction(rng2, 2, m)
-        esc_q = np.mean([polykernel.survival_psi(two_squares, x, v, 3.0)
-                         for x, v in zip(xs2, vs2)])
+        esc_q = np.mean(polykernel.survival_curves(two_squares, xs2, vs2,
+                                                   [3.0])[:, 0])
         se = np.sqrt(esc_q * (1 - esc_q)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
         assert abs(esc_emp - esc_q) < 4 * se + 1e-3
 

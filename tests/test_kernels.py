@@ -353,6 +353,24 @@ class TestKernelModel:
         with pytest.raises(ValueError, match="nonnegative"):
             m.invert_phi_cdf(-1e-3)
 
+    @pytest.mark.parametrize("medium,dim", [("crystal", 2), ("crystal", 3),
+                                            ("poisson", 2), ("poisson", 3)])
+    def test_invert_phi_cdf_rejects_negative_mass(self, medium, dim):
+        m = KernelModel(medium, dim)
+        for mass in (-0.1, np.array([0.2, -1e-300])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                m.invert_phi_cdf(mass)
+
+    def test_invert_phi_cdf_2d_crystal_clips_to_the_range(self):
+        # mass beyond 1 - D_Phi(1/2) gives 1/2, as in d=3 beyond
+        # 1 - D_Phi(1/4) it gives 1/4: no root past the range, and no NaN
+        # where the quadratic has no real root
+        m = KernelModel("crystal", 2)
+        top = 1.0 - d_phi(0.5, 2)
+        assert m.invert_phi_cdf(top) == pytest.approx(0.5, abs=1e-12)
+        over = np.array([top * (1 + 1e-9), 0.75, np.pi ** 2 / 12, 0.9, 1.0])
+        assert np.array_equal(m.invert_phi_cdf(over), np.full(5, 0.5))
+
 
 class TestConditionalSampling3d:
     """The d=3 pieces of the per-segment sampler: the first-segment root and

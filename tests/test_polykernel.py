@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from polyxport import flight, geometry, scattering
 from polyxport import kernels as K
 from polyxport import polykernel as pk
 from polyxport import presets
 from polyxport.geometry import inside_indicator, itinerary
+
+import itinerary_oracles as oracle
 
 
 def unit(th):
@@ -240,7 +243,7 @@ class TestPoissonClosedForms:
                                              [-0.1, -0.1], [1.6, 0.5]):
             w = rand_ball(rng, 1)
             z = rand_ball(rng, 1)
-            closed = pk.poisson_psi(scene, x, v, xi, w, z)
+            closed = pk.poisson_psi(scene, x, v, xi)
             assert pk.psi(scene, x, v, xi) == pytest.approx(
                 closed["psi"], abs=1e-12)
             assert pk.psi_marg_w(scene, x, v, xi, w) == pytest.approx(
@@ -272,7 +275,7 @@ class TestSurvival:
         for t in (0.05, 0.25):
             tail, _ = quad(lambda s: pk.psi0_marg(two_squares, x, v, s, w),
                            t, 2.0, limit=400)
-            k1 = pk.kernel_for_grain(two_squares, 1)
+            k1 = K.for_medium(two_squares.medium_by_id(1), 2)
             segs = itinerary(two_squares, x, v, 2.0)
             esc = float(k1.phi_marg(segs[0].sejour, w)) \
                 * float(K.d_phi(segs[1].sejour, 2))
@@ -309,3 +312,110 @@ class TestLogDerivativeWithinSegment:
         r1 = pk.psi(two_squares, x, v, xi1) / float(K.phi_freepath(xi1 - a, 2))
         r2 = pk.psi(two_squares, x, v, xi2) / float(K.phi_freepath(xi2 - a, 2))
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+class TestFamilyCurves:
+    """family_curves against the scalar loop products of the oracle, on
+    every scene shape: one grid, one parameter row per ray."""
+
+    FAMILIES = {"psi": (), "psi_marg_w": ("w",), "psi0_marg": ("w",),
+                "psi0_full": ("w", "z")}
+
+    @pytest.fixture(scope="class")
+    def scenes(self, two_squares, mixed_squares, tiled_crystal,
+               tiled_crystal_3d):
+        return {"finite2": two_squares, "finite3": presets.two_boxes_3d(),
+                "mixed": mixed_squares, "tiled2": tiled_crystal,
+                "tiled3": tiled_crystal_3d}
+
+    @staticmethod
+    def _rays(scene, rng, n=12):
+        """Starts in grains, in gaps and outside every grain of a finite
+        scene, the first two along the row of grains; a grid of 0, a
+        regular grid, every entry and exit of those two rays, and a point
+        beyond every segment of a finite scene."""
+        d = scene.dimension
+        if scene.periodic_box is not None:
+            xs = flight.sample_positions(scene, n, rng)
+            top = 1.0
+        else:
+            verts = np.vstack([g.get_vertices() for g in scene.grains])
+            xs = rng.uniform(verts.min(axis=0) - 0.1,
+                             verts.max(axis=0) + 0.1, (n, d))
+            xs[0] = scene.anchor
+            top = 2.0
+        vs = scattering.sample_direction(rng, d, n)
+        vs[:2] = np.eye(d)[0]
+        entry, exit_, _ = geometry.segment_table(scene, xs[:2], vs[:2], top)
+        marks = np.concatenate([entry.ravel(), exit_.ravel()])
+        grid = np.unique(np.concatenate([np.linspace(0.0, top, 33),
+                                         marks[marks < top]]))
+        params = {"w": scattering.sample_ball(rng, d - 1, n),
+                  "z": scattering.sample_ball(rng, d - 1, n)}
+        return xs, vs, grid, params
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_matches_oracle(self, which, family, scenes):
+        scene = scenes[which]
+        xs, vs, grid, params = self._rays(scene, np.random.default_rng(41))
+        keys = self.FAMILIES[family]
+        got = pk.family_curves(scene, xs, vs, grid, family, **params)
+        scalar = getattr(oracle, family)
+        for i, row in enumerate(got):
+            args = [params[k][i] for k in keys]
+            want = [scalar(scene, xs[i], vs[i], g, *args) for g in grid]
+            # abs=0: a zero of the oracle must be an exact zero
+            assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_exact_zeros_and_row_independence(self, which, family, scenes):
+        scene = scenes[which]
+        xs, vs, grid, params = self._rays(scene, np.random.default_rng(42))
+        got = pk.family_curves(scene, xs, vs, grid, family, **params)
+        entry, exit_, _ = geometry.segment_table(scene, xs, vs, grid[-1])
+        on = np.any((entry[:, :, None] <= grid)
+                    & (grid < exit_[:, :, None]), axis=1)
+        assert np.all(got[~on] == 0.0)
+        off_grain = entry[:, 0] != 0.0
+        if family.startswith("psi0"):
+            assert np.all(got[off_grain] == 0.0)
+        if scene.periodic_box is None:
+            assert (~on).any() and off_grain.any() and not off_grain.all()
+            assert np.all(got[on & ~off_grain[:, None]] > 0.0)
+        # eleven copies of the rays: more than one block of the table
+        n = len(xs)
+        rep = 11
+        assert n * rep > geometry.TABLE_ROWS
+        many = pk.family_curves(
+            scene, np.tile(xs, (rep, 1)), np.tile(vs, (rep, 1)), grid,
+            family, **{k: np.tile(p, (rep, 1)) for k, p in params.items()})
+        keys = self.FAMILIES[family]
+        for i in range(n):
+            one = pk.family_curves(scene, xs[i:i + 1], vs[i:i + 1], grid,
+                                   family, **{k: params[k][i:i + 1]
+                                              for k in keys})
+            assert np.array_equal(one[0], got[i])
+            assert np.array_equal(many[i + n * (rep - 1)], got[i])
+        # the scalar names are the same one-row call
+        i, j = 0, len(grid) // 3
+        scalar = getattr(pk, family)(scene, xs[i], vs[i], grid[j],
+                                     *[params[k][i] for k in keys])
+        assert scalar == got[i, j]
+
+    def test_along_ray_keeps_the_order(self, two_squares):
+        x, v = two_squares.anchor, unit(0.0)
+        xis = [0.4, 0.1, 0.17, 0.1, 0.0]
+        got = pk.along_ray(two_squares, "psi0_full", x, v, xis, [0.3], [0.1])
+        assert got.tolist() == [pk.psi0_full(two_squares, x, v, xi, [0.3],
+                                             [0.1]) for xi in xis]
+        with pytest.raises(ValueError, match="nonnegative"):
+            pk.along_ray(two_squares, "psi", x, v, [0.1, -0.1])
+        with pytest.raises(ValueError, match="unit ball"):
+            pk.along_ray(two_squares, "psi_marg_w", x, v, [0.1], [1.5])
+        # a parameter the family does not take is not checked
+        assert pk.along_ray(two_squares, "psi", x, v, [0.1], [1.5]) \
+            == pk.along_ray(two_squares, "psi", x, v, [0.1])

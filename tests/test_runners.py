@@ -40,6 +40,16 @@ def tiled_scene_doc(medium="crystal"):
     }
 
 
+def tiled_poisson_3d_doc():
+    return {
+        "dimension": 3,
+        "anchor": [0.07, 0.07, 0.07],
+        "grains": [{"id": 1, "box": [[0.0] * 3, [0.14] * 3],
+                    "medium": {"type": "poisson"}}],
+        "periodic_box": {"lo": [0.0] * 3, "hi": [0.14] * 3},
+    }
+
+
 def test_run_freepath_small():
     cfg = ExperimentConfig.from_dict({
         "scene": crystal_scene_doc(),
@@ -109,6 +119,25 @@ def test_run_poisson_baseline_small():
     assert report["gap_ks"] < 0.03
 
 
+def test_poisson_baseline_3d_memorylessness_sees_the_polar_angle(
+        monkeypatch):
+    # a collision sampler whose flight lengths depend on the previous
+    # direction through v_z only: the azimuth table cannot see it
+    def by_polar(scene, x_col, v_prev, v_now, rng, **kwargs):
+        scale = 1.0 + np.asarray(v_prev)[:, 2]
+        return rng.exponential(scale / np.pi), np.array(v_now, dtype=float)
+
+    cfg = ExperimentConfig.from_dict({
+        "scene": tiled_poisson_3d_doc(),
+        "experiment": {"kind": "poisson-baseline", "seed": 3,
+                       "samples": 20000, "time": 0.2}})
+    honest = harness.run_poisson_baseline(cfg)
+    assert honest["memoryless_p"] > 0.001
+    monkeypatch.setattr(flight, "sample_collision", by_polar)
+    report = harness.run_poisson_baseline(cfg)
+    assert report["memoryless_p"] < 1e-6
+
+
 def test_poisson_baseline_thresholds_from_config():
     def verdict(thresholds):
         doc = {"scene": tiled_scene_doc("poisson"),
@@ -169,6 +198,18 @@ def test_run_flight_reports():
         report["n0_fraction_oracle"], abs=0.02)
     assert sum(report["xi_hist"]["counts"]) > 0
     assert len(report["v_angle_hist"]["edges"]) == 41
+    assert "v_polar_hist" not in report
+
+
+def test_run_flight_marginals_3d_histogram_the_polar_cosine():
+    cfg = ExperimentConfig.from_dict({
+        "scene": tiled_poisson_3d_doc(),
+        "experiment": {"kind": "flight", "seed": 2, "particles": 4000,
+                       "time": 0.5, "report": "marginals"}})
+    report = harness.run_flight(cfg)
+    hist = report["v_polar_hist"]
+    assert hist["edges"] == np.linspace(-1.0, 1.0, 41).tolist()
+    assert sum(hist["counts"]) == 4000
 
 
 def test_runner_dispatch():
