@@ -2,9 +2,10 @@
 golden files byte for byte (generated once by this implementation)."""
 import os
 
+import numpy as np
 import pytest
 
-from polyxport import harness, presets
+from polyxport import flight, harness, presets
 from polyxport.geometry import ConvexGrain, make_scene
 from polyxport.lattice import CrystalMedium, PoissonMedium
 from polyxport.microsim import BetaSpec
@@ -75,3 +76,29 @@ def test_golden_limit_cdf(name):
         golden = fh.read()
     assert "".join(limit_cdf_lines(name)) == golden, \
         f"{name} drifted from the frozen output"
+
+
+def flight_stream_lines(scenes):
+    """For each (label, scene): 64 particles of sample_initial evolved to
+    t = 0.5 at a fixed seed, one line 'xi,v_plus...,nu' per particle with
+    repr floats, after a '# label' header."""
+    lines = []
+    for label, scene in scenes:
+        rng = np.random.default_rng(20261018)
+        ens = flight.evolve(scene, flight.sample_initial(scene, 64, rng),
+                            0.5, rng)
+        lines.append(f"# {label}\n")
+        for xi, vp, nu in zip(ens.xi, ens.v_plus, ens.nu):
+            vals = [float(xi)] + [float(c) for c in vp]
+            lines.append(",".join(repr(x) for x in vals) + f",{int(nu)}\n")
+    return lines
+
+
+def test_golden_flight_streams(tiled_crystal, tiled_crystal_3d):
+    with open(os.path.join(GOLDEN_DIR, "flight_streams.txt"),
+              encoding="utf-8") as fh:
+        golden = fh.read()
+    fresh = "".join(flight_stream_lines([("tiled 2D crystal", tiled_crystal),
+                                         ("tiled 3D crystal",
+                                          tiled_crystal_3d)]))
+    assert fresh == golden, "flight_streams.txt drifted from the frozen output"
