@@ -29,9 +29,9 @@ def main():
     z = np.array([-0.5, 0.2])
     print(f"phi0(0.2, w, z)        = {float(kernels.phi0_3d(0.2, w, z)):.6f}")
     print(f"zeta(3)^-1 upper bound = {1/kernels.ZETA3:.6f}")
-    print(f"G(0) = {kernels.G(0.0, method='quad'):.8f}"
+    print(f"G(0) = {float(kernels.G(0.0)):.8f}"
           f"   closed form {np.pi*(4*np.pi+3*np.sqrt(3))/16:.8f}")
-    print(f"G(1) = {kernels.G(1.0, method='quad'):.8f}"
+    print(f"G(1) = {float(kernels.G(1.0)):.8f}"
           f"   closed form {5*np.pi**2/16 + 1:.8f}")
 
     print("\n== disordered medium: everything is exponential ==")

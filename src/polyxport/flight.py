@@ -7,18 +7,15 @@ for every kernel family: the length segment by segment, by inversion of
 its marginal over the impact parameter, and then the impact parameter
 given the length (uniform on the ball where the family does not depend on
 it, a short rejection against its bound over the ball for the d=3
-crystal).  Exact rejection of (xi, w) jointly against the gap-discounted
-exponential envelope is kept as the independent slow oracle.
+crystal).  Its independent slow oracle, exact rejection of (xi, w) jointly
+against the gap-discounted exponential envelope, lives with the tests.
 
-Ensemble operations are vectorized over particles.  The grain segments
-along the rays come from geometry's segment table (rays x segments:
-entry, exit, grain id).  The rejection oracle's budget walk is an array
-operation on blocks of that table, and the n=0 oracle averages
-polykernel's survival product over it; the sampler, which draws once per
-segment, steps one segment per round (geometry's cursor over the table,
-or the cell walker that the tiled table is built from).  Escapes are
-first-class: a particle whose flight never meets another grain gets
-xi = +inf and flies straight forever.
+Ensemble operations are vectorized over particles.  The sampler draws once
+per segment and steps one segment per round (geometry's cursor over the
+segment table, or the cell walker that the tiled table is built from); the
+n=0 oracle averages polykernel's survival product over that table.
+Escapes are first-class: a particle whose flight never meets another grain
+gets xi = +inf and flies straight forever.
 """
 from __future__ import annotations
 
@@ -28,8 +25,7 @@ import numpy as np
 
 from . import kernels as KK
 from . import polykernel, scattering, stats, streams
-from .geometry import (FiniteSceneWalker, SceneError, TiledBoxWalker,
-                       _table_blocks, segment_table)
+from .geometry import FiniteSceneWalker, SceneError, TiledBoxWalker
 
 _MAX_ROUNDS = 20000
 
@@ -51,15 +47,13 @@ def _uniform_kernel(scene):
 # flight-length + impact-parameter sampling
 # ---------------------------------------------------------------------------
 
-def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None, method="auto"):
+def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
     """Draw (xi, w) from the joint limit density, one row per particle.
 
     kind 'psi' is the generic-start family (initial condition), 'psi0' the
     scatterer-start family with exit parameters z.  Escapes come back as
-    xi = +inf with a zero parameter row.  method 'auto' draws xi segment
-    by segment by inversion of its w-free marginal, then w given xi;
-    'rejection' proposes (xi, w) jointly under the tail envelope, the
-    independent slow oracle of the first.
+    xi = +inf with a zero parameter row.  xi is drawn segment by segment
+    by inversion of its w-free marginal, then w given xi.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -70,11 +64,7 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None, method="auto"):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if len(z) != len(xs):
             raise ValueError("need one exit parameter per particle")
-    if method == "auto":
-        return _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z)
-    if method == "rejection":
-        return _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z)
-    raise ValueError(f"unknown sampling method {method!r}")
+    return _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z)
 
 
 def _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z):
@@ -180,110 +170,6 @@ def _sample_w_given_xi(rng, xi, off, lead, z):
     raise RuntimeError("impact-parameter sampling did not terminate")
 
 
-def _walk_to_budget(scene, kern, xs, vs, budget, kind):
-    """Walk segments until the in-grain budget is spent.
-
-    Returns (xi_p, u, ing_tot, prod, ell1, in_first, escaped) arrays; prod
-    collects D_Phi over completed segments, skipping the first segment for
-    the scatterer-start branch whose factor is the survival marginal.
-    """
-    n = len(xs)
-    xi_p = np.full(n, np.inf)
-    u_off = np.zeros(n)
-    ing = np.zeros(n)
-    prod = np.ones(n)
-    ell1 = np.zeros(n)
-    in_first = np.zeros(n, dtype=bool)
-    escaped = np.zeros(n, dtype=bool)
-    for rows, entry, exit_, _ in _table_blocks(scene, xs, vs, budget):
-        valid = np.isfinite(entry)
-        ell = np.zeros(entry.shape)
-        np.subtract(exit_, entry, out=ell, where=valid)
-        done = np.cumsum(ell, axis=1)
-        before = np.zeros_like(done)
-        before[:, 1:] = done[:, :-1]
-        rem = budget[rows, None] - before
-        land = valid & (rem < ell)
-        landed = land.any(axis=1)
-        k = np.argmax(land, axis=1)
-        last = np.where(landed, k, entry.shape[1])
-        completed = valid & (np.arange(entry.shape[1]) < last[:, None])
-        if kind == "psi0":
-            completed[:, 0] = False
-        factor = np.ones(entry.shape)
-        if completed.any():
-            factor[completed] = kern.d_phi(ell[completed])
-        prod[rows] = np.cumprod(factor, axis=1)[:, -1]
-        ell1[rows] = ell[:, 0]
-        i = np.arange(len(k))
-        r = rem[i, k]
-        u_off[rows] = np.where(landed, r, 0.0)
-        xi_p[rows] = np.where(landed, entry[i, k] + r, np.inf)
-        ing[rows] = np.where(landed, budget[rows], done[:, -1])
-        in_first[rows] = landed & (k == 0)
-        escaped[rows] = ~landed
-    return xi_p, u_off, ing, prod, ell1, in_first, escaped
-
-
-def _sample_xi_w_rejection(scene, kern, xs, vs, rng, kind, z):
-    n = len(xs)
-    d = scene.dimension
-    gamma = polykernel.tail_rate(scene)
-    C = polykernel.tail_prefactor(scene)
-    sb = kern.sigma_bar
-    xi = np.full(n, np.inf)
-    w = np.zeros((n, d - 1))
-    pending = np.arange(n)
-    if kind == "psi0":
-        e0 = segment_table(scene, xs, vs, 0.0)[0][:, 0]
-        pending = pending[e0 == 0.0]   # off-grain starts escape
-    for _ in range(_MAX_ROUNDS):
-        if not len(pending):
-            return xi, w
-        m = len(pending)
-        E = rng.exponential(1.0 / gamma, size=m)
-        wprop = scattering.sample_ball(rng, d - 1, m)
-        xi_p, u, ing_tot, prod, ell1, in_first, esc = _walk_to_budget(
-            scene, kern, xs[pending], vs[pending], E, kind)
-        target = np.zeros(m)
-        live = ~esc
-        if live.any():
-            if kind == "psi":
-                target[live] = prod[live] * np.asarray(
-                    kern.phi_marg(u[live], wprop[live]))
-            else:
-                zl = z[pending][live]
-                f = in_first[live]
-                tv = np.empty(int(live.sum()))
-                if f.any():
-                    tv[f] = np.asarray(kern.phi0(xi_p[live][f], wprop[live][f],
-                                                 zl[f]))
-                if (~f).any():
-                    tv[~f] = np.asarray(kern.phi_marg(ell1[live][~f], zl[~f])) \
-                        * prod[live][~f] \
-                        * np.asarray(kern.phi_marg(u[live][~f], wprop[live][~f]))
-                target[live] = tv
-        accept = np.zeros(m, dtype=bool)
-        roll = rng.random(m)
-        if live.any():
-            ratio = target[live] / (C * np.exp(-gamma * E[live]))
-            accept[live] = roll[live] < ratio
-        if esc.any():
-            t_esc = prod[esc].copy()
-            if kind == "psi0":
-                t_esc *= np.asarray(kern.phi_marg(ell1[esc], z[pending][esc]))
-            ratio = t_esc * gamma / (C * sb * np.exp(-gamma * ing_tot[esc]))
-            accept[esc] = roll[esc] < ratio
-        acc_rows = pending[accept]
-        if len(acc_rows):
-            acc_esc = esc[accept]
-            xi[acc_rows[~acc_esc]] = xi_p[accept][~acc_esc]
-            w[acc_rows[~acc_esc]] = wprop[accept][~acc_esc]
-            xi[acc_rows[acc_esc]] = np.inf
-        pending = pending[~accept]
-    raise RuntimeError("rejection sampling did not terminate")
-
-
 # ---------------------------------------------------------------------------
 # ensembles and evolution
 # ---------------------------------------------------------------------------
@@ -341,7 +227,7 @@ def sample_positions(scene, n, rng):
     return out
 
 
-def sample_initial(scene, n, rng, method="auto"):
+def sample_initial(scene, n, rng):
     """Ensemble distributed as f0(x, v) times the stationary kernel.
 
     Positions follow the scene's spatial law (sample_positions), velocities
@@ -350,7 +236,7 @@ def sample_initial(scene, n, rng, method="auto"):
     """
     xs = sample_positions(scene, n, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n)
-    xi, w = sample_xi_w(scene, xs, vs, rng, kind="psi", method=method)
+    xi, w = sample_xi_w(scene, xs, vs, rng, kind="psi")
     v_plus = vs.copy()
     fin = np.isfinite(xi)
     if fin.any():
@@ -358,7 +244,7 @@ def sample_initial(scene, n, rng, method="auto"):
     return Ensemble(xs, vs, xi, v_plus, np.zeros(n, dtype=int))
 
 
-def sample_collision(scene, x_col, v_prev, v_now, rng, method="auto"):
+def sample_collision(scene, x_col, v_prev, v_now, rng):
     """Draw (xi, v_plus) after a collision at x_col.
 
     v_prev/v_now are the velocities before/after the collision; the exit
@@ -368,8 +254,7 @@ def sample_collision(scene, x_col, v_prev, v_now, rng, method="auto"):
     v_prev = np.atleast_2d(np.asarray(v_prev, dtype=float))
     v_now = np.atleast_2d(np.asarray(v_now, dtype=float))
     s = scattering.exit_params_many(v_now, v_prev)
-    xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=-s,
-                        method=method)
+    xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=-s)
     v_plus = v_now.copy()
     fin = np.isfinite(xi)
     if fin.any():
@@ -377,7 +262,7 @@ def sample_collision(scene, x_col, v_prev, v_now, rng, method="auto"):
     return xi, v_plus
 
 
-def evolve(scene, ens, dt, rng, method="auto"):
+def evolve(scene, ens, dt, rng):
     """Advance the ensemble by dt: straight flight, collisions, resampling.
 
     Returns a new ensemble; the input is untouched.  Escaped particles
@@ -399,7 +284,7 @@ def evolve(scene, ens, dt, rng, method="auto"):
         out.v[rows] = out.v_plus[rows]
         out.nu[rows] += 1
         xi_new, v_plus_new = sample_collision(scene, out.x[rows], v_prev,
-                                              out.v[rows], rng, method=method)
+                                              out.v[rows], rng)
         out.xi[rows] = xi_new
         out.v_plus[rows] = v_plus_new
     else:
@@ -420,8 +305,7 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng):
 
     Uses the closed-form survival of the generic-start density, which is
     independent of the ensemble evolution path: polykernel.survival_curves
-    at the one-point grid [t], over the segment table that the rejection
-    oracle walks.
+    at the one-point grid [t], over the segments the sampler walks.
     """
     xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)

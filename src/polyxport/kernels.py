@@ -83,73 +83,20 @@ def disk_section_area(t):
 F = disk_section_area
 
 
-def _section_area_scalar(t):
-    """disk_section_area of one Python float, bit for bit, as a float.
-
-    The quadrature integrands call it about 1.3e5 times per rebuild of the
-    2001 G nodes; the array version spends most of that in np.asarray and
-    its range scans.  The arithmetic after the arccos is the same IEEE
-    operations on floats.  np.arccos is kept on purpose: math.acos (libm)
-    differs from numpy's arccos in the last bit on some inputs, which would
-    move the nodes away from the shipped table.
-    """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must lie in [0, 1)")
-    return np.pi - float(np.arccos(t)) + t * math.sqrt(1.0 - t * t)
-
-
 class _GTable:
     """The quadratic-coefficient weight G, read from a shipped cubic table.
 
     `g_table.npy` holds the (4, 2000) coefficients of scipy's CubicSpline
-    through the 2001 nodes G(k / 2000) of `direct`, which the tests rebuild
-    and compare exactly.  It is loaded on the first call and evaluated in
-    the order of operations of scipy's PPoly: the spline's bits, no SciPy.
-
-    `direct` integrates twice with an adaptive Gauss-Kronrod rule (abs
-    target 1e-9); the endpoint of the arccos factor has a sqrt-type
-    derivative blow-up which the rule handles after splitting at the
-    breakpoints r = 1-w and r = 1+w.  Its integrands evaluate F through
-    `_section_area_scalar` and do their own arithmetic on Python floats,
-    the same IEEE operations as the array version, so the rule takes the
-    same steps and gives the nodes bit for bit.  The np.arccos calls must
-    not become math.acos: libm's arccos moves over a hundred of the nodes
-    by up to 1.8e-15, and with them every golden on the G path.
+    through the 2001 nodes G(k / 2000), each integrated by quadrature; the
+    tests rebuild them from their quadrature oracle and compare exactly.
+    It is loaded on the first call and evaluated in the order of
+    operations of scipy's PPoly: the spline's bits, no SciPy.
     """
 
     n_grid = 2001
 
     def __init__(self):
         self._coef = None
-
-    @staticmethod
-    def direct(w):
-        from scipy.integrate import quad
-        w = float(w)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("w must lie in [0, 1]")
-        total = 0.0
-        if w < 1.0:
-            i1, _ = quad(lambda r: _section_area_scalar(0.5 * r) * r,
-                         0.0, 1.0 - w, epsabs=1e-10, epsrel=1e-12, limit=200)
-            total += np.pi * i1
-
-        def inner(r):
-            c = (w * w + r * r - 1.0) / (2.0 * w * r)
-            c = 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
-            return _section_area_scalar(0.5 * r) * float(np.arccos(c)) * r
-
-        if w > 0.0:
-            # arccos has sqrt-type derivative blow-up at both ends; the
-            # substitutions r = (1-w) + u^2 and r = (1+w) - u^2 flatten it
-            lo, hi = 1.0 - w, 1.0 + w
-            half = np.sqrt(w)
-            i2a, _ = quad(lambda u: inner(lo + u * u) * 2.0 * u,
-                          0.0, half, epsabs=1e-10, epsrel=1e-12, limit=200)
-            i2b, _ = quad(lambda u: inner(hi - u * u) * 2.0 * u,
-                          0.0, half, epsabs=1e-10, epsrel=1e-12, limit=200)
-            total += i2a + i2b
-        return total
 
     def _build(self):
         self._knots = np.linspace(0.0, 1.0, self.n_grid)
@@ -184,20 +131,14 @@ class _GTable:
 _G_TABLE = _GTable()
 
 
-def second_order_weight(w, method="interp"):
+def second_order_weight(w):
     """G(w): weight of the quadratic term of the d=3 marginal survival.
 
     Known endpoints: G(0) = pi (4 pi + 3 sqrt 3)/16, G(1) = 5 pi^2/16 + 1;
-    continuous and strictly increasing in between.  method "interp" reads
-    the shipped cubic coefficients (no SciPy); "quad" integrates directly
-    with scipy's quad and is the oracle the tests check the table against.
+    continuous and strictly increasing in between.  Read from the shipped
+    cubic coefficients (no SciPy); the tests check them against direct
+    quadrature.
     """
-    if method == "quad":
-        if np.ndim(w) == 0:
-            return _GTable.direct(w)
-        return np.array([_GTable.direct(t) for t in np.ravel(w)]).reshape(np.shape(w))
-    if method != "interp":
-        raise ValueError(f"unknown G method {method!r}; use 'interp' or 'quad'")
     return _G_TABLE(w)
 
 

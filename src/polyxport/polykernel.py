@@ -206,7 +206,7 @@ def _check_ball(scene, w):
         raise ValueError("parameter outside the closed unit ball")
 
 
-def survival_psi(scene, x, v, t, horizon=None):
+def survival_psi(scene, x, v, t):
     """P(path length >= t) = int_t^inf psi + escape mass, in closed form."""
     return float(along_ray(scene, "survival_psi", x, v, t)[0])
 
@@ -315,8 +315,7 @@ def integrate_psi0_marg_over_w(scene, x, v, xi, order=64):
     return float(vals @ weights)
 
 
-def check_transport_identity(scene, samples, fd_scale=1e-6, tol_boundary=1e-12,
-                             quad_order=64):
+def check_transport_identity(scene, samples, fd_scale=1e-6, quad_order=64):
     """Verify the directional-derivative identity on sampled phase points.
 
     For each (x, v, xi): the one-sided difference of psi along

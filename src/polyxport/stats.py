@@ -32,10 +32,6 @@ class EmpiricalCDF:
     def n(self):
         return len(self.values)
 
-    @property
-    def escape_mass(self):
-        return 1.0 - self.total_mass
-
     def evaluate(self, x):
         """F(x) = mass of samples <= x (defective when escapes exist)."""
         x = np.asarray(x, dtype=float)

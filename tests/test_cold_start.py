@@ -3,8 +3,8 @@
 Each case runs in a fresh interpreter, since the test session itself has
 SciPy loaded.  The d=3 G table is read from shipped coefficients, so a
 flight on a tiled 3D crystal box loads no SciPy either.  SciPy stays
-imported where it is needed: grains that are not boxes, G by quadrature,
-and the chi-square tails of the transition and poisson runners.
+imported where it is needed: grains that are not boxes and the chi-square
+tails of the transition and poisson runners.
 """
 import json
 import os

@@ -10,6 +10,7 @@ from polyxport.flight import (Ensemble, evolve, n_collision_histogram,
 from polyxport.geometry import (FiniteSceneWalker, SceneError, TiledBoxWalker,
                                 inside_indicator, itinerary)
 
+import flight_oracles
 import itinerary_oracles as oracle
 
 
@@ -226,7 +227,8 @@ class TestBudgetWalk:
         budget = np.array(data.draw(st.lists(
             st.floats(0.0, top), min_size=len(rows), max_size=len(rows))))
         kern = flight._uniform_kernel(scene)
-        got = flight._walk_to_budget(scene, kern, xs, vs, budget, kind)
+        got = flight_oracles._walk_to_budget(scene, kern, xs, vs, budget,
+                                             kind)
         for i in range(len(xs)):
             want, marks = _scalar_walk(scene, kern, xs[i], vs[i], budget[i],
                                        kind)
@@ -398,23 +400,14 @@ class TestSamplers:
         n = 40000
         xs = flight.sample_positions(two_squares, n, rng)
         vs = scattering.sample_direction(rng, 2, n)
-        xa, wa = sample_xi_w(two_squares, xs, vs, rng, kind="psi",
-                             method="auto")
-        xb, wb = sample_xi_w(two_squares, xs, vs, rng, kind="psi",
-                             method="rejection")
+        xa, wa = sample_xi_w(two_squares, xs, vs, rng, kind="psi")
+        xb, wb = flight_oracles.sample_xi_w_rejection(two_squares, xs, vs,
+                                                      rng, kind="psi")
         d, p = stats.ks_two_sample(xa[np.isfinite(xa)], xb[np.isfinite(xb)])
         assert p > 0.001
         d2, p2 = stats.ks_two_sample(wa[np.isfinite(xa), 0],
                                      wb[np.isfinite(xb), 0])
         assert p2 > 0.001
-
-    def test_unknown_method_rejected(self, two_squares):
-        xs = np.tile(two_squares.anchor, (4, 1))
-        vs = np.tile([1.0, 0.0], (4, 1))
-        for method in ("factorized", "inversion"):
-            with pytest.raises(ValueError, match="unknown sampling method"):
-                sample_xi_w(two_squares, xs, vs, np.random.default_rng(0),
-                            method=method)
 
     def test_factorized_vs_rejection_psi0(self, two_squares):
         rng = np.random.default_rng(7)
@@ -423,46 +416,47 @@ class TestSamplers:
         v_prev = scattering.sample_direction(rng, 2, n)
         b = scattering.sample_ball(rng, 1, n)
         v_now = scattering.deflect_many(v_prev, b)
-        xa, va = sample_collision(two_squares, x0, v_prev, v_now, rng,
-                                  method="auto")
-        xb, vb = sample_collision(two_squares, x0, v_prev, v_now, rng,
-                                  method="rejection")
+        xa, va = sample_collision(two_squares, x0, v_prev, v_now, rng)
+        z = -scattering.exit_params_many(v_now, v_prev)
+        xb, wb = flight_oracles.sample_xi_w_rejection(two_squares, x0, v_now,
+                                                      rng, kind="psi0", z=z)
         d, p = stats.ks_two_sample(xa[np.isfinite(xa)], xb[np.isfinite(xb)])
         assert p > 0.001
 
-    def test_rejection_3d_crystal_matches_density(self):
+    @pytest.mark.parametrize("sampler, seed", [("rejection", 8),
+                                               ("auto", 28)])
+    def test_3d_crystal_matches_density(self, sampler, seed, monkeypatch):
         # d=3 kernels couple (xi, w); bin masses of the sampled law on a
         # single grain against direct quadrature of the marginal density
-        # with the per-direction segment cutoff
+        # with the per-direction segment cutoff, for the per-segment
+        # sampler and for the envelope rejection oracle
+        if sampler == "rejection":
+            monkeypatch.setattr(flight, "sample_xi_w",
+                                flight_oracles.sample_xi_w_rejection)
         scene = presets.single_box_3d(side=0.14)
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(seed)
         n = 60000
         x0 = np.tile(scene.anchor, (n, 1))
         v_prev = scattering.sample_direction(rng, 3, n)
-        b = scattering.sample_ball(rng, 2, n)
-        v_now = scattering.deflect_many(v_prev, b)
-        xi, v_plus = sample_collision(scene, x0, v_prev, v_now, rng,
-                                      method="rejection")
+        v_now = scattering.deflect_many(v_prev,
+                                        scattering.sample_ball(rng, 2, n))
+        xi, _ = sample_collision(scene, x0, v_prev, v_now, rng)
         fin = np.isfinite(xi)
         assert fin.mean() > 0.2
-        from polyxport.kernels import phi0_marginal
-        s = scattering.exit_params_many(v_now, v_prev)
-        zs = -s
+        zs = -scattering.exit_params_many(v_now, v_prev)
         edges = np.linspace(0, 0.13, 7)
-        counts = np.histogram(xi[fin], edges)[0]
+        emp = np.histogram(xi[fin], edges)[0] / n
         m = 2500
         probs = np.zeros(len(edges) - 1)
         for i in range(m):
             ell1 = itinerary(scene, x0[i], v_now[i], 1.0)[0].exit
             for j, (a, c) in enumerate(zip(edges, edges[1:])):
                 c_eff = min(c, ell1)
-                if c_eff <= a:
-                    continue
-                grid = np.linspace(a, c_eff, 9)
-                probs[j] += np.trapezoid(
-                    np.asarray(phi0_marginal(grid, zs[i], 3)), grid)
+                if c_eff > a:
+                    grid = np.linspace(a, c_eff, 9)
+                    probs[j] += np.trapezoid(
+                        kernels.phi0_marginal(grid, zs[i], 3), grid)
         probs /= m
-        emp = counts / n
         se = np.sqrt(probs * (1 - probs)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
         assert np.all(np.abs(emp - probs) < 5 * se + 2e-3)
 
@@ -490,8 +484,8 @@ class TestSamplers:
                                          scattering.sample_ball(rng, 2, n))
             z = -scattering.exit_params_many(vs, v_prev)
         xa, wa = sample_xi_w(scene, xs, vs, rng, kind=kind, z=z)
-        xb, wb = sample_xi_w(scene, xs, vs, rng, kind=kind, z=z,
-                             method="rejection")
+        xb, wb = flight_oracles.sample_xi_w_rejection(scene, xs, vs, rng,
+                                                      kind=kind, z=z)
         fa, fb = np.isfinite(xa), np.isfinite(xb)
         assert np.all(wa[~fa] == 0.0)
         assert np.all(np.linalg.norm(wa, axis=1) < 1.0)
@@ -501,35 +495,6 @@ class TestSamplers:
                                      np.linalg.norm(wb - ref, axis=1)[fb])
         assert p_xi > 0.001
         assert p_w > 0.001
-
-    def test_auto_3d_crystal_matches_density(self):
-        # the "auto" twin of test_rejection_3d_crystal_matches_density
-        scene = presets.single_box_3d(side=0.14)
-        rng = np.random.default_rng(28)
-        n = 60000
-        x0 = np.tile(scene.anchor, (n, 1))
-        v_prev = scattering.sample_direction(rng, 3, n)
-        v_now = scattering.deflect_many(v_prev,
-                                        scattering.sample_ball(rng, 2, n))
-        xi, _ = sample_collision(scene, x0, v_prev, v_now, rng)
-        fin = np.isfinite(xi)
-        assert fin.mean() > 0.2
-        zs = -scattering.exit_params_many(v_now, v_prev)
-        edges = np.linspace(0, 0.13, 7)
-        emp = np.histogram(xi[fin], edges)[0] / n
-        m = 2500
-        probs = np.zeros(len(edges) - 1)
-        for i in range(m):
-            ell1 = itinerary(scene, x0[i], v_now[i], 1.0)[0].exit
-            for j, (a, c) in enumerate(zip(edges, edges[1:])):
-                c_eff = min(c, ell1)
-                if c_eff > a:
-                    grid = np.linspace(a, c_eff, 9)
-                    probs[j] += np.trapezoid(
-                        kernels.phi0_marginal(grid, zs[i], 3), grid)
-        probs /= m
-        se = np.sqrt(probs * (1 - probs)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
-        assert np.all(np.abs(emp - probs) < 5 * se + 2e-3)
 
     def test_psi0_off_grain_start_escapes(self, two_squares):
         rng = np.random.default_rng(9)
@@ -601,30 +566,35 @@ class TestEvolve:
         assert np.array_equal(np.bincount(whole.nu).argmax(),
                               np.bincount(part.nu).argmax())
 
-    def test_factorized_and_rejection_evolve_agree(self, tiled_crystal):
+    def test_factorized_and_rejection_evolve_agree(self, tiled_crystal,
+                                                   monkeypatch):
         n = 20000
         rng1 = np.random.default_rng(17)
-        e1 = sample_initial(tiled_crystal, n, rng1, method="auto")
-        e1 = evolve(tiled_crystal, e1, 1.0, rng1, method="auto")
+        e1 = sample_initial(tiled_crystal, n, rng1)
+        e1 = evolve(tiled_crystal, e1, 1.0, rng1)
+        monkeypatch.setattr(flight, "sample_xi_w",
+                            flight_oracles.sample_xi_w_rejection)
         rng2 = np.random.default_rng(18)
-        e2 = sample_initial(tiled_crystal, n, rng2, method="rejection")
-        e2 = evolve(tiled_crystal, e2, 1.0, rng2, method="rejection")
+        e2 = sample_initial(tiled_crystal, n, rng2)
+        e2 = evolve(tiled_crystal, e2, 1.0, rng2)
         d, p = stats.ks_two_sample(e1.xi, e2.xi)
         assert p > 0.001
         c1 = np.bincount(e1.nu, minlength=8)[:8] / n
         c2 = np.bincount(e2.nu, minlength=8)[:8] / n
         assert np.max(np.abs(c1 - c2)) < 0.015
 
-
     def test_factorized_and_rejection_evolve_agree_3d(self,
-                                                      tiled_crystal_3d):
+                                                      tiled_crystal_3d,
+                                                      monkeypatch):
         n = 10000
         scene = tiled_crystal_3d
         runs = []
-        for seed, method in ((19, "auto"), (20, "rejection")):
+        for seed, sampler in ((19, sample_xi_w),
+                              (20, flight_oracles.sample_xi_w_rejection)):
+            monkeypatch.setattr(flight, "sample_xi_w", sampler)
             rng = np.random.default_rng(seed)
-            ens = sample_initial(scene, n, rng, method=method)
-            runs.append(evolve(scene, ens, 0.6, rng, method=method))
+            ens = sample_initial(scene, n, rng)
+            runs.append(evolve(scene, ens, 0.6, rng))
         e1, e2 = runs
         d, p = stats.ks_two_sample(e1.xi, e2.xi)
         assert p > 0.001
@@ -674,7 +644,7 @@ class TestStationarity:
         # components can see the drift
         box = tiled_crystal_3d.periodic_box
 
-        def squeeze(scene, ens, dt, rng, method="auto"):
+        def squeeze(scene, ens, dt, rng):
             out = ens.copy()
             for vs in (out.v, out.v_plus):
                 c = vs[:, 2] ** 3

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from kernel_oracles import g_spline_slow, invert_phi_cdf_newton
+from kernel_oracles import (_section_area_scalar, g_direct, g_spline_slow,
+                            invert_phi_cdf_newton)
 from scipy.integrate import dblquad, quad
 
 from polyxport import kernels as K
@@ -100,12 +101,12 @@ class TestF:
             1.0 - np.logspace(-16, -1, 200),
             [0.0, 0.5, np.nextafter(1.0, 0.0), 5e-324]])
         for t in ts.tolist():
-            assert K._section_area_scalar(t) == float(F(t)), t
+            assert _section_area_scalar(t) == float(F(t)), t
 
     @pytest.mark.parametrize("t", [-0.1, 1.0, float("nan")])
     def test_scalar_twin_domain(self, t):
         with pytest.raises(ValueError):
-            K._section_area_scalar(t)
+            _section_area_scalar(t)
 
 
 class TestG:
@@ -114,9 +115,9 @@ class TestG:
         return g_spline_slow()
 
     def test_endpoints(self):
-        assert G(0.0, method="quad") == pytest.approx(
+        assert g_direct(0.0) == pytest.approx(
             PI * (4 * PI + 3 * np.sqrt(3)) / 16, abs=1e-9)
-        assert G(1.0, method="quad") == pytest.approx(
+        assert g_direct(1.0) == pytest.approx(
             5 * PI ** 2 / 16 + 1, abs=1e-9)
 
     def test_strictly_increasing(self):
@@ -126,7 +127,7 @@ class TestG:
 
     def test_interp_matches_quad(self):
         for w in (0.0, 0.17, 0.5, 0.83, 1.0):
-            assert G(w) == pytest.approx(G(w, method="quad"), abs=1e-9)
+            assert G(w) == pytest.approx(g_direct(w), abs=1e-9)
 
     def test_shipped_coefficients_equal_the_quad_spline(self, g_spline):
         table = K._GTable()
@@ -156,10 +157,6 @@ class TestG:
         assert len(golden) == table.n_grid
         assert np.array_equal(nodes, golden)
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="'iterp'"):
-            G(0.5, method="iterp")
-
     def test_disk_integral_identity(self):
         # int_{|z|<1} F(|w-z|/2) dz = 2 G(|w|), via cartesian dblquad oracle
         for wx in (0.0, 0.45, 0.9):
@@ -169,7 +166,7 @@ class TestG:
                 lambda x: -np.sqrt(max(1 - x * x, 0)),
                 lambda x: np.sqrt(max(1 - x * x, 0)),
                 epsabs=1e-9)
-            assert val == pytest.approx(2 * G(wx, method="quad"), abs=1e-6)
+            assert val == pytest.approx(2 * g_direct(wx), abs=1e-6)
 
 
 class TestPhi03d:
