@@ -7,11 +7,11 @@ keeps the mean free path of order one as r -> 0.
 First-hit search runs on blocks of rays (`first_collisions`): every ray is
 clipped against every grain inflated by r, the candidate centers inside a
 thin tube around each clipped segment are enumerated for all rays at once
-(integer slabs of the grain lattice, or the cells of a sorted Poisson
-grid), and the entry roots are reduced to one minimum per ray.  The
-expected work per free path is O(1) at this scaling.  One-ray calls
-(`first_collision`, `trajectory`) and the tau_1 sampler use the same
-engine.
+(integer slabs of the grain lattice, or the cells of a Poisson grid's
+cell-start table), and the entry roots are reduced to one minimum per
+ray.  The expected work per free path is O(1) at this scaling.  One-ray
+calls (`first_collision`, `trajectory`) and the tau_1 sampler use the
+same engine.
 """
 from __future__ import annotations
 
@@ -119,34 +119,39 @@ class CollisionEvent:
 class PointGrid:
     """Fixed point set hashed into uniform cells, stored sorted by cell.
 
-    The points of each occupied cell are a contiguous run of `_order`
-    (an argsort of the linear cell keys); a query looks its cells up with
-    `searchsorted`, for many segments at once.
+    `_order` lists the points cell by cell, in row-major order over the
+    occupied box and by index within a cell.  The dense start table
+    `_start` has one entry per cell of that box plus one: cell c holds
+    `_order[_start[c]:_start[c + 1]]`, an empty cell an empty run.  The
+    order is one sort of the keys cell * n + index, which must stay below
+    2^63: a box of ncells cells with ncells * n >= 2^63 raises ValueError.
     """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
+        n, d = self.points.shape
         keys = np.floor(self.points / self.cell).astype(np.int64)
-        if len(keys):
-            self._lo = keys.min(axis=0)
-            self._shape = keys.max(axis=0) - self._lo + 1
+        if n:
+            # column by column: min(axis=0) on (n, d) is several times slower
+            self._lo = np.array([k.min() for k in keys.T])
+            self._shape = np.array([k.max() for k in keys.T]) - self._lo + 1
         else:
-            self._lo = self._shape = np.zeros(self.points.shape[1], np.int64)
-        lin = self._linear(keys)
-        self._order = np.argsort(lin, kind="stable")
-        self._cells, self._start, counts = np.unique(
-            lin[self._order], return_index=True, return_counts=True)
-        self._stop = self._start + counts
+            self._lo = self._shape = np.zeros(d, np.int64)
+        ncells = math.prod(int(s) for s in self._shape)
+        if ncells * n >= 2 ** 63:
+            raise ValueError(f"{ncells} cells x {n} points overflow the "
+                             "int64 sort key")
+        lin = self._linear(keys - self._lo)
+        self._order = np.sort(lin * n + np.arange(n)) % max(n, 1)
+        self._start = np.r_[0, np.cumsum(np.bincount(lin, minlength=ncells))]
 
-    def _linear(self, keys):
-        """Row-major cell index inside the occupied box; -1 outside it."""
-        rel = keys - self._lo
-        inside = np.all((rel >= 0) & (rel < self._shape), axis=1)
-        lin = np.zeros(len(keys), dtype=np.int64)
-        for axis in range(keys.shape[1]):
+    def _linear(self, rel):
+        """Row-major index of cells rel (relative to `_lo`, inside the box)."""
+        lin = np.zeros(len(rel), dtype=np.int64)
+        for axis in range(rel.shape[1]):
             lin = lin * self._shape[axis] + rel[:, axis]
-        return np.where(inside, lin, -1)
+        return lin
 
     def _margin(self, radius):
         # in cell units a point lies within 1/2 (per axis) of its cell's
@@ -162,15 +167,16 @@ class PointGrid:
         rows, cells = integer_points_near_segments(
             np.asarray(p0) / self.cell - 0.5, np.asarray(p1) / self.cell - 0.5,
             self._margin(radius))
-        lin = self._linear(cells)
-        pos = np.minimum(np.searchsorted(self._cells, lin),
-                         max(len(self._cells) - 1, 0))
-        found = (lin >= 0) & (self._cells[pos] == lin) if len(self._cells) \
-            else np.zeros(len(lin), dtype=bool)
-        rows, pos = rows[found], pos[found]
-        owner, rank = repeat_with_rank(np.arange(len(pos)),
-                                       self._stop[pos] - self._start[pos])
-        return rows[owner], self._order[self._start[pos][owner] + rank]
+        rel = cells - self._lo
+        inside = np.ones(len(rel), dtype=bool)
+        for axis in range(rel.shape[1]):
+            inside &= (rel[:, axis] >= 0) & (rel[:, axis] < self._shape[axis])
+        # outside cells drop here, empty cells (count 0) in the expansion
+        rows, lin = rows[inside], self._linear(rel[inside])
+        start = self._start[lin]
+        owner, rank = repeat_with_rank(np.arange(len(lin)),
+                                       self._start[lin + 1] - start)
+        return rows[owner], self._order[start[owner] + rank]
 
     def cover_bound(self, p0, p1, radius):
         """Upper bound on the cells `cover` visits per segment."""
@@ -193,8 +199,12 @@ def poisson_realization(grain, epsilon, rng):
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     vol = float(np.prod(hi - lo))
     n = rng.poisson(vol / epsilon ** grain.dimension)
-    pts = rng.uniform(lo, hi, size=(n, grain.dimension))
-    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
+    # rng.uniform(lo, hi, ...)'s doubles at a third of its cost; which points
+    # are kept depends on the rounding of the @ product, so it stays
+    pts = lo + (hi - lo) * rng.random((n, grain.dimension))
+    keep = np.ones(n, dtype=bool)
+    for below in (pts @ grain.normals.T < grain.offsets).T:
+        keep &= below
     return pts[keep]
 
 

@@ -1,0 +1,95 @@
+"""Slow, independent Poisson scatterer stores: the test oracles of
+polyxport.microsim.PointGrid and polyxport.microsim.poisson_realization.
+
+The grid orders its points with a stable argsort of the linear cell keys,
+lists the occupied cells with `np.unique`, and looks the cells of a query
+up with `searchsorted`.  The realization draws with `rng.uniform` on array
+bounds and keeps the rows that pass every halfspace test at once.
+"""
+import numpy as np
+
+from polyxport.lattice import (dist_point_segment,
+                               integer_points_near_segments,
+                               repeat_with_rank, segment_cover_bound)
+
+
+class PointGrid:
+    """Fixed point set hashed into uniform cells, stored sorted by cell.
+
+    The points of each occupied cell are a contiguous run of `_order`
+    (an argsort of the linear cell keys); a query looks its cells up with
+    `searchsorted`, for many segments at once.
+    """
+
+    def __init__(self, points, cell_size):
+        self.points = np.asarray(points, dtype=float)
+        self.cell = float(cell_size)
+        keys = np.floor(self.points / self.cell).astype(np.int64)
+        if len(keys):
+            self._lo = keys.min(axis=0)
+            self._shape = keys.max(axis=0) - self._lo + 1
+        else:
+            self._lo = self._shape = np.zeros(self.points.shape[1], np.int64)
+        lin = self._linear(keys)
+        self._order = np.argsort(lin, kind="stable")
+        self._cells, self._start, counts = np.unique(
+            lin[self._order], return_index=True, return_counts=True)
+        self._stop = self._start + counts
+
+    def _linear(self, keys):
+        """Row-major cell index inside the occupied box; -1 outside it."""
+        rel = keys - self._lo
+        inside = np.all((rel >= 0) & (rel < self._shape), axis=1)
+        lin = np.zeros(len(keys), dtype=np.int64)
+        for axis in range(keys.shape[1]):
+            lin = lin * self._shape[axis] + rel[:, axis]
+        return np.where(inside, lin, -1)
+
+    def _margin(self, radius):
+        # in cell units a point lies within 1/2 (per axis) of its cell's
+        # center, so cells are taken within that plus radius
+        return radius / self.cell + 0.5 + 1e-9
+
+    def cover(self, p0, p1, radius):
+        """Indices of all points in cells near each segment [p0[i], p1[i]].
+
+        Returns (rows, idx), a superset of the points within radius of
+        their segment.
+        """
+        rows, cells = integer_points_near_segments(
+            np.asarray(p0) / self.cell - 0.5, np.asarray(p1) / self.cell - 0.5,
+            self._margin(radius))
+        lin = self._linear(cells)
+        pos = np.minimum(np.searchsorted(self._cells, lin),
+                         max(len(self._cells) - 1, 0))
+        found = (lin >= 0) & (self._cells[pos] == lin) if len(self._cells) \
+            else np.zeros(len(lin), dtype=bool)
+        rows, pos = rows[found], pos[found]
+        owner, rank = repeat_with_rank(np.arange(len(pos)),
+                                       self._stop[pos] - self._start[pos])
+        return rows[owner], self._order[self._start[pos][owner] + rank]
+
+    def cover_bound(self, p0, p1, radius):
+        """Upper bound on the cells `cover` visits per segment."""
+        return segment_cover_bound(np.asarray(p0) / self.cell,
+                                   np.asarray(p1) / self.cell,
+                                   self._margin(radius))
+
+    def query_segment(self, p0, p1, radius):
+        """Points within radius of the segment [p0, p1] (one-segment cover)."""
+        p0 = np.asarray(p0, dtype=float)
+        p1 = np.asarray(p1, dtype=float)
+        _, idx = self.cover(p0[None], p1[None], radius)
+        pts = self.points[np.sort(idx)]
+        return pts[dist_point_segment(pts, p0, p1) <= radius]
+
+
+def poisson_realization(grain, epsilon, rng):
+    """Fixed unit-intensity Poisson set, scaled by eps and cut to the grain."""
+    verts = grain.get_vertices()
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    vol = float(np.prod(hi - lo))
+    n = rng.poisson(vol / epsilon ** grain.dimension)
+    pts = rng.uniform(lo, hi, size=(n, grain.dimension))
+    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
+    return pts[keep]

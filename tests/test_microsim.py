@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyxport import make_scene, microsim, presets, scattering
+from polyxport import ConvexGrain, make_scene, microsim, presets, scattering
 from polyxport.geometry import SceneError
 from polyxport.lattice import PoissonMedium, dist_point_segment
-from polyxport.microsim import BetaSpec, MicroConfig, MicroRuntime
+from polyxport.microsim import (BetaSpec, MicroConfig, MicroRuntime,
+                                PointGrid, poisson_realization)
+
+import microsim_oracles
 
 
 def brute_force_first_hit(rt, x, v, exclude=None, omegas=None):
@@ -361,3 +364,83 @@ class TestStartModes:
     def test_periodic_scene_rejected(self, tiled_crystal):
         with pytest.raises(SceneError):
             MicroRuntime(tiled_crystal, MicroConfig(r=1e-3, seed=0))
+
+
+POISSON_GRAINS = {
+    "box-2d": presets.single_square_2d(side=0.34).grains[0],
+    "box-3d": presets.two_boxes_3d().grains[1],
+    # a quadrilateral none of whose facets is axis-aligned
+    "skew-2d": ConvexGrain.from_vertices(
+        1, [(0.05, 0.0), (0.33, 0.07), (0.27, 0.31), (0.0, 0.25)]),
+}
+
+
+def oracle_segments(grain, rng, n=400):
+    """Segments around the grain, some of them outside its bounding box."""
+    verts = grain.get_vertices()
+    lo, hi = verts.min(axis=0) - 0.05, verts.max(axis=0) + 0.05
+    p0 = rng.uniform(lo, hi, (n, grain.dimension))
+    v = rng.normal(size=p0.shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return p0, p0 + rng.uniform(0.0, 0.1, (n, 1)) * v
+
+
+class TestPointGrid:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("grain", sorted(POISSON_GRAINS))
+    def test_matches_oracle(self, grain, r, seed):
+        # the realization and the cover of every segment equal the sorted
+        # unique-cell grid's, row for row and index for index
+        grain = POISSON_GRAINS[grain]
+        eps = microsim.epsilon_for(r, grain.dimension)
+        pts = poisson_realization(grain, eps, np.random.default_rng(seed))
+        ref = microsim_oracles.poisson_realization(
+            grain, eps, np.random.default_rng(seed))
+        assert np.array_equal(pts, ref)
+        cell = max(eps, 4.0 * r)
+        fast = PointGrid(pts, cell)
+        slow = microsim_oracles.PointGrid(pts, cell)
+        p0, p1 = oracle_segments(grain, np.random.default_rng(seed + 100))
+        radius = r * (1.0 + 1e-12)
+        rows, idx = fast.cover(p0, p1, radius)
+        ref_rows, ref_idx = slow.cover(p0, p1, radius)
+        assert len(rows) and np.array_equal(rows, ref_rows)
+        assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_and_single_point(self, d):
+        p0, p1 = np.zeros((2, d)), np.ones((2, d))
+        p1[1] = -1.0
+        empty = PointGrid(np.empty((0, d)), 0.1)
+        rows, idx = empty.cover(p0, p1, 0.05)
+        assert rows.shape == idx.shape == (0,)
+        assert empty.query_segment(p0[0], p1[0], 0.05).shape == (0, d)
+        one = PointGrid(np.full((1, d), 0.5), 0.1)
+        rows, idx = one.cover(p0, p1, 0.05)
+        assert np.array_equal(rows, [0]) and np.array_equal(idx, [0])
+        assert np.array_equal(one.query_segment(p0[0], p1[0], 0.05),
+                              np.full((1, d), 0.5))
+
+    def test_query_outside_occupied_box(self):
+        pts = np.random.default_rng(5).uniform(0.5, 0.6, (200, 3))
+        grid = PointGrid(pts, 0.01)
+        p0 = np.array([[2.0, 2.0, 2.0], [-1.0, 0.55, 0.55], [0.55, 0.55, 0.7]])
+        p1 = np.array([[3.0, 3.0, 3.0], [0.3, 0.55, 0.55], [0.55, 0.55, 1.5]])
+        rows, idx = grid.cover(p0, p1, 0.01)
+        assert rows.shape == idx.shape == (0,)
+
+    def test_sort_key_overflow_rejected(self):
+        # (1e7 + 1)^3 cells x 2 points: the keys cell * 2 + index pass 2^63
+        with pytest.raises(ValueError, match="overflow"):
+            PointGrid(np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]]), 1.0)
+
+    def test_runtime_on_empty_poisson_grain(self):
+        # a grain of expected 0.05 points at this radius: the seed draws
+        # none, and every ray escapes
+        scene = presets.single_square_2d(side=0.05, medium="poisson")
+        cfg = MicroConfig(r=0.05, seed=0)
+        assert len(MicroRuntime(scene, cfg).scatterers(1)) == 0
+        samp = microsim.sample_tau1_distribution(scene, cfg, 200)
+        assert np.all(samp.escaped) and np.all(np.isinf(samp.tau1))
+        assert np.all(samp.hit_grain == -1)
