@@ -21,7 +21,7 @@ os.makedirs(OUT, exist_ok=True)
 def main():
     scene = presets.two_squares_2d(mode="random-offset")
     print("limit side: averaging closed-form survival over directions...")
-    grid, cdf_vals = harness.limit_freepath_cdf(scene, scene.anchor, None)
+    grid, cdf_vals = harness.limit_freepath_cdf(scene, scene.anchor)
     cdf = harness.interp_cdf(grid, cdf_vals)
     print(f"  limiting escape mass: {1 - cdf_vals[-1]:.4f}")
 

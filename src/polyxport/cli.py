@@ -114,15 +114,18 @@ def cmd_psi(args):
 
 def cmd_microsim(args):
     cfg = _load_config(args)
+    harness.check_scene_for_kind(cfg.scene, "freepath")
     rs = _floats(args.r) if args.r else cfg.r_schedule
+    if not rs:
+        raise harness.ConfigError("experiment.r_schedule: microsim needs "
+                                  "radii, from the config or --r")
     n = args.samples or cfg.samples
     out = args.out or cfg.out_dir or "."
     import os
     os.makedirs(out, exist_ok=True)
-    lam = cfg.options.get("lambda")
     for r in rs:
         samp = microsim.sample_tau1_distribution(
-            cfg.scene, harness.micro_config(cfg, r), n, lam, cfg.threads)
+            cfg.scene, harness.micro_config(cfg, r), n, cfg.threads)
         path = os.path.join(out, f"microsim_r{r:g}.csv")
         harness.write_tau1_csv(path, samp)
         print(path)

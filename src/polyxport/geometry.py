@@ -44,16 +44,9 @@ class ConvexGrain:
     id: int
     normals: np.ndarray          # (k, d) unit rows
     offsets: np.ndarray          # (k,)
-    diameter_bound: float
-    vertices: Optional[np.ndarray] = None   # optional V-representation
-
-    @classmethod
-    def from_halfspaces(cls, gid, normals, offsets, diameter_bound):
-        normals = np.asarray(normals, dtype=float)
-        scale = np.linalg.norm(normals, axis=1)
-        return cls(gid, normals / scale[:, None],
-                   np.asarray(offsets, dtype=float) / scale,
-                   float(diameter_bound))
+    diameter_bound: float        # the diameter, from the vertices
+    # V-representation; None only on microsim's r-inflated clip windows
+    vertices: Optional[np.ndarray] = None
 
     @classmethod
     def from_vertices(cls, gid, vertices):
@@ -107,11 +100,7 @@ class ConvexGrain:
         return bool(np.all(self.normals @ np.asarray(x, dtype=float) < self.offsets))
 
     def get_vertices(self):
-        if self.vertices is not None:
-            return self.vertices
-        verts = _halfspace_vertices(self.normals, self.offsets)
-        object.__setattr__(self, "vertices", verts)
-        return verts
+        return self.vertices
 
     def volume(self):
         box = _axis_bounds(self.normals, self.offsets)
@@ -120,16 +109,6 @@ class ConvexGrain:
             return float(np.prod(hi - lo))
         from scipy.spatial import ConvexHull
         return float(ConvexHull(self.get_vertices()).volume)
-
-
-def _halfspace_vertices(normals, offsets):
-    """Vertices of {x : N x <= c} via an interior (Chebyshev) point."""
-    from scipy.spatial import HalfspaceIntersection
-    ok, x, t = _margin_lp(normals, offsets)
-    if not ok or t <= 0:
-        raise SceneError("halfspace system has empty interior")
-    hs = HalfspaceIntersection(np.c_[normals, -offsets], x)
-    return hs.intersections
 
 
 def _axis_bounds(normals, offsets):

@@ -33,13 +33,14 @@ class ConfigError(ValueError):
 
 _SCENE_KEYS = {"dimension", "anchor", "grains", "periodic_box",
                "assume_incommensurable"}
-_GRAIN_KEYS = {"id", "box", "vertices", "halfspaces", "diameter_bound", "medium"}
+_GRAIN_KEYS = {"id", "box", "vertices", "medium"}
 _MEDIUM_KEYS = {"type", "matrix", "offset", "mode"}
 _BOX_KEYS = {"lo", "hi"}
-_EXPERIMENT_KEYS = {"kind", "seed", "samples", "r_schedule", "lambda", "q_mode",
-                    "q", "beta", "on_scatterer", "start_grain", "time",
-                    "particles", "cells", "thresholds", "threads", "n_seeds",
-                    "split_times", "gap_scene", "resample_offsets", "report"}
+_EXPERIMENT_KEYS = {"kind", "seed", "samples", "r_schedule", "q_mode", "beta",
+                    "on_scatterer", "start_grain", "time", "particles",
+                    "thresholds", "threads", "n_seeds", "split_times",
+                    "gap_scene", "resample_offsets", "report"}
+_BETA_KEYS = {"mode", "alpha"}
 _OUTPUT_KEYS = {"dir", "timings"}
 _TOP_KEYS = {"scene", "experiment", "output"}
 
@@ -80,20 +81,13 @@ def parse_grain(d, path):
     gid = d.get("id")
     if gid is None:
         raise ConfigError(f"{path}: grain needs an id")
-    forms = [k for k in ("box", "vertices", "halfspaces") if k in d]
-    if len(forms) != 1:
-        raise ConfigError(f"{path}: give exactly one of box/vertices/halfspaces")
+    if ("box" in d) == ("vertices" in d):
+        raise ConfigError(f"{path}: give exactly one of box/vertices")
     if "box" in d:
         lo, hi = d["box"]
         grain = ConvexGrain.box(gid, lo, hi)
-    elif "vertices" in d:
-        grain = ConvexGrain.from_vertices(gid, d["vertices"])
     else:
-        hs = d["halfspaces"]
-        if "diameter_bound" not in d:
-            raise ConfigError(f"{path}: halfspace grains need diameter_bound")
-        grain = ConvexGrain.from_halfspaces(gid, hs["normals"], hs["offsets"],
-                                            d["diameter_bound"])
+        grain = ConvexGrain.from_vertices(gid, d["vertices"])
     if "medium" not in d:
         raise ConfigError(f"{path}: grain needs a medium")
     return grain, parse_medium(d["medium"], f"{path}.medium")
@@ -124,8 +118,8 @@ def parse_scene(d, path="scene"):
 
 
 def check_scene_for_kind(scene, kind, report=None):
-    """ConfigError naming scene.periodic_box unless the runner of `kind`
-    (or of a flight config's `report`) works on this scene."""
+    """ConfigError naming the scene key unless the runner of `kind` (or of
+    a flight config's `report`) works on this scene."""
     box = scene.periodic_box
     if kind in ("freepath", "transition") and box is not None:
         raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
@@ -133,6 +127,34 @@ def check_scene_for_kind(scene, kind, report=None):
     if "stationarity" in (kind, report) and box is None:
         raise ConfigError("scene.periodic_box: stationarity experiments need "
                           "a periodic box tiled by one grain")
+    if kind == "transition" and scene.dimension != 2:
+        raise ConfigError("scene.dimension: transition cells are "
+                          "implemented for d=2")
+    crystal = [i for i, m in enumerate(scene.media) if m.kind != "poisson"]
+    if kind == "poisson-baseline" and crystal:
+        raise ConfigError(f"scene.grains[{crystal[0]}].medium: poisson "
+                          "baseline experiments need Poisson media")
+
+
+def parse_beta(exp, scene):
+    """The BetaSpec of an experiment section, once its start keys (beta,
+    q_mode, on_scatterer, start_grain) are checked against the scene."""
+    spec = exp.get("beta", {})
+    _check_keys(spec, _BETA_KEYS, "experiment.beta")
+    try:
+        beta = microsim.BetaSpec(spec.get("mode", "zero"),
+                                 float(spec.get("alpha", 0.0)))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"experiment.beta: {err}") from None
+    if exp.get("q_mode", "random") not in microsim.Q_MODES:
+        raise ConfigError(f"experiment.q_mode: unknown mode {exp['q_mode']!r}")
+    if bool(exp.get("on_scatterer")) != ("start_grain" in exp):
+        raise ConfigError("experiment.start_grain: give it exactly when "
+                          "on_scatterer is true")
+    gid = exp.get("start_grain", scene.grains[0].id)
+    if gid not in [g.id for g in scene.grains]:
+        raise ConfigError(f"experiment.start_grain: no grain {gid!r} in scene")
+    return beta
 
 
 @dataclass
@@ -144,7 +166,8 @@ class ExperimentConfig:
     samples: int
     r_schedule: list
     options: dict       # the experiment section less its thresholds,
-                        # with gap_scene parsed to a Scene
+                        # with gap_scene parsed to a Scene and beta to a
+                        # BetaSpec
     thresholds: dict    # THRESHOLDS[kind] with the config's overrides
     out_dir: Optional[str] = None
     timings: bool = False
@@ -175,6 +198,7 @@ class ExperimentConfig:
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
         options = {k: v for k, v in exp.items() if k != "thresholds"}
+        options["beta"] = parse_beta(exp, scene)
         if "gap_scene" in options:
             options["gap_scene"] = parse_scene(options["gap_scene"],
                                                "experiment.gap_scene")
@@ -216,38 +240,29 @@ def _threshold(config, kind, key):
 # limit-side curves
 # ---------------------------------------------------------------------------
 
-def direction_grid(scene, lambda_spec=None, m=2048):
-    """Quadrature nodes/weights for the direction law."""
-    spec = lambda_spec or {"type": "uniform"}
-    d = scene.dimension
-    if spec.get("type") == "uniform":
-        if d == 2:
-            th = (np.arange(m) + 0.5) * 2.0 * np.pi / m
-            dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-            wts = np.full(m, 1.0 / m)
-        else:
-            mc = max(int(np.sqrt(m / 2)), 16)
-            nodes, ws = np.polynomial.legendre.leggauss(mc)
-            ph = (np.arange(2 * mc) + 0.5) * np.pi / mc
-            ct = nodes
-            st = np.sqrt(1 - ct ** 2)
-            dirs = np.stack([
-                np.outer(st, np.cos(ph)).ravel(),
-                np.outer(st, np.sin(ph)).ravel(),
-                np.outer(ct, np.ones_like(ph)).ravel()], axis=1)
-            wts = np.outer(ws / 2.0, np.full(2 * mc, 0.5 / mc)).ravel()
-        return dirs, wts
-    if spec.get("type") == "cap" and d == 2:
-        a0, a1 = spec.get("angles", (0.0, 2 * np.pi))
-        th = a0 + (np.arange(m) + 0.5) * (a1 - a0) / m
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return dirs, np.full(m, 1.0 / m)
-    raise ConfigError("unsupported direction law for the limit quadrature")
+def direction_grid(scene, m=2048):
+    """Quadrature nodes and weights of the uniform direction law: m
+    midpoint angles in d=2, a Gauss-Legendre by midpoint product grid of
+    about m nodes in d=3."""
+    if scene.dimension == 2:
+        th = (np.arange(m) + 0.5) * 2.0 * np.pi / m
+        return np.stack([np.cos(th), np.sin(th)], axis=1), np.full(m, 1.0 / m)
+    mc = max(int(np.sqrt(m / 2)), 16)
+    nodes, ws = np.polynomial.legendre.leggauss(mc)
+    ph = (np.arange(2 * mc) + 0.5) * np.pi / mc
+    ct = nodes
+    st = np.sqrt(1 - ct ** 2)
+    dirs = np.stack([
+        np.outer(st, np.cos(ph)).ravel(),
+        np.outer(st, np.sin(ph)).ravel(),
+        np.outer(ct, np.ones_like(ph)).ravel()], axis=1)
+    wts = np.outer(ws / 2.0, np.full(2 * mc, 0.5 / mc)).ravel()
+    return dirs, wts
 
 
-def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
-                       on_scatterer=False, beta=None, m_dirs=2048):
-    """CDF of the limiting free path law, averaged over directions.
+def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
+                       m_dirs=2048):
+    """CDF of the limiting free path law, averaged over uniform directions.
 
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
@@ -260,7 +275,7 @@ def limit_freepath_cdf(scene, x, lambda_spec=None, xi_grid=None,
     """
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
-    dirs, wts = direction_grid(scene, lambda_spec, m_dirs)
+    dirs, wts = direction_grid(scene, m_dirs)
     z = None
     if on_scatterer:
         K = scattering.to_frame(np.eye(scene.dimension), dirs[:, None, :])
@@ -305,18 +320,11 @@ def interp_cdf(grid, values):
 sample_tau1 = microsim.sample_tau1_distribution
 
 
-def _beta_from_options(options):
-    spec = options.get("beta", {"mode": "zero"})
-    return microsim.BetaSpec(spec.get("mode", "zero"),
-                             float(spec.get("alpha", 0.0)))
-
-
 def micro_config(config, r):
     opt = config.options
     return microsim.MicroConfig(
-        r=r, seed=config.seed, beta=_beta_from_options(opt),
+        r=r, seed=config.seed, beta=opt["beta"],
         q_mode=opt.get("q_mode", "random"),
-        q=np.asarray(opt["q"], dtype=float) if "q" in opt else None,
         on_scatterer=bool(opt.get("on_scatterer", False)),
         start_grain=opt.get("start_grain"),
         resample_offsets=bool(opt.get("resample_offsets", False)))
@@ -330,19 +338,17 @@ def run_freepath(config):
     """Microscopic tau_1 law against the limit CDF across the r schedule."""
     scene = config.scene
     if not config.r_schedule:
-        raise ConfigError("freepath needs an r_schedule")
-    lam = config.options.get("lambda")
+        raise ConfigError("experiment.r_schedule: freepath needs radii")
     ks_limit = _threshold(config, "freepath", "ks_final")
     on_scatterer = bool(config.options.get("on_scatterer", False))
-    beta = _beta_from_options(config.options)
     grid, cdf_vals = limit_freepath_cdf(
-        scene, scene.anchor, lam,
-        on_scatterer=on_scatterer, beta=beta if on_scatterer else None)
+        scene, scene.anchor, on_scatterer=on_scatterer,
+        beta=config.options["beta"] if on_scatterer else None)
     cdf = interp_cdf(grid, cdf_vals)
     rows = []
     for r in config.r_schedule:
         cfg = micro_config(config, r)
-        samp = sample_tau1(scene, cfg, config.samples, lam, config.threads)
+        samp = sample_tau1(scene, cfg, config.samples, config.threads)
         ks = stats.ks_distance(
             stats.EmpiricalCDF.from_samples(samp.tau1), cdf)
         rows.append({"r": r, "epsilon": samp.epsilon, "n": samp.n,
@@ -364,51 +370,29 @@ def run_freepath(config):
     return report
 
 
-def transition_cells(scene, config):
-    opts = config.options.get("cells", {})
-    xi_edges = opts.get("xi_edges")
-    u_edges = opts.get("u_edges")
-    if xi_edges is None:
-        hi = 1.2 / kernels.sigma_bar(scene.dimension)
-        xi_edges = list(np.linspace(0.0, hi, 5))
-    if u_edges is None:
-        u_edges = list(np.linspace(-1.0, 1.0, 5))
-    return np.asarray(xi_edges, dtype=float), np.asarray(u_edges, dtype=float)
-
-
-def limit_transition_mass(scene, x, lambda_spec, xi_edges, u_edges,
-                          m_dirs=1024):
+def limit_transition_mass(scene, x, xi_edges, u_edges, m_dirs=1024):
     """Limit masses per (xi interval x u-slab) cell via the product form.
 
     d=2 only: the in-grain marginal factorizes as Phi(xi, w) = Phi(xi)/2,
     so each cell mass is the path-length mass times |u cell| / sigma_bar.
     """
-    if scene.dimension != 2:
-        raise ConfigError("transition cells implemented for d=2")
-    grid, cdf_vals = limit_freepath_cdf(scene, x, lambda_spec,
-                                        m_dirs=m_dirs)
-    cdf = interp_cdf(grid, cdf_vals)
-    nx, nu = len(xi_edges) - 1, len(u_edges) - 1
-    out = np.zeros((nx, nu))
-    for i in range(nx):
-        pxi = cdf(xi_edges[i + 1]) - cdf(xi_edges[i])
-        for j in range(nu):
-            out[i, j] = pxi * (u_edges[j + 1] - u_edges[j]) / 2.0
-    return out
+    grid, cdf_vals = limit_freepath_cdf(scene, x, m_dirs=m_dirs)
+    pxi = np.diff(interp_cdf(grid, cdf_vals)(xi_edges))
+    return pxi[:, None] * np.diff(u_edges) / 2.0
 
 
 def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
     scene = config.scene
-    lam = config.options.get("lambda")
     alpha = _threshold(config, "transition", "chi2_alpha")
     if not config.r_schedule:
-        raise ConfigError("transition needs an r_schedule")
+        raise ConfigError("experiment.r_schedule: transition needs a radius")
     r = config.r_schedule[-1]
     samp = sample_tau1(scene, micro_config(config, r), config.samples,
-                       lam, config.threads)
-    xi_edges, u_edges = transition_cells(scene, config)
-    limit = limit_transition_mass(scene, scene.anchor, lam, xi_edges, u_edges)
+                       config.threads)
+    # d=2: four path-length intervals up to 1.2 / sigma_bar by four u slabs
+    xi_edges, u_edges = np.linspace(0.0, 0.6, 5), np.linspace(-1.0, 1.0, 5)
+    limit = limit_transition_mass(scene, scene.anchor, xi_edges, u_edges)
     fin = np.isfinite(samp.tau1)
     upar = samp.u_impact[:, 1]
     counts = np.histogram2d(samp.tau1[fin], upar[fin],
@@ -439,9 +423,6 @@ def run_transition(config):
 def run_poisson_baseline(config):
     """Exponential paths, memorylessness and collision counts (disordered)."""
     scene = config.scene
-    for m in scene.media:
-        if m.kind != "poisson":
-            raise ConfigError("poisson baseline needs all-poisson media")
     sb = kernels.sigma_bar(scene.dimension)
     n = config.samples
     seed = config.seed
@@ -707,6 +688,4 @@ def write_tau1_csv(path, samp):
 
 
 def run_experiment(config):
-    if config.kind not in RUNNERS:
-        raise ConfigError(f"no runner for kind {config.kind!r}")
     return RUNNERS[config.kind](config)

@@ -44,6 +44,9 @@ ROW_BUDGET = 1 << 13
 # chunks, so results do not depend on the worker count.
 SAMPLE_CHUNK = 20000
 
+# Base point modes: anchor + eps q with q uniform on [0, 1)^d, or the anchor.
+Q_MODES = ("random", "zero")
+
 
 def epsilon_for(r, dimension):
     """Boltzmann-Grad coupling eps = r^((d-1)/d)."""
@@ -86,11 +89,14 @@ class BetaSpec:
 
 @dataclass(frozen=True)
 class MicroConfig:
+    """One microscopic run.  A ray in direction v starts at r beta(v) from
+    its base point: anchor + eps q (q_mode 'random': q uniform on the unit
+    cube, per run or with resample_offsets per sample; 'zero': q = 0), or
+    with on_scatterer a scatterer center of start_grain near the anchor."""
     r: float
     seed: int = 0
     beta: BetaSpec = field(default_factory=BetaSpec)
-    q_mode: str = "random"          # "random" | "zero" | fixed vector via q
-    q: Optional[np.ndarray] = None
+    q_mode: str = "random"          # one of Q_MODES
     on_scatterer: bool = False      # start on a scatterer of start_grain
     start_grain: Optional[int] = None
     resample_offsets: bool = False  # fresh lattice offsets per sample
@@ -98,10 +104,8 @@ class MicroConfig:
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("r must be positive")
-        if self.q_mode not in ("random", "zero", "fixed"):
+        if self.q_mode not in Q_MODES:
             raise ValueError(f"unknown q mode {self.q_mode!r}")
-        if self.q_mode == "fixed" and self.q is None:
-            raise ValueError("fixed q mode needs q")
         if self.on_scatterer and self.start_grain is None:
             raise ValueError("on_scatterer start needs start_grain")
 
@@ -480,28 +484,6 @@ class Tau1Sample:
         return float(np.mean(self.escaped))
 
 
-def sample_direction_lambda(rng, dimension, spec=None, n=None):
-    """Directions from the experiment law (uniform or a spherical cap)."""
-    spec = spec or {"type": "uniform"}
-    kind = spec.get("type", "uniform")
-    if kind == "uniform":
-        return scattering.sample_direction(rng, dimension, n)
-    if kind == "cap":
-        size = n or 1
-        if dimension == 2:
-            a0, a1 = spec.get("angles", (0.0, 2.0 * np.pi))
-            th = rng.uniform(a0, a1, size=size)
-            out = np.stack([np.cos(th), np.sin(th)], axis=1)
-        else:
-            cmin = math.cos(spec.get("half_angle", np.pi))
-            c = rng.uniform(cmin, 1.0, size=size)
-            ph = rng.uniform(0.0, 2.0 * np.pi, size=size)
-            s = np.sqrt(1.0 - c * c)
-            out = np.stack([s * np.cos(ph), s * np.sin(ph), c], axis=1)
-        return out if n is not None else out[0]
-    raise ValueError(f"unknown direction law {kind!r}")
-
-
 def _start_points(runtime, n, q=None, omegas=None):
     """n base points: anchor + eps q, or a scatterer center of start_grain.
 
@@ -513,8 +495,6 @@ def _start_points(runtime, n, q=None, omegas=None):
     if not cfg.on_scatterer:
         if cfg.q_mode == "zero":
             return x.copy()
-        if cfg.q_mode == "fixed":
-            q = np.asarray(cfg.q, dtype=float)
         return x + runtime.epsilon * q
     gid = cfg.start_grain
     grain = scene.grain_by_id(gid)
@@ -561,9 +541,8 @@ def _trace_chunk(job):
     return hits.time, hits.grain, hits.w1
 
 
-def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
-                             threads=1):
-    """Empirical (tau_1, -w1 K(v)) law over n directions drawn from lambda.
+def sample_tau1_distribution(scene, cfg, n_samples, threads=1):
+    """Empirical (tau_1, -w1 K(v)) law over n uniform directions.
 
     Streams: "micro.directions" draws the base point, then the directions;
     with resample_offsets, "micro.chunk_offsets" (key: chunk) draws the
@@ -574,7 +553,7 @@ def sample_tau1_distribution(scene, cfg, n_samples, lambda_spec=None,
     rt = MicroRuntime(scene, cfg)
     rng = streams.rng("micro.directions", cfg.seed)
     base = _start_point(rt, rng)
-    dirs = sample_direction_lambda(rng, scene.dimension, lambda_spec, n_samples)
+    dirs = scattering.sample_direction(rng, scene.dimension, n_samples)
     jobs = [(rt, dirs[i:i + SAMPLE_CHUNK], base, i // SAMPLE_CHUNK)
             for i in range(0, n_samples, SAMPLE_CHUNK)]
     if threads > 1 and len(jobs) > 1:

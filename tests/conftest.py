@@ -50,3 +50,18 @@ def mixed_squares():
     g2 = ConvexGrain.box(2, (0.35, 0.0), (0.65, 0.3))
     m1 = CrystalMedium(presets.identity_lattice(2, (0.318, 0.577)))
     return make_scene(2, (g1, g2), (m1, PoissonMedium()), anchor=(0.15, 0.15))
+
+
+@pytest.fixture()
+def no_run(monkeypatch):
+    """Fails the test if an experiment runner, the limit quadrature or the
+    tau_1 sampler starts."""
+    from polyxport import harness, microsim
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+    for kind in harness.RUNNERS:
+        monkeypatch.setitem(harness.RUNNERS, kind, fail)
+    monkeypatch.setattr(harness, "limit_freepath_cdf", fail)
+    monkeypatch.setattr(harness, "sample_tau1", fail)
+    monkeypatch.setattr(microsim, "sample_tau1_distribution", fail)

@@ -277,7 +277,7 @@ N_PER_R = 100000
 def convergence_run():
     """Shared tau_1 sweep for criteria 7 and 8 (annealed offsets)."""
     scene = presets.two_squares_2d(mode="random-offset")
-    grid, cdf_vals = harness.limit_freepath_cdf(scene, scene.anchor, None)
+    grid, cdf_vals = harness.limit_freepath_cdf(scene, scene.anchor)
     cdf = harness.interp_cdf(grid, cdf_vals)
     samples = {}
     for r in R_SCHEDULE:
@@ -307,8 +307,8 @@ def test_criterion_08_transition_cells(convergence_run):
     samp = samples[R_SCHEDULE[-1]]
     xi_edges = np.linspace(0.0, 0.6, 5)
     u_edges = np.linspace(-1.0, 1.0, 5)
-    limit = harness.limit_transition_mass(scene, scene.anchor, None,
-                                          xi_edges, u_edges)
+    limit = harness.limit_transition_mass(scene, scene.anchor, xi_edges,
+                                          u_edges)
     fin = np.isfinite(samp.tau1)
     counts = np.histogram2d(samp.tau1[fin], samp.u_impact[fin, 1],
                             bins=[xi_edges, u_edges])[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -221,31 +222,61 @@ _TILED_BOX = {"dimension": 2, "anchor": [0.175, 0.175],
                           "medium": {"type": "poisson"}}]}
 
 
-@pytest.mark.parametrize("command, kind, periodic", [
-    ("stationarity", "flight", False),
-    ("stationarity", "poisson-baseline", False),
-    ("freepath", "flight", True),
-    ("transition", "stationarity", True),
-])
+_BOX_3D = {"dimension": 3, "anchor": [0.06, 0.06, 0.06],
+           "grains": [{"id": 1, "box": [[0.0] * 3, [0.12] * 3],
+                       "medium": {"type": "poisson"}}]}
+
+_CRYSTAL_SQUARE = {"dimension": 2, "anchor": [0.15, 0.15],
+                   "grains": [{"id": 1, "box": [[0.0, 0.0], [0.3, 0.3]],
+                               "medium": {"type": "crystal",
+                                          "matrix": [["1", "0"], ["0", "1"]],
+                                          "offset": [0.318, 0.577]}}]}
+
+
+# ids: subcommand, config kind, scene (True: the tiled box, False: the
+# fixture's finite scene)
+@pytest.mark.parametrize("command, kind, scene, key", [
+    ("stationarity", "flight", None, "scene.periodic_box"),
+    ("stationarity", "poisson-baseline", None, "scene.periodic_box"),
+    ("freepath", "flight", _TILED_BOX, "scene.periodic_box"),
+    ("transition", "stationarity", _TILED_BOX, "scene.periodic_box"),
+    ("microsim", "flight", _TILED_BOX, "scene.periodic_box"),
+    ("transition", "freepath", _BOX_3D, "scene.dimension"),
+    ("poisson", "freepath", _CRYSTAL_SQUARE, "scene.grains[0].medium"),
+], ids=["stationarity-flight-False", "stationarity-poisson-baseline-False",
+        "freepath-flight-True", "transition-stationarity-True",
+        "microsim-flight-True", "transition-freepath-3d",
+        "poisson-freepath-crystal"])
 def test_subcommand_scene_rule_applies_at_parse_time(
-        scene_config, monkeypatch, command, kind, periodic):
+        scene_config, no_run, command, kind, scene, key):
     # The config's own kind allows its scene; the subcommand's runner does
     # not, and the rule of the runner that runs applies before it starts.
     doc = json.loads(scene_config.read_text())
-    if periodic:
-        doc["scene"] = _TILED_BOX
+    if scene is not None:
+        doc["scene"] = scene
     doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000,
                          "r_schedule": [1e-2]}
     scene_config.write_text(json.dumps(doc))
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("the runner started before the scene check")
-    monkeypatch.setitem(harness.RUNNERS, command, no_run)
-    with pytest.raises(harness.ConfigError, match=r"scene\.periodic_box"):
+    with pytest.raises(harness.ConfigError, match=re.escape(key)):
         main([command, "--config", str(scene_config)])
     proc = _cli_in_subprocess(command, "--config", str(scene_config))
     assert proc.returncode == 1
-    assert "ConfigError: scene.periodic_box" in proc.stderr
+    assert f"ConfigError: {key}" in proc.stderr
+
+
+def test_microsim_without_radii_fails(scene_config, tmp_path, no_run):
+    doc = json.loads(scene_config.read_text())
+    del doc["experiment"]["r_schedule"]
+    scene_config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "ms"
+    args = ["microsim", "--config", str(scene_config), "--out", str(out_dir)]
+    with pytest.raises(harness.ConfigError,
+                       match=r"experiment\.r_schedule\b"):
+        main(args)
+    proc = _cli_in_subprocess(*args)
+    assert proc.returncode == 1
+    assert "ConfigError: experiment.r_schedule" in proc.stderr
+    assert not out_dir.exists()
 
 
 def test_gap_scene_fails_before_any_sampling(tmp_path, monkeypatch):

@@ -65,8 +65,8 @@ def limit_cdf_lines(name):
     """repr(float) lines 'xi,cdf' of the limit CDF at the scene anchor."""
     make, kwargs = LIMIT_CASES[name]
     scene = make()
-    grid, vals = harness.limit_freepath_cdf(scene, scene.anchor, None,
-                                            m_dirs=256, **kwargs)
+    grid, vals = harness.limit_freepath_cdf(scene, scene.anchor, m_dirs=256,
+                                            **kwargs)
     return [f"{float(x)!r},{float(c)!r}\n" for x, c in zip(grid, vals)]
 
 

@@ -86,7 +86,7 @@ class TestFrame:
     @pytest.mark.parametrize("m", [256, 1000, 2048])
     def test_oracle_bits_on_default_grids(self, d, m):
         scene = presets.two_squares_2d() if d == 2 else presets.single_box_3d()
-        dirs, _ = harness.direction_grid(scene, None, m)
+        dirs, _ = harness.direction_grid(scene, m)
         want = np.array([frame_matrix_slow(v) for v in dirs])
         assert np.array_equal(sca.to_frame(np.eye(d), dirs[:, None, :]), want)
 

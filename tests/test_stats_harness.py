@@ -120,6 +120,11 @@ CONFIG = {
 }
 
 
+BOX_3D = {"dimension": 3, "anchor": [0.06, 0.06, 0.06],
+          "grains": [{"id": 1, "box": [[0.0] * 3, [0.12] * 3],
+                      "medium": {"type": "poisson"}}]}
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(CONFIG)
@@ -142,11 +147,57 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [("xi_eval", [0.1]),
                                            ("family", "psi"),
                                            ("sampling_method", "auto"),
-                                           ("kind", "kernel-tables")])
+                                           ("kind", "kernel-tables"),
+                                           ("lambda", {"type": "cap"}),
+                                           ("q", [0.5, 0.5]),
+                                           ("cells", {"xi_edges": [0, 1]})])
     def test_keys_and_kinds_without_consumer_rejected(self, key, value):
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"][key] = value
-        with pytest.raises(ConfigError, match=key if key != "kind" else value):
+        with pytest.raises(ConfigError, match=rf"experiment\.{key}\b"
+                           if key != "kind" else value):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("halfspaces", {"normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                        "offsets": [0.3, 0.0, 0.3, 0.0]}),
+        ("diameter_bound", 0.5)])
+    def test_grain_keys_without_consumer_rejected(self, key, value):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["scene"]["grains"][0][key] = value
+        with pytest.raises(ConfigError, match=rf"scene\.grains\[0\]\.{key}\b"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("start,match", [
+        ({"beta": {"mod": "radial"}}, r"experiment\.beta\.mod\b"),
+        ({"beta": {"mode": "radial", "alpha": 3}}, r"experiment\.beta\b"),
+        ({"beta": {"mode": "tangent"}}, r"experiment\.beta\b"),
+        ({"q_mode": "zeros"}, r"experiment\.q_mode\b"),
+        ({"q_mode": "fixed"}, r"experiment\.q_mode\b"),
+        ({"on_scatterer": True, "start_grain": 9},
+         r"experiment\.start_grain\b"),
+        ({"on_scatterer": True}, r"experiment\.start_grain\b"),
+        ({"start_grain": 1}, r"experiment\.start_grain\b")],
+        ids=["beta-key", "beta-alpha", "beta-mode", "q_mode", "q_mode-fixed",
+             "start_grain-unknown", "start_grain-missing",
+             "start_grain-without-on_scatterer"])
+    def test_bad_start_option_rejected(self, start, match, no_run):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"].update(start)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("kind,scene,match", [
+        ("transition", BOX_3D, r"scene\.dimension\b"),
+        ("poisson-baseline", None, r"scene\.grains\[0\]\.medium\b")],
+        ids=["transition-3d", "poisson-baseline-crystal"])
+    def test_scene_rule_of_kind(self, kind, scene, match, no_run):
+        # a d=3 scene for transition; a crystal grain for poisson-baseline
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["kind"] = kind
+        if scene is not None:
+            doc["scene"] = scene
+        with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("kind", ["freepath", "transition"])
@@ -211,8 +262,7 @@ class TestConfig:
 class TestLimitCurves:
     def test_limit_cdf_monotone_and_bounded(self, two_squares):
         grid, vals = harness.limit_freepath_cdf(two_squares,
-                                                two_squares.anchor, None,
-                                                m_dirs=256)
+                                                two_squares.anchor, m_dirs=256)
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] == 0.0
         assert vals[-1] <= 1.0
@@ -220,7 +270,7 @@ class TestLimitCurves:
     def test_on_scatterer_limit_needs_in_grain_base_point(self, two_squares):
         from polyxport.microsim import BetaSpec
         with pytest.raises(ConfigError, match="in-grain base point"):
-            harness.limit_freepath_cdf(two_squares, [0.32, 0.1], None,
+            harness.limit_freepath_cdf(two_squares, [0.32, 0.1],
                                        on_scatterer=True,
                                        beta=BetaSpec("radial", 0.6), m_dirs=16)
 
@@ -228,7 +278,7 @@ class TestLimitCurves:
         # against per-direction closed form on a disordered square
         from polyxport import presets
         scene = presets.single_square_2d(side=0.34, medium="poisson")
-        grid, vals = harness.limit_freepath_cdf(scene, scene.anchor, None,
+        grid, vals = harness.limit_freepath_cdf(scene, scene.anchor,
                                                 m_dirs=512)
         from polyxport.geometry import itinerary
         ths = (np.arange(512) + 0.5) * 2 * np.pi / 512
