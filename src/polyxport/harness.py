@@ -138,7 +138,8 @@ def check_scene_for_kind(scene, kind, report=None):
 
 def parse_beta(exp, scene):
     """The BetaSpec of an experiment section, once its start keys (beta,
-    q_mode, on_scatterer, start_grain) are checked against the scene."""
+    q_mode, on_scatterer, start_grain) are checked against the scene: a
+    start on a scatterer needs scene.anchor strictly inside a grain."""
     spec = exp.get("beta", {})
     _check_keys(spec, _BETA_KEYS, "experiment.beta")
     try:
@@ -154,6 +155,10 @@ def parse_beta(exp, scene):
     gid = exp.get("start_grain", scene.grains[0].id)
     if gid not in [g.id for g in scene.grains]:
         raise ConfigError(f"experiment.start_grain: no grain {gid!r} in scene")
+    if exp.get("on_scatterer") and not any(g.contains(scene.anchor)
+                                           for g in scene.grains):
+        raise ConfigError(f"scene.anchor: {scene.anchor.tolist()} is in no "
+                          "grain; an on_scatterer start needs one")
     return beta
 
 
@@ -266,12 +271,12 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
 
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
-    polykernel.survival_blocks, which yields blocks of
-    geometry.TABLE_ROWS directions; the weighted CDFs add up direction by
-    direction.  In the on-scatterer mode the exit parameter beta(v) of
-    each direction enters the scatterer-start marginal, and a base point
-    outside every grain raises ConfigError.  Returns (grid, cdf values)
-    for linear interpolation.
+    polykernel.survival_blocks, and _survival_row_sum adds the weighted
+    CDFs in direction order, on the grid columns before every exit.  In
+    the on-scatterer mode the exit parameter beta(v) of each direction
+    enters the scatterer-start marginal, and a base point outside every
+    grain raises ConfigError.  Returns (grid, cdf values) for linear
+    interpolation.
     """
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
@@ -283,29 +288,45 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
         # product that beta(v) @ K(v) makes for one direction
         z = (beta(dirs)[:, None, :] @ K)[:, 0, 1:]
     xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
-    acc = np.zeros_like(xi_grid)
     try:
-        for rows, surv in polykernel.survival_blocks(scene, xs, dirs,
-                                                     xi_grid, z):
-            np.subtract(1.0, surv, out=surv)
-            surv *= wts[rows, None]
-            # one add per direction: a blocked sum would round differently
-            for cdf in surv:
-                acc += cdf
-            del surv, cdf    # free this block before the next is built
+        cdf = _survival_row_sum(polykernel.survival_blocks(scene, xs, dirs,
+                                                           xi_grid, z),
+                                len(xi_grid), wts)
     except polykernel.OffGrainStart as exc:
         raise ConfigError("on-scatterer limit needs an in-grain base "
                           "point") from exc
-    return xi_grid, acc
+    return xi_grid, cdf
 
 
 def mean_survival_curve(scene, xs, vs, grid):
-    """Mean generic-start survival curve over rays (x, v), added ray by ray."""
-    total = np.zeros(len(grid))
-    for _, surv in polykernel.survival_blocks(scene, xs, vs, grid):
-        for curve in surv:
-            total += curve
-    return total / len(xs)
+    """Mean generic-start survival curve over rays (x, v), added in ray
+    order (_survival_row_sum)."""
+    return _survival_row_sum(polykernel.survival_blocks(scene, xs, vs, grid),
+                             len(grid)) / len(xs)
+
+
+def _survival_row_sum(blocks, m, weights=None):
+    """The sum over the rows of survival_blocks, in row order, on m grid
+    columns: of the curves S, or of (1 - S) * weights[row] given weights.
+
+    Each block adds to the first of its rows, then one axis-0
+    np.add.reduce adds them in order: the bits of += row by row.  Only the
+    columns below W, one past the largest tail column yet, are summed.  The
+    rows are constant from their block's tail on, so every column at or
+    past W has seen the adds of column W - 1, and copies its value.
+    """
+    acc = np.zeros(1)
+    for rows, surv, tail in blocks:
+        if tail >= len(acc):
+            acc = np.pad(acc, (0, min(tail + 1, m) - len(acc)), mode="edge")
+        part = surv[:, :len(acc)]
+        if weights is not None:
+            np.subtract(1.0, part, out=part)
+            part *= weights[rows, None]
+        part[0] += acc
+        acc = np.add.reduce(part, axis=0)
+        del surv, part    # free this block before the next is built
+    return np.pad(acc, (0, m - len(acc)), mode="edge")
 
 
 def interp_cdf(grid, values):

@@ -49,8 +49,11 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     0 off the segments, and on a scatterer-start row (psi0_*) whose ray
     does not start in a grain; a survival function carries the product on
     past the segments, and raises OffGrainStart on such a row.  Yields
-    (rows, values) over blocks of TABLE_ROWS rays of the segment table to
-    grid[-1], values being rows x grid.
+    (rows, values, tail) over blocks of TABLE_ROWS rays of the segment
+    table to grid[-1], values being rows x grid.  Every row of a block is
+    constant from grid column tail on: the first column at or past the
+    block's last finite exit, len(grid) on a tiled box, whose table runs
+    past grid[-1].
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] < 0:
@@ -66,30 +69,33 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
         if family == "survival_psi0_marg" and np.any(entry[:, 0] != 0.0):
             raise OffGrainStart("scatterer-start survival needs every ray "
                                 "to start in a grain")
+        last = np.max(exit_, where=np.isfinite(exit_), initial=0.0)
+        block_params = {k: p[rows] for k, p in params.items()}
         # no reference to the block stays here: callers free each block
         # before the next one is built
-        yield rows, _block_curves(scene, kinds, grid, family, entry, exit_,
-                                  gid, {k: p[rows] for k, p in params.items()})
+        yield (rows, _block_curves(scene, kinds, grid, family, entry, exit_,
+                                   gid, block_params),
+               int(np.searchsorted(grid, last)))
 
 
 def family_curves(scene, xs, vs, grid, family, w=None, z=None):
     """family_blocks as one rows x grid array."""
-    return np.concatenate([c for _, c in family_blocks(scene, xs, vs, grid,
-                                                       family, w, z)])
+    return np.concatenate([c for _, c, _ in family_blocks(scene, xs, vs, grid,
+                                                          family, w, z)])
 
 
 def survival_blocks(scene, xs, vs, grid, z=None):
     """P(path length >= g) at every point g of a sorted grid, one row per
-    ray: family_blocks of the generic start, or, given exit parameters z,
-    of the scatterer-start marginal."""
+    ray: the (rows, values, tail) blocks of family_blocks of the generic
+    start, or, given exit parameters z, of the scatterer-start marginal."""
     family = "survival_psi" if z is None else "survival_psi0_marg"
     return family_blocks(scene, xs, vs, grid, family, z=z)
 
 
 def survival_curves(scene, xs, vs, grid, z=None):
     """survival_blocks as one rows x grid array."""
-    return np.concatenate([c for _, c in survival_blocks(scene, xs, vs, grid,
-                                                         z)])
+    return np.concatenate([c for _, c, _ in survival_blocks(scene, xs, vs,
+                                                            grid, z)])
 
 
 def _block_curves(scene, kinds, grid, family, entry, exit_, gid, params):

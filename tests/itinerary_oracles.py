@@ -1,18 +1,21 @@
 """Slow, independent itineraries and density products: the test oracles of
-the segment table (polyxport.geometry.segment_table) and of the blocked
-products over it (polyxport.polykernel.family_curves).
+the segment table (polyxport.geometry.segment_table), of the blocked
+products over it (polyxport.polykernel.family_curves), and of the ordered
+sums over their rows (polyxport.harness._survival_row_sum).
 
 A ray's grain segments come from clipping it against each grain of a finite
 scene, or from stepping a tiled box's cell walk one face crossing at a
 time, then a scalar merge loop; each density is a Python loop product over
-that list.
+that list.  The sums over rays add each dense row of survival_curves in
+turn.
 """
 import numpy as np
 
+from polyxport import harness, scattering
 from polyxport.geometry import (REL_TOL, ItinerarySegment, SceneError,
                                 cell_clock, ray_grain_intersect)
-from polyxport.kernels import for_medium
-from polyxport.polykernel import _check_ball
+from polyxport.kernels import for_medium, sigma_bar
+from polyxport.polykernel import _check_ball, survival_curves
 
 _HORIZON_PAD = 1e-9
 
@@ -232,3 +235,29 @@ def survival_psi0_marg(scene, x, v, t, w):
         else:
             break
     return float(out)
+
+
+def survival_row_loop(scene, xs, vs, grid, z=None, weights=None):
+    """Sum of the survival curves S of the rays on the whole grid, one row
+    at a time in row order; of (1 - S) * weights[row] given weights."""
+    acc = np.zeros(len(grid))
+    for k, curve in enumerate(survival_curves(scene, xs, vs, grid, z)):
+        acc += curve if weights is None else (1.0 - curve) * weights[k]
+    return acc
+
+
+def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
+    """The limit free-path CDF on its default grid, direction by direction."""
+    grid = np.linspace(0.0, 4.0 / sigma_bar(scene.dimension), 2049)
+    dirs, wts = harness.direction_grid(scene, m_dirs)
+    z = None
+    if on_scatterer:
+        K = scattering.to_frame(np.eye(scene.dimension), dirs[:, None, :])
+        z = (beta(dirs)[:, None, :] @ K)[:, 0, 1:]
+    xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
+    return grid, survival_row_loop(scene, xs, dirs, grid, z, wts)
+
+
+def mean_survival_curve(scene, xs, vs, grid):
+    """The mean survival curve over rays, ray by ray."""
+    return survival_row_loop(scene, xs, vs, grid) / len(xs)

@@ -14,15 +14,17 @@ def ks_distance_slow(samples, cdf, grid=None):
 
 
 def ks_two_sample_slow(a, b):
-    """Merge-walk oracle for the two-sample statistic."""
+    """Merge-walk oracle for the two-sample statistic: each step passes
+    every copy of the next value in both samples, then measures D."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     i = j = 0
     d = 0.0
     while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
+        t = min(a[i], b[j])
+        while i < len(a) and a[i] == t:
             i += 1
-        else:
+        while j < len(b) and b[j] == t:
             j += 1
         d = max(d, abs(i / len(a) - j / len(b)))
     return d

@@ -196,6 +196,20 @@ def test_periodic_freepath_fails_before_any_quadrature(scene_config,
     assert "ConfigError: scene.periodic_box" in proc.stderr
 
 
+@pytest.mark.parametrize("anchor,rc", [([0.32, 0.1], 1), ([0.15, 0.15], 0)],
+                         ids=["between-grains", "interior"])
+def test_on_scatterer_anchor_checked_at_parse_time(scene_config, tmp_path,
+                                                    anchor, rc):
+    doc = json.loads(scene_config.read_text())
+    doc["scene"]["anchor"] = anchor
+    doc["experiment"].update(on_scatterer=True, start_grain=1)
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("freepath", "--config", str(scene_config),
+                              "--out", str(tmp_path / "out"))
+    assert proc.returncode == rc
+    assert ("ConfigError: scene.anchor" in proc.stderr) == (rc == 1)
+
+
 def test_stationarity_on_finite_scene_fails_at_parse_time(scene_config):
     doc = json.loads(scene_config.read_text())
     doc["experiment"] = {"kind": "stationarity", "particles": 1000}

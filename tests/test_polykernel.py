@@ -406,6 +406,41 @@ class TestFamilyCurves:
                                      *[params[k][i] for k in keys])
         assert scalar == got[i, j]
 
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_table_blocks_equal_one_table_per_block(self, which, scenes):
+        # a finite scene's table is built once for all rows and sliced
+        scene = scenes[which]
+        xs, vs, grid, _ = self._rays(scene, np.random.default_rng(43), 300)
+        horizon = grid[-1]
+        blocks = list(geometry._table_blocks(scene, xs, vs, horizon))
+        assert len(blocks) == 3
+        for rows, *table in blocks:
+            alone = geometry.segment_table(scene, xs[rows], vs[rows], horizon)
+            assert all(np.array_equal(a, b) for a, b in zip(table, alone))
+
+    @pytest.mark.parametrize("family", list(FAMILIES) + ["survival_psi"])
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_rows_are_constant_from_the_tail_column(self, which, family,
+                                                    scenes):
+        scene = scenes[which]
+        xs, vs, grid, params = self._rays(scene, np.random.default_rng(44),
+                                          300)
+        blocks = list(pk.family_blocks(
+            scene, xs, vs, grid, family,
+            **{k: params[k] for k in self.FAMILIES.get(family, ())}))
+        assert len(blocks) == 3
+        for rows, vals, tail in blocks:
+            if scene.periodic_box is not None:
+                assert tail == len(grid)
+                continue
+            _, exit_, _ = geometry.segment_table(scene, xs[rows], vs[rows],
+                                                 grid[-1])
+            last = exit_[np.isfinite(exit_)].max()
+            assert tail == np.searchsorted(grid, last) < len(grid)
+            assert np.all(vals[:, tail:] == vals[:, tail:tail + 1])
+
     def test_along_ray_keeps_the_order(self, two_squares):
         x, v = two_squares.anchor, unit(0.0)
         xis = [0.4, 0.1, 0.17, 0.1, 0.0]

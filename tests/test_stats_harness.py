@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from polyxport import harness, stats
+from polyxport import flight, harness, polykernel, scattering, stats
 from polyxport.harness import ConfigError, ExperimentConfig
 
+import itinerary_oracles as oracle
 from ks_oracles import ks_distance_slow, ks_two_sample_slow
+# the scene of the freepath-3d-mixed benchmark workload
+from test_golden import _two_boxes_mixed
 
 
 class TestKS:
@@ -43,6 +46,22 @@ class TestKS:
         for _ in range(20):
             a = rng.normal(size=300)
             b = rng.normal(0.1, 1.0, size=200)
+            d_fast, _ = stats.ks_two_sample(a, b)
+            assert d_fast == pytest.approx(ks_two_sample_slow(a, b),
+                                           abs=1e-12)
+
+    def test_two_sample_matches_slow_on_ties(self):
+        assert ks_two_sample_slow([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert stats.ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[0] == 0.0
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            # shared rows, as ks_split's two evolutions share the rows
+            # that do not collide, plus values tied within each sample
+            a = rng.normal(size=300)
+            b = np.concatenate([a[:120], rng.normal(0.1, 1.0, size=80)])
+            a[:40] = np.round(a[:40], 1)
+            b[:40] = np.round(b[:40], 1)
+            rng.shuffle(b)
             d_fast, _ = stats.ks_two_sample(a, b)
             assert d_fast == pytest.approx(ks_two_sample_slow(a, b),
                                            abs=1e-12)
@@ -187,6 +206,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("anchor,ok", [([0.32, 0.1], False),
+                                           ([0.15, 0.15], True),
+                                           ([0.3, 0.15], False)],
+                             ids=["between-grains", "interior", "on-face"])
+    def test_on_scatterer_anchor_checked_at_parse_time(self, anchor, ok,
+                                                       no_run):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["scene"]["anchor"] = anchor
+        doc["experiment"].update(on_scatterer=True, start_grain=1)
+        if ok:
+            ExperimentConfig.from_dict(doc)
+            return
+        with pytest.raises(ConfigError, match=r"^scene\.anchor\b"):
+            ExperimentConfig.from_dict(doc)
+        # the generic start has no anchor rule
+        del doc["experiment"]["on_scatterer"], doc["experiment"]["start_grain"]
+        ExperimentConfig.from_dict(doc)
+
     @pytest.mark.parametrize("kind,scene,match", [
         ("transition", BOX_3D, r"scene\.dimension\b"),
         ("poisson-baseline", None, r"scene\.grains\[0\]\.medium\b")],
@@ -289,6 +326,84 @@ class TestLimitCurves:
             ref += 1 - np.exp(-2 * np.minimum(grid, chord))
         ref /= 512
         assert np.max(np.abs(vals - ref)) < 1e-9
+
+
+def _two_squares_annealed():
+    """The scene of the freepath-2d-annealed benchmark workload."""
+    from polyxport import presets
+    return presets.two_squares_2d(mode="random-offset")
+
+
+class TestSurvivalRowSum:
+    """The ordered block sums of limit_freepath_cdf and mean_survival_curve
+    give the bits of the dense row loop of tests/itinerary_oracles.py."""
+
+    @pytest.mark.parametrize("make", [_two_squares_annealed,
+                                      _two_boxes_mixed],
+                             ids=["2d-annealed", "3d-mixed"])
+    def test_limit_cdf_of_the_workload_scenes(self, make):
+        scene = make()
+        grid, got = harness.limit_freepath_cdf(scene, scene.anchor)
+        want_grid, want = oracle.limit_freepath_cdf(scene, scene.anchor)
+        assert np.array_equal(grid, want_grid)
+        assert np.array_equal(got, want)
+
+    def test_on_scatterer_limit_cdf(self, two_squares):
+        from polyxport.microsim import BetaSpec
+        beta = BetaSpec("radial", 0.6)
+        _, got = harness.limit_freepath_cdf(two_squares, two_squares.anchor,
+                                            on_scatterer=True, beta=beta)
+        _, want = oracle.limit_freepath_cdf(two_squares, two_squares.anchor,
+                                            on_scatterer=True, beta=beta)
+        assert np.array_equal(got, want)
+
+    def test_blocks_with_different_tail_columns(self, two_squares):
+        # 1000 directions: seven full blocks and one of 104 rows
+        m = 1000
+        _, got = harness.limit_freepath_cdf(two_squares, two_squares.anchor,
+                                            m_dirs=m)
+        _, want = oracle.limit_freepath_cdf(two_squares, two_squares.anchor,
+                                            m_dirs=m)
+        assert np.array_equal(got, want)
+        dirs, _ = harness.direction_grid(two_squares, m)
+        xs = np.broadcast_to(two_squares.anchor, dirs.shape)
+        tails = [t for _, _, t in polykernel.survival_blocks(
+            two_squares, xs, dirs, np.linspace(0.0, 2.0, 2049))]
+        assert len(tails) == 8 and len(set(tails)) > 1
+
+    def test_mean_survival_on_a_tiled_box(self, tiled_crystal):
+        # the tail column of every block is len(grid)
+        rng = np.random.default_rng(6)
+        xs = flight.sample_positions(tiled_crystal, 300, rng)
+        vs = scattering.sample_direction(rng, 2, 300)
+        grid = np.linspace(0.0, 3.0, 601)
+        got = harness.mean_survival_curve(tiled_crystal, xs, vs, grid)
+        assert np.array_equal(
+            got, oracle.mean_survival_curve(tiled_crystal, xs, vs, grid))
+
+    def test_mean_survival_on_a_finite_scene(self):
+        from polyxport import presets
+        scene = presets.poisson_gap_squares_2d()
+        rng = np.random.default_rng(7)
+        xs = flight.sample_positions(scene, 300, rng)
+        vs = scattering.sample_direction(rng, 2, 300)
+        grid = np.linspace(0.0, 2.5, 513)
+        got = harness.mean_survival_curve(scene, xs, vs, grid)
+        assert np.array_equal(
+            got, oracle.mean_survival_curve(scene, xs, vs, grid))
+
+    @pytest.mark.parametrize("width", [None, 37])
+    def test_axis_0_reduce_adds_rows_in_order(self, width):
+        # _survival_row_sum relies on this order for the golden bits
+        rng = np.random.default_rng(8)
+        block = rng.lognormal(0.0, 3.0, (128, 101)) * rng.choice([-1, 1],
+                                                                 (128, 101))
+        part = block if width is None else block[:, :width]
+        assert part.flags.c_contiguous == (width is None)
+        acc = np.zeros(part.shape[1])
+        for row in part:
+            acc += row
+        assert np.array_equal(np.add.reduce(part, axis=0), acc)
 
 
 class TestEmit:
