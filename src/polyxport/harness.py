@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -272,11 +273,11 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
     polykernel.survival_blocks, and _survival_row_sum adds the weighted
-    CDFs in direction order, on the grid columns before every exit.  In
-    the on-scatterer mode the exit parameter beta(v) of each direction
-    enters the scatterer-start marginal, and a base point outside every
-    grain raises ConfigError.  Returns (grid, cdf values) for linear
-    interpolation.
+    CDFs in direction order, on the grid columns up to the first one past
+    every exit.  In the on-scatterer mode the exit parameter beta(v) of
+    each direction enters the scatterer-start marginal, and a base point
+    outside every grain raises ConfigError.  Returns (grid, cdf values)
+    for linear interpolation.
     """
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
@@ -310,22 +311,19 @@ def _survival_row_sum(blocks, m, weights=None):
     columns: of the curves S, or of (1 - S) * weights[row] given weights.
 
     Each block adds to the first of its rows, then one axis-0
-    np.add.reduce adds them in order: the bits of += row by row.  Only the
-    columns below W, one past the largest tail column yet, are summed.  The
-    rows are constant from their block's tail on, so every column at or
-    past W has seen the adds of column W - 1, and copies its value.
+    np.add.reduce adds them in order: the bits of += row by row.  The
+    blocks are W columns wide, every row constant from column W - 1 on, so
+    every column past W - 1 has seen the adds of column W - 1 and copies
+    its value.
     """
-    acc = np.zeros(1)
-    for rows, surv, tail in blocks:
-        if tail >= len(acc):
-            acc = np.pad(acc, (0, min(tail + 1, m) - len(acc)), mode="edge")
-        part = surv[:, :len(acc)]
+    acc = 0.0
+    for rows, part in blocks:
         if weights is not None:
             np.subtract(1.0, part, out=part)
             part *= weights[rows, None]
         part[0] += acc
         acc = np.add.reduce(part, axis=0)
-        del surv, part    # free this block before the next is built
+        del part    # free this block before the next is built
     return np.pad(acc, (0, m - len(acc)), mode="edge")
 
 
@@ -626,9 +624,23 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Write a CSV table as csv.writer does (QUOTE_MINIMAL, \\r\\n lines).
+
+    A float is written as repr(float(x)), an integer as str(int(x)), any
+    other cell as str(x).  A table whose cells are all floats is streamed
+    one joined line per row, without csv.writer: a float's repr holds no
+    character that it would quote.
+    """
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(header)
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        if all(issubclass(t, (float, np.floating)) for t in types):
+            # float() first: repr(np.float64(x)) is "np.float64(x)"
+            fh.writelines(",".join(map(repr, map(float, row))) + "\r\n"
+                          for row in rows)
+            return
         for row in rows:
             writer.writerow([_fmt(c) for c in row])
 

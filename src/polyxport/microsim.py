@@ -129,13 +129,17 @@ class PointGrid:
     `_order[_start[c]:_start[c + 1]]`, an empty cell an empty run.  The
     order is one sort of the keys cell * n + index, which must stay below
     2^63: a box of ncells cells with ncells * n >= 2^63 raises ValueError.
+    The build floors the cell keys, offsets and linearizes them, and sorts
+    the sort keys in place, so it holds one key array and two key vectors
+    besides the points.
     """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
         n, d = self.points.shape
-        keys = np.floor(self.points / self.cell).astype(np.int64)
+        keys = np.empty((n, d), np.int64)
+        np.floor(self.points / self.cell, out=keys, casting="unsafe")
         if n:
             # column by column: min(axis=0) on (n, d) is several times slower
             self._lo = np.array([k.min() for k in keys.T])
@@ -146,15 +150,21 @@ class PointGrid:
         if ncells * n >= 2 ** 63:
             raise ValueError(f"{ncells} cells x {n} points overflow the "
                              "int64 sort key")
-        lin = self._linear(keys - self._lo)
-        self._order = np.sort(lin * n + np.arange(n)) % max(n, 1)
+        keys -= self._lo
+        lin = self._linear(keys)
+        order = lin * n
+        order += np.arange(n)
+        order.sort()
+        order %= max(n, 1)
+        self._order = order
         self._start = np.r_[0, np.cumsum(np.bincount(lin, minlength=ncells))]
 
     def _linear(self, rel):
         """Row-major index of cells rel (relative to `_lo`, inside the box)."""
         lin = np.zeros(len(rel), dtype=np.int64)
         for axis in range(rel.shape[1]):
-            lin = lin * self._shape[axis] + rel[:, axis]
+            lin *= self._shape[axis]
+            lin += rel[:, axis]
         return lin
 
     def _margin(self, radius):
@@ -198,18 +208,22 @@ class PointGrid:
 
 
 def poisson_realization(grain, epsilon, rng):
-    """Fixed unit-intensity Poisson set, scaled by eps and cut to the grain."""
+    """Fixed unit-intensity Poisson set, scaled by eps and cut to the grain.
+
+    The draws are scaled in place, and returned as they are when every one
+    lies inside the grain (a box grain keeps them all).
+    """
     verts = grain.get_vertices()
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     vol = float(np.prod(hi - lo))
     n = rng.poisson(vol / epsilon ** grain.dimension)
     # rng.uniform(lo, hi, ...)'s doubles at a third of its cost; which points
     # are kept depends on the rounding of the @ product, so it stays
-    pts = lo + (hi - lo) * rng.random((n, grain.dimension))
-    keep = np.ones(n, dtype=bool)
-    for below in (pts @ grain.normals.T < grain.offsets).T:
-        keep &= below
-    return pts[keep]
+    pts = rng.random((n, grain.dimension))
+    pts *= hi - lo
+    pts += lo
+    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
+    return pts if keep.all() else pts[keep]
 
 
 def _inside(grain, pts):

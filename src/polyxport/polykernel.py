@@ -49,11 +49,13 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     0 off the segments, and on a scatterer-start row (psi0_*) whose ray
     does not start in a grain; a survival function carries the product on
     past the segments, and raises OffGrainStart on such a row.  Yields
-    (rows, values, tail) over blocks of TABLE_ROWS rays of the segment
-    table to grid[-1], values being rows x grid.  Every row of a block is
-    constant from grid column tail on: the first column at or past the
-    block's last finite exit, len(grid) on a tiled box, whose table runs
-    past grid[-1].
+    (rows, values) over blocks of TABLE_ROWS rays of the segment table to
+    grid[-1].  values, the first W columns of a fresh rows x grid array,
+    holds the rows on the first W grid points, the same W for every block
+    of the call, and every row is constant from its last column on: W - 1
+    is the first column at or past the call's last finite exit (0 if no
+    ray meets a grain), at most the last one; W = len(grid) on a tiled
+    box, whose table runs past grid[-1].
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] < 0:
@@ -62,43 +64,75 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     params = {k: np.atleast_2d(np.asarray(p, dtype=float))
               for k, p in (("w", w), ("z", z)) if p is not None}
-    kinds = {}
-    for g, m in zip(scene.grains, scene.media):
-        kinds.setdefault(m.kind, []).append(g.id)
-    for rows, entry, exit_, gid in _table_blocks(scene, xs, vs, grid[-1]):
+    # factor code of each grain id, looked up by searchsorted in the ids
+    kinds = list(dict.fromkeys(m.kind for m in scene.media))
+    ids = np.array([g.id for g in scene.grains])
+    by_id = np.argsort(ids)
+    ids = ids[by_id]
+    codes = np.array([2 * kinds.index(m.kind) for m in scene.media],
+                     dtype=np.int8)[by_id]
+    blocks = _table_blocks(scene, xs, vs, grid[-1])
+    width = len(grid)
+    if scene.periodic_box is None:
+        # slices of one table: the call's last exit is known up front
+        blocks = list(blocks)
+        last = max((np.max(exit_, where=np.isfinite(exit_), initial=0.0)
+                    for _, _, exit_, _ in blocks), default=0.0)
+        width = min(int(np.searchsorted(grid, last)) + 1, width)
+    for rows, entry, exit_, gid in blocks:
         if family == "survival_psi0_marg" and np.any(entry[:, 0] != 0.0):
             raise OffGrainStart("scatterer-start survival needs every ray "
                                 "to start in a grain")
-        last = np.max(exit_, where=np.isfinite(exit_), initial=0.0)
+        code = np.where(np.isfinite(entry), codes[np.searchsorted(ids, gid)],
+                        np.int8(-1))
         block_params = {k: p[rows] for k, p in params.items()}
         # no reference to the block stays here: callers free each block
         # before the next one is built
-        yield (rows, _block_curves(scene, kinds, grid, family, entry, exit_,
-                                   gid, block_params),
-               int(np.searchsorted(grid, last)))
+        yield rows, _full_width(_block_curves(
+            scene, kinds, grid[:width], family, entry, exit_, code,
+            block_params), len(grid))
 
 
 def family_curves(scene, xs, vs, grid, family, w=None, z=None):
     """family_blocks as one rows x grid array."""
-    return np.concatenate([c for _, c, _ in family_blocks(scene, xs, vs, grid,
-                                                          family, w, z)])
+    return _pad_edge(np.concatenate([c for _, c in family_blocks(
+        scene, xs, vs, grid, family, w, z)]), len(grid))
 
 
 def survival_blocks(scene, xs, vs, grid, z=None):
     """P(path length >= g) at every point g of a sorted grid, one row per
-    ray: the (rows, values, tail) blocks of family_blocks of the generic
-    start, or, given exit parameters z, of the scatterer-start marginal."""
+    ray: the (rows, values) blocks of family_blocks of the generic start,
+    or, given exit parameters z, of the scatterer-start marginal; values
+    are W columns wide, every row constant from its last column on."""
     family = "survival_psi" if z is None else "survival_psi0_marg"
     return family_blocks(scene, xs, vs, grid, family, z=z)
 
 
 def survival_curves(scene, xs, vs, grid, z=None):
     """survival_blocks as one rows x grid array."""
-    return np.concatenate([c for _, c, _ in survival_blocks(scene, xs, vs,
-                                                            grid, z)])
+    return _pad_edge(np.concatenate([c for _, c in survival_blocks(
+        scene, xs, vs, grid, z)]), len(grid))
 
 
-def _block_curves(scene, kinds, grid, family, entry, exit_, gid, params):
+def _pad_edge(values, m):
+    """Rows constant from their last column on, to m columns."""
+    return np.pad(values, ((0, 0), (0, m - values.shape[1])), mode="edge")
+
+
+def _full_width(values, m):
+    """values in the first columns of a fresh array of m columns.
+
+    Blocks of one full size, allocated after the block's temporaries are
+    freed, keep glibc's mmap threshold above every array of a freepath
+    repetition: narrower blocks, or a block allocated before its
+    temporaries, cost page faults on every block and every sampler call.
+    """
+    out = np.empty((len(values), m))[:, :values.shape[1]]
+    out[...] = values
+    return out
+
+
+def _block_curves(scene, kinds, grid, family, entry, exit_, code, params):
     inner, lead_inner, lead_full = _FAMILIES[family]
     n, nseg = entry.shape
     m = len(grid)
@@ -107,9 +141,6 @@ def _block_curves(scene, kinds, grid, family, entry, exit_, gid, params):
     np.subtract(exit_, entry, out=ell, where=valid)
     # factor code per segment: 2 * kind index, plus 1 on the leading
     # segment of a scatterer start; -1 on the padding
-    code = np.full(entry.shape, -1, dtype=np.int8)
-    for i, ids in enumerate(kinds.values()):
-        code[valid & np.isin(gid, ids)] = 2 * i
     if lead_full is not None:
         code[:, 0] += valid[:, 0]
     # grid points inside segment (r, k), lo <= col < hi, as one ragged

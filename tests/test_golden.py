@@ -12,6 +12,18 @@ from polyxport.microsim import BetaSpec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
+
+def assert_same_lines(fresh, golden, name):
+    """fresh == golden (str or bytes), reported at the first differing
+    line: pytest's diff of two long texts takes minutes."""
+    fresh = fresh.splitlines(keepends=True)
+    golden = golden.splitlines(keepends=True)
+    for i, (a, b) in enumerate(zip(fresh, golden)):
+        assert a == b, f"{name} drifted from the frozen output at line {i + 1}"
+    assert len(fresh) == len(golden), \
+        f"{name} has {len(fresh)} lines, the frozen output {len(golden)}"
+
+
 DOC = {
     "scene": {
         "dimension": 2, "anchor": [0.15, 0.15],
@@ -37,7 +49,7 @@ def test_golden_freepath(tmp_path):
             golden = fh.read()
         with open(path, "rb") as fh:
             fresh = fh.read()
-        assert fresh == golden, f"{name} drifted from the frozen output"
+        assert_same_lines(fresh, golden, name)
 
 
 def _two_boxes_mixed():
@@ -74,8 +86,7 @@ def limit_cdf_lines(name):
 def test_golden_limit_cdf(name):
     with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
         golden = fh.read()
-    assert "".join(limit_cdf_lines(name)) == golden, \
-        f"{name} drifted from the frozen output"
+    assert_same_lines("".join(limit_cdf_lines(name)), golden, name)
 
 
 def flight_stream_lines(scenes):
@@ -101,4 +112,4 @@ def test_golden_flight_streams(tiled_crystal, tiled_crystal_3d):
     fresh = "".join(flight_stream_lines([("tiled 2D crystal", tiled_crystal),
                                          ("tiled 3D crystal",
                                           tiled_crystal_3d)]))
-    assert fresh == golden, "flight_streams.txt drifted from the frozen output"
+    assert_same_lines(fresh, golden, "flight_streams.txt")

@@ -392,12 +392,21 @@ class TestPointGrid:
     def test_matches_oracle(self, grain, r, seed):
         # the realization and the cover of every segment equal the sorted
         # unique-cell grid's, row for row and index for index
-        grain = POISSON_GRAINS[grain]
+        name, grain = grain, POISSON_GRAINS[grain]
         eps = microsim.epsilon_for(r, grain.dimension)
         pts = poisson_realization(grain, eps, np.random.default_rng(seed))
         ref = microsim_oracles.poisson_realization(
             grain, eps, np.random.default_rng(seed))
         assert np.array_equal(pts, ref)
+        # both branches: a box keeps every draw, the skew grain drops some
+        verts = grain.get_vertices()
+        drawn = np.random.default_rng(seed).poisson(
+            float(np.prod(verts.max(axis=0) - verts.min(axis=0)))
+            / eps ** grain.dimension)
+        if name == "box-3d":
+            assert len(pts) == drawn
+        if name == "skew-2d":
+            assert len(pts) < drawn
         cell = max(eps, 4.0 * r)
         fast = PointGrid(pts, cell)
         slow = microsim_oracles.PointGrid(pts, cell)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -431,15 +433,39 @@ class TestFamilyCurves:
             scene, xs, vs, grid, family,
             **{k: params[k] for k in self.FAMILIES.get(family, ())}))
         assert len(blocks) == 3
-        for rows, vals, tail in blocks:
-            if scene.periodic_box is not None:
-                assert tail == len(grid)
-                continue
-            _, exit_, _ = geometry.segment_table(scene, xs[rows], vs[rows],
-                                                 grid[-1])
-            last = exit_[np.isfinite(exit_)].max()
-            assert tail == np.searchsorted(grid, last) < len(grid)
-            assert np.all(vals[:, tail:] == vals[:, tail:tail + 1])
+        # one width W for the call: one past the first column at or past
+        # the call's last finite exit, len(grid) on a tiled box
+        if scene.periodic_box is not None:
+            for rows, vals in blocks:
+                assert vals.shape == (len(xs[rows]), len(grid))
+            return
+        _, exit_, _ = geometry.segment_table(scene, xs, vs, grid[-1])
+        width = np.searchsorted(grid, exit_[np.isfinite(exit_)].max()) + 1
+        assert width < len(grid)
+        # the same call with grid[W - 1] moved to grid[-1] has the same W:
+        # each row's last column at grid[-1] equals the one at grid[W - 1]
+        far = np.r_[grid[:width - 1], grid[-1]]
+        ends = list(pk.family_blocks(
+            scene, xs, vs, far, family,
+            **{k: params[k] for k in self.FAMILIES.get(family, ())}))
+        for (rows, vals), (_, end) in zip(blocks, ends):
+            assert vals.shape == end.shape == (len(xs[rows]), width)
+            assert np.array_equal(vals, end)
+
+    @pytest.mark.parametrize("family", list(FAMILIES) + ["survival_psi"])
+    def test_grain_ids_are_only_labels(self, family, mixed_squares):
+        # the crystal grain gets the larger id: the ids sort against the
+        # scene order, and neither is a small index
+        scene = mixed_squares
+        relabeled = geometry.make_scene(
+            2, [dataclasses.replace(g, id=i) for g, i in
+                zip(scene.grains, (10 ** 15, -3))],
+            scene.media, anchor=scene.anchor)
+        xs, vs, grid, params = self._rays(scene, np.random.default_rng(45))
+        params = {k: params[k] for k in self.FAMILIES.get(family, ())}
+        assert np.array_equal(
+            pk.family_curves(relabeled, xs, vs, grid, family, **params),
+            pk.family_curves(scene, xs, vs, grid, family, **params))
 
     def test_along_ray_keeps_the_order(self, two_squares):
         x, v = two_squares.anchor, unit(0.0)

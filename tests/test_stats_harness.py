@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from polyxport import flight, harness, polykernel, scattering, stats
+from polyxport import flight, geometry, harness, polykernel, scattering, stats
 from polyxport.harness import ConfigError, ExperimentConfig
 
+import csv_oracles
 import itinerary_oracles as oracle
 from ks_oracles import ks_distance_slow, ks_two_sample_slow
 # the scene of the freepath-3d-mixed benchmark workload
@@ -367,12 +368,19 @@ class TestSurvivalRowSum:
         assert np.array_equal(got, want)
         dirs, _ = harness.direction_grid(two_squares, m)
         xs = np.broadcast_to(two_squares.anchor, dirs.shape)
-        tails = [t for _, _, t in polykernel.survival_blocks(
-            two_squares, xs, dirs, np.linspace(0.0, 2.0, 2049))]
+        grid = np.linspace(0.0, 2.0, 2049)
+        blocks = list(polykernel.survival_blocks(two_squares, xs, dirs, grid))
+        # every block is W columns wide, W from the call's last exit, while
+        # the blocks' own last exits fall in different columns
+        _, exit_, _ = geometry.segment_table(two_squares, xs, dirs, grid[-1])
+        exit_ = np.where(np.isfinite(exit_), exit_, 0.0)
+        tails = [np.searchsorted(grid, exit_[rows].max())
+                 for rows, _ in blocks]
         assert len(tails) == 8 and len(set(tails)) > 1
+        assert {vals.shape[1] for _, vals in blocks} == {max(tails) + 1}
 
     def test_mean_survival_on_a_tiled_box(self, tiled_crystal):
-        # the tail column of every block is len(grid)
+        # every block is len(grid) columns wide
         rng = np.random.default_rng(6)
         xs = flight.sample_positions(tiled_crystal, 300, rng)
         vs = scattering.sample_direction(rng, 2, 300)
@@ -406,7 +414,31 @@ class TestSurvivalRowSum:
         assert np.array_equal(np.add.reduce(part, axis=0), acc)
 
 
+FLOATS = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 0.1,
+          np.float64(1 / 3), np.float32(0.1), np.float64(-2.5e-300)]
+
+
 class TestEmit:
+    @pytest.mark.parametrize("header, rows", [
+        # all floats: the streamed lines
+        (["a", "b"], [FLOATS[i:i + 2] for i in range(0, len(FLOATS), 2)]),
+        (["x"], [[c] for c in FLOATS]),
+        (["a", "b"], []),
+        (["a", "b"], [[1.0], [], [2.0, np.float32(3.5), 4.0]]),
+        # the csv.writer rows
+        (["n", "i", "flag", "x"],
+         [[3, np.int64(-7), True, 0.5], [0, np.int64(2 ** 62), False, -0.0]]),
+        (["x"], [[1], [2.0]]),
+        (["name", "x"], [['a, "quoted" cell', 1.5], ["", 2.5], ["plain", 1]]),
+        (["x"], [[np.str_("s")], [None]]),
+    ])
+    def test_write_csv_bytes_match_csv_writer(self, tmp_path, header, rows):
+        harness.write_csv(tmp_path / "fast.csv", header, rows)
+        csv_oracles.write_csv(tmp_path / "slow.csv", header, rows)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "slow.csv").read_bytes()
+        assert fast.count(b"\r\n") == len(rows) + 1
+
     def test_freepath_emit_round_trip(self, tmp_path):
         report = {
             "experiment": "freepath", "config_hash": "abc", "seed": 1,
