@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from polyxport import polykernel, presets
-from polyxport.geometry import itinerary
+from polyxport.geometry import segment_table
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -22,34 +22,35 @@ def main():
     scene = presets.two_squares_2d()
     x = scene.anchor
     v = np.array([1.0, 0.0])
-    segs = itinerary(scene, x, v, 2.0)
+    entry, exit_, gid = segment_table(scene, x[None], v[None], 2.0)
     print("itinerary from the first grain's center along +x:")
-    for s in segs:
-        print(f"  grain {s.grain_id}: [{s.entry:.3f}, {s.exit:.3f})")
+    for g, a, b in zip(gid[0], entry[0], exit_[0]):
+        if a < 2.0:
+            print(f"  grain {g}: [{a:.3f}, {b:.3f})")
 
     print("\nfree-path density psi(x, v, xi):")
-    rows = []
-    for xi in np.linspace(0.0, 0.6, 121):
-        val = polykernel.psi(scene, x, v, float(xi))
-        rows.append((float(xi), val))
-    for xi in (0.0, 0.10, 0.17, 0.25, 0.55):
-        print(f"  xi={xi:4.2f}: {polykernel.psi(scene, x, v, xi):.6f}")
+    xis = np.linspace(0.0, 0.6, 121)
+    rows = zip(xis.tolist(),
+               polykernel.along_ray(scene, "psi", x, v, xis).tolist())
+    marks = (0.0, 0.10, 0.17, 0.25, 0.55)
+    for xi, val in zip(marks, polykernel.along_ray(scene, "psi", x, v, marks)):
+        print(f"  xi={xi:4.2f}: {val:.6f}")
     print("  (zero inside the gap, rescaled restart in grain 2)")
 
-    esc = polykernel.survival_psi(scene, x, v, 3.0)
+    esc = polykernel.along_ray(scene, "survival_psi", x, v, [3.0])[0]
     print(f"\nescape mass along this ray: {esc:.4f}"
           "  (finite scenes have defective path laws)")
 
     print("\ntransport identity residuals (directional derivative vs"
           " w-integral):")
     rng = np.random.default_rng(1)
-    samples = []
-    while len(samples) < 12:
-        xs = rng.uniform([-0.1, 0.0], [0.6, 0.3])
+    xs, vs, sample_xis = np.empty((12, 2)), np.empty((12, 2)), np.empty(12)
+    for i in range(12):
+        xs[i] = rng.uniform([-0.1, 0.0], [0.6, 0.3])
         th = rng.uniform(0, 2 * np.pi)
-        vv = np.array([np.cos(th), np.sin(th)])
-        samples.append((xs, vv, rng.uniform(0.05, 0.5)))
-    rep = polykernel.check_transport_identity(scene, samples)
+        vs[i] = [np.cos(th), np.sin(th)]
+        sample_xis[i] = rng.uniform(0.05, 0.5)
+    rep = polykernel.check_transport_identity(scene, xs, vs, sample_xis)
     print(f"  checked {len(rep.residuals)} points"
           f" (skipped {rep.skipped} near segment edges)")
     print(f"  max residual {rep.max_residual:.2e}")

@@ -8,8 +8,8 @@ limit claims at desk scale.
 """
 
 from .geometry import (ConvexGrain, ItinerarySegment, PeriodicBox, Scene,
-                       SceneError, gap, inside_indicator, itinerary,
-                       make_scene, ray_grain_intersect)
+                       SceneError, gap, itinerary, make_scene,
+                       ray_grain_intersect)
 from .kernels import (KernelModel, RangeError, F, G, d_phi, phi0_2d, phi0_3d,
                       phi_freepath, phi_marginal, poisson_kernels, sigma_bar,
                       tail_bound, upsilon)
@@ -18,9 +18,8 @@ from .lattice import (AffineLattice, CrystalMedium, PoissonMedium,
 from .microsim import (BetaSpec, CollisionEvent, MicroConfig, MicroRuntime,
                        first_collision, first_collisions,
                        sample_tau1_distribution, trajectory)
-from .polykernel import (check_transport_identity, poisson_psi, psi,
-                         psi0_full, psi0_marg, psi_marg_w, psi_tail_bound,
-                         survival_psi, survival_psi0_marg)
+from .polykernel import (along_ray, check_transport_identity, family_rows,
+                         poisson_psi, psi_tail_bound)
 from .scattering import cross_section, exit_param, impact_param, reflect
 from .flight import (Ensemble, evolve, n_collision_histogram, sample_collision,
                      sample_initial, sample_xi_w, stationarity_test)

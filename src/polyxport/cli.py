@@ -95,15 +95,22 @@ def cmd_psi(args):
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
-    x = _vec(args.x)
-    v = _vec(args.v)
+    d = scene.dimension
+    x, v = _vec(args.x), _vec(args.v)
+    w, z = (_vec(t) if t else np.zeros(d - 1) for t in (args.w, args.z))
+    for key, vec, size in (("x", x, d), ("v", v, d), ("w", w, d - 1),
+                           ("z", z, d - 1)):
+        if vec.size != size or not np.all(np.isfinite(vec)):
+            raise harness.ConfigError(f"--{key}: needs a finite vector of "
+                                      f"length {size}")
+    if not np.any(v):
+        raise harness.ConfigError("--v: the direction must be nonzero")
     v = v / np.linalg.norm(v)
-    w = _vec(args.w) if args.w else np.zeros(scene.dimension - 1)
-    z = _vec(args.z) if args.z else np.zeros(scene.dimension - 1)
-    cols = ["family", "xi"] + [f"x{i+1}" for i in range(scene.dimension)] \
-        + ["value"]
-    print(",".join(cols))
     xis = _floats(args.xi)
+    if not all(xi >= 0.0 for xi in xis):        # NaN fails too
+        raise harness.ConfigError("--xi: path lengths must be >= 0 or inf")
+    cols = ["family", "xi"] + [f"x{i+1}" for i in range(d)] + ["value"]
+    print(",".join(cols))
     vals = polykernel.along_ray(scene, args.family, x, v, xis, w, z)
     for xi, val in zip(xis, vals):
         row = [args.family, repr(float(xi))] + [repr(float(t)) for t in x] \

@@ -1,11 +1,12 @@
-"""Convex grains, scenes, ray itineraries, the gap function and inside tests.
+"""Convex grains, scenes, ray itineraries and the gap function.
 
 Grains are open convex polytopes stored as halfspace intersections
 {x : n_k . x < c_k}.  Ray operations on a finite scene clip against the
 halfspaces, which is exact up to floating point and O(#halfspaces) per
 grain.  A periodic scene is a box tiled by its one grain: there the grain
 segments of a ray are its cells.  The segment table of the rays is the
-one itinerary engine; itinerary, gap and inside_indicator read one row.
+one itinerary engine; gap reads it at one path length per ray, and a ray
+starts in a grain when its first segment starts at 0.
 Scene checks solve one margin LP per grain and per pair of grains, in
 closed form when the grains are axis-aligned boxes.
 """
@@ -533,7 +534,7 @@ def itinerary(scene, x, v, horizon):
     The ray's row of segment_table without its zero-length cells: the
     first segment has entry 0 exactly when x is in a grain or on its
     boundary with v pointing inwards, and adjacent grains chain without
-    gaps.
+    gaps.  Kept for perfbench/tracing.py until ROADMAP item 1.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -545,20 +546,16 @@ def itinerary(scene, x, v, horizon):
             if a < horizon and b > a]
 
 
-def gap(scene, x, v, xi):
-    """Length of {x+tv : 0<=t<=xi} outside all grains; 0 <= gap <= xi."""
-    if xi < 0:
+def gap(scene, xs, vs, xis):
+    """Length of {x+tv : 0<=t<=xi} outside all grains, 0 <= gap <= xi, one
+    value per row (x, v, xi); the covered length adds up in segment
+    order."""
+    xis = np.asarray(xis, dtype=float)
+    if not np.all(xis >= 0.0):
         raise ValueError("xi must be nonnegative")
-    if xi == 0:
-        return 0.0
-    covered = 0.0
-    for seg in itinerary(scene, x, v, xi):
-        covered += min(seg.exit, xi) - seg.entry
-    return max(xi - covered, 0.0)
-
-
-def inside_indicator(scene, x, v):
-    """True iff x is interior to a grain, or on a boundary with v inwards:
-    the ray's first segment starts at 0."""
-    segs = itinerary(scene, x, v, 1.0)
-    return bool(segs) and segs[0].entry == 0.0
+    entry, exit_, _ = segment_table(scene, np.asarray(xs, dtype=float),
+                                    np.asarray(vs, dtype=float), xis)
+    covered = np.zeros(entry.shape)
+    np.subtract(np.minimum(exit_, xis[:, None]), entry, out=covered,
+                where=entry < xis[:, None])
+    return np.maximum(xis - np.cumsum(covered, axis=1)[:, -1], 0.0)

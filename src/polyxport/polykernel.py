@@ -7,18 +7,20 @@ boundary with inward velocity behave like interior starts (the one-sided
 limit of the formulas), and starts outside all grains make the
 scatterer-start family identically zero.
 
-family_blocks is the one product, over rows of geometry's segment table;
-the scalar names (psi, ..., survival_psi0_marg) are one-row calls of it.
+family_blocks is the one product, over rows of geometry's segment table:
+on one sorted grid shared by every ray, or at one path length per ray
+(family_rows, which the phase-point checks below and along_ray read).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as K
-from .geometry import (SceneError, _table_blocks, gap, inside_indicator,
-                       itinerary)
+# itinerary: unused, kept for perfbench/tracing.py until ROADMAP item 1
+from .geometry import (SceneError, _table_blocks, gap, itinerary,  # noqa: F401
+                       segment_table)
 
 
 class OffGrainStart(SceneError):
@@ -42,26 +44,29 @@ _FAMILIES = {
 
 def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     """A family of _FAMILIES at every point g of a sorted grid, one row per
-    ray x + t v, with one parameter row of w and z per ray.
+    ray x + t v, with one parameter row of w and z per ray; or, given a
+    rows x 1 grid, at one point per ray.
 
     The factors of the segments that g has fully traversed multiply in
     segment order, then the factor in the segment holding g.  A density is
     0 off the segments, and on a scatterer-start row (psi0_*) whose ray
     does not start in a grain; a survival function carries the product on
-    past the segments, and raises OffGrainStart on such a row.  Yields
-    (rows, values) over blocks of TABLE_ROWS rays of the segment table to
-    grid[-1].  values, the first W columns of a fresh rows x grid array,
-    holds the rows on the first W grid points, the same W for every block
-    of the call, and every row is constant from its last column on: W - 1
-    is the first column at or past the call's last finite exit (0 if no
-    ray meets a grain), at most the last one; W = len(grid) on a tiled
-    box, whose table runs past grid[-1].
+    past the segments, and raises OffGrainStart on such a row.  Every grid
+    point must be >= 0 (inf is one).  Yields (rows, values) over blocks of
+    TABLE_ROWS rays of the segment table to each row's last grid point.
+    values, the first W columns of a fresh rows x grid array, holds the
+    rows on the first W grid points, the same W for every block of the
+    call, and every row is constant from its last column on: W - 1 is the
+    first column at or past the call's last finite exit (0 if no ray meets
+    a grain), at most the last one; W is the grid's width on a tiled box,
+    whose table runs past its horizon, and for a grid of one point per ray.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid[0] < 0:
+    if not np.all(grid >= 0.0):          # NaN fails too
         raise ValueError("path lengths must be nonnegative")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    per_row = grid.ndim == 2
     params = {k: np.atleast_2d(np.asarray(p, dtype=float))
               for k, p in (("w", w), ("z", z)) if p is not None}
     # factor code of each grain id, looked up by searchsorted in the ids
@@ -71,9 +76,9 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     ids = ids[by_id]
     codes = np.array([2 * kinds.index(m.kind) for m in scene.media],
                      dtype=np.int8)[by_id]
-    blocks = _table_blocks(scene, xs, vs, grid[-1])
-    width = len(grid)
-    if scene.periodic_box is None:
+    blocks = _table_blocks(scene, xs, vs, grid[..., -1])
+    width = grid.shape[-1]
+    if scene.periodic_box is None and not per_row:
         # slices of one table: the call's last exit is known up front
         blocks = list(blocks)
         last = max((np.max(exit_, where=np.isfinite(exit_), initial=0.0)
@@ -89,14 +94,35 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
         # no reference to the block stays here: callers free each block
         # before the next one is built
         yield rows, _full_width(_block_curves(
-            scene, kinds, grid[:width], family, entry, exit_, code,
-            block_params), len(grid))
+            scene, kinds, grid[rows] if per_row else grid[:width], family,
+            entry, exit_, code, block_params), grid.shape[-1])
+
+
+def family_rows(scene, xs, vs, xis, family, w=None, z=None):
+    """The family at one path length per ray: xis[i] along xs[i] + t vs[i].
+
+    w and z are one row per ray, or one row for all; they must lie in the
+    closed unit ball where the family takes them, and are ignored
+    elsewhere.  Returns one value per ray.
+    """
+    xis = np.asarray(xis, dtype=float).reshape(-1, 1)
+    params = {}
+    for key, p in (("w", w), ("z", z)):
+        if any(key in spec for spec in _FAMILIES[family] if spec):
+            params[key] = np.broadcast_to(_check_ball(scene, p),
+                                          (len(xis), scene.dimension - 1))
+    out = np.empty(len(xis))
+    for rows, values in family_blocks(scene, xs, vs, xis, family, **params):
+        out[rows] = values[:, 0]
+    return out
 
 
 def family_curves(scene, xs, vs, grid, family, w=None, z=None):
     """family_blocks as one rows x grid array."""
-    return _pad_edge(np.concatenate([c for _, c in family_blocks(
-        scene, xs, vs, grid, family, w, z)]), len(grid))
+    values = np.concatenate([c for _, c in family_blocks(
+        scene, xs, vs, grid, family, w, z)])
+    return np.pad(values, ((0, 0), (0, len(grid) - values.shape[1])),
+                  mode="edge")
 
 
 def survival_blocks(scene, xs, vs, grid, z=None):
@@ -110,13 +136,8 @@ def survival_blocks(scene, xs, vs, grid, z=None):
 
 def survival_curves(scene, xs, vs, grid, z=None):
     """survival_blocks as one rows x grid array."""
-    return _pad_edge(np.concatenate([c for _, c in survival_blocks(
-        scene, xs, vs, grid, z)]), len(grid))
-
-
-def _pad_edge(values, m):
-    """Rows constant from their last column on, to m columns."""
-    return np.pad(values, ((0, 0), (0, m - values.shape[1])), mode="edge")
+    family = "survival_psi" if z is None else "survival_psi0_marg"
+    return family_curves(scene, xs, vs, grid, family, z=z)
 
 
 def _full_width(values, m):
@@ -135,7 +156,7 @@ def _full_width(values, m):
 def _block_curves(scene, kinds, grid, family, entry, exit_, code, params):
     inner, lead_inner, lead_full = _FAMILIES[family]
     n, nseg = entry.shape
-    m = len(grid)
+    m = grid.shape[-1]
     valid = np.isfinite(entry)
     ell = np.zeros(entry.shape)
     np.subtract(exit_, entry, out=ell, where=valid)
@@ -144,15 +165,21 @@ def _block_curves(scene, kinds, grid, family, entry, exit_, code, params):
     if lead_full is not None:
         code[:, 0] += valid[:, 0]
     # grid points inside segment (r, k), lo <= col < hi, as one ragged
-    # array; pos is the flat index r * m + col of the output
-    lo = np.searchsorted(grid, entry)
-    hi = np.searchsorted(grid, exit_)
+    # array; pos is the flat index r * m + col of the output.  A grid of
+    # one point per row compares each row's segments with its own point.
+    if grid.ndim == 1:
+        lo = np.searchsorted(grid, entry)
+        hi = np.searchsorted(grid, exit_)
+    else:
+        lo = (grid < entry).astype(int)
+        hi = (grid < exit_).astype(int)
     segs = np.flatnonzero(hi > lo)
     count = (hi - lo).ravel()[segs]
     shift = np.cumsum(count) - count - lo.ravel()[segs]
     cols = np.arange(int(count.sum())) - np.repeat(shift, count)
     pos = cols + np.repeat(segs // nseg * m, count)
-    u = grid[cols] - np.repeat(entry.ravel()[segs], count)
+    u = (grid[cols] if grid.ndim == 1 else grid[pos // m, cols]) \
+        - np.repeat(entry.ravel()[segs], count)
     pcode = np.repeat(code.ravel()[segs], count)
     # u turns from in-segment lengths into their factors
     factor = np.ones(entry.shape)
@@ -195,63 +222,27 @@ def _factor(kern, spec, lengths, params, rows):
 
 def along_ray(scene, family, x, v, xis, w=None, z=None):
     """The family at the path lengths xis, in any order, along the one ray
-    x + t v: one row of family_blocks.  w and z must lie in the closed
-    unit ball where the family takes them, and are ignored elsewhere.
-    """
+    x + t v: family_rows over copies of the ray."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    params = {}
-    for key, p in (("w", w), ("z", z)):
-        if any(key in spec for spec in _FAMILIES[family] if spec):
-            _check_ball(scene, p)
-            params[key] = np.atleast_1d(np.asarray(p, dtype=float))[None]
-    order = np.argsort(xis, kind="stable")
-    out = np.empty(len(xis))
-    out[order] = family_curves(scene, [x], [v], xis[order], family,
-                               **params)[0]
-    return out
+    shape = (len(xis),) + np.shape(x)
+    return family_rows(scene, np.broadcast_to(x, shape),
+                       np.broadcast_to(v, shape), xis, family, w, z)
 
 
-def psi(scene, x, v, xi):
-    """Free path density for a generic start (product form)."""
-    return float(along_ray(scene, "psi", x, v, xi)[0])
-
-
-def psi_marg_w(scene, x, v, xi, w):
-    """Joint path/impact density for a generic start."""
-    return float(along_ray(scene, "psi_marg_w", x, v, xi, w)[0])
-
-
-def psi0_marg(scene, x, v, xi, w):
-    """Path density for a start on a scatterer with exit parameter w."""
-    return float(along_ray(scene, "psi0_marg", x, v, xi, w)[0])
-
-
-def psi0_full(scene, x, v, xi, w, z):
-    """Joint path/impact density for a start on a scatterer.
-
-    w is the impact parameter at distance xi, z the exit parameter at the
-    start.  Zero unless x is in a grain or on its boundary with v inwards.
-    """
-    return float(along_ray(scene, "psi0_full", x, v, xi, w, z)[0])
-
-
-def _check_ball(scene, w):
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.size != scene.dimension - 1:
+def _check_ball(scene, p):
+    """p as rows of the closed unit (d-1)-ball."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    if p.shape[-1] != scene.dimension - 1:
         raise ValueError(f"parameter must have dimension {scene.dimension - 1}")
-    if w @ w > 1.0 + 1e-12:
+    if not np.all(np.einsum("ij,ij->i", p, p) <= 1.0 + 1e-12):  # NaN too
         raise ValueError("parameter outside the closed unit ball")
+    return p
 
 
 def survival_psi(scene, x, v, t):
-    """P(path length >= t) = int_t^inf psi + escape mass, in closed form."""
-    return float(along_ray(scene, "survival_psi", x, v, t)[0])
-
-
-def survival_psi0_marg(scene, x, v, t, w):
-    """P(path length >= t) for the scatterer-start marginal with exit w;
-    OffGrainStart (a ValueError) for a start outside every grain."""
-    return float(along_ray(scene, "survival_psi0_marg", x, v, t, z=w)[0])
+    """P(path length >= t) along one ray: one row of family_rows.  Kept
+    for perfbench/tracing.py until ROADMAP item 1."""
+    return float(family_rows(scene, [x], [v], [t], "survival_psi")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +268,31 @@ def tail_prefactor(scene):
     return sb * float(np.exp(2.0 * tail_rate(scene) * scene.max_diameter_bound()))
 
 
-def psi_tail_bound(scene, x, v, xi):
-    """C exp(-gamma (xi - gap(x,v,xi))) dominating the whole family."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
-    g = gap(scene, x, v, xi) if xi > 0 else 0.0
-    return tail_prefactor(scene) * float(np.exp(-tail_rate(scene) * (xi - g)))
+def psi_tail_bound(scene, xs, vs, xis):
+    """C exp(-gamma (xi - gap(x, v, xi))) dominating the whole family, one
+    value per row (x, v, xi)."""
+    return tail_prefactor(scene) * np.exp(
+        -tail_rate(scene) * (xis - gap(scene, xs, vs, xis)))
 
 
 # ---------------------------------------------------------------------------
 # disordered closed forms
 # ---------------------------------------------------------------------------
 
-def poisson_psi(scene, x, v, xi):
+def poisson_psi(scene, xs, vs, xis):
     """Gap-discounted exponential forms of a fully disordered scene.
 
-    Returns a dict with the four family members at (x, v, xi), none of
-    which depends on the parameters w and z.
+    Returns a dict with the four family members, one value per row
+    (x, v, xi); none of them depends on the parameters w and z.  A start
+    counts as in a grain when its ray's first segment starts at 0.
     """
-    for m in scene.media:
-        if m.kind != "poisson":
-            raise ValueError("poisson_psi needs an all-poisson scene")
+    if any(m.kind != "poisson" for m in scene.media):
+        raise ValueError("poisson_psi needs an all-poisson scene")
     sb = K.sigma_bar(scene.dimension)
-    g = gap(scene, x, v, xi) if xi > 0 else 0.0
-    decay = float(np.exp(-sb * (xi - g)))
-    here = 1.0 if inside_indicator(scene, x, v) else 0.0
-    there = 1.0 if inside_indicator(scene, x + xi * np.asarray(v, dtype=float), v) else 0.0
+    xs, vs, xis = (np.asarray(a, dtype=float) for a in (xs, vs, xis))
+    decay = np.exp(-sb * (xis - gap(scene, xs, vs, xis)))
+    here, there = (segment_table(scene, p, vs, 0.0)[0][:, 0] == 0.0
+                   for p in (xs, xs + xis[:, None] * vs))
     return {
         "psi": sb * decay * there,
         "psi_marg_w": decay * there,
@@ -317,9 +307,9 @@ def poisson_psi(scene, x, v, xi):
 
 @dataclass
 class TransportReport:
-    residuals: list = field(default_factory=list)
-    skipped: int = 0
-    boundary_max_err: float = 0.0
+    residuals: list
+    skipped: int
+    boundary_max_err: float
 
     @property
     def max_residual(self):
@@ -341,44 +331,46 @@ def _ball_quadrature(dimension, order=64):
     return nodes, weights
 
 
-def integrate_psi0_marg_over_w(scene, x, v, xi, order=64):
-    """The w-integral of psi0_marg at (x, v, xi), its quadrature nodes
-    evaluated as the rows of one family_curves call."""
+def integrate_psi0_marg_over_w(scene, xs, vs, xis, order=64):
+    """The w-integral of psi0_marg at each row (x, v, xi): one family_rows
+    call over rows x quadrature nodes."""
     nodes, weights = _ball_quadrature(scene.dimension, order)
-    shape = (len(nodes), scene.dimension)
-    vals = family_curves(scene, np.broadcast_to(x, shape),
-                         np.broadcast_to(v, shape), [xi], "psi0_marg",
-                         w=nodes)[:, 0]
-    return float(vals @ weights)
+    k = len(nodes)
+    xis = np.asarray(xis, dtype=float)
+    vals = family_rows(scene, np.repeat(xs, k, axis=0),
+                       np.repeat(vs, k, axis=0), np.repeat(xis, k),
+                       "psi0_marg", w=np.tile(nodes, (len(xis), 1)))
+    return vals.reshape(len(xis), k) @ weights
 
 
-def check_transport_identity(scene, samples, fd_scale=1e-6, quad_order=64):
-    """Verify the directional-derivative identity on sampled phase points.
+def check_transport_identity(scene, xs, vs, xis, fd_scale=1e-6,
+                             quad_order=64):
+    """Verify the directional-derivative identity at the phase points
+    (xs[i], vs[i], xis[i]).
 
-    For each (x, v, xi): the one-sided difference of psi along
-    (x + eps v, xi - eps) must equal the w-integral of the scatterer-start
-    marginal.  Samples landing within fd_scale of a segment boundary are
-    skipped and counted.  Boundary values psi(x,v,0) = sigma_bar * inside
-    and psi_marg(x,v,0,w) = inside are checked exactly.
+    At each: the one-sided difference of psi along (x + eps v, xi - eps)
+    must equal the w-integral of the scatterer-start marginal.  Points
+    within 10 eps of a segment boundary, or off every segment, are skipped
+    and counted.  Boundary values psi(x,v,0) = sigma_bar * inside and
+    psi_marg(x,v,0,w) = inside are checked exactly.
     """
-    report = TransportReport()
-    sb = K.sigma_bar(scene.dimension)
-    for (x, v, xi) in samples:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        eps = fd_scale * (1.0 + xi)
-        segs = itinerary(scene, x, v, xi + 1.0)
-        near = any(min(abs(xi - s.entry), abs(xi - s.exit)) < 10 * eps
-                   for s in segs)
-        if near or not any(s.entry <= xi < s.exit for s in segs):
-            report.skipped += 1
-            continue
-        d_num = (psi(scene, x + eps * v, v, xi - eps) - psi(scene, x, v, xi)) / eps
-        rhs = integrate_psi0_marg_over_w(scene, x, v, xi, order=quad_order)
-        report.residuals.append(abs(d_num - rhs))
-        inside = 1.0 if inside_indicator(scene, x, v) else 0.0
-        err0 = abs(psi(scene, x, v, 0.0) - sb * inside)
-        w0 = np.zeros(scene.dimension - 1)
-        err1 = abs(psi_marg_w(scene, x, v, 0.0, w0) - inside)
-        report.boundary_max_err = max(report.boundary_max_err, err0, err1)
-    return report
+    xs, vs, xis = (np.asarray(a, dtype=float) for a in (xs, vs, xis))
+    eps = fd_scale * (1.0 + xis)
+    entry, exit_, _ = segment_table(scene, xs, vs, xis + 1.0)
+    xi, tol = xis[:, None], 10 * eps[:, None]
+    near = np.any((np.abs(xi - entry) < tol) | (np.abs(xi - exit_) < tol),
+                  axis=1)
+    keep = ~near & np.any((entry <= xi) & (xi < exit_), axis=1)
+    xs, vs, xis, eps = xs[keep], vs[keep], xis[keep], eps[keep]
+    d_num = (family_rows(scene, xs + eps[:, None] * vs, vs, xis - eps, "psi")
+             - family_rows(scene, xs, vs, xis, "psi")) / eps
+    rhs = integrate_psi0_marg_over_w(scene, xs, vs, xis, order=quad_order)
+    inside = entry[keep, 0] == 0.0
+    zero = np.zeros(len(xis))
+    err = np.r_[family_rows(scene, xs, vs, zero, "psi")
+                - K.sigma_bar(scene.dimension) * inside,
+                family_rows(scene, xs, vs, zero, "psi_marg_w",
+                            w=np.zeros(scene.dimension - 1)) - inside]
+    return TransportReport(np.abs(d_num - rhs).tolist(),
+                           int(np.count_nonzero(~keep)),
+                           float(np.max(np.abs(err), initial=0.0)))

@@ -1,7 +1,8 @@
 """Slow, independent itineraries and density products: the test oracles of
 the segment table (polyxport.geometry.segment_table), of the blocked
-products over it (polyxport.polykernel.family_curves), and of the ordered
-sums over their rows (polyxport.harness._survival_row_sum).
+products over it (polyxport.polykernel.family_curves and family_rows),
+and of the ordered sums over their rows
+(polyxport.harness._survival_row_sum).
 
 A ray's grain segments come from clipping it against each grain of a finite
 scene, or from stepping a tiled box's cell walk one face crossing at a

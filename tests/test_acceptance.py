@@ -159,6 +159,7 @@ def test_criterion_04_bounds_and_tails():
     for trial in range(125):
         scene = presets.random_scene_2d(np.random.default_rng(trial),
                                         medium="crystal" if trial % 2 else "poisson")
+        rows = []
         for _ in range(8):
             x = rng.uniform(-0.3, 0.8, 2)
             v = rng.normal(size=2)
@@ -166,13 +167,15 @@ def test_criterion_04_bounds_and_tails():
             xi = rng.uniform(0, 2.0)
             w = scattering.sample_ball(rng, 1)
             z = scattering.sample_ball(rng, 1)
-            bound = polykernel.psi_tail_bound(scene, x, v, xi)
-            val = max(polykernel.psi(scene, x, v, xi),
-                      polykernel.psi_marg_w(scene, x, v, xi, w),
-                      polykernel.psi0_marg(scene, x, v, xi, w),
-                      polykernel.psi0_full(scene, x, v, xi, w, z))
-            worst_margin = min(worst_margin, bound - val)
-            ok_env &= val <= bound + 1e-12
+            rows.append((x, v, xi, w, z))
+        xs, vs, xis, ws, zs = map(np.array, zip(*rows))
+        bound = polykernel.psi_tail_bound(scene, xs, vs, xis)
+        val = np.max([polykernel.family_rows(scene, xs, vs, xis, family,
+                                             w=ws, z=zs)
+                      for family in ("psi", "psi_marg_w", "psi0_marg",
+                                     "psi0_full")], axis=0)
+        worst_margin = min(worst_margin, np.min(bound - val))
+        ok_env &= bool(np.all(val <= bound + 1e-12))
     elapsed = time.perf_counter() - t0
     _report(4, bracket2 and bracket3 and ok_tail and ok_env,
             f"brackets d2={bracket2} d3={bracket3}, D_Phi tail={ok_tail}, "
@@ -216,6 +219,7 @@ def test_criterion_05_symmetries():
     while count < 1000:
         scene = presets.random_scene_2d(np.random.default_rng(2000 + trial))
         trial += 1
+        rows = []
         for _ in range(40):
             x = rng.uniform(-0.2, 1.0, 2)
             v = rng.normal(size=2)
@@ -223,10 +227,14 @@ def test_criterion_05_symmetries():
             xi = rng.uniform(0.01, 1.2)
             w = scattering.sample_ball(rng, 1)
             z = scattering.sample_ball(rng, 1)
-            lhs = polykernel.psi0_full(scene, x + xi * v, -v, xi, z, w)
-            rhs = polykernel.psi0_full(scene, x, v, xi, w, z)
-            tr_dev = max(tr_dev, abs(lhs - rhs))
-            count += 1
+            rows.append((x, v, xi, w, z))
+        xs, vs, xis, ws, zs = map(np.array, zip(*rows))
+        lhs = polykernel.family_rows(scene, xs + xis[:, None] * vs, -vs, xis,
+                                     "psi0_full", w=zs, z=ws)
+        rhs = polykernel.family_rows(scene, xs, vs, xis, "psi0_full",
+                                     w=ws, z=zs)
+        tr_dev = max(tr_dev, np.max(np.abs(lhs - rhs)))
+        count += len(rows)
     elapsed = time.perf_counter() - t0
     _report(5, swap_dev < 1e-10 and rot_dev < 1e-10 and tr_dev < 1e-10,
             f"swap {swap_dev:.1e}, rotation {rot_dev:.1e}, "

@@ -328,6 +328,26 @@ def test_psi_eval_on_partial_periodic_scene_fails(scene_config):
     assert "ConfigError: scene.periodic_box" in proc.stderr
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--v", "0,0"), ("--xi", "nan"), ("--xi", "0.1,-0.2"), ("--v", "1,0,0"),
+    ("--x", "0.15"), ("--w", "0.1,0.2")],
+    ids=["zero-v", "nan-xi", "negative-xi", "v-length", "x-length",
+         "w-length"])
+def test_psi_eval_bad_input_names_the_option(scene_config, capsys, option,
+                                             value):
+    args = {"--x": "0.15,0.15", "--v": "1,0", "--xi": "0.1", "--w": "0.3"}
+    args[option] = value
+    argv = ["psi", "eval", "--config", str(scene_config),
+            "--family", "psi_marg_w"] + [t for kv in args.items() for t in kv]
+    with pytest.raises(harness.ConfigError, match=f"^{option}: "):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    proc = _cli_in_subprocess(*argv)
+    assert proc.returncode == 1
+    assert f"ConfigError: {option}: " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_subcommand_on_config_of_another_kind_uses_its_defaults(
         scene_config, capsys):
     # The freepath config sets only ks_final; transition runs with its own

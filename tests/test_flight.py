@@ -8,7 +8,7 @@ from polyxport import (flight, geometry, harness, kernels, polykernel,
 from polyxport.flight import (Ensemble, evolve, n_collision_histogram,
                               sample_collision, sample_initial, sample_xi_w)
 from polyxport.geometry import (FiniteSceneWalker, SceneError, TiledBoxWalker,
-                                inside_indicator, itinerary)
+                                itinerary, segment_table)
 
 import flight_oracles
 import itinerary_oracles as oracle
@@ -158,7 +158,10 @@ class TestCellFaces:
 
     def test_tangent_ray_is_inside(self, tiled_crystal):
         x, v = self.RAYS[1]
-        assert inside_indicator(tiled_crystal, np.array(x), np.array(v))
+        # the first cell starts at 0: the ray starts in the grain
+        entry = segment_table(tiled_crystal, np.array([x]), np.array([v]),
+                              1.0)[0]
+        assert entry[0, 0] == 0.0
 
 
 def _row_strategy(d):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyxport import (ConvexGrain, PeriodicBox, SceneError, gap,
-                       inside_indicator, itinerary, make_scene,
-                       ray_grain_intersect)
-from polyxport.geometry import _margin_lp
+                       itinerary, make_scene, ray_grain_intersect)
+from polyxport.geometry import _margin_lp, segment_table
 from polyxport.lattice import PoissonMedium
 from polyxport import presets
 
@@ -104,11 +103,17 @@ def test_periodic_itinerary_matches_unrolled():
 
 def test_gap_values(two_unit_squares):
     # fully covered stretch
-    assert gap(two_unit_squares, [0.2, 0.5], E1, 1.5) == pytest.approx(0.0)
+    assert gap(two_unit_squares, [[0.2, 0.5]], [E1], [1.5]) \
+        == pytest.approx([0.0])
     g1 = ConvexGrain.box(1, (0, 0), (1, 1))
     g2 = ConvexGrain.box(2, (1.3, 0), (2.3, 1))
     scene = make_scene(2, (g1, g2), (PoissonMedium(), PoissonMedium()))
-    assert gap(scene, [0.5, 0.5], E1, 1.5) == pytest.approx(0.3)
+    assert gap(scene, [[0.5, 0.5]], [E1], [1.5]) == pytest.approx([0.3])
+    # xi = 0, and inf past every grain
+    assert gap(scene, [[0.5, 0.5]] * 2, [E1, E1], [0.0, np.inf]).tolist() \
+        == [0.0, np.inf]
+    with pytest.raises(ValueError, match="nonnegative"):
+        gap(scene, [[0.5, 0.5]], [E1], [np.nan])
 
 
 @given(st.floats(0.0, 1.5), st.floats(0.0, 1.5))
@@ -117,9 +122,8 @@ def test_gap_cocycle(s, xi):
     scene = presets.poisson_gap_squares_2d()
     x = np.array([0.11, 0.17])
     v = np.array([np.cos(0.3), np.sin(0.3)])
-    lhs = gap(scene, x + s * v, v, xi)
-    rhs = gap(scene, x, v, xi + s) - gap(scene, x, v, s)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+    lhs, whole, head = gap(scene, [x + s * v, x, x], [v] * 3, [xi, xi + s, s])
+    assert lhs == pytest.approx(whole - head, abs=1e-10)
 
 
 def test_gap_monotone_lipschitz():
@@ -127,32 +131,41 @@ def test_gap_monotone_lipschitz():
     x = np.array([-0.2, 0.21])
     v = np.array([np.cos(0.15), np.sin(0.15)])
     grid = np.linspace(0, 2.5, 400)
-    vals = [gap(scene, x, v, t) for t in grid]
+    vals = gap(scene, np.tile(x, (400, 1)), np.tile(v, (400, 1)), grid)
     d = np.diff(vals)
     assert np.all(d >= -1e-12)
     assert np.all(d <= np.diff(grid) + 1e-12)
 
 
+def starts_in_grain(scene, xs, vs):
+    """A ray starts in a grain when its first table segment starts at 0."""
+    return segment_table(scene, np.array(xs, dtype=float),
+                         np.array(vs, dtype=float), 1.0)[0][:, 0] == 0.0
+
+
 def test_inside_indicator_cases(unit_square, two_unit_squares):
     scene = make_scene(2, (unit_square,), (PoissonMedium(),))
-    assert inside_indicator(scene, [0.5, 0.5], E1)
-    assert not inside_indicator(scene, [0.0, 0.5], -E1)      # outwards
-    assert not inside_indicator(scene, [0.0, 0.5], [0, 1.0])  # tangent
-    assert inside_indicator(scene, [0.0, 0.5], E1)            # inwards
+    # interior; on a face outwards, tangent and inwards
+    assert starts_in_grain(
+        scene, [[0.5, 0.5], [0.0, 0.5], [0.0, 0.5], [0.0, 0.5]],
+        [E1, -E1, [0, 1.0], E1]).tolist() == [True, False, False, True]
     # shared face of adjacent grains, tangent: outside both
-    assert not inside_indicator(two_unit_squares, [1.0, 0.5], [0, 1.0])
+    assert not starts_in_grain(two_unit_squares, [[1.0, 0.5]], [[0, 1.0]])[0]
 
 
 def test_inside_indicator_probe_oracle():
     scene = presets.poisson_gap_squares_2d()
     rng = np.random.default_rng(2)
     eps = 1e-9
+    xs, vs, probes = [], [], []
     for _ in range(300):
         x = rng.uniform([-0.1, -0.1], [1.6, 0.5])
         th = rng.uniform(0, 2 * np.pi)
         v = np.array([np.cos(th), np.sin(th)])
-        probe = any(g.contains(x + eps * v) for g in scene.grains)
-        assert inside_indicator(scene, x, v) == probe
+        xs.append(x)
+        vs.append(v)
+        probes.append(any(g.contains(x + eps * v) for g in scene.grains))
+    assert starts_in_grain(scene, xs, vs).tolist() == probes
 
 
 def test_itinerary_union_plus_gap_decomposes(two_unit_squares):
@@ -164,7 +177,8 @@ def test_itinerary_union_plus_gap_decomposes(two_unit_squares):
         xi = rng.uniform(0.1, 3.0)
         segs = itinerary(two_unit_squares, x, v, xi)
         covered = sum(min(s.exit, xi) - s.entry for s in segs)
-        assert covered + gap(two_unit_squares, x, v, xi) == pytest.approx(xi)
+        assert covered + gap(two_unit_squares, [x], [v], [xi])[0] \
+            == pytest.approx(xi)
 
 
 def test_overlapping_grains_rejected():

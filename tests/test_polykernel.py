@@ -2,13 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from polyxport import flight, geometry, scattering
 from polyxport import kernels as K
 from polyxport import polykernel as pk
 from polyxport import presets
-from polyxport.geometry import inside_indicator, itinerary
 
 import itinerary_oracles as oracle
 
@@ -29,85 +27,111 @@ def rand_ball(rng, k):
             return b
 
 
+def one(scene, family, x, v, xi, w=None, z=None):
+    """The family at one point of one ray, through the row API."""
+    return pk.along_ray(scene, family, x, v, [xi], w, z)[0]
+
+
+def segments(scene, x, v, horizon):
+    """(entry, exit) of the grain segments of one ray, from the table."""
+    entry, exit_, _ = geometry.segment_table(scene, np.array([x]),
+                                             np.array([v]), horizon)
+    return [(a, b) for a, b in zip(entry[0], exit_[0]) if b > a]
+
+
 class TestPsi:
     def test_single_grain_is_phi(self, single_square):
         x = single_square.anchor
         v = unit(0.0)
-        assert pk.psi(single_square, x, v, 0.1) == pytest.approx(
+        assert one(single_square, "psi", x, v, 0.1) == pytest.approx(
             float(K.phi_freepath(0.1, 2)))
 
     def test_zero_in_gap(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
         # the gap between the squares starts 0.15 after the anchor
-        assert pk.psi(two_squares, x, v, 0.17) == 0.0
+        assert one(two_squares, "psi", x, v, 0.17) == 0.0
 
     def test_two_segment_product(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
         xi = 0.25   # inside grain 2 (entry at 0.20 along this ray)
-        segs = itinerary(two_squares, x, v, 1.0)
+        segs = segments(two_squares, x, v, 1.0)
         assert len(segs) == 2
-        expect = float(K.d_phi(segs[0].sejour, 2)) \
-            * float(K.phi_freepath(xi - segs[1].entry, 2))
-        assert pk.psi(two_squares, x, v, xi) == pytest.approx(expect)
+        expect = float(K.d_phi(segs[0][1] - segs[0][0], 2)) \
+            * float(K.phi_freepath(xi - segs[1][0], 2))
+        assert one(two_squares, "psi", x, v, xi) == pytest.approx(expect)
 
     def test_boundary_value_sigma_bar(self, two_squares):
-        x = two_squares.anchor
         v = unit(0.3)
-        assert pk.psi(two_squares, x, v, 0.0) == pytest.approx(2.0)
-        outside = np.array([-1.0, -1.0])
-        assert pk.psi(two_squares, outside, v, 0.0) == 0.0
+        got = pk.family_rows(two_squares, [two_squares.anchor, [-1.0, -1.0]],
+                             [v, v], [0.0, 0.0], "psi")
+        assert got[0] == pytest.approx(2.0)
+        assert got[1] == 0.0
 
 
 class TestPsi0:
     def test_first_branch_constant_2d(self, single_square):
         x = single_square.anchor
         v = unit(0.2)
-        val = pk.psi0_full(single_square, x, v, 0.05, np.array([0.3]),
-                           np.array([-0.7]))
+        val = one(single_square, "psi0_full", x, v, 0.05, np.array([0.3]),
+                  np.array([-0.7]))
         assert val == pytest.approx(6 / np.pi ** 2)
 
     def test_outside_is_zero(self, two_squares):
         x = np.array([-0.5, 0.5])
         v = unit(0.0)
-        assert pk.psi0_full(two_squares, x, v, 0.1, np.zeros(1),
-                            np.zeros(1)) == 0.0
-        assert pk.psi0_marg(two_squares, x, v, 0.1, np.zeros(1)) == 0.0
+        assert one(two_squares, "psi0_full", x, v, 0.1, np.zeros(1),
+                   np.zeros(1)) == 0.0
+        assert one(two_squares, "psi0_marg", x, v, 0.1, np.zeros(1)) == 0.0
 
     def test_marg_first_branch(self, single_square):
         x = single_square.anchor
         v = unit(1.0)
-        assert pk.psi0_marg(single_square, x, v, 0.05, np.array([0.2])) \
+        assert one(single_square, "psi0_marg", x, v, 0.05, np.array([0.2])) \
             == pytest.approx(12 / np.pi ** 2)
 
     def test_product_branch(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
         xi = 0.25
-        segs = itinerary(two_squares, x, v, 1.0)
+        segs = segments(two_squares, x, v, 1.0)
         w = np.array([0.4])
         z = np.array([-0.1])
-        expect = float(K.phi_marginal(segs[0].sejour, z, 2)) \
-            * float(K.phi_marginal(xi - segs[1].entry, w, 2))
-        assert pk.psi0_full(two_squares, x, v, xi, w, z) == pytest.approx(expect)
+        expect = float(K.phi_marginal(segs[0][1] - segs[0][0], z, 2)) \
+            * float(K.phi_marginal(xi - segs[1][0], w, 2))
+        assert one(two_squares, "psi0_full", x, v, xi, w, z) \
+            == pytest.approx(expect)
 
     def test_rejects_bad_parameters(self, single_square):
         with pytest.raises(ValueError):
-            pk.psi0_full(single_square, single_square.anchor, unit(0.1), 0.1,
-                         np.array([1.5]), np.zeros(1))
+            one(single_square, "psi0_full", single_square.anchor, unit(0.1),
+                0.1, np.array([1.5]), np.zeros(1))
+        # one bad row among good ones
+        x, v = single_square.anchor, unit(0.1)
+        with pytest.raises(ValueError, match="unit ball"):
+            pk.family_rows(single_square, [x, x], [v, v], [0.1, 0.1],
+                           "psi_marg_w", w=[[0.2], [np.nan]])
 
 
-def _random_phase_points(scene, rng, n, lo, hi):
+def _phase_rows(scene, rng, n, lo, hi, n_params=0):
+    """n draws of (x, v, xi), each followed, when xi is not within 1e-5 of
+    a segment edge of its ray, by n_params draws from the (d-1)-ball; the
+    kept rows as arrays xs, vs, xis and one array per parameter."""
+    d = scene.dimension
+    rows = []
     for _ in range(n):
         x = rng.uniform(lo, hi)
-        v = rand_dir(rng, scene.dimension)
+        v = rand_dir(rng, d)
         xi = rng.uniform(0.01, 1.2)
-        segs = itinerary(scene, x, v, xi + 1.0)
-        edges = [e for s in segs for e in (s.entry, s.exit)]
-        if any(abs(xi - e) < 1e-5 for e in edges):
+        entry, exit_, _ = geometry.segment_table(scene, x[None], v[None],
+                                                 xi + 1.0)
+        edges = np.r_[entry[0], exit_[0]]
+        if np.any(np.abs(xi - edges) < 1e-5):
             continue
-        yield x, v, xi
+        rows.append((x, v, xi) + tuple(rand_ball(rng, d - 1)
+                                       for _ in range(n_params)))
+    return [np.array(col) for col in zip(*rows)]
 
 
 class TestTimeReversal:
@@ -116,33 +140,30 @@ class TestTimeReversal:
         worst = 0.0
         for trial in range(40):
             scene = presets.random_scene_2d(np.random.default_rng(trial))
-            for x, v, xi in _random_phase_points(
-                    scene, rng, 25, [-0.3, -0.3], [1.2, 0.8]):
-                w = rand_ball(rng, 1)
-                z = rand_ball(rng, 1)
-                lhs = pk.psi0_full(scene, x + xi * v, -v, xi, z, w)
-                rhs = pk.psi0_full(scene, x, v, xi, w, z)
-                worst = max(worst, abs(lhs - rhs))
+            xs, vs, xis, ws, zs = _phase_rows(
+                scene, rng, 25, [-0.3, -0.3], [1.2, 0.8], n_params=2)
+            lhs = pk.family_rows(scene, xs + xis[:, None] * vs, -vs, xis,
+                                 "psi0_full", w=zs, z=ws)
+            rhs = pk.family_rows(scene, xs, vs, xis, "psi0_full", w=ws, z=zs)
+            worst = max(worst, np.max(np.abs(lhs - rhs), initial=0.0))
         assert worst < 1e-10
 
     def test_identity_3d(self):
         scene = presets.two_boxes_3d()
         rng = np.random.default_rng(11)
-        worst = 0.0
-        for x, v, xi in _random_phase_points(
-                scene, rng, 60, [0.0, 0.0, 0.0], [0.28, 0.12, 0.12]):
-            w = rand_ball(rng, 2)
-            z = rand_ball(rng, 2)
-            lhs = pk.psi0_full(scene, x + xi * v, -v, xi, z, w)
-            rhs = pk.psi0_full(scene, x, v, xi, w, z)
-            worst = max(worst, abs(lhs - rhs))
-        assert worst < 1e-10
+        xs, vs, xis, ws, zs = _phase_rows(
+            scene, rng, 60, [0.0, 0.0, 0.0], [0.28, 0.12, 0.12], n_params=2)
+        lhs = pk.family_rows(scene, xs + xis[:, None] * vs, -vs, xis,
+                             "psi0_full", w=zs, z=ws)
+        rhs = pk.family_rows(scene, xs, vs, xis, "psi0_full", w=ws, z=zs)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestRotationInvariance:
     def test_3d_params_rotate_together(self):
         scene = presets.two_boxes_3d()
         rng = np.random.default_rng(13)
+        rows = []
         for _ in range(200):
             x = rng.uniform([0.01] * 3, [0.11] * 3)
             v = rand_dir(rng, 3)
@@ -154,17 +175,19 @@ class TestRotationInvariance:
                           [-np.sin(th), np.cos(th)]])
             if rng.random() < 0.5:
                 R = R @ np.diag([1.0, -1.0])   # include reflections
-            a = pk.psi0_full(scene, x, v, xi, w @ R, z @ R)
-            b = pk.psi0_full(scene, x, v, xi, w, z)
-            assert a == pytest.approx(b, abs=1e-10)
+            rows.append((x, v, xi, w, z, w @ R, z @ R))
+        xs, vs, xis, ws, zs, wr, zr = map(np.array, zip(*rows))
+        a = pk.family_rows(scene, xs, vs, xis, "psi0_full", w=wr, z=zr)
+        b = pk.family_rows(scene, xs, vs, xis, "psi0_full", w=ws, z=zs)
+        assert a == pytest.approx(b, abs=1e-10)
 
 
 class TestTransportIdentity:
     def test_two_grain_crystal(self, two_squares):
         rng = np.random.default_rng(14)
-        samples = list(_random_phase_points(two_squares, rng, 40,
-                                            [-0.2, -0.2], [0.8, 0.5]))
-        rep = pk.check_transport_identity(two_squares, samples)
+        xs, vs, xis = _phase_rows(two_squares, rng, 40, [-0.2, -0.2],
+                                  [0.8, 0.5])
+        rep = pk.check_transport_identity(two_squares, xs, vs, xis)
         assert rep.residuals
         assert rep.max_residual < 1e-5
         assert rep.boundary_max_err < 1e-12
@@ -172,9 +195,8 @@ class TestTransportIdentity:
     def test_poisson_scene_exact(self):
         scene = presets.poisson_gap_squares_2d()
         rng = np.random.default_rng(15)
-        samples = list(_random_phase_points(scene, rng, 30,
-                                            [-0.2, -0.1], [1.6, 0.5]))
-        rep = pk.check_transport_identity(scene, samples)
+        xs, vs, xis = _phase_rows(scene, rng, 30, [-0.2, -0.1], [1.6, 0.5])
+        rep = pk.check_transport_identity(scene, xs, vs, xis)
         assert rep.max_residual < 1e-5
 
     def test_single_grain_reduces_to_sc001(self, single_square):
@@ -182,8 +204,8 @@ class TestTransportIdentity:
         x = single_square.anchor
         v = unit(0.1)
         xi = 0.08
-        rhs = pk.integrate_psi0_marg_over_w(single_square, x, v, xi)
-        assert rhs == pytest.approx(24 / np.pi ** 2, abs=1e-9)
+        rhs = pk.integrate_psi0_marg_over_w(single_square, [x], [v], [xi])
+        assert rhs[0] == pytest.approx(24 / np.pi ** 2, abs=1e-9)
 
 
 class TestTailBound:
@@ -196,26 +218,26 @@ class TestTailBound:
         scene = builder()
         d = scene.dimension
         rng = np.random.default_rng(16)
+        rows = []
         for _ in range(300):
             x = rng.uniform(-0.2, 0.5, d)
             v = rand_dir(rng, d)
             xi = rng.uniform(0.0, 2.0)
-            bound = pk.psi_tail_bound(scene, x, v, xi)
-            w = rand_ball(rng, d - 1)
-            z = rand_ball(rng, d - 1)
-            vals = [pk.psi(scene, x, v, xi),
-                    pk.psi_marg_w(scene, x, v, xi, w),
-                    pk.psi0_marg(scene, x, v, xi, w),
-                    pk.psi0_full(scene, x, v, xi, w, z)]
-            assert max(vals) <= bound + 1e-12
+            rows.append((x, v, xi, rand_ball(rng, d - 1),
+                         rand_ball(rng, d - 1)))
+        xs, vs, xis, ws, zs = map(np.array, zip(*rows))
+        bound = pk.psi_tail_bound(scene, xs, vs, xis)
+        vals = [pk.family_rows(scene, xs, vs, xis, family, w=ws, z=zs)
+                for family in ("psi", "psi_marg_w", "psi0_marg",
+                               "psi0_full")]
+        assert np.all(np.max(vals, axis=0) <= bound + 1e-12)
 
     def test_decay_rate_full_tiling(self, tiled_crystal):
         g = pk.tail_rate(tiled_crystal)
         assert g == pytest.approx(min(1.0, K.ZETA2 / (2 * 0.35 * np.sqrt(2))))
         x = tiled_crystal.anchor
         v = unit(0.37)
-        b1 = pk.psi_tail_bound(tiled_crystal, x, v, 1.0)
-        b2 = pk.psi_tail_bound(tiled_crystal, x, v, 2.0)
+        b1, b2 = pk.psi_tail_bound(tiled_crystal, [x, x], [v, v], [1.0, 2.0])
         assert b2 / b1 == pytest.approx(np.exp(-g))
 
 
@@ -223,35 +245,44 @@ class TestPoissonClosedForms:
     def test_full_tiling(self, tiled_poisson):
         x = tiled_poisson.anchor
         v = unit(0.9)
-        vals = pk.poisson_psi(tiled_poisson, x, v, 0.7)
-        assert vals["psi0_full"] == pytest.approx(np.exp(-2 * 0.7))
-        assert vals["psi"] == pytest.approx(2 * np.exp(-2 * 0.7))
+        vals = pk.poisson_psi(tiled_poisson, [x], [v], [0.7])
+        assert vals["psi0_full"][0] == pytest.approx(np.exp(-2 * 0.7))
+        assert vals["psi"][0] == pytest.approx(2 * np.exp(-2 * 0.7))
 
     def test_gap_scene_discount(self):
         scene = presets.poisson_gap_squares_2d(side=0.4, gap=0.15)
         x = np.array([0.2, 0.2])
         v = unit(0.0)
         xi = 0.7   # crosses the first gap
-        from polyxport.geometry import gap as gap_fn
-        g = gap_fn(scene, x, v, xi)
+        g = geometry.gap(scene, [x], [v], [xi])[0]
         assert g == pytest.approx(0.15)
-        vals = pk.poisson_psi(scene, x, v, xi)
-        assert vals["psi0_full"] == pytest.approx(np.exp(-2 * (xi - g)))
+        vals = pk.poisson_psi(scene, [x], [v], [xi])
+        assert vals["psi0_full"][0] == pytest.approx(np.exp(-2 * (xi - g)))
 
     def test_matches_generic_evaluator(self):
         scene = presets.poisson_gap_squares_2d()
         rng = np.random.default_rng(17)
-        for x, v, xi in _random_phase_points(scene, rng, 60,
-                                             [-0.1, -0.1], [1.6, 0.5]):
-            w = rand_ball(rng, 1)
-            z = rand_ball(rng, 1)
-            closed = pk.poisson_psi(scene, x, v, xi)
-            assert pk.psi(scene, x, v, xi) == pytest.approx(
-                closed["psi"], abs=1e-12)
-            assert pk.psi_marg_w(scene, x, v, xi, w) == pytest.approx(
-                closed["psi_marg_w"], abs=1e-12)
-            assert pk.psi0_full(scene, x, v, xi, w, z) == pytest.approx(
-                closed["psi0_full"], abs=1e-12)
+        xs, vs, xis, ws, zs = _phase_rows(scene, rng, 60, [-0.1, -0.1],
+                                          [1.6, 0.5], n_params=2)
+        closed = pk.poisson_psi(scene, xs, vs, xis)
+        for family in ("psi", "psi_marg_w", "psi0_full"):
+            got = pk.family_rows(scene, xs, vs, xis, family, w=ws, z=zs)
+            assert got == pytest.approx(closed[family], abs=1e-12)
+
+
+def _integral(scene, family, x, v, lo, hi, w=None):
+    """The family integrated over [lo, hi] along one ray: 16-point
+    Gauss-Legendre on each piece between segment edges, where the 2D
+    crystal factors are polynomials of degree <= 2."""
+    entry, exit_, _ = geometry.segment_table(scene, np.array([x]),
+                                             np.array([v]), hi)
+    edges = np.r_[lo, hi, entry[0], exit_[0]]
+    cuts = np.unique(edges[(edges >= lo) & (edges <= hi)])
+    t, wts = np.polynomial.legendre.leggauss(16)
+    a, b = cuts[:-1, None], cuts[1:, None]
+    vals = pk.along_ray(scene, family, x, v,
+                        ((a + b) / 2 + (b - a) / 2 * t).ravel(), w)
+    return float(vals @ ((b - a) / 2 * wts).ravel())
 
 
 class TestSurvival:
@@ -259,47 +290,40 @@ class TestSurvival:
         # quadrature oracle for the closed-form survival product
         x = two_squares.anchor
         v = unit(0.05)
-        for t in (0.05, 0.2, 0.4, 0.8):
-            tail, _ = quad(lambda s: pk.psi(two_squares, x, v, s), t, 2.0,
-                           limit=400,
-                           points=[seg
-                                   for s_ in itinerary(two_squares, x, v, 2.0)
-                                   for seg in (s_.entry, s_.exit)
-                                   if t < seg < 2.0])
-            esc = pk.survival_psi(two_squares, x, v, 2.0)
-            assert pk.survival_psi(two_squares, x, v, t) == pytest.approx(
-                tail + esc, abs=1e-9)
+        ts = (0.05, 0.2, 0.4, 0.8)
+        *got, esc = pk.along_ray(two_squares, "survival_psi", x, v,
+                                 ts + (2.0,))
+        for t, surv in zip(ts, got):
+            tail = _integral(two_squares, "psi", x, v, t, 2.0)
+            assert surv == pytest.approx(tail + esc, abs=1e-9)
 
     def test_survival_psi0_matches_quadrature(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
         w = np.array([0.35])
-        for t in (0.05, 0.25):
-            tail, _ = quad(lambda s: pk.psi0_marg(two_squares, x, v, s, w),
-                           t, 2.0, limit=400)
-            k1 = K.for_medium(two_squares.medium_by_id(1), 2)
-            segs = itinerary(two_squares, x, v, 2.0)
-            esc = float(k1.phi_marg(segs[0].sejour, w)) \
-                * float(K.d_phi(segs[1].sejour, 2))
-            assert pk.survival_psi0_marg(two_squares, x, v, t, w) \
-                == pytest.approx(tail + esc, abs=1e-9)
+        k1 = K.for_medium(two_squares.medium_by_id(1), 2)
+        (a0, b0), (a1, b1) = segments(two_squares, x, v, 2.0)
+        esc = float(k1.phi_marg(b0 - a0, w)) * float(K.d_phi(b1 - a1, 2))
+        ts = (0.05, 0.25)
+        got = pk.along_ray(two_squares, "survival_psi0_marg", x, v, ts, z=w)
+        for t, surv in zip(ts, got):
+            tail = _integral(two_squares, "psi0_marg", x, v, t, 2.0, w)
+            assert surv == pytest.approx(tail + esc, abs=1e-9)
 
     def test_mass_deficit_equals_escape(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
-        total, _ = quad(lambda s: pk.psi(two_squares, x, v, s), 0, 2.0,
-                        limit=400)
-        esc = pk.survival_psi(two_squares, x, v, 2.0)
+        total = _integral(two_squares, "psi", x, v, 0.0, 2.0)
+        esc = one(two_squares, "survival_psi", x, v, 2.0)
         assert total + esc == pytest.approx(1.0, abs=1e-9)
 
     def test_infinite_tiling_mass_one(self, tiled_crystal):
         x = tiled_crystal.anchor
         v = unit(0.21)
         # total mass approaches 1 when the itinerary never ends
-        esc = pk.survival_psi(tiled_crystal, x, v, 40.0)
+        esc = one(tiled_crystal, "survival_psi", x, v, 40.0)
         assert esc < 1e-4
-        total, _ = quad(lambda s: pk.psi(tiled_crystal, x, v, s), 0, 12.0,
-                        limit=1000)
+        total = _integral(tiled_crystal, "psi", x, v, 0.0, 12.0)
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -307,13 +331,20 @@ class TestLogDerivativeWithinSegment:
     def test_prefactor_is_xi_free(self, two_squares):
         x = two_squares.anchor
         v = unit(0.0)
-        segs = itinerary(two_squares, x, v, 1.0)
-        a, b = segs[1].entry, segs[1].exit
+        a, b = segments(two_squares, x, v, 1.0)[1]
         xi1 = a + 0.3 * (b - a)
         xi2 = a + 0.7 * (b - a)
-        r1 = pk.psi(two_squares, x, v, xi1) / float(K.phi_freepath(xi1 - a, 2))
-        r2 = pk.psi(two_squares, x, v, xi2) / float(K.phi_freepath(xi2 - a, 2))
+        p1, p2 = pk.along_ray(two_squares, "psi", x, v, [xi1, xi2])
+        r1 = p1 / float(K.phi_freepath(xi1 - a, 2))
+        r2 = p2 / float(K.phi_freepath(xi2 - a, 2))
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def scenes(two_squares, mixed_squares, tiled_crystal, tiled_crystal_3d):
+    return {"finite2": two_squares, "finite3": presets.two_boxes_3d(),
+            "mixed": mixed_squares, "tiled2": tiled_crystal,
+            "tiled3": tiled_crystal_3d}
 
 
 class TestFamilyCurves:
@@ -322,13 +353,6 @@ class TestFamilyCurves:
 
     FAMILIES = {"psi": (), "psi_marg_w": ("w",), "psi0_marg": ("w",),
                 "psi0_full": ("w", "z")}
-
-    @pytest.fixture(scope="class")
-    def scenes(self, two_squares, mixed_squares, tiled_crystal,
-               tiled_crystal_3d):
-        return {"finite2": two_squares, "finite3": presets.two_boxes_3d(),
-                "mixed": mixed_squares, "tiled2": tiled_crystal,
-                "tiled3": tiled_crystal_3d}
 
     @staticmethod
     def _rays(scene, rng, n=12):
@@ -402,11 +426,11 @@ class TestFamilyCurves:
                                               for k in keys})
             assert np.array_equal(one[0], got[i])
             assert np.array_equal(many[i + n * (rep - 1)], got[i])
-        # the scalar names are the same one-row call
-        i, j = 0, len(grid) // 3
-        scalar = getattr(pk, family)(scene, xs[i], vs[i], grid[j],
-                                     *[params[k][i] for k in keys])
-        assert scalar == got[i, j]
+        # one point per ray gives the grid's column bit for bit
+        j = len(grid) // 3
+        rows = pk.family_rows(scene, xs, vs, np.full(n, grid[j]), family,
+                              **{k: params[k] for k in keys})
+        assert np.array_equal(rows, got[:, j])
 
     @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
                                        "tiled2", "tiled3"])
@@ -471,8 +495,9 @@ class TestFamilyCurves:
         x, v = two_squares.anchor, unit(0.0)
         xis = [0.4, 0.1, 0.17, 0.1, 0.0]
         got = pk.along_ray(two_squares, "psi0_full", x, v, xis, [0.3], [0.1])
-        assert got.tolist() == [pk.psi0_full(two_squares, x, v, xi, [0.3],
-                                             [0.1]) for xi in xis]
+        assert got.tolist() == [
+            oracle.psi0_full(two_squares, x, v, xi, [0.3], [0.1])
+            for xi in xis]
         with pytest.raises(ValueError, match="nonnegative"):
             pk.along_ray(two_squares, "psi", x, v, [0.1, -0.1])
         with pytest.raises(ValueError, match="unit ball"):
@@ -480,3 +505,136 @@ class TestFamilyCurves:
         # a parameter the family does not take is not checked
         assert pk.along_ray(two_squares, "psi", x, v, [0.1], [1.5]) \
             == pk.along_ray(two_squares, "psi", x, v, [0.1])
+
+
+class TestFamilyRows:
+    """family_rows, one path length per ray, against the scalar loop
+    products of the oracle and against the shared-grid mode."""
+
+    FAMILIES = dict(TestFamilyCurves.FAMILIES, survival_psi=())
+
+    @staticmethod
+    def _edge_rows(scene, rng, n=12):
+        """Rays as in TestFamilyCurves, each with path lengths 0, every
+        entry and exit of its own segments up to 2.0, a point inside each
+        segment and 1.7; as rows (x, v, xi) and the ray index per row."""
+        xs, vs, _, params = TestFamilyCurves._rays(scene, rng, n)
+        entry, exit_, _ = geometry.segment_table(scene, xs, vs, 2.0)
+        ray, xi = [], []
+        for i in range(n):
+            ok = np.isfinite(entry[i]) & (entry[i] < 2.0)
+            marks = np.r_[0.0, 1.7, entry[i, ok], exit_[i, ok],
+                          (entry[i, ok] + exit_[i, ok]) / 2]
+            xi += marks.tolist()
+            ray += [i] * len(marks)
+        ray = np.array(ray)
+        return (xs[ray], vs[ray], np.array(xi),
+                {k: p[ray] for k, p in params.items()})
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_matches_oracle_at_segment_edges(self, which, family, scenes):
+        # the tiled rows run to very different horizons in one block
+        scene = scenes[which]
+        xs, vs, xis, params = self._edge_rows(scene,
+                                              np.random.default_rng(46))
+        keys = self.FAMILIES[family]
+        got = pk.family_rows(scene, xs, vs, xis, family,
+                             **{k: params[k] for k in keys})
+        want = [getattr(oracle, family)(scene, xs[i], vs[i], xis[i],
+                                        *[params[k][i] for k in keys])
+                for i in range(len(xis))]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_scatterer_start_survival(self, which, scenes):
+        scene = scenes[which]
+        xs, vs, xis, params = self._edge_rows(scene,
+                                              np.random.default_rng(47))
+        on = geometry.segment_table(scene, xs, vs, 1.0)[0][:, 0] == 0.0
+        got = pk.family_rows(scene, xs[on], vs[on], xis[on],
+                             "survival_psi0_marg", z=params["z"][on])
+        want = [oracle.survival_psi0_marg(scene, x, v, xi, z) for x, v, xi, z
+                in zip(xs[on], vs[on], xis[on], params["z"][on])]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if scene.periodic_box is None:
+            # off-grain starts: no density, and no survival function
+            assert not on.all()
+            for family in ("psi0_marg", "psi0_full"):
+                vals = pk.family_rows(scene, xs[~on], vs[~on], xis[~on],
+                                      family, w=params["w"][~on],
+                                      z=params["z"][~on])
+                assert np.all(vals == 0.0)
+            with pytest.raises(pk.OffGrainStart):
+                pk.family_rows(scene, xs, vs, xis, "survival_psi0_marg",
+                               z=params["z"])
+
+    def test_boundary_start_at_zero(self, two_squares):
+        # on grain 1's left face: inward v is in the grain at xi = 0,
+        # outward and tangent v are not
+        x = [0.0, 0.15]
+        vs = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+        w = [[0.3]] * 3
+        got = {f: pk.family_rows(two_squares, [x] * 3, vs, [0.0] * 3, f,
+                                 w=w, z=w)
+               for f in ("psi", "psi_marg_w", "psi0_marg", "psi0_full")}
+        assert got["psi"].tolist() == [2.0, 0.0, 0.0]
+        for f, vals in got.items():
+            assert vals.tolist() == [getattr(oracle, f)(
+                two_squares, np.array(x), np.array(v), 0.0,
+                *[[0.3]] * len(self.FAMILIES[f])) for v in vs]
+        assert got["psi0_marg"][0] == pytest.approx(12 / np.pi ** 2)
+
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed"])
+    def test_inf_on_a_finite_scene(self, which, scenes):
+        # no density at inf; the survival function is the escape mass
+        scene = scenes[which]
+        xs, vs, _, params = TestFamilyCurves._rays(
+            scene, np.random.default_rng(48))
+        inf = np.full(len(xs), np.inf)
+        for family, keys in self.FAMILIES.items():
+            got = pk.family_rows(scene, xs, vs, inf, family,
+                                 **{k: params[k] for k in keys})
+            if family == "survival_psi":
+                want = [oracle.survival_psi(scene, x, v, np.inf)
+                        for x, v in zip(xs, vs)]
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert np.all(got > 0.0)
+            else:
+                assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
+                                       "tiled2", "tiled3"])
+    def test_along_ray_is_the_shared_grid_row(self, which, family, scenes):
+        # unsorted, repeated, 0 and every segment edge of the ray
+        scene = scenes[which]
+        xs, vs, grid, params = TestFamilyCurves._rays(
+            scene, np.random.default_rng(49))
+        keys = self.FAMILIES[family]
+        row = {k: params[k][0] for k in keys}
+        xis = np.random.default_rng(50).permutation(np.r_[grid, grid[::3]])
+        got = pk.along_ray(scene, family, xs[0], vs[0], xis, **row)
+        order = np.argsort(xis, kind="stable")
+        want = np.empty(len(xis))
+        want[order] = pk.family_curves(
+            scene, xs[:1], vs[:1], xis[order], family,
+            **{k: p[None] for k, p in row.items()})[0]
+        assert np.array_equal(got, want)
+
+    def test_rejects_nan_and_negative_lengths(self, two_squares, tiled_crystal):
+        x, v = two_squares.anchor, unit(0.0)
+        for bad in (np.nan, -0.1, -np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pk.family_rows(two_squares, [x, x], [v, v], [0.1, bad], "psi")
+            with pytest.raises(ValueError, match="nonnegative"):
+                pk.family_curves(two_squares, [x], [v], [0.0, 0.1, bad],
+                                 "psi")
+            with pytest.raises(ValueError, match="nonnegative"):
+                pk.family_curves(tiled_crystal, [x], [v], [bad, 0.1],
+                                 "survival_psi")
+        # inf is a path length, on the shared grid too
+        assert pk.family_curves(two_squares, [x], [v], [0.1, np.inf],
+                                "psi")[0, 1] == 0.0
