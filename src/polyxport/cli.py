@@ -109,9 +109,12 @@ def cmd_psi(args):
     xis = _floats(args.xi)
     if not all(xi >= 0.0 for xi in xis):        # NaN fails too
         raise harness.ConfigError("--xi: path lengths must be >= 0 or inf")
+    try:
+        vals = polykernel.along_ray(scene, args.family, x, v, xis, w, z)
+    except polykernel.InfiniteOnTiledBox as exc:
+        raise harness.ConfigError(f"--xi: {exc}") from exc
     cols = ["family", "xi"] + [f"x{i+1}" for i in range(d)] + ["value"]
     print(",".join(cols))
-    vals = polykernel.along_ray(scene, args.family, x, v, xis, w, z)
     for xi, val in zip(xis, vals):
         row = [args.family, repr(float(xi))] + [repr(float(t)) for t in x] \
             + [repr(float(val))]

@@ -221,7 +221,7 @@ def sample_positions(scene, n, rng):
         need = rows
         while len(need):
             cand = rng.uniform(lo, hi, size=(len(need), d))
-            good = np.all(cand @ g.normals.T < g.offsets, axis=1)
+            good = g.contains_rows(cand)
             out[need[good]] = cand[good]
             need = need[~good]
     return out

@@ -100,6 +100,31 @@ class ConvexGrain:
         """Strict interior test."""
         return bool(np.all(self.normals @ np.asarray(x, dtype=float) < self.offsets))
 
+    def contains_rows(self, pts):
+        """Strict interior test per row of pts (n, d): the mask of
+        np.all(pts @ normals.T < offsets, axis=1), bit for bit.
+
+        On a box (_axis_bounds) every product column is exactly +-x_j, as
+        its other terms are exact zeros, so the test is lo_j < x_j < hi_j
+        per column, and one min/max per column keeps every row at once.
+        Other grains test the columns of the one product in turn.
+        """
+        n = len(pts)
+        box = _axis_bounds(self.normals, self.offsets)
+        if box is None:
+            side = pts @ self.normals.T
+            keep = side[:, 0] < self.offsets[0]
+            for k in range(1, len(self.offsets)):
+                keep &= side[:, k] < self.offsets[k]
+            return keep
+        cols = list(zip(pts.T, *box))
+        if n and all(lo < c.min() and c.max() < hi for c, lo, hi in cols):
+            return np.ones(n, dtype=bool)
+        keep = np.ones(n, dtype=bool)
+        for c, lo, hi in cols:
+            keep &= (lo < c) & (c < hi)
+        return keep
+
     def get_vertices(self):
         return self.vertices
 

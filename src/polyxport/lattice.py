@@ -185,7 +185,10 @@ def integer_points_near_segments(a0, a1, margin):
     overshoot; callers filter by exact distance.  Each segment walks the
     integer slabs along its own dominant axis; in slab m the segment's
     parameter window where |a(t)_j - m| <= margin bounds the other axes to
-    a small box.  Slabs and boxes are expanded over all segments at once.
+    a small box.  The other axes are taken in turn over all slabs at once,
+    a slab drops as soon as one axis's window holds no integer, and only
+    the slabs left are expanded into their boxes: ks come out slab by
+    slab, row-major within a slab.
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -199,25 +202,39 @@ def integer_points_near_segments(a0, a1, margin):
     b0j, uj = b0[seg, j], u[seg, j]
     m_lo = np.floor(b0j - margin).astype(np.int64)
     m_hi = np.ceil(b0j + uj + margin).astype(np.int64)
-    slab_seg, m = repeat_with_rank(seg, m_hi - m_lo + 1)
-    m = m + m_lo[slab_seg]
-    step = np.where(uj > 0.0, uj, 1.0)[slab_seg]
-    bj = b0j[slab_seg]
+    count = m_hi - m_lo + 1
+    slab_seg, m = repeat_with_rank(seg, count)
+    m += np.repeat(m_lo, count)
+    step = np.repeat(np.where(uj > 0.0, uj, 1.0), count)
+    bj = np.repeat(b0j, count)
     t_lo = np.clip((m - margin - bj) / step, 0.0, 1.0)
     t_hi = np.clip((m + margin - bj) / step, 0.0, 1.0)
-    c0 = b0[slab_seg] + t_lo[:, None] * u[slab_seg]
-    c1 = b0[slab_seg] + t_hi[:, None] * u[slab_seg]
-    lo = np.ceil(np.minimum(c0, c1) - margin).astype(np.int64)
-    hi = np.floor(np.maximum(c0, c1) + margin).astype(np.int64)
-    slabs = np.arange(len(m))
-    lo[slabs, j[slab_seg]] = m
-    hi[slabs, j[slab_seg]] = m
-    extent = np.maximum(hi - lo + 1, 0)
-    slab, local = repeat_with_rank(slabs, np.prod(extent, axis=1))
+    # window k of a slab bounds its axis (j + k) % d; window 0 is the slab
+    lo, hi = [m], [m]
+    for k in range(1, d):
+        axis = (j + k) % d
+        bk, uk = b0[seg, axis][slab_seg], u[seg, axis][slab_seg]
+        c0 = bk + t_lo * uk
+        c1 = bk + t_hi * uk
+        lo.append(np.ceil(np.minimum(c0, c1) - margin).astype(np.int64))
+        hi.append(np.floor(np.maximum(c0, c1) + margin).astype(np.int64))
+        full = np.flatnonzero(hi[k] >= lo[k])
+        if len(full) < len(slab_seg):
+            slab_seg, t_lo, t_hi = slab_seg[full], t_lo[full], t_hi[full]
+            lo, hi = ([a[full] for a in arrs] for arrs in (lo, hi))
+    slabs = np.arange(len(slab_seg))
+    box_lo = np.empty((len(slabs), d), dtype=np.int64)
+    extent = np.empty((len(slabs), d), dtype=np.int64)
+    for k in range(d):
+        axis = (j[slab_seg] + k) % d
+        box_lo[slabs, axis] = lo[k]
+        extent[slabs, axis] = hi[k] - lo[k] + 1
+    size = np.prod(extent, axis=1)
+    slab, local = repeat_with_rank(slabs, size)
     ks = np.empty((len(slab), d), dtype=np.int64)
     ext = extent[slab]
     for axis in range(d - 1, -1, -1):
-        ks[:, axis] = lo[slab, axis] + local % ext[:, axis]
+        ks[:, axis] = box_lo[slab, axis] + local % ext[:, axis]
         local = local // ext[:, axis]
     return slab_seg[slab], ks
 

@@ -127,45 +127,47 @@ class PointGrid:
     occupied box and by index within a cell.  The dense start table
     `_start` has one entry per cell of that box plus one: cell c holds
     `_order[_start[c]:_start[c + 1]]`, an empty cell an empty run.  The
-    order is one sort of the keys cell * n + index, which must stay below
-    2^63: a box of ncells cells with ncells * n >= 2^63 raises ValueError.
-    The build floors the cell keys, offsets and linearizes them, and sorts
-    the sort keys in place, so it holds one key array and two key vectors
-    besides the points.
+    order is one sort of the keys cell << b | index, with 2^b >= n, which
+    must stay below 2^63: a box of ncells cells with ncells * 2^b > 2^63,
+    or ncells > 2^53, raises ValueError.  The build floors the cell
+    coordinates in place as floats and takes their row-major index as one
+    float product, exact as every partial sum is an integer below ncells,
+    with one cast to int; it sorts the sort keys in place, so it holds one
+    float copy of the points and two key vectors besides the points.
     """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
         n, d = self.points.shape
-        keys = np.empty((n, d), np.int64)
-        np.floor(self.points / self.cell, out=keys, casting="unsafe")
+        rel = self.points / self.cell
+        np.floor(rel, out=rel)
         if n:
             # column by column: min(axis=0) on (n, d) is several times slower
-            self._lo = np.array([k.min() for k in keys.T])
-            self._shape = np.array([k.max() for k in keys.T]) - self._lo + 1
+            lo = np.array([c.min() for c in rel.T])
+            shape = np.array([c.max() for c in rel.T]) - lo + 1
         else:
-            self._lo = self._shape = np.zeros(d, np.int64)
+            lo = shape = np.zeros(d)
+        self._lo, self._shape = lo.astype(np.int64), shape.astype(np.int64)
+        self._strides = np.r_[np.cumprod(self._shape[:0:-1])[::-1], 1]
         ncells = math.prod(int(s) for s in self._shape)
-        if ncells * n >= 2 ** 63:
+        bits = max(n - 1, 0).bit_length()
+        if ncells > 2 ** 53 or ncells << bits > 2 ** 63:
             raise ValueError(f"{ncells} cells x {n} points overflow the "
                              "int64 sort key")
-        keys -= self._lo
-        lin = self._linear(keys)
-        order = lin * n
-        order += np.arange(n)
+        rel -= lo
+        lin = self._linear(rel).astype(np.int64)
+        order = lin << bits
+        order |= np.arange(n)
         order.sort()
-        order %= max(n, 1)
+        order &= (1 << bits) - 1
         self._order = order
         self._start = np.r_[0, np.cumsum(np.bincount(lin, minlength=ncells))]
 
     def _linear(self, rel):
-        """Row-major index of cells rel (relative to `_lo`, inside the box)."""
-        lin = np.zeros(len(rel), dtype=np.int64)
-        for axis in range(rel.shape[1]):
-            lin *= self._shape[axis]
-            lin += rel[:, axis]
-        return lin
+        """Row-major index of cells rel (relative to `_lo`, inside the box),
+        in rel's dtype."""
+        return rel @ self._strides
 
     def _margin(self, radius):
         # in cell units a point lies within 1/2 (per axis) of its cell's
@@ -217,12 +219,11 @@ def poisson_realization(grain, epsilon, rng):
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     vol = float(np.prod(hi - lo))
     n = rng.poisson(vol / epsilon ** grain.dimension)
-    # rng.uniform(lo, hi, ...)'s doubles at a third of its cost; which points
-    # are kept depends on the rounding of the @ product, so it stays
+    # rng.uniform(lo, hi, ...)'s doubles at a third of its cost
     pts = rng.random((n, grain.dimension))
     pts *= hi - lo
     pts += lo
-    keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
+    keep = grain.contains_rows(pts)
     return pts if keep.all() else pts[keep]
 
 

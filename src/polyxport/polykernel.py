@@ -27,6 +27,10 @@ class OffGrainStart(SceneError):
     """A scatterer-start survival row whose ray does not start in a grain."""
 
 
+class InfiniteOnTiledBox(ValueError):
+    """An infinite path length on a tiled box, whose cells never end."""
+
+
 # The factors of each family, each a KernelModel method and the names of
 # the row parameters it takes after the length: in the segment that holds
 # the grid point; the same on the leading segment of a scatterer start;
@@ -52,18 +56,22 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     0 off the segments, and on a scatterer-start row (psi0_*) whose ray
     does not start in a grain; a survival function carries the product on
     past the segments, and raises OffGrainStart on such a row.  Every grid
-    point must be >= 0 (inf is one).  Yields (rows, values) over blocks of
-    TABLE_ROWS rays of the segment table to each row's last grid point.
-    values, the first W columns of a fresh rows x grid array, holds the
-    rows on the first W grid points, the same W for every block of the
-    call, and every row is constant from its last column on: W - 1 is the
-    first column at or past the call's last finite exit (0 if no ray meets
-    a grain), at most the last one; W is the grid's width on a tiled box,
-    whose table runs past its horizon, and for a grid of one point per ray.
+    point must be >= 0 (inf is one on a finite scene; a tiled box raises
+    InfiniteOnTiledBox).  Yields (rows, values) over blocks of TABLE_ROWS
+    rays of the segment table to each row's last grid point.  values, a
+    fresh rows x W array, holds the rows on the first W grid points, the
+    same W for every block of the call, and every row is constant from its
+    last column on: W - 1 is the first column at or past the call's last
+    finite exit (0 if no ray meets a grain), at most the last one; W is the
+    grid's width on a tiled box, whose table runs past its horizon, and for
+    a grid of one point per ray.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.all(grid >= 0.0):          # NaN fails too
         raise ValueError("path lengths must be nonnegative")
+    if scene.periodic_box is not None and not np.all(np.isfinite(grid)):
+        raise InfiniteOnTiledBox("path lengths on a tiled box must be "
+                                 "finite")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     per_row = grid.ndim == 2
@@ -91,11 +99,9 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
         code = np.where(np.isfinite(entry), codes[np.searchsorted(ids, gid)],
                         np.int8(-1))
         block_params = {k: p[rows] for k, p in params.items()}
-        # no reference to the block stays here: callers free each block
-        # before the next one is built
-        yield rows, _full_width(_block_curves(
+        yield rows, _block_curves(
             scene, kinds, grid[rows] if per_row else grid[:width], family,
-            entry, exit_, code, block_params), grid.shape[-1])
+            entry, exit_, code, block_params)
 
 
 def family_rows(scene, xs, vs, xis, family, w=None, z=None):
@@ -138,19 +144,6 @@ def survival_curves(scene, xs, vs, grid, z=None):
     """survival_blocks as one rows x grid array."""
     family = "survival_psi" if z is None else "survival_psi0_marg"
     return family_curves(scene, xs, vs, grid, family, z=z)
-
-
-def _full_width(values, m):
-    """values in the first columns of a fresh array of m columns.
-
-    Blocks of one full size, allocated after the block's temporaries are
-    freed, keep glibc's mmap threshold above every array of a freepath
-    repetition: narrower blocks, or a block allocated before its
-    temporaries, cost page faults on every block and every sampler call.
-    """
-    out = np.empty((len(values), m))[:, :values.shape[1]]
-    out[...] = values
-    return out
 
 
 def _block_curves(scene, kinds, grid, family, entry, exit_, code, params):

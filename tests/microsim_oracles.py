@@ -1,16 +1,64 @@
-"""Slow, independent Poisson scatterer stores: the test oracles of
+"""Slow, independent scatterer searches: the test oracles of
+polyxport.lattice.integer_points_near_segments,
 polyxport.microsim.PointGrid and polyxport.microsim.poisson_realization.
 
-The grid orders its points with a stable argsort of the linear cell keys,
-lists the occupied cells with `np.unique`, and looks the cells of a query
-up with `searchsorted`.  The realization draws with `rng.uniform` on array
+The slab walk builds the full box of every slab of every segment, empty
+or not, and expands them all.  The grid orders its points with a stable
+argsort of the linear cell keys, lists the occupied cells with
+`np.unique`, and looks the cells of a query up with `searchsorted` (over
+the oracle walk).  The realization draws with `rng.uniform` on array
 bounds and keeps the rows that pass every halfspace test at once.
 """
 import numpy as np
 
-from polyxport.lattice import (dist_point_segment,
-                               integer_points_near_segments,
-                               repeat_with_rank, segment_cover_bound)
+from polyxport.lattice import (dist_point_segment, repeat_with_rank,
+                               segment_cover_bound)
+
+
+def integer_points_near_segments(a0, a1, margin):
+    """All k in Z^d within margin of each segment [a0[i], a1[i]].
+
+    Returns (rows, ks): ks[m] is near segment rows[m].  The result holds
+    every k with |k - a(t)|_inf <= margin for some point a(t) of the
+    segment (so every k within euclidean distance margin) and may
+    overshoot; callers filter by exact distance.  Each segment walks the
+    integer slabs along its own dominant axis; in slab m the segment's
+    parameter window where |a(t)_j - m| <= margin bounds the other axes to
+    a small box.  Slabs and boxes are expanded over all segments at once.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    n, d = a0.shape
+    u = a1 - a0
+    j = np.argmax(np.abs(u), axis=1)
+    seg = np.arange(n)
+    flip = u[seg, j] < 0
+    b0 = np.where(flip[:, None], a1, a0)
+    u = np.where(flip[:, None], -u, u)
+    b0j, uj = b0[seg, j], u[seg, j]
+    m_lo = np.floor(b0j - margin).astype(np.int64)
+    m_hi = np.ceil(b0j + uj + margin).astype(np.int64)
+    slab_seg, m = repeat_with_rank(seg, m_hi - m_lo + 1)
+    m = m + m_lo[slab_seg]
+    step = np.where(uj > 0.0, uj, 1.0)[slab_seg]
+    bj = b0j[slab_seg]
+    t_lo = np.clip((m - margin - bj) / step, 0.0, 1.0)
+    t_hi = np.clip((m + margin - bj) / step, 0.0, 1.0)
+    c0 = b0[slab_seg] + t_lo[:, None] * u[slab_seg]
+    c1 = b0[slab_seg] + t_hi[:, None] * u[slab_seg]
+    lo = np.ceil(np.minimum(c0, c1) - margin).astype(np.int64)
+    hi = np.floor(np.maximum(c0, c1) + margin).astype(np.int64)
+    slabs = np.arange(len(m))
+    lo[slabs, j[slab_seg]] = m
+    hi[slabs, j[slab_seg]] = m
+    extent = np.maximum(hi - lo + 1, 0)
+    slab, local = repeat_with_rank(slabs, np.prod(extent, axis=1))
+    ks = np.empty((len(slab), d), dtype=np.int64)
+    ext = extent[slab]
+    for axis in range(d - 1, -1, -1):
+        ks[:, axis] = lo[slab, axis] + local % ext[:, axis]
+        local = local // ext[:, axis]
+    return slab_seg[slab], ks
 
 
 class PointGrid:

@@ -328,6 +328,31 @@ def test_psi_eval_on_partial_periodic_scene_fails(scene_config):
     assert "ConfigError: scene.periodic_box" in proc.stderr
 
 
+def test_psi_eval_inf_on_tiled_box_names_xi(scene_config, tmp_path, capsys):
+    # inf is a path length on a finite scene, where psi vanishes; the cells
+    # of a tiled box never end, so there it is an input error
+    finite = ["psi", "eval", "--config", str(scene_config), "--x",
+              "0.15,0.15", "--v", "1,0", "--xi", "0.5,inf"]
+    assert main(finite) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",0.0")
+    box = [[0.0, 0.0], [0.35, 0.35]]
+    path = tmp_path / "tiled.json"
+    path.write_text(json.dumps({"scene": {
+        "dimension": 2, "anchor": [0.175, 0.175],
+        "periodic_box": {"lo": box[0], "hi": box[1]},
+        "grains": [{"id": 1, "box": box, "medium": {"type": "poisson"}}]}}))
+    argv = ["psi", "eval", "--config", str(path), "--x", "0.1,0.1",
+            "--v", "1,0.3", "--xi", "0.5,inf"]
+    with pytest.raises(harness.ConfigError, match="^--xi: "):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    proc = _cli_in_subprocess(*argv)
+    assert proc.returncode == 1
+    assert "ConfigError: --xi: " in proc.stderr
+    assert proc.stdout == ""
+    assert main(argv[:-1] + ["0.5"]) == 0
+
+
 @pytest.mark.parametrize("option,value", [
     ("--v", "0,0"), ("--xi", "nan"), ("--xi", "0.1,-0.2"), ("--v", "1,0,0"),
     ("--x", "0.15"), ("--w", "0.1,0.2")],

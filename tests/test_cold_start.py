@@ -1,15 +1,20 @@
-"""Box scenes parse, evaluate and fly without importing SciPy.
+"""What a fresh interpreter gets from importing polyxport.
 
-Each case runs in a fresh interpreter, since the test session itself has
-SciPy loaded.  The d=3 G table is read from shipped coefficients, so a
-flight on a tiled 3D crystal box loads no SciPy either.  SciPy stays
-imported where it is needed: grains that are not boxes and the chi-square
-tails of the transition and poisson runners.
+Box scenes parse, evaluate and fly without importing SciPy.  Each case
+runs in a fresh interpreter, since the test session itself has SciPy
+loaded.  The d=3 G table is read from shipped coefficients, so a flight on
+a tiled 3D crystal box loads no SciPy either.  SciPy stays imported where
+it is needed: grains that are not boxes and the chi-square tails of the
+transition and poisson runners.  On glibc the import also fixes the malloc
+thresholds, so freed arrays are reused without page faults.
 """
 import json
 import os
+import platform
 import subprocess
 import sys
+
+import pytest
 
 import polyxport
 
@@ -128,3 +133,30 @@ def test_grain_that_is_not_a_box_still_imports_scipy():
               "harness.parse_scene(json.loads(sys.argv[1]))\n")
     assert "scipy.optimize" in _scipy_modules_after(script,
                                                     json.dumps(scene))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are set on glibc only")
+def test_freed_arrays_are_reused_without_page_faults():
+    # importing polyxport fixes glibc's mmap threshold above this array, so
+    # the second round reuses the heap pages the first one freed; glibc's
+    # own dynamic threshold would move the array into the heap only then,
+    # and grow the heap with fresh pages
+    script = """
+import resource
+import numpy as np
+import polyxport
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.empty(2 << 20)
+    a.fill(1.0)
+    del a
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before)
+print(faults[1])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from polyxport import bcc_matrix, points_in_tube
 from polyxport.lattice import (AffineLattice, ScaledGrainLattice,
-                               dist_point_segment, integer_points_near_segment)
+                               dist_point_segment, integer_points_near_segment,
+                               integer_points_near_segments)
+
+import microsim_oracles
 
 
 def test_bcc_matrix():
@@ -123,3 +126,74 @@ def test_enumeration_cost_bound():
         radius / eps + 1e-9)
     expected = L * (2 * radius) / eps ** 2
     assert len(ks) < 12 * expected + 100
+
+
+def _walk_segments(d, rng, n=300):
+    """Random segments of lattice-coordinate length up to about 30, each
+    one both ways (the first 40 start within 0.005 of an integer point),
+    plus zero-length segments and axis-parallel ones along every axis,
+    both ways, from integer and from off-integer starts."""
+    a0 = rng.uniform(-20.0, 20.0, (n, d))
+    a0[:40] = np.round(a0[:40]) + rng.uniform(-0.005, 0.005, (40, d))
+    a1 = a0 + rng.normal(size=(n, d)) * rng.uniform(0.0, 15.0, (n, 1))
+    zero = np.round(a0[:10])
+    zero[1::2] += 0.5
+    start = np.round(a0[:2 * d])
+    start[::2] += 0.25
+    step = 7.0 * np.vstack([np.eye(d), -np.eye(d)])
+    return (np.vstack([a0, a1, zero, start]),
+            np.vstack([a1, a0, zero, start + step]))
+
+
+@pytest.mark.parametrize("margin", [0.01, 0.05, 0.2, 0.45, 0.6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_slab_walk_matches_oracle(d, margin):
+    # the walk that drops empty slabs returns the full-box walk's rows,
+    # row for row, for crystal tubes (small margins) and Poisson cell
+    # covers (1/2 plus the radius in cell units)
+    p0, p1 = _walk_segments(d, np.random.default_rng(int(100 * margin) + d))
+    rows, ks = integer_points_near_segments(p0, p1, margin)
+    ref_rows, ref_ks = microsim_oracles.integer_points_near_segments(
+        p0, p1, margin)
+    assert len(np.unique(rows)) > 80
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(ks, ref_ks)
+
+
+def _near_linf(ks, a0, a1, margin):
+    """Mask of the rows of ks within L-inf distance margin of the segment
+    [a0, a1]: the parameter windows where each coordinate lies within
+    margin of k's meet inside [0, 1]."""
+    u = a1 - a0
+    moving = u != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (ks - margin - a0) / u
+        t1 = (ks + margin - a0) / u
+    still = np.where(np.abs(a0 - ks) <= margin, np.inf, -np.inf)
+    lo = np.where(moving, np.minimum(t0, t1), -still)
+    hi = np.where(moving, np.maximum(t0, t1), still)
+    return np.maximum(lo.max(axis=1), 0.0) <= np.minimum(hi.min(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("margin", [0.01, 0.3, 0.6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_slab_walk_holds_every_point_within_margin(d, margin):
+    # brute force over a grid of integer points, with the margin shrunk a
+    # little so that no rounding at a window's edge decides
+    rng = np.random.default_rng(7 + d)
+    p0 = rng.uniform(-3.0, 3.0, (60, d))
+    p1 = p0 + rng.normal(size=(60, d)) * rng.uniform(0.0, 2.0, (60, 1))
+    p1[:3] = p0[:3]                    # zero-length
+    p1[3:6] = p0[3:6]
+    p1[3:6, 0] -= 1.5                  # axis-parallel, reversed
+    p0[6:30] = np.round(p0[6:30]) + rng.uniform(-0.005, 0.005, (24, d))
+    rows, ks = integer_points_near_segments(p0, p1, margin)
+    grid = np.stack(np.meshgrid(*[np.arange(-12, 13)] * d, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    found = 0
+    for i in range(len(p0)):
+        want = grid[_near_linf(grid, p0[i], p1[i], margin * (1 - 1e-9))]
+        got = set(map(tuple, ks[rows == i].tolist()))
+        assert set(map(tuple, want.tolist())) <= got
+        found += len(want)
+    assert found >= 24

@@ -375,6 +375,29 @@ POISSON_GRAINS = {
 }
 
 
+@pytest.mark.parametrize("grain", sorted(POISSON_GRAINS))
+def test_contains_rows_is_the_product_rule(grain):
+    # the keep rule of poisson_realization and flight.sample_positions:
+    # exactly np.all(pts @ N.T < c, axis=1), on points inside, outside and
+    # exactly on the lo and hi faces, edges and corners of the bounding box
+    grain = POISSON_GRAINS[grain]
+    verts = grain.get_vertices()
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    d = grain.dimension
+    rng = np.random.default_rng(3)
+    inner = rng.uniform(lo, hi, (500, d))
+    pick = rng.integers(0, 3, (500, d))
+    snapped = np.where(pick == 0, lo, np.where(pick == 1, hi, inner))
+    corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(d, -1).T
+    wide = rng.uniform(lo - 0.1, hi + 0.1, (500, d))
+    for pts in (inner, snapped, corners, wide, np.vstack([inner, snapped])):
+        want = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
+        got = grain.contains_rows(pts)
+        assert got.dtype == bool and np.array_equal(got, want)
+    assert not np.any(grain.contains_rows(corners))
+    assert grain.contains_rows(np.empty((0, d))).shape == (0,)
+
+
 def oracle_segments(grain, rng, n=400):
     """Segments around the grain, some of them outside its bounding box."""
     verts = grain.get_vertices()

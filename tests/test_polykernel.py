@@ -605,6 +605,19 @@ class TestFamilyRows:
             else:
                 assert np.all(got == 0.0)
 
+    @pytest.mark.parametrize("which", ["tiled2", "tiled3"])
+    def test_inf_on_a_tiled_box_is_rejected(self, which, scenes):
+        # the cells of a tiled box never end, so no table reaches inf
+        scene = scenes[which]
+        xs, vs, _, _ = TestFamilyCurves._rays(scene, np.random.default_rng(48))
+        xis = np.full(len(xs), 0.5)
+        xis[1] = np.inf
+        for call in (lambda: pk.family_rows(scene, xs, vs, xis, "psi"),
+                     lambda: pk.family_curves(scene, xs, vs, [0.5, np.inf],
+                                              "survival_psi")):
+            with pytest.raises(ValueError, match="tiled box must be finite"):
+                call()
+
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
                                        "tiled2", "tiled3"])
