@@ -62,32 +62,58 @@ def _run_and_emit(cfg, args, kind):
     return 0 if report.get("verdict", True) else 3
 
 
+def _params(args, d, takes):
+    """The --w and --z vectors (0 when absent): each a finite vector of
+    length d - 1, and a point of the closed unit ball if its key is in
+    takes; else a ConfigError naming the option."""
+    vecs = []
+    for key in ("w", "z"):
+        text = getattr(args, key)
+        vec = _vec(text) if text else np.zeros(d - 1)
+        if vec.size != d - 1 or not np.all(np.isfinite(vec)):
+            raise harness.ConfigError(f"--{key}: needs a finite vector of "
+                                      f"length {d - 1}")
+        # the tolerance of polykernel._check_ball
+        if key in takes and not vec @ vec <= 1.0 + 1e-12:
+            raise harness.ConfigError(f"--{key}: must lie in the closed "
+                                      f"unit ball")
+        vecs.append(vec)
+    return vecs
+
+
+def _path_lengths(text):
+    xis = _floats(text)
+    if not all(xi >= 0.0 for xi in xis):        # NaN fails too
+        raise harness.ConfigError("--xi: path lengths must be >= 0 or inf")
+    return xis
+
+
+# kernels eval family -> (KernelModel method, the parameters it takes)
+_KERNEL_FAMILIES = {"phi0": ("phi0", "wz"), "phi0_marg": ("phi0_marg", "w"),
+                    "phi_marg": ("phi_marg", "w"), "phi": ("phi", ""),
+                    "d_phi": ("d_phi", ""), "tail": ("tail_bound", "")}
+
+
 def cmd_kernels(args):
     med = args.medium
     d = args.dimension
-    w = _vec(args.w) if args.w else np.zeros(d - 1)
-    z = _vec(args.z) if args.z else np.zeros(d - 1)
+    name, takes = _KERNEL_FAMILIES[args.family]
+    w, z = _params(args, d, takes)
+    xis = _path_lengths(args.xi)
     model = kernels.KernelModel("crystal" if med == "crystal" else "poisson", d)
-    writer = sys.stdout
+    kernel = getattr(model, name)
+    params = [p for key, p in (("w", w), ("z", z)) if key in takes]
+    try:
+        vals = [kernel(xi, *params) for xi in xis]
+    except kernels.RangeError as exc:
+        raise harness.ConfigError(f"--xi: {exc}") from exc
     cols = ["medium", "d", "xi"] + [f"w{i+1}" for i in range(d - 1)] \
         + [f"z{i+1}" for i in range(d - 1)] + ["value"]
-    print(",".join(cols), file=writer)
-    for xi in _floats(args.xi):
-        if args.family == "phi0":
-            val = model.phi0(xi, w, z)
-        elif args.family == "phi0_marg":
-            val = model.phi0_marg(xi, w)
-        elif args.family == "phi_marg":
-            val = model.phi_marg(xi, w)
-        elif args.family == "phi":
-            val = model.phi(xi)
-        elif args.family == "d_phi":
-            val = model.d_phi(xi)
-        else:
-            val = model.tail_bound(xi)
+    print(",".join(cols))
+    for xi, val in zip(xis, vals):
         row = [med, str(d), repr(float(xi))] + [repr(float(t)) for t in w] \
             + [repr(float(t)) for t in z] + [repr(float(val))]
-        print(",".join(row), file=writer)
+        print(",".join(row))
     return 0
 
 
@@ -97,18 +123,17 @@ def cmd_psi(args):
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
     d = scene.dimension
     x, v = _vec(args.x), _vec(args.v)
-    w, z = (_vec(t) if t else np.zeros(d - 1) for t in (args.w, args.z))
-    for key, vec, size in (("x", x, d), ("v", v, d), ("w", w, d - 1),
-                           ("z", z, d - 1)):
-        if vec.size != size or not np.all(np.isfinite(vec)):
+    for key, vec in (("x", x), ("v", v)):
+        if vec.size != d or not np.all(np.isfinite(vec)):
             raise harness.ConfigError(f"--{key}: needs a finite vector of "
-                                      f"length {size}")
+                                      f"length {d}")
+    takes = [key for key in "wz" if any(
+        key in spec for spec in polykernel._FAMILIES[args.family] if spec)]
+    w, z = _params(args, d, takes)
     if not np.any(v):
         raise harness.ConfigError("--v: the direction must be nonzero")
     v = v / np.linalg.norm(v)
-    xis = _floats(args.xi)
-    if not all(xi >= 0.0 for xi in xis):        # NaN fails too
-        raise harness.ConfigError("--xi: path lengths must be >= 0 or inf")
+    xis = _path_lengths(args.xi)
     try:
         vals = polykernel.along_ray(scene, args.family, x, v, xis, w, z)
     except polykernel.InfiniteOnTiledBox as exc:
@@ -174,8 +199,7 @@ def main(argv=None):
     pk.add_argument("--w", default=None)
     pk.add_argument("--z", default=None)
     pk.add_argument("--family", default="phi0",
-                    choices=["phi0", "phi0_marg", "phi_marg", "phi", "d_phi",
-                             "tail"])
+                    choices=list(_KERNEL_FAMILIES))
     pk.set_defaults(func=cmd_kernels)
 
     pp = sub.add_parser("psi", help="evaluate polycrystal limit densities")

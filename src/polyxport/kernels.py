@@ -262,17 +262,23 @@ def tail_bound(xi, dimension):
                       np.exp(-0.5 * zeta(dimension)))
 
 
+def _poisson_decay(xi, dimension):
+    """exp(-sigma_bar xi): every exponential kernel is it or sigma_bar
+    times it."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
+        raise ValueError("xi must be nonnegative")
+    return np.exp(-sigma_bar(dimension) * xi)
+
+
 def poisson_kernels(xi, dimension):
     """The five exponential kernels of a disordered medium.
 
     Returns (Phi_0(xi,w,z), Phi(xi,w), Phi_0(xi,w), Phi(xi), D_Phi(xi)),
     all independent of w and z.
     """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("xi must be nonnegative")
+    e = _poisson_decay(xi, dimension)
     sb = sigma_bar(dimension)
-    e = np.exp(-sb * xi)
     return e, e, sb * e, sb * e, e
 
 
@@ -304,7 +310,7 @@ class KernelModel:
 
     def phi0(self, xi, w, z):
         if self.medium == "poisson":
-            return poisson_kernels(xi, self.dimension)[0]
+            return _poisson_decay(xi, self.dimension)
         if self.dimension == 2:
             xi = _check_range(xi, 2)
             return 6.0 / np.pi ** 2 + 0.0 * xi
@@ -312,22 +318,22 @@ class KernelModel:
 
     def phi_marg(self, xi, w):
         if self.medium == "poisson":
-            return poisson_kernels(xi, self.dimension)[1]
+            return _poisson_decay(xi, self.dimension)
         return phi_marginal(xi, w, self.dimension)
 
     def phi0_marg(self, xi, w):
         if self.medium == "poisson":
-            return poisson_kernels(xi, self.dimension)[2]
+            return self.sigma_bar * _poisson_decay(xi, self.dimension)
         return phi0_marginal(xi, w, self.dimension)
 
     def phi(self, xi):
         if self.medium == "poisson":
-            return poisson_kernels(xi, self.dimension)[3]
+            return self.sigma_bar * _poisson_decay(xi, self.dimension)
         return phi_freepath(xi, self.dimension)
 
     def d_phi(self, xi):
         if self.medium == "poisson":
-            return poisson_kernels(xi, self.dimension)[4]
+            return _poisson_decay(xi, self.dimension)
         return d_phi(xi, self.dimension)
 
     def phi_cdf(self, u):

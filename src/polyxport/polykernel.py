@@ -9,7 +9,15 @@ scatterer-start family identically zero.
 
 family_blocks is the one product, over rows of geometry's segment table:
 on one sorted grid shared by every ray, or at one path length per ray
-(family_rows, which the phase-point checks below and along_ray read).
+(family_rows, which the phase-point checks below and along_ray read).  It
+runs in two steps.  The segment step runs once per segment table (the
+whole table of a finite scene, each block's own table of a tiled box): the
+factor code, length and grid columns of every segment, its factor when
+fully traversed, and the prefix products of those factors.  The point step
+runs once per block of TABLE_ROWS rows: it lists the grid points inside
+segments ordered by factor code, turns each code's contiguous slice of
+in-segment lengths into factors by one KernelModel call, and spreads the
+prefix products over the block's rows.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels as K
+from . import geometry, kernels as K
 # itinerary: unused, kept for perfbench/tracing.py until ROADMAP item 1
 from .geometry import (SceneError, _table_blocks, gap, itinerary,  # noqa: F401
                        segment_table)
@@ -65,6 +73,12 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     finite exit (0 if no ray meets a grain), at most the last one; W is the
     grid's width on a tiled box, whose table runs past its horizon, and for
     a grid of one point per ray.
+
+    The segment step (_Segments) runs once per segment table: the whole
+    table of a finite scene, each block's own table of a tiled box.  The
+    point step (_Segments.block) runs once per block and calls each
+    factor's KernelModel method once, on the contiguous slice of the
+    block's in-segment lengths that has its factor code.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.all(grid >= 0.0):          # NaN fails too
@@ -77,31 +91,47 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     per_row = grid.ndim == 2
     params = {k: np.atleast_2d(np.asarray(p, dtype=float))
               for k, p in (("w", w), ("z", z)) if p is not None}
-    # factor code of each grain id, looked up by searchsorted in the ids
+    inner, lead_inner, lead_full = _FAMILIES[family]
+    # factor code 2 * kind index + lead: the KernelModel of the kind, its
+    # factor on a full segment and at a point inside one
     kinds = list(dict.fromkeys(m.kind for m in scene.media))
+    specs = [(K.for_medium(kind, scene.dimension), full, inside)
+             for kind in kinds
+             for full, inside in ((("d_phi",), inner),
+                                  (lead_full, lead_inner))]
+    # 2 * kind index of each grain id, looked up by searchsorted in the ids
     ids = np.array([g.id for g in scene.grains])
     by_id = np.argsort(ids)
     ids = ids[by_id]
     codes = np.array([2 * kinds.index(m.kind) for m in scene.media],
                      dtype=np.int8)[by_id]
-    blocks = _table_blocks(scene, xs, vs, grid[..., -1])
+    step = geometry.TABLE_ROWS
     width = grid.shape[-1]
-    if scene.periodic_box is None and not per_row:
-        # slices of one table: the call's last exit is known up front
-        blocks = list(blocks)
-        last = max((np.max(exit_, where=np.isfinite(exit_), initial=0.0)
-                    for _, _, exit_, _ in blocks), default=0.0)
-        width = min(int(np.searchsorted(grid, last)) + 1, width)
-    for rows, entry, exit_, gid in blocks:
+    if scene.periodic_box is None:
+        # one table: the call's last exit is known up front
+        tables = [(slice(0, len(xs)),) + segment_table(scene, xs, vs, None)]
+        if not per_row:
+            exit_ = tables[0][2]
+            last = np.max(exit_, where=np.isfinite(exit_), initial=0.0)
+            width = min(int(np.searchsorted(grid, last)) + 1, width)
+    else:
+        tables = _table_blocks(scene, xs, vs, grid[..., -1])
+    # the grid repeated over the rows of a block, read at output positions
+    repeated = None if per_row else np.tile(grid[:width],
+                                            min(len(xs), step))
+    for rows, entry, exit_, gid in tables:
         if family == "survival_psi0_marg" and np.any(entry[:, 0] != 0.0):
             raise OffGrainStart("scatterer-start survival needs every ray "
                                 "to start in a grain")
         code = np.where(np.isfinite(entry), codes[np.searchsorted(ids, gid)],
                         np.int8(-1))
-        block_params = {k: p[rows] for k, p in params.items()}
-        yield rows, _block_curves(
-            scene, kinds, grid[rows] if per_row else grid[:width], family,
-            entry, exit_, code, block_params)
+        table = _Segments(family, specs, entry, exit_, code,
+                          grid[rows] if per_row else grid[:width],
+                          {k: p[rows] for k, p in params.items()}, step)
+        for i, start in enumerate(range(0, len(entry), step)):
+            block = slice(start, min(start + step, len(entry)))
+            yield (slice(rows.start + block.start, rows.start + block.stop),
+                   table.block(i, block, repeated))
 
 
 def family_rows(scene, xs, vs, xis, family, w=None, z=None):
@@ -146,65 +176,110 @@ def survival_curves(scene, xs, vs, grid, z=None):
     return family_curves(scene, xs, vs, grid, family, z=z)
 
 
-def _block_curves(scene, kinds, grid, family, entry, exit_, code, params):
-    inner, lead_inner, lead_full = _FAMILIES[family]
-    n, nseg = entry.shape
-    m = grid.shape[-1]
-    valid = np.isfinite(entry)
-    ell = np.zeros(entry.shape)
-    np.subtract(exit_, entry, out=ell, where=valid)
-    # factor code per segment: 2 * kind index, plus 1 on the leading
-    # segment of a scatterer start; -1 on the padding
-    if lead_full is not None:
-        code[:, 0] += valid[:, 0]
-    # grid points inside segment (r, k), lo <= col < hi, as one ragged
-    # array; pos is the flat index r * m + col of the output.  A grid of
-    # one point per row compares each row's segments with its own point.
-    if grid.ndim == 1:
-        lo = np.searchsorted(grid, entry)
-        hi = np.searchsorted(grid, exit_)
-    else:
-        lo = (grid < entry).astype(int)
-        hi = (grid < exit_).astype(int)
-    segs = np.flatnonzero(hi > lo)
-    count = (hi - lo).ravel()[segs]
-    shift = np.cumsum(count) - count - lo.ravel()[segs]
-    cols = np.arange(int(count.sum())) - np.repeat(shift, count)
-    pos = cols + np.repeat(segs // nseg * m, count)
-    u = (grid[cols] if grid.ndim == 1 else grid[pos // m, cols]) \
-        - np.repeat(entry.ravel()[segs], count)
-    pcode = np.repeat(code.ravel()[segs], count)
-    # u turns from in-segment lengths into their factors
-    factor = np.ones(entry.shape)
-    specs = ((("d_phi",), inner), (lead_full, lead_inner))
-    for i, kind in enumerate(kinds):
-        kern = K.for_medium(kind, scene.dimension)
-        for lead, (full_spec, inner_spec) in enumerate(specs):
-            full = code == 2 * i + lead
+class _Segments:
+    """The segment step of family_blocks on one segment table, whose rows
+    are cut into blocks of `step` rows; code is each segment's 2 * kind
+    index (-1 on the padding).
+
+    The segments that hold grid points are listed by block, then by factor
+    code (code, plus 1 on the leading segment of a scatterer start), and
+    their points follow in the same order; cut[i * len(specs) + c] is where
+    factor code c of block i starts.  Per listed segment: row, count of
+    points, first (list index of its first point), offset (flat position
+    in the table's values minus list index, for each of its points), entry,
+    and seg_prefix, the product of the full factors before it.  prefix[r,
+    k] is that product before segment k of row r, over the runs[r, k] grid
+    columns that have traversed exactly segments 0..k-1.
+    """
+
+    def __init__(self, family, specs, entry, exit_, code, grid, params,
+                 step):
+        lead_full = _FAMILIES[family][2]
+        self.specs, self.params, self.grid = specs, params, grid
+        self.survival = family.startswith("survival")
+        # psi0_*: no mass off a grain
+        self.off = (entry[:, 0] != 0.0 if lead_full is not None
+                    and not self.survival else None)
+        n, nseg = entry.shape
+        valid = np.isfinite(entry)
+        ell = np.zeros(entry.shape)
+        np.subtract(exit_, entry, out=ell, where=valid)
+        if lead_full is not None:
+            code[:, 0] += valid[:, 0]
+        # grid points inside segment (r, k): lo <= col < hi.  A grid of one
+        # point per row compares each row's segments with its own point.
+        m = grid.shape[-1]
+        if grid.ndim == 1:
+            lo = np.searchsorted(grid, entry)
+            hi = np.searchsorted(grid, exit_)
+        else:
+            lo = (grid < entry).astype(int)
+            hi = (grid < exit_).astype(int)
+        factor = np.ones(entry.shape)
+        for c, (kern, spec, _) in enumerate(specs):
+            full = code == c
             if full.any():
-                factor[full] = _factor(kern, full_spec, ell[full], params,
-                                       np.nonzero(full)[0])
-            inside = pcode == 2 * i + lead
-            if inside.any():
-                u[inside] = _factor(kern, inner_spec, u[inside], params,
-                                    pos[inside] // m)
-    # grid points in [hi of segment k-1, hi of segment k) have traversed
-    # segments 0..k-1 fully: the prefix product before segment k
-    prefix = np.ones((n, nseg + 1))
-    prefix[:, 1:] = np.cumprod(factor, axis=1)
-    edges = np.zeros((n, nseg + 2), dtype=int)
-    edges[:, 1:-1] = hi
-    edges[:, -1] = m
-    surv = np.repeat(prefix.ravel(), np.diff(edges, axis=1).ravel())
-    if family.startswith("survival"):
-        surv[pos] *= u
-        return surv.reshape(n, m)
-    out = np.zeros(n * m)
-    out[pos] = surv[pos] * u
-    out = out.reshape(n, m)
-    if lead_full is not None:     # psi0_*: no mass off a grain
-        out[entry[:, 0] != 0.0] = 0.0
-    return out
+                rows = np.nonzero(full)[0] if len(spec) > 1 else None
+                factor[full] = _factor(kern, spec, ell[full], params, rows)
+        # grid points in [hi of segment k-1, hi of segment k) have traversed
+        # segments 0..k-1 fully: the prefix product before segment k
+        self.prefix = np.ones((n, nseg + 1))
+        self.prefix[:, 1:] = np.cumprod(factor, axis=1)
+        self.runs = np.empty((n, nseg + 1), dtype=hi.dtype)
+        self.runs[:, :-1] = hi
+        self.runs[:, -1] = m
+        self.runs[:, 1:] -= hi
+        # the segments that hold grid points, by block and factor code
+        segs = np.flatnonzero(hi > lo)
+        row = segs // nseg
+        key = row // step * len(specs) + code.ravel()[segs]
+        order = np.argsort(key)
+        segs, self.row = segs[order], row[order]
+        blocks = -(-n // step)
+        self.cut = np.searchsorted(key[order],
+                                   np.arange(blocks * len(specs) + 1))
+        self.count = (hi - lo).ravel()[segs]
+        self.first = np.concatenate(([0], np.cumsum(self.count)))
+        # point j of segment (r, k) is grid column lo + j, at the flat
+        # position r * m + lo + j of the table's values
+        self.offset = self.row * m + lo.ravel()[segs] - self.first[:-1]
+        self.entry = entry.ravel()[segs]
+        self.seg_prefix = self.prefix.ravel()[segs + self.row]
+
+    def block(self, i, b, repeated):
+        """The point step: the values of block i, rows b, as a rows x m
+        array, given the grid repeated over the rows of a block (None for
+        one point per row)."""
+        m = self.grid.shape[-1]
+        nc = len(self.specs)
+        cut = self.cut[i * nc:(i + 1) * nc + 1]
+        s = slice(cut[0], cut[-1])
+        count = self.count[s]
+        q0 = self.first[cut[0]]
+        # the block's points in list order: flat positions pos in the
+        # block's values, in-segment lengths u
+        pos = np.repeat(self.offset[s] - b.start * m, count)
+        pos += np.arange(q0, self.first[cut[-1]])
+        u = np.take(self.grid[b, 0] if repeated is None else repeated, pos)
+        u -= np.repeat(self.entry[s], count)
+        # u turns into the factors, one contiguous slice per factor code
+        for c, (kern, _, spec) in enumerate(self.specs):
+            if cut[c] < cut[c + 1]:
+                p = slice(self.first[cut[c]] - q0, self.first[cut[c + 1]] - q0)
+                rows = (np.repeat(self.row[cut[c]:cut[c + 1]],
+                                  self.count[cut[c]:cut[c + 1]])
+                        if len(spec) > 1 else None)
+                u[p] = _factor(kern, spec, u[p], self.params, rows)
+        u *= np.repeat(self.seg_prefix[s], count)
+        if self.survival:
+            out = np.repeat(self.prefix[b].ravel(), self.runs[b].ravel())
+        else:
+            out = np.zeros((b.stop - b.start) * m)
+        out[pos] = u
+        out = out.reshape(-1, m)
+        if self.off is not None:
+            out[self.off[b]] = 0.0
+        return out
 
 
 def _factor(kern, spec, lengths, params, rows):

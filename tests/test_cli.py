@@ -355,9 +355,9 @@ def test_psi_eval_inf_on_tiled_box_names_xi(scene_config, tmp_path, capsys):
 
 @pytest.mark.parametrize("option,value", [
     ("--v", "0,0"), ("--xi", "nan"), ("--xi", "0.1,-0.2"), ("--v", "1,0,0"),
-    ("--x", "0.15"), ("--w", "0.1,0.2")],
+    ("--x", "0.15"), ("--w", "0.1,0.2"), ("--w", "2")],
     ids=["zero-v", "nan-xi", "negative-xi", "v-length", "x-length",
-         "w-length"])
+         "w-length", "w-outside-ball"])
 def test_psi_eval_bad_input_names_the_option(scene_config, capsys, option,
                                              value):
     args = {"--x": "0.15,0.15", "--v": "1,0", "--xi": "0.1", "--w": "0.3"}
@@ -371,6 +371,34 @@ def test_psi_eval_bad_input_names_the_option(scene_config, capsys, option,
     assert proc.returncode == 1
     assert f"ConfigError: {option}: " in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--xi", "0.7"), ("--xi", "-1"), ("--xi", "0.1,nan"), ("--w", "3"),
+    ("--z", "0,1"), ("--z", "-1.5")],
+    ids=["xi-past-crystal-range", "negative-xi", "nan-xi", "w-outside-ball",
+         "z-length", "z-outside-ball"])
+def test_kernels_eval_bad_input_names_the_option(capsys, option, value):
+    args = {"--xi": "0.1", "--w": "0.3", "--z": "-0.2"}
+    args[option] = value
+    argv = ["kernels", "eval", "--medium", "crystal", "--dimension", "2",
+            "--family", "phi0"] + [t for kv in args.items() for t in kv]
+    with pytest.raises(harness.ConfigError, match=f"^{option}: "):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    proc = _cli_in_subprocess(*argv)
+    assert proc.returncode == 1
+    assert f"ConfigError: {option}: " in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_kernels_eval_ignores_parameters_a_family_does_not_take(capsys):
+    # phi takes neither w nor z: only their lengths are checked
+    argv = ["kernels", "eval", "--medium", "poisson", "--dimension", "2",
+            "--xi", "0.5", "--family", "phi", "--w", "3", "--z", "-2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert float(out[1].split(",")[-1]) == 2.0 * np.exp(-1.0)
 
 
 def test_subcommand_on_config_of_another_kind_uses_its_defaults(

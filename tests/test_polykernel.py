@@ -651,3 +651,122 @@ class TestFamilyRows:
         # inf is a path length, on the shared grid too
         assert pk.family_curves(two_squares, [x], [v], [0.1, np.inf],
                                 "psi")[0, 1] == 0.0
+
+
+def _crystal_poisson_crystal():
+    """Three squares along the x axis: crystal, Poisson, crystal, so that
+    the factor codes of a row's segments alternate."""
+    from polyxport.lattice import CrystalMedium, PoissonMedium
+    grains = tuple(geometry.ConvexGrain.box(i + 1, (0.35 * i, 0.0),
+                                            (0.35 * i + 0.3, 0.3))
+                   for i in range(3))
+    media = (CrystalMedium(presets.identity_lattice(2, (0.318, 0.577))),
+             PoissonMedium(),
+             CrystalMedium(presets.rotated_lattice_2d(1.0, (0.414, 0.162))))
+    return geometry.make_scene(2, grains, media, anchor=(0.15, 0.15),
+                               assume_incommensurable=True)
+
+
+class TestBlockPartition:
+    """The values do not depend on how the rows are cut into blocks of
+    TABLE_ROWS: one row per block, a few, the default, and all at once."""
+
+    PARTITIONS = (1, 3, 128, 4096)
+    FAMILIES = {"psi": (), "psi_marg_w": ("w",), "psi0_marg": ("w",),
+                "psi0_full": ("w", "z"), "survival_psi": (),
+                "survival_psi0_marg": ("z",)}
+
+    @pytest.fixture(scope="class")
+    def row_scene(self):
+        return _crystal_poisson_crystal()
+
+    def _partitioned(self, monkeypatch, compute):
+        """compute() at every partition, all bit for bit the first."""
+        first = None
+        for rows in self.PARTITIONS:
+            monkeypatch.setattr(geometry, "TABLE_ROWS", rows)
+            got = compute()
+            if first is None:
+                first = got
+            assert np.array_equal(got, first), rows
+        return first
+
+    @staticmethod
+    def _rays(scene, rng):
+        """On a finite scene: the row of grains from inside its ends, from
+        the gap before it and from its middle grain, two rays that miss
+        every grain, and random rays.  On a tiled box: two rays through
+        cell corners, whose tables hold zero-length cells, and random
+        rays."""
+        n = 14
+        if scene.periodic_box is None:
+            xs = rng.uniform(-0.3, 1.3, (n, 2))
+            vs = scattering.sample_direction(rng, 2, n)
+            xs[:6] = [[0.15, 0.15], [0.95, 0.2], [-0.2, 0.2], [0.5, 0.1],
+                      [0.5, 2.0], [0.5, 0.32]]
+            vs[:6] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                      [1.0, 0.0], [0.0, 1.0]]
+        else:
+            xs = flight.sample_positions(scene, n, rng)
+            vs = scattering.sample_direction(rng, 2, n)
+            xs[:2] = [[0.1, 0.1], [0.3, 0.05]]
+            vs[:2] = [[np.sqrt(0.5), np.sqrt(0.5)],
+                      [-np.sqrt(0.5), np.sqrt(0.5)]]
+        params = {"w": scattering.sample_ball(rng, 1, n),
+                  "z": scattering.sample_ball(rng, 1, n)}
+        return xs, vs, params
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("which", ["row", "tiled"])
+    def test_family_curves(self, which, family, row_scene, tiled_crystal,
+                           monkeypatch):
+        scene = row_scene if which == "row" else tiled_crystal
+        xs, vs, params = self._rays(scene, np.random.default_rng(51))
+        entry, exit_, _ = geometry.segment_table(scene, xs, vs, 1.2)
+        if scene.periodic_box is None:
+            kinds = [scene.medium_by_id(g).kind for g in
+                     geometry.segment_table(scene, xs[:1], vs[:1], 0.0)[2][0]]
+            assert kinds == ["crystal", "poisson", "crystal"]
+            assert np.all(np.isinf(entry[4:6]))
+        else:
+            assert np.any(np.isfinite(entry[:2]) & (entry[:2] == exit_[:2]))
+        if family == "survival_psi0_marg":
+            on = entry[:, 0] == 0.0
+            xs, vs = xs[on], vs[on]
+            params = {k: p[on] for k, p in params.items()}
+        marks = np.concatenate([entry[:2].ravel(), exit_[:2].ravel()])
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.2, 49),
+                                         marks[marks < 1.2]]))
+        keys = self.FAMILIES[family]
+        got = self._partitioned(monkeypatch, lambda: pk.family_curves(
+            scene, xs, vs, grid, family, **{k: params[k] for k in keys}))
+        scalar = getattr(oracle, family)
+        for i, row in enumerate(got):
+            args = [params[k][i] for k in keys]
+            want = [scalar(scene, xs[i], vs[i], g, *args) for g in grid]
+            # abs=0: a zero of the oracle must be an exact zero
+            assert row == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("on_scatterer", [False, True])
+    def test_limit_freepath_cdf(self, on_scatterer, row_scene, monkeypatch):
+        from polyxport import harness
+        from polyxport.microsim import BetaSpec
+        kwargs = {"on_scatterer": on_scatterer, "m_dirs": 256,
+                  "beta": BetaSpec("radial", 0.6) if on_scatterer else None}
+        got = self._partitioned(monkeypatch, lambda: harness.limit_freepath_cdf(
+            row_scene, row_scene.anchor, **kwargs)[1])
+        _, want = oracle.limit_freepath_cdf(row_scene, row_scene.anchor,
+                                            **kwargs)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", ["row", "tiled"])
+    def test_mean_survival_curve(self, which, row_scene, tiled_crystal,
+                                 monkeypatch):
+        from polyxport import harness
+        scene = row_scene if which == "row" else tiled_crystal
+        xs, vs, _ = self._rays(scene, np.random.default_rng(52))
+        grid = np.linspace(0.0, 1.5, 301)
+        got = self._partitioned(monkeypatch, lambda: harness.mean_survival_curve(
+            scene, xs, vs, grid))
+        assert np.array_equal(got, oracle.mean_survival_curve(scene, xs, vs,
+                                                              grid))
