@@ -35,9 +35,10 @@ def main():
           f"   closed form {5*np.pi**2/16 + 1:.8f}")
 
     print("\n== disordered medium: everything is exponential ==")
+    poisson = kernels.KernelModel("poisson", 2)
     for xi in (0.0, 0.25, 1.0):
-        p0, pw, p0w, p, dp = kernels.poisson_kernels(xi, 2)
-        print(f"xi={xi:4.2f}:  Phi={p:.4f}  D_Phi={dp:.4f}")
+        print(f"xi={xi:4.2f}:  Phi={poisson.phi(xi):.4f}"
+              f"  D_Phi={poisson.d_phi(xi):.4f}")
 
     # curves for plotting
     xs2 = np.linspace(0, 0.5, 201)

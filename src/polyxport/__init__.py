@@ -14,13 +14,13 @@ from .geometry import (ConvexGrain, ItinerarySegment, PeriodicBox, Scene,
                        SceneError, gap, itinerary, make_scene,
                        ray_grain_intersect)
 from .kernels import (KernelModel, RangeError, F, G, d_phi, phi0_2d, phi0_3d,
-                      phi_freepath, phi_marginal, poisson_kernels, sigma_bar,
-                      tail_bound, upsilon)
+                      phi_freepath, phi_marginal, sigma_bar, tail_bound,
+                      upsilon)
 from .lattice import (AffineLattice, CrystalMedium, PoissonMedium,
                       ScaledGrainLattice, bcc_matrix, points_in_tube)
 from .microsim import (BetaSpec, CollisionEvent, MicroConfig, MicroRuntime,
                        first_collision, first_collisions,
-                       sample_tau1_distribution, trajectory)
+                       sample_tau1_distribution)
 from .polykernel import (along_ray, check_transport_identity, family_rows,
                          poisson_psi, psi_tail_bound)
 from .scattering import cross_section, exit_param, impact_param, reflect

@@ -304,13 +304,14 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng):
     """Oracle for the n=0 fraction: mean survival of f0 beyond t.
 
     Uses the closed-form survival of the generic-start density, which is
-    independent of the ensemble evolution path: polykernel.survival_curves
-    at the one-point grid [t], over the segments the sampler walks.
+    independent of the ensemble evolution path: polykernel.family_curves
+    of survival_psi at the one-point grid [t], over the segments the
+    sampler walks.
     """
     xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
-    return float(np.mean(polykernel.survival_curves(scene, xs, vs,
-                                                   [t])[:, 0]))
+    return float(np.mean(polykernel.family_curves(scene, xs, vs, [t],
+                                                  "survival_psi")[:, 0]))
 
 
 def wrap_positions(scene, xs):

@@ -387,7 +387,7 @@ def clip_grain_rows(grain, xs, vs):
 # Rays per block of the segment table: a tiled box's table is rows x
 # segments, its segment count grows with the horizon, and every block of
 # the density products is rows x grid, so blocks bound the temporaries.  A
-# finite scene's table is only rows x grains: it is built once and sliced.
+# finite scene's table is only rows x grains: polykernel builds it once.
 TABLE_ROWS = 1 << 7
 
 # A tiled table reaches this far past its horizon, relative and absolute
@@ -494,18 +494,12 @@ def segment_table(scene, xs, vs, horizon):
 
 def _table_blocks(scene, xs, vs, horizon):
     """(rows, entry, exit, gid) over consecutive blocks of TABLE_ROWS rows:
-    slices of one table of a finite scene, one table per block of a tiled
-    box."""
-    finite = (_finite_table(scene, xs, vs) if scene.periodic_box is None
-              else None)
+    the segment table of each block's rows."""
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(xs),))
     for start in range(0, len(xs), TABLE_ROWS):
         rows = slice(start, start + TABLE_ROWS)
-        if finite is not None:
-            yield (rows,) + tuple(a[rows] for a in finite)
-        else:
-            yield (rows,) + _tiled_table(scene, xs[rows], vs[rows],
-                                         horizon[rows])
+        yield (rows,) + segment_table(scene, xs[rows], vs[rows],
+                                      horizon[rows])
 
 
 class FiniteSceneWalker:

@@ -272,7 +272,7 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
 
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
-    polykernel.survival_blocks, and _survival_row_sum adds the weighted
+    polykernel.family_blocks, and _survival_row_sum adds the weighted
     CDFs in direction order, on the grid columns up to the first one past
     every exit.  In the on-scatterer mode the exit parameter beta(v) of
     each direction enters the scatterer-start marginal, and a base point
@@ -282,17 +282,17 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
     if xi_grid is None:
         xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
     dirs, wts = direction_grid(scene, m_dirs)
-    z = None
+    family, z = "survival_psi", None
     if on_scatterer:
         K = scattering.to_frame(np.eye(scene.dimension), dirs[:, None, :])
         # the psi0 goldens pin these bits: each row is the (1, d) @ (d, d)
         # product that beta(v) @ K(v) makes for one direction
         z = (beta(dirs)[:, None, :] @ K)[:, 0, 1:]
+        family = "survival_psi0_marg"
     xs = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape)
     try:
-        cdf = _survival_row_sum(polykernel.survival_blocks(scene, xs, dirs,
-                                                           xi_grid, z),
-                                len(xi_grid), wts)
+        cdf = _survival_row_sum(polykernel.family_blocks(
+            scene, xs, dirs, xi_grid, family, z=z), len(xi_grid), wts)
     except polykernel.OffGrainStart as exc:
         raise ConfigError("on-scatterer limit needs an in-grain base "
                           "point") from exc
@@ -302,13 +302,14 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
 def mean_survival_curve(scene, xs, vs, grid):
     """Mean generic-start survival curve over rays (x, v), added in ray
     order (_survival_row_sum)."""
-    return _survival_row_sum(polykernel.survival_blocks(scene, xs, vs, grid),
-                             len(grid)) / len(xs)
+    return _survival_row_sum(polykernel.family_blocks(
+        scene, xs, vs, grid, "survival_psi"), len(grid)) / len(xs)
 
 
 def _survival_row_sum(blocks, m, weights=None):
-    """The sum over the rows of survival_blocks, in row order, on m grid
-    columns: of the curves S, or of (1 - S) * weights[row] given weights.
+    """The sum over the rows of a survival family's family_blocks, in row
+    order, on m grid columns: of the curves S, or of (1 - S) * weights[row]
+    given weights.
 
     Each block adds to the first of its rows, then one axis-0
     np.add.reduce adds them in order: the bits of += row by row.  The
@@ -368,8 +369,7 @@ def run_freepath(config):
     for r in config.r_schedule:
         cfg = micro_config(config, r)
         samp = sample_tau1(scene, cfg, config.samples, config.threads)
-        ks = stats.ks_distance(
-            stats.EmpiricalCDF.from_samples(samp.tau1), cdf)
+        ks = stats.ks_distance(samp.tau1, cdf)
         rows.append({"r": r, "epsilon": samp.epsilon, "n": samp.n,
                      "ks": ks, "escape_fraction": samp.escape_fraction,
                      "limit_escape": 1.0 - float(cdf_vals[-1])})
@@ -454,7 +454,7 @@ def run_poisson_baseline(config):
     # (a) free path law on the configured (tiled) scene
     rng = streams.rng("baseline.freepath", seed)
     ens = flight.sample_initial(scene, n, rng)
-    ks_exp = stats.ks_distance(stats.EmpiricalCDF.from_samples(ens.xi),
+    ks_exp = stats.ks_distance(ens.xi,
                                lambda x: 1.0 - np.exp(-sb * x))
     report["freepath_ks"] = ks_exp
 
@@ -512,7 +512,7 @@ def run_poisson_baseline(config):
         grid = np.linspace(0.0, 5.0 / sb, 513)
         surv = mean_survival_curve(gap_scene, xs[sub], vs[sub], grid)
         cdf = interp_cdf(grid, 1.0 - surv)
-        ks_gap = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi_g), cdf)
+        ks_gap = stats.ks_distance(xi_g, cdf)
         report["gap_ks"] = ks_gap
 
     report["alpha"] = alpha

@@ -72,15 +72,13 @@ def phi0_2d(xi, w, z):
     return 6.0 / np.pi ** 2 * upsilon(1.0 + frac)
 
 
-def disk_section_area(t):
-    """Area of {x in unit disk : x_1 < t} for 0 <= t < 1."""
+def F(t):
+    """F(t): area of the disk section {x in unit disk : x_1 < t} for
+    0 <= t < 1."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(t >= 1):
         raise ValueError("t must lie in [0, 1)")
     return np.pi - np.arccos(t) + t * np.sqrt(1.0 - t * t)
-
-
-F = disk_section_area
 
 
 class _GTable:
@@ -131,7 +129,7 @@ class _GTable:
 _G_TABLE = _GTable()
 
 
-def second_order_weight(w):
+def G(w):
     """G(w): weight of the quadratic term of the d=3 marginal survival.
 
     Known endpoints: G(0) = pi (4 pi + 3 sqrt 3)/16, G(1) = 5 pi^2/16 + 1;
@@ -140,9 +138,6 @@ def second_order_weight(w):
     quadrature.
     """
     return _G_TABLE(w)
-
-
-G = second_order_weight
 
 
 def _check_range(xi, dimension):
@@ -165,7 +160,7 @@ def phi0_3d(xi, w, z):
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     sep = 0.5 * np.linalg.norm(w - z, axis=-1)
-    return (1.0 - 6.0 / np.pi ** 2 * disk_section_area(sep) * xi) / ZETA3
+    return (1.0 - 6.0 / np.pi ** 2 * F(sep) * xi) / ZETA3
 
 
 def phi0_3d_max(xi):
@@ -269,17 +264,6 @@ def _poisson_decay(xi, dimension):
     if np.any(xi < 0):
         raise ValueError("xi must be nonnegative")
     return np.exp(-sigma_bar(dimension) * xi)
-
-
-def poisson_kernels(xi, dimension):
-    """The five exponential kernels of a disordered medium.
-
-    Returns (Phi_0(xi,w,z), Phi(xi,w), Phi_0(xi,w), Phi(xi), D_Phi(xi)),
-    all independent of w and z.
-    """
-    e = _poisson_decay(xi, dimension)
-    sb = sigma_bar(dimension)
-    return e, e, sb * e, sb * e, e
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,6 @@ class AffineLattice:
     def dimension(self):
         return self.M.shape[0]
 
-    def points(self, ks):
-        """Lattice points for integer vectors ks, shape (n, d)."""
-        ks = np.atleast_2d(np.asarray(ks, dtype=float))
-        return (ks + self.omega) @ self.M
-
     def with_omega(self, omega):
         return AffineLattice(self.M, np.asarray(omega, dtype=float),
                              self.rational_form)

@@ -9,9 +9,8 @@ clipped against every grain inflated by r, the candidate centers inside a
 thin tube around each clipped segment are enumerated for all rays at once
 (integer slabs of the grain lattice, or the cells of a Poisson grid's
 cell-start table), and the entry roots are reduced to one minimum per
-ray.  The expected work per free path is O(1) at this scaling.  One-ray
-calls (`first_collision`, `trajectory`) and the tau_1 sampler use the
-same engine.
+ray.  The expected work per free path is O(1) at this scaling.  The
+one-ray call `first_collision` and the tau_1 sampler use the same engine.
 """
 from __future__ import annotations
 
@@ -30,8 +29,6 @@ from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
 from .lattice import (ScaledGrainLattice, dist_point_segment,
                       integer_points_near_segments, points_in_tube,
                       repeat_with_rank, rows_times, segment_cover_bound)
-
-MAX_EVENTS = 10 ** 7
 
 # A ray that meets no scatterer within this many scene diameters escapes.
 CUTOFF_FACTOR = 10.0
@@ -447,30 +444,6 @@ def first_collision(runtime, x, v, exclude_center=None):
     return CollisionEvent(float(hits.time[0]), hits.center[0], w1,
                           int(hits.grain[0]), v.copy(),
                           scattering.reflect(v, w1))
-
-
-def trajectory(runtime, x0, v0, t_max):
-    """Chain of collision events up to time t_max (unit speed)."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    events = []
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    t = 0.0
-    exclude = None
-    while t < t_max:
-        ev = first_collision(runtime, x, v, exclude_center=exclude)
-        if ev is None or t + ev.time > t_max:
-            break
-        t += ev.time
-        events.append(CollisionEvent(t, ev.center, ev.w1, ev.grain_id,
-                                     ev.v_in, ev.v_out))
-        x = ev.center + runtime.r * ev.w1
-        v = ev.v_out
-        exclude = ev.center
-        if len(events) > MAX_EVENTS:
-            raise RuntimeError("runaway trajectory: too many events")
-    return events
 
 
 # ---------------------------------------------------------------------------

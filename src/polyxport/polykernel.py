@@ -161,21 +161,6 @@ def family_curves(scene, xs, vs, grid, family, w=None, z=None):
                   mode="edge")
 
 
-def survival_blocks(scene, xs, vs, grid, z=None):
-    """P(path length >= g) at every point g of a sorted grid, one row per
-    ray: the (rows, values) blocks of family_blocks of the generic start,
-    or, given exit parameters z, of the scatterer-start marginal; values
-    are W columns wide, every row constant from its last column on."""
-    family = "survival_psi" if z is None else "survival_psi0_marg"
-    return family_blocks(scene, xs, vs, grid, family, z=z)
-
-
-def survival_curves(scene, xs, vs, grid, z=None):
-    """survival_blocks as one rows x grid array."""
-    family = "survival_psi" if z is None else "survival_psi0_marg"
-    return family_curves(scene, xs, vs, grid, family, z=z)
-
-
 class _Segments:
     """The segment step of family_blocks on one segment table, whose rows
     are cut into blocks of `step` rows; code is each segment's 2 * kind
@@ -378,10 +363,6 @@ class TransportReport:
     residuals: list
     skipped: int
     boundary_max_err: float
-
-    @property
-    def max_residual(self):
-        return max(self.residuals) if self.residuals else 0.0
 
 
 def _ball_quadrature(dimension, order=64):

@@ -1,4 +1,4 @@
-"""Empirical CDFs, Kolmogorov-Smirnov and chi-square machinery.
+"""Kolmogorov-Smirnov and chi-square machinery.
 
 The KS statistics are searchsorted-based; their independent slow twins
 (a grid scan and a merge walk) live with the tests as oracles.
@@ -6,55 +6,28 @@ The KS statistics are searchsorted-based; their independent slow twins
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
-@dataclass
-class EmpiricalCDF:
-    """Sorted samples with optional sub-unit total mass (escape deficit)."""
+def ks_distance(samples, cdf: Callable):
+    """sup_x |F_emp(x) - F(x)| of raw draws against a callable reference CDF.
 
-    values: np.ndarray
-    total_mass: float = 1.0
-
-    @classmethod
-    def from_samples(cls, samples):
-        """Build from raw draws; non-finite entries count as escape mass."""
-        samples = np.asarray(samples, dtype=float)
-        fin = np.isfinite(samples)
-        vals = np.sort(samples[fin])
-        total = fin.mean() if len(samples) else 1.0
-        return cls(vals, float(total))
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    def evaluate(self, x):
-        """F(x) = mass of samples <= x (defective when escapes exist)."""
-        x = np.asarray(x, dtype=float)
-        n_all = self.n / self.total_mass if self.total_mass > 0 else self.n
-        return np.searchsorted(self.values, x, side="right") / max(n_all, 1)
-
-
-def ks_distance(samples_or_ecdf, cdf: Callable):
-    """sup_x |F_emp(x) - F(x)| against a callable reference CDF.
-
-    Handles defective empirical laws: escaped samples (inf) contribute no
-    jumps, and the reference CDF may be defective as well.
+    Handles defective empirical laws: non-finite draws (escapes) count as
+    missing mass and contribute no jumps, and the reference CDF may be
+    defective as well.
     """
-    if isinstance(samples_or_ecdf, EmpiricalCDF):
-        e = samples_or_ecdf
-    else:
-        e = EmpiricalCDF.from_samples(samples_or_ecdf)
-    if e.n == 0:
+    samples = np.asarray(samples, dtype=float)
+    fin = np.isfinite(samples)
+    values = np.sort(samples[fin])
+    n = len(values)
+    if n == 0:
         return float(np.max(np.abs(0.0 - cdf(np.array([0.0])))))
-    n_all = e.n / e.total_mass
-    f = np.asarray(cdf(e.values), dtype=float)
-    hi = np.arange(1, e.n + 1) / n_all
-    lo = np.arange(0, e.n) / n_all
+    n_all = n / float(fin.mean())
+    f = np.asarray(cdf(values), dtype=float)
+    hi = np.arange(1, n + 1) / n_all
+    lo = np.arange(0, n) / n_all
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(f - lo))))
 
 

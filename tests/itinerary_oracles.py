@@ -7,8 +7,8 @@ and of the ordered sums over their rows
 A ray's grain segments come from clipping it against each grain of a finite
 scene, or from stepping a tiled box's cell walk one face crossing at a
 time, then a scalar merge loop; each density is a Python loop product over
-that list.  The sums over rays add each dense row of survival_curves in
-turn.
+that list.  The sums over rays add each dense row of the survival
+family_curves in turn.
 """
 import numpy as np
 
@@ -16,7 +16,7 @@ from polyxport import harness, scattering
 from polyxport.geometry import (REL_TOL, ItinerarySegment, SceneError,
                                 cell_clock, ray_grain_intersect)
 from polyxport.kernels import for_medium, sigma_bar
-from polyxport.polykernel import _check_ball, survival_curves
+from polyxport.polykernel import _check_ball, family_curves
 
 _HORIZON_PAD = 1e-9
 
@@ -242,7 +242,9 @@ def survival_row_loop(scene, xs, vs, grid, z=None, weights=None):
     """Sum of the survival curves S of the rays on the whole grid, one row
     at a time in row order; of (1 - S) * weights[row] given weights."""
     acc = np.zeros(len(grid))
-    for k, curve in enumerate(survival_curves(scene, xs, vs, grid, z)):
+    family = "survival_psi" if z is None else "survival_psi0_marg"
+    for k, curve in enumerate(family_curves(scene, xs, vs, grid, family,
+                                            z=z)):
         acc += curve if weights is None else (1.0 - curve) * weights[k]
     return acc
 

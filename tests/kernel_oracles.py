@@ -10,7 +10,7 @@ from polyxport.kernels import _GTable, d_phi, phi_freepath
 
 
 def _section_area_scalar(t):
-    """kernels.disk_section_area of one Python float, bit for bit, as a
+    """kernels.F of one Python float, bit for bit, as a
     float.
 
     The quadrature integrands call it about 1.3e5 times per rebuild of the

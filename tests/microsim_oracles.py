@@ -1,6 +1,7 @@
 """Slow, independent scatterer searches: the test oracles of
 polyxport.lattice.integer_points_near_segments,
-polyxport.microsim.PointGrid and polyxport.microsim.poisson_realization.
+polyxport.microsim.PointGrid and polyxport.microsim.poisson_realization;
+and `trajectory`, a chain of one-ray `microsim.first_collision` calls.
 
 The slab walk builds the full box of every slab of every segment, empty
 or not, and expands them all.  The grid orders its points with a stable
@@ -11,6 +12,7 @@ bounds and keeps the rows that pass every halfspace test at once.
 """
 import numpy as np
 
+from polyxport import microsim
 from polyxport.lattice import (dist_point_segment, repeat_with_rank,
                                segment_cover_bound)
 
@@ -141,3 +143,30 @@ def poisson_realization(grain, epsilon, rng):
     pts = rng.uniform(lo, hi, size=(n, grain.dimension))
     keep = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
     return pts[keep]
+
+
+MAX_EVENTS = 10 ** 7
+
+
+def trajectory(runtime, x0, v0, t_max):
+    """Chain of collision events up to time t_max (unit speed)."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    events = []
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
+    t = 0.0
+    exclude = None
+    while t < t_max:
+        ev = microsim.first_collision(runtime, x, v, exclude_center=exclude)
+        if ev is None or t + ev.time > t_max:
+            break
+        t += ev.time
+        events.append(microsim.CollisionEvent(t, ev.center, ev.w1,
+                                              ev.grain_id, ev.v_in, ev.v_out))
+        x = ev.center + runtime.r * ev.w1
+        v = ev.v_out
+        exclude = ev.center
+        if len(events) > MAX_EVENTS:
+            raise RuntimeError("runaway trajectory: too many events")
+    return events

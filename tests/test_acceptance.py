@@ -298,8 +298,7 @@ def convergence_run():
 def test_criterion_07_freepath_convergence(convergence_run):
     t0 = time.perf_counter()
     scene, cdf, samples = convergence_run
-    ks = [stats.ks_distance(stats.EmpiricalCDF.from_samples(samples[r].tau1),
-                            cdf) for r in R_SCHEDULE]
+    ks = [stats.ks_distance(samples[r].tau1, cdf) for r in R_SCHEDULE]
     decreasing = all(a > b for a, b in zip(ks, ks[1:]))
     final_ok = ks[-1] < 0.02
     elapsed = time.perf_counter() - t0
@@ -336,7 +335,7 @@ def test_criterion_09_poisson_baseline():
     rng = np.random.default_rng(109)
     n = 1000000
     ens = flight.sample_initial(scene, n, rng)
-    ks_exp = stats.ks_distance(stats.EmpiricalCDF.from_samples(ens.xi),
+    ks_exp = stats.ks_distance(ens.xi,
                                lambda x: 1 - np.exp(-2 * np.asarray(x)))
 
     m = 200000
@@ -362,7 +361,7 @@ def test_criterion_09_poisson_baseline():
     grid = np.linspace(0, 2.5, 801)
     m_sub = 5000
     surv = harness.mean_survival_curve(gap_scene, xs[:m_sub], vs[:m_sub], grid)
-    ks_gap = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi_g),
+    ks_gap = stats.ks_distance(xi_g,
                                harness.interp_cdf(grid, 1 - surv))
     elapsed = time.perf_counter() - t0
     _report(9, ks_exp < 0.005 and p_mem > 0.01 and ks_gap < 0.01,

@@ -146,12 +146,14 @@ class TestCellFaces:
     def test_survival_curves_match_scalar(self, tiled_crystal, x, v):
         grid = [0.0, 0.1, 0.25, 0.35, 0.5, 0.7, 1.2]
         z = [[0.3]]
-        got = polykernel.survival_curves(tiled_crystal, [x], [v], grid, z)[0]
+        got = polykernel.family_curves(tiled_crystal, [x], [v], grid,
+                                       "survival_psi0_marg", z=z)[0]
         want = [oracle.survival_psi0_marg(tiled_crystal, np.array(x),
                                           np.array(v), t, z[0])
                 for t in grid]
         assert got.tolist() == want
-        got = polykernel.survival_curves(tiled_crystal, [x], [v], grid)[0]
+        got = polykernel.family_curves(tiled_crystal, [x], [v], grid,
+                                       "survival_psi")[0]
         want = [oracle.survival_psi(tiled_crystal, np.array(x),
                                     np.array(v), t) for t in grid]
         assert got.tolist() == want
@@ -273,7 +275,8 @@ class TestSurvivalOracle:
             assert max(s.exit for x, v in zip(xs, vs)
                        for s in oracle.itinerary(scene, x, v, 2.0)) < 2.0
         for t in ts:
-            got = polykernel.survival_curves(scene, xs, vs, [t])[:, 0]
+            got = polykernel.family_curves(scene, xs, vs, [t],
+                                           "survival_psi")[:, 0]
             want = [oracle.survival_psi(scene, x, v, t)
                     for x, v in zip(xs, vs)]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -290,7 +293,8 @@ class TestSurvivalOracle:
 
 
 class TestSurvivalCurves:
-    """survival_curves against the scalar survival oracles."""
+    """family_curves of the survival families against the scalar survival
+    oracles."""
 
     @pytest.fixture(scope="class")
     def scenes(self, two_squares, mixed_squares, tiled_crystal,
@@ -332,7 +336,7 @@ class TestSurvivalCurves:
         xs, vs = self._rays(scene, 12, np.random.default_rng(31), False)
         top = 1.0 if scene.periodic_box is not None else 2.0
         grid = self._grid(scene, xs, vs, top)
-        got = polykernel.survival_curves(scene, xs, vs, grid)
+        got = polykernel.family_curves(scene, xs, vs, grid, "survival_psi")
         for x, v, row in zip(xs, vs, got):
             want = [oracle.survival_psi(scene, x, v, t) for t in grid]
             assert row == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -346,7 +350,8 @@ class TestSurvivalCurves:
         assert np.all(np.linalg.norm(z, axis=1) > 0)
         top = 1.0 if scene.periodic_box is not None else 2.0
         grid = self._grid(scene, xs, vs, top)
-        got = polykernel.survival_curves(scene, xs, vs, grid, z)
+        got = polykernel.family_curves(scene, xs, vs, grid,
+                                       "survival_psi0_marg", z=z)
         for x, v, w, row in zip(xs, vs, z, got):
             want = [oracle.survival_psi0_marg(scene, x, v, t, w)
                     for t in grid]
@@ -354,8 +359,9 @@ class TestSurvivalCurves:
 
     def test_psi0_off_grain_start_rejected(self, two_squares):
         with pytest.raises(polykernel.OffGrainStart):
-            polykernel.survival_curves(two_squares, [[0.32, 0.1]],
-                                       [[0.0, 1.0]], [0.0, 1.0], z=[[0.2]])
+            polykernel.family_curves(two_squares, [[0.32, 0.1]],
+                                     [[0.0, 1.0]], [0.0, 1.0],
+                                     "survival_psi0_marg", z=[[0.2]])
 
 
 class TestSamplers:
@@ -364,8 +370,7 @@ class TestSamplers:
         xs = flight.sample_positions(tiled_poisson, 100000, rng)
         vs = scattering.sample_direction(rng, 2, 100000)
         xi, w = sample_xi_w(tiled_poisson, xs, vs, rng, kind="psi")
-        ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi),
-                               lambda t: 1 - np.exp(-2 * t))
+        ks = stats.ks_distance(xi, lambda t: 1 - np.exp(-2 * t))
         assert ks < 0.006
         assert np.all(np.abs(w) < 1)
 
@@ -378,7 +383,7 @@ class TestSamplers:
         grid = np.linspace(0, 3.0, 601)
         m = 2500
         surv = harness.mean_survival_curve(tiled_crystal, xs[:m], vs[:m], grid)
-        ks = stats.ks_distance(stats.EmpiricalCDF.from_samples(xi),
+        ks = stats.ks_distance(xi,
                                harness_interp(grid, 1 - surv))
         assert ks < 0.012
 
@@ -393,8 +398,8 @@ class TestSamplers:
         m = 4000
         xs2 = flight.sample_positions(two_squares, m, rng2)
         vs2 = scattering.sample_direction(rng2, 2, m)
-        esc_q = np.mean(polykernel.survival_curves(two_squares, xs2, vs2,
-                                                   [3.0])[:, 0])
+        esc_q = np.mean(polykernel.family_curves(two_squares, xs2, vs2,
+                                                 [3.0], "survival_psi")[:, 0])
         se = np.sqrt(esc_q * (1 - esc_q)) * (1 / np.sqrt(n) + 1 / np.sqrt(m))
         assert abs(esc_emp - esc_q) < 4 * se + 1e-3
 

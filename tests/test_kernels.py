@@ -11,7 +11,7 @@ from polyxport import kernels as K
 from polyxport.lattice import PoissonMedium
 from polyxport.kernels import (F, G, KernelModel, RangeError, ZETA3, d_phi,
                                phi0_2d, phi0_3d, phi_freepath, phi_marginal,
-                               poisson_kernels, tail_bound, upsilon)
+                               tail_bound, upsilon)
 
 PI = np.pi
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -289,8 +289,9 @@ class TestTailBound:
 
 class TestPoisson:
     def test_at_zero(self):
-        p0, pw, p0w, p, dp = poisson_kernels(0.0, 2)
-        assert p == 2.0 and dp == 1.0 and p0 == 1.0
+        model = KernelModel("poisson", 2)
+        assert model.phi(0.0) == 2.0 and model.d_phi(0.0) == 1.0
+        assert model.phi0(0.0, None, None) == 1.0
 
     def test_mean_free_path(self):
         for dim in (2, 3):
@@ -299,7 +300,8 @@ class TestPoisson:
             assert mean == pytest.approx(1 / sb)
 
     def test_2d_dphi_one(self):
-        assert poisson_kernels(1.0, 2)[4] == pytest.approx(np.exp(-2.0))
+        assert KernelModel("poisson", 2).d_phi(1.0) == pytest.approx(
+            np.exp(-2.0))
 
 
 class TestKernelModel:

@@ -217,7 +217,7 @@ class TestTrajectory:
         for _ in range(40):
             th = rng.uniform(0, 2 * np.pi)
             v = np.array([np.cos(th), np.sin(th)])
-            evs = microsim.trajectory(rt, two_squares.anchor, v, 5.0)
+            evs = microsim_oracles.trajectory(rt, two_squares.anchor, v, 5.0)
             found = max(found, len(evs))
             for ev in evs:
                 assert np.linalg.norm(ev.v_out) == pytest.approx(1.0)
@@ -233,13 +233,13 @@ class TestTrajectory:
         for _ in range(60):
             th = rng.uniform(0, 2 * np.pi)
             v = np.array([np.cos(th), np.sin(th)])
-            evs = microsim.trajectory(rt, two_squares.anchor, v, 3.0)
+            evs = microsim_oracles.trajectory(rt, two_squares.anchor, v, 3.0)
             if len(evs) < 2:
                 continue
             last = evs[-1]
             start = last.center + rt.r * last.w1
-            back = microsim.trajectory(rt, start, -last.v_in,
-                                       last.time + 1.0)
+            back = microsim_oracles.trajectory(rt, start, -last.v_in,
+                                               last.time + 1.0)
             centers_fwd = [tuple(np.round(e.center, 12)) for e in evs[:-1]]
             centers_bck = [tuple(np.round(e.center, 12)) for e in back]
             assert centers_bck[:len(centers_fwd)] == centers_fwd[::-1]

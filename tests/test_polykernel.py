@@ -189,7 +189,7 @@ class TestTransportIdentity:
                                   [0.8, 0.5])
         rep = pk.check_transport_identity(two_squares, xs, vs, xis)
         assert rep.residuals
-        assert rep.max_residual < 1e-5
+        assert max(rep.residuals) < 1e-5
         assert rep.boundary_max_err < 1e-12
 
     def test_poisson_scene_exact(self):
@@ -197,7 +197,7 @@ class TestTransportIdentity:
         rng = np.random.default_rng(15)
         xs, vs, xis = _phase_rows(scene, rng, 30, [-0.2, -0.1], [1.6, 0.5])
         rep = pk.check_transport_identity(scene, xs, vs, xis)
-        assert rep.max_residual < 1e-5
+        assert max(rep.residuals) < 1e-5
 
     def test_single_grain_reduces_to_sc001(self, single_square):
         # D psi = -Phi'(xi) = integral of the marginal over w
@@ -435,7 +435,7 @@ class TestFamilyCurves:
     @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
                                        "tiled2", "tiled3"])
     def test_table_blocks_equal_one_table_per_block(self, which, scenes):
-        # a finite scene's table is built once for all rows and sliced
+        # each block is the segment table of its own rows
         scene = scenes[which]
         xs, vs, grid, _ = self._rays(scene, np.random.default_rng(43), 300)
         horizon = grid[-1]

@@ -38,7 +38,7 @@ class TestKS:
     def test_defective_law(self):
         samples = np.array([0.2, 0.4, np.inf, np.inf])
         cdf = lambda t: 0.5 * np.clip(t, 0, 1)
-        d = stats.ks_distance(stats.EmpiricalCDF.from_samples(samples), cdf)
+        d = stats.ks_distance(samples, cdf)
         assert d == pytest.approx(max(abs(0.25 - 0.1), abs(0.5 - 0.2),
                                       abs(0.25 - 0.2), abs(0.5 - 1.0 * 0.5)))
 
@@ -369,7 +369,8 @@ class TestSurvivalRowSum:
         dirs, _ = harness.direction_grid(two_squares, m)
         xs = np.broadcast_to(two_squares.anchor, dirs.shape)
         grid = np.linspace(0.0, 2.0, 2049)
-        blocks = list(polykernel.survival_blocks(two_squares, xs, dirs, grid))
+        blocks = list(polykernel.family_blocks(two_squares, xs, dirs, grid,
+                                               "survival_psi"))
         # every block is W columns wide, W from the call's last exit, while
         # the blocks' own last exits fall in different columns
         _, exit_, _ = geometry.segment_table(two_squares, xs, dirs, grid[-1])
