@@ -233,8 +233,7 @@ def main(argv=None):
     _add_common(pf)
     pf.add_argument("--particles", type=int, default=None)
     pf.add_argument("--time", type=float, default=None)
-    pf.add_argument("--report", default=None,
-                    choices=["stationarity", "ncollision", "marginals"])
+    pf.add_argument("--report", default=None, choices=harness.REPORTS)
     pf.set_defaults(func=cmd_flight)
 
     args = ap.parse_args(argv)

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import itertools
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -45,6 +46,10 @@ _BETA_KEYS = {"mode", "alpha"}
 _OUTPUT_KEYS = {"dir", "timings"}
 _TOP_KEYS = {"scene", "experiment", "output"}
 
+# The report flavors of a flight config; "stationarity" runs the
+# stationarity runner.
+REPORTS = ("stationarity", "ncollision", "marginals")
+
 # Verdict thresholds by experiment kind: the defaults, and the only keys
 # that experiment.thresholds may set.  The flight subcommand's stationarity
 # report runs the stationarity runner on a flight config.
@@ -55,6 +60,19 @@ THRESHOLDS = {
     "stationarity": {"ks_alpha": 0.01},
     "flight": {"ks_alpha": 0.01},
 }
+
+
+def _number(exp, key, default, kind, rule, ok):
+    """kind(exp[key]), as the runners read it, if ok holds for it; else a
+    ConfigError naming experiment.key."""
+    value = exp.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not ok(number):
+        raise ConfigError(f"experiment.{key}: {value!r} is not {rule}")
+    return number
 
 
 def _check_keys(d, allowed, path):
@@ -194,13 +212,24 @@ class ExperimentConfig:
         _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
         thresholds = dict(THRESHOLDS[kind])
         thresholds.update((key, float(value)) for key, value in given.items())
-        seed = int(exp.get("seed", 0))
-        samples = int(exp.get("samples", 1000))
-        if samples < 1000:
-            raise ConfigError("sample count must be at least 1000")
+        seed = _number(exp, "seed", 0, int, "an integer", lambda s: True)
+        samples = _number(exp, "samples", 1000, int, "an integer >= 1000",
+                          lambda n: n >= 1000)
+        for key in ("particles", "n_seeds"):
+            _number(exp, key, 1, int, "an integer >= 1", lambda n: n >= 1)
+        _number(exp, "time", 0.0, float, "a finite time >= 0",
+                lambda t: 0.0 <= t < np.inf)
+        if exp.get("report", "ncollision") not in REPORTS:
+            raise ConfigError("experiment.report: unknown report "
+                              f"{exp['report']!r}")
         rs = list(exp.get("r_schedule", []))
+        for r in rs:
+            if not (isinstance(r, numbers.Real) and 0.0 < r < np.inf):
+                raise ConfigError(f"experiment.r_schedule: {r!r} is not a "
+                                  "finite radius > 0")
         if rs and not all(a > b for a, b in zip(rs, rs[1:])):
-            raise ConfigError("r schedule must be strictly decreasing")
+            raise ConfigError("experiment.r_schedule: radii must be strictly "
+                              "decreasing")
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
         options = {k: v for k, v in exp.items() if k != "thresholds"}

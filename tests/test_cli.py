@@ -278,6 +278,24 @@ def test_subcommand_scene_rule_applies_at_parse_time(
     assert f"ConfigError: {key}" in proc.stderr
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("stationarity", "n_seeds", 0), ("flight", "time", -1.0),
+    ("flight", "report", "bogus"), ("poisson", "samples", "abc")])
+def test_bad_number_fails_at_parse_time(scene_config, no_run, command, key,
+                                        value):
+    doc = json.loads(scene_config.read_text())
+    doc["scene"] = _TILED_BOX
+    doc["experiment"] = {"kind": "flight", "samples": 1000,
+                         "particles": 1000, key: value}
+    scene_config.write_text(json.dumps(doc))
+    with pytest.raises(harness.ConfigError, match=rf"^experiment\.{key}\b"):
+        main([command, "--config", str(scene_config)])
+    proc = _cli_in_subprocess(command, "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert f"ConfigError: experiment.{key}: " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_microsim_without_radii_fails(scene_config, tmp_path, no_run):
     doc = json.loads(scene_config.read_text())
     del doc["experiment"]["r_schedule"]

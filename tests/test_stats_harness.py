@@ -289,6 +289,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_seeds", 0), ("particles", 0), ("particles", "many"),
+        ("r_schedule", [1e-2, 0.0]), ("r_schedule", [-1e-3]),
+        ("r_schedule", [float("inf")]), ("r_schedule", [float("nan")]),
+        ("r_schedule", ["1e-3"]), ("time", -1.0), ("time", float("inf")),
+        ("time", float("nan")), ("report", "bogus"), ("samples", "abc"),
+        ("seed", None)])
+    def test_bad_number_named_at_parse_time(self, key, value, no_run):
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"][key] = value
+        with pytest.raises(ConfigError, match=rf"^experiment\.{key}\b"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n_seeds", "particles"])
+    def test_stationarity_without_runs_rejected(self, key, no_run):
+        # all() over no sub-run would pass the verdict
+        doc = {"scene": {"dimension": 2, "anchor": [0.175, 0.175],
+                         "periodic_box": {"lo": [0.0, 0.0],
+                                          "hi": [0.35, 0.35]},
+                         "grains": [{"id": 1,
+                                     "box": [[0.0, 0.0], [0.35, 0.35]],
+                                     "medium": {"type": "poisson"}}]},
+               "experiment": {"kind": "stationarity", "particles": 1000,
+                              "n_seeds": 1}}
+        ExperimentConfig.from_dict(doc)
+        doc["experiment"][key] = 0
+        with pytest.raises(ConfigError, match=rf"^experiment\.{key}\b"):
+            ExperimentConfig.from_dict(doc)
+
     def test_seed_override(self):
         cfg = ExperimentConfig.from_dict(CONFIG)
         cfg2 = cfg.with_seed(99)
