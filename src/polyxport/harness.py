@@ -8,6 +8,7 @@ distribute fixed chunks whose results merge in a fixed order.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -275,6 +276,13 @@ def _threshold(config, kind, key):
 # limit-side curves
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights of order n, built once per n (read
+    only: every call shares them)."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def direction_grid(scene, m=2048):
     """Quadrature nodes and weights of the uniform direction law: m
     midpoint angles in d=2, a Gauss-Legendre by midpoint product grid of
@@ -283,7 +291,7 @@ def direction_grid(scene, m=2048):
         th = (np.arange(m) + 0.5) * 2.0 * np.pi / m
         return np.stack([np.cos(th), np.sin(th)], axis=1), np.full(m, 1.0 / m)
     mc = max(int(np.sqrt(m / 2)), 16)
-    nodes, ws = np.polynomial.legendre.leggauss(mc)
+    nodes, ws = _leggauss(mc)
     ph = (np.arange(2 * mc) + 0.5) * np.pi / mc
     ct = nodes
     st = np.sqrt(1 - ct ** 2)
