@@ -491,8 +491,7 @@ def run_poisson_baseline(config):
     # (a) free path law on the configured (tiled) scene
     rng = streams.rng("baseline.freepath", seed)
     ens = flight.sample_initial(scene, n, rng)
-    ks_exp = stats.ks_distance(ens.xi,
-                               lambda x: 1.0 - np.exp(-sb * x))
+    ks_exp = stats.ks_distance(ens.xi, lambda x: 1.0 - np.exp(-sb * x))
     report["freepath_ks"] = ks_exp
 
     # (b) memorylessness: xi after a collision vs previous incoming
