@@ -40,7 +40,7 @@ def _uniform_kernel(scene):
     kinds = {m.kind for m in scene.media}
     if len(kinds) != 1:
         raise SceneError("flight sampling needs a single medium kind per scene")
-    return KK.for_medium(kinds.pop(), scene.dimension)
+    return KK.KernelModel(kinds.pop(), scene.dimension)
 
 
 # ---------------------------------------------------------------------------

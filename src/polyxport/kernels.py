@@ -353,11 +353,3 @@ class KernelModel:
 
     def tail_bound(self, xi):
         return tail_bound(xi, self.dimension)
-
-
-def for_medium(medium, dimension):
-    """KernelModel for a medium descriptor (object with .kind) or name."""
-    kind = getattr(medium, "kind", medium)
-    if kind not in ("crystal", "poisson"):
-        raise ValueError(f"unknown medium kind {kind!r}")
-    return KernelModel(kind, dimension)

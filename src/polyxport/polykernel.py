@@ -95,7 +95,7 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     # factor code 2 * kind index + lead: the KernelModel of the kind, its
     # factor on a full segment and at a point inside one
     kinds = list(dict.fromkeys(m.kind for m in scene.media))
-    specs = [(K.for_medium(kind, scene.dimension), full, inside)
+    specs = [(K.KernelModel(kind, scene.dimension), full, inside)
              for kind in kinds
              for full, inside in ((("d_phi",), inner),
                                   (lead_full, lead_inner))]

@@ -15,14 +15,14 @@ import numpy as np
 from polyxport import harness, scattering
 from polyxport.geometry import (REL_TOL, ItinerarySegment, SceneError,
                                 cell_clock, ray_grain_intersect)
-from polyxport.kernels import for_medium, sigma_bar
+from polyxport.kernels import KernelModel, sigma_bar
 from polyxport.polykernel import _check_ball, family_curves
 
 _HORIZON_PAD = 1e-9
 
 
 def kernel_for_grain(scene, grain_id):
-    return for_medium(scene.medium_by_id(grain_id), scene.dimension)
+    return KernelModel(scene.medium_by_id(grain_id).kind, scene.dimension)
 
 
 def _segments_plain(scene, x, v, horizon):

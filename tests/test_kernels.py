@@ -8,7 +8,6 @@ from kernel_oracles import (_section_area_scalar, g_direct, g_spline_slow,
 from scipy.integrate import dblquad, quad
 
 from polyxport import kernels as K
-from polyxport.lattice import PoissonMedium
 from polyxport.kernels import (F, G, KernelModel, RangeError, ZETA3, d_phi,
                                phi0_2d, phi0_3d, phi_freepath, phi_marginal,
                                tail_bound, upsilon)
@@ -318,11 +317,9 @@ class TestKernelModel:
         with pytest.raises(RangeError):
             KernelModel("crystal", 2).phi0(0.7, 0.0, 0.0)
 
-    def test_for_medium_rejects_unknown_kind(self):
-        assert K.for_medium("poisson", 2).medium == "poisson"
-        assert K.for_medium(PoissonMedium(), 3).medium == "poisson"
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="amorphous"):
-            K.for_medium("amorphous", 2)
+            KernelModel("amorphous", 2)
 
     @pytest.mark.parametrize("medium,dim", [("crystal", 2), ("crystal", 3),
                                             ("poisson", 2), ("poisson", 3)])

@@ -301,7 +301,7 @@ class TestSurvival:
         x = two_squares.anchor
         v = unit(0.0)
         w = np.array([0.35])
-        k1 = K.for_medium(two_squares.medium_by_id(1), 2)
+        k1 = K.KernelModel(two_squares.medium_by_id(1).kind, 2)
         (a0, b0), (a1, b1) = segments(two_squares, x, v, 2.0)
         esc = float(k1.phi_marg(b0 - a0, w)) * float(K.d_phi(b1 - a1, 2))
         ts = (0.05, 0.25)
