@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .lattice import rows_times
+
 # Relative tolerance for entry/exit comparisons.  Adjacent tiling grains must
 # chain without spurious gaps, so nearly-equal times are merged.
 REL_TOL = 1e-12
@@ -102,21 +104,18 @@ class ConvexGrain:
 
     def contains_rows(self, pts):
         """Strict interior test per row of pts (n, d): the mask of
-        np.all(pts @ normals.T < offsets, axis=1), bit for bit.
+        np.all(rows_times(pts, normals.T) < offsets, axis=1), bit for bit,
+        so one row's verdict does not depend on the rows passed with it.
 
         On a box (_axis_bounds) every product column is exactly +-x_j, as
         its other terms are exact zeros, so the test is lo_j < x_j < hi_j
         per column, and one min/max per column keeps every row at once.
-        Other grains test the columns of the one product in turn.
         """
         n = len(pts)
         box = _axis_bounds(self.normals, self.offsets)
         if box is None:
-            side = pts @ self.normals.T
-            keep = side[:, 0] < self.offsets[0]
-            for k in range(1, len(self.offsets)):
-                keep &= side[:, k] < self.offsets[k]
-            return keep
+            return np.all(rows_times(pts, self.normals.T) < self.offsets,
+                          axis=1)
         cols = list(zip(pts.T, *box))
         if n and all(lo < c.min() and c.max() < hi for c, lo, hi in cols):
             return np.ones(n, dtype=bool)

@@ -28,7 +28,7 @@ from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
                        ray_grain_intersect)
 from .lattice import (ScaledGrainLattice, dist_point_segment,
                       integer_points_near_segments, points_in_tube,
-                      repeat_with_rank, rows_times, segment_cover_bound)
+                      repeat_with_rank, segment_cover_bound)
 
 # A ray that meets no scatterer within this many scene diameters escapes.
 CUTOFF_FACTOR = 10.0
@@ -224,11 +224,6 @@ def poisson_realization(grain, epsilon, rng):
     return pts if keep.all() else pts[keep]
 
 
-def _inside(grain, pts):
-    """Strict interior test per row, summed in a fixed order per row."""
-    return np.all(rows_times(pts, grain.normals.T) < grain.offsets, axis=1)
-
-
 class MicroRuntime:
     """Scene + radius bound to concrete scatterer sets for one run.
 
@@ -311,7 +306,7 @@ class MicroRuntime:
         v = np.asarray(v, dtype=float)
         if kind == "crystal":
             pts = points_in_tube(store, x, v, t0, t1, radius)
-            return pts[_inside(self.scene.grain_by_id(grain_id), pts)]
+            return pts[self.scene.grain_by_id(grain_id).contains_rows(pts)]
         return store.query_segment(x + t0 * v, x + t1 * v, radius)
 
     def _cover(self, j, p0, p1, omega):
@@ -329,7 +324,7 @@ class MicroRuntime:
             store.to_lattice_coords(p0, omega),
             store.to_lattice_coords(p1, omega), store.tube_margin(radius))
         centers = store.from_integer(ks, None if omega is None else omega[rows])
-        keep = _inside(grain, centers)
+        keep = grain.contains_rows(centers)
         return rows[keep], centers[keep]
 
     def _cover_bound(self, j, p0, p1):
@@ -349,7 +344,7 @@ def _lattice_points_in_grain(sgl, grain, omega=None):
     grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(los, his)],
                         indexing="ij")
     ks = np.stack([g.ravel() for g in grids], axis=1)
-    return ks[_inside(grain, sgl.from_integer(ks, omega))]
+    return ks[grain.contains_rows(sgl.from_integer(ks, omega))]
 
 
 def _budget_slices(cost, budget):
@@ -496,7 +491,7 @@ def _start_points(runtime, n, q=None, omegas=None):
     else:
         k = np.round(store.to_lattice_coords(x, om))
         centers = store.from_integer(k, om)
-        inside = _inside(grain, centers)
+        inside = grain.contains_rows(centers)
     for i in np.flatnonzero(~inside):
         cands = runtime.scatterers(gid, None if om is None else om[i])
         if not len(cands):

@@ -394,6 +394,9 @@ def test_contains_rows_is_the_product_rule(grain):
         want = np.all(pts @ grain.normals.T < grain.offsets, axis=1)
         got = grain.contains_rows(pts)
         assert got.dtype == bool and np.array_equal(got, want)
+        # one row's verdict does not depend on the rows passed with it
+        assert np.array_equal(got, [grain.contains_rows(p[None])[0]
+                                    for p in pts])
     assert not np.any(grain.contains_rows(corners))
     assert grain.contains_rows(np.empty((0, d))).shape == (0,)
 
