@@ -7,6 +7,8 @@
 
 All experiment subcommands accept --out, --seed and --threads; the
 POLYXPORT_THREADS environment variable is the fallback worker count.
+Every override is checked like the config key it sets, and a bad value
+fails before any work starts (exit 1).
 """
 from __future__ import annotations
 
@@ -35,13 +37,17 @@ def _add_common(p):
     p.add_argument("--threads", type=int, default=None)
 
 
-def _load_config(args):
-    cfg = harness.ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    if args.threads is not None:
-        cfg.options["threads"] = args.threads
-    return cfg
+def _load_config(args, **overrides):
+    """The config file with --seed and the given overrides written into its
+    experiment section, parsed once.  --threads stays out of the document,
+    so it leaves config_hash as it is."""
+    with open(args.config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    overrides["seed"] = args.seed
+    given = {key: val for key, val in overrides.items() if val is not None}
+    if given and "experiment" in doc:
+        doc["experiment"].update(given)
+    return harness.ExperimentConfig.from_dict(doc, threads=args.threads)
 
 
 def _run_and_emit(cfg, args, kind):
@@ -154,13 +160,17 @@ def cmd_microsim(args):
     if not rs:
         raise harness.ConfigError("experiment.r_schedule: microsim needs "
                                   "radii, from the config or --r")
-    n = args.samples or cfg.samples
+    for r in rs:
+        harness.check_radius(r, "--r")
+    n = cfg.samples if args.samples is None \
+        else harness.count(args.samples, "--samples")
     out = args.out or cfg.out_dir or "."
     import os
     os.makedirs(out, exist_ok=True)
     for r in rs:
         samp = microsim.sample_tau1_distribution(
-            cfg.scene, harness.micro_config(cfg, r), n, cfg.threads)
+            cfg.scene, harness.micro_config(cfg, r), n,
+            cfg.options["threads"])
         path = os.path.join(out, f"microsim_r{r:g}.csv")
         harness.write_tau1_csv(path, samp)
         print(path)
@@ -168,19 +178,9 @@ def cmd_microsim(args):
 
 
 def cmd_flight(args):
-    cfg = _load_config(args)
-    overrides = {"particles": args.particles, "time": args.time,
-                 "report": args.report}
-    if any(v is not None for v in overrides.values()):
-        doc = json.loads(json.dumps(cfg.raw))
-        for key, val in overrides.items():
-            if val is not None:
-                doc["experiment"][key] = val
-        threads = cfg.options.get("threads")
-        cfg = harness.ExperimentConfig.from_dict(doc)
-        if threads is not None:
-            cfg.options["threads"] = threads
-    kind = "stationarity" if cfg.options.get("report") == "stationarity" \
+    cfg = _load_config(args, particles=args.particles, time=args.time,
+                       report=args.report)
+    kind = "stationarity" if cfg.options["report"] == "stationarity" \
         else "flight"
     return _run_and_emit(cfg, args, kind)
 

@@ -63,17 +63,26 @@ THRESHOLDS = {
 }
 
 
-def _number(exp, key, default, kind, rule, ok):
-    """kind(exp[key]), as the runners read it, if ok holds for it; else a
-    ConfigError naming experiment.key."""
-    value = exp.get(key, default)
+def _number(value, name, kind, rule, ok):
+    """kind(value) if ok holds for it; else a ConfigError naming name."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or not ok(number):
-        raise ConfigError(f"experiment.{key}: {value!r} is not {rule}")
+        raise ConfigError(f"{name}: {value!r} is not {rule}")
     return number
+
+
+def count(value, name):
+    """int(value) if it is >= 1; else a ConfigError naming name."""
+    return _number(value, name, int, "an integer >= 1", lambda n: n >= 1)
+
+
+def check_radius(r, name):
+    """ConfigError naming name unless r is a finite real > 0."""
+    if not (isinstance(r, numbers.Real) and 0.0 < r < np.inf):
+        raise ConfigError(f"{name}: {r!r} is not a finite radius > 0")
 
 
 def _check_keys(d, allowed, path):
@@ -156,10 +165,11 @@ def check_scene_for_kind(scene, kind, report=None):
                           "baseline experiments need Poisson media")
 
 
-def parse_beta(exp, scene):
-    """The BetaSpec of an experiment section, once its start keys (beta,
-    q_mode, on_scatterer, start_grain) are checked against the scene: a
-    start on a scatterer needs scene.anchor strictly inside a grain."""
+def parse_start(exp, scene):
+    """The start keys of an experiment section (beta as a BetaSpec, q_mode,
+    on_scatterer, start_grain) with their defaults, once they are checked
+    against the scene: a start on a scatterer needs scene.anchor strictly
+    inside a grain."""
     spec = exp.get("beta", {})
     _check_keys(spec, _BETA_KEYS, "experiment.beta")
     try:
@@ -167,19 +177,25 @@ def parse_beta(exp, scene):
                                  float(spec.get("alpha", 0.0)))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"experiment.beta: {err}") from None
-    if exp.get("q_mode", "random") not in microsim.Q_MODES:
-        raise ConfigError(f"experiment.q_mode: unknown mode {exp['q_mode']!r}")
-    if bool(exp.get("on_scatterer")) != ("start_grain" in exp):
+    q_mode = exp.get("q_mode", "random")
+    if q_mode not in microsim.Q_MODES:
+        raise ConfigError(f"experiment.q_mode: unknown mode {q_mode!r}")
+    on, gid = bool(exp.get("on_scatterer", False)), exp.get("start_grain")
+    if on != ("start_grain" in exp):
         raise ConfigError("experiment.start_grain: give it exactly when "
                           "on_scatterer is true")
-    gid = exp.get("start_grain", scene.grains[0].id)
-    if gid not in [g.id for g in scene.grains]:
+    if on and gid not in [g.id for g in scene.grains]:
         raise ConfigError(f"experiment.start_grain: no grain {gid!r} in scene")
-    if exp.get("on_scatterer") and not any(g.contains(scene.anchor)
-                                           for g in scene.grains):
+    if on and not any(g.contains(scene.anchor) for g in scene.grains):
         raise ConfigError(f"scene.anchor: {scene.anchor.tolist()} is in no "
                           "grain; an on_scatterer start needs one")
-    return beta
+    return {"beta": beta, "q_mode": q_mode, "on_scatterer": on,
+            "start_grain": gid}
+
+
+def _time(value, name):
+    return _number(value, name, float, "a finite time >= 0",
+                   lambda t: 0.0 <= t < np.inf)
 
 
 @dataclass
@@ -190,15 +206,18 @@ class ExperimentConfig:
     seed: int
     samples: int
     r_schedule: list
-    options: dict       # the experiment section less its thresholds,
-                        # with gap_scene parsed to a Scene and beta to a
-                        # BetaSpec
+    options: dict       # every experiment key but thresholds, parsed once:
+                        # an absent key holds its default (README), time
+                        # and split_times None for the runner's own
     thresholds: dict    # THRESHOLDS[kind] with the config's overrides
     out_dir: Optional[str] = None
     timings: bool = False
 
     @classmethod
-    def from_dict(cls, doc):
+    def from_dict(cls, doc, threads=None):
+        """The config of a JSON document.  threads, given, is the worker
+        count in place of experiment.threads, checked by its rule but kept
+        out of the hashed document; a bad value names --threads."""
         _check_keys(doc, _TOP_KEYS, "<top>")
         if "scene" not in doc or "experiment" not in doc:
             raise ConfigError("config needs scene and experiment sections")
@@ -213,54 +232,49 @@ class ExperimentConfig:
         _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
         thresholds = dict(THRESHOLDS[kind])
         thresholds.update((key, float(value)) for key, value in given.items())
-        seed = _number(exp, "seed", 0, int, "an integer", lambda s: True)
-        samples = _number(exp, "samples", 1000, int, "an integer >= 1000",
-                          lambda n: n >= 1000)
-        for key in ("particles", "n_seeds"):
-            _number(exp, key, 1, int, "an integer >= 1", lambda n: n >= 1)
-        _number(exp, "time", 0.0, float, "a finite time >= 0",
-                lambda t: 0.0 <= t < np.inf)
-        if exp.get("report", "ncollision") not in REPORTS:
+        opt = {"kind": kind}
+        opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
+                              "an integer", lambda s: True)
+        opt["samples"] = _number(exp.get("samples", 1000),
+                                 "experiment.samples", int,
+                                 "an integer >= 1000", lambda n: n >= 1000)
+        for key, default in (("particles", opt["samples"]), ("n_seeds", 10)):
+            opt[key] = count(exp.get(key, default), f"experiment.{key}")
+        env = os.environ.get("POLYXPORT_THREADS", 1)
+        opt["threads"] = count(exp.get("threads", env), "experiment.threads") \
+            if threads is None else count(threads, "--threads")
+        opt["time"] = _time(exp["time"], "experiment.time") \
+            if "time" in exp else None
+        split = exp.get("split_times")
+        if "split_times" in exp:
+            if not (isinstance(split, list) and len(split) == 2):
+                raise ConfigError(f"experiment.split_times: {split!r} is not "
+                                  "a pair of times")
+            split = [_time(s, "experiment.split_times") for s in split]
+        opt["split_times"] = split
+        opt["report"] = exp.get("report", "ncollision")
+        if opt["report"] not in REPORTS:
             raise ConfigError("experiment.report: unknown report "
-                              f"{exp['report']!r}")
-        rs = list(exp.get("r_schedule", []))
+                              f"{opt['report']!r}")
+        opt["r_schedule"] = rs = list(exp.get("r_schedule", []))
         for r in rs:
-            if not (isinstance(r, numbers.Real) and 0.0 < r < np.inf):
-                raise ConfigError(f"experiment.r_schedule: {r!r} is not a "
-                                  "finite radius > 0")
+            check_radius(r, "experiment.r_schedule")
         if rs and not all(a > b for a, b in zip(rs, rs[1:])):
             raise ConfigError("experiment.r_schedule: radii must be strictly "
                               "decreasing")
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
-        options = {k: v for k, v in exp.items() if k != "thresholds"}
-        options["beta"] = parse_beta(exp, scene)
-        if "gap_scene" in options:
-            options["gap_scene"] = parse_scene(options["gap_scene"],
-                                               "experiment.gap_scene")
-        return cls(doc, scene, kind, seed, samples, rs, options, thresholds,
-                   out.get("dir"), bool(out.get("timings", False)))
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        opt.update(parse_start(exp, scene))
+        opt["resample_offsets"] = bool(exp.get("resample_offsets", False))
+        opt["gap_scene"] = parse_scene(exp["gap_scene"],
+                                       "experiment.gap_scene") \
+            if "gap_scene" in exp else None
+        return cls(doc, scene, kind, opt["seed"], opt["samples"], rs, opt,
+                   thresholds, out.get("dir"), bool(out.get("timings", False)))
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def with_seed(self, seed):
-        doc = json.loads(json.dumps(self.raw))
-        doc["experiment"]["seed"] = int(seed)
-        return ExperimentConfig.from_dict(doc)
-
-    @property
-    def threads(self):
-        t = self.options.get("threads")
-        if t is None:
-            t = os.environ.get("POLYXPORT_THREADS", "1")
-        return max(int(t), 1)
 
 
 def _threshold(config, kind, key):
@@ -380,11 +394,9 @@ sample_tau1 = microsim.sample_tau1_distribution
 def micro_config(config, r):
     opt = config.options
     return microsim.MicroConfig(
-        r=r, seed=config.seed, beta=opt["beta"],
-        q_mode=opt.get("q_mode", "random"),
-        on_scatterer=bool(opt.get("on_scatterer", False)),
-        start_grain=opt.get("start_grain"),
-        resample_offsets=bool(opt.get("resample_offsets", False)))
+        r=r, seed=config.seed, beta=opt["beta"], q_mode=opt["q_mode"],
+        on_scatterer=opt["on_scatterer"], start_grain=opt["start_grain"],
+        resample_offsets=opt["resample_offsets"])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def run_freepath(config):
     if not config.r_schedule:
         raise ConfigError("experiment.r_schedule: freepath needs radii")
     ks_limit = _threshold(config, "freepath", "ks_final")
-    on_scatterer = bool(config.options.get("on_scatterer", False))
+    on_scatterer = config.options["on_scatterer"]
     grid, cdf_vals = limit_freepath_cdf(
         scene, scene.anchor, on_scatterer=on_scatterer,
         beta=config.options["beta"] if on_scatterer else None)
@@ -405,7 +417,8 @@ def run_freepath(config):
     rows = []
     for r in config.r_schedule:
         cfg = micro_config(config, r)
-        samp = sample_tau1(scene, cfg, config.samples, config.threads)
+        samp = sample_tau1(scene, cfg, config.samples,
+                           config.options["threads"])
         ks = stats.ks_distance(samp.tau1, cdf)
         rows.append({"r": r, "epsilon": samp.epsilon, "n": samp.n,
                      "ks": ks, "escape_fraction": samp.escape_fraction,
@@ -445,7 +458,7 @@ def run_transition(config):
         raise ConfigError("experiment.r_schedule: transition needs a radius")
     r = config.r_schedule[-1]
     samp = sample_tau1(scene, micro_config(config, r), config.samples,
-                       config.threads)
+                       config.options["threads"])
     # d=2: four path-length intervals up to 1.2 / sigma_bar by four u slabs
     xi_edges, u_edges = np.linspace(0.0, 0.6, 5), np.linspace(-1.0, 1.0, 5)
     limit = limit_transition_mass(scene, scene.anchor, xi_edges, u_edges)
@@ -518,7 +531,8 @@ def run_poisson_baseline(config):
 
     # (c) collision counts over one mean free path horizon
     if scene.periodic_box is not None:
-        t = float(config.options.get("time", 2.0 / sb))
+        t = config.options["time"]
+        t = 2.0 / sb if t is None else t
         m_cnt = min(n, 200000)
         rng3 = streams.rng("baseline.counts", seed)
         ens3 = flight.sample_initial(scene, m_cnt, rng3)
@@ -536,8 +550,8 @@ def run_poisson_baseline(config):
         report["collisions_p"] = p_cnt
 
     # (d) gap-discounted survival on a secondary scene
-    if "gap_scene" in config.options:
-        gap_scene = config.options["gap_scene"]
+    gap_scene = config.options["gap_scene"]
+    if gap_scene is not None:
         rng4 = streams.rng("baseline.gap", seed)
         n_gap = min(n, 200000)
         xs = flight.sample_positions(gap_scene, n_gap, rng4)
@@ -562,14 +576,12 @@ def run_poisson_baseline(config):
 def run_stationarity(config):
     """Stationarity of the extended-state law plus the semigroup split."""
     scene = config.scene
-    n = int(config.options.get("particles", config.samples))
-    sb = kernels.sigma_bar(scene.dimension)
-    t = float(config.options.get("time", 5.0 / sb))
-    n_seeds = int(config.options.get("n_seeds", 10))
+    n, t = config.options["particles"], config.options["time"]
+    t = 5.0 / kernels.sigma_bar(scene.dimension) if t is None else t
     alpha = _threshold(config, "stationarity", "ks_alpha")
-    split = config.options.get("split_times", [0.4 * t, 0.6 * t])
+    split = config.options["split_times"] or [0.4 * t, 0.6 * t]
     per_seed = []
-    for k in range(n_seeds):
+    for k in range(config.options["n_seeds"]):
         seed = config.seed + k
         rep = flight.stationarity_test(scene, n, t, seed, split=split)
         per_seed.append({"seed": seed, **asdict(rep)})
@@ -595,10 +607,10 @@ def run_flight(config):
     azimuth of v, and in d=3 its polar cosine v_z.
     """
     scene = config.scene
-    n = int(config.options.get("particles", config.samples))
+    n, t = config.options["particles"], config.options["time"]
     sb = kernels.sigma_bar(scene.dimension)
-    t = float(config.options.get("time", 2.0 / sb))
-    flavor = config.options.get("report", "ncollision")
+    t = 2.0 / sb if t is None else t
+    flavor = config.options["report"]
     rng = streams.rng("flight.evolve", config.seed)
     ens0 = flight.sample_initial(scene, n, rng)
     esc0 = ens0.escape_fraction

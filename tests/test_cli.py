@@ -430,6 +430,81 @@ def test_subcommand_on_config_of_another_kind_uses_its_defaults(
     assert rc == (0 if report["verdict"] else 3)
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("microsim", "--r", "nan"), ("microsim", "--r", "0"),
+    ("microsim", "--samples", "-3"), ("microsim", "--samples", "0"),
+    ("freepath", "--threads", "0")],
+    ids=["r-nan", "r-zero", "samples-negative", "samples-zero",
+         "threads-zero"])
+def test_bad_override_names_the_option(scene_config, tmp_path, command,
+                                       option, value):
+    # --r nan wrote rows of escapes, --samples 0 ran the config's count,
+    # --threads 0 ran on one worker, and --r 0 and --samples -3 ended in a
+    # bare ValueError
+    out_dir = tmp_path / "out"
+    proc = _cli_in_subprocess(command, "--config", str(scene_config),
+                              "--out", str(out_dir), option, value)
+    assert proc.returncode == 1
+    assert f"ConfigError: {option}: " in proc.stderr
+    assert proc.stdout == ""
+    assert not out_dir.exists()
+
+
+def test_microsim_radii_need_no_order(scene_config, tmp_path):
+    # unlike experiment.r_schedule, --r may list radii in any order
+    assert main(["microsim", "--config", str(scene_config), "--samples",
+                 "200", "--r", "0.005,0.01", "--out",
+                 str(tmp_path / "ms")]) == 0
+    assert sorted(os.listdir(tmp_path / "ms")) == ["microsim_r0.005.csv",
+                                                   "microsim_r0.01.csv"]
+
+
+def _same_files(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) and names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_flight_overrides_match_the_edited_config(tmp_path):
+    # the CLI writes its overrides into the experiment section and parses
+    # once: the library run of the edited config emits the same bytes
+    doc = {"scene": _TILED_BOX,
+           "experiment": {"kind": "flight", "seed": 4, "samples": 1000}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["flight", "--config", str(path), "--out",
+                 str(tmp_path / "cli"), "--particles", "1500", "--time",
+                 "0.25", "--report", "marginals"]) == 0
+    doc["experiment"].update(particles=1500, time=0.25, report="marginals")
+    cfg = harness.ExperimentConfig.from_dict(doc)
+    harness.emit(harness.run_experiment(cfg), str(tmp_path / "lib"), cfg)
+    _same_files(tmp_path / "cli", tmp_path / "lib")
+
+
+def test_threads_override_leaves_the_config_hash(scene_config, tmp_path,
+                                                 monkeypatch):
+    # --threads reaches the sampler but not the hashed document
+    monkeypatch.delenv("POLYXPORT_THREADS", raising=False)
+    seen = []
+    sample = harness.sample_tau1
+
+    def recording(scene, cfg, n, threads):
+        seen.append(threads)
+        return sample(scene, cfg, n, threads)
+    monkeypatch.setattr(harness, "sample_tau1", recording)
+    assert main(["freepath", "--config", str(scene_config), "--out",
+                 str(tmp_path / "cli"), "--threads", "2"]) == 0
+    cfg = harness.ExperimentConfig.from_dict(
+        json.loads(scene_config.read_text()))
+    harness.emit(harness.run_experiment(cfg), str(tmp_path / "lib"), cfg)
+    assert seen == [2, 1]
+    _same_files(tmp_path / "cli", tmp_path / "lib")
+    summary = json.loads((tmp_path / "cli" / "freepath_summary.json")
+                         .read_text())
+    assert summary["config_hash"] == cfg.hash()
+
+
 def _cli_in_subprocess(*args):
     src = os.path.dirname(os.path.dirname(harness.__file__))
     return subprocess.run([sys.executable, "-m", "polyxport.cli", *args],

@@ -295,7 +295,10 @@ class TestConfig:
         ("r_schedule", [float("inf")]), ("r_schedule", [float("nan")]),
         ("r_schedule", ["1e-3"]), ("time", -1.0), ("time", float("inf")),
         ("time", float("nan")), ("report", "bogus"), ("samples", "abc"),
-        ("seed", None)])
+        ("seed", None), ("threads", "abc"), ("threads", 0), ("threads", -1),
+        ("split_times", [0.3]), ("split_times", "0.2,0.4"),
+        ("split_times", [-1.0, 0.5]), ("split_times", [float("nan"), 0.5]),
+        ("split_times", [0.2, float("inf")])])
     def test_bad_number_named_at_parse_time(self, key, value, no_run):
         # n_seeds 0 gave a passing stationarity verdict over no sub-run
         doc = json.loads(json.dumps(CONFIG))
@@ -303,12 +306,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^experiment\.{key}\b"):
             ExperimentConfig.from_dict(doc)
 
-    def test_seed_override(self):
-        cfg = ExperimentConfig.from_dict(CONFIG)
-        cfg2 = cfg.with_seed(99)
-        assert cfg2.seed == 99
-        assert cfg.seed == 3
-        assert cfg.hash() != cfg2.hash()
+    def test_bad_thread_count_from_the_environment(self, monkeypatch,
+                                                   no_run):
+        # POLYXPORT_THREADS stands in for an absent experiment.threads
+        monkeypatch.setenv("POLYXPORT_THREADS", "abc")
+        with pytest.raises(ConfigError, match=r"^experiment\.threads\b"):
+            ExperimentConfig.from_dict(CONFIG)
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"]["threads"] = 2
+        assert ExperimentConfig.from_dict(doc).options["threads"] == 2
+        monkeypatch.setenv("POLYXPORT_THREADS", "3")
+        assert ExperimentConfig.from_dict(CONFIG).options["threads"] == 3
+
+    def test_absent_keys_hold_their_defaults(self, monkeypatch):
+        monkeypatch.delenv("POLYXPORT_THREADS", raising=False)
+        opt = ExperimentConfig.from_dict(CONFIG).options
+        assert {key: opt[key] for key in (
+            "particles", "n_seeds", "threads", "time", "split_times",
+            "report", "q_mode", "on_scatterer", "start_grain",
+            "resample_offsets", "gap_scene")} == {
+            "particles": 1000, "n_seeds": 10, "threads": 1, "time": None,
+            "split_times": None, "report": "ncollision", "q_mode": "random",
+            "on_scatterer": False, "start_grain": None,
+            "resample_offsets": False, "gap_scene": None}
+        doc = json.loads(json.dumps(CONFIG))
+        doc["experiment"].update(time=1, split_times=[0, 1])
+        opt = ExperimentConfig.from_dict(doc).options
+        assert opt["time"] == 1.0 and type(opt["time"]) is float
+        assert opt["split_times"] == [0.0, 1.0]
 
 
 class TestLimitCurves:
