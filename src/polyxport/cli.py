@@ -22,12 +22,13 @@ import numpy as np
 from . import harness, kernels, microsim, polykernel
 
 
-def _floats(text):
-    return [float(t) for t in text.split(",") if t]
+def _floats(text, option):
+    return [harness._number(t, option, float, "a number")
+            for t in text.split(",") if t]
 
 
-def _vec(text):
-    return np.array(_floats(text))
+def _vec(text, option):
+    return np.array(_floats(text, option))
 
 
 def _add_common(p):
@@ -75,7 +76,7 @@ def _params(args, d, takes):
     vecs = []
     for key in ("w", "z"):
         text = getattr(args, key)
-        vec = _vec(text) if text else np.zeros(d - 1)
+        vec = _vec(text, f"--{key}") if text else np.zeros(d - 1)
         if vec.size != d - 1 or not np.all(np.isfinite(vec)):
             raise harness.ConfigError(f"--{key}: needs a finite vector of "
                                       f"length {d - 1}")
@@ -88,7 +89,7 @@ def _params(args, d, takes):
 
 
 def _path_lengths(text):
-    xis = _floats(text)
+    xis = _floats(text, "--xi")
     if not all(xi >= 0.0 for xi in xis):        # NaN fails too
         raise harness.ConfigError("--xi: path lengths must be >= 0 or inf")
     return xis
@@ -128,7 +129,7 @@ def cmd_psi(args):
         doc = json.load(fh)
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
     d = scene.dimension
-    x, v = _vec(args.x), _vec(args.v)
+    x, v = _vec(args.x, "--x"), _vec(args.v, "--v")
     for key, vec in (("x", x), ("v", v)):
         if vec.size != d or not np.all(np.isfinite(vec)):
             raise harness.ConfigError(f"--{key}: needs a finite vector of "
@@ -156,13 +157,13 @@ def cmd_psi(args):
 def cmd_microsim(args):
     cfg = _load_config(args)
     harness.check_scene_for_kind(cfg.scene, "freepath")
-    rs = _floats(args.r) if args.r else cfg.r_schedule
+    rs = _floats(args.r, "--r") if args.r else cfg.options["r_schedule"]
     if not rs:
         raise harness.ConfigError("experiment.r_schedule: microsim needs "
                                   "radii, from the config or --r")
     for r in rs:
         harness.check_radius(r, "--r")
-    n = cfg.samples if args.samples is None \
+    n = cfg.options["samples"] if args.samples is None \
         else harness.count(args.samples, "--samples")
     out = args.out or cfg.out_dir or "."
     import os

@@ -52,8 +52,16 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
 
     kind 'psi' is the generic-start family (initial condition), 'psi0' the
     scatterer-start family with exit parameters z.  Escapes come back as
-    xi = +inf with a zero parameter row.  xi is drawn segment by segment
-    by inversion of its w-free marginal, then w given xi.
+    xi = +inf with a zero parameter row.
+
+    xi is drawn segment by segment by inversion of its w-free marginal:
+    integrated over w, the joint density of a segment is D_Phi on a
+    segment it survives, Phi inside the one it ends in, and on the first
+    segment of a scatterer start Phi(., z) and Phi_0(., z).  So each round
+    walks the pending rows one segment on, hits with that segment's mass
+    and inverts its CDF.  w then follows the conditional law given where
+    xi fell (_sample_w_given_xi), which is uniform on the ball for the
+    w-free families.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
@@ -64,20 +72,6 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if len(z) != len(xs):
             raise ValueError("need one exit parameter per particle")
-    return _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z)
-
-
-def _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z):
-    """Per-segment inversion of the flight length, then w given xi.
-
-    Integrated over w, the joint density of a segment is its w-free
-    marginal: D_Phi on a segment it survives, Phi inside the one it ends
-    in, and on the first segment of a scatterer start Phi(., z) and
-    Phi_0(., z).  So each round walks the pending rows one segment on,
-    hits with that segment's mass and inverts its CDF.  w then follows
-    the conditional law given where xi fell (_sample_w_given_xi), which
-    is uniform on the ball for the w-free families.
-    """
     n = len(xs)
     xi = np.full(n, np.inf)
     off = np.zeros(n)                     # offset of xi inside its segment
@@ -105,18 +99,17 @@ def _sample_xi_w_factorized(scene, kern, xs, vs, rng, kind, z):
         if hit.any():
             rows = act[hit]
             vsel = rng.random(len(rows))
+            tgt = vsel * mass[hit]
             u = np.empty(len(rows))
             fhit = isf[hit]
-            lhit = ell[hit]
             if fhit.any():
                 if kern.wz_free:    # planar: Phi(., z) is linear in xi
-                    u[fhit] = vsel[fhit] * lhit[fhit]
+                    u[fhit] = vsel[fhit] * ell[hit][fhit]
                 else:
-                    u[fhit] = KK.invert_phi_marginal(
-                        vsel[fhit] * mass[hit][fhit], z[rows[fhit]])
+                    u[fhit] = KK.invert_phi_marginal(tgt[fhit],
+                                                     z[rows[fhit]])
             if (~fhit).any():
-                tgt = vsel[~fhit] * (1.0 - np.asarray(kern.d_phi(lhit[~fhit])))
-                u[~fhit] = np.asarray(kern.invert_phi_cdf(tgt))
+                u[~fhit] = np.asarray(kern.invert_phi_cdf(tgt[~fhit]))
             xi[rows] = entry[rows] + u
             off[rows] = u
             lead[rows] = fhit
@@ -216,7 +209,7 @@ def sample_positions(scene, n, rng):
         rows = np.flatnonzero(choice == j)
         if not len(rows):
             continue
-        verts = g.get_vertices()
+        verts = g.vertices
         lo, hi = verts.min(axis=0), verts.max(axis=0)
         need = rows
         while len(need):

@@ -53,40 +53,32 @@ class ConvexGrain:
 
     @classmethod
     def from_vertices(cls, gid, vertices):
-        """Convert a V-representation to halfspaces (convex hull facets)."""
+        """The convex hull of vertices (n, d) as halfspaces, one per hull
+        facet; the box when the vertices are exactly the 2^d corners of
+        their bounding box.  ValueError when the hull has no interior."""
         pts = np.asarray(vertices, dtype=float)
-        d = pts.shape[1]
-        diam = max(np.linalg.norm(p - q) for p, q in itertools.combinations(pts, 2))
-        if d == 2 and len(pts) <= 4:
-            # tiny polygons: order by angle around the centroid
-            c = pts.mean(axis=0)
-            order = np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]))
-            pts_o = pts[order]
-            normals, offs = [], []
-            for i in range(len(pts_o)):
-                p, q = pts_o[i], pts_o[(i + 1) % len(pts_o)]
-                e = q - p
-                n = np.array([e[1], -e[0]])
-                n /= np.linalg.norm(n)
-                if np.dot(n, c - p) > 0:
-                    n = -n
-                normals.append(n)
-                offs.append(np.dot(n, p))
-            grain = cls(gid, np.array(normals), np.array(offs), diam, pts_o)
-        else:
-            from scipy.spatial import ConvexHull
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        if np.all(lo < hi) and sorted(map(tuple, pts.tolist())) == sorted(
+                itertools.product(*zip(lo.tolist(), hi.tolist()))):
+            return cls.box(gid, lo, hi)
+        from scipy.spatial import ConvexHull, QhullError
+        try:
             hull = ConvexHull(pts)
-            eq = hull.equations   # n.x + b <= 0
-            normals = _unit_rows(eq[:, :-1])
-            offs = -eq[:, -1] / np.linalg.norm(eq[:, :-1], axis=1)
-            grain = cls(gid, normals, offs, diam, pts[hull.vertices])
-        return grain
+        except QhullError:
+            raise ValueError("the vertices span no full-dimensional "
+                             "hull") from None
+        eq = hull.equations   # n.x + b <= 0
+        normals = _unit_rows(eq[:, :-1])
+        offs = -eq[:, -1] / np.linalg.norm(eq[:, :-1], axis=1)
+        diam = max(np.linalg.norm(p - q)
+                   for p, q in itertools.combinations(pts, 2))
+        return cls(gid, normals, offs, diam, pts[hull.vertices])
 
     @classmethod
     def box(cls, gid, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if np.any(hi <= lo):
+        if not np.all(lo < hi):
             raise ValueError("box needs lo < hi per axis")
         d = lo.size
         normals = np.vstack([np.eye(d), -np.eye(d)])
@@ -97,10 +89,6 @@ class ConvexGrain:
     @property
     def dimension(self):
         return self.normals.shape[1]
-
-    def contains(self, x):
-        """Strict interior test."""
-        return bool(np.all(self.normals @ np.asarray(x, dtype=float) < self.offsets))
 
     def contains_rows(self, pts):
         """Strict interior test per row of pts (n, d): the mask of
@@ -124,16 +112,13 @@ class ConvexGrain:
             keep &= (lo < c) & (c < hi)
         return keep
 
-    def get_vertices(self):
-        return self.vertices
-
     def volume(self):
         box = _axis_bounds(self.normals, self.offsets)
         if box is not None:
             lo, hi = box
             return float(np.prod(hi - lo))
         from scipy.spatial import ConvexHull
-        return float(ConvexHull(self.get_vertices()).volume)
+        return float(ConvexHull(self.vertices).volume)
 
 
 def _axis_bounds(normals, offsets):
@@ -230,20 +215,14 @@ class Scene:
             object.__setattr__(self, "anchor", np.zeros(self.dimension))
         else:
             object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        object.__setattr__(self, "_index",
+                           {g.id: i for i, g in enumerate(self.grains)})
 
     def grain_by_id(self, gid):
-        return self._grain_index()[gid]
+        return self.grains[self._index[gid]]
 
     def medium_by_id(self, gid):
-        for g, m in zip(self.grains, self.media):
-            if g.id == gid:
-                return m
-        raise KeyError(gid)
-
-    def _grain_index(self):
-        if not hasattr(self, "_gidx"):
-            object.__setattr__(self, "_gidx", {g.id: g for g in self.grains})
-        return self._gidx
+        return self.media[self._index[gid]]
 
     def max_diameter_bound(self):
         return max(g.diameter_bound for g in self.grains)
@@ -265,23 +244,19 @@ def make_scene(dimension, grains, media, periodic_box=None, anchor=None,
 
 
 def check_tiled_box(grains, box):
-    """SceneError unless grains is one grain that is exactly the box."""
+    """SceneError unless grains is one grain that is exactly the box: an
+    axis-aligned grain (_axis_bounds) with its faces within 1e-9 of the
+    box's."""
     if len(grains) != 1:
         raise SceneError(f"a periodic box must be tiled by one grain, not "
                          f"{len(grains)}")
     g = grains[0]
-    d = box.lo.size
-    if g.dimension == d and len(g.normals) == 2 * d:
-        # each facet normal is +-e_j, on the box face of that sign
-        j = np.argmax(np.abs(g.normals), axis=1)
-        nj = g.normals[np.arange(2 * d), j]
-        face = np.where(nj > 0, box.hi[j], -box.lo[j])
-        if (len(set(zip(j, nj > 0))) == 2 * d
-                and np.all(np.abs(np.abs(nj) - 1.0) <= 1e-12)
-                and np.all(np.abs(g.offsets - face) <= 1e-9)):
-            return
-    raise SceneError(f"grain {g.id} is not the periodic box from "
-                     f"{box.lo.tolist()} to {box.hi.tolist()}")
+    bounds = _axis_bounds(g.normals, g.offsets) \
+        if g.dimension == box.lo.size else None
+    if bounds is None or not np.all(
+            np.abs(np.subtract(bounds, (box.lo, box.hi))) <= 1e-9):
+        raise SceneError(f"grain {g.id} is not the periodic box from "
+                         f"{box.lo.tolist()} to {box.hi.tolist()}")
 
 
 def validate_scene(scene):
@@ -294,7 +269,7 @@ def validate_scene(scene):
         ok, x, _ = _margin_lp(g.normals, g.offsets)
         if not ok:
             raise SceneError("unbounded or empty grain")
-        if np.any(g.normals @ x >= g.offsets):
+        if not g.contains_rows(x[None])[0]:
             raise SceneError(f"grain {g.id} has empty interior")
 
     crystal_ids = [g.id for g, m in zip(scene.grains, scene.media)

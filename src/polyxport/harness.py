@@ -63,7 +63,7 @@ THRESHOLDS = {
 }
 
 
-def _number(value, name, kind, rule, ok):
+def _number(value, name, kind, rule, ok=lambda n: True):
     """kind(value) if ok holds for it; else a ConfigError naming name."""
     try:
         number = kind(value)
@@ -112,11 +112,12 @@ def parse_grain(d, path):
         raise ConfigError(f"{path}: grain needs an id")
     if ("box" in d) == ("vertices" in d):
         raise ConfigError(f"{path}: give exactly one of box/vertices")
-    if "box" in d:
-        lo, hi = d["box"]
-        grain = ConvexGrain.box(gid, lo, hi)
-    else:
-        grain = ConvexGrain.from_vertices(gid, d["vertices"])
+    key = "box" if "box" in d else "vertices"
+    try:
+        grain = ConvexGrain.box(gid, *d["box"]) if key == "box" \
+            else ConvexGrain.from_vertices(gid, d["vertices"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}.{key}: {err}") from None
     if "medium" not in d:
         raise ConfigError(f"{path}: grain needs a medium")
     return grain, parse_medium(d["medium"], f"{path}.medium")
@@ -186,7 +187,8 @@ def parse_start(exp, scene):
                           "on_scatterer is true")
     if on and gid not in [g.id for g in scene.grains]:
         raise ConfigError(f"experiment.start_grain: no grain {gid!r} in scene")
-    if on and not any(g.contains(scene.anchor) for g in scene.grains):
+    if on and not any(g.contains_rows(scene.anchor[None])[0]
+                      for g in scene.grains):
         raise ConfigError(f"scene.anchor: {scene.anchor.tolist()} is in no "
                           "grain; an on_scatterer start needs one")
     return {"beta": beta, "q_mode": q_mode, "on_scatterer": on,
@@ -202,10 +204,6 @@ def _time(value, name):
 class ExperimentConfig:
     raw: dict
     scene: object
-    kind: str
-    seed: int
-    samples: int
-    r_schedule: list
     options: dict       # every experiment key but thresholds, parsed once:
                         # an absent key holds its default (README), time
                         # and split_times None for the runner's own
@@ -231,10 +229,12 @@ class ExperimentConfig:
         given = exp.get("thresholds", {})
         _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
         thresholds = dict(THRESHOLDS[kind])
-        thresholds.update((key, float(value)) for key, value in given.items())
+        thresholds.update((key, _number(value, f"experiment.thresholds.{key}",
+                                        float, "a number"))
+                          for key, value in given.items())
         opt = {"kind": kind}
         opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
-                              "an integer", lambda s: True)
+                              "an integer")
         opt["samples"] = _number(exp.get("samples", 1000),
                                  "experiment.samples", int,
                                  "an integer >= 1000", lambda n: n >= 1000)
@@ -256,7 +256,10 @@ class ExperimentConfig:
         if opt["report"] not in REPORTS:
             raise ConfigError("experiment.report: unknown report "
                               f"{opt['report']!r}")
-        opt["r_schedule"] = rs = list(exp.get("r_schedule", []))
+        opt["r_schedule"] = rs = exp.get("r_schedule", [])
+        if not isinstance(rs, list):
+            raise ConfigError(f"experiment.r_schedule: {rs!r} is not a list "
+                              "of radii")
         for r in rs:
             check_radius(r, "experiment.r_schedule")
         if rs and not all(a > b for a, b in zip(rs, rs[1:])):
@@ -269,8 +272,8 @@ class ExperimentConfig:
         opt["gap_scene"] = parse_scene(exp["gap_scene"],
                                        "experiment.gap_scene") \
             if "gap_scene" in exp else None
-        return cls(doc, scene, kind, opt["seed"], opt["samples"], rs, opt,
-                   thresholds, out.get("dir"), bool(out.get("timings", False)))
+        return cls(doc, scene, opt, thresholds, out.get("dir"),
+                   bool(out.get("timings", False)))
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -394,7 +397,7 @@ sample_tau1 = microsim.sample_tau1_distribution
 def micro_config(config, r):
     opt = config.options
     return microsim.MicroConfig(
-        r=r, seed=config.seed, beta=opt["beta"], q_mode=opt["q_mode"],
+        r=r, seed=opt["seed"], beta=opt["beta"], q_mode=opt["q_mode"],
         on_scatterer=opt["on_scatterer"], start_grain=opt["start_grain"],
         resample_offsets=opt["resample_offsets"])
 
@@ -405,20 +408,19 @@ def micro_config(config, r):
 
 def run_freepath(config):
     """Microscopic tau_1 law against the limit CDF across the r schedule."""
-    scene = config.scene
-    if not config.r_schedule:
+    scene, opt = config.scene, config.options
+    if not opt["r_schedule"]:
         raise ConfigError("experiment.r_schedule: freepath needs radii")
     ks_limit = _threshold(config, "freepath", "ks_final")
-    on_scatterer = config.options["on_scatterer"]
+    on_scatterer = opt["on_scatterer"]
     grid, cdf_vals = limit_freepath_cdf(
         scene, scene.anchor, on_scatterer=on_scatterer,
-        beta=config.options["beta"] if on_scatterer else None)
+        beta=opt["beta"] if on_scatterer else None)
     cdf = interp_cdf(grid, cdf_vals)
     rows = []
-    for r in config.r_schedule:
+    for r in opt["r_schedule"]:
         cfg = micro_config(config, r)
-        samp = sample_tau1(scene, cfg, config.samples,
-                           config.options["threads"])
+        samp = sample_tau1(scene, cfg, opt["samples"], opt["threads"])
         ks = stats.ks_distance(samp.tau1, cdf)
         rows.append({"r": r, "epsilon": samp.epsilon, "n": samp.n,
                      "ks": ks, "escape_fraction": samp.escape_fraction,
@@ -427,7 +429,7 @@ def run_freepath(config):
     report = {
         "experiment": "freepath",
         "config_hash": config.hash(),
-        "seed": config.seed,
+        "seed": opt["seed"],
         "per_r": rows,
         "ks_decreasing": all(a > b for a, b in zip(ks_seq, ks_seq[1:])),
         "ks_final": ks_seq[-1],
@@ -452,13 +454,13 @@ def limit_transition_mass(scene, x, xi_edges, u_edges, m_dirs=1024):
 
 def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
-    scene = config.scene
+    scene, opt = config.scene, config.options
     alpha = _threshold(config, "transition", "chi2_alpha")
-    if not config.r_schedule:
+    if not opt["r_schedule"]:
         raise ConfigError("experiment.r_schedule: transition needs a radius")
-    r = config.r_schedule[-1]
-    samp = sample_tau1(scene, micro_config(config, r), config.samples,
-                       config.options["threads"])
+    r = opt["r_schedule"][-1]
+    samp = sample_tau1(scene, micro_config(config, r), opt["samples"],
+                       opt["threads"])
     # d=2: four path-length intervals up to 1.2 / sigma_bar by four u slabs
     xi_edges, u_edges = np.linspace(0.0, 0.6, 5), np.linspace(-1.0, 1.0, 5)
     limit = limit_transition_mass(scene, scene.anchor, xi_edges, u_edges)
@@ -475,7 +477,7 @@ def run_transition(config):
     report = {
         "experiment": "transition",
         "config_hash": config.hash(),
-        "seed": config.seed,
+        "seed": opt["seed"],
         "r": r,
         "xi_edges": list(map(float, xi_edges)),
         "u_edges": list(map(float, u_edges)),
@@ -493,8 +495,8 @@ def run_poisson_baseline(config):
     """Exponential paths, memorylessness and collision counts (disordered)."""
     scene = config.scene
     sb = kernels.sigma_bar(scene.dimension)
-    n = config.samples
-    seed = config.seed
+    n = config.options["samples"]
+    seed = config.options["seed"]
     alpha = _threshold(config, "poisson-baseline", "alpha")
     freepath_ks_limit = _threshold(config, "poisson-baseline", "freepath_ks")
     gap_ks_limit = _threshold(config, "poisson-baseline", "gap_ks")
@@ -576,13 +578,14 @@ def run_poisson_baseline(config):
 def run_stationarity(config):
     """Stationarity of the extended-state law plus the semigroup split."""
     scene = config.scene
-    n, t = config.options["particles"], config.options["time"]
+    opt = config.options
+    n, t = opt["particles"], opt["time"]
     t = 5.0 / kernels.sigma_bar(scene.dimension) if t is None else t
     alpha = _threshold(config, "stationarity", "ks_alpha")
-    split = config.options["split_times"] or [0.4 * t, 0.6 * t]
+    split = opt["split_times"] or [0.4 * t, 0.6 * t]
     per_seed = []
-    for k in range(config.options["n_seeds"]):
-        seed = config.seed + k
+    for k in range(opt["n_seeds"]):
+        seed = opt["seed"] + k
         rep = flight.stationarity_test(scene, n, t, seed, split=split)
         per_seed.append({"seed": seed, **asdict(rep)})
     ok = all(row["ks_xi"][1] > alpha and row["ks_vplus"][1] > alpha
@@ -590,7 +593,7 @@ def run_stationarity(config):
     return {
         "experiment": "stationarity",
         "config_hash": config.hash(),
-        "seed": config.seed,
+        "seed": opt["seed"],
         "particles": n,
         "time": t,
         "alpha": alpha,
@@ -607,22 +610,23 @@ def run_flight(config):
     azimuth of v, and in d=3 its polar cosine v_z.
     """
     scene = config.scene
-    n, t = config.options["particles"], config.options["time"]
+    opt = config.options
+    n, t = opt["particles"], opt["time"]
     sb = kernels.sigma_bar(scene.dimension)
     t = 2.0 / sb if t is None else t
-    flavor = config.options["report"]
-    rng = streams.rng("flight.evolve", config.seed)
+    flavor = opt["report"]
+    rng = streams.rng("flight.evolve", opt["seed"])
     ens0 = flight.sample_initial(scene, n, rng)
     esc0 = ens0.escape_fraction
     ens = flight.evolve(scene, ens0, t, rng)
     counts = flight.n_collision_histogram(ens)
-    rng_o = streams.rng("flight.n0_oracle", config.seed)
+    rng_o = streams.rng("flight.n0_oracle", opt["seed"])
     frac0_oracle = flight.no_collision_fraction_quadrature(
         scene, t, min(n, 20000), rng_o)
     report = {
         "experiment": "flight",
         "config_hash": config.hash(),
-        "seed": config.seed,
+        "seed": opt["seed"],
         "particles": n,
         "time": t,
         "report": flavor,
@@ -769,4 +773,4 @@ def write_tau1_csv(path, samp):
 
 
 def run_experiment(config):
-    return RUNNERS[config.kind](config)
+    return RUNNERS[config.options["kind"]](config)

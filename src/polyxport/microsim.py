@@ -212,7 +212,7 @@ def poisson_realization(grain, epsilon, rng):
     The draws are scaled in place, and returned as they are when every one
     lies inside the grain (a box grain keeps them all).
     """
-    verts = grain.get_vertices()
+    verts = grain.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     vol = float(np.prod(hi - lo))
     n = rng.poisson(vol / epsilon ** grain.dimension)
@@ -258,7 +258,7 @@ class MicroRuntime:
         self._inflated = [dataclasses.replace(g, offsets=g.offsets + self.r,
                                               vertices=None)
                           for g in scene.grains]
-        allv = np.vstack([g.get_vertices() for g in scene.grains])
+        allv = np.vstack([g.vertices for g in scene.grains])
         self.scene_diameter = float(np.linalg.norm(allv.max(0) - allv.min(0)))
         self.cutoff = CUTOFF_FACTOR * self.scene_diameter
         if cfg.resample_offsets:
@@ -338,7 +338,7 @@ class MicroRuntime:
 
 
 def _lattice_points_in_grain(sgl, grain, omega=None):
-    corners = sgl.to_lattice_coords(grain.get_vertices(), omega)
+    corners = sgl.to_lattice_coords(grain.vertices, omega)
     los = np.floor(corners.min(axis=0)) - 1
     his = np.ceil(corners.max(axis=0)) + 1
     grids = np.meshgrid(*[np.arange(l, h + 1) for l, h in zip(los, his)],
@@ -500,13 +500,6 @@ def _start_points(runtime, n, q=None, omegas=None):
     return centers
 
 
-def _start_point(runtime, rng):
-    """The run's base point; draws q from rng when q_mode is 'random'."""
-    d = runtime.scene.dimension
-    q = rng.uniform(0.0, 1.0, (1, d)) if runtime._draws_q else None
-    return _start_points(runtime, 1, q)[0]
-
-
 def _trace_chunk(job):
     """First hits of one chunk of directions: (tau_1, grain ids, w1)."""
     rt, dirs, base, chunk_id = job
@@ -527,7 +520,8 @@ def _trace_chunk(job):
 def sample_tau1_distribution(scene, cfg, n_samples, threads=1):
     """Empirical (tau_1, -w1 K(v)) law over n uniform directions.
 
-    Streams: "micro.directions" draws the base point, then the directions;
+    Streams: "micro.directions" draws the base point (its q when q_mode is
+    'random'), then the directions;
     with resample_offsets, "micro.chunk_offsets" (key: chunk) draws the
     per-sample offsets (and q) of each SAMPLE_CHUNK-sized chunk.  threads
     > 1 traces the chunks in worker processes; the result is the same for
@@ -535,7 +529,8 @@ def sample_tau1_distribution(scene, cfg, n_samples, threads=1):
     """
     rt = MicroRuntime(scene, cfg)
     rng = streams.rng("micro.directions", cfg.seed)
-    base = _start_point(rt, rng)
+    q = rng.uniform(0.0, 1.0, (1, scene.dimension)) if rt._draws_q else None
+    base = _start_points(rt, 1, q)[0]
     dirs = scattering.sample_direction(rng, scene.dimension, n_samples)
     jobs = [(rt, dirs[i:i + SAMPLE_CHUNK], base, i // SAMPLE_CHUNK)
             for i in range(0, n_samples, SAMPLE_CHUNK)]

@@ -129,5 +129,5 @@ def random_scene_2d(rng, n_grains=3, medium="crystal"):
         x += w + rng.uniform(0.0, 0.15)
         y += rng.uniform(0.0, h * 0.8)
     return make_scene(2, tuple(grains), tuple(media),
-                      anchor=grains[0].get_vertices().mean(axis=0),
+                      anchor=grains[0].vertices.mean(axis=0),
                       assume_incommensurable=True)

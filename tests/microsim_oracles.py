@@ -136,7 +136,7 @@ class PointGrid:
 
 def poisson_realization(grain, epsilon, rng):
     """Fixed unit-intensity Poisson set, scaled by eps and cut to the grain."""
-    verts = grain.get_vertices()
+    verts = grain.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     vol = float(np.prod(hi - lo))
     n = rng.poisson(vol / epsilon ** grain.dimension)

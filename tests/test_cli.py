@@ -175,7 +175,7 @@ def test_microsim_cli_matches_library(tmp_path):
     cli_tau1 = np.array([float(line.split(",")[2]) for line in lines[1:-1]])
     cfg = harness.ExperimentConfig.from_dict(doc)
     lib = microsim.sample_tau1_distribution(
-        cfg.scene, harness.micro_config(cfg, 3e-3), cfg.samples)
+        cfg.scene, harness.micro_config(cfg, 3e-3), cfg.options["samples"])
     assert np.array_equal(cli_tau1, lib.tau1)
     assert np.isfinite(lib.tau1).sum() > 100
 
@@ -373,9 +373,9 @@ def test_psi_eval_inf_on_tiled_box_names_xi(scene_config, tmp_path, capsys):
 
 @pytest.mark.parametrize("option,value", [
     ("--v", "0,0"), ("--xi", "nan"), ("--xi", "0.1,-0.2"), ("--v", "1,0,0"),
-    ("--x", "0.15"), ("--w", "0.1,0.2"), ("--w", "2")],
+    ("--x", "0.15"), ("--x", "0.15,abc"), ("--w", "0.1,0.2"), ("--w", "2")],
     ids=["zero-v", "nan-xi", "negative-xi", "v-length", "x-length",
-         "w-length", "w-outside-ball"])
+         "x-not-a-number", "w-length", "w-outside-ball"])
 def test_psi_eval_bad_input_names_the_option(scene_config, capsys, option,
                                              value):
     args = {"--x": "0.15,0.15", "--v": "1,0", "--xi": "0.1", "--w": "0.3"}
@@ -392,10 +392,10 @@ def test_psi_eval_bad_input_names_the_option(scene_config, capsys, option,
 
 
 @pytest.mark.parametrize("option,value", [
-    ("--xi", "0.7"), ("--xi", "-1"), ("--xi", "0.1,nan"), ("--w", "3"),
-    ("--z", "0,1"), ("--z", "-1.5")],
-    ids=["xi-past-crystal-range", "negative-xi", "nan-xi", "w-outside-ball",
-         "z-length", "z-outside-ball"])
+    ("--xi", "0.7"), ("--xi", "-1"), ("--xi", "0.1,nan"), ("--xi", "abc"),
+    ("--w", "3"), ("--z", "0,1"), ("--z", "-1.5")],
+    ids=["xi-past-crystal-range", "negative-xi", "nan-xi", "xi-not-a-number",
+         "w-outside-ball", "z-length", "z-outside-ball"])
 def test_kernels_eval_bad_input_names_the_option(capsys, option, value):
     args = {"--xi": "0.1", "--w": "0.3", "--z": "-0.2"}
     args[option] = value
@@ -432,15 +432,15 @@ def test_subcommand_on_config_of_another_kind_uses_its_defaults(
 
 @pytest.mark.parametrize("command,option,value", [
     ("microsim", "--r", "nan"), ("microsim", "--r", "0"),
-    ("microsim", "--samples", "-3"), ("microsim", "--samples", "0"),
-    ("freepath", "--threads", "0")],
-    ids=["r-nan", "r-zero", "samples-negative", "samples-zero",
-         "threads-zero"])
+    ("microsim", "--r", "abc"), ("microsim", "--samples", "-3"),
+    ("microsim", "--samples", "0"), ("freepath", "--threads", "0")],
+    ids=["r-nan", "r-zero", "r-not-a-number", "samples-negative",
+         "samples-zero", "threads-zero"])
 def test_bad_override_names_the_option(scene_config, tmp_path, command,
                                        option, value):
     # --r nan wrote rows of escapes, --samples 0 ran the config's count,
-    # --threads 0 ran on one worker, and --r 0 and --samples -3 ended in a
-    # bare ValueError
+    # --threads 0 ran on one worker, and --r 0, --r abc and --samples -3
+    # ended in a bare ValueError
     out_dir = tmp_path / "out"
     proc = _cli_in_subprocess(command, "--config", str(scene_config),
                               "--out", str(out_dir), option, value)

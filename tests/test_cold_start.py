@@ -71,9 +71,19 @@ def _scipy_modules_after(script, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# README's example scene: its second grain is a box given by its corners
+README_SCENE = dict(TWO_BOXES_2D, grains=[
+    TWO_BOXES_2D["grains"][0],
+    {"id": 2, "vertices": [[0.35, 0.0], [0.65, 0.0], [0.65, 0.3],
+                           [0.35, 0.3]],
+     "medium": {"type": "poisson"}}])
+
+
 def test_box_configs_parse_without_scipy():
     docs = [
         {"scene": TWO_BOXES_2D,
+         "experiment": {"kind": "freepath", "r_schedule": [1e-2]}},
+        {"scene": README_SCENE,
          "experiment": {"kind": "freepath", "r_schedule": [1e-2]}},
         {"scene": CRYSTAL_POISSON_3D,
          "experiment": {"kind": "freepath", "r_schedule": [1e-3, 1e-4]}},

@@ -309,7 +309,7 @@ class TestSurvivalCurves:
         if in_grain or scene.periodic_box is not None:
             xs = flight.sample_positions(scene, n, rng)
         else:       # gap and outside starts too
-            verts = np.vstack([g.get_vertices() for g in scene.grains])
+            verts = np.vstack([g.vertices for g in scene.grains])
             xs = rng.uniform(verts.min(axis=0) - 0.1, verts.max(axis=0) + 0.1,
                              (n, d))
             xs[1] = scene.anchor

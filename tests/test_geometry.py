@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,7 +166,8 @@ def test_inside_indicator_probe_oracle():
         v = np.array([np.cos(th), np.sin(th)])
         xs.append(x)
         vs.append(v)
-        probes.append(any(g.contains(x + eps * v) for g in scene.grains))
+        probes.append(any(g.contains_rows((x + eps * v)[None])[0]
+                          for g in scene.grains))
     assert starts_in_grain(scene, xs, vs).tolist() == probes
 
 
@@ -200,9 +203,38 @@ def test_vertices_roundtrip():
     pts = np.array([[0.0, 0.0], [0.3, 0.0], [0.3, 0.2], [0.0, 0.2]])
     g = ConvexGrain.from_vertices(7, pts)
     assert g.diameter_bound == pytest.approx(np.hypot(0.3, 0.2))
-    assert g.contains([0.15, 0.1])
-    assert not g.contains([0.31, 0.1])
+    assert g.contains_rows(np.array([[0.15, 0.1], [0.31, 0.1]])).tolist() \
+        == [True, False]
     assert g.volume() == pytest.approx(0.06)
+
+
+def test_vertex_inside_the_hull_is_dropped():
+    # the fourth vertex lies inside the triangle of the other three
+    g = ConvexGrain.from_vertices(
+        1, [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.03, 0.09]])
+    assert len(g.normals) == 3
+    assert g.volume() == pytest.approx(0.045)
+    pts = np.random.default_rng(8).uniform(-0.05, 0.35, (50000, 2))
+    x, y = pts.T
+    far = np.abs(x + y - 0.3) > 1e-9      # off the hypotenuse's rounding
+    assert np.array_equal(g.contains_rows(pts)[far],
+                          ((x > 0) & (y > 0) & (x + y < 0.3))[far])
+
+
+@pytest.mark.parametrize("lo,hi", [((0.35, 0.0), (0.65, 0.3)),
+                                   ((0.0, 0.1, 0.2), (0.12, 0.3, 0.25))],
+                         ids=["2d", "3d"])
+def test_box_corners_build_the_box(lo, hi):
+    rng = np.random.default_rng(9)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    g = ConvexGrain.from_vertices(1, rng.permutation(corners))
+    box = ConvexGrain.box(1, lo, hi)
+    assert np.array_equal(g.normals, box.normals)
+    assert np.array_equal(g.offsets, box.offsets)
+    assert g.diameter_bound == box.diameter_bound
+    pts = np.vstack([corners, rng.uniform(np.subtract(lo, 0.01),
+                                          np.add(hi, 0.01), (4000, len(lo)))])
+    assert np.array_equal(g.contains_rows(pts), box.contains_rows(pts))
 
 
 # The closed-form margin of axis-aligned systems against HiGHS on the same LP
@@ -281,7 +313,7 @@ def test_box_volume_closed_form_matches_convex_hull(d, monkeypatch):
         raise AssertionError("a box volume reached ConvexHull")
     rng = np.random.default_rng(40 + d)
     boxes = [_random_box(rng, 1, d) for _ in range(100)]
-    want = [ConvexHull(g.get_vertices()).volume for g in boxes]
+    want = [ConvexHull(g.vertices).volume for g in boxes]
     monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
     got = [g.volume() for g in boxes]
     assert got == pytest.approx(want, rel=1e-12)

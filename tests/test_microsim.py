@@ -84,7 +84,7 @@ def oracle_rays(rt, rng, n):
             g = scene.grains[rng.integers(len(scene.grains))]
             k = rng.integers(len(g.normals))
             nrm = g.normals[k]
-            verts = g.get_vertices()
+            verts = g.vertices
             on_face = verts[np.abs(verts @ nrm - g.offsets[k]) < 1e-9]
             w = rng.dirichlet(np.ones(len(on_face)))
             xs[i] = w @ on_face + rng.uniform(-2.0, 2.0) * rt.r * nrm
@@ -199,7 +199,7 @@ class TestFirstCollision:
         rt = MicroRuntime(scene, cfg)
         centers = rt.scatterers(2)
         gid2 = scene.grain_by_id(2)
-        left = gid2.get_vertices()[:, 0].min()
+        left = gid2.vertices[:, 0].min()
         y = centers[np.argmin(centers[:, 0])]
         assert y[0] - left < 0.2   # sanity: some scatterer near the face
         x = np.array([y[0] - 0.03, y[1] - rt.r * 0.5])
@@ -292,7 +292,7 @@ class TestScaling:
             lat_coords = (pts - two_squares.anchor) / rt.epsilon \
                 @ np.linalg.inv(med.lattice.M) - med.lattice.omega
             assert np.max(np.abs(lat_coords - np.round(lat_coords))) < 1e-9
-            assert all(grain.contains(p) for p in pts)
+            assert grain.contains_rows(pts).all()
 
     def test_single_crystal_law_2d(self):
         # empirical free path CDF on one large grain follows the explicit
@@ -336,8 +336,7 @@ class TestStartModes:
         cfg = MicroConfig(r=1e-3, seed=3, on_scatterer=True, start_grain=1,
                           beta=BetaSpec("radial", alpha=np.pi / 4))
         rt = MicroRuntime(scene, cfg)
-        rng = np.random.default_rng(0)
-        base = microsim._start_point(rt, rng)
+        base = microsim._start_points(rt, 1)[0]
         centers = rt.scatterers(1)
         d = np.linalg.norm(centers - base, axis=1).min()
         assert d < 1e-12
@@ -381,7 +380,7 @@ def test_contains_rows_is_the_product_rule(grain):
     # exactly np.all(pts @ N.T < c, axis=1), on points inside, outside and
     # exactly on the lo and hi faces, edges and corners of the bounding box
     grain = POISSON_GRAINS[grain]
-    verts = grain.get_vertices()
+    verts = grain.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     d = grain.dimension
     rng = np.random.default_rng(3)
@@ -403,7 +402,7 @@ def test_contains_rows_is_the_product_rule(grain):
 
 def oracle_segments(grain, rng, n=400):
     """Segments around the grain, some of them outside its bounding box."""
-    verts = grain.get_vertices()
+    verts = grain.vertices
     lo, hi = verts.min(axis=0) - 0.05, verts.max(axis=0) + 0.05
     p0 = rng.uniform(lo, hi, (n, grain.dimension))
     v = rng.normal(size=p0.shape)
@@ -425,7 +424,7 @@ class TestPointGrid:
             grain, eps, np.random.default_rng(seed))
         assert np.array_equal(pts, ref)
         # both branches: a box keeps every draw, the skew grain drops some
-        verts = grain.get_vertices()
+        verts = grain.vertices
         drawn = np.random.default_rng(seed).poisson(
             float(np.prod(verts.max(axis=0) - verts.min(axis=0)))
             / eps ** grain.dimension)

@@ -365,7 +365,7 @@ class TestFamilyCurves:
             xs = flight.sample_positions(scene, n, rng)
             top = 1.0
         else:
-            verts = np.vstack([g.get_vertices() for g in scene.grains])
+            verts = np.vstack([g.vertices for g in scene.grains])
             xs = rng.uniform(verts.min(axis=0) - 0.1,
                              verts.max(axis=0) + 0.1, (n, d))
             xs[0] = scene.anchor

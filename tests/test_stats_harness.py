@@ -148,7 +148,7 @@ BOX_3D = {"dimension": 3, "anchor": [0.06, 0.06, 0.06],
 class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(CONFIG)
-        assert cfg.kind == "freepath"
+        assert cfg.options["kind"] == "freepath"
         assert cfg.scene.dimension == 2
         assert cfg.scene.medium_by_id(1).kind == "crystal"
         assert cfg.scene.medium_by_id(2).kind == "poisson"
@@ -298,12 +298,28 @@ class TestConfig:
         ("seed", None), ("threads", "abc"), ("threads", 0), ("threads", -1),
         ("split_times", [0.3]), ("split_times", "0.2,0.4"),
         ("split_times", [-1.0, 0.5]), ("split_times", [float("nan"), 0.5]),
-        ("split_times", [0.2, float("inf")])])
+        ("split_times", [0.2, float("inf")]), ("r_schedule", 0.01),
+        ("thresholds", {"ks_final": "x"})])
     def test_bad_number_named_at_parse_time(self, key, value, no_run):
         # n_seeds 0 gave a passing stationarity verdict over no sub-run
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"][key] = value
         with pytest.raises(ConfigError, match=rf"^experiment\.{key}\b"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("grain,key", [
+        ({"vertices": [[0.35, 0.0], [0.5, 0.15], [0.65, 0.3]]}, "vertices"),
+        ({"vertices": [[0.35, 0.0], [0.65, 0.0], [0.65, 0.0], [0.35, 0.0]]},
+         "vertices"),
+        ({"box": [[0.35, 0.0], [0.35, 0.3]]}, "box"),
+        ({"box": [[0.65, 0.0], [0.35, 0.3]]}, "box")],
+        ids=["collinear", "duplicated", "flat-box", "inverted-box"])
+    def test_degenerate_grain_named_at_parse_time(self, grain, key):
+        doc = json.loads(json.dumps(CONFIG))
+        g = doc["scene"]["grains"][1]
+        del g["box"]
+        g.update(grain)
+        with pytest.raises(ConfigError, match=rf"^scene\.grains\[1\]\.{key}: "):
             ExperimentConfig.from_dict(doc)
 
     def test_bad_thread_count_from_the_environment(self, monkeypatch,
