@@ -52,9 +52,10 @@ def _load_config(args, **overrides):
 
 
 def _run_and_emit(cfg, args, kind):
-    """Run the runner of `kind`, which need not be the config's kind, after
-    checking that it works on the config's scene."""
-    harness.check_scene_for_kind(cfg.scene, kind)
+    """Run the runner of `kind` (harness.runner_kind), which need not be
+    the config's, after checking that it works on the config."""
+    kind = harness.runner_kind(kind, cfg.options["report"])
+    harness.check_scene_for_kind(cfg.scene, kind, cfg.options)
     t0 = time.perf_counter()
     report = harness.RUNNERS[kind](cfg)
     dt = time.perf_counter() - t0
@@ -80,8 +81,7 @@ def _params(args, d, takes):
         if vec.size != d - 1 or not np.all(np.isfinite(vec)):
             raise harness.ConfigError(f"--{key}: needs a finite vector of "
                                       f"length {d - 1}")
-        # the tolerance of polykernel._check_ball
-        if key in takes and not vec @ vec <= 1.0 + 1e-12:
+        if key in takes and not polykernel.in_unit_ball(vec):
             raise harness.ConfigError(f"--{key}: must lie in the closed "
                                       f"unit ball")
         vecs.append(vec)
@@ -134,9 +134,7 @@ def cmd_psi(args):
         if vec.size != d or not np.all(np.isfinite(vec)):
             raise harness.ConfigError(f"--{key}: needs a finite vector of "
                                       f"length {d}")
-    takes = [key for key in "wz" if any(
-        key in spec for spec in polykernel._FAMILIES[args.family] if spec)]
-    w, z = _params(args, d, takes)
+    w, z = _params(args, d, polykernel.family_params(args.family))
     if not np.any(v):
         raise harness.ConfigError("--v: the direction must be nonzero")
     v = v / np.linalg.norm(v)
@@ -156,11 +154,9 @@ def cmd_psi(args):
 
 def cmd_microsim(args):
     cfg = _load_config(args)
-    harness.check_scene_for_kind(cfg.scene, "freepath")
     rs = _floats(args.r, "--r") if args.r else cfg.options["r_schedule"]
-    if not rs:
-        raise harness.ConfigError("experiment.r_schedule: microsim needs "
-                                  "radii, from the config or --r")
+    harness.check_scene_for_kind(cfg.scene, "freepath",
+                                 dict(cfg.options, r_schedule=rs))
     for r in rs:
         harness.check_radius(r, "--r")
     n = cfg.options["samples"] if args.samples is None \
@@ -181,9 +177,7 @@ def cmd_microsim(args):
 def cmd_flight(args):
     cfg = _load_config(args, particles=args.particles, time=args.time,
                        report=args.report)
-    kind = "stationarity" if cfg.options["report"] == "stationarity" \
-        else "flight"
-    return _run_and_emit(cfg, args, kind)
+    return _run_and_emit(cfg, args, "flight")
 
 
 def main(argv=None):

@@ -18,14 +18,12 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels import XI_MAX
 from .lattice import rows_times
 
 # Relative tolerance for entry/exit comparisons.  Adjacent tiling grains must
 # chain without spurious gaps, so nearly-equal times are merged.
 REL_TOL = 1e-12
-
-#: explicit-kernel range of the crystal formulas, indexed by dimension
-CRYSTAL_DIAMETER_LIMIT = {2: 0.5, 3: 0.25}
 
 
 class SceneError(ValueError):
@@ -275,7 +273,7 @@ def validate_scene(scene):
     crystal_ids = [g.id for g, m in zip(scene.grains, scene.media)
                    if getattr(m, "kind", None) == "crystal"]
     if crystal_ids:
-        limit = CRYSTAL_DIAMETER_LIMIT[scene.dimension]
+        limit = XI_MAX[scene.dimension]
         for g in scene.grains:
             if scene.medium_by_id(g.id).kind == "crystal" and g.diameter_bound > limit + REL_TOL:
                 raise SceneError(

@@ -48,19 +48,25 @@ _OUTPUT_KEYS = {"dir", "timings"}
 _TOP_KEYS = {"scene", "experiment", "output"}
 
 # The report flavors of a flight config; "stationarity" runs the
-# stationarity runner.
+# stationarity runner (runner_kind).
 REPORTS = ("stationarity", "ncollision", "marginals")
 
-# Verdict thresholds by experiment kind: the defaults, and the only keys
-# that experiment.thresholds may set.  The flight subcommand's stationarity
-# report runs the stationarity runner on a flight config.
+# Verdict thresholds by runner (a RUNNERS key): the defaults, and the only
+# keys that experiment.thresholds may set for a config that runs it.
 THRESHOLDS = {
     "freepath": {"ks_final": 0.02},
     "transition": {"chi2_alpha": 0.01},
     "poisson-baseline": {"alpha": 0.01, "freepath_ks": 0.005, "gap_ks": 0.01},
     "stationarity": {"ks_alpha": 0.01},
-    "flight": {"ks_alpha": 0.01},
 }
+
+
+def runner_kind(kind, report):
+    """The RUNNERS key that runs `kind` with the report flavor `report`: a
+    flight config whose report is "stationarity" runs the stationarity
+    runner, every other kind its own."""
+    return "stationarity" if (kind, report) == ("flight", "stationarity") \
+        else kind
 
 
 def _number(value, name, kind, rule, ok=lambda n: True):
@@ -147,14 +153,16 @@ def parse_scene(d, path="scene"):
                                                    False))
 
 
-def check_scene_for_kind(scene, kind, report=None):
-    """ConfigError naming the scene key unless the runner of `kind` (or of
-    a flight config's `report`) works on this scene."""
-    box = scene.periodic_box
-    if kind in ("freepath", "transition") and box is not None:
+def check_scene_for_kind(scene, kind, opt):
+    """ConfigError naming the key unless the runner RUNNERS[kind] works on
+    this scene with the options opt (ExperimentConfig.options)."""
+    box, micro = scene.periodic_box, kind in ("freepath", "transition")
+    if micro and box is not None:
         raise ConfigError(f"scene.periodic_box: {kind} experiments trace "
                           "the microscopic dynamics of a finite scene")
-    if "stationarity" in (kind, report) and box is None:
+    if micro and not opt["r_schedule"]:
+        raise ConfigError(f"experiment.r_schedule: {kind} needs radii")
+    if kind == "stationarity" and box is None:
         raise ConfigError("scene.periodic_box: stationarity experiments need "
                           "a periodic box tiled by one grain")
     if kind == "transition" and scene.dimension != 2:
@@ -207,7 +215,7 @@ class ExperimentConfig:
     options: dict       # every experiment key but thresholds, parsed once:
                         # an absent key holds its default (README), time
                         # and split_times None for the runner's own
-    thresholds: dict    # THRESHOLDS[kind] with the config's overrides
+    thresholds: dict    # its runner's THRESHOLDS row with the overrides
     out_dir: Optional[str] = None
     timings: bool = False
 
@@ -223,15 +231,8 @@ class ExperimentConfig:
         exp = doc["experiment"]
         _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
         kind = exp.get("kind")
-        if kind not in THRESHOLDS:
+        if kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        check_scene_for_kind(scene, kind, exp.get("report"))
-        given = exp.get("thresholds", {})
-        _check_keys(given, set(THRESHOLDS[kind]), "experiment.thresholds")
-        thresholds = dict(THRESHOLDS[kind])
-        thresholds.update((key, _number(value, f"experiment.thresholds.{key}",
-                                        float, "a number"))
-                          for key, value in given.items())
         opt = {"kind": kind}
         opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
                               "an integer")
@@ -272,6 +273,14 @@ class ExperimentConfig:
         opt["gap_scene"] = parse_scene(exp["gap_scene"],
                                        "experiment.gap_scene") \
             if "gap_scene" in exp else None
+        runner = runner_kind(kind, opt["report"])
+        check_scene_for_kind(scene, runner, opt)
+        given = exp.get("thresholds", {})
+        thresholds = dict(THRESHOLDS.get(runner, {}))
+        _check_keys(given, set(thresholds), "experiment.thresholds")
+        thresholds.update((key, _number(value, f"experiment.thresholds.{key}",
+                                        float, "a number"))
+                          for key, value in given.items())
         return cls(doc, scene, opt, thresholds, out.get("dir"),
                    bool(out.get("timings", False)))
 
@@ -409,8 +418,6 @@ def micro_config(config, r):
 def run_freepath(config):
     """Microscopic tau_1 law against the limit CDF across the r schedule."""
     scene, opt = config.scene, config.options
-    if not opt["r_schedule"]:
-        raise ConfigError("experiment.r_schedule: freepath needs radii")
     ks_limit = _threshold(config, "freepath", "ks_final")
     on_scatterer = opt["on_scatterer"]
     grid, cdf_vals = limit_freepath_cdf(
@@ -456,8 +463,6 @@ def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
     scene, opt = config.scene, config.options
     alpha = _threshold(config, "transition", "chi2_alpha")
-    if not opt["r_schedule"]:
-        raise ConfigError("experiment.r_schedule: transition needs a radius")
     r = opt["r_schedule"][-1]
     samp = sample_tau1(scene, micro_config(config, r), opt["samples"],
                        opt["threads"])
@@ -773,4 +778,6 @@ def write_tau1_csv(path, samp):
 
 
 def run_experiment(config):
-    return RUNNERS[config.options["kind"]](config)
+    """The report of the config's runner (runner_kind)."""
+    opt = config.options
+    return RUNNERS[runner_kind(opt["kind"], opt["report"])](config)

@@ -142,11 +142,9 @@ def family_rows(scene, xs, vs, xis, family, w=None, z=None):
     elsewhere.  Returns one value per ray.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
-    params = {}
-    for key, p in (("w", w), ("z", z)):
-        if any(key in spec for spec in _FAMILIES[family] if spec):
-            params[key] = np.broadcast_to(_check_ball(scene, p),
-                                          (len(xis), scene.dimension - 1))
+    params = {key: np.broadcast_to(_check_ball(scene, {"w": w, "z": z}[key]),
+                                   (len(xis), scene.dimension - 1))
+              for key in family_params(family)}
     out = np.empty(len(xis))
     for rows, values in family_blocks(scene, xs, vs, xis, family, **params):
         out[rows] = values[:, 0]
@@ -282,12 +280,25 @@ def along_ray(scene, family, x, v, xis, w=None, z=None):
                        np.broadcast_to(v, shape), xis, family, w, z)
 
 
+def family_params(family):
+    """The row parameters, of "w" and "z", that a family of _FAMILIES
+    takes."""
+    return [key for key in "wz"
+            if any(key in spec for spec in _FAMILIES[family] if spec)]
+
+
+def in_unit_ball(p):
+    """True per row of p (or for the one vector p) in the closed unit
+    ball, up to 1e-12; False on NaN."""
+    return np.einsum("...i,...i->...", p, p) <= 1.0 + 1e-12
+
+
 def _check_ball(scene, p):
     """p as rows of the closed unit (d-1)-ball."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if p.shape[-1] != scene.dimension - 1:
         raise ValueError(f"parameter must have dimension {scene.dimension - 1}")
-    if not np.all(np.einsum("ij,ij->i", p, p) <= 1.0 + 1e-12):  # NaN too
+    if not np.all(in_unit_ball(p)):
         raise ValueError("parameter outside the closed unit ball")
     return p
 

@@ -248,28 +248,33 @@ _CRYSTAL_SQUARE = {"dimension": 2, "anchor": [0.15, 0.15],
 
 
 # ids: subcommand, config kind, scene (True: the tiled box, False: the
-# fixture's finite scene)
-@pytest.mark.parametrize("command, kind, scene, key", [
-    ("stationarity", "flight", None, "scene.periodic_box"),
-    ("stationarity", "poisson-baseline", None, "scene.periodic_box"),
-    ("freepath", "flight", _TILED_BOX, "scene.periodic_box"),
-    ("transition", "stationarity", _TILED_BOX, "scene.periodic_box"),
-    ("microsim", "flight", _TILED_BOX, "scene.periodic_box"),
-    ("transition", "freepath", _BOX_3D, "scene.dimension"),
-    ("poisson", "freepath", _CRYSTAL_SQUARE, "scene.grains[0].medium"),
+# fixture's finite scene); radii None: the config has no r_schedule
+@pytest.mark.parametrize("command, kind, scene, key, radii", [
+    ("stationarity", "flight", None, "scene.periodic_box", [1e-2]),
+    ("stationarity", "poisson-baseline", None, "scene.periodic_box", [1e-2]),
+    ("freepath", "flight", _TILED_BOX, "scene.periodic_box", [1e-2]),
+    ("transition", "stationarity", _TILED_BOX, "scene.periodic_box", [1e-2]),
+    ("microsim", "flight", _TILED_BOX, "scene.periodic_box", [1e-2]),
+    ("transition", "freepath", _BOX_3D, "scene.dimension", [1e-2]),
+    ("poisson", "freepath", _CRYSTAL_SQUARE, "scene.grains[0].medium",
+     [1e-2]),
+    ("freepath", "flight", None, "experiment.r_schedule", None),
+    ("transition", "poisson-baseline", None, "experiment.r_schedule", None),
 ], ids=["stationarity-flight-False", "stationarity-poisson-baseline-False",
         "freepath-flight-True", "transition-stationarity-True",
         "microsim-flight-True", "transition-freepath-3d",
-        "poisson-freepath-crystal"])
+        "poisson-freepath-crystal", "freepath-flight-no-radii",
+        "transition-poisson-baseline-no-radii"])
 def test_subcommand_scene_rule_applies_at_parse_time(
-        scene_config, no_run, command, kind, scene, key):
+        scene_config, no_run, command, kind, scene, key, radii):
     # The config's own kind allows its scene; the subcommand's runner does
     # not, and the rule of the runner that runs applies before it starts.
     doc = json.loads(scene_config.read_text())
     if scene is not None:
         doc["scene"] = scene
-    doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000,
-                         "r_schedule": [1e-2]}
+    doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000}
+    if radii is not None:
+        doc["experiment"]["r_schedule"] = radii
     scene_config.write_text(json.dumps(doc))
     with pytest.raises(harness.ConfigError, match=re.escape(key)):
         main([command, "--config", str(scene_config)])
@@ -479,6 +484,26 @@ def test_flight_overrides_match_the_edited_config(tmp_path):
     doc["experiment"].update(particles=1500, time=0.25, report="marginals")
     cfg = harness.ExperimentConfig.from_dict(doc)
     harness.emit(harness.run_experiment(cfg), str(tmp_path / "lib"), cfg)
+    _same_files(tmp_path / "cli", tmp_path / "lib")
+
+
+def test_flight_stationarity_report_runs_the_same_runner_both_ways(
+        tmp_path):
+    # the library and `polyxport flight` both run the stationarity runner
+    # on a flight config whose report is "stationarity"
+    doc = {"scene": _TILED_BOX,
+           "experiment": {"kind": "flight", "seed": 2, "particles": 1000,
+                          "n_seeds": 2, "time": 0.3,
+                          "report": "stationarity"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["flight", "--config", str(path), "--out",
+               str(tmp_path / "cli")])
+    cfg = harness.ExperimentConfig.from_dict(doc)
+    report = harness.run_experiment(cfg)
+    harness.emit(report, str(tmp_path / "lib"), cfg)
+    assert report["experiment"] == "stationarity"
+    assert rc == (0 if report["verdict"] else 3)
     _same_files(tmp_path / "cli", tmp_path / "lib")
 
 

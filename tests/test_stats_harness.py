@@ -225,14 +225,19 @@ class TestConfig:
         del doc["experiment"]["on_scatterer"], doc["experiment"]["start_grain"]
         ExperimentConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("kind,scene,match", [
-        ("transition", BOX_3D, r"scene\.dimension\b"),
-        ("poisson-baseline", None, r"scene\.grains\[0\]\.medium\b")],
-        ids=["transition-3d", "poisson-baseline-crystal"])
-    def test_scene_rule_of_kind(self, kind, scene, match, no_run):
-        # a d=3 scene for transition; a crystal grain for poisson-baseline
+    @pytest.mark.parametrize("kind,scene,edit,match", [
+        ("transition", BOX_3D, {}, r"scene\.dimension\b"),
+        ("poisson-baseline", None, {}, r"scene\.grains\[0\]\.medium\b"),
+        ("freepath", None, {"r_schedule": []}, r"experiment\.r_schedule\b"),
+        ("transition", None, {"r_schedule": []},
+         r"experiment\.r_schedule\b")],
+        ids=["transition-3d", "poisson-baseline-crystal", "freepath-no-radii",
+             "transition-no-radii"])
+    def test_scene_rule_of_kind(self, kind, scene, edit, match, no_run):
+        # a d=3 scene for transition; a crystal grain for poisson-baseline;
+        # no radii for a runner that traces the microscopic dynamics
         doc = json.loads(json.dumps(CONFIG))
-        doc["experiment"]["kind"] = kind
+        doc["experiment"].update(edit, kind=kind)
         if scene is not None:
             doc["scene"] = scene
         with pytest.raises(ConfigError, match=match):
@@ -268,14 +273,31 @@ class TestConfig:
         assert cfg.thresholds == {"ks_final": 0.5}
         assert "thresholds" not in cfg.options
 
-    @pytest.mark.parametrize("key", ["ks_finall", "chi2_alpha"])
-    def test_unknown_threshold_rejected(self, key):
-        # a typo, and a threshold of another kind
+    @pytest.mark.parametrize("kind,key", [
+        ("freepath", "ks_finall"), ("freepath", "chi2_alpha"),
+        ("flight", "ks_alpha")], ids=["ks_finall", "chi2_alpha",
+                                      "flight-ks_alpha"])
+    def test_unknown_threshold_rejected(self, kind, key):
+        # a typo, a threshold of another runner, and one of a runner that
+        # has none (a flight config runs the stationarity runner only with
+        # report "stationarity")
         doc = json.loads(json.dumps(CONFIG))
-        doc["experiment"]["thresholds"] = {key: 0.5}
+        if kind == "flight":
+            doc["scene"] = BOX_3D
+        doc["experiment"].update(kind=kind, thresholds={key: 0.5})
         with pytest.raises(ConfigError,
                            match=rf"experiment\.thresholds\.{key}\b"):
             ExperimentConfig.from_dict(doc)
+
+    def test_thresholds_are_the_runners_row(self):
+        doc = {"scene": BOX_3D, "experiment": {"kind": "flight"}}
+        assert ExperimentConfig.from_dict(doc).thresholds == {}
+        doc = {"scene": {**BOX_3D, "periodic_box": {"lo": [0.0] * 3,
+                                                    "hi": [0.12] * 3}},
+               "experiment": {"kind": "flight", "report": "stationarity",
+                              "thresholds": {"ks_alpha": 0.5}}}
+        assert ExperimentConfig.from_dict(doc).thresholds == {
+            "ks_alpha": 0.5}
 
     def test_increasing_schedule_rejected(self):
         doc = json.loads(json.dumps(CONFIG))
