@@ -227,17 +227,15 @@ class Scene:
 
 
 def make_scene(dimension, grains, media, periodic_box=None, anchor=None,
-               assume_incommensurable=False, validate=True):
-    """A Scene; a periodic box must be tiled by the one grain, validate or
-    not, because every periodic ray operation walks its cells."""
+               assume_incommensurable=False):
+    """A validated Scene; a periodic box must be tiled by the one grain."""
     if len(grains) != len(media):
         raise SceneError("one medium per grain required")
     if periodic_box is not None:
         check_tiled_box(grains, periodic_box)
     scene = Scene(dimension, tuple(grains), tuple(media), periodic_box, anchor,
                   assume_incommensurable)
-    if validate:
-        validate_scene(scene)
+    validate_scene(scene)
     return scene
 
 

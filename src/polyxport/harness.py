@@ -329,8 +329,7 @@ def direction_grid(scene, m=2048):
     return dirs, wts
 
 
-def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
-                       m_dirs=2048):
+def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
     """CDF of the limiting free path law, averaged over uniform directions.
 
     Each direction's survival curve on the xi grid (closed-form survival
@@ -342,8 +341,7 @@ def limit_freepath_cdf(scene, x, xi_grid=None, on_scatterer=False, beta=None,
     outside every grain raises ConfigError.  Returns (grid, cdf values)
     for linear interpolation.
     """
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
+    xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
     dirs, wts = direction_grid(scene, m_dirs)
     family, z = "survival_psi", None
     if on_scatterer:
@@ -448,13 +446,13 @@ def run_freepath(config):
     return report
 
 
-def limit_transition_mass(scene, x, xi_edges, u_edges, m_dirs=1024):
+def limit_transition_mass(scene, x, xi_edges, u_edges):
     """Limit masses per (xi interval x u-slab) cell via the product form.
 
     d=2 only: the in-grain marginal factorizes as Phi(xi, w) = Phi(xi)/2,
     so each cell mass is the path-length mass times |u cell| / sigma_bar.
     """
-    grid, cdf_vals = limit_freepath_cdf(scene, x, m_dirs=m_dirs)
+    grid, cdf_vals = limit_freepath_cdf(scene, x, m_dirs=1024)
     pxi = np.diff(interp_cdf(grid, cdf_vals)(xi_edges))
     return pxi[:, None] * np.diff(u_edges) / 2.0
 

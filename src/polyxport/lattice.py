@@ -255,15 +255,6 @@ def repeat_with_rank(owner, counts):
     return rep, np.arange(len(rep), dtype=np.int64) - np.repeat(starts, counts)
 
 
-def integer_points_near_segment(a0, a1, margin):
-    """All k in Z^d within margin (euclidean) of the segment [a0, a1].
-
-    One-segment form of integer_points_near_segments (a superset).
-    """
-    return integer_points_near_segments(np.atleast_2d(a0),
-                                        np.atleast_2d(a1), margin)[1]
-
-
 def dist_point_segment(pts, p0, p1):
     """Euclidean distances from pts (n,d) to the segment [p0, p1]."""
     pts = np.atleast_2d(pts)
@@ -276,7 +267,7 @@ def dist_point_segment(pts, p0, p1):
     return np.linalg.norm(pts - proj, axis=1)
 
 
-def points_in_tube(sgl, x, v, t0, t1, radius, return_indices=False):
+def points_in_tube(sgl, x, v, t0, t1, radius):
     """All scatterer centers within radius of the segment x + [t0,t1] v.
 
     Exact: enumeration overshoots in lattice coordinates and then filters
@@ -290,12 +281,10 @@ def points_in_tube(sgl, x, v, t0, t1, radius, return_indices=False):
     v = np.asarray(v, dtype=float)
     p0 = x + t0 * v
     p1 = x + t1 * v
-    ks = integer_points_near_segment(sgl.to_lattice_coords(p0),
-                                     sgl.to_lattice_coords(p1),
-                                     sgl.tube_margin(radius))
+    ks = integer_points_near_segments(sgl.to_lattice_coords(p0[None]),
+                                      sgl.to_lattice_coords(p1[None]),
+                                      sgl.tube_margin(radius))[1]
     pts = sgl.from_integer(ks)
     keep = dist_point_segment(pts, p0, p1) <= radius
     pts, ks = pts[keep], ks[keep]
-    order = np.lexsort(ks.T[::-1])
-    pts, ks = pts[order], ks[order]
-    return (pts, ks) if return_indices else pts
+    return pts[np.lexsort(ks.T[::-1])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyxport import (ConvexGrain, PeriodicBox, SceneError, gap,
+from polyxport import (ConvexGrain, PeriodicBox, Scene, SceneError, gap,
                        itinerary, make_scene, ray_grain_intersect)
 from polyxport.geometry import _margin_lp, segment_table
 from polyxport.lattice import PoissonMedium
@@ -87,9 +87,8 @@ def test_periodic_itinerary_matches_unrolled():
                               (i * side, j * side),
                               ((i + 1) * side, (j + 1) * side))
               for i in range(-8, 9) for j in range(-8, 9)]
-    unrolled = make_scene(2, tuple(copies),
-                          tuple(PoissonMedium() for _ in copies),
-                          validate=False)
+    # built unvalidated: validate_scene would check 41k pairs of copies
+    unrolled = Scene(2, tuple(copies), tuple(PoissonMedium() for _ in copies))
     rng = np.random.default_rng(0)
     for _ in range(25):
         x = rng.uniform(0.05, 0.3, 2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyxport import bcc_matrix, points_in_tube
 from polyxport.lattice import (AffineLattice, ScaledGrainLattice,
-                               dist_point_segment, integer_points_near_segment,
+                               dist_point_segment,
                                integer_points_near_segments)
 
 import microsim_oracles
@@ -92,9 +92,8 @@ def test_points_in_tube_matches_brute_force(seed):
     v = np.array([np.cos(phi), np.sin(phi)])
     t0, t1 = 0.0, rng.uniform(0.2, 0.8)
     radius = rng.uniform(0.2, 3.0) * eps
-    _, ks = points_in_tube(sgl, x, v, t0 + 1e-12, t1, radius,
-                           return_indices=True)
-    got = {tuple(map(int, k)) for k in ks}
+    pts = points_in_tube(sgl, x, v, t0 + 1e-12, t1, radius)
+    got = {tuple(map(int, k)) for k in np.rint(sgl.to_lattice_coords(pts))}
     assert got == _brute_tube(sgl, x, v, t0, t1, radius)
 
 
@@ -120,9 +119,9 @@ def test_enumeration_cost_bound():
     eps = 0.02
     sgl = ScaledGrainLattice(lat, eps, np.zeros(2))
     L, radius = 1.0, 0.03
-    ks = integer_points_near_segment(
-        sgl.to_lattice_coords(np.array([0.0, 0.0])),
-        sgl.to_lattice_coords(np.array([L, 0.37 * L])),
+    _, ks = integer_points_near_segments(
+        sgl.to_lattice_coords(np.array([[0.0, 0.0]])),
+        sgl.to_lattice_coords(np.array([[L, 0.37 * L]])),
         radius / eps + 1e-9)
     expected = L * (2 * radius) / eps ** 2
     assert len(ks) < 12 * expected + 100

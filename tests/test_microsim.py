@@ -298,13 +298,12 @@ class TestScaling:
         # empirical free path CDF on one large grain follows the explicit
         # in-range law (grain beyond the kernel range: geometry only, so
         # scene validation is skipped on purpose)
-        from polyxport import ConvexGrain, make_scene
+        from polyxport import ConvexGrain, Scene
         from polyxport.lattice import AffineLattice, CrystalMedium
         from polyxport.kernels import d_phi
         g = ConvexGrain.box(1, (0, 0), (1, 1))
         lat = AffineLattice(np.eye(2), np.array([0.3183, 0.5774]))
-        scene = make_scene(2, (g,), (CrystalMedium(lat),),
-                           anchor=(0.5, 0.5), validate=False)
+        scene = Scene(2, (g,), (CrystalMedium(lat),), anchor=(0.5, 0.5))
         cfg = MicroConfig(r=3e-4, seed=3)
         samp = microsim.sample_tau1_distribution(scene, cfg, 10000)
         for delta in (0.1, 0.25, 0.4, 0.5):
