@@ -27,8 +27,14 @@ def _floats(text, option):
             for t in text.split(",") if t]
 
 
-def _vec(text, option):
-    return np.array(_floats(text, option))
+def _vec(text, option, n):
+    """The comma list text as a finite vector of length n; else a
+    ConfigError naming option."""
+    vec = np.array(_floats(text, option))
+    if vec.size != n or not np.all(np.isfinite(vec)):
+        raise harness.ConfigError(f"{option}: needs a finite vector of "
+                                  f"length {n}")
+    return vec
 
 
 def _add_common(p):
@@ -38,14 +44,14 @@ def _add_common(p):
     p.add_argument("--threads", type=int, default=None)
 
 
-def _load_config(args, **overrides):
-    """The config file with --seed and the given overrides written into its
-    experiment section, parsed once.  --threads stays out of the document,
-    so it leaves config_hash as it is."""
+def _load_config(args):
+    """The config file with the subcommand's given --seed, --particles,
+    --time and --report written into its experiment section, parsed once.
+    --threads stays out of the document, so it leaves config_hash as is."""
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
-    overrides["seed"] = args.seed
-    given = {key: val for key, val in overrides.items() if val is not None}
+    given = {key: val for key, val in vars(args).items() if val is not None
+             and key in ("seed", "particles", "time", "report")}
     if given and "experiment" in doc:
         doc["experiment"].update(given)
     return harness.ExperimentConfig.from_dict(doc, threads=args.threads)
@@ -77,13 +83,12 @@ def _params(args, d, takes):
     vecs = []
     for key in ("w", "z"):
         text = getattr(args, key)
-        vec = _vec(text, f"--{key}") if text else np.zeros(d - 1)
-        if vec.size != d - 1 or not np.all(np.isfinite(vec)):
-            raise harness.ConfigError(f"--{key}: needs a finite vector of "
-                                      f"length {d - 1}")
-        if key in takes and not polykernel.in_unit_ball(vec):
-            raise harness.ConfigError(f"--{key}: must lie in the closed "
-                                      f"unit ball")
+        vec = _vec(text, f"--{key}", d - 1) if text else np.zeros(d - 1)
+        if key in takes:
+            try:
+                polykernel.check_ball(vec, d)
+            except ValueError as err:
+                raise harness.ConfigError(f"--{key}: {err}") from None
         vecs.append(vec)
     return vecs
 
@@ -96,15 +101,15 @@ def _path_lengths(text):
 
 
 # kernels eval family -> (KernelModel method, the parameters it takes)
-_KERNEL_FAMILIES = {"phi0": ("phi0", "wz"), "phi0_marg": ("phi0_marg", "w"),
-                    "phi_marg": ("phi_marg", "w"), "phi": ("phi", ""),
-                    "d_phi": ("d_phi", ""), "tail": ("tail_bound", "")}
+_KERNELS = {"phi0": ("phi0", "wz"), "phi0_marg": ("phi0_marg", "w"),
+            "phi_marg": ("phi_marg", "w"), "phi": ("phi", ""),
+            "d_phi": ("d_phi", ""), "tail": ("tail_bound", "")}
 
 
 def cmd_kernels(args):
     med = args.medium
     d = args.dimension
-    name, takes = _KERNEL_FAMILIES[args.family]
+    name, takes = _KERNELS[args.family]
     w, z = _params(args, d, takes)
     xis = _path_lengths(args.xi)
     model = kernels.KernelModel("crystal" if med == "crystal" else "poisson", d)
@@ -129,11 +134,7 @@ def cmd_psi(args):
         doc = json.load(fh)
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
     d = scene.dimension
-    x, v = _vec(args.x, "--x"), _vec(args.v, "--v")
-    for key, vec in (("x", x), ("v", v)):
-        if vec.size != d or not np.all(np.isfinite(vec)):
-            raise harness.ConfigError(f"--{key}: needs a finite vector of "
-                                      f"length {d}")
+    x, v = _vec(args.x, "--x", d), _vec(args.v, "--v", d)
     w, z = _params(args, d, polykernel.family_params(args.family))
     if not np.any(v):
         raise harness.ConfigError("--v: the direction must be nonzero")
@@ -174,12 +175,6 @@ def cmd_microsim(args):
     return 0
 
 
-def cmd_flight(args):
-    cfg = _load_config(args, particles=args.particles, time=args.time,
-                       report=args.report)
-    return _run_and_emit(cfg, args, "flight")
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="polyxport",
                                  description=__doc__,
@@ -194,7 +189,7 @@ def main(argv=None):
     pk.add_argument("--w", default=None)
     pk.add_argument("--z", default=None)
     pk.add_argument("--family", default="phi0",
-                    choices=list(_KERNEL_FAMILIES))
+                    choices=list(_KERNELS))
     pk.set_defaults(func=cmd_kernels)
 
     pp = sub.add_parser("psi", help="evaluate polycrystal limit densities")
@@ -229,7 +224,8 @@ def main(argv=None):
     pf.add_argument("--particles", type=int, default=None)
     pf.add_argument("--time", type=float, default=None)
     pf.add_argument("--report", default=None, choices=harness.REPORTS)
-    pf.set_defaults(func=cmd_flight)
+    pf.set_defaults(func=lambda a: _run_and_emit(_load_config(a), a,
+                                                 "flight"))
 
     args = ap.parse_args(argv)
     return args.func(args)

@@ -188,10 +188,6 @@ class ItinerarySegment:
     entry: float
     exit: float
 
-    @property
-    def sejour(self):
-        return self.exit - self.entry
-
 
 @dataclass(frozen=True, eq=False)
 class Scene:
@@ -218,9 +214,6 @@ class Scene:
 
     def grain_by_id(self, gid):
         return self.grains[self._index[gid]]
-
-    def medium_by_id(self, gid):
-        return self.media[self._index[gid]]
 
     def max_diameter_bound(self):
         return max(g.diameter_bound for g in self.grains)
@@ -268,25 +261,22 @@ def validate_scene(scene):
         if not g.contains_rows(x[None])[0]:
             raise SceneError(f"grain {g.id} has empty interior")
 
-    crystal_ids = [g.id for g, m in zip(scene.grains, scene.media)
-                   if getattr(m, "kind", None) == "crystal"]
-    if crystal_ids:
-        limit = XI_MAX[scene.dimension]
-        for g in scene.grains:
-            if scene.medium_by_id(g.id).kind == "crystal" and g.diameter_bound > limit + REL_TOL:
-                raise SceneError(
-                    f"grain {g.id} diameter bound {g.diameter_bound} exceeds the "
-                    f"explicit crystal-kernel range {limit} in d={scene.dimension}")
-        if len(crystal_ids) > 1 and not scene.assume_incommensurable:
-            lats = [scene.medium_by_id(i).lattice for i in crystal_ids]
-            if all(l.rational_form is not None for l in lats):
-                raise SceneError(
-                    "all crystal orientations are rational, hence pairwise "
-                    "commensurable; the polycrystal limit needs incommensurable "
-                    "grains")
+    limit = XI_MAX.get(scene.dimension)
+    for g, m in zip(scene.grains, scene.media):
+        if m.kind == "crystal" and g.diameter_bound > limit + REL_TOL:
             raise SceneError(
-                "incommensurability is undecidable from float input; set "
-                "assume_incommensurable=True to assert it")
+                f"grain {g.id} diameter bound {g.diameter_bound} exceeds the "
+                f"explicit crystal-kernel range {limit} in d={scene.dimension}")
+    lats = [m.lattice for m in scene.media if m.kind == "crystal"]
+    if len(lats) > 1 and not scene.assume_incommensurable:
+        if all(l.rational_form is not None for l in lats):
+            raise SceneError(
+                "all crystal orientations are rational, hence pairwise "
+                "commensurable; the polycrystal limit needs incommensurable "
+                "grains")
+        raise SceneError(
+            "incommensurability is undecidable from float input; set "
+            "assume_incommensurable=True to assert it")
 
     _check_disjoint(scene)
 

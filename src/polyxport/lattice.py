@@ -26,21 +26,11 @@ def bcc_matrix():
 
 
 def _parse_rational_matrix(rows):
-    """Fraction matrix from entries given as Fraction/int/'p/q' strings."""
-    out = []
-    for row in rows:
-        r = []
-        for e in row:
-            if isinstance(e, Fraction):
-                r.append(e)
-            elif isinstance(e, int):
-                r.append(Fraction(e))
-            elif isinstance(e, str):
-                r.append(Fraction(e))
-            else:
-                return None
-        out.append(r)
-    return out
+    """Fraction matrix from entries given as Fraction/int/'p/q' strings;
+    None if any entry is of another type."""
+    if all(isinstance(e, (Fraction, int, str)) for row in rows for e in row):
+        return [[Fraction(e) for e in row] for row in rows]
+    return None
 
 
 def _frac_det(m):

@@ -142,9 +142,9 @@ def family_rows(scene, xs, vs, xis, family, w=None, z=None):
     elsewhere.  Returns one value per ray.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1, 1)
-    params = {key: np.broadcast_to(_check_ball(scene, {"w": w, "z": z}[key]),
-                                   (len(xis), scene.dimension - 1))
-              for key in family_params(family)}
+    d, takes = scene.dimension, family_params(family)
+    params = {key: np.broadcast_to(check_ball(p, d), (len(xis), d - 1))
+              for key, p in (("w", w), ("z", z)) if key in takes}
     out = np.empty(len(xis))
     for rows, values in family_blocks(scene, xs, vs, xis, family, **params):
         out[rows] = values[:, 0]
@@ -281,24 +281,18 @@ def along_ray(scene, family, x, v, xis, w=None, z=None):
 
 
 def family_params(family):
-    """The row parameters, of "w" and "z", that a family of _FAMILIES
-    takes."""
+    """The row parameters, of "w" and "z", that a family takes."""
     return [key for key in "wz"
             if any(key in spec for spec in _FAMILIES[family] if spec)]
 
 
-def in_unit_ball(p):
-    """True per row of p (or for the one vector p) in the closed unit
-    ball, up to 1e-12; False on NaN."""
-    return np.einsum("...i,...i->...", p, p) <= 1.0 + 1e-12
-
-
-def _check_ball(scene, p):
-    """p as rows of the closed unit (d-1)-ball."""
+def check_ball(p, dimension):
+    """p as rows of the closed unit (d-1)-ball, up to 1e-12; else a
+    ValueError."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    if p.shape[-1] != scene.dimension - 1:
-        raise ValueError(f"parameter must have dimension {scene.dimension - 1}")
-    if not np.all(in_unit_ball(p)):
+    if p.shape[-1] != dimension - 1:
+        raise ValueError(f"parameter must have dimension {dimension - 1}")
+    if not np.all(np.einsum("ij,ij->i", p, p) <= 1.0 + 1e-12):  # NaN too
         raise ValueError("parameter outside the closed unit ball")
     return p
 
@@ -391,10 +385,10 @@ def _ball_quadrature(dimension, order=64):
     return nodes, weights
 
 
-def integrate_psi0_marg_over_w(scene, xs, vs, xis, order=64):
+def integrate_psi0_marg_over_w(scene, xs, vs, xis):
     """The w-integral of psi0_marg at each row (x, v, xi): one family_rows
     call over rows x quadrature nodes."""
-    nodes, weights = _ball_quadrature(scene.dimension, order)
+    nodes, weights = _ball_quadrature(scene.dimension)
     k = len(nodes)
     xis = np.asarray(xis, dtype=float)
     vals = family_rows(scene, np.repeat(xs, k, axis=0),
@@ -403,8 +397,7 @@ def integrate_psi0_marg_over_w(scene, xs, vs, xis, order=64):
     return vals.reshape(len(xis), k) @ weights
 
 
-def check_transport_identity(scene, xs, vs, xis, fd_scale=1e-6,
-                             quad_order=64):
+def check_transport_identity(scene, xs, vs, xis):
     """Verify the directional-derivative identity at the phase points
     (xs[i], vs[i], xis[i]).
 
@@ -415,7 +408,7 @@ def check_transport_identity(scene, xs, vs, xis, fd_scale=1e-6,
     psi_marg(x,v,0,w) = inside are checked exactly.
     """
     xs, vs, xis = (np.asarray(a, dtype=float) for a in (xs, vs, xis))
-    eps = fd_scale * (1.0 + xis)
+    eps = 1e-6 * (1.0 + xis)
     entry, exit_, _ = segment_table(scene, xs, vs, xis + 1.0)
     xi, tol = xis[:, None], 10 * eps[:, None]
     near = np.any((np.abs(xi - entry) < tol) | (np.abs(xi - exit_) < tol),
@@ -424,7 +417,7 @@ def check_transport_identity(scene, xs, vs, xis, fd_scale=1e-6,
     xs, vs, xis, eps = xs[keep], vs[keep], xis[keep], eps[keep]
     d_num = (family_rows(scene, xs + eps[:, None] * vs, vs, xis - eps, "psi")
              - family_rows(scene, xs, vs, xis, "psi")) / eps
-    rhs = integrate_psi0_marg_over_w(scene, xs, vs, xis, order=quad_order)
+    rhs = integrate_psi0_marg_over_w(scene, xs, vs, xis)
     inside = entry[keep, 0] == 0.0
     zero = np.zeros(len(xis))
     err = np.r_[family_rows(scene, xs, vs, zero, "psi")

@@ -16,13 +16,17 @@ from polyxport import harness, scattering
 from polyxport.geometry import (REL_TOL, ItinerarySegment, SceneError,
                                 cell_clock, ray_grain_intersect)
 from polyxport.kernels import KernelModel, sigma_bar
-from polyxport.polykernel import _check_ball, family_curves
+from polyxport.polykernel import check_ball, family_curves
 
 _HORIZON_PAD = 1e-9
 
 
+def medium_of(scene, grain_id):
+    return scene.media[[g.id for g in scene.grains].index(grain_id)]
+
+
 def kernel_for_grain(scene, grain_id):
-    return KernelModel(scene.medium_by_id(grain_id).kind, scene.dimension)
+    return KernelModel(medium_of(scene, grain_id).kind, scene.dimension)
 
 
 def _segments_plain(scene, x, v, horizon):
@@ -118,7 +122,7 @@ def _locate(segs, xi):
 def _product_before(scene, segs, n):
     out = 1.0
     for s in segs[:n]:
-        out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
+        out *= kernel_for_grain(scene, s.grain_id).d_phi(s.exit - s.entry)
     return out
 
 
@@ -136,7 +140,7 @@ def psi(scene, x, v, xi):
 
 def psi_marg_w(scene, x, v, xi, w):
     """Joint path/impact density for a generic start."""
-    _check_ball(scene, w)
+    check_ball(w, scene.dimension)
     segs = _segments_upto(scene, x, v, xi)
     nu = _locate(segs, xi)
     if nu is None:
@@ -151,7 +155,7 @@ def _first_branch_ok(scene, x, v, segs):
 
 def psi0_marg(scene, x, v, xi, w):
     """Path density for a start on a scatterer with exit parameter w."""
-    _check_ball(scene, w)
+    check_ball(w, scene.dimension)
     segs = _segments_upto(scene, x, v, xi)
     if not _first_branch_ok(scene, x, v, segs):
         return 0.0
@@ -164,8 +168,8 @@ def psi0_marg(scene, x, v, xi, w):
     kern = kernel_for_grain(scene, segs[nu].grain_id)
     mid = 1.0
     for s in segs[1:nu]:
-        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-    return float(k1.phi_marg(segs[0].sejour, w)) * mid \
+        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.exit - s.entry)
+    return float(k1.phi_marg(segs[0].exit - segs[0].entry, w)) * mid \
         * float(kern.phi(xi - segs[nu].entry))
 
 
@@ -175,8 +179,8 @@ def psi0_full(scene, x, v, xi, w, z):
     w is the impact parameter at distance xi, z the exit parameter at the
     start.  Zero unless x is in a grain or on its boundary with v inwards.
     """
-    _check_ball(scene, w)
-    _check_ball(scene, z)
+    check_ball(w, scene.dimension)
+    check_ball(z, scene.dimension)
     segs = _segments_upto(scene, x, v, xi)
     if not _first_branch_ok(scene, x, v, segs):
         return 0.0
@@ -189,8 +193,8 @@ def psi0_full(scene, x, v, xi, w, z):
     kern = kernel_for_grain(scene, segs[nu].grain_id)
     mid = 1.0
     for s in segs[1:nu]:
-        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
-    return float(k1.phi_marg(segs[0].sejour, z)) * mid \
+        mid *= kernel_for_grain(scene, s.grain_id).d_phi(s.exit - s.entry)
+    return float(k1.phi_marg(segs[0].exit - segs[0].entry, z)) * mid \
         * float(kern.phi_marg(xi - segs[nu].entry, w))
 
 
@@ -204,7 +208,7 @@ def survival_psi(scene, x, v, t, horizon=None):
     out = 1.0
     for s in segs:
         if s.exit <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
+            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.exit - s.entry)
         elif s.entry <= t:
             out *= kernel_for_grain(scene, s.grain_id).d_phi(t - s.entry)
             break
@@ -215,7 +219,7 @@ def survival_psi(scene, x, v, t, horizon=None):
 
 def survival_psi0_marg(scene, x, v, t, w):
     """P(path length >= t) for the scatterer-start marginal with exit w."""
-    _check_ball(scene, w)
+    check_ball(w, scene.dimension)
     if t < 0:
         raise ValueError("t must be nonnegative")
     segs = _segments_upto(scene, x, v, max(t, 1.0))
@@ -226,10 +230,10 @@ def survival_psi0_marg(scene, x, v, t, w):
     k1 = kernel_for_grain(scene, segs[0].grain_id)
     if t < segs[0].exit:
         return float(k1.phi_marg(t, w))
-    out = float(k1.phi_marg(segs[0].sejour, w))
+    out = float(k1.phi_marg(segs[0].exit - segs[0].entry, w))
     for s in segs[1:]:
         if s.exit <= t:
-            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.sejour)
+            out *= kernel_for_grain(scene, s.grain_id).d_phi(s.exit - s.entry)
         elif s.entry <= t:
             out *= kernel_for_grain(scene, s.grain_id).d_phi(t - s.entry)
             break

@@ -192,17 +192,17 @@ def _scalar_walk(scene, kern, x, v, budget, kind):
     segment at a time; also the in-grain lengths at which it could change
     segment."""
     segs = oracle.itinerary(scene, x, v, budget + 1.0)
-    ell1 = segs[0].sejour if segs else 0.0
+    ell1 = (segs[0].exit - segs[0].entry) if segs else 0.0
     ing, prod, marks = 0.0, 1.0, []
     for k, s in enumerate(segs):
         rem = budget - ing
-        if rem < s.sejour:
+        if rem < (s.exit - s.entry):
             return (s.entry + rem, rem, budget, prod, ell1, k == 0,
                     False), marks
-        ing += s.sejour
+        ing += (s.exit - s.entry)
         marks.append(ing)
         if not (k == 0 and kind == "psi0"):
-            prod *= float(kern.d_phi(s.sejour))
+            prod *= float(kern.d_phi((s.exit - s.entry)))
     return (np.inf, 0.0, ing, prod, ell1, False, True), marks
 
 

@@ -284,10 +284,8 @@ class TestScaling:
         # anchored mode: centers are anchor + eps (Z^d + omega) M cut to
         # the grain, with the experiment base point as the anchor
         rt = MicroRuntime(two_squares, MicroConfig(r=3e-3, seed=0))
-        for gid in (1, 2):
-            med = two_squares.medium_by_id(gid)
-            grain = two_squares.grain_by_id(gid)
-            pts = rt.scatterers(gid)
+        for grain, med in zip(two_squares.grains, two_squares.media):
+            pts = rt.scatterers(grain.id)
             assert len(pts)
             lat_coords = (pts - two_squares.anchor) / rt.epsilon \
                 @ np.linalg.inv(med.lattice.M) - med.lattice.omega

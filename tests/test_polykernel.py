@@ -301,7 +301,7 @@ class TestSurvival:
         x = two_squares.anchor
         v = unit(0.0)
         w = np.array([0.35])
-        k1 = K.KernelModel(two_squares.medium_by_id(1).kind, 2)
+        k1 = oracle.kernel_for_grain(two_squares, 1)
         (a0, b0), (a1, b1) = segments(two_squares, x, v, 2.0)
         esc = float(k1.phi_marg(b0 - a0, w)) * float(K.d_phi(b1 - a1, 2))
         ts = (0.05, 0.25)
@@ -724,7 +724,7 @@ class TestBlockPartition:
         xs, vs, params = self._rays(scene, np.random.default_rng(51))
         entry, exit_, _ = geometry.segment_table(scene, xs, vs, 1.2)
         if scene.periodic_box is None:
-            kinds = [scene.medium_by_id(g).kind for g in
+            kinds = [oracle.medium_of(scene, g).kind for g in
                      geometry.segment_table(scene, xs[:1], vs[:1], 0.0)[2][0]]
             assert kinds == ["crystal", "poisson", "crystal"]
             assert np.all(np.isinf(entry[4:6]))

@@ -1,10 +1,11 @@
-"""Dead-method guard: every method and property of a class in
-src/polyxport has a reader.
+"""Dead-surface guard: every method and property of a class, and every
+module-level function, in src/polyxport has a reader.
 
-A reader is `.name` or a quoted "name" (a getattr dispatch, a tracing
-site) in a Python file under src/, tests/, demos/ or perfbench/; the
-definition `def name(` is neither.  Dunder methods are called by Python
-itself and are skipped.
+A reader of a method is `.name` or a quoted "name" (a getattr dispatch, a
+tracing site) in a Python file under src/, tests/, demos/ or perfbench/;
+the definition `def name(` is neither.  Dunder methods are called by
+Python itself and are skipped.  A reader of a function is also a load of
+its bare name; importing it is not.
 """
 import ast
 import glob
@@ -49,3 +50,40 @@ def test_every_method_has_a_reader():
     dead = [f"{module}: {cls}.{name}" for module, cls, name in _methods()
             if name not in read]
     assert not dead, "methods nothing reads: " + ", ".join(dead)
+
+
+def _functions():
+    """(module, name) of every module-level function."""
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield os.path.basename(path), node.name
+
+
+def _loaded_names():
+    """Every name loaded bare, read as an attribute or quoted whole in the
+    reader directories (parsed, so comments and imports do not count)."""
+    names = set()
+    for top in READERS:
+        pattern = os.path.join(ROOT, top, "**", "*.py")
+        for path in glob.glob(pattern, recursive=True):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_function_has_a_reader():
+    read = _loaded_names()
+    dead = [f"{module}: {name}" for module, name in _functions()
+            if name not in read]
+    assert not dead, "functions nothing reads: " + ", ".join(dead)

@@ -150,8 +150,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(CONFIG)
         assert cfg.options["kind"] == "freepath"
         assert cfg.scene.dimension == 2
-        assert cfg.scene.medium_by_id(1).kind == "crystal"
-        assert cfg.scene.medium_by_id(2).kind == "poisson"
+        assert [m.kind for m in cfg.scene.media] == ["crystal", "poisson"]
         assert len(cfg.hash()) == 16
 
     def test_unknown_key_rejected(self):
