@@ -62,9 +62,8 @@ THRESHOLDS = {
 
 
 def runner_kind(kind, report):
-    """The RUNNERS key that runs `kind` with the report flavor `report`: a
-    flight config whose report is "stationarity" runs the stationarity
-    runner, every other kind its own."""
+    """The RUNNERS key that runs `kind` with `report`: a flight config whose
+    report is "stationarity" runs the stationarity runner."""
     return "stationarity" if (kind, report) == ("flight", "stationarity") \
         else kind
 
@@ -91,28 +90,50 @@ def check_radius(r, name):
         raise ConfigError(f"{name}: {r!r} is not a finite radius > 0")
 
 
-def _check_keys(d, allowed, path):
+def _check_keys(d, allowed, path, required=()):
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError("unknown config keys: "
                           + ", ".join(f"{path}.{key}" for key in unknown))
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}: missing")
 
 
-def parse_medium(d, path="medium"):
+def _point(value, dim, name):
+    """value as a list of dim finite numbers, else a ConfigError naming it."""
+    if not (isinstance(value, list) and len(value) == dim):
+        raise ConfigError(f"{name}: {value!r} is not a point of dimension "
+                          f"{dim}")
+    return [_number(c, name, float, "a finite number", np.isfinite)
+            for c in value]
+
+
+def parse_medium(d, path, dim):
     _check_keys(d, _MEDIUM_KEYS, path)
     kind = d.get("type")
     if kind == "poisson":
         return PoissonMedium()
-    if kind == "crystal":
-        if "matrix" not in d:
-            raise ConfigError(f"{path}: crystal medium needs a matrix")
-        lat = AffineLattice.from_rows(d["matrix"], d.get("offset"))
+    if kind != "crystal":
+        raise ConfigError(f"{path}: unknown medium type {kind!r}")
+    rows = d.get("matrix")
+    if not (isinstance(rows, list) and len(rows) == dim and all(
+            isinstance(row, list) and len(row) == dim for row in rows)):
+        raise ConfigError(f"{path}.matrix: {rows!r} is not a {dim}x{dim} "
+                          "matrix")
+    offset = _point(d.get("offset", [0.0] * dim), dim, f"{path}.offset")
+    try:
+        lat = AffineLattice.from_rows(rows, offset)
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"{path}.matrix: {err}") from None
+    try:
         return CrystalMedium(lat, d.get("mode", "anchored"))
-    raise ConfigError(f"{path}: unknown medium type {kind!r}")
+    except ValueError as err:
+        raise ConfigError(f"{path}.mode: {err}") from None
 
 
-def parse_grain(d, path):
-    _check_keys(d, _GRAIN_KEYS, path)
+def parse_grain(d, path, dim):
+    _check_keys(d, _GRAIN_KEYS, path, ("medium",))
     gid = d.get("id")
     if gid is None:
         raise ConfigError(f"{path}: grain needs an id")
@@ -122,33 +143,34 @@ def parse_grain(d, path):
     try:
         grain = ConvexGrain.box(gid, *d["box"]) if key == "box" \
             else ConvexGrain.from_vertices(gid, d["vertices"])
+        if grain.dimension != dim:
+            raise ValueError(f"dimension {grain.dimension}, not {dim}")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}.{key}: {err}") from None
-    if "medium" not in d:
-        raise ConfigError(f"{path}: grain needs a medium")
-    return grain, parse_medium(d["medium"], f"{path}.medium")
+    return grain, parse_medium(d["medium"], f"{path}.medium", dim)
 
 
 def parse_scene(d, path="scene"):
-    _check_keys(d, _SCENE_KEYS, path)
-    for key in ("dimension", "grains"):
-        if key not in d:
-            raise ConfigError(f"{path}: missing {key}")
+    _check_keys(d, _SCENE_KEYS, path, ("dimension", "grains"))
+    dim = _number(d["dimension"], f"{path}.dimension", int, "2 or 3",
+                  lambda n: n in (2, 3) and n == d["dimension"])
     grains, media = [], []
     for i, g in enumerate(d["grains"]):
-        grain, medium = parse_grain(g, f"{path}.grains[{i}]")
+        grain, medium = parse_grain(g, f"{path}.grains[{i}]", dim)
         grains.append(grain)
         media.append(medium)
     box = None
     if "periodic_box" in d:
-        _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box")
+        _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box",
+                    ("lo", "hi"))
         try:
             box = PeriodicBox(d["periodic_box"]["lo"], d["periodic_box"]["hi"])
             check_tiled_box(grains, box)
         except SceneError as err:
             raise ConfigError(f"{path}.periodic_box: {err}") from None
-    return make_scene(d["dimension"], grains, media, periodic_box=box,
-                      anchor=d.get("anchor"),
+    return make_scene(dim, grains, media, periodic_box=box,
+                      anchor=_point(d["anchor"], dim, f"{path}.anchor")
+                      if "anchor" in d else None,
                       assume_incommensurable=d.get("assume_incommensurable",
                                                    False))
 
@@ -224,9 +246,7 @@ class ExperimentConfig:
         """The config of a JSON document.  threads, given, is the worker
         count in place of experiment.threads, checked by its rule but kept
         out of the hashed document; a bad value names --threads."""
-        _check_keys(doc, _TOP_KEYS, "<top>")
-        if "scene" not in doc or "experiment" not in doc:
-            raise ConfigError("config needs scene and experiment sections")
+        _check_keys(doc, _TOP_KEYS, "<top>", ("scene", "experiment"))
         scene = parse_scene(doc["scene"])
         exp = doc["experiment"]
         _check_keys(exp, _EXPERIMENT_KEYS, "experiment")

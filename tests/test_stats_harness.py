@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -333,14 +334,53 @@ class TestConfig:
         ({"vertices": [[0.35, 0.0], [0.65, 0.0], [0.65, 0.0], [0.35, 0.0]]},
          "vertices"),
         ({"box": [[0.35, 0.0], [0.35, 0.3]]}, "box"),
-        ({"box": [[0.65, 0.0], [0.35, 0.3]]}, "box")],
-        ids=["collinear", "duplicated", "flat-box", "inverted-box"])
+        ({"box": [[0.65, 0.0], [0.35, 0.3]]}, "box"),
+        ({"box": [[0.35, 0.0, 0.0], [0.65, 0.3, 0.3]]}, "box"),
+        ({"vertices": [[0.35, 0.0, 0.0], [0.65, 0.0, 0.0], [0.35, 0.3, 0.0],
+                       [0.35, 0.0, 0.3]]}, "vertices")],
+        ids=["collinear", "duplicated", "flat-box", "inverted-box", "3d-box",
+             "3d-vertices"])
     def test_degenerate_grain_named_at_parse_time(self, grain, key):
         doc = json.loads(json.dumps(CONFIG))
         g = doc["scene"]["grains"][1]
         del g["box"]
         g.update(grain)
         with pytest.raises(ConfigError, match=rf"^scene\.grains\[1\]\.{key}: "):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("where,value,key", [
+        (("anchor",), [0.15, 0.15, 0.15], "anchor"),
+        (("anchor",), [0.15], "anchor"),
+        (("anchor",), [0.15, "x"], "anchor"),
+        (("dimension",), "2", "dimension"),
+        (("dimension",), 4, "dimension"),
+        (("periodic_box",), {"lo": [0.0, 0.0]}, "periodic_box.hi"),
+        (("grains", 0, "medium", "matrix"), [["1", "0"]],
+         "grains[0].medium.matrix"),
+        (("grains", 0, "medium", "matrix"),
+         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "grains[0].medium.matrix"),
+        (("grains", 0, "medium", "matrix"), [[2.0, 0.0], [0.0, 2.0]],
+         "grains[0].medium.matrix"),
+        (("grains", 0, "medium", "offset"), [0.3],
+         "grains[0].medium.offset"),
+        (("grains", 0, "medium", "offset"), [0.3, 0.5, 0.7],
+         "grains[0].medium.offset"),
+        (("grains", 0, "medium", "mode"), "bogus", "grains[0].medium.mode")],
+        ids=["anchor-3d", "anchor-1d", "anchor-not-a-number",
+             "dimension-string", "dimension-4", "periodic_box-no-hi",
+             "matrix-not-square", "matrix-3d", "matrix-det-4", "offset-1d",
+             "offset-3d", "mode-unknown"])
+    def test_scene_shape_named_at_parse_time(self, where, value, key,
+                                             no_run):
+        # each of these parsed (and broadcast, or failed in a runner), or
+        # ended in a bare SceneError, LinAlgError, KeyError or ValueError
+        doc = json.loads(json.dumps(CONFIG))
+        node = doc["scene"]
+        for part in where[:-1]:
+            node = node[part]
+        node[where[-1]] = value
+        with pytest.raises(ConfigError, match=rf"^scene\.{re.escape(key)}: "):
             ExperimentConfig.from_dict(doc)
 
     def test_bad_thread_count_from_the_environment(self, monkeypatch,
