@@ -175,6 +175,13 @@ def parse_scene(d, path="scene"):
                                                    False))
 
 
+def _first_medium(scene, path, bad, rule):
+    """ConfigError naming the first medium m of scene (at path) with bad(m)."""
+    for i, m in enumerate(scene.media):
+        if bad(m):
+            raise ConfigError(f"{path}.grains[{i}].medium: {rule}")
+
+
 def check_scene_for_kind(scene, kind, opt):
     """ConfigError naming the key unless the runner RUNNERS[kind] works on
     this scene with the options opt (ExperimentConfig.options)."""
@@ -184,16 +191,25 @@ def check_scene_for_kind(scene, kind, opt):
                           "the microscopic dynamics of a finite scene")
     if micro and not opt["r_schedule"]:
         raise ConfigError(f"experiment.r_schedule: {kind} needs radii")
+    if micro and opt["resample_offsets"]:
+        _first_medium(scene, "scene",
+                      lambda m: getattr(m, "mode", None) != "random-offset",
+                      "resample_offsets needs random-offset crystal media")
     if kind == "stationarity" and box is None:
         raise ConfigError("scene.periodic_box: stationarity experiments need "
                           "a periodic box tiled by one grain")
     if kind == "transition" and scene.dimension != 2:
         raise ConfigError("scene.dimension: transition cells are "
                           "implemented for d=2")
-    crystal = [i for i, m in enumerate(scene.media) if m.kind != "poisson"]
-    if kind == "poisson-baseline" and crystal:
-        raise ConfigError(f"scene.grains[{crystal[0]}].medium: poisson "
-                          "baseline experiments need Poisson media")
+    if kind == "poisson-baseline":
+        _first_medium(scene, "scene", lambda m: m.kind != "poisson",
+                      "poisson baseline experiments need Poisson media")
+    # the flight sampler draws with one KernelModel per scene
+    path, flown = {"flight": ("scene", scene), "poisson-baseline": (
+        "experiment.gap_scene", opt["gap_scene"])}.get(kind, ("", None))
+    if flown is not None:
+        _first_medium(flown, path, lambda m: m.kind != flown.media[0].kind,
+                      "flight sampling needs one medium kind per scene")
 
 
 def parse_start(exp, scene):

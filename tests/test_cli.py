@@ -247,34 +247,48 @@ _CRYSTAL_SQUARE = {"dimension": 2, "anchor": [0.15, 0.15],
                                           "offset": [0.318, 0.577]}}]}
 
 
+_MIXED_SQUARES = {"dimension": 2, "anchor": [0.15, 0.15],
+                  "grains": [_CRYSTAL_SQUARE["grains"][0],
+                             {"id": 2, "box": [[0.35, 0.0], [0.65, 0.3]],
+                              "medium": {"type": "poisson"}}]}
+
+_RADII = {"r_schedule": [1e-2]}
+
+
 # ids: subcommand, config kind, scene (True: the tiled box, False: the
-# fixture's finite scene); radii None: the config has no r_schedule
-@pytest.mark.parametrize("command, kind, scene, key, radii", [
-    ("stationarity", "flight", None, "scene.periodic_box", [1e-2]),
-    ("stationarity", "poisson-baseline", None, "scene.periodic_box", [1e-2]),
-    ("freepath", "flight", _TILED_BOX, "scene.periodic_box", [1e-2]),
-    ("transition", "stationarity", _TILED_BOX, "scene.periodic_box", [1e-2]),
-    ("microsim", "flight", _TILED_BOX, "scene.periodic_box", [1e-2]),
-    ("transition", "freepath", _BOX_3D, "scene.dimension", [1e-2]),
+# fixture's finite scene); exp: the config's other experiment keys
+@pytest.mark.parametrize("command, kind, scene, key, exp", [
+    ("stationarity", "flight", None, "scene.periodic_box", _RADII),
+    ("stationarity", "poisson-baseline", None, "scene.periodic_box", _RADII),
+    ("freepath", "flight", _TILED_BOX, "scene.periodic_box", _RADII),
+    ("transition", "stationarity", _TILED_BOX, "scene.periodic_box", _RADII),
+    ("microsim", "flight", _TILED_BOX, "scene.periodic_box", _RADII),
+    ("transition", "freepath", _BOX_3D, "scene.dimension", _RADII),
     ("poisson", "freepath", _CRYSTAL_SQUARE, "scene.grains[0].medium",
-     [1e-2]),
-    ("freepath", "flight", None, "experiment.r_schedule", None),
-    ("transition", "poisson-baseline", None, "experiment.r_schedule", None),
+     _RADII),
+    ("freepath", "flight", None, "experiment.r_schedule", {}),
+    ("transition", "poisson-baseline", None, "experiment.r_schedule", {}),
+    ("microsim", "flight", _CRYSTAL_SQUARE, "scene.grains[0].medium",
+     {**_RADII, "resample_offsets": True}),
+    ("flight", "freepath", _MIXED_SQUARES, "scene.grains[1].medium", _RADII),
+    ("poisson", "flight", None, "experiment.gap_scene.grains[1].medium",
+     {"gap_scene": _MIXED_SQUARES}),
 ], ids=["stationarity-flight-False", "stationarity-poisson-baseline-False",
         "freepath-flight-True", "transition-stationarity-True",
         "microsim-flight-True", "transition-freepath-3d",
         "poisson-freepath-crystal", "freepath-flight-no-radii",
-        "transition-poisson-baseline-no-radii"])
+        "transition-poisson-baseline-no-radii",
+        "microsim-flight-resample_offsets", "flight-freepath-mixed",
+        "poisson-flight-mixed-gap_scene"])
 def test_subcommand_scene_rule_applies_at_parse_time(
-        scene_config, no_run, command, kind, scene, key, radii):
+        scene_config, no_run, command, kind, scene, key, exp):
     # The config's own kind allows its scene; the subcommand's runner does
     # not, and the rule of the runner that runs applies before it starts.
     doc = json.loads(scene_config.read_text())
     if scene is not None:
         doc["scene"] = scene
-    doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000}
-    if radii is not None:
-        doc["experiment"]["r_schedule"] = radii
+    doc["experiment"] = {"kind": kind, "samples": 1000, "particles": 1000,
+                         **exp}
     scene_config.write_text(json.dumps(doc))
     with pytest.raises(harness.ConfigError, match=re.escape(key)):
         main([command, "--config", str(scene_config)])

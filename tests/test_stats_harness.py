@@ -230,12 +230,20 @@ class TestConfig:
         ("poisson-baseline", None, {}, r"scene\.grains\[0\]\.medium\b"),
         ("freepath", None, {"r_schedule": []}, r"experiment\.r_schedule\b"),
         ("transition", None, {"r_schedule": []},
-         r"experiment\.r_schedule\b")],
+         r"experiment\.r_schedule\b"),
+        ("freepath", None, {"resample_offsets": True},
+         r"scene\.grains\[0\]\.medium\b"),
+        ("flight", None, {}, r"scene\.grains\[1\]\.medium\b"),
+        ("poisson-baseline", BOX_3D, {"gap_scene": CONFIG["scene"]},
+         r"experiment\.gap_scene\.grains\[1\]\.medium\b")],
         ids=["transition-3d", "poisson-baseline-crystal", "freepath-no-radii",
-             "transition-no-radii"])
+             "transition-no-radii", "resample_offsets-anchored",
+             "flight-mixed-media", "poisson-baseline-mixed-gap_scene"])
     def test_scene_rule_of_kind(self, kind, scene, edit, match, no_run):
         # a d=3 scene for transition; a crystal grain for poisson-baseline;
-        # no radii for a runner that traces the microscopic dynamics
+        # no radii for a runner that traces the microscopic dynamics; per
+        # sample offsets of an anchored crystal; and a crystal and a Poisson
+        # grain in a scene that the flight sampler draws on
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"].update(edit, kind=kind)
         if scene is not None:
