@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -44,9 +45,10 @@ def _add_common(p):
     p.add_argument("--threads", type=int, default=None)
 
 
-def _load_config(args):
+def _load_config(args, kind=None):
     """The config file with the subcommand's given --seed, --particles,
-    --time and --report written into its experiment section, parsed once.
+    --time and --report written into its experiment section, parsed once
+    to run the runner of the subcommand's kind (ExperimentConfig.from_dict).
     --threads stays out of the document, so it leaves config_hash as is."""
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -54,16 +56,13 @@ def _load_config(args):
              and key in ("seed", "particles", "time", "report")}
     if given and "experiment" in doc:
         doc["experiment"].update(given)
-    return harness.ExperimentConfig.from_dict(doc, threads=args.threads)
+    return harness.ExperimentConfig.from_dict(doc, threads=args.threads,
+                                              kind=kind)
 
 
-def _run_and_emit(cfg, args, kind):
-    """Run the runner of `kind` (harness.runner_kind), which need not be
-    the config's, after checking that it works on the config."""
-    kind = harness.runner_kind(kind, cfg.options["report"])
-    harness.check_scene_for_kind(cfg.scene, kind, cfg.options)
+def _run_and_emit(cfg, args):
     t0 = time.perf_counter()
-    report = harness.RUNNERS[kind](cfg)
+    report = harness.run_experiment(cfg)
     dt = time.perf_counter() - t0
     out = args.out or cfg.out_dir
     if out:
@@ -112,7 +111,7 @@ def cmd_kernels(args):
     name, takes = _KERNELS[args.family]
     w, z = _params(args, d, takes)
     xis = _path_lengths(args.xi)
-    model = kernels.KernelModel("crystal" if med == "crystal" else "poisson", d)
+    model = kernels.KernelModel(med, d)
     kernel = getattr(model, name)
     params = [p for key, p in (("w", w), ("z", z)) if key in takes]
     try:
@@ -163,7 +162,6 @@ def cmd_microsim(args):
     n = cfg.options["samples"] if args.samples is None \
         else harness.count(args.samples, "--samples")
     out = args.out or cfg.out_dir or "."
-    import os
     os.makedirs(out, exist_ok=True)
     for r in rs:
         samp = microsim.sample_tau1_distribution(
@@ -216,16 +214,16 @@ def main(argv=None):
                           ("stationarity", "stationarity")]:
         p = sub.add_parser(command, help=f"run the {command} experiment")
         _add_common(p)
-        p.set_defaults(func=lambda a, k=kind: _run_and_emit(_load_config(a),
-                                                            a, k))
+        p.set_defaults(func=lambda a, k=kind: _run_and_emit(
+            _load_config(a, k), a))
 
     pf = sub.add_parser("flight", help="evolve an ensemble of the limit process")
     _add_common(pf)
     pf.add_argument("--particles", type=int, default=None)
     pf.add_argument("--time", type=float, default=None)
     pf.add_argument("--report", default=None, choices=harness.REPORTS)
-    pf.set_defaults(func=lambda a: _run_and_emit(_load_config(a), a,
-                                                 "flight"))
+    pf.set_defaults(func=lambda a: _run_and_emit(_load_config(a, "flight"),
+                                                 a))
 
     args = ap.parse_args(argv)
     return args.func(args)

@@ -250,26 +250,29 @@ def _time(value, name):
 class ExperimentConfig:
     raw: dict
     scene: object
+    runner: str         # the RUNNERS key that runs it (runner_kind)
     options: dict       # every experiment key but thresholds, parsed once:
                         # an absent key holds its default (README), time
-                        # and split_times None for the runner's own
-    thresholds: dict    # its runner's THRESHOLDS row with the overrides
+                        # and split_times those of runner
+    thresholds: dict    # runner's THRESHOLDS row with the overrides
     out_dir: Optional[str] = None
     timings: bool = False
 
     @classmethod
-    def from_dict(cls, doc, threads=None):
-        """The config of a JSON document.  threads, given, is the worker
-        count in place of experiment.threads, checked by its rule but kept
-        out of the hashed document; a bad value names --threads."""
+    def from_dict(cls, doc, threads=None, kind=None):
+        """The config of a JSON document.  threads and kind, given, stay out
+        of the hashed document: threads is the worker count in place of
+        experiment.threads, checked by its rule (a bad value names
+        --threads), and kind an experiment subcommand's kind, whose runner
+        (runner_kind) is config.runner in place of the config's own.  The
+        scene rules of the config's own runner apply, then config.runner's."""
         _check_keys(doc, _TOP_KEYS, "<top>", ("scene", "experiment"))
         scene = parse_scene(doc["scene"])
         exp = doc["experiment"]
         _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
-        kind = exp.get("kind")
-        if kind not in RUNNERS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
-        opt = {"kind": kind}
+        opt = {"kind": exp.get("kind")}
+        if opt["kind"] not in RUNNERS:
+            raise ConfigError(f"unknown experiment kind {opt['kind']!r}")
         opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
                               "an integer")
         opt["samples"] = _number(exp.get("samples", 1000),
@@ -309,29 +312,34 @@ class ExperimentConfig:
         opt["gap_scene"] = parse_scene(exp["gap_scene"],
                                        "experiment.gap_scene") \
             if "gap_scene" in exp else None
-        runner = runner_kind(kind, opt["report"])
-        check_scene_for_kind(scene, runner, opt)
+        own = runner_kind(opt["kind"], opt["report"])
+        runner = own if kind is None else runner_kind(kind, opt["report"])
+        check_scene_for_kind(scene, own, opt)
+        if runner != own:
+            check_scene_for_kind(scene, runner, opt)
+        # the runner's own time, in mean free paths 1/sigma_bar
+        mfp = {"stationarity": 5.0, "flight": 2.0, "poisson-baseline": 2.0}
+        if opt["time"] is None and runner in mfp:
+            opt["time"] = mfp[runner] / kernels.sigma_bar(scene.dimension)
+        if opt["split_times"] is None and runner == "stationarity":
+            opt["split_times"] = [0.4 * opt["time"], 0.6 * opt["time"]]
+        # overrides are checked against the config's own runner's row and
+        # apply to that runner only
         given = exp.get("thresholds", {})
+        _check_keys(given, set(THRESHOLDS.get(own, {})),
+                    "experiment.thresholds")
         thresholds = dict(THRESHOLDS.get(runner, {}))
-        _check_keys(given, set(thresholds), "experiment.thresholds")
-        thresholds.update((key, _number(value, f"experiment.thresholds.{key}",
-                                        float, "a number"))
-                          for key, value in given.items())
-        return cls(doc, scene, opt, thresholds, out.get("dir"),
+        for key, value in given.items():
+            value = _number(value, f"experiment.thresholds.{key}", float,
+                            "a number")
+            if runner == own:
+                thresholds[key] = value
+        return cls(doc, scene, runner, opt, thresholds, out.get("dir"),
                    bool(out.get("timings", False)))
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _threshold(config, kind, key):
-    """The threshold `key` of the runner for `kind`.
-
-    The CLI runs each experiment subcommand on a config of any kind; a
-    config of another kind runs with that runner's default.
-    """
-    return config.thresholds.get(key, THRESHOLDS[kind][key])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +460,6 @@ def micro_config(config, r):
 def run_freepath(config):
     """Microscopic tau_1 law against the limit CDF across the r schedule."""
     scene, opt = config.scene, config.options
-    ks_limit = _threshold(config, "freepath", "ks_final")
     on_scatterer = opt["on_scatterer"]
     grid, cdf_vals = limit_freepath_cdf(
         scene, scene.anchor, on_scatterer=on_scatterer,
@@ -474,7 +481,7 @@ def run_freepath(config):
         "per_r": rows,
         "ks_decreasing": all(a > b for a, b in zip(ks_seq, ks_seq[1:])),
         "ks_final": ks_seq[-1],
-        "ks_final_ok": ks_seq[-1] < ks_limit,
+        "ks_final_ok": ks_seq[-1] < config.thresholds["ks_final"],
         "limit_grid": grid.tolist(),
         "limit_cdf": cdf_vals.tolist(),
     }
@@ -496,7 +503,7 @@ def limit_transition_mass(scene, x, xi_edges, u_edges):
 def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
     scene, opt = config.scene, config.options
-    alpha = _threshold(config, "transition", "chi2_alpha")
+    alpha = config.thresholds["chi2_alpha"]
     r = opt["r_schedule"][-1]
     samp = sample_tau1(scene, micro_config(config, r), opt["samples"],
                        opt["threads"])
@@ -532,13 +539,9 @@ def run_transition(config):
 
 def run_poisson_baseline(config):
     """Exponential paths, memorylessness and collision counts (disordered)."""
-    scene = config.scene
+    scene, opt, limits = config.scene, config.options, config.thresholds
     sb = kernels.sigma_bar(scene.dimension)
-    n = config.options["samples"]
-    seed = config.options["seed"]
-    alpha = _threshold(config, "poisson-baseline", "alpha")
-    freepath_ks_limit = _threshold(config, "poisson-baseline", "freepath_ks")
-    gap_ks_limit = _threshold(config, "poisson-baseline", "gap_ks")
+    n, seed, alpha = opt["samples"], opt["seed"], limits["alpha"]
     report = {"experiment": "poisson-baseline", "config_hash": config.hash(),
               "seed": seed, "sigma_bar": sb}
 
@@ -572,8 +575,7 @@ def run_poisson_baseline(config):
 
     # (c) collision counts over one mean free path horizon
     if scene.periodic_box is not None:
-        t = config.options["time"]
-        t = 2.0 / sb if t is None else t
+        t = opt["time"]
         m_cnt = min(n, 200000)
         rng3 = streams.rng("baseline.counts", seed)
         ens3 = flight.sample_initial(scene, m_cnt, rng3)
@@ -591,7 +593,7 @@ def run_poisson_baseline(config):
         report["collisions_p"] = p_cnt
 
     # (d) gap-discounted survival on a secondary scene
-    gap_scene = config.options["gap_scene"]
+    gap_scene = opt["gap_scene"]
     if gap_scene is not None:
         rng4 = streams.rng("baseline.gap", seed)
         n_gap = min(n, 200000)
@@ -608,24 +610,22 @@ def run_poisson_baseline(config):
 
     report["alpha"] = alpha
     report["verdict"] = bool(
-        report["freepath_ks"] < freepath_ks_limit and p_mem > alpha
+        report["freepath_ks"] < limits["freepath_ks"] and p_mem > alpha
         and report.get("collisions_p", 1.0) > alpha
-        and report.get("gap_ks", 0.0) < gap_ks_limit)
+        and report.get("gap_ks", 0.0) < limits["gap_ks"])
     return report
 
 
 def run_stationarity(config):
     """Stationarity of the extended-state law plus the semigroup split."""
-    scene = config.scene
-    opt = config.options
+    scene, opt = config.scene, config.options
     n, t = opt["particles"], opt["time"]
-    t = 5.0 / kernels.sigma_bar(scene.dimension) if t is None else t
-    alpha = _threshold(config, "stationarity", "ks_alpha")
-    split = opt["split_times"] or [0.4 * t, 0.6 * t]
+    alpha = config.thresholds["ks_alpha"]
     per_seed = []
     for k in range(opt["n_seeds"]):
         seed = opt["seed"] + k
-        rep = flight.stationarity_test(scene, n, t, seed, split=split)
+        rep = flight.stationarity_test(scene, n, t, seed,
+                                       split=opt["split_times"])
         per_seed.append({"seed": seed, **asdict(rep)})
     ok = all(row["ks_xi"][1] > alpha and row["ks_vplus"][1] > alpha
              and row["ks_split"][1] > alpha for row in per_seed)
@@ -648,11 +648,9 @@ def run_flight(config):
     extended-state coordinates for plotting: the flight length, the
     azimuth of v, and in d=3 its polar cosine v_z.
     """
-    scene = config.scene
-    opt = config.options
+    scene, opt = config.scene, config.options
     n, t = opt["particles"], opt["time"]
     sb = kernels.sigma_bar(scene.dimension)
-    t = 2.0 / sb if t is None else t
     flavor = opt["report"]
     rng = streams.rng("flight.evolve", opt["seed"])
     ens0 = flight.sample_initial(scene, n, rng)
@@ -812,6 +810,5 @@ def write_tau1_csv(path, samp):
 
 
 def run_experiment(config):
-    """The report of the config's runner (runner_kind)."""
-    opt = config.options
-    return RUNNERS[runner_kind(opt["kind"], opt["report"])](config)
+    """The report of the config's runner, config.runner."""
+    return RUNNERS[config.runner](config)

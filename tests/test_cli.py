@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from polyxport import flight, harness, microsim
+from polyxport import flight, harness, kernels, microsim
 from polyxport.cli import main
 
 
@@ -519,6 +519,47 @@ def test_flight_stationarity_report_runs_the_same_runner_both_ways(
     assert report["experiment"] == "stationarity"
     assert rc == (0 if report["verdict"] else 3)
     _same_files(tmp_path / "cli", tmp_path / "lib")
+
+
+def test_cross_kind_subcommand_matches_the_library(scene_config, tmp_path):
+    # `polyxport transition` on a freepath config runs what the library
+    # runs for from_dict(doc, kind="transition")
+    rc = main(["transition", "--config", str(scene_config), "--out",
+               str(tmp_path / "cli")])
+    doc = json.loads(scene_config.read_text())
+    cfg = harness.ExperimentConfig.from_dict(doc, kind="transition")
+    report = harness.run_experiment(cfg)
+    harness.emit(report, str(tmp_path / "lib"), cfg)
+    assert cfg.runner == report["experiment"] == "transition"
+    assert rc == (0 if report["verdict"] else 3)
+    _same_files(tmp_path / "cli", tmp_path / "lib")
+
+
+def test_stationarity_on_flight_config_takes_the_stationarity_times(
+        tmp_path, monkeypatch):
+    # a flight config without time runs 2/sigma_bar as a flight, and the
+    # stationarity runner's 5/sigma_bar, split at 0.4 t and 0.6 t
+    doc = {"scene": _TILED_BOX,
+           "experiment": {"kind": "flight", "seed": 1, "particles": 1000,
+                          "n_seeds": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    t = 5.0 / kernels.sigma_bar(2)
+    assert harness.ExperimentConfig.from_dict(doc).options["time"] \
+        == 2.0 / kernels.sigma_bar(2)
+    calls = []
+    evolve = flight.evolve
+
+    def counted(scene, ens, dt, rng, **kwargs):
+        calls.append(dt)
+        return evolve(scene, ens, dt, rng, **kwargs)
+    monkeypatch.setattr(flight, "evolve", counted)
+    main(["stationarity", "--config", str(path), "--out",
+          str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "stationarity_summary.json")
+                         .read_text())
+    assert summary["time"] == t
+    assert calls == [t, 0.4 * t, 0.6 * t]
 
 
 def test_threads_override_leaves_the_config_hash(scene_config, tmp_path,

@@ -307,6 +307,30 @@ class TestConfig:
         assert ExperimentConfig.from_dict(doc).thresholds == {
             "ks_alpha": 0.5}
 
+    @pytest.mark.parametrize("kind", ["freepath", "transition",
+                                      "poisson-baseline", "flight"])
+    def test_cross_kind_thresholds_are_the_full_row_of_the_runner(self,
+                                                                   kind):
+        # a freepath config with an override, parsed for another runner,
+        # holds that runner's whole row; its own runner keeps the override
+        doc = json.loads(json.dumps(CONFIG))
+        doc["scene"]["grains"][0]["medium"] = {"type": "poisson"}
+        doc["experiment"]["thresholds"] = {"ks_final": 0.5}
+        cfg = ExperimentConfig.from_dict(doc, kind=kind)
+        assert cfg.runner == kind
+        assert cfg.thresholds == ({"ks_final": 0.5} if kind == "freepath"
+                                  else harness.THRESHOLDS.get(kind, {}))
+
+    def test_stationarity_report_keeps_its_overrides_under_kind(self):
+        doc = {"scene": {**BOX_3D, "periodic_box": {"lo": [0.0] * 3,
+                                                    "hi": [0.12] * 3}},
+               "experiment": {"kind": "flight", "report": "stationarity",
+                              "thresholds": {"ks_alpha": 0.5}}}
+        for kind in ("flight", "stationarity"):
+            cfg = ExperimentConfig.from_dict(doc, kind=kind)
+            assert cfg.runner == "stationarity"
+            assert cfg.thresholds == {"ks_alpha": 0.5}
+
     def test_increasing_schedule_rejected(self):
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"]["r_schedule"] = [1e-3, 1e-2]
