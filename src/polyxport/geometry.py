@@ -27,7 +27,12 @@ REL_TOL = 1e-12
 
 
 class SceneError(ValueError):
-    """Raised when a scene violates a structural invariant."""
+    """Raised when a scene violates a structural invariant; key, when
+    given, is the scene key at fault as a config names it ("grains[1]")."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 def _unit_rows(a):
@@ -174,7 +179,7 @@ class PeriodicBox:
         object.__setattr__(self, "lo", np.asarray(lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(hi, dtype=float))
         if np.any(self.hi <= self.lo):
-            raise SceneError("periodic box needs lo < hi")
+            raise SceneError("periodic box needs lo < hi", "periodic_box")
 
     @property
     def size(self):
@@ -223,7 +228,7 @@ def make_scene(dimension, grains, media, periodic_box=None, anchor=None,
                assume_incommensurable=False):
     """A validated Scene; a periodic box must be tiled by the one grain."""
     if len(grains) != len(media):
-        raise SceneError("one medium per grain required")
+        raise SceneError("one medium per grain required", "grains")
     if periodic_box is not None:
         check_tiled_box(grains, periodic_box)
     scene = Scene(dimension, tuple(grains), tuple(media), periodic_box, anchor,
@@ -238,47 +243,57 @@ def check_tiled_box(grains, box):
     box's."""
     if len(grains) != 1:
         raise SceneError(f"a periodic box must be tiled by one grain, not "
-                         f"{len(grains)}")
+                         f"{len(grains)}", "periodic_box")
     g = grains[0]
     bounds = _axis_bounds(g.normals, g.offsets) \
         if g.dimension == box.lo.size else None
     if bounds is None or not np.all(
             np.abs(np.subtract(bounds, (box.lo, box.hi))) <= 1e-9):
         raise SceneError(f"grain {g.id} is not the periodic box from "
-                         f"{box.lo.tolist()} to {box.hi.tolist()}")
+                         f"{box.lo.tolist()} to {box.hi.tolist()}",
+                         "periodic_box")
 
 
 def validate_scene(scene):
-    ids = [g.id for g in scene.grains]
-    if len(set(ids)) != len(ids):
-        raise SceneError("duplicate grain ids")
-    for g in scene.grains:
+    """SceneError keyed by the grain (grains[i]) or flag at fault unless
+    grain ids are distinct, grains solid, disjoint and, if crystal, within
+    the kernel range, and crystal orientations incommensurable."""
+    for i, g in enumerate(scene.grains):
+        if g.id in [h.id for h in scene.grains[:i]]:
+            raise SceneError(f"duplicate grain id {g.id}", f"grains[{i}].id")
         if g.dimension != scene.dimension:
-            raise SceneError("grain dimension mismatch")
+            raise SceneError("grain dimension mismatch", f"grains[{i}]")
         ok, x, _ = _margin_lp(g.normals, g.offsets)
         if not ok:
-            raise SceneError("unbounded or empty grain")
+            raise SceneError("unbounded or empty grain", f"grains[{i}]")
         if not g.contains_rows(x[None])[0]:
-            raise SceneError(f"grain {g.id} has empty interior")
+            raise SceneError(f"grain {g.id} has empty interior",
+                             f"grains[{i}]")
 
     limit = XI_MAX.get(scene.dimension)
-    for g, m in zip(scene.grains, scene.media):
+    for i, (g, m) in enumerate(zip(scene.grains, scene.media)):
         if m.kind == "crystal" and g.diameter_bound > limit + REL_TOL:
             raise SceneError(
                 f"grain {g.id} diameter bound {g.diameter_bound} exceeds the "
-                f"explicit crystal-kernel range {limit} in d={scene.dimension}")
+                f"explicit crystal-kernel range {limit} in d={scene.dimension}",
+                f"grains[{i}]")
     lats = [m.lattice for m in scene.media if m.kind == "crystal"]
     if len(lats) > 1 and not scene.assume_incommensurable:
         if all(l.rational_form is not None for l in lats):
             raise SceneError(
                 "all crystal orientations are rational, hence pairwise "
                 "commensurable; the polycrystal limit needs incommensurable "
-                "grains")
+                "grains", "assume_incommensurable")
         raise SceneError(
             "incommensurability is undecidable from float input; set "
-            "assume_incommensurable=True to assert it")
+            "assume_incommensurable=True to assert it",
+            "assume_incommensurable")
 
-    _check_disjoint(scene)
+    for (_, g1), (j, g2) in itertools.combinations(
+            enumerate(scene.grains), 2):
+        if not _pair_disjoint(g1, g2):
+            raise SceneError(f"grains {g1.id} and {g2.id} overlap",
+                             f"grains[{j}]")
 
 
 def _pair_disjoint(g1, g2):
@@ -287,12 +302,6 @@ def _pair_disjoint(g1, g2):
                           np.concatenate([g1.offsets, g2.offsets]))
     # shared interior exists iff a point fits with positive margin
     return not ok or t <= 1e-11
-
-
-def _check_disjoint(scene):
-    for g1, g2 in itertools.combinations(scene.grains, 2):
-        if not _pair_disjoint(g1, g2):
-            raise SceneError(f"grains {g1.id} and {g2.id} overlap")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import (flight, kernels, microsim, polykernel, scattering, stats,
                streams)
-from .geometry import (ConvexGrain, PeriodicBox, SceneError, check_tiled_box,
-                       make_scene)
+from .geometry import ConvexGrain, PeriodicBox, SceneError, make_scene
 from .lattice import AffineLattice, CrystalMedium, PoissonMedium
 
 
@@ -91,6 +90,8 @@ def check_radius(r, name):
 
 
 def _check_keys(d, allowed, path, required=()):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: {d!r} is not an object")
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigError("unknown config keys: "
@@ -133,10 +134,10 @@ def parse_medium(d, path, dim):
 
 
 def parse_grain(d, path, dim):
-    _check_keys(d, _GRAIN_KEYS, path, ("medium",))
-    gid = d.get("id")
-    if gid is None:
-        raise ConfigError(f"{path}: grain needs an id")
+    _check_keys(d, _GRAIN_KEYS, path, ("id", "medium"))
+    gid = d["id"]
+    if not isinstance(gid, int) or isinstance(gid, bool):
+        raise ConfigError(f"{path}.id: {gid!r} is not an integer")
     if ("box" in d) == ("vertices" in d):
         raise ConfigError(f"{path}: give exactly one of box/vertices")
     key = "box" if "box" in d else "vertices"
@@ -154,25 +155,29 @@ def parse_scene(d, path="scene"):
     _check_keys(d, _SCENE_KEYS, path, ("dimension", "grains"))
     dim = _number(d["dimension"], f"{path}.dimension", int, "2 or 3",
                   lambda n: n in (2, 3) and n == d["dimension"])
+    if not isinstance(d["grains"], list):
+        raise ConfigError(f"{path}.grains: {d['grains']!r} is not a list of "
+                          "grains")
     grains, media = [], []
     for i, g in enumerate(d["grains"]):
         grain, medium = parse_grain(g, f"{path}.grains[{i}]", dim)
         grains.append(grain)
         media.append(medium)
-    box = None
-    if "periodic_box" in d:
-        _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box",
-                    ("lo", "hi"))
-        try:
-            box = PeriodicBox(d["periodic_box"]["lo"], d["periodic_box"]["hi"])
-            check_tiled_box(grains, box)
-        except SceneError as err:
-            raise ConfigError(f"{path}.periodic_box: {err}") from None
-    return make_scene(dim, grains, media, periodic_box=box,
-                      anchor=_point(d["anchor"], dim, f"{path}.anchor")
-                      if "anchor" in d else None,
-                      assume_incommensurable=d.get("assume_incommensurable",
-                                                   False))
+    try:        # make_scene's SceneErrors carry the scene key at fault
+        box = None
+        if "periodic_box" in d:
+            _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box",
+                        ("lo", "hi"))
+            box = PeriodicBox(*(_point(d["periodic_box"][k], dim,
+                                       f"{path}.periodic_box.{k}")
+                                for k in ("lo", "hi")))
+        return make_scene(dim, grains, media, periodic_box=box,
+                          anchor=_point(d["anchor"], dim, f"{path}.anchor")
+                          if "anchor" in d else None,
+                          assume_incommensurable=d.get(
+                              "assume_incommensurable", False))
+    except SceneError as err:
+        raise ConfigError(f"{path}.{err.key}: {err}") from None
 
 
 def _first_medium(scene, path, bad, rule):

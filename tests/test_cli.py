@@ -315,6 +315,21 @@ def test_bad_number_fails_at_parse_time(scene_config, no_run, command, key,
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("grain,key", [
+    ({"id": 1.5}, "scene.grains[1].id"),
+    ({"box": [[0.2, 0.0], [0.5, 0.3]]}, "scene.grains[1]")],
+    ids=["float-id", "overlap"])
+def test_bad_grain_fails_at_parse_time(scene_config, grain, key):
+    # a float id ran (exit 0), truncated; an overlap was a bare SceneError
+    doc = json.loads(scene_config.read_text())
+    doc["scene"]["grains"][1].update(grain)
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("freepath", "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert f"ConfigError: {key}: " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_microsim_without_radii_fails(scene_config, tmp_path, no_run):
     doc = json.loads(scene_config.read_text())
     del doc["experiment"]["r_schedule"]

@@ -146,6 +146,13 @@ BOX_3D = {"dimension": 3, "anchor": [0.06, 0.06, 0.06],
                       "medium": {"type": "poisson"}}]}
 
 
+def _edit(node, where, value):
+    """Set node[where[0]][where[1]]... to value."""
+    for part in where[:-1]:
+        node = node[part]
+    node[where[-1]] = value
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(CONFIG)
@@ -413,6 +420,58 @@ class TestConfig:
             node = node[part]
         node[where[-1]] = value
         with pytest.raises(ConfigError, match=rf"^scene\.{re.escape(key)}: "):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("where,value,key", [
+        (("grains", 1, "id"), "two", "grains[1].id"),
+        (("grains", 1, "id"), 1.5, "grains[1].id"),
+        (("grains", 1, "id"), [2], "grains[1].id"),
+        (("grains", 1, "id"), True, "grains[1].id"),
+        (("grains", 1, "id"), None, "grains[1].id"),
+        (("grains",), "abc", "grains"),
+        (("grains", 1), 2, "grains[1]"),
+        (("periodic_box",), {"lo": [0.0, 0.0], "hi": "x"},
+         "periodic_box.hi")],
+        ids=["id-string", "id-float", "id-list", "id-bool", "id-null",
+             "grains-string", "grain-not-an-object", "periodic_box-hi"])
+    def test_grain_id_named_at_parse_time(self, where, value, key, no_run):
+        # a string id failed in the freepath runner and a float id ran,
+        # truncated; a list id, a string of grains, a grain that is not an
+        # object and a string box corner ended in a bare TypeError, a
+        # ConfigError naming scene.grains[0].a, or a bare ValueError
+        doc = json.loads(json.dumps(CONFIG))
+        _edit(doc["scene"], where, value)
+        with pytest.raises(ConfigError, match=rf"^scene\.{re.escape(key)}: "):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("edits,key", [
+        ([(("grains", 1, "box"), [[0.2, 0.0], [0.5, 0.3]])], "grains[1]"),
+        ([(("grains", 1, "id"), 1)], "grains[1].id"),
+        ([(("grains", 0, "box"), [[0.0, 0.0], [0.3, 0.45]])], "grains[0]"),
+        ([(("assume_incommensurable",), False),
+          (("grains", 1, "medium"), {"type": "crystal", "matrix": [
+              ["1", "0"], ["0", "1"]]})], "assume_incommensurable"),
+        ([(("assume_incommensurable",), False),
+          (("grains", 1, "medium"), {"type": "crystal", "matrix": [
+              [0.6, -0.8], [0.8, 0.6]]})], "assume_incommensurable")],
+        ids=["overlap", "duplicate-id", "past-crystal-range",
+             "rational-lattices", "float-lattices-unflagged"])
+    @pytest.mark.parametrize("where", ["scene", "experiment.gap_scene"])
+    def test_scene_rule_named_at_parse_time(self, edits, key, where,
+                                            no_run):
+        # geometry.validate_scene's SceneErrors escaped from_dict bare
+        doc = json.loads(json.dumps(CONFIG))
+        scene = json.loads(json.dumps(CONFIG["scene"]))
+        for path, value in edits:
+            _edit(scene, path, value)
+        if where == "scene":
+            doc["scene"] = scene
+        else:
+            doc["scene"] = BOX_3D
+            doc["experiment"] = {"kind": "poisson-baseline",
+                                 "gap_scene": scene}
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(where + '.' + key)}: "):
             ExperimentConfig.from_dict(doc)
 
     def test_bad_thread_count_from_the_environment(self, monkeypatch,
