@@ -48,8 +48,9 @@ def _add_common(p):
 def _load_config(args, kind=None):
     """The config file with the subcommand's given --seed, --particles,
     --time and --report written into its experiment section, parsed once
-    to run the runner of the subcommand's kind (ExperimentConfig.from_dict).
-    --threads stays out of the document, so it leaves config_hash as is."""
+    (ExperimentConfig.from_dict) for the runner of kind, an experiment
+    subcommand's kind, when given.  --threads and kind stay out of the
+    document, so they leave config_hash as it is."""
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     given = {key: val for key, val in vars(args).items() if val is not None
@@ -60,7 +61,8 @@ def _load_config(args, kind=None):
                                               kind=kind)
 
 
-def _run_and_emit(cfg, args):
+def _run_and_emit(args):
+    cfg = _load_config(args, args.kind)
     t0 = time.perf_counter()
     report = harness.run_experiment(cfg)
     dt = time.perf_counter() - t0
@@ -214,16 +216,14 @@ def main(argv=None):
                           ("stationarity", "stationarity")]:
         p = sub.add_parser(command, help=f"run the {command} experiment")
         _add_common(p)
-        p.set_defaults(func=lambda a, k=kind: _run_and_emit(
-            _load_config(a, k), a))
+        p.set_defaults(func=_run_and_emit, kind=kind)
 
     pf = sub.add_parser("flight", help="evolve an ensemble of the limit process")
     _add_common(pf)
     pf.add_argument("--particles", type=int, default=None)
     pf.add_argument("--time", type=float, default=None)
     pf.add_argument("--report", default=None, choices=harness.REPORTS)
-    pf.set_defaults(func=lambda a: _run_and_emit(_load_config(a, "flight"),
-                                                 a))
+    pf.set_defaults(func=_run_and_emit, kind="flight")
 
     args = ap.parse_args(argv)
     return args.func(args)

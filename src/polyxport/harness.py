@@ -276,8 +276,9 @@ class ExperimentConfig:
         exp = doc["experiment"]
         _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
         opt = {"kind": exp.get("kind")}
-        if opt["kind"] not in RUNNERS:
-            raise ConfigError(f"unknown experiment kind {opt['kind']!r}")
+        for name in (opt["kind"], kind or opt["kind"]):
+            if name not in RUNNERS:
+                raise ConfigError(f"unknown experiment kind {name!r}")
         opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
                               "an integer")
         opt["samples"] = _number(exp.get("samples", 1000),

@@ -328,6 +328,10 @@ class TestConfig:
         assert cfg.thresholds == ({"ks_final": 0.5} if kind == "freepath"
                                   else harness.THRESHOLDS.get(kind, {}))
 
+    def test_unknown_subcommand_kind_rejected(self, no_run):
+        with pytest.raises(ConfigError, match="'nope'"):
+            ExperimentConfig.from_dict(CONFIG, kind="nope")
+
     def test_stationarity_report_keeps_its_overrides_under_kind(self):
         doc = {"scene": {**BOX_3D, "periodic_box": {"lo": [0.0] * 3,
                                                     "hi": [0.12] * 3}},
@@ -405,24 +409,7 @@ class TestConfig:
          "grains[0].medium.offset"),
         (("grains", 0, "medium", "offset"), [0.3, 0.5, 0.7],
          "grains[0].medium.offset"),
-        (("grains", 0, "medium", "mode"), "bogus", "grains[0].medium.mode")],
-        ids=["anchor-3d", "anchor-1d", "anchor-not-a-number",
-             "dimension-string", "dimension-4", "periodic_box-no-hi",
-             "matrix-not-square", "matrix-3d", "matrix-det-4", "offset-1d",
-             "offset-3d", "mode-unknown"])
-    def test_scene_shape_named_at_parse_time(self, where, value, key,
-                                             no_run):
-        # each of these parsed (and broadcast, or failed in a runner), or
-        # ended in a bare SceneError, LinAlgError, KeyError or ValueError
-        doc = json.loads(json.dumps(CONFIG))
-        node = doc["scene"]
-        for part in where[:-1]:
-            node = node[part]
-        node[where[-1]] = value
-        with pytest.raises(ConfigError, match=rf"^scene\.{re.escape(key)}: "):
-            ExperimentConfig.from_dict(doc)
-
-    @pytest.mark.parametrize("where,value,key", [
+        (("grains", 0, "medium", "mode"), "bogus", "grains[0].medium.mode"),
         (("grains", 1, "id"), "two", "grains[1].id"),
         (("grains", 1, "id"), 1.5, "grains[1].id"),
         (("grains", 1, "id"), [2], "grains[1].id"),
@@ -432,13 +419,17 @@ class TestConfig:
         (("grains", 1), 2, "grains[1]"),
         (("periodic_box",), {"lo": [0.0, 0.0], "hi": "x"},
          "periodic_box.hi")],
-        ids=["id-string", "id-float", "id-list", "id-bool", "id-null",
-             "grains-string", "grain-not-an-object", "periodic_box-hi"])
-    def test_grain_id_named_at_parse_time(self, where, value, key, no_run):
-        # a string id failed in the freepath runner and a float id ran,
-        # truncated; a list id, a string of grains, a grain that is not an
-        # object and a string box corner ended in a bare TypeError, a
-        # ConfigError naming scene.grains[0].a, or a bare ValueError
+        ids=["anchor-3d", "anchor-1d", "anchor-not-a-number",
+             "dimension-string", "dimension-4", "periodic_box-no-hi",
+             "matrix-not-square", "matrix-3d", "matrix-det-4", "offset-1d",
+             "offset-3d", "mode-unknown", "id-string", "id-float", "id-list",
+             "id-bool", "id-null", "grains-string", "grain-not-an-object",
+             "periodic_box-hi-not-a-point"])
+    def test_scene_shape_named_at_parse_time(self, where, value, key,
+                                             no_run):
+        # each of these parsed (and broadcast, truncated, or failed in a
+        # runner), named another key, or ended in a bare SceneError,
+        # LinAlgError, KeyError, TypeError or ValueError
         doc = json.loads(json.dumps(CONFIG))
         _edit(doc["scene"], where, value)
         with pytest.raises(ConfigError, match=rf"^scene\.{re.escape(key)}: "):
