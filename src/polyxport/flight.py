@@ -230,11 +230,21 @@ def sample_initial(scene, n, rng):
     xs = sample_positions(scene, n, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n)
     xi, w = sample_xi_w(scene, xs, vs, rng, kind="psi")
-    v_plus = vs.copy()
-    fin = np.isfinite(xi)
-    if fin.any():
-        v_plus[fin] = scattering.deflect_many(vs[fin], w[fin])
-    return Ensemble(xs, vs, xi, v_plus, np.zeros(n, dtype=int))
+    return Ensemble(xs, vs, xi, _deflect_finite(vs, xi, w),
+                    np.zeros(n, dtype=int))
+
+
+def _deflect_finite(vs, xi, w):
+    """The velocities after the next collision: each row of vs deflected by
+    its impact parameter w, or kept where xi = inf (an escape)."""
+    fin = np.flatnonzero(np.isfinite(xi))
+    out = vs.copy()
+    if len(fin):
+        new = scattering.deflect_many(np.take(vs, fin, axis=0),
+                                      np.take(w, fin, axis=0))
+        for k in range(vs.shape[1]):
+            out[:, k][fin] = new[:, k]
+    return out
 
 
 def sample_collision(scene, x_col, v_prev, v_now, rng):
@@ -248,11 +258,7 @@ def sample_collision(scene, x_col, v_prev, v_now, rng):
     v_now = np.atleast_2d(np.asarray(v_now, dtype=float))
     s = scattering.exit_params_many(v_now, v_prev)
     xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=-s)
-    v_plus = v_now.copy()
-    fin = np.isfinite(xi)
-    if fin.any():
-        v_plus[fin] = scattering.deflect_many(v_now[fin], w[fin])
-    return xi, v_plus
+    return xi, _deflect_finite(v_now, xi, w)
 
 
 def evolve(scene, ens, dt, rng):
@@ -265,24 +271,31 @@ def evolve(scene, ens, dt, rng):
         raise ValueError("dt must be nonnegative")
     out = ens.copy()
     rem = np.full(out.n, float(dt))
+    # one column at a time: gathers, scatters and broadcasts of rows x d
+    # arrays run row by row (np.take gathers whole rows at once)
+    x, v, v_plus = out.x.T, out.v.T, out.v_plus.T
     for _ in range(_MAX_ROUNDS):
         collide = np.isfinite(out.xi) & (out.xi <= rem)
         if not collide.any():
             break
         rows = np.flatnonzero(collide)
         step = out.xi[rows]
-        out.x[rows] += out.v[rows] * step[:, None]
         rem[rows] -= step
-        v_prev = out.v[rows].copy()
-        out.v[rows] = out.v_plus[rows]
+        v_prev = np.take(out.v, rows, axis=0)
+        for k in range(len(x)):
+            x[k][rows] += v[k][rows] * step
+            v[k][rows] = v_plus[k][rows]
         out.nu[rows] += 1
-        xi_new, v_plus_new = sample_collision(scene, out.x[rows], v_prev,
-                                              out.v[rows], rng)
+        xi_new, v_plus_new = sample_collision(
+            scene, np.take(out.x, rows, axis=0), v_prev,
+            np.take(out.v, rows, axis=0), rng)
         out.xi[rows] = xi_new
-        out.v_plus[rows] = v_plus_new
+        for k in range(len(x)):
+            v_plus[k][rows] = v_plus_new[:, k]
     else:
         raise RuntimeError("evolve did not exhaust the time step")
-    out.x += out.v * rem[:, None]
+    for k in range(len(x)):
+        x[k] += v[k] * rem
     out.xi = np.where(np.isfinite(out.xi), out.xi - rem, np.inf)
     out.time = ens.time + dt
     return out

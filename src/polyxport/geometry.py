@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import XI_MAX
-from .lattice import rows_times
+from .lattice import argmin_cols, reduce_cols, rows_times
 
 # Relative tolerance for entry/exit comparisons.  Adjacent tiling grains must
 # chain without spurious gaps, so nearly-equal times are merged.
@@ -105,8 +105,8 @@ class ConvexGrain:
         n = len(pts)
         box = _axis_bounds(self.normals, self.offsets)
         if box is None:
-            return np.all(rows_times(pts, self.normals.T) < self.offsets,
-                          axis=1)
+            return reduce_cols(np.logical_and,
+                               rows_times(pts, self.normals.T) < self.offsets)
         cols = list(zip(pts.T, *box))
         if n and all(lo < c.min() and c.max() < hi for c, lo, hi in cols):
             return np.ones(n, dtype=bool)
@@ -339,14 +339,22 @@ def ray_grain_intersect(grain, x, v):
 
 
 def clip_grain_rows(grain, xs, vs):
-    """Vectorized ray clipping: entry/exit/valid arrays over rows."""
+    """Vectorized ray clipping: entry/exit/valid arrays over rows.
+
+    Each facet's column is folded in turn into the latest entry lo, the
+    earliest exit hi and the dead mask (a ray parallel to a facet and
+    outside it), which is the max, min and any over the facets.
+    """
     nv = vs @ grain.normals.T
     nx = xs @ grain.normals.T
+    lo, hi, dead = -np.inf, np.inf, False
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (grain.offsets[None, :] - nx) / nv
-    lo = np.where(nv < 0, t, -np.inf).max(axis=1)
-    hi = np.where(nv > 0, t, np.inf).min(axis=1)
-    dead = np.any((nv == 0.0) & (nx >= grain.offsets[None, :]), axis=1)
+        for k, c in enumerate(grain.offsets):
+            nv_k, nx_k = nv[:, k], nx[:, k]
+            t = (c - nx_k) / nv_k
+            lo = np.maximum(lo, np.where(nv_k < 0, t, -np.inf))
+            hi = np.minimum(hi, np.where(nv_k > 0, t, np.inf))
+            dead = dead | ((nv_k == 0.0) & (nx_k >= c))
     entry = np.maximum(lo, 0.0)
     tol = REL_TOL * (1.0 + np.abs(hi))
     valid = ~dead & np.isfinite(hi) & (hi - entry > tol)
@@ -372,17 +380,23 @@ def cell_clock(box, xs, vs):
     that v does not move along is never crossed, so a ray along a face
     stays in the grain.
     """
-    size = box.size
-    pos = xs - box.lo
-    cell = np.floor(pos / size)
-    # a subnormal component overflows to a crossing at inf: never crossed
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        up = ((cell + 1.0) * size - pos) / vs
-        dn = (cell * size - pos) / vs
-        delta = np.where(vs != 0.0, size / np.abs(vs), np.inf)
-    tnext = np.where(vs > 0, up, np.where(vs < 0, dn, np.inf))
-    # a start on the face that v leaves the cell through is in the next cell
-    return np.where(tnext > 0.0, tnext, delta), delta
+    tnext = np.empty(np.shape(xs))
+    delta = np.empty(np.shape(xs))
+    for k, (lo, size) in enumerate(zip(box.lo, box.size)):
+        v = vs[:, k]
+        pos = xs[:, k] - lo
+        cell = np.floor(pos / size)
+        # the face ahead is cell + 1 when v > 0 and cell when v < 0; a
+        # component v = 0 has delta = size / 0 = inf and a crossing at +-inf
+        # or NaN, so it takes delta: never crossed.  A subnormal component
+        # overflows to a crossing at inf, never crossed either.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = ((cell + (v > 0)) * size - pos) / v
+            delta[:, k] = size / np.abs(v)
+        # a start on the face that v leaves the cell through is in the
+        # next cell
+        tnext[:, k] = np.where(t > 0.0, t, delta[:, k])
+    return tnext, delta
 
 
 def _finite_table(scene, xs, vs):
@@ -501,7 +515,7 @@ class TiledBoxWalker:
         self.gid = scene.grains[0].id
         self.tnext, self.delta = cell_clock(scene.periodic_box, xs, vs)
         self.t_entry = np.zeros(len(xs))
-        self.t_exit = self.tnext.min(axis=1)
+        self.t_exit = reduce_cols(np.minimum, self.tnext)
 
     def current(self):
         n = len(self.t_entry)
@@ -510,10 +524,14 @@ class TiledBoxWalker:
 
     def advance(self, mask):
         rows = np.flatnonzero(mask)
-        amin = np.argmin(self.tnext[rows], axis=1)
+        # np.take and flat indices: a[rows] and a[rows, cols] on rows x d
+        # arrays copy row by row
+        amin = argmin_cols(np.take(self.tnext, rows, axis=0))
         self.t_entry[rows] = self.t_exit[rows]
-        self.tnext[rows, amin] += self.delta[rows, amin]
-        self.t_exit[rows] = self.tnext[rows].min(axis=1)
+        at = rows * self.tnext.shape[1] + amin    # the crossing taken
+        self.tnext.reshape(-1)[at] += self.delta.reshape(-1)[at]
+        self.t_exit[rows] = reduce_cols(np.minimum,
+                                        np.take(self.tnext, rows, axis=0))
 
 
 def itinerary(scene, x, v, horizon):

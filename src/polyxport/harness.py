@@ -89,6 +89,15 @@ def check_radius(r, name):
         raise ConfigError(f"{name}: {r!r} is not a finite radius > 0")
 
 
+def _flag(d, key, path):
+    """d[key], False when absent, if it is a JSON bool; else a ConfigError
+    naming path.key."""
+    value = d.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: {value!r} is not true or false")
+    return value
+
+
 def _check_keys(d, allowed, path, required=()):
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: {d!r} is not an object")
@@ -155,9 +164,9 @@ def parse_scene(d, path="scene"):
     _check_keys(d, _SCENE_KEYS, path, ("dimension", "grains"))
     dim = _number(d["dimension"], f"{path}.dimension", int, "2 or 3",
                   lambda n: n in (2, 3) and n == d["dimension"])
-    if not isinstance(d["grains"], list):
+    if not (isinstance(d["grains"], list) and d["grains"]):
         raise ConfigError(f"{path}.grains: {d['grains']!r} is not a list of "
-                          "grains")
+                          "one or more grains")
     grains, media = [], []
     for i, g in enumerate(d["grains"]):
         grain, medium = parse_grain(g, f"{path}.grains[{i}]", dim)
@@ -174,8 +183,8 @@ def parse_scene(d, path="scene"):
         return make_scene(dim, grains, media, periodic_box=box,
                           anchor=_point(d["anchor"], dim, f"{path}.anchor")
                           if "anchor" in d else None,
-                          assume_incommensurable=d.get(
-                              "assume_incommensurable", False))
+                          assume_incommensurable=_flag(
+                              d, "assume_incommensurable", path))
     except SceneError as err:
         raise ConfigError(f"{path}.{err.key}: {err}") from None
 
@@ -232,7 +241,7 @@ def parse_start(exp, scene):
     q_mode = exp.get("q_mode", "random")
     if q_mode not in microsim.Q_MODES:
         raise ConfigError(f"experiment.q_mode: unknown mode {q_mode!r}")
-    on, gid = bool(exp.get("on_scatterer", False)), exp.get("start_grain")
+    on, gid = _flag(exp, "on_scatterer", "experiment"), exp.get("start_grain")
     if on != ("start_grain" in exp):
         raise ConfigError("experiment.start_grain: give it exactly when "
                           "on_scatterer is true")
@@ -314,7 +323,7 @@ class ExperimentConfig:
         out = doc.get("output", {})
         _check_keys(out, _OUTPUT_KEYS, "output")
         opt.update(parse_start(exp, scene))
-        opt["resample_offsets"] = bool(exp.get("resample_offsets", False))
+        opt["resample_offsets"] = _flag(exp, "resample_offsets", "experiment")
         opt["gap_scene"] = parse_scene(exp["gap_scene"],
                                        "experiment.gap_scene") \
             if "gap_scene" in exp else None
@@ -341,7 +350,7 @@ class ExperimentConfig:
             if runner == own:
                 thresholds[key] = value
         return cls(doc, scene, runner, opt, thresholds, out.get("dir"),
-                   bool(out.get("timings", False)))
+                   _flag(out, "timings", "output"))
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

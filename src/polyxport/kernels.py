@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import norm_rows
+
 ZETA2 = np.pi ** 2 / 6.0
 ZETA3 = 1.2020569031595942854
 
@@ -159,7 +161,7 @@ def phi0_3d(xi, w, z):
     xi = _check_range(xi, 3)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
-    sep = 0.5 * np.linalg.norm(w - z, axis=-1)
+    sep = 0.5 * norm_rows(w - z)
     return (1.0 - 6.0 / np.pi ** 2 * F(sep) * xi) / ZETA3
 
 
@@ -184,7 +186,7 @@ def phi_marginal(xi, w, dimension):
     xi = _check_range(xi, dimension)
     if dimension == 2:
         return 1.0 - 12.0 / np.pi ** 2 * xi
-    r = np.linalg.norm(np.asarray(w, dtype=float), axis=-1)
+    r = norm_rows(np.asarray(w, dtype=float))
     return 1.0 - _A3 * xi + _B3 * G(r) * xi ** 2
 
 
@@ -203,7 +205,7 @@ def invert_phi_marginal(mass, w):
     ~ 0.63.
     """
     mass = np.asarray(mass, dtype=float)
-    b = _B3 * G(np.linalg.norm(np.asarray(w, dtype=float), axis=-1))
+    b = _B3 * G(norm_rows(np.asarray(w, dtype=float)))
     return 2.0 * mass / (_A3 + np.sqrt(_A3 * _A3 - 4.0 * b * mass))
 
 
@@ -212,7 +214,7 @@ def phi0_marginal(xi, w, dimension):
     xi = _check_range(xi, dimension)
     if dimension == 2:
         return 12.0 / np.pi ** 2 + 0.0 * xi
-    r = np.linalg.norm(np.asarray(w, dtype=float), axis=-1)
+    r = norm_rows(np.asarray(w, dtype=float))
     return np.pi / ZETA3 - 12.0 / (np.pi ** 2 * ZETA3) * G(r) * xi
 
 

@@ -161,6 +161,61 @@ def rows_times(a, m):
     return out
 
 
+# The hot paths hold rows x d arrays (d = 2 or 3) and rows x facets arrays.
+# NumPy reduces or broadcasts along such a short last axis one row at a
+# time, which costs 10-100 times a pass over a whole column, so those paths
+# reduce across columns with the helpers below and broadcast column by
+# column.  Each helper gives the bits of the `axis=-1` form it replaces.
+
+def reduce_cols(ufunc, a):
+    """ufunc.reduce(a, axis=-1), bit for bit, as a left-to-right fold over
+    the columns of a (..., w).
+
+    For np.minimum, np.maximum, np.logical_or and np.logical_and of any
+    width w >= 1, np.multiply of integers, and np.add of widths 1 to 7:
+    NumPy folds from the ufunc's identity where it has one (so a row of
+    -0.0 adds up to 0.0), and sums 8 or more columns pairwise.
+    """
+    w = a.shape[-1]
+    if w < 1 or (ufunc is np.add and w >= 8):
+        raise ValueError(f"no column fold of {ufunc.__name__} over {w} "
+                         "columns")
+    out = a[..., 0]
+    if ufunc.identity is not None:
+        out = ufunc(ufunc.identity, out)
+    elif w == 1:
+        out = out.copy()
+    for k in range(1, w):
+        out = ufunc(out, a[..., k])
+    return out
+
+
+def argmin_cols(a):
+    """np.argmin(a, axis=-1), bit for bit, over the columns of a (..., w):
+    the first minimum of each row, or its first NaN.  The columns are
+    taken right to left, so a tie or a NaN moves the index left, and a
+    number never replaces a NaN (c <= NaN is false)."""
+    w = a.shape[-1]
+    best = a[..., w - 1]
+    idx = np.full(best.shape, w - 1, dtype=np.intp)
+    for k in range(w - 2, -1, -1):
+        c = a[..., k]
+        idx[(c <= best) | (c != c)] = k
+        best = np.minimum(best, c)
+    return idx
+
+
+def norm_rows(a):
+    """np.linalg.norm(a, axis=-1) for a (..., w) with w < 8, bit for bit:
+    the square root of the column fold of the squares."""
+    return np.sqrt(reduce_cols(np.add, a * a))
+
+
+def divide_rows(a, s):
+    """a / s[..., None] for a (..., w), one column at a time."""
+    return np.stack([a[..., k] / s for k in range(a.shape[-1])], axis=-1)
+
+
 def integer_points_near_segments(a0, a1, margin):
     """All k in Z^d within margin of each segment [a0[i], a1[i]].
 
@@ -179,7 +234,7 @@ def integer_points_near_segments(a0, a1, margin):
     a1 = np.asarray(a1, dtype=float)
     n, d = a0.shape
     u = a1 - a0
-    j = np.argmax(np.abs(u), axis=1)
+    j = argmin_cols(-np.abs(u))     # the first axis of largest |u_j|
     seg = np.arange(n)
     flip = u[seg, j] < 0
     b0 = np.where(flip[:, None], a1, a0)
@@ -214,7 +269,7 @@ def integer_points_near_segments(a0, a1, margin):
         axis = (j[slab_seg] + k) % d
         box_lo[slabs, axis] = lo[k]
         extent[slabs, axis] = hi[k] - lo[k] + 1
-    size = np.prod(extent, axis=1)
+    size = reduce_cols(np.multiply, extent)
     slab, local = repeat_with_rank(slabs, size)
     ks = np.empty((len(slab), d), dtype=np.int64)
     ext = extent[slab]
@@ -230,7 +285,7 @@ def segment_cover_bound(a0, a1, margin):
     A slab's box spans at most 4 margin per non-dominant axis, so it holds
     at most floor(4 margin) + 1 integers there.
     """
-    span = np.max(np.abs(np.asarray(a1) - np.asarray(a0)), axis=1)
+    span = reduce_cols(np.maximum, np.abs(np.asarray(a1) - np.asarray(a0)))
     d = np.shape(a0)[1]
     return (np.ceil(span + 2.0 * margin) + 2.0) \
         * (np.floor(4.0 * margin) + 1.0) ** (d - 1)
@@ -251,10 +306,10 @@ def dist_point_segment(pts, p0, p1):
     u = p1 - p0
     uu = float(u @ u)
     if uu == 0.0:
-        return np.linalg.norm(pts - p0, axis=1)
+        return norm_rows(pts - p0)
     t = np.clip((pts - p0) @ u / uu, 0.0, 1.0)
     proj = p0 + t[:, None] * u
-    return np.linalg.norm(pts - proj, axis=1)
+    return norm_rows(pts - proj)
 
 
 def points_in_tube(sgl, x, v, t0, t1, radius):

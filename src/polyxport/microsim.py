@@ -26,9 +26,9 @@ from . import scattering, streams
 # module: perfbench/tracing.py wraps it in this namespace.
 from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
                        ray_grain_intersect)
-from .lattice import (ScaledGrainLattice, dist_point_segment,
-                      integer_points_near_segments, points_in_tube,
-                      repeat_with_rank, segment_cover_bound)
+from .lattice import (ScaledGrainLattice, dist_point_segment, divide_rows,
+                      integer_points_near_segments, norm_rows, points_in_tube,
+                      reduce_cols, repeat_with_rank, segment_cover_bound)
 
 # A ray that meets no scatterer within this many scene diameters escapes.
 CUTOFF_FACTOR = 10.0
@@ -80,7 +80,7 @@ class BetaSpec:
             ref = np.where((np.abs(v[..., 2]) < 0.9)[..., None],
                            [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
             perp = np.cross(v, ref)
-            perp /= np.linalg.norm(perp, axis=-1, keepdims=True)
+            perp = divide_rows(perp, norm_rows(perp))
         return math.cos(self.alpha) * v + math.sin(self.alpha) * perp
 
 
@@ -127,22 +127,24 @@ class PointGrid:
     order is one sort of the keys cell << b | index, with 2^b >= n, which
     must stay below 2^63: a box of ncells cells with ncells * 2^b > 2^63,
     or ncells > 2^53, raises ValueError.  The build floors the cell
-    coordinates in place as floats and takes their row-major index as one
-    float product, exact as every partial sum is an integer below ncells,
-    with one cast to int; it sorts the sort keys in place, so it holds one
-    float copy of the points and two key vectors besides the points.
+    coordinates in place as floats, one contiguous row per axis, and takes
+    their row-major index as one float product, exact as every partial sum
+    is an integer below ncells, with one cast to int; it sorts the sort
+    keys in place, so it holds one float copy of the points and two key
+    vectors besides the points.
     """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
         n, d = self.points.shape
-        rel = self.points / self.cell
+        rel = np.empty((d, n))
+        for k in range(d):
+            np.divide(self.points[:, k], self.cell, out=rel[k])
         np.floor(rel, out=rel)
         if n:
-            # column by column: min(axis=0) on (n, d) is several times slower
-            lo = np.array([c.min() for c in rel.T])
-            shape = np.array([c.max() for c in rel.T]) - lo + 1
+            lo = np.array([c.min() for c in rel])
+            shape = np.array([c.max() for c in rel]) - lo + 1
         else:
             lo = shape = np.zeros(d)
         self._lo, self._shape = lo.astype(np.int64), shape.astype(np.int64)
@@ -152,8 +154,8 @@ class PointGrid:
         if ncells > 2 ** 53 or ncells << bits > 2 ** 63:
             raise ValueError(f"{ncells} cells x {n} points overflow the "
                              "int64 sort key")
-        rel -= lo
-        lin = self._linear(rel).astype(np.int64)
+        rel -= lo[:, None]
+        lin = self._linear(rel.T).astype(np.int64)
         order = lin << bits
         order |= np.arange(n)
         order.sort()
@@ -218,8 +220,9 @@ def poisson_realization(grain, epsilon, rng):
     n = rng.poisson(vol / epsilon ** grain.dimension)
     # rng.uniform(lo, hi, ...)'s doubles at a third of its cost
     pts = rng.random((n, grain.dimension))
-    pts *= hi - lo
-    pts += lo
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        pts[:, k] *= b - a
+        pts[:, k] += a
     keep = grain.contains_rows(pts)
     return pts if keep.all() else pts[keep]
 
@@ -397,16 +400,18 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
             om = None if omegas is None else omegas[ray, j]
             k, centers = runtime._cover(j, p0[part], p1[part], om)
             ray = ray[k]
-            u = centers - xs[ray]
-            tc = np.sum(u * vs[ray], axis=1)
-            q = np.sum(u * u, axis=1)
+            # np.take and np.compress: a[ray] and a[ok] on rows x d arrays
+            # copy row by row
+            u = centers - np.take(xs, ray, axis=0)
+            tc = reduce_cols(np.add, u * np.take(vs, ray, axis=0))
+            q = reduce_cols(np.add, u * u)
             disc = r * r - (q - tc * tc)
             ok = (disc > 0.0) & (tc > 0.0) & (q > r * r * (1.0 + 1e-12))
             if exclude is not None:
-                ok &= np.linalg.norm(centers - exclude[ray], axis=1) \
+                ok &= norm_rows(centers - np.take(exclude, ray, axis=0)) \
                     > 1e-9 * runtime.epsilon
-            ray, centers, q, tc, disc = (a[ok] for a in
-                                         (ray, centers, q, tc, disc))
+            centers = np.compress(ok, centers, axis=0)
+            ray, q, tc, disc = (a[ok] for a in (ray, q, tc, disc))
             if not len(ray):
                 continue
             # entry root of |x + t v - y|^2 = r^2 in the cancellation-free form
@@ -421,8 +426,8 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
     best_t[~hit] = np.inf
     best_g[~hit] = -1
     w1 = np.zeros((n, d))
-    w1[hit] = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
-    w1[hit] /= np.linalg.norm(w1[hit], axis=1, keepdims=True)
+    w = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
+    w1[hit] = divide_rows(w, norm_rows(w))
     return Hits(best_t, best_c, best_g, w1)
 
 
@@ -496,7 +501,7 @@ def _start_points(runtime, n, q=None, omegas=None):
         cands = runtime.scatterers(gid, None if om is None else om[i])
         if not len(cands):
             raise SceneError("start grain holds no scatterers at this radius")
-        centers[i] = cands[int(np.argmin(np.linalg.norm(cands - x[i], axis=1)))]
+        centers[i] = cands[int(np.argmin(norm_rows(cands - x[i])))]
     return centers
 
 

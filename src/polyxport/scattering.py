@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lattice import divide_rows, norm_rows, reduce_cols
+
 GRAZE_TOL = 1e-12
 
 
@@ -27,16 +29,20 @@ def _frame_map(u, v, inverse):
     u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    e1 = np.zeros(v.shape[-1])
-    e1[0] = 1.0
-    s = v + e1
+    d = v.shape[-1]
+    s = v + 0.0           # v + e_1 without a broadcast along the rows
+    s[..., 0] += 1.0
     ss = _dot(s, s)
     ok = ss >= 1e-18
-    out = u - 2.0 * _dot(u, s) * s / np.where(ok, ss, 1.0)
+    us = 2.0 * _dot(u, s)[..., 0]
+    den = np.where(ok, ss, 1.0)[..., 0]
+    cols = [u[..., k] - us * s[..., k] / den for k in range(d)]
     if inverse:
-        out += 2.0 * u[..., :1] * v
+        u0 = 2.0 * u[..., 0]
+        cols = [c + u0 * v[..., k] for k, c in enumerate(cols)]
     else:
-        out[..., 0] += 2.0 * _dot(u, v)[..., 0]
+        cols[0] = cols[0] + 2.0 * _dot(u, v)[..., 0]
+    out = np.stack(cols, axis=-1)
     if ok.all():
         return out
     # exactly at v = -e_1, K(v) is the half-turn diag(-1, -1, 1, ...)
@@ -109,21 +115,20 @@ def deflect_many(vs, bs):
     """
     vs = np.asarray(vs, dtype=float)
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
-    bb = np.sum(bs * bs, axis=1)
+    bb = reduce_cols(np.add, bs * bs)
     wk = np.concatenate([-np.sqrt(1.0 - bb)[:, None], bs], axis=1)
     w = from_frame(wk, vs)
-    vw = np.sum(vs * w, axis=1)
-    out = vs - 2.0 * vw[:, None] * w
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    vw = 2.0 * reduce_cols(np.add, vs * w)
+    out = np.stack([vs[:, k] - vw * w[:, k] for k in range(vs.shape[1])],
+                   axis=1)
+    return divide_rows(out, norm_rows(out))
 
 
 def exit_params_many(vs, v_prevs):
     """Vectorized exit_param over rows."""
     vs = np.asarray(vs, dtype=float)
     diff = vs - np.asarray(v_prevs, dtype=float)
-    n = np.linalg.norm(diff, axis=1, keepdims=True)
-    w = diff / n
-    return to_frame(w, vs)[:, 1:]
+    return to_frame(divide_rows(diff, norm_rows(diff)), vs)[:, 1:]
 
 
 def cross_section(v, v_plus, dimension=None):
@@ -135,7 +140,7 @@ def cross_section(v, v_plus, dimension=None):
     v = np.asarray(v, dtype=float)
     v_plus = np.asarray(v_plus, dtype=float)
     d = dimension or v.shape[-1]
-    half_chord = 0.5 * np.linalg.norm(v - v_plus, axis=-1)
+    half_chord = 0.5 * norm_rows(v - v_plus)
     if np.any(half_chord <= 0):
         raise ValueError("no deflection: velocities coincide")
     return 2.0 ** (1 - d) * half_chord ** (3 - d)
@@ -145,7 +150,7 @@ def sample_direction(rng, dimension, n=None):
     """Uniform unit vectors."""
     size = (n, dimension) if n is not None else (dimension,)
     g = rng.normal(size=size)
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return divide_rows(g, norm_rows(g))
 
 
 def sample_ball(rng, dim, n=None):
@@ -155,7 +160,7 @@ def sample_ball(rng, dim, n=None):
     need = np.ones(shape[0], dtype=bool)
     while need.any():
         cand = rng.uniform(-1.0, 1.0, size=(int(need.sum()), dim))
-        good = np.sum(cand * cand, axis=1) < 1.0
+        good = reduce_cols(np.add, cand * cand) < 1.0
         idx = np.flatnonzero(need)[good]
         out[idx] = cand[good]
         need[idx] = False

@@ -330,6 +330,22 @@ def test_bad_grain_fails_at_parse_time(scene_config, grain, key):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("scene", "grains", []),
+    ("scene", "assume_incommensurable", "false")],
+    ids=["empty-grains", "string-flag"])
+def test_bad_scene_key_fails_at_parse_time(scene_config, section, key, value):
+    # empty grains died in the freepath runner (an IndexError), and the
+    # string "false" read as true and ran
+    doc = json.loads(scene_config.read_text())
+    doc[section][key] = value
+    scene_config.write_text(json.dumps(doc))
+    proc = _cli_in_subprocess("freepath", "--config", str(scene_config))
+    assert proc.returncode == 1
+    assert f"ConfigError: {section}.{key}: " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_microsim_without_radii_fails(scene_config, tmp_path, no_run):
     doc = json.loads(scene_config.read_text())
     del doc["experiment"]["r_schedule"]

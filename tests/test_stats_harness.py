@@ -416,6 +416,7 @@ class TestConfig:
         (("grains", 1, "id"), True, "grains[1].id"),
         (("grains", 1, "id"), None, "grains[1].id"),
         (("grains",), "abc", "grains"),
+        (("grains",), [], "grains"),
         (("grains", 1), 2, "grains[1]"),
         (("periodic_box",), {"lo": [0.0, 0.0], "hi": "x"},
          "periodic_box.hi")],
@@ -423,7 +424,8 @@ class TestConfig:
              "dimension-string", "dimension-4", "periodic_box-no-hi",
              "matrix-not-square", "matrix-3d", "matrix-det-4", "offset-1d",
              "offset-3d", "mode-unknown", "id-string", "id-float", "id-list",
-             "id-bool", "id-null", "grains-string", "grain-not-an-object",
+             "id-bool", "id-null", "grains-string", "grains-empty",
+             "grain-not-an-object",
              "periodic_box-hi-not-a-point"])
     def test_scene_shape_named_at_parse_time(self, where, value, key,
                                              no_run):
@@ -464,6 +466,30 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=rf"^{re.escape(where + '.' + key)}: "):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("where", [
+        ("scene", "assume_incommensurable"),
+        ("experiment", "gap_scene", "assume_incommensurable"),
+        ("experiment", "resample_offsets"),
+        ("experiment", "on_scatterer"),
+        ("output", "timings")],
+        ids=["assume_incommensurable", "gap_scene", "resample_offsets",
+             "on_scatterer", "timings"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_flag_must_be_a_json_bool(self, where, value, no_run):
+        # a flag was read by truthiness ("false" meant true) or, under
+        # scene, stored as given
+        doc = json.loads(json.dumps(CONFIG))
+        if "gap_scene" in where:
+            doc["scene"] = BOX_3D
+            doc["experiment"] = {"kind": "poisson-baseline",
+                                 "gap_scene": json.loads(json.dumps(BOX_3D))}
+        _edit(doc, where, value)
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape('.'.join(where))}: "):
+            ExperimentConfig.from_dict(doc)
+        _edit(doc, where, False)
+        ExperimentConfig.from_dict(doc)
 
     def test_bad_thread_count_from_the_environment(self, monkeypatch,
                                                    no_run):
