@@ -77,50 +77,40 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
     off = np.zeros(n)                     # offset of xi inside its segment
     lead = np.zeros(n, dtype=bool)        # xi in a scatterer start's first
     walker = make_walker(scene, xs, vs)
-    pending = np.ones(n, dtype=bool)
-    # a disordered medium is memoryless: its first segment is like any other
-    first = np.full(n, kind == "psi0" and kern.medium == "crystal")
-    if kind == "psi0":
-        e0, _, _, ok0 = walker.current()
-        pending &= ok0 & (e0 == 0.0)   # off-grain starts have no mass
+    act = np.arange(n)                    # the pending rows, ascending
+    # only round 0 walks a scatterer start's first segment; a disordered
+    # medium is memoryless: its first segment is like any other
+    first = kind == "psi0" and kern.medium == "crystal"
+    if kind == "psi0":     # off-grain starts have no mass
+        act = np.flatnonzero(walker.current()[0] == 0.0)
     for _ in range(_MAX_ROUNDS):
-        entry, exit_, gid, valid = walker.current()
-        pending &= valid          # exhausted walkers stay at xi = inf
-        if not pending.any():
+        entry, exit_, _, valid = walker.current()
+        if valid is not None:     # exhausted walkers stay at xi = inf
+            act = act[valid[act]]
+        if not len(act):
             break
-        act = np.flatnonzero(pending)
         ell = exit_[act] - entry[act]
-        isf = first[act]
-        mass = 1.0 - np.asarray(kern.d_phi(ell))
-        if isf.any():
-            mass = np.where(isf, 1.0 - np.asarray(kern.phi_marg(ell, z[act])),
-                            mass)
+        if first:
+            mass = 1.0 - np.asarray(kern.phi_marg(ell, z[act]))
+        else:
+            mass = 1.0 - np.asarray(kern.d_phi(ell))
         hit = rng.random(len(act)) < mass
         if hit.any():
             rows = act[hit]
             vsel = rng.random(len(rows))
-            tgt = vsel * mass[hit]
-            u = np.empty(len(rows))
-            fhit = isf[hit]
-            if fhit.any():
-                if kern.wz_free:    # planar: Phi(., z) is linear in xi
-                    u[fhit] = vsel[fhit] * ell[hit][fhit]
-                else:
-                    u[fhit] = KK.invert_phi_marginal(tgt[fhit],
-                                                     z[rows[fhit]])
-            if (~fhit).any():
-                u[~fhit] = np.asarray(kern.invert_phi_cdf(tgt[~fhit]))
+            if not first:
+                u = np.asarray(kern.invert_phi_cdf(vsel * mass[hit]))
+            elif kern.wz_free:    # planar: Phi(., z) is linear in xi
+                u = vsel * ell[hit]
+            else:
+                u = KK.invert_phi_marginal(vsel * mass[hit], z[rows])
             xi[rows] = entry[rows] + u
             off[rows] = u
-            lead[rows] = fhit
-            pending[rows] = False
-        surv = act[~hit]
-        if not len(surv):
-            continue
-        m = np.zeros(n, dtype=bool)
-        m[surv] = True
-        walker.advance(m)
-        first[surv] = False
+            lead[rows] = first
+            act = act[~hit]
+        if len(act):
+            walker.advance(act)
+        first = False
     else:
         raise RuntimeError("flight-length sampling did not terminate")
     if kern.wz_free:

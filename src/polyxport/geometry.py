@@ -348,16 +348,18 @@ def clip_grain_rows(grain, xs, vs):
     nv = vs @ grain.normals.T
     nx = xs @ grain.normals.T
     lo, hi, dead = -np.inf, np.inf, False
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal component of v overflows a facet time to inf, and then
+    # hi - entry may be inf - inf: such a ray is not valid
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, c in enumerate(grain.offsets):
             nv_k, nx_k = nv[:, k], nx[:, k]
             t = (c - nx_k) / nv_k
             lo = np.maximum(lo, np.where(nv_k < 0, t, -np.inf))
             hi = np.minimum(hi, np.where(nv_k > 0, t, np.inf))
             dead = dead | ((nv_k == 0.0) & (nx_k >= c))
-    entry = np.maximum(lo, 0.0)
-    tol = REL_TOL * (1.0 + np.abs(hi))
-    valid = ~dead & np.isfinite(hi) & (hi - entry > tol)
+        entry = np.maximum(lo, 0.0)
+        valid = ~dead & np.isfinite(hi) \
+            & (hi - entry > REL_TOL * (1.0 + np.abs(hi)))
     return entry, hi, valid
 
 
@@ -504,8 +506,9 @@ class FiniteSceneWalker:
         gid = self.gids[rows, idx]
         return entry, exit_, gid, valid
 
-    def advance(self, mask):
-        self.ptr[mask] += 1
+    def advance(self, rows):
+        """Step each of the given rows (no repeats) one segment on."""
+        self.ptr[rows] += 1
 
 
 class TiledBoxWalker:
@@ -518,12 +521,12 @@ class TiledBoxWalker:
         self.t_exit = reduce_cols(np.minimum, self.tnext)
 
     def current(self):
-        n = len(self.t_entry)
-        gid = np.full(n, self.gid, dtype=int)
-        return self.t_entry, self.t_exit, gid, np.ones(n, dtype=bool)
+        """(entry, exit, gid, valid): every row walks on forever, so valid
+        is None and gid the one grain's id."""
+        return self.t_entry, self.t_exit, self.gid, None
 
-    def advance(self, mask):
-        rows = np.flatnonzero(mask)
+    def advance(self, rows):
+        """Step each of the given rows (no repeats) one cell on."""
         # np.take and flat indices: a[rows] and a[rows, cols] on rows x d
         # arrays copy row by row
         amin = argmin_cols(np.take(self.tnext, rows, axis=0))

@@ -143,12 +143,14 @@ def G(w):
 
 
 def _check_range(xi, dimension):
+    # fmin/fmax skip NaN, as any() of a comparison does, and allocate nothing
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
+    if np.fmin.reduce(xi, axis=None, initial=0.0) < 0:
         raise ValueError("xi must be nonnegative")
-    if np.any(xi > XI_MAX[dimension] + _RANGE_TOL):
+    hi = np.fmax.reduce(xi, axis=None, initial=0.0)
+    if hi > XI_MAX[dimension] + _RANGE_TOL:
         raise RangeError(
-            f"xi={np.max(xi)} outside the explicit crystal range "
+            f"xi={hi} outside the explicit crystal range "
             f"(0, {XI_MAX[dimension]}] in d={dimension}")
     return xi
 
@@ -333,7 +335,7 @@ class KernelModel:
         1 - D_Phi(XI_MAX) gives XI_MAX.
         """
         mass = np.asarray(mass, dtype=float)
-        if np.any(mass < 0):
+        if np.fmin.reduce(mass, axis=None, initial=0.0) < 0:
             raise ValueError("mass must be nonnegative")
         sb = self.sigma_bar
         if self.medium == "poisson":

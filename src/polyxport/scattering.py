@@ -24,9 +24,10 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
-def _frame_map(u, v, inverse):
+def _frame_map(u, v, inverse, perp=False):
     """Rows u K(v), or u K(v)^T if inverse, with s = v + e_1:
-    u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v."""
+    u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v.  perp keeps
+    only the columns after the first, of u K(v)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     d = v.shape[-1]
@@ -36,11 +37,12 @@ def _frame_map(u, v, inverse):
     ok = ss >= 1e-18
     us = 2.0 * _dot(u, s)[..., 0]
     den = np.where(ok, ss, 1.0)[..., 0]
-    cols = [u[..., k] - us * s[..., k] / den for k in range(d)]
+    lo = 1 if perp else 0
+    cols = [u[..., k] - us * s[..., k] / den for k in range(lo, d)]
     if inverse:
         u0 = 2.0 * u[..., 0]
         cols = [c + u0 * v[..., k] for k, c in enumerate(cols)]
-    else:
+    elif not perp:
         cols[0] = cols[0] + 2.0 * _dot(u, v)[..., 0]
     out = np.stack(cols, axis=-1)
     if ok.all():
@@ -48,7 +50,7 @@ def _frame_map(u, v, inverse):
     # exactly at v = -e_1, K(v) is the half-turn diag(-1, -1, 1, ...)
     flip = np.ones(u.shape[-1])
     flip[:2] = -1.0
-    return np.where(ok, out, u * flip)
+    return np.where(ok, out, (u * flip)[..., lo:])
 
 
 def to_frame(u, v):
@@ -128,7 +130,7 @@ def exit_params_many(vs, v_prevs):
     """Vectorized exit_param over rows."""
     vs = np.asarray(vs, dtype=float)
     diff = vs - np.asarray(v_prevs, dtype=float)
-    return to_frame(divide_rows(diff, norm_rows(diff)), vs)[:, 1:]
+    return _frame_map(divide_rows(diff, norm_rows(diff)), vs, False, perp=True)
 
 
 def cross_section(v, v_plus, dimension=None):

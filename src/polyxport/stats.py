@@ -1,7 +1,9 @@
 """Kolmogorov-Smirnov and chi-square machinery.
 
-The KS statistics are searchsorted-based; their independent slow twins
-(a grid scan and a merge walk) live with the tests as oracles.
+The one-sample KS statistic reads the sorted draws against the reference
+CDF, and the two-sample one merges both samples with one stable argsort;
+their independent slow twins (a grid scan and a merge walk) live with the
+tests as oracles.
 """
 from __future__ import annotations
 
@@ -32,14 +34,22 @@ def ks_distance(samples, cdf: Callable):
 
 
 def ks_two_sample(a, b):
-    """Two-sample KS statistic and asymptotic p-value."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    """Two-sample KS statistic and asymptotic p-value.
+
+    A stable argsort of the two sorted samples merges them; the running
+    counts of each sample, read at the last copy of each value, are n and
+    m times its empirical CDF there.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     n, m = len(a), len(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / n
-    fb = np.searchsorted(b, grid, side="right") / m
-    d = float(np.max(np.abs(fa - fb)))
+    both = np.concatenate([np.sort(a), np.sort(b)])
+    order = np.argsort(both, kind="stable")
+    both = both[order]
+    last = np.append(both[1:] != both[:-1], True)
+    ca = np.cumsum(order < n)
+    cb = np.arange(1, n + m + 1) - ca
+    d = float(np.max(np.abs(ca / n - cb / m), where=last, initial=0.0))
     ne = n * m / (n + m)
     return d, kolmogorov_sf((np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d)
 

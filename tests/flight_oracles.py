@@ -1,17 +1,128 @@
-"""Exact rejection of (xi, w) jointly under the gap-discounted tail
-envelope: the independent slow oracle of polyxport.flight's per-segment
-sampler.
+"""Oracles of polyxport.flight's per-segment sampler.
 
-Proposals are an exponential budget of in-grain length at the tail rate
-and a uniform impact parameter; _walk_to_budget spends the budget along
-each ray's blocks of the segment table (polyxport.geometry), and the
-proposal is accepted with the ratio of the joint density to the envelope.
+Exact rejection of (xi, w) jointly under the gap-discounted tail envelope
+is its independent slow oracle in law.  Proposals are an exponential
+budget of in-grain length at the tail rate and a uniform impact parameter;
+_walk_to_budget spends the budget along each ray's blocks of the segment
+table (polyxport.geometry), and the proposal is accepted with the ratio of
+the joint density to the envelope.
+
+sample_xi_w_masks is the sampler's oracle bit for bit: the same rounds and
+draws over full-width masks, with mask-driven walkers that step every row
+a mask selects.
 """
 import numpy as np
 
+import row_oracles
+from polyxport import kernels as KK
 from polyxport import polykernel, scattering
-from polyxport.flight import _MAX_ROUNDS, _uniform_kernel
-from polyxport.geometry import _table_blocks, segment_table
+from polyxport.flight import _MAX_ROUNDS, _sample_w_given_xi, _uniform_kernel
+from polyxport.geometry import _finite_table, _table_blocks, segment_table
+
+
+class FiniteMaskWalker:
+    """Cursor over the segment table of a finite scene, stepped by mask."""
+
+    def __init__(self, scene, xs, vs):
+        self.entries, self.exits, self.gids = _finite_table(scene, xs, vs)
+        self.ptr = np.zeros(len(xs), dtype=int)
+        self.nseg = self.entries.shape[1]
+
+    def current(self):
+        n = len(self.ptr)
+        inb = self.ptr < self.nseg
+        idx = np.minimum(self.ptr, self.nseg - 1)
+        rows = np.arange(n)
+        entry = self.entries[rows, idx]
+        exit_ = self.exits[rows, idx]
+        valid = inb & np.isfinite(entry)
+        gid = self.gids[rows, idx]
+        return entry, exit_, gid, valid
+
+    def advance(self, mask):
+        self.ptr[mask] += 1
+
+
+class TiledMaskWalker(row_oracles.TiledBoxWalker):
+    """The cell walk of a tiled box, every row valid, stepped by mask."""
+
+    def __init__(self, scene, xs, vs):
+        super().__init__(scene, xs, vs)
+        self.gid = scene.grains[0].id
+
+    def current(self):
+        n = len(self.t_entry)
+        gid = np.full(n, self.gid, dtype=int)
+        return self.t_entry, self.t_exit, gid, np.ones(n, dtype=bool)
+
+    def advance(self, mask):
+        super().advance(np.flatnonzero(mask))
+
+
+def sample_xi_w_masks(scene, xs, vs, rng, kind="psi", z=None):
+    """flight.sample_xi_w with a pending mask over all rows each round,
+    a first-segment flag per row, and a fresh mask for the walker."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    kern = _uniform_kernel(scene)
+    if kind == "psi0":
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+    n = len(xs)
+    xi = np.full(n, np.inf)
+    off = np.zeros(n)
+    lead = np.zeros(n, dtype=bool)
+    walker = (TiledMaskWalker if scene.periodic_box is not None
+              else FiniteMaskWalker)(scene, xs, vs)
+    pending = np.ones(n, dtype=bool)
+    first = np.full(n, kind == "psi0" and kern.medium == "crystal")
+    if kind == "psi0":
+        e0, _, _, ok0 = walker.current()
+        pending &= ok0 & (e0 == 0.0)
+    for _ in range(_MAX_ROUNDS):
+        entry, exit_, gid, valid = walker.current()
+        pending &= valid
+        if not pending.any():
+            break
+        act = np.flatnonzero(pending)
+        ell = exit_[act] - entry[act]
+        isf = first[act]
+        mass = 1.0 - np.asarray(kern.d_phi(ell))
+        if isf.any():
+            mass = np.where(isf, 1.0 - np.asarray(kern.phi_marg(ell, z[act])),
+                            mass)
+        hit = rng.random(len(act)) < mass
+        if hit.any():
+            rows = act[hit]
+            vsel = rng.random(len(rows))
+            tgt = vsel * mass[hit]
+            u = np.empty(len(rows))
+            fhit = isf[hit]
+            if fhit.any():
+                if kern.wz_free:
+                    u[fhit] = vsel[fhit] * ell[hit][fhit]
+                else:
+                    u[fhit] = KK.invert_phi_marginal(tgt[fhit],
+                                                     z[rows[fhit]])
+            if (~fhit).any():
+                u[~fhit] = np.asarray(kern.invert_phi_cdf(tgt[~fhit]))
+            xi[rows] = entry[rows] + u
+            off[rows] = u
+            lead[rows] = fhit
+            pending[rows] = False
+        surv = act[~hit]
+        if not len(surv):
+            continue
+        m = np.zeros(n, dtype=bool)
+        m[surv] = True
+        walker.advance(m)
+        first[surv] = False
+    else:
+        raise RuntimeError("flight-length sampling did not terminate")
+    if kern.wz_free:
+        w = scattering.sample_ball(rng, scene.dimension - 1, n)
+        w[~np.isfinite(xi)] = 0.0
+        return xi, w
+    return xi, _sample_w_given_xi(rng, xi, off, lead, z)
 
 
 def sample_xi_w_rejection(scene, xs, vs, rng, kind="psi", z=None):

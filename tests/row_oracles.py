@@ -44,8 +44,7 @@ class TiledBoxWalker:
         self.t_entry = np.zeros(len(xs))
         self.t_exit = self.tnext.min(axis=1)
 
-    def advance(self, mask):
-        rows = np.flatnonzero(mask)
+    def advance(self, rows):
         amin = np.argmin(self.tnext[rows], axis=1)
         self.t_entry[rows] = self.t_exit[rows]
         self.tnext[rows, amin] += self.delta[rows, amin]

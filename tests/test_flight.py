@@ -35,7 +35,7 @@ class TestWalkers:
                     assert gid[i] == segs[step].grain_id
                 else:
                     assert not valid[i]
-            wk.advance(np.ones(n, dtype=bool))
+            wk.advance(np.arange(n))
 
     def test_tiled_walker_chains_cells(self, tiled_crystal):
         rng = np.random.default_rng(1)
@@ -48,11 +48,12 @@ class TestWalkers:
         diag = 0.35 * np.sqrt(2)
         for _ in range(60):
             entry, exit_, gid, valid = wk.current()
-            assert np.all(valid)
+            assert valid is None            # every row walks on
+            assert gid == tiled_crystal.grains[0].id
             assert np.allclose(entry, prev_exit)
             assert np.all(exit_ - entry <= diag + 1e-9)
             prev_exit = exit_.copy()
-            wk.advance(np.ones(n, dtype=bool))
+            wk.advance(np.arange(n))
 
     def test_partial_periodic_rejected(self):
         from polyxport import ConvexGrain, PeriodicBox, make_scene
@@ -86,7 +87,7 @@ class TestSegmentTable:
                 # each row lists its cells through the first exit past 2
                 assert np.all(listed == (e <= 2.0))
                 assert np.all(np.isinf(exit_[~listed, k]))
-                wk.advance(np.ones(n, dtype=bool))
+                wk.advance(np.arange(n))
             assert np.any(exit_[1, 1:] == entry[1, 1:])   # zero-length cell
 
     def test_near_axis_ray_lists_only_the_moving_axis(self, tiled_crystal):
@@ -511,6 +512,51 @@ class TestSamplers:
         v_now = np.array([[0.0, 1.0]])
         xi, _ = sample_collision(two_squares, x0, v_prev, v_now, rng)
         assert not np.isfinite(xi[0])
+
+
+class TestSamplerMatchesMaskLoop:
+    """sample_xi_w against the full-width mask loop of
+    flight_oracles.sample_xi_w_masks: the same rounds, draws and bits."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self, two_squares, tiled_crystal, tiled_crystal_3d):
+        return {"squares": two_squares,
+                "squares-poisson": presets.two_squares_2d(medium="poisson"),
+                "boxes-3d": presets.two_boxes_3d(),
+                "tiled-2d": tiled_crystal, "tiled-3d": tiled_crystal_3d}
+
+    @pytest.mark.parametrize("kind", ["psi", "psi0"])
+    @pytest.mark.parametrize("which", ["squares", "squares-poisson",
+                                       "boxes-3d", "tiled-2d", "tiled-3d"])
+    def test_same_bits(self, which, kind, scenes):
+        scene = scenes[which]
+        d = scene.dimension
+        rng = np.random.default_rng(90)
+        n = 3000
+        xs = flight.sample_positions(scene, n, rng)
+        finite = scene.periodic_box is None
+        if finite:      # a quarter of the starts in the gaps and outside
+            verts = np.vstack([g.vertices for g in scene.grains])
+            xs[:n // 4] = rng.uniform(verts.min(axis=0) - 0.1,
+                                      verts.max(axis=0) + 0.1, (n // 4, d))
+        vs = scattering.sample_direction(rng, d, n)
+        z = scattering.sample_ball(rng, d - 1, n) if kind == "psi0" else None
+        rng_fast, rng_slow = np.random.default_rng(91), \
+            np.random.default_rng(91)
+        got = sample_xi_w(scene, xs, vs, rng_fast, kind=kind, z=z)
+        want = flight_oracles.sample_xi_w_masks(scene, xs, vs, rng_slow,
+                                                kind=kind, z=z)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert rng_fast.random() == rng_slow.random()   # as many draws
+        xi = got[0]
+        assert np.isfinite(xi).sum() > n // 10
+        # finite scenes: escapes, and psi0's off-grain starts among them
+        assert np.any(np.isinf(xi)) == finite
+        if finite and kind == "psi0":
+            off_grain = segment_table(scene, xs, vs, 0.0)[0][:, 0] != 0.0
+            assert off_grain.any() and np.all(np.isinf(xi[off_grain]))
 
 
 def harness_interp(grid, values):

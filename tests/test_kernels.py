@@ -368,6 +368,38 @@ class TestKernelModel:
         assert np.array_equal(m.invert_phi_cdf(over), np.full(5, 0.5))
 
 
+class TestRangeChecksSkipNaN:
+    """A NaN row neither raises nor hides a bad row beside it."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_check_range(self, dim):
+        top = K.XI_MAX[dim]
+        for bad, err in ((-1e-3, ValueError), (top * 1.01, RangeError)):
+            for xi in (np.array([np.nan, 0.1, bad]), np.array([bad, np.nan]),
+                       np.array([[0.1, np.nan], [bad, 0.0]])):
+                with pytest.raises(err):
+                    K._check_range(xi, dim)
+            with pytest.raises(err):
+                d_phi(np.array([np.nan, bad]), dim)
+        for xi in (np.nan, np.array([np.nan]), np.array([0.1, np.nan, top]),
+                   np.array([])):
+            assert K._check_range(xi, dim) is not None
+        got = d_phi(np.array([np.nan, 0.1]), dim)
+        assert np.isnan(got[0]) and got[1] == d_phi(0.1, dim)
+
+    @pytest.mark.parametrize("medium,dim", [("crystal", 2), ("crystal", 3),
+                                            ("poisson", 2), ("poisson", 3)])
+    def test_invert_phi_cdf(self, medium, dim):
+        m = KernelModel(medium, dim)
+        for mass in (np.array([np.nan, 0.2, -1e-3]),
+                     np.array([-1e-300, np.nan])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                m.invert_phi_cdf(mass)
+        got = m.invert_phi_cdf(np.array([np.nan, 0.2]))
+        assert np.isnan(got[0]) and got[1] == m.invert_phi_cdf(0.2)
+        assert np.isnan(m.invert_phi_cdf(np.nan))
+
+
 class TestConditionalSampling3d:
     """The d=3 pieces of the per-segment sampler: the first-segment root and
     the bounds over w of its acceptance step."""

@@ -151,12 +151,12 @@ def test_clip_grain_rows_matches_the_row_form(grain):
     lo, hi = grain.vertices.min(axis=0), grain.vertices.max(axis=0)
     for n in (0, 1, 2000):
         xs, vs = _rays(rng, n, d, lo, hi)
-        # a subnormal direction overflows the facet times to inf either
-        # way, and inf - inf follows
+        fast = clip_grain_rows(grain, xs, vs)
+        # the row form warns where a subnormal direction overflows the
+        # facet times to inf, and inf - inf follows
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = zip(clip_grain_rows(grain, xs, vs),
-                        row_oracles.clip_grain_rows(grain, xs, vs))
-        for got, want in pairs:
+            slow = row_oracles.clip_grain_rows(grain, xs, vs)
+        for got, want in zip(fast, slow):
             assert _same(got, want)
 
 
@@ -171,9 +171,9 @@ def test_tiled_walker_matches_the_row_form_over_50_rounds(d):
     fast = TiledBoxWalker(scene, xs, vs)
     slow = row_oracles.TiledBoxWalker(scene, xs, vs)
     for _ in range(50):
-        mask = rng.random(len(xs)) < 0.7
-        fast.advance(mask)
-        slow.advance(mask)
+        rows = np.flatnonzero(rng.random(len(xs)) < 0.7)
+        fast.advance(rows)
+        slow.advance(rows)
         for name in ("t_entry", "t_exit", "tnext"):
             assert _same(getattr(fast, name), getattr(slow, name)), name
 
@@ -183,6 +183,18 @@ def _directions(rng, n, d):
     v[:3] = -np.eye(d)[0]          # the half-turn rows
     v[3:6] = np.eye(d)[0]
     return v
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exit_params_are_the_row_form_frame_columns(d):
+    # exit_params_many builds only the columns after the first of u K(v)
+    rng = np.random.default_rng(80 + d)
+    v = _directions(rng, 500, d)
+    v_prev = scattering.sample_direction(rng, d, 500)
+    diff = v - v_prev
+    unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
+    want = row_oracles.frame_map(unit, v, inverse=False)[:, 1:]
+    assert _same(scattering.exit_params_many(v, v_prev), want)
 
 
 @pytest.mark.parametrize("d", [2, 3])

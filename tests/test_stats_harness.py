@@ -49,8 +49,29 @@ class TestKS:
             a = rng.normal(size=300)
             b = rng.normal(0.1, 1.0, size=200)
             d_fast, _ = stats.ks_two_sample(a, b)
-            assert d_fast == pytest.approx(ks_two_sample_slow(a, b),
-                                           abs=1e-12)
+            assert d_fast == ks_two_sample_slow(a, b)
+
+    @pytest.mark.parametrize("a, b, d", [
+        ([0.5], [0.5], 0.0),                          # n = 1, tied
+        ([0.5], [0.2], 1.0),                          # n = 1, apart
+        ([0.2], [0.1, 0.2, 0.3, 0.4], 0.5),           # n = 1, unequal sizes
+        ([1.0] * 4, [1.0] * 7, 0.0),                  # fully tied
+        ([2.0] * 3, [1.0] * 5, 1.0),                  # tied, apart
+        ([0.1, 0.2, 0.3], [0.7, 0.8, 0.9, 1.0], 1.0),  # disjoint supports
+        ([3.0, 1.0, 2.0], [0.5, 1.5, 2.5, 3.5, 4.5], 0.4),  # unequal sizes
+    ])
+    def test_two_sample_small_cases(self, a, b, d):
+        assert ks_two_sample_slow(a, b) == d
+        assert stats.ks_two_sample(a, b)[0] == d
+        assert stats.ks_two_sample(b, a)[0] == d
+
+    def test_two_sample_unequal_sizes_match_slow(self):
+        rng = np.random.default_rng(6)
+        for n, m in ((1, 1000), (7, 3), (500, 13), (2000, 1999)):
+            a = rng.exponential(size=n)
+            b = np.round(rng.exponential(size=m), 2)    # ties within b
+            assert stats.ks_two_sample(a, b)[0] == ks_two_sample_slow(a, b)
+            assert stats.ks_two_sample(b, a)[0] == ks_two_sample_slow(b, a)
 
     def test_two_sample_matches_slow_on_ties(self):
         assert ks_two_sample_slow([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
@@ -65,8 +86,7 @@ class TestKS:
             b[:40] = np.round(b[:40], 1)
             rng.shuffle(b)
             d_fast, _ = stats.ks_two_sample(a, b)
-            assert d_fast == pytest.approx(ks_two_sample_slow(a, b),
-                                           abs=1e-12)
+            assert d_fast == ks_two_sample_slow(a, b)
 
     def test_kolmogorov_sf_values(self):
         assert stats.kolmogorov_sf(0.0) == 1.0
