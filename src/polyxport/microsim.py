@@ -7,8 +7,8 @@ keeps the mean free path of order one as r -> 0.
 First-hit search runs on blocks of rays (`first_collisions`): every ray is
 clipped against every grain inflated by r, the candidate centers inside a
 thin tube around each clipped segment are enumerated for all rays at once
-(integer slabs of the grain lattice, or the cells of a Poisson grid's
-cell-start table), and the entry roots are reduced to one minimum per
+(integer slabs of the grain lattice, or the runs of a Poisson grid's
+sorted cell keys), and the entry roots are reduced to one minimum per
 ray.  The expected work per free path is O(1) at this scaling.  The
 one-ray call `first_collision` and the tau_1 sampler use the same engine.
 """
@@ -36,6 +36,11 @@ CUTOFF_FACTOR = 10.0
 # Candidate (ray, center) rows the engine expands per vectorized step: it
 # bounds the temporaries of one step to a few MB whatever the tube length.
 ROW_BUDGET = 1 << 13
+
+# Points a PointGrid build keys per step: its temporaries are a few 64 kB
+# arrays whatever the grain holds (larger steps raise the peak memory of a
+# freepath run, and are no faster).
+GRID_CHUNK = 1 << 13
 
 # tau_1 samples per "micro.chunk_offsets" stream; worker pools trace whole
 # chunks, so results do not depend on the worker count.
@@ -120,53 +125,46 @@ class CollisionEvent:
 class PointGrid:
     """Fixed point set hashed into uniform cells, stored sorted by cell.
 
-    `_order` lists the points cell by cell, in row-major order over the
-    occupied box and by index within a cell.  The dense start table
-    `_start` has one entry per cell of that box plus one: cell c holds
-    `_order[_start[c]:_start[c + 1]]`, an empty cell an empty run.  The
-    order is one sort of the keys cell << b | index, with 2^b >= n, which
-    must stay below 2^63: a box of ncells cells with ncells * 2^b > 2^63,
-    or ncells > 2^53, raises ValueError.  The build floors the cell
-    coordinates in place as floats, one contiguous row per axis, and takes
-    their row-major index as one float product, exact as every partial sum
-    is an integer below ncells, with one cast to int; it sorts the sort
-    keys in place, so it holds one float copy of the points and two key
-    vectors besides the points.
+    It holds 8 bytes per point besides the points: the sorted int64 keys
+    cell << b | index, with 2^b >= n and cell the row-major index of the
+    point's cell in the box of cells the points occupy.  A cell's points
+    are one run of keys, found by `searchsorted`; nothing is stored per
+    cell, so the box may span far more cells than there are points.  The
+    keys must stay below 2^63: ncells * 2^b > 2^63, or ncells > 2^53,
+    raises ValueError.  The build takes each axis's cell range from the
+    column's min and max (flooring is monotone) and fills the keys
+    GRID_CHUNK rows at a time, each cell index a float sum that is exact
+    as every partial sum is an integer below ncells; it sorts them in
+    place, so it allocates nothing per point but the keys.
     """
 
     def __init__(self, points, cell_size):
         self.points = np.asarray(points, dtype=float)
         self.cell = float(cell_size)
         n, d = self.points.shape
-        rel = np.empty((d, n))
-        for k in range(d):
-            np.divide(self.points[:, k], self.cell, out=rel[k])
-        np.floor(rel, out=rel)
+        cols = [self.points[:, k] for k in range(d)]
         if n:
-            lo = np.array([c.min() for c in rel])
-            shape = np.array([c.max() for c in rel]) - lo + 1
+            lo = np.array([np.floor(c.min() / self.cell) for c in cols])
+            shape = np.array([np.floor(c.max() / self.cell)
+                              for c in cols]) - lo + 1
         else:
             lo = shape = np.zeros(d)
         self._lo, self._shape = lo.astype(np.int64), shape.astype(np.int64)
         self._strides = np.r_[np.cumprod(self._shape[:0:-1])[::-1], 1]
         ncells = math.prod(int(s) for s in self._shape)
-        bits = max(n - 1, 0).bit_length()
-        if ncells > 2 ** 53 or ncells << bits > 2 ** 63:
+        self._bits = max(n - 1, 0).bit_length()
+        if ncells > 2 ** 53 or ncells << self._bits > 2 ** 63:
             raise ValueError(f"{ncells} cells x {n} points overflow the "
                              "int64 sort key")
-        rel -= lo[:, None]
-        lin = self._linear(rel.T).astype(np.int64)
-        order = lin << bits
-        order |= np.arange(n)
-        order.sort()
-        order &= (1 << bits) - 1
-        self._order = order
-        self._start = np.r_[0, np.cumsum(np.bincount(lin, minlength=ncells))]
-
-    def _linear(self, rel):
-        """Row-major index of cells rel (relative to `_lo`, inside the box),
-        in rel's dtype."""
-        return rel @ self._strides
+        self._keys = np.empty(n, dtype=np.int64)
+        for a in range(0, n, GRID_CHUNK):
+            lin = 0.0
+            for k, c in enumerate(cols):
+                rel = np.floor(c[a:a + GRID_CHUNK] / self.cell) - lo[k]
+                lin = lin + rel * self._strides[k]
+            self._keys[a:a + len(lin)] = lin.astype(np.int64) << self._bits \
+                | np.arange(a, a + len(lin))
+        self._keys.sort()
 
     def _margin(self, radius):
         # in cell units a point lies within 1/2 (per axis) of its cell's
@@ -186,12 +184,16 @@ class PointGrid:
         inside = np.ones(len(rel), dtype=bool)
         for axis in range(rel.shape[1]):
             inside &= (rel[:, axis] >= 0) & (rel[:, axis] < self._shape[axis])
-        # outside cells drop here, empty cells (count 0) in the expansion
-        rows, lin = rows[inside], self._linear(rel[inside])
-        start = self._start[lin]
-        owner, rank = repeat_with_rank(np.arange(len(lin)),
-                                       self._start[lin + 1] - start)
-        return rows[owner], self._order[start[owner] + rank]
+        # outside cells drop here, empty cells (an empty run) in the expansion
+        rows, lin = rows[inside], rel[inside] @ self._strides
+        # each cell's run, looked up in ascending cell order
+        mask, order = (1 << self._bits) - 1, np.argsort(lin)
+        first = lin[order] << self._bits
+        start, stop = np.empty_like(lin), np.empty_like(lin)
+        start[order] = np.searchsorted(self._keys, first)
+        stop[order] = np.searchsorted(self._keys, first | mask, side="right")
+        owner, rank = repeat_with_rank(np.arange(len(lin)), stop - start)
+        return rows[owner], self._keys[start[owner] + rank] & mask
 
     def cover_bound(self, p0, p1, radius):
         """Upper bound on the cells `cover` visits per segment."""
@@ -392,8 +394,9 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
         rows = np.flatnonzero(ok & (t0 <= cutoff) & (t1 > t0))
         if not len(rows):
             continue
-        p0 = xs[rows] + t0[rows, None] * vs[rows]
-        p1 = xs[rows] + t1[rows, None] * vs[rows]
+        x0, v0 = np.take(xs, rows, axis=0), np.take(vs, rows, axis=0)
+        p0 = x0 + t0[rows, None] * v0
+        p1 = x0 + t1[rows, None] * v0
         cost = runtime._cover_bound(j, p0, p1)
         for part in _budget_slices(cost, ROW_BUDGET):
             ray = rows[part]
@@ -425,9 +428,12 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
     hit = best_t <= cutoff
     best_t[~hit] = np.inf
     best_g[~hit] = -1
-    w1 = np.zeros((n, d))
-    w = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
-    w1[hit] = divide_rows(w, norm_rows(w))
+    rows = np.flatnonzero(hit)
+    w = (np.take(xs, rows, axis=0) + best_t[rows, None]
+         * np.take(vs, rows, axis=0) - np.take(best_c, rows, axis=0)) / r
+    s, w1 = norm_rows(w), np.zeros((n, d))
+    for k in range(d):      # w1[hit] = ... would copy row by row
+        w1[:, k][rows] = w[:, k] / s
     return Hits(best_t, best_c, best_g, w1)
 
 

@@ -157,13 +157,14 @@ def sample_direction(rng, dimension, n=None):
 
 def sample_ball(rng, dim, n=None):
     """Uniform points of the open unit ball of dimension dim (1 or 2)."""
-    shape = (n, dim) if n is not None else (1, dim)
-    out = np.empty(shape)
-    need = np.ones(shape[0], dtype=bool)
-    while need.any():
-        cand = rng.uniform(-1.0, 1.0, size=(int(need.sum()), dim))
+    out = np.empty((1 if n is None else n, dim))
+    need = np.arange(len(out))
+    while len(need):
+        cand = rng.uniform(-1.0, 1.0, size=(len(need), dim))
         good = reduce_cols(np.add, cand * cand) < 1.0
-        idx = np.flatnonzero(need)[good]
-        out[idx] = cand[good]
-        need[idx] = False
+        idx = need[good]
+        # one column at a time: out[idx] = cand[good] copies row by row
+        for k in range(dim):
+            out[:, k][idx] = cand[:, k][good]
+        need = need[~good]
     return out if n is not None else out[0]

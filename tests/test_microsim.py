@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -460,6 +462,35 @@ class TestPointGrid:
         p1 = np.array([[3.0, 3.0, 3.0], [0.3, 0.55, 0.55], [0.55, 0.55, 1.5]])
         rows, idx = grid.cover(p0, p1, 0.01)
         assert rows.shape == idx.shape == (0,)
+
+    def test_build_holds_one_key_per_point(self):
+        # the freepath-3d-mixed grain at r = 1e-4 (about 1.7e5 points): the
+        # build allocates the sorted keys and temporaries of fixed size
+        eps = microsim.epsilon_for(1e-4, 3)
+        pts = poisson_realization(POISSON_GRAINS["box-3d"], eps,
+                                  np.random.default_rng(0))
+        assert len(pts) > 150_000
+        tracemalloc.start()
+        try:
+            PointGrid(pts, max(eps, 4e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(pts) + 2 ** 21
+
+    def test_sparse_points_over_a_huge_cell_box(self):
+        # 1000 points over about 1e12 cells: no per-cell memory
+        rng = np.random.default_rng(3)
+        pts = rng.random((1000, 3))
+        fast = PointGrid(pts, 1e-4)
+        slow = microsim_oracles.PointGrid(pts, 1e-4)
+        v = rng.normal(size=(60, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        p0, p1 = pts[:60] - 2e-3 * v, pts[:60] + 2e-3 * v
+        rows, idx = fast.cover(p0, p1, 1e-4)
+        ref_rows, ref_idx = slow.cover(p0, p1, 1e-4)
+        assert len(rows) >= 60 and np.array_equal(rows, ref_rows)
+        assert np.array_equal(idx, ref_idx)
 
     def test_sort_key_overflow_rejected(self):
         # (1e7 + 1)^3 cells x 2 points: the keys cell * 2 + index pass 2^63

@@ -670,6 +670,8 @@ class TestEmit:
         (["x"], [[c] for c in FLOATS]),
         (["a", "b"], []),
         (["a", "b"], [[1.0], [], [2.0, np.float32(3.5), 4.0]]),
+        # more rows than one write takes
+        (["xi", "cdf"], [[k / 7.0, np.float64(k) / 3.0] for k in range(1300)]),
         # the csv.writer rows
         (["n", "i", "flag", "x"],
          [[3, np.int64(-7), True, 0.5], [0, np.int64(2 ** 62), False, -0.0]]),
