@@ -731,31 +731,27 @@ def write_csv(path, header, rows):
     """Write a CSV table as csv.writer does (QUOTE_MINIMAL, \\r\\n lines).
 
     A float is written as repr(float(x)), an integer as str(int(x)), any
-    other cell as str(x).  A table whose cells are all floats is written
-    without csv.writer, as a float's repr holds no character that it would
-    quote: rows of one width through one format string, a block of rows
-    per write, ragged rows one joined line each.
+    other cell as str(x).  A table of all-float rows of one width is
+    written without csv.writer, as a float's repr holds no character that
+    it would quote: one format string per row, a block of rows per write.
     """
     rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(header)
         types = set(map(type, itertools.chain.from_iterable(rows)))
-        if all(issubclass(t, (float, np.floating)) for t in types):
+        widths = set(map(len, rows))
+        if len(widths) == 1 and all(issubclass(t, (float, np.floating))
+                                    for t in types):
             if not types <= {float}:
                 # repr(np.float64(x)) is "np.float64(x)"
                 rows = [list(map(float, row)) for row in rows]
-            widths = set(map(len, rows))
-            if len(widths) == 1:
-                line = ",".join(["{!r}"] * widths.pop()) + "\r\n"
-                # a write per 512 rows: all the lines at once would raise
-                # a run's peak memory
-                for a in range(0, len(rows), 512):
-                    fh.write("".join([line.format(*row)
-                                      for row in rows[a:a + 512]]))
-            else:
-                fh.writelines(",".join(map(repr, row)) + "\r\n"
-                              for row in rows)
+            line = ",".join(["{!r}"] * widths.pop()) + "\r\n"
+            # a write per 512 rows: all the lines at once would raise a
+            # run's peak memory
+            for a in range(0, len(rows), 512):
+                fh.write("".join([line.format(*row)
+                                  for row in rows[a:a + 512]]))
             return
         for row in rows:
             writer.writerow([_fmt(c) for c in row])

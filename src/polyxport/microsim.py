@@ -394,9 +394,8 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
         rows = np.flatnonzero(ok & (t0 <= cutoff) & (t1 > t0))
         if not len(rows):
             continue
-        x0, v0 = np.take(xs, rows, axis=0), np.take(vs, rows, axis=0)
-        p0 = x0 + t0[rows, None] * v0
-        p1 = x0 + t1[rows, None] * v0
+        p0 = xs[rows] + t0[rows, None] * vs[rows]
+        p1 = xs[rows] + t1[rows, None] * vs[rows]
         cost = runtime._cover_bound(j, p0, p1)
         for part in _budget_slices(cost, ROW_BUDGET):
             ray = rows[part]
@@ -428,12 +427,9 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
     hit = best_t <= cutoff
     best_t[~hit] = np.inf
     best_g[~hit] = -1
-    rows = np.flatnonzero(hit)
-    w = (np.take(xs, rows, axis=0) + best_t[rows, None]
-         * np.take(vs, rows, axis=0) - np.take(best_c, rows, axis=0)) / r
-    s, w1 = norm_rows(w), np.zeros((n, d))
-    for k in range(d):      # w1[hit] = ... would copy row by row
-        w1[:, k][rows] = w[:, k] / s
+    w1 = np.zeros((n, d))
+    w = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
+    w1[hit] = divide_rows(w, norm_rows(w))
     return Hits(best_t, best_c, best_g, w1)
 
 

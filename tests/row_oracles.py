@@ -1,14 +1,13 @@
 """The rows x d hot paths written with NumPy's `axis=` reductions and
 broadcasts along the short last axis, and with row-by-row fancy-index
 copies: the test oracles of polyxport.geometry.cell_clock, clip_grain_rows
-and TiledBoxWalker, of polyxport.scattering.to_frame, from_frame,
-deflect_many and sample_ball, and of polyxport.microsim.first_collisions,
-whose whole-column forms must reproduce their bits."""
+and TiledBoxWalker, and of polyxport.scattering.to_frame, from_frame,
+deflect_many and sample_ball, whose whole-column forms must reproduce their
+bits."""
 import numpy as np
 
-from polyxport import microsim
 from polyxport.geometry import REL_TOL
-from polyxport.lattice import norm_rows, reduce_cols
+from polyxport.lattice import reduce_cols
 
 
 def cell_clock(box, xs, vs):
@@ -105,55 +104,3 @@ def sample_ball(rng, dim, n=None):
         need[idx] = False
     return out if n is not None else out[0]
 
-
-def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
-    """Earliest sphere hit along each ray, with row gathers xs[rows] and the
-    row scatter w1[hit]; the candidate steps are the engine's own."""
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    n, d = xs.shape
-    r, cutoff = runtime.r, runtime.cutoff
-    best_t = np.full(n, np.inf)
-    best_c = np.zeros((n, d))
-    best_g = np.full(n, -1, dtype=np.int64)
-    for j, (grain, inflated) in enumerate(zip(runtime.scene.grains,
-                                              runtime._inflated)):
-        t0, t1, ok = microsim.clip_grain_rows(inflated, xs, vs)
-        t1 = np.minimum(t1, cutoff + 2.0 * r)
-        rows = np.flatnonzero(ok & (t0 <= cutoff) & (t1 > t0))
-        if not len(rows):
-            continue
-        p0 = xs[rows] + t0[rows, None] * vs[rows]
-        p1 = xs[rows] + t1[rows, None] * vs[rows]
-        cost = runtime._cover_bound(j, p0, p1)
-        for part in microsim._budget_slices(cost, microsim.ROW_BUDGET):
-            ray = rows[part]
-            om = None if omegas is None else omegas[ray, j]
-            k, centers = runtime._cover(j, p0[part], p1[part], om)
-            ray = ray[k]
-            u = centers - xs[ray]
-            tc = reduce_cols(np.add, u * vs[ray])
-            q = reduce_cols(np.add, u * u)
-            disc = r * r - (q - tc * tc)
-            ok = (disc > 0.0) & (tc > 0.0) & (q > r * r * (1.0 + 1e-12))
-            if exclude is not None:
-                ok &= norm_rows(centers - exclude[ray]) \
-                    > 1e-9 * runtime.epsilon
-            centers, ray, q, tc, disc = (a[ok] for a in
-                                         (centers, ray, q, tc, disc))
-            if not len(ray):
-                continue
-            thit = (q - r * r) / (tc + np.sqrt(disc))
-            order = np.lexsort((thit, ray))
-            first = order[np.r_[True, ray[order][1:] != ray[order][:-1]]]
-            better = first[thit[first] < best_t[ray[first]]]
-            best_t[ray[better]] = thit[better]
-            best_c[ray[better]] = centers[better]
-            best_g[ray[better]] = grain.id
-    hit = best_t <= cutoff
-    best_t[~hit] = np.inf
-    best_g[~hit] = -1
-    w1 = np.zeros((n, d))
-    w = (xs[hit] + best_t[hit, None] * vs[hit] - best_c[hit]) / r
-    w1[hit] = w / norm_rows(w)[:, None]
-    return microsim.Hits(best_t, best_c, best_g, w1)

@@ -4,7 +4,7 @@ row_oracles.py: equal bits, not a tolerance."""
 import numpy as np
 import pytest
 
-from polyxport import microsim, presets, scattering
+from polyxport import scattering
 from polyxport.geometry import (ConvexGrain, PeriodicBox, TiledBoxWalker,
                                 cell_clock, clip_grain_rows, make_scene)
 from polyxport.lattice import (PoissonMedium, argmin_cols, divide_rows,
@@ -232,27 +232,3 @@ def test_sample_ball_matches_the_row_form(dim):
                      row_oracles.sample_ball(slow, dim, n))
         assert fast.random() == slow.random()
 
-
-@pytest.mark.parametrize("annealed", [False, True])
-@pytest.mark.parametrize("d", [2, 3])
-def test_first_collisions_match_the_row_form(d, annealed):
-    # grain 1 a crystal, grain 2 Poisson; every other ray leaves the
-    # surface of a grain-1 scatterer, which it ignores
-    scene = presets.two_squares_2d() if d == 2 else presets.two_boxes_3d()
-    scene = make_scene(d, scene.grains, (scene.media[0], PoissonMedium()),
-                       anchor=scene.anchor, assume_incommensurable=True)
-    rt = microsim.MicroRuntime(scene, microsim.MicroConfig(r=3e-3, seed=d))
-    rng = np.random.default_rng(60 + d)
-    n = 400
-    vs = scattering.sample_direction(rng, d, n)
-    centers = rt.scatterers(1)
-    exclude = centers[rng.integers(len(centers), size=n)]
-    xs = scene.anchor + rng.uniform(-0.2, 0.2, (n, d))
-    xs[::2] = exclude[::2] + rt.r * vs[::2]
-    exclude[1::2] = 1e6
-    omegas = rng.uniform(0.0, 1.0, (n, 2, d)) if annealed else None
-    fast = microsim.first_collisions(rt, xs, vs, exclude, omegas)
-    slow = row_oracles.first_collisions(rt, xs, vs, exclude, omegas)
-    assert set(fast.grain) == {-1, 1, 2}
-    for a, b in zip(fast, slow):
-        assert _same(a, b)
