@@ -24,18 +24,17 @@ from . import harness, kernels, microsim, polykernel
 
 
 def _floats(text, option):
-    return [harness._number(t, option, float, "a number")
-            for t in text.split(",") if t]
+    """The comma list text as floats; else a ConfigError naming option."""
+    try:
+        return [float(t) for t in text.split(",") if t]
+    except ValueError:
+        raise harness.ConfigError(f"{option}: {text!r} is not a list of "
+                                  "numbers") from None
 
 
 def _vec(text, option, n):
-    """The comma list text as a finite vector of length n; else a
-    ConfigError naming option."""
-    vec = np.array(_floats(text, option))
-    if vec.size != n or not np.all(np.isfinite(vec)):
-        raise harness.ConfigError(f"{option}: needs a finite vector of "
-                                  f"length {n}")
-    return vec
+    """The comma list text as a point of dimension n (harness.point)."""
+    return np.array(harness.point(_floats(text, option), option, n))
 
 
 def _add_common(p):
@@ -55,7 +54,8 @@ def _load_config(args, kind=None):
         doc = json.load(fh)
     given = {key: val for key, val in vars(args).items() if val is not None
              and key in ("seed", "particles", "time", "report")}
-    if given and "experiment" in doc:
+    if given and isinstance(doc, dict) \
+            and isinstance(doc.get("experiment"), dict):
         doc["experiment"].update(given)
     return harness.ExperimentConfig.from_dict(doc, threads=args.threads,
                                               kind=kind)
@@ -156,13 +156,12 @@ def cmd_psi(args):
 
 def cmd_microsim(args):
     cfg = _load_config(args)
-    rs = _floats(args.r, "--r") if args.r else cfg.options["r_schedule"]
+    rs = [harness.radius(r, "--r") for r in _floats(args.r, "--r")] \
+        if args.r else cfg.options["r_schedule"]
     harness.check_scene_for_kind(cfg.scene, "freepath",
                                  dict(cfg.options, r_schedule=rs))
-    for r in rs:
-        harness.check_radius(r, "--r")
     n = cfg.options["samples"] if args.samples is None \
-        else harness.count(args.samples, "--samples")
+        else harness.integer(1)(args.samples, "--samples")
     out = args.out or cfg.out_dir or "."
     os.makedirs(out, exist_ok=True)
     for r in rs:

@@ -7,13 +7,15 @@ distribute fixed chunks whose results merge in a fixed order.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import itertools
 import json
-import numbers
+import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -22,7 +24,8 @@ import numpy as np
 from . import (flight, kernels, microsim, polykernel, scattering, stats,
                streams)
 from .geometry import ConvexGrain, PeriodicBox, SceneError, make_scene
-from .lattice import AffineLattice, CrystalMedium, PoissonMedium
+from .lattice import (CRYSTAL_MODES, AffineLattice, CrystalMedium,
+                      PoissonMedium)
 
 
 class ConfigError(ValueError):
@@ -30,21 +33,8 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: one rule table per config section
 # ---------------------------------------------------------------------------
-
-_SCENE_KEYS = {"dimension", "anchor", "grains", "periodic_box",
-               "assume_incommensurable"}
-_GRAIN_KEYS = {"id", "box", "vertices", "medium"}
-_MEDIUM_KEYS = {"type", "matrix", "offset", "mode"}
-_BOX_KEYS = {"lo", "hi"}
-_EXPERIMENT_KEYS = {"kind", "seed", "samples", "r_schedule", "q_mode", "beta",
-                    "on_scatterer", "start_grain", "time", "particles",
-                    "thresholds", "threads", "n_seeds", "split_times",
-                    "gap_scene", "resample_offsets", "report"}
-_BETA_KEYS = {"mode", "alpha"}
-_OUTPUT_KEYS = {"dir", "timings"}
-_TOP_KEYS = {"scene", "experiment", "output"}
 
 # The report flavors of a flight config; "stationarity" runs the
 # stationarity runner (runner_kind).
@@ -67,126 +57,180 @@ def runner_kind(kind, report):
         else kind
 
 
-def _number(value, name, kind, rule, ok=lambda n: True):
-    """kind(value) if ok holds for it; else a ConfigError naming name."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or not ok(number):
-        raise ConfigError(f"{name}: {value!r} is not {rule}")
-    return number
+def _rule(ok, says, parse=lambda value: value):
+    """A rule parses one config value: rule(value, name, dim) returns it
+    parsed, or raises a ConfigError that begins with name, the value's
+    dotted key path; dim is the dimension of the scene that holds the key.
+    This rule takes a value for which ok(value, dim) holds, parsed by parse;
+    says, formatted with dim, is what such a value is."""
+    def rule(value, name, dim=None):
+        if not ok(value, dim):
+            raise ConfigError(f"{name}: {value!r} is not "
+                              + says.format(dim=dim))
+        return parse(value)
+    rule.ok = ok
+    return rule
 
 
-def count(value, name):
-    """int(value) if it is >= 1; else a ConfigError naming name."""
-    return _number(value, name, int, "an integer >= 1", lambda n: n >= 1)
+def _is_number(v, lo=-math.inf):
+    """Whether v is a finite JSON number >= lo: an int or a float, not a
+    bool (an int past the float range is not finite)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max and v >= lo)
 
 
-def check_radius(r, name):
-    """ConfigError naming name unless r is a finite real > 0."""
-    if not (isinstance(r, numbers.Real) and 0.0 < r < np.inf):
-        raise ConfigError(f"{name}: {r!r} is not a finite radius > 0")
+def _is_list(v, n=None, entry=lambda e: True):
+    """Whether v is a list, of n entries given n, whose entries pass entry."""
+    return isinstance(v, list) and n in (None, len(v)) and all(map(entry, v))
 
 
-def _flag(d, key, path):
-    """d[key], False when absent, if it is a JSON bool; else a ConfigError
-    naming path.key."""
-    value = d.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: {value!r} is not true or false")
-    return value
+def integer(lo=-math.inf):
+    """The rule of a JSON integer >= lo: a bool, a float or a string fails."""
+    return _rule(lambda v, dim: type(v) is int and v >= lo, "a JSON integer"
+                 + (f" >= {lo}" if lo > -math.inf else ""))
 
 
-def _check_keys(d, allowed, path, required=()):
+def number(lo=-math.inf):
+    """The rule of a finite JSON number >= lo, parsed as a float."""
+    return _rule(lambda v, dim: _is_number(v, lo), "a finite JSON number"
+                 + (f" >= {lo}" if lo > -math.inf else ""), float)
+
+
+def one_of(*choices):
+    """The rule of a value equal to one of choices, and of its type."""
+    return _rule(lambda v, dim: (type(v), v) in [(type(c), c)
+                                                 for c in choices],
+                 "one of " + ", ".join(map(repr, choices)))
+
+
+def section(table):
+    """The rule of an object walked with table (_walk)."""
+    return lambda value, name, dim=None: _walk(value, table, name, dim)
+
+
+flag = _rule(lambda v, dim: isinstance(v, bool), "true or false")
+text = _rule(lambda v, dim: isinstance(v, str), "a string")
+radius = _rule(lambda v, dim: _is_number(v) and v > 0,
+               "a finite JSON number > 0")
+radii = _rule(lambda v, dim: _is_list(v, None, lambda r: radius.ok(r, dim))
+              and all(a > b for a, b in zip(v, v[1:])),
+              "a strictly decreasing list of finite JSON numbers > 0")
+point = _rule(lambda v, dim: _is_list(v, dim, _is_number),
+              "a point of dimension {dim}", lambda v: list(map(float, v)))
+times = _rule(lambda v, dim: _is_list(v, 2, lambda t: _is_number(t, 0)),
+              "a pair of finite JSON numbers >= 0",
+              lambda v: list(map(float, v)))
+matrix = _rule(lambda v, dim: _is_list(v, dim, lambda row: _is_list(
+    row, dim)), "a {dim}x{dim} matrix")
+
+
+def _walk(d, table, path, dim=None):
+    """{key: value} of the object d at path for every key of table: the
+    given value, or an absent key's default, parsed by the key's rule.  A
+    ConfigError names an unknown key, a missing one or the first that
+    breaks its rule.  The keys after a scene's dimension take it as dim."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{path}: {d!r} is not an object")
-    unknown = sorted(set(d) - allowed)
+        raise ConfigError(f"{path or 'config'}: {d!r} is not an object")
+    unknown = [f"{path}.{key}".lstrip(".")
+               for key in sorted(set(d) - set(table), key=str)]
     if unknown:
-        raise ConfigError("unknown config keys: "
-                          + ", ".join(f"{path}.{key}" for key in unknown))
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{path}.{key}: missing")
+        raise ConfigError(", ".join(unknown) + ": unknown config key")
+    out = {}
+    for key, (default, rule) in table.items():
+        name = f"{path}.{key}".lstrip(".")
+        if key not in d and default is REQUIRED:
+            raise ConfigError(f"{name}: missing")
+        out[key] = rule(d.get(key, default), name, out.get("dimension", dim)) \
+            if key in d or default is not None else None
+    return out
 
 
-def _point(value, dim, name):
-    """value as a list of dim finite numbers, else a ConfigError naming it."""
-    if not (isinstance(value, list) and len(value) == dim):
-        raise ConfigError(f"{name}: {value!r} is not a point of dimension "
-                          f"{dim}")
-    return [_number(c, name, float, "a finite number", np.isfinite)
-            for c in value]
-
-
-def parse_medium(d, path, dim):
-    _check_keys(d, _MEDIUM_KEYS, path)
-    kind = d.get("type")
-    if kind == "poisson":
-        return PoissonMedium()
-    if kind != "crystal":
-        raise ConfigError(f"{path}: unknown medium type {kind!r}")
-    rows = d.get("matrix")
-    if not (isinstance(rows, list) and len(rows) == dim and all(
-            isinstance(row, list) and len(row) == dim for row in rows)):
-        raise ConfigError(f"{path}.matrix: {rows!r} is not a {dim}x{dim} "
-                          "matrix")
-    offset = _point(d.get("offset", [0.0] * dim), dim, f"{path}.offset")
-    try:
-        lat = AffineLattice.from_rows(rows, offset)
-    except (TypeError, ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"{path}.matrix: {err}") from None
-    try:
-        return CrystalMedium(lat, d.get("mode", "anchored"))
-    except ValueError as err:
-        raise ConfigError(f"{path}.mode: {err}") from None
-
-
-def parse_grain(d, path, dim):
-    _check_keys(d, _GRAIN_KEYS, path, ("id", "medium"))
-    gid = d["id"]
-    if not isinstance(gid, int) or isinstance(gid, bool):
-        raise ConfigError(f"{path}.id: {gid!r} is not an integer")
-    if ("box" in d) == ("vertices" in d):
+def _grain(d, path, dim):
+    """The ConvexGrain and the medium of the grain section d at path."""
+    g = _walk(d, GRAIN, path, dim)
+    if (g["box"] is None) == (g["vertices"] is None):
         raise ConfigError(f"{path}: give exactly one of box/vertices")
-    key = "box" if "box" in d else "vertices"
+    key = "box" if g["box"] is not None else "vertices"
     try:
-        grain = ConvexGrain.box(gid, *d["box"]) if key == "box" \
-            else ConvexGrain.from_vertices(gid, d["vertices"])
-        if grain.dimension != dim:
-            raise ValueError(f"dimension {grain.dimension}, not {dim}")
-    except (TypeError, ValueError) as err:
+        grain = ConvexGrain.box(g["id"], *g["box"]) if key == "box" \
+            else ConvexGrain.from_vertices(g["id"], g["vertices"])
+    except ValueError as err:
         raise ConfigError(f"{path}.{key}: {err}") from None
-    return grain, parse_medium(d["medium"], f"{path}.medium", dim)
+    m = g["medium"]
+    if m["type"] == "poisson":
+        return grain, PoissonMedium()
+    if m["matrix"] is None:
+        raise ConfigError(f"{path}.medium.matrix: missing")
+    try:
+        return grain, CrystalMedium(AffineLattice.from_rows(
+            m["matrix"], m["offset"]), m["mode"])
+    except (TypeError, ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"{path}.medium.matrix: {err}") from None
 
 
-def parse_scene(d, path="scene"):
-    _check_keys(d, _SCENE_KEYS, path, ("dimension", "grains"))
-    dim = _number(d["dimension"], f"{path}.dimension", int, "2 or 3",
-                  lambda n: n in (2, 3) and n == d["dimension"])
-    if not (isinstance(d["grains"], list) and d["grains"]):
-        raise ConfigError(f"{path}.grains: {d['grains']!r} is not a list of "
-                          "one or more grains")
-    grains, media = [], []
-    for i, g in enumerate(d["grains"]):
-        grain, medium = parse_grain(g, f"{path}.grains[{i}]", dim)
-        grains.append(grain)
-        media.append(medium)
+def parse_scene(d, path="scene", dim=None):
+    """The Scene of the scene section d at path (SCENE); also the rule of a
+    scene, which needs no dim."""
+    s = _walk(d, SCENE, path)
+    grains, media = zip(*(_grain(g, f"{path}.grains[{i}]", s["dimension"])
+                          for i, g in enumerate(s["grains"])))
+    box = s["periodic_box"]
     try:        # make_scene's SceneErrors carry the scene key at fault
-        box = None
-        if "periodic_box" in d:
-            _check_keys(d["periodic_box"], _BOX_KEYS, f"{path}.periodic_box",
-                        ("lo", "hi"))
-            box = PeriodicBox(*(_point(d["periodic_box"][k], dim,
-                                       f"{path}.periodic_box.{k}")
-                                for k in ("lo", "hi")))
-        return make_scene(dim, grains, media, periodic_box=box,
-                          anchor=_point(d["anchor"], dim, f"{path}.anchor")
-                          if "anchor" in d else None,
-                          assume_incommensurable=_flag(
-                              d, "assume_incommensurable", path))
+        return make_scene(s["dimension"], grains, media, anchor=s["anchor"],
+                          periodic_box=box and PeriodicBox(**box),
+                          assume_incommensurable=s["assume_incommensurable"])
     except SceneError as err:
         raise ConfigError(f"{path}.{err.key}: {err}") from None
+
+
+# One table per config section: key -> (default, rule).  An absent key takes
+# its default, parsed by its rule; a REQUIRED key is missing, and a None
+# default stays None (no default, or one that from_dict sets).
+REQUIRED = object()
+
+MEDIUM = {"type": (REQUIRED, one_of("crystal", "poisson")),
+          "matrix": (None, matrix),     # a crystal's: numbers or "p/q"
+          "offset": (None, point),      # 0 (AffineLattice.from_rows)
+          "mode": ("anchored", one_of(*CRYSTAL_MODES))}
+GRAIN = {"id": (REQUIRED, integer()),
+         "box": (None, _rule(lambda v, dim: _is_list(v, 2, lambda p: (
+             point.ok(p, dim))), "a pair of points of dimension {dim}")),
+         "vertices": (None, _rule(lambda v, dim: _is_list(v, None, lambda p: (
+             point.ok(p, dim))), "a list of points of dimension {dim}")),
+         "medium": (REQUIRED, section(MEDIUM))}
+PERIODIC_BOX = {"lo": (REQUIRED, point), "hi": (REQUIRED, point)}
+SCENE = {"dimension": (REQUIRED, one_of(2, 3)),   # dim of the keys below
+         # each grain walked with GRAIN (parse_scene)
+         "grains": (REQUIRED, _rule(lambda v, dim: _is_list(v) and v != [],
+                                    "a list of one or more grains")),
+         "anchor": (None, point),
+         "periodic_box": (None, section(PERIODIC_BOX)),
+         "assume_incommensurable": (False, flag)}
+BETA = {"mode": ("zero", one_of(*microsim.BETA_MODES)),
+        "alpha": (0.0, number())}
+EXPERIMENT = {
+    "kind": (REQUIRED, text),           # a RUNNERS key
+    "seed": (0, integer(0)),
+    "samples": (1000, integer(1000)),
+    "r_schedule": ([], radii),
+    "particles": (None, integer(1)),    # samples
+    "n_seeds": (10, integer(1)),
+    "threads": (None, integer(1)),      # POLYXPORT_THREADS, else 1
+    "time": (None, number(0)),          # config.runner's
+    "split_times": (None, times),       # config.runner's
+    "report": ("ncollision", one_of(*REPORTS)),
+    "q_mode": ("random", one_of(*microsim.Q_MODES)),
+    "beta": ({}, section(BETA)),
+    "on_scatterer": (False, flag),
+    "start_grain": (None, integer()),
+    "resample_offsets": (False, flag),
+    "gap_scene": (None, parse_scene),
+    # overrides of a THRESHOLDS row, walked with it in from_dict
+    "thresholds": ({}, lambda value, name, dim: value)}
+OUTPUT = {"dir": (None, text), "timings": (False, flag)}
+CONFIG = {"scene": (REQUIRED, parse_scene),
+          "experiment": (REQUIRED, section(EXPERIMENT)),
+          "output": ({}, section(OUTPUT))}
 
 
 def _first_medium(scene, path, bad, rule):
@@ -226,23 +270,16 @@ def check_scene_for_kind(scene, kind, opt):
                       "flight sampling needs one medium kind per scene")
 
 
-def parse_start(exp, scene):
-    """The start keys of an experiment section (beta as a BetaSpec, q_mode,
-    on_scatterer, start_grain) with their defaults, once they are checked
-    against the scene: a start on a scatterer needs scene.anchor strictly
-    inside a grain."""
-    spec = exp.get("beta", {})
-    _check_keys(spec, _BETA_KEYS, "experiment.beta")
+def parse_start(opt, scene):
+    """Make the walked experiment section opt's beta a BetaSpec and check
+    its start keys against the scene: start_grain, a scene grain's id, is
+    given exactly with on_scatterer, which needs scene.anchor in a grain."""
     try:
-        beta = microsim.BetaSpec(spec.get("mode", "zero"),
-                                 float(spec.get("alpha", 0.0)))
-    except (TypeError, ValueError) as err:
+        opt["beta"] = microsim.BetaSpec(**opt["beta"])
+    except ValueError as err:
         raise ConfigError(f"experiment.beta: {err}") from None
-    q_mode = exp.get("q_mode", "random")
-    if q_mode not in microsim.Q_MODES:
-        raise ConfigError(f"experiment.q_mode: unknown mode {q_mode!r}")
-    on, gid = _flag(exp, "on_scatterer", "experiment"), exp.get("start_grain")
-    if on != ("start_grain" in exp):
+    on, gid = opt["on_scatterer"], opt["start_grain"]
+    if on != (gid is not None):
         raise ConfigError("experiment.start_grain: give it exactly when "
                           "on_scatterer is true")
     if on and gid not in [g.id for g in scene.grains]:
@@ -251,13 +288,6 @@ def parse_start(exp, scene):
                       for g in scene.grains):
         raise ConfigError(f"scene.anchor: {scene.anchor.tolist()} is in no "
                           "grain; an on_scatterer start needs one")
-    return {"beta": beta, "q_mode": q_mode, "on_scatterer": on,
-            "start_grain": gid}
-
-
-def _time(value, name):
-    return _number(value, name, float, "a finite time >= 0",
-                   lambda t: 0.0 <= t < np.inf)
 
 
 @dataclass
@@ -274,59 +304,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc, threads=None, kind=None):
-        """The config of a JSON document.  threads and kind, given, stay out
-        of the hashed document: threads is the worker count in place of
-        experiment.threads, checked by its rule (a bad value names
-        --threads), and kind an experiment subcommand's kind, whose runner
-        (runner_kind) is config.runner in place of the config's own.  The
-        scene rules of the config's own runner apply, then config.runner's."""
-        _check_keys(doc, _TOP_KEYS, "<top>", ("scene", "experiment"))
-        scene = parse_scene(doc["scene"])
-        exp = doc["experiment"]
-        _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
-        opt = {"kind": exp.get("kind")}
+        """The config of a JSON document (CONFIG).  threads and kind, given,
+        stay out of the hashed document: threads (its rule, a bad value
+        names --threads) in place of experiment.threads, and kind, an
+        experiment subcommand's, whose runner (runner_kind) is config.runner
+        in place of the config's own; the scene rules of both apply."""
+        top = _walk(doc, CONFIG, "")
+        scene, opt, out = top["scene"], top["experiment"], top["output"]
         for name in (opt["kind"], kind or opt["kind"]):
             if name not in RUNNERS:
-                raise ConfigError(f"unknown experiment kind {name!r}")
-        opt["seed"] = _number(exp.get("seed", 0), "experiment.seed", int,
-                              "an integer")
-        opt["samples"] = _number(exp.get("samples", 1000),
-                                 "experiment.samples", int,
-                                 "an integer >= 1000", lambda n: n >= 1000)
-        for key, default in (("particles", opt["samples"]), ("n_seeds", 10)):
-            opt[key] = count(exp.get(key, default), f"experiment.{key}")
-        env = os.environ.get("POLYXPORT_THREADS", 1)
-        opt["threads"] = count(exp.get("threads", env), "experiment.threads") \
-            if threads is None else count(threads, "--threads")
-        opt["time"] = _time(exp["time"], "experiment.time") \
-            if "time" in exp else None
-        split = exp.get("split_times")
-        if "split_times" in exp:
-            if not (isinstance(split, list) and len(split) == 2):
-                raise ConfigError(f"experiment.split_times: {split!r} is not "
-                                  "a pair of times")
-            split = [_time(s, "experiment.split_times") for s in split]
-        opt["split_times"] = split
-        opt["report"] = exp.get("report", "ncollision")
-        if opt["report"] not in REPORTS:
-            raise ConfigError("experiment.report: unknown report "
-                              f"{opt['report']!r}")
-        opt["r_schedule"] = rs = exp.get("r_schedule", [])
-        if not isinstance(rs, list):
-            raise ConfigError(f"experiment.r_schedule: {rs!r} is not a list "
-                              "of radii")
-        for r in rs:
-            check_radius(r, "experiment.r_schedule")
-        if rs and not all(a > b for a, b in zip(rs, rs[1:])):
-            raise ConfigError("experiment.r_schedule: radii must be strictly "
-                              "decreasing")
-        out = doc.get("output", {})
-        _check_keys(out, _OUTPUT_KEYS, "output")
-        opt.update(parse_start(exp, scene))
-        opt["resample_offsets"] = _flag(exp, "resample_offsets", "experiment")
-        opt["gap_scene"] = parse_scene(exp["gap_scene"],
-                                       "experiment.gap_scene") \
-            if "gap_scene" in exp else None
+                raise ConfigError("experiment.kind: unknown experiment kind "
+                                  f"{name!r}")
+        if threads is not None:
+            opt["threads"] = integer(1)(threads, "--threads")
+        elif opt["threads"] is None:
+            env = os.environ.get("POLYXPORT_THREADS", "1")
+            with contextlib.suppress(ValueError):   # else the rule names it
+                env = int(env)
+            opt["threads"] = integer(1)(
+                env, "experiment.threads (POLYXPORT_THREADS)")
+        opt["particles"] = opt["particles"] or opt["samples"]
+        parse_start(opt, scene)
         own = runner_kind(opt["kind"], opt["report"])
         runner = own if kind is None else runner_kind(kind, opt["report"])
         check_scene_for_kind(scene, own, opt)
@@ -338,19 +336,15 @@ class ExperimentConfig:
             opt["time"] = mfp[runner] / kernels.sigma_bar(scene.dimension)
         if opt["split_times"] is None and runner == "stationarity":
             opt["split_times"] = [0.4 * opt["time"], 0.6 * opt["time"]]
-        # overrides are checked against the config's own runner's row and
-        # apply to that runner only
-        given = exp.get("thresholds", {})
-        _check_keys(given, set(THRESHOLDS.get(own, {})),
-                    "experiment.thresholds")
-        thresholds = dict(THRESHOLDS.get(runner, {}))
-        for key, value in given.items():
-            value = _number(value, f"experiment.thresholds.{key}", float,
-                            "a number")
-            if runner == own:
-                thresholds[key] = value
-        return cls(doc, scene, runner, opt, thresholds, out.get("dir"),
-                   _flag(out, "timings", "output"))
+        # the overrides are walked with the config's own runner's row as
+        # their table, and apply to that runner only
+        own_row = _walk(opt.pop("thresholds"), {
+            key: (value, number()) for key, value in THRESHOLDS.get(
+                own, {}).items()}, "experiment.thresholds")
+        thresholds = own_row if runner == own \
+            else dict(THRESHOLDS.get(runner, {}))
+        return cls(doc, scene, runner, opt, thresholds, out["dir"],
+                   out["timings"])
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

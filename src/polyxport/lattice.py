@@ -89,6 +89,9 @@ class AffineLattice:
                              self.rational_form)
 
 
+CRYSTAL_MODES = ("anchored", "random-offset")
+
+
 @dataclass(frozen=True)
 class CrystalMedium:
     """Crystal grain medium: scatterers on a scaled affine lattice.
@@ -102,7 +105,7 @@ class CrystalMedium:
     kind = "crystal"
 
     def __post_init__(self):
-        if self.mode not in ("anchored", "random-offset"):
+        if self.mode not in CRYSTAL_MODES:
             raise ValueError(f"unknown lattice mode {self.mode!r}")
 
 

@@ -48,6 +48,7 @@ SAMPLE_CHUNK = 20000
 
 # Base point modes: anchor + eps q with q uniform on [0, 1)^d, or the anchor.
 Q_MODES = ("random", "zero")
+BETA_MODES = ("zero", "radial")
 
 
 def epsilon_for(r, dimension):
@@ -69,7 +70,7 @@ class BetaSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("zero", "radial"):
+        if self.mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.mode!r}")
         if self.mode == "radial" and not 0.0 <= self.alpha <= np.pi / 2:
             raise ValueError("radial beta needs alpha in [0, pi/2]")

@@ -224,10 +224,15 @@ class TestConfig:
         ({"on_scatterer": True, "start_grain": 9},
          r"experiment\.start_grain\b"),
         ({"on_scatterer": True}, r"experiment\.start_grain\b"),
-        ({"start_grain": 1}, r"experiment\.start_grain\b")],
+        ({"start_grain": 1}, r"experiment\.start_grain\b"),
+        ({"on_scatterer": True, "start_grain": True},
+         r"experiment\.start_grain\b"),
+        ({"on_scatterer": True, "start_grain": 1.0},
+         r"experiment\.start_grain\b")],
         ids=["beta-key", "beta-alpha", "beta-mode", "q_mode", "q_mode-fixed",
              "start_grain-unknown", "start_grain-missing",
-             "start_grain-without-on_scatterer"])
+             "start_grain-without-on_scatterer", "start_grain-bool",
+             "start_grain-float"])
     def test_bad_start_option_rejected(self, start, match, no_run):
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"].update(start)
@@ -384,9 +389,20 @@ class TestConfig:
         ("split_times", [0.3]), ("split_times", "0.2,0.4"),
         ("split_times", [-1.0, 0.5]), ("split_times", [float("nan"), 0.5]),
         ("split_times", [0.2, float("inf")]), ("r_schedule", 0.01),
-        ("thresholds", {"ks_final": "x"})])
+        ("thresholds", {"ks_final": "x"}), ("r_schedule", [True]),
+        ("seed", 2.7), ("seed", "5"), ("seed", True), ("seed", -1),
+        ("samples", "2000"), ("samples", 1000.9), ("threads", True),
+        ("time", "1.0"), ("time", 10 ** 400), ("particles", 2.5),
+        ("thresholds", {"ks_final": "0.5"}),
+        ("thresholds", {"ks_final": float("nan")}),
+        ("beta", {"mode": "radial", "alpha": "0.5"}),
+        ("beta", {"mode": "radial", "alpha": True}),
+        ("beta", {"alpha": float("nan")})])
     def test_bad_number_named_at_parse_time(self, key, value, no_run):
-        # n_seeds 0 gave a passing stationarity verdict over no sub-run
+        # n_seeds 0 gave a passing stationarity verdict over no sub-run;
+        # r_schedule [true] ran at r = 1, where every ray escaped and passed;
+        # a negative seed failed in the run; the cases after it parsed,
+        # read as numbers (a bool as 0 or 1, a float seed or count truncated)
         doc = json.loads(json.dumps(CONFIG))
         doc["experiment"][key] = value
         with pytest.raises(ConfigError, match=rf"^experiment\.{key}\b"):
@@ -439,14 +455,19 @@ class TestConfig:
         (("grains",), [], "grains"),
         (("grains", 1), 2, "grains[1]"),
         (("periodic_box",), {"lo": [0.0, 0.0], "hi": "x"},
-         "periodic_box.hi")],
+         "periodic_box.hi"),
+        (("anchor",), [True, 0.15], "anchor"),
+        (("grains", 0, "medium", "offset"), ["0.1", 0.2],
+         "grains[0].medium.offset"),
+        (("dimension",), 2.0, "dimension")],
         ids=["anchor-3d", "anchor-1d", "anchor-not-a-number",
              "dimension-string", "dimension-4", "periodic_box-no-hi",
              "matrix-not-square", "matrix-3d", "matrix-det-4", "offset-1d",
              "offset-3d", "mode-unknown", "id-string", "id-float", "id-list",
              "id-bool", "id-null", "grains-string", "grains-empty",
              "grain-not-an-object",
-             "periodic_box-hi-not-a-point"])
+             "periodic_box-hi-not-a-point", "anchor-bool", "offset-string",
+             "dimension-float"])
     def test_scene_shape_named_at_parse_time(self, where, value, key,
                                              no_run):
         # each of these parsed (and broadcast, truncated, or failed in a
