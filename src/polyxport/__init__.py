@@ -8,24 +8,41 @@ limit claims at desk scale.
 """
 
 import ctypes
+import importlib
 import os
 
-from .geometry import (ConvexGrain, ItinerarySegment, PeriodicBox, Scene,
-                       SceneError, gap, itinerary, make_scene,
-                       ray_grain_intersect)
-from .kernels import (KernelModel, RangeError, F, G, d_phi, phi0_2d, phi0_3d,
-                      phi_freepath, phi_marginal, sigma_bar, tail_bound,
-                      upsilon)
-from .lattice import (AffineLattice, CrystalMedium, PoissonMedium,
-                      ScaledGrainLattice, bcc_matrix, points_in_tube)
-from .microsim import (BetaSpec, CollisionEvent, MicroConfig, MicroRuntime,
-                       first_collision, first_collisions,
-                       sample_tau1_distribution)
-from .polykernel import (along_ray, check_transport_identity, family_rows,
-                         poisson_psi, psi_tail_bound)
-from .scattering import cross_section, exit_param, impact_param, reflect
-from .flight import (Ensemble, evolve, n_collision_histogram, sample_collision,
-                     sample_initial, sample_xi_w, stationarity_test)
+# The public names of the package by the module that defines them.  A name
+# loads its module on first access (__getattr__), so a process compiles
+# only the engines it uses.
+_EXPORTS = {
+    "geometry": "ConvexGrain ItinerarySegment PeriodicBox Scene SceneError "
+                "gap itinerary make_scene ray_grain_intersect",
+    "kernels": "KernelModel RangeError F G d_phi phi0_2d phi0_3d "
+               "phi_freepath phi_marginal sigma_bar tail_bound upsilon",
+    "lattice": "AffineLattice CrystalMedium PoissonMedium ScaledGrainLattice "
+               "bcc_matrix points_in_tube",
+    "microsim": "CollisionEvent MicroConfig MicroRuntime first_collision "
+                "first_collisions sample_tau1_distribution",
+    "polykernel": "along_ray check_transport_identity family_rows "
+                  "poisson_psi psi_tail_bound",
+    "scattering": "BetaSpec cross_section exit_param impact_param reflect",
+    "flight": "Ensemble evolve n_collision_histogram sample_collision "
+              "sample_initial sample_xi_w stationarity_test",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+
+def __getattr__(name):
+    """A public name, imported from its module on first access (PEP 562).
+    Any other name raises AttributeError, which lets `from polyxport import
+    flight` import the submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"),
+                    name)
+    globals()[name] = value
+    return value
 
 
 def _fix_malloc_thresholds():

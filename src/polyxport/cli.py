@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import harness, kernels, microsim, polykernel
+from . import harness
 
 
 def _floats(text, option):
@@ -81,6 +81,7 @@ def _params(args, d, takes):
     """The --w and --z vectors (0 when absent): each a finite vector of
     length d - 1, and a point of the closed unit ball if its key is in
     takes; else a ConfigError naming the option."""
+    from . import polykernel
     vecs = []
     for key in ("w", "z"):
         text = getattr(args, key)
@@ -108,6 +109,7 @@ _KERNELS = {"phi0": ("phi0", "wz"), "phi0_marg": ("phi0_marg", "w"),
 
 
 def cmd_kernels(args):
+    from . import kernels
     med = args.medium
     d = args.dimension
     name, takes = _KERNELS[args.family]
@@ -131,6 +133,7 @@ def cmd_kernels(args):
 
 
 def cmd_psi(args):
+    from . import polykernel
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     scene = harness.parse_scene(doc["scene"] if "scene" in doc else doc)
@@ -155,6 +158,7 @@ def cmd_psi(args):
 
 
 def cmd_microsim(args):
+    from . import microsim
     cfg = _load_config(args)
     rs = [harness.radius(r, "--r") for r in _floats(args.r, "--r")] \
         if args.r else cfg.options["r_schedule"]

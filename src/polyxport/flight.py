@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as KK
-from . import polykernel, scattering, stats, streams
+from . import scattering, stats, streams
 from .geometry import FiniteSceneWalker, SceneError, TiledBoxWalker
 
 _MAX_ROUNDS = 20000
@@ -224,10 +224,14 @@ def sample_initial(scene, n, rng):
                     np.zeros(n, dtype=int))
 
 
-def _deflect_finite(vs, xi, w):
+def _deflect_finite(vs, xi, w, fr=None):
     """The velocities after the next collision: each row of vs deflected by
-    its impact parameter w, or kept where xi = inf (an escape)."""
-    fin = np.flatnonzero(np.isfinite(xi))
+    its impact parameter w, or kept where xi = inf (an escape).  fr, given,
+    is scattering.frame(vs)."""
+    finite = np.isfinite(xi)
+    if finite.all():      # a tiled box: no gather, no scatter
+        return scattering.deflect_many(vs, w, fr)
+    fin = np.flatnonzero(finite)
     out = vs.copy()
     if len(fin):
         new = scattering.deflect_many(np.take(vs, fin, axis=0),
@@ -246,9 +250,10 @@ def sample_collision(scene, x_col, v_prev, v_now, rng):
     x_col = np.atleast_2d(np.asarray(x_col, dtype=float))
     v_prev = np.atleast_2d(np.asarray(v_prev, dtype=float))
     v_now = np.atleast_2d(np.asarray(v_now, dtype=float))
-    s = scattering.exit_params_many(v_now, v_prev)
+    fr = scattering.frame(v_now)      # the exit and the deflection share it
+    s = scattering.exit_params_many(v_now, v_prev, fr)
     xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=-s)
-    return xi, _deflect_finite(v_now, xi, w)
+    return xi, _deflect_finite(v_now, xi, w, fr)
 
 
 def evolve(scene, ens, dt, rng):
@@ -304,6 +309,7 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng):
     of survival_psi at the one-point grid [t], over the segments the
     sampler walks.
     """
+    from . import polykernel
     xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)
     return float(np.mean(polykernel.family_curves(scene, xs, vs, [t],

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -21,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import (flight, kernels, microsim, polykernel, scattering, stats,
-               streams)
+# Parsing needs these; a runner's engines load with its config (ENGINES).
+from . import kernels, scattering
 from .geometry import ConvexGrain, PeriodicBox, SceneError, make_scene
 from .lattice import (CRYSTAL_MODES, AffineLattice, CrystalMedium,
                       PoissonMedium)
@@ -47,6 +48,18 @@ THRESHOLDS = {
     "transition": {"chi2_alpha": 0.01},
     "poisson-baseline": {"alpha": 0.01, "freepath_ks": 0.005, "gap_ks": 0.01},
     "stationarity": {"ks_alpha": 0.01},
+}
+
+# The engine modules that each runner (a RUNNERS key) calls.  from_dict
+# imports those of config.runner once the config has passed its checks, so
+# a process compiles only the engines of its run, and compiles them in
+# set-up; a runner imports them by name.
+ENGINES = {
+    "freepath": ("microsim", "polykernel", "stats"),
+    "transition": ("microsim", "polykernel", "stats"),
+    "poisson-baseline": ("flight", "polykernel", "stats"),
+    "stationarity": ("flight", "stats"),
+    "flight": ("flight", "polykernel", "stats"),
 }
 
 
@@ -121,7 +134,7 @@ times = _rule(lambda v, dim: _is_list(v, 2, lambda t: _is_number(t, 0)),
               "a pair of finite JSON numbers >= 0",
               lambda v: list(map(float, v)))
 matrix = _rule(lambda v, dim: _is_list(v, dim, lambda row: _is_list(
-    row, dim)), "a {dim}x{dim} matrix")
+    row, dim, lambda e: not isinstance(e, bool))), "a {dim}x{dim} matrix")
 
 
 def _walk(d, table, path, dim=None):
@@ -158,6 +171,11 @@ def _grain(d, path, dim):
         raise ConfigError(f"{path}.{key}: {err}") from None
     m = g["medium"]
     if m["type"] == "poisson":
+        # every MEDIUM key but type describes a crystal's lattice
+        given = [key for key in MEDIUM if key != "type" and key in d["medium"]]
+        if given:
+            raise ConfigError(f"{path}.medium.{given[0]}: a Poisson medium "
+                              "has no lattice")
         return grain, PoissonMedium()
     if m["matrix"] is None:
         raise ConfigError(f"{path}.medium.matrix: missing")
@@ -206,7 +224,7 @@ SCENE = {"dimension": (REQUIRED, one_of(2, 3)),   # dim of the keys below
          "anchor": (None, point),
          "periodic_box": (None, section(PERIODIC_BOX)),
          "assume_incommensurable": (False, flag)}
-BETA = {"mode": ("zero", one_of(*microsim.BETA_MODES)),
+BETA = {"mode": ("zero", one_of(*scattering.BETA_MODES)),
         "alpha": (0.0, number())}
 EXPERIMENT = {
     "kind": (REQUIRED, text),           # a RUNNERS key
@@ -219,7 +237,7 @@ EXPERIMENT = {
     "time": (None, number(0)),          # config.runner's
     "split_times": (None, times),       # config.runner's
     "report": ("ncollision", one_of(*REPORTS)),
-    "q_mode": ("random", one_of(*microsim.Q_MODES)),
+    "q_mode": ("random", one_of(*scattering.Q_MODES)),
     "beta": ({}, section(BETA)),
     "on_scatterer": (False, flag),
     "start_grain": (None, integer()),
@@ -275,7 +293,7 @@ def parse_start(opt, scene):
     its start keys against the scene: start_grain, a scene grain's id, is
     given exactly with on_scatterer, which needs scene.anchor in a grain."""
     try:
-        opt["beta"] = microsim.BetaSpec(**opt["beta"])
+        opt["beta"] = scattering.BetaSpec(**opt["beta"])
     except ValueError as err:
         raise ConfigError(f"experiment.beta: {err}") from None
     on, gid = opt["on_scatterer"], opt["start_grain"]
@@ -343,6 +361,8 @@ class ExperimentConfig:
                 own, {}).items()}, "experiment.thresholds")
         thresholds = own_row if runner == own \
             else dict(THRESHOLDS.get(runner, {}))
+        for name in ENGINES[runner]:
+            importlib.import_module(f"{__package__}.{name}")
         return cls(doc, scene, runner, opt, thresholds, out["dir"],
                    out["timings"])
 
@@ -394,6 +414,7 @@ def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
     outside every grain raises ConfigError.  Returns (grid, cdf values)
     for linear interpolation.
     """
+    from . import polykernel
     xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
     dirs, wts = direction_grid(scene, m_dirs)
     family, z = "survival_psi", None
@@ -416,6 +437,7 @@ def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
 def mean_survival_curve(scene, xs, vs, grid):
     """Mean generic-start survival curve over rays (x, v), added in ray
     order (_survival_row_sum)."""
+    from . import polykernel
     return _survival_row_sum(polykernel.family_blocks(
         scene, xs, vs, grid, "survival_psi"), len(grid)) / len(xs)
 
@@ -449,12 +471,16 @@ def interp_cdf(grid, values):
     return cdf
 
 
-# Runners look the tau_1 sampler up under this name, which lets a test
-# substitute it (perfbench/tests does).
-sample_tau1 = microsim.sample_tau1_distribution
+def sample_tau1(scene, cfg, n_samples, threads=1):
+    """microsim.sample_tau1_distribution: runners look the tau_1 sampler up
+    under this name, which lets a test substitute it (perfbench/tests
+    does)."""
+    from . import microsim
+    return microsim.sample_tau1_distribution(scene, cfg, n_samples, threads)
 
 
 def micro_config(config, r):
+    from . import microsim
     opt = config.options
     return microsim.MicroConfig(
         r=r, seed=opt["seed"], beta=opt["beta"], q_mode=opt["q_mode"],
@@ -468,6 +494,7 @@ def micro_config(config, r):
 
 def run_freepath(config):
     """Microscopic tau_1 law against the limit CDF across the r schedule."""
+    from . import stats
     scene, opt = config.scene, config.options
     on_scatterer = opt["on_scatterer"]
     grid, cdf_vals = limit_freepath_cdf(
@@ -511,6 +538,7 @@ def limit_transition_mass(scene, x, xi_edges, u_edges):
 
 def run_transition(config):
     """Joint (tau_1, impact direction) cells against the limit masses."""
+    from . import stats
     scene, opt = config.scene, config.options
     alpha = config.thresholds["chi2_alpha"]
     r = opt["r_schedule"][-1]
@@ -548,6 +576,7 @@ def run_transition(config):
 
 def run_poisson_baseline(config):
     """Exponential paths, memorylessness and collision counts (disordered)."""
+    from . import flight, stats, streams
     scene, opt, limits = config.scene, config.options, config.thresholds
     sb = kernels.sigma_bar(scene.dimension)
     n, seed, alpha = opt["samples"], opt["seed"], limits["alpha"]
@@ -627,6 +656,7 @@ def run_poisson_baseline(config):
 
 def run_stationarity(config):
     """Stationarity of the extended-state law plus the semigroup split."""
+    from . import flight
     scene, opt = config.scene, config.options
     n, t = opt["particles"], opt["time"]
     alpha = config.thresholds["ks_alpha"]
@@ -657,6 +687,7 @@ def run_flight(config):
     extended-state coordinates for plotting: the flight length, the
     azimuth of v, and in d=3 its polar cosine v_z.
     """
+    from . import flight, streams
     scene, opt = config.scene, config.options
     n, t = opt["particles"], opt["time"]
     sb = kernels.sigma_bar(scene.dimension)

@@ -29,6 +29,7 @@ from .geometry import (SceneError, clip_grain_rows,  # noqa: F401
 from .lattice import (ScaledGrainLattice, dist_point_segment, divide_rows,
                       integer_points_near_segments, norm_rows, points_in_tube,
                       reduce_cols, repeat_with_rank, segment_cover_bound)
+from .scattering import Q_MODES, BetaSpec
 
 # A ray that meets no scatterer within this many scene diameters escapes.
 CUTOFF_FACTOR = 10.0
@@ -46,48 +47,12 @@ GRID_CHUNK = 1 << 13
 # chunks, so results do not depend on the worker count.
 SAMPLE_CHUNK = 20000
 
-# Base point modes: anchor + eps q with q uniform on [0, 1)^d, or the anchor.
-Q_MODES = ("random", "zero")
-BETA_MODES = ("zero", "radial")
-
 
 def epsilon_for(r, dimension):
     """Boltzmann-Grad coupling eps = r^((d-1)/d)."""
     if r <= 0:
         raise ValueError("r must be positive")
     return r ** ((dimension - 1) / dimension)
-
-
-@dataclass(frozen=True)
-class BetaSpec:
-    """Initial offset r*beta(v) from the base point.
-
-    mode 'zero' starts exactly at the base point.  mode 'radial' starts on
-    the unit sphere at angle alpha from v (alpha <= pi/2 keeps the forward
-    ray outside the ball, as required for starts on a scatterer).
-    """
-    mode: str = "zero"
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in BETA_MODES:
-            raise ValueError(f"unknown beta mode {self.mode!r}")
-        if self.mode == "radial" and not 0.0 <= self.alpha <= np.pi / 2:
-            raise ValueError("radial beta needs alpha in [0, pi/2]")
-
-    def __call__(self, v):
-        """beta for one direction (d,) or for each row of (n, d)."""
-        v = np.asarray(v, dtype=float)
-        if self.mode == "zero":
-            return np.zeros_like(v)
-        if v.shape[-1] == 2:
-            perp = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-        else:
-            ref = np.where((np.abs(v[..., 2]) < 0.9)[..., None],
-                           [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-            perp = np.cross(v, ref)
-            perp = divide_rows(perp, norm_rows(perp))
-        return math.cos(self.alpha) * v + math.sin(self.alpha) * perp
 
 
 @dataclass(frozen=True)

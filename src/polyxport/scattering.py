@@ -1,4 +1,5 @@
-"""Direction frames, hard-sphere specular maps, and the cross section.
+"""Direction frames, hard-sphere specular maps, the cross section, and the
+start offset beta(v) of a microscopic run.
 
 Row-vector convention throughout: the frame K(v) is the rotation with
 v K(v) = e_1.  It is applied row by row and never stored: to_frame gives
@@ -6,14 +7,57 @@ u K(v) and from_frame its inverse wk K(v)^T, each in O(d) per row, and
 to_frame(np.eye(d), v) is the matrix itself.  Impact and exit parameters
 live in the open unit (d-1)-ball and are the orthogonal components
 (u K(v))_perp of unit sphere points in the frame of the outgoing velocity.
+The row maps take K(v) as frame(v), which a collision builds once for its
+exit parameter and its deflection.  BetaSpec and the mode tables live here,
+where parsing a config finds them without loading microsim.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import divide_rows, norm_rows, reduce_cols
 
 GRAZE_TOL = 1e-12
+
+# Base point modes of a microscopic run: anchor + eps q with q uniform on
+# [0, 1)^d, or the anchor; and the modes of its start offset beta(v).
+Q_MODES = ("random", "zero")
+BETA_MODES = ("zero", "radial")
+
+
+@dataclass(frozen=True)
+class BetaSpec:
+    """Initial offset r*beta(v) from the base point.
+
+    mode 'zero' starts exactly at the base point.  mode 'radial' starts on
+    the unit sphere at angle alpha from v (alpha <= pi/2 keeps the forward
+    ray outside the ball, as required for starts on a scatterer).
+    """
+    mode: str = "zero"
+    alpha: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in BETA_MODES:
+            raise ValueError(f"unknown beta mode {self.mode!r}")
+        if self.mode == "radial" and not 0.0 <= self.alpha <= np.pi / 2:
+            raise ValueError("radial beta needs alpha in [0, pi/2]")
+
+    def __call__(self, v):
+        """beta for one direction (d,) or for each row of (n, d)."""
+        v = np.asarray(v, dtype=float)
+        if self.mode == "zero":
+            return np.zeros_like(v)
+        if v.shape[-1] == 2:
+            perp = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+        else:
+            ref = np.where((np.abs(v[..., 2]) < 0.9)[..., None],
+                           [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+            perp = np.cross(v, ref)
+            perp = divide_rows(perp, norm_rows(perp))
+        return math.cos(self.alpha) * v + math.sin(self.alpha) * perp
 
 
 def _dot(a, b):
@@ -24,19 +68,26 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
-def _frame_map(u, v, inverse, perp=False):
-    """Rows u K(v), or u K(v)^T if inverse, with s = v + e_1:
-    u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v.  perp keeps
-    only the columns after the first, of u K(v)."""
-    u = np.asarray(u, dtype=float)
+def frame(v):
+    """The frame K(v) of rows v, as the maps below take it: (v, s = v + e_1,
+    |s|^2 or 1 where v = -e_1, the mask of the rows where v != -e_1, as a
+    length-1 axis).  A collision builds it once for both of its maps."""
     v = np.asarray(v, dtype=float)
-    d = v.shape[-1]
     s = v + 0.0           # v + e_1 without a broadcast along the rows
     s[..., 0] += 1.0
     ss = _dot(s, s)
     ok = ss >= 1e-18
+    return v, s, np.where(ok, ss, 1.0)[..., 0], ok
+
+
+def _frame_map(u, fr, inverse, perp=False):
+    """Rows u K(v), or u K(v)^T if inverse, in the frame fr = frame(v):
+    u - 2 (u.s) s / |s|^2 plus 2 (u.v) e_1, or plus 2 u_0 v.  perp keeps
+    only the columns after the first, of u K(v)."""
+    u = np.asarray(u, dtype=float)
+    v, s, den, ok = fr
+    d = v.shape[-1]
     us = 2.0 * _dot(u, s)[..., 0]
-    den = np.where(ok, ss, 1.0)[..., 0]
     lo = 1 if perp else 0
     cols = [u[..., k] - us * s[..., k] / den for k in range(lo, d)]
     if inverse:
@@ -63,13 +114,13 @@ def to_frame(u, v):
     (|s|^2 < 1e-18) a half-turn is used.  u and v broadcast row by row;
     to_frame(np.eye(d), v) is the matrix K(v) itself.
     """
-    return _frame_map(u, v, inverse=False)
+    return _frame_map(u, frame(v), inverse=False)
 
 
 def from_frame(wk, v):
     """Rows wk K(v)^T = wk - 2 (wk.s) s / |s|^2 + 2 wk_0 v: the inverse of
     to_frame."""
-    return _frame_map(wk, v, inverse=True)
+    return _frame_map(wk, frame(v), inverse=True)
 
 
 def reflect(v, w):
@@ -109,28 +160,29 @@ def exit_param(v, v_prev):
     return to_frame(_sphere_point(v_prev, v), v)[1:]
 
 
-def deflect_many(vs, bs):
+def deflect_many(vs, bs, fr=None):
     """Outgoing velocities for impact parameters: vs (n,d), bs (n,d-1).
 
     Reflects each row at its impact point w, with w K(v) = (-sqrt(1-|b|^2), b),
-    and returns unit rows (n,d).
+    and returns unit rows (n,d).  fr, given, is frame(vs).
     """
     vs = np.asarray(vs, dtype=float)
     bs = np.atleast_2d(np.asarray(bs, dtype=float))
     bb = reduce_cols(np.add, bs * bs)
     wk = np.concatenate([-np.sqrt(1.0 - bb)[:, None], bs], axis=1)
-    w = from_frame(wk, vs)
+    w = _frame_map(wk, frame(vs) if fr is None else fr, inverse=True)
     vw = 2.0 * reduce_cols(np.add, vs * w)
     out = np.stack([vs[:, k] - vw * w[:, k] for k in range(vs.shape[1])],
                    axis=1)
     return divide_rows(out, norm_rows(out))
 
 
-def exit_params_many(vs, v_prevs):
-    """Vectorized exit_param over rows."""
+def exit_params_many(vs, v_prevs, fr=None):
+    """Vectorized exit_param over rows; fr, given, is frame(vs)."""
     vs = np.asarray(vs, dtype=float)
     diff = vs - np.asarray(v_prevs, dtype=float)
-    return _frame_map(divide_rows(diff, norm_rows(diff)), vs, False, perp=True)
+    return _frame_map(divide_rows(diff, norm_rows(diff)),
+                      frame(vs) if fr is None else fr, False, perp=True)
 
 
 def cross_section(v, v_plus, dimension=None):

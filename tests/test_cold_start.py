@@ -1,11 +1,13 @@
 """What a fresh interpreter gets from importing polyxport.
 
-Box scenes parse, evaluate and fly without importing SciPy.  Each case
-runs in a fresh interpreter, since the test session itself has SciPy
-loaded.  The d=3 G table is read from shipped coefficients, so a flight on
-a tiled 3D crystal box loads no SciPy either.  SciPy stays imported where
-it is needed: grains that are not boxes and the chi-square tails of the
-transition and poisson runners.  On glibc the import also fixes the malloc
+The package loads a public name's module on first access, and parsing a
+config loads the engines of its runner and no others, so a run imports
+no further polyxport module.  Box scenes parse, evaluate, fly and run
+every runner without importing SciPy: the d=3 G table is read from
+shipped coefficients, and the chi-square tails are computed in stats.
+SciPy stays imported where it is needed, for grains that are not boxes.
+Each case runs in a fresh interpreter, since the test session itself has
+SciPy and every engine loaded.  On glibc the import also fixes the malloc
 thresholds, so freed arrays are reused without page faults.
 """
 import json
@@ -55,20 +57,26 @@ TILED_BOX_3D = {
                 "medium": dict(CRYSTAL_POISSON_3D["grains"][0]["medium"],
                                mode="random-offset")}]}
 
-_REPORT_SCIPY = """
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy")))
+_LOADED = """
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
 """
 
 
-def _scipy_modules_after(script, *args):
+def _fresh(script, *args):
+    """The JSON of the last line that script prints in a fresh interpreter
+    that has imported polyxport, json and sys, and defined loaded(top), the
+    modules loaded of the package top."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys\nimport polyxport\n" + script + _REPORT_SCIPY,
-         *args],
+         "import json, sys\nimport polyxport\n" + _LOADED + script, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(script, *args):
+    return _fresh(script + "print(json.dumps(loaded('scipy')))\n", *args)
 
 
 # README's example scene: its second grain is a box given by its corners
@@ -143,6 +151,131 @@ def test_grain_that_is_not_a_box_still_imports_scipy():
               "harness.parse_scene(json.loads(sys.argv[1]))\n")
     assert "scipy.optimize" in _scipy_modules_after(script,
                                                     json.dumps(scene))
+
+
+# The polyxport modules that parsing a config loads, and on top of them the
+# engines of each runner, with the modules that those import.
+PARSED = ["polyxport", "polyxport.geometry", "polyxport.harness",
+          "polyxport.kernels", "polyxport.lattice", "polyxport.scattering"]
+ENGINES = {"freepath": ["microsim", "polykernel", "stats", "streams"],
+           "transition": ["microsim", "polykernel", "stats", "streams"],
+           "poisson-baseline": ["flight", "polykernel", "stats", "streams"],
+           "stationarity": ["flight", "stats", "streams"],
+           "flight": ["flight", "polykernel", "stats", "streams"]}
+
+_TILED_POISSON_2D = dict(TILED_BOX_2D, grains=[
+    dict(TILED_BOX_2D["grains"][0], medium={"type": "poisson"})])
+_ANNEALED_2D = dict(TWO_BOXES_2D, grains=[
+    dict(g, medium=dict(_CRYSTAL_2D, mode="random-offset"))
+    for g in TWO_BOXES_2D["grains"]])
+
+# small runs shaped like the benchmark workloads, and one of every runner
+RUNS = {
+    "freepath-2d-annealed": {"scene": _ANNEALED_2D, "experiment": {
+        "kind": "freepath", "r_schedule": [1e-2], "q_mode": "zero",
+        "resample_offsets": True}},
+    "freepath-3d-mixed": {"scene": CRYSTAL_POISSON_3D, "experiment": {
+        "kind": "freepath", "r_schedule": [1e-3]}},
+    "transition-2d": {"scene": TWO_BOXES_2D, "experiment": {
+        "kind": "transition", "r_schedule": [1e-2]}},
+    "poisson-baseline-2d": {"scene": _TILED_POISSON_2D, "experiment": {
+        "kind": "poisson-baseline"}},
+    "stationarity-2d": {"scene": TILED_BOX_2D, "experiment": {
+        "kind": "stationarity", "particles": 1000, "n_seeds": 1}},
+    "flight-3d": {"scene": TILED_BOX_3D, "experiment": {
+        "kind": "flight", "particles": 200, "time": 0.5}},
+}
+
+
+def test_the_runs_cover_every_runner():
+    from polyxport import harness
+    kinds = {doc["experiment"]["kind"] for doc in RUNS.values()}
+    assert kinds == set(harness.RUNNERS) == set(ENGINES)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_parsing_loads_the_runner_engines_and_the_run_no_more(name):
+    # the run also imports no SciPy: a transition or poisson-baseline run
+    # on box scenes computes its chi-square tails without it
+    doc = RUNS[name]
+    script = ("from polyxport import harness\n"
+              "cfg = harness.ExperimentConfig.from_dict("
+              "json.loads(sys.argv[1]))\n"
+              "parsed = loaded('polyxport')\n"
+              "harness.run_experiment(cfg)\n"
+              "print(json.dumps([parsed, loaded('polyxport'), "
+              "loaded('scipy')]))\n")
+    parsed, ran, scipy = _fresh(script, json.dumps(doc))
+    assert parsed == sorted(PARSED + [
+        f"polyxport.{m}" for m in ENGINES[doc["experiment"]["kind"]]])
+    assert ran == parsed
+    assert scipy == []
+
+
+def test_a_rejected_config_loads_no_engine():
+    doc = json.loads(json.dumps(RUNS["stationarity-2d"]))
+    doc["experiment"]["thresholds"] = {"ks_alpha": "0.01"}
+    script = ("from polyxport import harness\n"
+              "try:\n"
+              "    harness.ExperimentConfig.from_dict(json.loads(sys.argv[1]))\n"
+              "except harness.ConfigError as err:\n"
+              "    print(json.dumps([str(err), loaded('polyxport')]))\n")
+    err, parsed = _fresh(script, json.dumps(doc))
+    assert err.startswith("experiment.thresholds.ks_alpha: ")
+    assert parsed == PARSED
+
+
+def test_cli_flight_loads_no_microsim(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(RUNS["flight-3d"]))
+    script = ("from polyxport.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(json.dumps(loaded('polyxport')))\n")
+    loaded = _fresh(script, "flight", "--config", str(path), "--out",
+                    str(tmp_path / "out"))
+    assert "polyxport.flight" in loaded
+    assert "polyxport.microsim" not in loaded
+
+
+# The names the package exported when it imported every engine up front.
+EXPORTS = """
+    ConvexGrain ItinerarySegment PeriodicBox Scene SceneError gap itinerary
+    make_scene ray_grain_intersect KernelModel RangeError F G d_phi phi0_2d
+    phi0_3d phi_freepath phi_marginal sigma_bar tail_bound upsilon
+    AffineLattice CrystalMedium PoissonMedium ScaledGrainLattice bcc_matrix
+    points_in_tube BetaSpec CollisionEvent MicroConfig MicroRuntime
+    first_collision first_collisions sample_tau1_distribution along_ray
+    check_transport_identity family_rows poisson_psi psi_tail_bound
+    cross_section exit_param impact_param reflect Ensemble evolve
+    n_collision_histogram sample_collision sample_initial sample_xi_w
+    stationarity_test""".split()
+
+
+def test_every_exported_name_resolves_on_first_access():
+    # a submodule's name still imports the submodule (perfbench's tracing
+    # imports its engines so), before and after the names load
+    script = ("from polyxport import flight\n"
+              "import polyxport.flight\n"
+              "assert flight is polyxport.flight\n"
+              "before = loaded('polyxport')\n"
+              "names = json.loads(sys.argv[1])\n"
+              "found = {n: getattr(polyxport, n).__module__ for n in names}\n"
+              "assert all(getattr(polyxport, n) is getattr(sys.modules[m], n)"
+              " for n, m in found.items())\n"
+              "from polyxport import stats\n"
+              "print(json.dumps([before, sorted(found)]))\n")
+    before, found = _fresh(script, json.dumps(EXPORTS))
+    assert before == ["polyxport", "polyxport.flight", "polyxport.geometry",
+                      "polyxport.kernels", "polyxport.lattice",
+                      "polyxport.scattering", "polyxport.stats",
+                      "polyxport.streams"]
+    assert found == sorted(EXPORTS)
+
+
+def test_an_unknown_name_is_no_attribute():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        polyxport.__getattr__("no_such_name")
+    assert not hasattr(polyxport, "harness_runner")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
