@@ -407,14 +407,19 @@ def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
 
     Each direction's survival curve on the xi grid (closed-form survival
     products over the segment table from x) is one row of
-    polykernel.family_blocks, and _survival_row_sum adds the weighted
-    CDFs in direction order, on the grid columns up to the first one past
-    every exit.  In the on-scatterer mode the exit parameter beta(v) of
-    each direction enters the scatterer-start marginal, and a base point
-    outside every grain raises ConfigError.  Returns (grid, cdf values)
-    for linear interpolation.
+    polykernel.family_blocks; in the generic-start mode, the directions
+    from an in-grain x share one evaluation of their first grain's D_Phi
+    on the grid's leading columns.  _survival_row_sum forms the weighted
+    CDFs w (1 - S) in place on each block and adds them in direction
+    order, on the grid columns up to the first one past every exit.  In
+    the on-scatterer mode the exit parameter beta(v) of each direction
+    enters the scatterer-start marginal, and a base point outside every
+    grain raises ConfigError.  m_dirs must be at least 1.  Returns (grid,
+    cdf values) for linear interpolation.
     """
     from . import polykernel
+    if m_dirs < 1:
+        raise ValueError(f"m_dirs must be at least 1, got {m_dirs}")
     xi_grid = np.linspace(0.0, 4.0 / kernels.sigma_bar(scene.dimension), 2049)
     dirs, wts = direction_grid(scene, m_dirs)
     family, z = "survival_psi", None
@@ -436,8 +441,10 @@ def limit_freepath_cdf(scene, x, on_scatterer=False, beta=None, m_dirs=2048):
 
 def mean_survival_curve(scene, xs, vs, grid):
     """Mean generic-start survival curve over rays (x, v), added in ray
-    order (_survival_row_sum)."""
+    order (_survival_row_sum); xs must hold at least one ray."""
     from . import polykernel
+    if len(xs) == 0:
+        raise ValueError("mean_survival_curve needs at least one ray in xs")
     return _survival_row_sum(polykernel.family_blocks(
         scene, xs, vs, grid, "survival_psi"), len(grid)) / len(xs)
 
@@ -445,7 +452,7 @@ def mean_survival_curve(scene, xs, vs, grid):
 def _survival_row_sum(blocks, m, weights=None):
     """The sum over the rows of a survival family's family_blocks, in row
     order, on m grid columns: of the curves S, or of (1 - S) * weights[row]
-    given weights.
+    given weights, formed in place on each block before its rows are added.
 
     Each block adds to the first of its rows, then one axis-0
     np.add.reduce adds them in order: the bits of += row by row.  The

@@ -13,11 +13,16 @@ on one sorted grid shared by every ray, or at one path length per ray
 runs in two steps.  The segment step runs once per segment table (the
 whole table of a finite scene, each block's own table of a tiled box): the
 factor code, length and grid columns of every segment, its factor when
-fully traversed, and the prefix products of those factors.  The point step
-runs once per block of TABLE_ROWS rows: it lists the grid points inside
-segments ordered by factor code, turns each code's contiguous slice of
-in-segment lengths into factors by one KernelModel call, and spreads the
-prefix products over the block's rows.
+fully traversed, and the prefix products of those factors; on a shared
+grid, also the factor of every first segment that starts at 0 and takes
+the length alone (D_Phi of a survival curve, Phi of psi), by one
+KernelModel call per factor code on the grid's leading columns, since its
+in-segment lengths are the grid values on every such row.  The point step
+runs once per block of TABLE_ROWS rows: it lists the other grid points
+inside segments ordered by factor code, turns each code's contiguous slice
+of in-segment lengths into factors by one KernelModel call, spreads the
+prefix products over the block's rows, and copies the leading factors
+into their rows.
 """
 from __future__ import annotations
 
@@ -75,10 +80,13 @@ def family_blocks(scene, xs, vs, grid, family, w=None, z=None):
     a grid of one point per ray.
 
     The segment step (_Segments) runs once per segment table: the whole
-    table of a finite scene, each block's own table of a tiled box.  The
-    point step (_Segments.block) runs once per block and calls each
-    factor's KernelModel method once, on the contiguous slice of the
-    block's in-segment lengths that has its factor code.
+    table of a finite scene, each block's own table of a tiled box.  On a
+    shared grid it evaluates the factor of every first segment that starts
+    at 0 and takes the length alone once per factor code, on the grid's
+    leading columns.  The point step (_Segments.block) runs once per block
+    and calls each factor's KernelModel method once, on the contiguous
+    slice of the block's other in-segment lengths that has its factor
+    code, then copies the leading factors into their rows.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.all(grid >= 0.0):          # NaN fails too
@@ -152,9 +160,11 @@ def family_rows(scene, xs, vs, xis, family, w=None, z=None):
 
 
 def family_curves(scene, xs, vs, grid, family, w=None, z=None):
-    """family_blocks as one rows x grid array."""
-    values = np.concatenate([c for _, c in family_blocks(
-        scene, xs, vs, grid, family, w, z)])
+    """family_blocks as one rows x grid array (0 x grid for no rays)."""
+    blocks = [c for _, c in family_blocks(scene, xs, vs, grid, family, w, z)]
+    if not blocks:
+        return np.empty((0, len(grid)))
+    values = np.concatenate(blocks)
     return np.pad(values, ((0, 0), (0, len(grid) - values.shape[1])),
                   mode="edge")
 
@@ -164,15 +174,19 @@ class _Segments:
     are cut into blocks of `step` rows; code is each segment's 2 * kind
     index (-1 on the padding).
 
-    The segments that hold grid points are listed by block, then by factor
-    code (code, plus 1 on the leading segment of a scatterer start), and
-    their points follow in the same order; cut[i * len(specs) + c] is where
-    factor code c of block i starts.  Per listed segment: row, count of
-    points, first (list index of its first point), offset (flat position
-    in the table's values minus list index, for each of its points), entry,
-    and seg_prefix, the product of the full factors before it.  prefix[r,
-    k] is that product before segment k of row r, over the runs[r, k] grid
-    columns that have traversed exactly segments 0..k-1.
+    lead holds a pair per factor code whose factor inside a segment takes
+    the length alone: the count of grid columns inside the first segment of
+    each row whose first segment starts at 0 and has that code (0 on the
+    other rows), and that factor on the grid's columns below the largest
+    count.  Every other segment that holds grid points is listed by block,
+    then by factor code (code, plus 1 on the leading segment of a scatterer
+    start), and its points follow in the same order; cut[i * len(specs) +
+    c] is where factor code c of block i starts.  Per listed segment: row,
+    count of points, first (list index of its first point), offset (flat
+    position in the table's values minus list index, for each of its
+    points), entry, and seg_prefix, the product of the full factors before
+    it.  prefix[r, k] is that product before segment k of row r, over the
+    runs[r, k] grid columns that have traversed exactly segments 0..k-1.
     """
 
     def __init__(self, family, specs, entry, exit_, code, grid, params,
@@ -212,8 +226,22 @@ class _Segments:
         self.runs[:, :-1] = hi
         self.runs[:, -1] = m
         self.runs[:, 1:] -= hi
-        # the segments that hold grid points, by block and factor code
-        segs = np.flatnonzero(hi > lo)
+        # lead: the in-segment lengths of a first segment from 0 are the
+        # grid values (grid - 0.0 == grid), and the product before it is
+        # 1.0, so the shared factors keep the bits of the listed path
+        self.lead = []
+        listed = hi > lo
+        if grid.ndim == 1:
+            starts = listed[:, 0] & (entry[:, 0] == 0.0)
+            for c, (kern, _, spec) in enumerate(specs):
+                rows = starts & (code[:, 0] == c)
+                if spec is not None and len(spec) == 1 and rows.any():
+                    lead_hi = np.where(rows, hi[:, 0], 0)
+                    self.lead.append((lead_hi, _factor(
+                        kern, spec, grid[:lead_hi.max()], params, None)))
+                    listed[:, 0] &= ~rows
+        # the other segments that hold grid points, by block and factor code
+        segs = np.flatnonzero(listed)
         row = segs // nseg
         key = row // step * len(specs) + code.ravel()[segs]
         order = np.argsort(key)
@@ -260,6 +288,15 @@ class _Segments:
             out = np.zeros((b.stop - b.start) * m)
         out[pos] = u
         out = out.reshape(-1, m)
+        for lead_hi, values in self.lead:
+            hi = lead_hi[b]
+            width = hi.max()
+            if width:
+                # the columns below each row's hi: runs of True, then False
+                below = np.repeat(np.tile([True, False], len(hi)),
+                                  np.column_stack((hi, width - hi)).ravel())
+                np.copyto(out[:, :width], values[:width],
+                          where=below.reshape(-1, width))
         if self.off is not None:
             out[self.off[b]] = 0.0
         return out

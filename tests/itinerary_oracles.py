@@ -7,8 +7,9 @@ and of the ordered sums over their rows
 A ray's grain segments come from clipping it against each grain of a finite
 scene, or from stepping a tiled box's cell walk one face crossing at a
 time, then a scalar merge loop; each density is a Python loop product over
-that list.  The sums over rays add each dense row of the survival
-family_curves in turn.
+that list.  The sums over rays build each ray's survival curve on the whole
+grid from that list, one KernelModel call per segment, and add the curves
+in ray order.
 """
 import numpy as np
 
@@ -16,7 +17,7 @@ from polyxport import harness, scattering
 from polyxport.geometry import (REL_TOL, ItinerarySegment, SceneError,
                                 cell_clock, ray_grain_intersect)
 from polyxport.kernels import KernelModel, sigma_bar
-from polyxport.polykernel import check_ball, family_curves
+from polyxport.polykernel import check_ball
 
 _HORIZON_PAD = 1e-9
 
@@ -90,14 +91,16 @@ def itinerary(scene, x, v, horizon):
 
 
 def inside_indicator(scene, x, v):
-    """True iff x is interior to a grain, or on a boundary with v inwards."""
+    """True iff x is interior to a grain, or on a boundary with v inwards:
+    within REL_TOL of it, the tolerance at which itinerary snaps a first
+    entry to 0."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if scene.periodic_box is not None:
         return True     # a tiled box has no outside
     for g in scene.grains:
         hit = ray_grain_intersect(g, x, v)
-        if hit is not None and hit[0] == 0.0:
+        if hit is not None and hit[0] <= REL_TOL * (1.0 + hit[0]):
             return True
     return False
 
@@ -242,13 +245,38 @@ def survival_psi0_marg(scene, x, v, t, w):
     return float(out)
 
 
+def survival_curve(scene, x, v, grid, z=None):
+    """The survival curve of the ray x + t v on a sorted grid: of the
+    scatterer-start marginal with exit z given z, else generic-start.
+
+    The product runs segment by segment over the ray's itinerary: the
+    points inside a segment take the product before it times the
+    segment's factor, one KernelModel call on all of them, and the points
+    at or past its exit take the product through it.
+    """
+    segs = _segments_upto(scene, x, v, grid[-1])
+    if z is not None and not _first_branch_ok(scene, x, v, segs):
+        raise ValueError("scatterer-start survival needs an in-grain start")
+    out = np.ones(len(grid))
+    before = 1.0
+    for k, s in enumerate(segs):
+        kern = kernel_for_grain(scene, s.grain_id)
+        factor = kern.d_phi if z is None or k > 0 else (
+            lambda t: kern.phi_marg(t, z))
+        inside = (s.entry <= grid) & (grid < s.exit)
+        out[inside] = before * factor(grid[inside] - s.entry)
+        before = before * factor(s.exit - s.entry)
+        out[grid >= s.exit] = before
+    return out
+
+
 def survival_row_loop(scene, xs, vs, grid, z=None, weights=None):
     """Sum of the survival curves S of the rays on the whole grid, one row
     at a time in row order; of (1 - S) * weights[row] given weights."""
     acc = np.zeros(len(grid))
-    family = "survival_psi" if z is None else "survival_psi0_marg"
-    for k, curve in enumerate(family_curves(scene, xs, vs, grid, family,
-                                            z=z)):
+    for k in range(len(xs)):
+        curve = survival_curve(scene, xs[k], vs[k], grid,
+                               None if z is None else z[k])
         acc += curve if weights is None else (1.0 - curve) * weights[k]
     return acc
 

@@ -359,8 +359,16 @@ class TestFamilyCurves:
         """Starts in grains, in gaps and outside every grain of a finite
         scene, the first two along the row of grains; a grid of 0, a
         regular grid, every entry and exit of those two rays, and a point
-        beyond every segment of a finite scene."""
+        beyond every segment of a finite scene.
+
+        The next four rays of a finite scene: one from 1e-13 before the
+        first grain's face, whose entry the table snaps to 0; one from the
+        gap between the two grains; one back from the middle of the last
+        grain (the Poisson one of "mixed"), with the first grain behind
+        it; and one that misses every grain."""
         d = scene.dimension
+        vs = scattering.sample_direction(rng, d, n)
+        vs[:2] = np.eye(d)[0]
         if scene.periodic_box is not None:
             xs = flight.sample_positions(scene, n, rng)
             top = 1.0
@@ -369,9 +377,21 @@ class TestFamilyCurves:
             xs = rng.uniform(verts.min(axis=0) - 0.1,
                              verts.max(axis=0) + 0.1, (n, d))
             xs[0] = scene.anchor
+            first, last = (np.array([g.vertices.min(axis=0),
+                                     g.vertices.max(axis=0)])
+                           for g in (scene.grains[0], scene.grains[-1]))
+            xs[2:6] = first.mean(axis=0)
+            xs[2, 0] = first[0, 0] - 1e-13
+            xs[3, 0] = 0.5 * (first[1, 0] + last[0, 0])
+            xs[4] = last.mean(axis=0)
+            xs[5] = verts.max(axis=0) + 0.05
+            vs[2:6] = np.eye(d)[0]
+            vs[4] *= -1.0
+            entry = geometry.segment_table(scene, xs[2:6], vs[2:6], 2.0)[0]
+            assert entry[0, 0] == 0.0 and entry[1, 0] > 0.0
+            assert entry[2, 0] == 0.0 and np.isfinite(entry[2, 1])
+            assert np.all(np.isinf(entry[3]))
             top = 2.0
-        vs = scattering.sample_direction(rng, d, n)
-        vs[:2] = np.eye(d)[0]
         entry, exit_, _ = geometry.segment_table(scene, xs[:2], vs[:2], top)
         marks = np.concatenate([entry.ravel(), exit_.ravel()])
         grid = np.unique(np.concatenate([np.linspace(0.0, top, 33),
@@ -380,13 +400,13 @@ class TestFamilyCurves:
                   "z": scattering.sample_ball(rng, d - 1, n)}
         return xs, vs, grid, params
 
-    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("family", list(FAMILIES) + ["survival_psi"])
     @pytest.mark.parametrize("which", ["finite2", "finite3", "mixed",
                                        "tiled2", "tiled3"])
     def test_matches_oracle(self, which, family, scenes):
         scene = scenes[which]
         xs, vs, grid, params = self._rays(scene, np.random.default_rng(41))
-        keys = self.FAMILIES[family]
+        keys = self.FAMILIES.get(family, ())
         got = pk.family_curves(scene, xs, vs, grid, family, **params)
         scalar = getattr(oracle, family)
         for i, row in enumerate(got):
@@ -490,6 +510,14 @@ class TestFamilyCurves:
         assert np.array_equal(
             pk.family_curves(relabeled, xs, vs, grid, family, **params),
             pk.family_curves(scene, xs, vs, grid, family, **params))
+
+    @pytest.mark.parametrize("family", ["psi", "survival_psi"])
+    @pytest.mark.parametrize("which", ["finite2", "tiled2"])
+    def test_no_rays(self, which, family, scenes):
+        none = np.empty((0, 2))
+        got = pk.family_curves(scenes[which], none, none,
+                               np.linspace(0.0, 1.0, 7), family)
+        assert got.shape == (0, 7)
 
     def test_along_ray_keeps_the_order(self, two_squares):
         x, v = two_squares.anchor, unit(0.0)
@@ -695,17 +723,18 @@ class TestBlockPartition:
     def _rays(scene, rng):
         """On a finite scene: the row of grains from inside its ends, from
         the gap before it and from its middle grain, two rays that miss
-        every grain, and random rays.  On a tiled box: two rays through
-        cell corners, whose tables hold zero-length cells, and random
-        rays."""
+        every grain, one from 1e-13 before the first grain's face (its
+        entry snaps to 0), and random rays.  On a tiled box: two rays
+        through cell corners, whose tables hold zero-length cells, and
+        random rays."""
         n = 14
         if scene.periodic_box is None:
             xs = rng.uniform(-0.3, 1.3, (n, 2))
             vs = scattering.sample_direction(rng, 2, n)
-            xs[:6] = [[0.15, 0.15], [0.95, 0.2], [-0.2, 0.2], [0.5, 0.1],
-                      [0.5, 2.0], [0.5, 0.32]]
-            vs[:6] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
-                      [1.0, 0.0], [0.0, 1.0]]
+            xs[:7] = [[0.15, 0.15], [0.95, 0.2], [-0.2, 0.2], [0.5, 0.1],
+                      [0.5, 2.0], [0.5, 0.32], [-1e-13, 0.25]]
+            vs[:7] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                      [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
         else:
             xs = flight.sample_positions(scene, n, rng)
             vs = scattering.sample_direction(rng, 2, n)
@@ -728,6 +757,7 @@ class TestBlockPartition:
                      geometry.segment_table(scene, xs[:1], vs[:1], 0.0)[2][0]]
             assert kinds == ["crystal", "poisson", "crystal"]
             assert np.all(np.isinf(entry[4:6]))
+            assert entry[6, 0] == 0.0
         else:
             assert np.any(np.isfinite(entry[:2]) & (entry[:2] == exit_[:2]))
         if family == "survival_psi0_marg":

@@ -623,6 +623,13 @@ class TestLimitCurves:
                                        on_scatterer=True,
                                        beta=BetaSpec("radial", 0.6), m_dirs=16)
 
+    @pytest.mark.parametrize("scene", ["two_squares", "3d"])
+    def test_limit_cdf_needs_a_direction(self, scene, two_squares):
+        # d=3 would round 0 directions up to its smallest product grid
+        scene = two_squares if scene == "two_squares" else _two_boxes_mixed()
+        with pytest.raises(ValueError, match="m_dirs"):
+            harness.limit_freepath_cdf(scene, scene.anchor, m_dirs=0)
+
     def test_limit_cdf_poisson_single_grain_quadrature(self):
         # against per-direction closed form on a disordered square
         from polyxport import presets
@@ -648,17 +655,59 @@ def _two_squares_annealed():
 
 class TestSurvivalRowSum:
     """The ordered block sums of limit_freepath_cdf and mean_survival_curve
-    give the bits of the dense row loop of tests/itinerary_oracles.py."""
+    give the bits of the row loop of tests/itinerary_oracles.py, which
+    builds each curve from its own itineraries and kernel calls."""
 
-    @pytest.mark.parametrize("make", [_two_squares_annealed,
-                                      _two_boxes_mixed],
-                             ids=["2d-annealed", "3d-mixed"])
-    def test_limit_cdf_of_the_workload_scenes(self, make):
+    @pytest.mark.parametrize("make, base", [
+        (_two_squares_annealed, None), (_two_boxes_mixed, None),
+        # 1e-13 before grain 1's face: the rays into it start at 0
+        (_two_squares_annealed, (-1e-13, 0.15)),
+        # in the gap: no ray starts at 0
+        (_two_squares_annealed, (0.325, 0.15)),
+        # in the Poisson grain, with the crystal one behind it
+        (_two_boxes_mixed, (0.22, 0.06, 0.06))],
+        ids=["2d-annealed", "3d-mixed", "2d-face", "2d-gap", "3d-poisson"])
+    def test_limit_cdf_of_the_workload_scenes(self, make, base):
         scene = make()
-        grid, got = harness.limit_freepath_cdf(scene, scene.anchor)
-        want_grid, want = oracle.limit_freepath_cdf(scene, scene.anchor)
+        x = scene.anchor if base is None else base
+        grid, got = harness.limit_freepath_cdf(scene, x)
+        want_grid, want = oracle.limit_freepath_cdf(scene, x)
         assert np.array_equal(grid, want_grid)
         assert np.array_equal(got, want)
+
+    def test_leading_segments_take_one_kernel_call(self, monkeypatch):
+        # every ray of the limit CDF starts in a grain: its first segment
+        # costs no D_Phi of its own, only one shared call per medium kind
+        # on the grid's first W columns
+        from collections import Counter
+
+        from polyxport.kernels import KernelModel
+        scene = _two_squares_annealed()
+        counts = Counter()
+        d_phi = KernelModel.d_phi
+
+        def counted(kern, xi):
+            counts[kern.medium] += np.size(xi)
+            return d_phi(kern, xi)
+        monkeypatch.setattr(KernelModel, "d_phi", counted)
+        grid, _ = harness.limit_freepath_cdf(scene, scene.anchor)
+        # the rest: one D_Phi per segment, and one per grid point inside
+        # every segment but the leading ones
+        dirs, _ = harness.direction_grid(scene)
+        entry, exit_, gid = geometry.segment_table(
+            scene, np.broadcast_to(scene.anchor, dirs.shape), dirs, None)
+        width = np.searchsorted(grid, exit_[np.isfinite(exit_)].max()) + 1
+        assert width == 536 and np.all(entry[:, 0] == 0.0)
+        inside = (np.searchsorted(grid[:width], exit_)
+                  - np.searchsorted(grid[:width], entry))
+        inside[:, 0] = 0
+        kind = {g.id: m.kind for g, m in zip(scene.grains, scene.media)}
+        for medium in set(kind.values()):
+            of = np.isfinite(entry) & np.isin(
+                gid, [i for i, k in kind.items() if k == medium])
+            leading = counts[medium] - np.count_nonzero(of) - inside[of].sum()
+            assert 0 < leading <= width, medium
+        assert set(counts) == set(kind.values())
 
     def test_on_scatterer_limit_cdf(self, two_squares):
         from polyxport.microsim import BetaSpec
@@ -711,6 +760,17 @@ class TestSurvivalRowSum:
         got = harness.mean_survival_curve(scene, xs, vs, grid)
         assert np.array_equal(
             got, oracle.mean_survival_curve(scene, xs, vs, grid))
+        # rays that miss every grain: blocks one column wide, S = 1
+        xs, vs = [[-0.5, 0.2], [0.5, 2.0]], [[-1.0, 0.0], [1.0, 0.0]]
+        got = harness.mean_survival_curve(scene, xs, vs, grid)
+        assert np.array_equal(got, np.ones(len(grid)))
+        assert np.array_equal(
+            got, oracle.mean_survival_curve(scene, xs, vs, grid))
+
+    def test_mean_survival_needs_a_ray(self, two_squares):
+        with pytest.raises(ValueError, match="xs"):
+            harness.mean_survival_curve(two_squares, np.empty((0, 2)),
+                                        np.empty((0, 2)), [0.0, 1.0])
 
     @pytest.mark.parametrize("width", [None, 37])
     def test_axis_0_reduce_adds_rows_in_order(self, width):
