@@ -13,7 +13,9 @@ against the gap-discounted exponential envelope, lives with the tests.
 Ensemble operations are vectorized over particles.  The sampler draws once
 per segment and steps one segment per round (geometry's cursor over the
 segment table, or the cell walker that the tiled table is built from); the
-n=0 oracle averages polykernel's survival product over that table.
+rows that hit in any round share one inversion of the length's CDF after
+the last round.  The n=0 oracle averages polykernel's survival product
+over that table.
 Escapes are first-class: a particle whose flight never meets another grain
 gets xi = +inf and flies straight forever.
 """
@@ -58,11 +60,15 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
     integrated over w, the joint density of a segment is D_Phi on a
     segment it survives, Phi inside the one it ends in, and on the first
     segment of a scatterer start Phi(., z) and Phi_0(., z).  So each round
-    walks the pending rows one segment on, hits with that segment's mass
-    and inverts its CDF.  w then follows the conditional law given where
-    xi fell (_sample_w_given_xi), which is uniform on the ball for the
-    w-free families.
+    walks the pending rows one segment on and hits with that segment's
+    mass.  A hit in a scatterer start's first segment is inverted at once,
+    every other hit by one inversion of Phi's CDF after the last round.
+    w then follows the conditional law given where xi fell
+    (_sample_w_given_xi), which is uniform on the ball for the w-free
+    families.
     """
+    if kind not in ("psi", "psi0"):
+        raise ValueError(f"unknown kind {kind!r}: 'psi' or 'psi0'")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     kern = _uniform_kernel(scene)
@@ -72,10 +78,13 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if len(z) != len(xs):
             raise ValueError("need one exit parameter per particle")
+    elif z is not None:
+        raise ValueError("exit parameters z belong to kind 'psi0' only")
     n = len(xs)
     xi = np.full(n, np.inf)
-    off = np.zeros(n)                     # offset of xi inside its segment
+    off = np.zeros(n)       # offset of xi inside its segment, or its target
     lead = np.zeros(n, dtype=bool)        # xi in a scatterer start's first
+    inv = np.zeros(n, dtype=bool)         # off holds a target of Phi's CDF
     walker = make_walker(scene, xs, vs)
     act = np.arange(n)                    # the pending rows, ascending
     # only round 0 walks a scatterer start's first segment; a disordered
@@ -99,20 +108,24 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
             rows = act[hit]
             vsel = rng.random(len(rows))
             if not first:
-                u = np.asarray(kern.invert_phi_cdf(vsel * mass[hit]))
-            elif kern.wz_free:    # planar: Phi(., z) is linear in xi
-                u = vsel * ell[hit]
+                off[rows] = vsel * mass[hit]
+                inv[rows] = True
             else:
-                u = KK.invert_phi_marginal(vsel * mass[hit], z[rows])
-            xi[rows] = entry[rows] + u
-            off[rows] = u
-            lead[rows] = first
+                lead[rows] = True
+                if kern.wz_free:    # planar: Phi(., z) is linear in xi
+                    off[rows] = vsel * ell[hit]
+                else:
+                    off[rows] = KK.invert_phi_marginal(vsel * mass[hit],
+                                                       z[rows])
             act = act[~hit]
         if len(act):
             walker.advance(act)
         first = False
     else:
         raise RuntimeError("flight-length sampling did not terminate")
+    off[inv] = kern.invert_phi_cdf(off[inv])
+    # a row that has hit is never walked again: entry is where it stopped
+    np.add(entry, off, out=xi, where=inv | lead)
     if kern.wz_free:
         w = scattering.sample_ball(rng, scene.dimension - 1, n)
         w[~np.isfinite(xi)] = 0.0

@@ -90,7 +90,10 @@ class _GTable:
     through the 2001 nodes G(k / 2000), each integrated by quadrature; the
     tests rebuild them from their quadrature oracle and compare exactly.
     It is loaded on the first call and evaluated in the order of
-    operations of scipy's PPoly: the spline's bits, no SciPy.
+    operations of scipy's PPoly: the spline's bits, no SciPy.  The knots
+    are uniform, so _interval finds x's interval as floor(x * 2000),
+    corrected by one step against the knots to the index searchsorted
+    gives; fmin sends a NaN to the last interval, where G stays NaN.
     """
 
     n_grid = 2001
@@ -111,6 +114,16 @@ class _GTable:
             self._build()
         return self._node_max
 
+    def _interval(self, x):
+        """The spline interval of each x in [0, 1] (or NaN): searchsorted's
+        index, clipped to the last interval, without a binary search."""
+        last = self.n_grid - 2
+        i = np.fmin(x * (self.n_grid - 1), last).astype(np.intp)
+        knots = self._knots
+        i -= knots[i] > x
+        i += (i < last) & (knots[i + 1] <= x)
+        return i
+
     def __call__(self, w):
         if self._coef is None:
             self._build()
@@ -118,8 +131,7 @@ class _GTable:
         if np.any(w < -1e-12) or np.any(w > 1 + 1e-12):
             raise ValueError("w must lie in [0, 1]")
         x = np.clip(w, 0.0, 1.0).ravel()
-        i = np.clip(np.searchsorted(self._knots, x, side="right") - 1,
-                    0, self.n_grid - 2)
+        i = self._interval(x)
         s = x - self._knots[i]
         res, z = 0.0, 1.0
         for k in range(4):

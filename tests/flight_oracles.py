@@ -9,14 +9,15 @@ the joint density to the envelope.
 
 sample_xi_w_masks is the sampler's oracle bit for bit: the same rounds and
 draws over full-width masks, with mask-driven walkers that step every row
-a mask selects.
+a mask selects, one inversion per round, and its own impact-parameter
+loop (sample_w_masks); it shares no sampling code with polyxport.flight.
 """
 import numpy as np
 
 import row_oracles
 from polyxport import kernels as KK
 from polyxport import polykernel, scattering
-from polyxport.flight import _MAX_ROUNDS, _sample_w_given_xi, _uniform_kernel
+from polyxport.flight import _MAX_ROUNDS, _uniform_kernel
 from polyxport.geometry import _finite_table, _table_blocks, segment_table
 
 
@@ -122,7 +123,37 @@ def sample_xi_w_masks(scene, xs, vs, rng, kind="psi", z=None):
         w = scattering.sample_ball(rng, scene.dimension - 1, n)
         w[~np.isfinite(xi)] = 0.0
         return xi, w
-    return xi, _sample_w_given_xi(rng, xi, off, lead, z)
+    return xi, sample_w_masks(rng, xi, off, lead, z)
+
+
+def sample_w_masks(rng, xi, off, lead, z):
+    """The d=3 crystal's impact parameters given xi, over a full-width
+    pending mask: each round proposes uniformly on the disk for the
+    pending rows and accepts against the bound of the conditional density
+    (phi0_3d's in a scatterer start's first segment, Phi's elsewhere),
+    evaluated that round."""
+    n = len(xi)
+    w = np.zeros((n, 2))
+    pending = np.isfinite(xi)
+    for _ in range(_MAX_ROUNDS):
+        if not pending.any():
+            return w
+        act = np.flatnonzero(pending)
+        wprop = scattering.sample_ball(rng, 2, len(act))
+        target = np.empty(len(act))
+        bound = np.empty(len(act))
+        isf = lead[act]
+        if isf.any():       # only a scatterer start has z
+            rf = act[isf]
+            target[isf] = KK.phi0_3d(xi[rf], wprop[isf], z[rf])
+            bound[isf] = KK.phi0_3d_max(xi[rf])
+        rg = act[~isf]
+        target[~isf] = KK.phi_marginal(off[rg], wprop[~isf], 3)
+        bound[~isf] = KK.phi_marginal_max(off[rg])
+        accept = rng.random(len(act)) * bound < target
+        w[act[accept]] = wprop[accept]
+        pending[act[accept]] = False
+    raise RuntimeError("impact-parameter sampling did not terminate")
 
 
 def sample_xi_w_rejection(scene, xs, vs, rng, kind="psi", z=None):

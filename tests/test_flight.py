@@ -505,6 +505,16 @@ class TestSamplers:
         assert p_xi > 0.001
         assert p_w > 0.001
 
+    def test_unknown_kind_rejected(self, two_squares):
+        with pytest.raises(ValueError, match="kind 'bogus'"):
+            sample_xi_w(two_squares, [[0.1, 0.1]], [[1.0, 0.0]],
+                        np.random.default_rng(0), kind="bogus")
+
+    def test_generic_start_takes_no_exit_parameters(self, two_squares):
+        with pytest.raises(ValueError, match="exit parameters z"):
+            sample_xi_w(two_squares, [[0.1, 0.1]], [[1.0, 0.0]],
+                        np.random.default_rng(0), kind="psi", z=[[0.0]])
+
     def test_psi0_off_grain_start_escapes(self, two_squares):
         rng = np.random.default_rng(9)
         x0 = np.array([[-0.5, -0.5]])
@@ -525,22 +535,28 @@ class TestSamplerMatchesMaskLoop:
                 "boxes-3d": presets.two_boxes_3d(),
                 "tiled-2d": tiled_crystal, "tiled-3d": tiled_crystal_3d}
 
-    @pytest.mark.parametrize("kind", ["psi", "psi0"])
-    @pytest.mark.parametrize("which", ["squares", "squares-poisson",
-                                       "boxes-3d", "tiled-2d", "tiled-3d"])
-    def test_same_bits(self, which, kind, scenes):
-        scene = scenes[which]
+    @staticmethod
+    def _inputs(scene, kind):
         d = scene.dimension
         rng = np.random.default_rng(90)
         n = 3000
         xs = flight.sample_positions(scene, n, rng)
-        finite = scene.periodic_box is None
-        if finite:      # a quarter of the starts in the gaps and outside
+        if scene.periodic_box is None:  # a quarter in the gaps and outside
             verts = np.vstack([g.vertices for g in scene.grains])
             xs[:n // 4] = rng.uniform(verts.min(axis=0) - 0.1,
                                       verts.max(axis=0) + 0.1, (n // 4, d))
         vs = scattering.sample_direction(rng, d, n)
         z = scattering.sample_ball(rng, d - 1, n) if kind == "psi0" else None
+        return xs, vs, z
+
+    @pytest.mark.parametrize("kind", ["psi", "psi0"])
+    @pytest.mark.parametrize("which", ["squares", "squares-poisson",
+                                       "boxes-3d", "tiled-2d", "tiled-3d"])
+    def test_same_bits(self, which, kind, scenes):
+        scene = scenes[which]
+        xs, vs, z = self._inputs(scene, kind)
+        n = len(xs)
+        finite = scene.periodic_box is None
         rng_fast, rng_slow = np.random.default_rng(91), \
             np.random.default_rng(91)
         got = sample_xi_w(scene, xs, vs, rng_fast, kind=kind, z=z)
@@ -557,6 +573,28 @@ class TestSamplerMatchesMaskLoop:
         if finite and kind == "psi0":
             off_grain = segment_table(scene, xs, vs, 0.0)[0][:, 0] != 0.0
             assert off_grain.any() and np.all(np.isinf(xi[off_grain]))
+
+    @pytest.mark.parametrize("kind", ["psi", "psi0"])
+    @pytest.mark.parametrize("which", ["squares", "tiled-3d"])
+    def test_one_inversion_per_call(self, which, kind, scenes, monkeypatch):
+        # the hits of every round share one inversion of Phi's CDF; a
+        # crystal's scatterer start inverts its first segment's hits apart
+        scene = scenes[which]
+        xs, vs, z = self._inputs(scene, kind)
+        sizes = []
+        invert = kernels.KernelModel.invert_phi_cdf
+
+        def counted(self, mass):
+            sizes.append(len(mass))
+            return invert(self, mass)
+        monkeypatch.setattr(kernels.KernelModel, "invert_phi_cdf", counted)
+        xi, _ = sample_xi_w(scene, xs, vs, np.random.default_rng(91),
+                            kind=kind, z=z)
+        assert len(sizes) == 1
+        if kind == "psi":
+            assert sizes[0] == np.isfinite(xi).sum()
+        else:
+            assert 0 < sizes[0] < np.isfinite(xi).sum()
 
 
 def harness_interp(grid, values):
@@ -714,3 +752,52 @@ class TestStationarity:
         assert rep.ks_xi[1] == 1.0
         for name in ("ks_v", "ks_vplus", "ks_cell"):
             assert getattr(rep, name)[1] < 1e-6, name
+
+
+class TestDiffusiveScale:
+    """The unwrapped mean squared displacement of sample_initial + evolve
+    at many mean free paths (ROADMAP item 12, stage 1)."""
+
+    N = 20000
+
+    @staticmethod
+    def _poisson_box_3d(side=0.14):
+        from polyxport import ConvexGrain, PeriodicBox, make_scene
+        from polyxport.lattice import PoissonMedium
+        g = ConvexGrain.box(1, (0.0,) * 3, (side,) * 3)
+        return make_scene(3, (g,), (PoissonMedium(),),
+                          periodic_box=PeriodicBox((0.0,) * 3, (side,) * 3),
+                          anchor=(side / 2,) * 3)
+
+    def _displacements(self, scene, times, seed):
+        """|x(t) - x(0)|^2 per particle at each t, one ensemble."""
+        rng = np.random.default_rng(seed)
+        ens = sample_initial(scene, self.N, rng)
+        x0, now, out = ens.x.copy(), 0.0, []
+        for t in times:
+            ens = evolve(scene, ens, t - now, rng)
+            now = t
+            out.append(np.sum((ens.x - x0) ** 2, axis=1))
+        return out
+
+    @pytest.mark.parametrize("d, tau", [(2, 3 / 8), (3, 1 / np.pi)])
+    def test_poisson_box_matches_the_boltzmann_msd(self, d, tau,
+                                                   tiled_poisson):
+        # the linear Boltzmann equation's persistent walk: tau is the
+        # velocity correlation time 1 / (sigma_bar (1 - <cos theta>)),
+        # with <cos theta> = -1/3 in 2D and 0 in 3D
+        scene = tiled_poisson if d == 2 else self._poisson_box_3d()
+        for t, r2 in zip((2.0, 8.0), self._displacements(scene, (2.0, 8.0),
+                                                         seed=120 + d)):
+            lbe = 2 * tau * t - 2 * tau ** 2 * (1 - np.exp(-t / tau))
+            se = r2.std() / np.sqrt(self.N)
+            assert abs(r2.mean() - lbe) < 4 * se, (t, r2.mean(), lbe, se)
+
+    def test_crystal_box_diffuses_slower_than_poisson_2d(self,
+                                                         tiled_crystal):
+        # D from the MSD slope over t = 8-16, MSD ~ 2 d D t; the Poisson
+        # box's D is tau / 2 = 3/16
+        r8, r16 = self._displacements(tiled_crystal, (8.0, 16.0), seed=124)
+        step = (r16 - r8) / (4 * 8.0)
+        D, se = step.mean(), step.std() / np.sqrt(self.N)
+        assert D + 4 * se < 3 / 16, (D, se)

@@ -138,12 +138,30 @@ class TestG:
         knots = g_spline.x
         ws = np.concatenate([
             np.random.default_rng(0).uniform(0.0, 1.0, 200000), knots,
-            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 1.0)])
+            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 1.0),
+            [0.0, 1.0]])
         assert np.array_equal(G(ws), g_spline(ws))
         assert np.array_equal(G(ws[1:].reshape(-1, 2)),
                               g_spline(ws[1:]).reshape(-1, 2))
         assert G(0.3).shape == () and G(0.3) == g_spline(0.3)
         assert K._GTable().node_max() == g_spline(knots).max()
+        # 1e-13 outside [0, 1] is clipped to the ends
+        assert np.array_equal(G([-1e-13, 1.0 + 1e-13]),
+                              g_spline([0.0, 1.0]))
+        # a NaN row stays NaN, with no RuntimeWarning (an error here)
+        got = G(np.array([np.nan, 0.3]))
+        assert np.isnan(got[0]) and got[1] == g_spline(0.3)
+
+    def test_interval_is_searchsorteds(self):
+        table = K._GTable()
+        table.node_max()
+        knots = table._knots
+        xs = np.concatenate([
+            np.random.default_rng(1).uniform(0.0, 1.0, 10 ** 6), knots,
+            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 1.0)])
+        want = np.clip(np.searchsorted(knots, xs, "right") - 1,
+                       0, table.n_grid - 2)
+        assert np.array_equal(table._interval(xs), want)
 
     def test_table_nodes_match_golden(self):
         # a cubic spline returns its node values at its knots, so a fresh
