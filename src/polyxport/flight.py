@@ -118,6 +118,7 @@ def sample_xi_w(scene, xs, vs, rng, kind="psi", z=None):
                     off[rows] = KK.invert_phi_marginal(vsel * mass[hit],
                                                        z[rows])
             act = act[~hit]
+        del ell, mass, hit     # freed before the walk step's temporaries
         if len(act):
             walker.advance(act)
         first = False
@@ -258,14 +259,18 @@ def sample_collision(scene, x_col, v_prev, v_now, rng):
     """Draw (xi, v_plus) after a collision at x_col.
 
     v_prev/v_now are the velocities before/after the collision; the exit
-    parameter enters the scatterer-start density with a sign flip.
+    parameter enters the scatterer-start density with a sign flip.  Each
+    input is dropped once nothing further reads it (v_prev after the exit
+    parameters, x_col after the flight lengths), so arrays that only the
+    call holds are freed before its peak.
     """
     x_col = np.atleast_2d(np.asarray(x_col, dtype=float))
-    v_prev = np.atleast_2d(np.asarray(v_prev, dtype=float))
     v_now = np.atleast_2d(np.asarray(v_now, dtype=float))
     fr = scattering.frame(v_now)      # the exit and the deflection share it
-    s = scattering.exit_params_many(v_now, v_prev, fr)
-    xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=-s)
+    z = -scattering.exit_params_many(v_now, v_prev, fr)
+    del v_prev
+    xi, w = sample_xi_w(scene, x_col, v_now, rng, kind="psi0", z=z)
+    del x_col, z
     return xi, _deflect_finite(v_now, xi, w, fr)
 
 
@@ -274,37 +279,41 @@ def evolve(scene, ens, dt, rng):
 
     Returns a new ensemble; the input is untouched.  Escaped particles
     translate forever without further collisions.
+
+    At its peak, while sample_collision runs, it holds the new ensemble,
+    the time left per particle and the colliding rows' indices, next to
+    the sampler's own copies of the rows and what it builds from them.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not 0.0 <= dt < np.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
     out = ens.copy()
     rem = np.full(out.n, float(dt))
     # one column at a time: gathers, scatters and broadcasts of rows x d
     # arrays run row by row (np.take gathers whole rows at once)
     x, v, v_plus = out.x.T, out.v.T, out.v_plus.T
     for _ in range(_MAX_ROUNDS):
-        collide = np.isfinite(out.xi) & (out.xi <= rem)
-        if not collide.any():
+        rows = np.flatnonzero(out.xi <= rem)    # never an escape (xi = inf)
+        if not len(rows):
             break
-        rows = np.flatnonzero(collide)
         step = out.xi[rows]
         rem[rows] -= step
-        v_prev = np.take(out.v, rows, axis=0)
         for k in range(len(x)):
             x[k][rows] += v[k][rows] * step
-            v[k][rows] = v_plus[k][rows]
+        del step
         out.nu[rows] += 1
+        # copies that only sample_collision holds, so it can free each
         xi_new, v_plus_new = sample_collision(
-            scene, np.take(out.x, rows, axis=0), v_prev,
-            np.take(out.v, rows, axis=0), rng)
+            scene, np.take(out.x, rows, axis=0), np.take(out.v, rows, axis=0),
+            np.take(out.v_plus, rows, axis=0), rng)
         out.xi[rows] = xi_new
         for k in range(len(x)):
+            v[k][rows] = v_plus[k][rows]
             v_plus[k][rows] = v_plus_new[:, k]
     else:
         raise RuntimeError("evolve did not exhaust the time step")
     for k in range(len(x)):
         x[k] += v[k] * rem
-    out.xi = np.where(np.isfinite(out.xi), out.xi - rem, np.inf)
+    out.xi -= rem          # an escape keeps xi = inf
     out.time = ens.time + dt
     return out
 
@@ -369,6 +378,10 @@ def stationarity_test(scene, n, t, seed, split=None):
     Given split = (s0, s1), the same time-0 ensemble is also evolved by s0
     and then s1, and ks_split compares its flight lengths with those of
     the whole evolution to t (semigroup property).
+
+    At its peak it holds one evolve, its input ensemble and, during the
+    split, the time-t flight lengths: the time-t ensemble is freed before
+    the split and the time-0 one after the split's first leg.
     """
     rng = streams.rng("stationarity.marginals", seed)
     ens0 = sample_initial(scene, n, rng)
@@ -383,9 +396,11 @@ def stationarity_test(scene, n, t, seed, split=None):
     ks_split = None
     if split is not None:
         s0, s1 = split
+        xi1 = ens1.xi[f1]
+        del ens1
         rng_s = streams.rng("stationarity.split", seed)
         part = evolve(scene, ens0, float(s0), rng_s)
+        del ens0
         part = evolve(scene, part, float(s1), rng_s)
-        ks_split = stats.ks_two_sample(ens1.xi[f1],
-                                       part.xi[np.isfinite(part.xi)])
+        ks_split = stats.ks_two_sample(xi1, part.xi[np.isfinite(part.xi)])
     return StationarityReport(ks_xi, ks_vp, ks_v, ks_cell, ks_split)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -612,6 +614,14 @@ class TestEvolve:
         assert np.allclose(out.xi, ens.xi - dt)
         assert np.array_equal(out.nu, ens.nu)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0])
+    def test_rejects_a_step_that_is_not_finite_and_nonnegative(
+            self, tiled_crystal, dt):
+        rng = np.random.default_rng(9)
+        ens = sample_initial(tiled_crystal, 100, rng)
+        with pytest.raises(ValueError, match="dt"):
+            evolve(tiled_crystal, ens, dt, rng)
+
     def test_escaped_are_absorbing(self, two_squares):
         rng = np.random.default_rng(11)
         ens = sample_initial(two_squares, 4000, rng)
@@ -694,6 +704,43 @@ class TestEvolve:
         c2 = np.bincount(e2.nu, minlength=6)[:6] / n
         # 4 standard errors of a difference of two fractions near 0.25
         assert np.max(np.abs(c1 - c2)) < 0.025
+
+
+class TestMemory:
+    """tracemalloc peaks of the flight engine per particle, on the 2D
+    crystal box at n = 20000.  One 2D Ensemble takes 64 bytes per
+    particle; the peaks count what a call allocates, not its input."""
+
+    N = 20000
+
+    @staticmethod
+    def _peak_per_particle(call, n):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+
+    def test_stationarity_test_peak(self, tiled_crystal):
+        # a small warm-up call finishes every lazy build
+        flight.stationarity_test(tiled_crystal, 500, 1.0, 0, split=(0.4, 0.6))
+        peak = self._peak_per_particle(lambda: flight.stationarity_test(
+            tiled_crystal, self.N, 2.5, 7, split=(1.0, 1.5)), self.N)
+        assert peak <= 400, peak
+
+    def test_evolve_peak_and_input_untouched(self, tiled_crystal):
+        rng = np.random.default_rng(21)
+        evolve(tiled_crystal, sample_initial(tiled_crystal, 500, rng), 1.0,
+               rng)
+        ens = sample_initial(tiled_crystal, self.N, rng)
+        before = ens.copy()
+        peak = self._peak_per_particle(
+            lambda: evolve(tiled_crystal, ens, 2.5, rng), self.N)
+        assert peak <= 300, peak
+        for name in ("x", "v", "xi", "v_plus", "nu"):
+            assert np.array_equal(getattr(ens, name), getattr(before, name))
+        assert ens.time == before.time
 
 
 class TestStationarity:
@@ -792,6 +839,15 @@ class TestDiffusiveScale:
             lbe = 2 * tau * t - 2 * tau ** 2 * (1 - np.exp(-t / tau))
             se = r2.std() / np.sqrt(self.N)
             assert abs(r2.mean() - lbe) < 4 * se, (t, r2.mean(), lbe, se)
+
+    def test_crystal_box_diffuses_normally_2d(self, tiled_crystal):
+        # MSD(16) - MSD(8) = 2 (MSD(8) - MSD(4)) for a linear MSD; the
+        # error comes from the per-particle increments of one ensemble
+        r4, r8, r16 = self._displacements(tiled_crystal, (4.0, 8.0, 16.0),
+                                          seed=125)
+        gap = (r16 - r8) - 2 * (r8 - r4)
+        se = gap.std() / np.sqrt(self.N)
+        assert abs(gap.mean()) < 4 * se, (gap.mean(), se)
 
     def test_crystal_box_diffuses_slower_than_poisson_2d(self,
                                                          tiled_crystal):

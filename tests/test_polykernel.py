@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from polyxport import flight, geometry, scattering
+from polyxport import flight, geometry, harness, scattering
 from polyxport import kernels as K
 from polyxport import polykernel as pk
 from polyxport import presets
@@ -239,6 +239,24 @@ class TestTailBound:
         v = unit(0.37)
         b1, b2 = pk.psi_tail_bound(tiled_crystal, [x, x], [v, v], [1.0, 2.0])
         assert b2 / b1 == pytest.approx(np.exp(-g))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_limit_survival_tail_is_exponential(self, d, tiled_crystal,
+                                                tiled_crystal_3d):
+        # the paper's exponential free-path tail at the limit level: over
+        # 2 to 8 mean free paths log S is a line falling at least at gamma
+        scene = tiled_crystal if d == 2 else tiled_crystal_3d
+        mfp = 1.0 / K.sigma_bar(d)
+        rng = np.random.default_rng(31)
+        xs = flight.sample_positions(scene, 4000, rng)
+        vs = scattering.sample_direction(rng, d, 4000)
+        grid = np.linspace(0.0, 8 * mfp, 257)
+        log_s = np.log(harness.mean_survival_curve(scene, xs, vs, grid))
+        far = grid >= 2 * mfp
+        slope, icpt = np.polyfit(grid[far], log_s[far], 1)
+        resid = log_s[far] - (slope * grid[far] + icpt)
+        assert np.abs(resid).max() < 1e-2
+        assert -slope >= pk.tail_rate(scene)
 
 
 class TestPoissonClosedForms:
