@@ -331,6 +331,8 @@ def no_collision_fraction_quadrature(scene, t, n_mc, rng):
     of survival_psi at the one-point grid [t], over the segments the
     sampler walks.
     """
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be at least 1, got {n_mc}")
     from . import polykernel
     xs = sample_positions(scene, n_mc, rng)
     vs = scattering.sample_direction(rng, scene.dimension, n_mc)

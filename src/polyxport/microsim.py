@@ -77,6 +77,12 @@ class MicroConfig:
         if self.on_scatterer and self.start_grain is None:
             raise ValueError("on_scatterer start needs start_grain")
 
+    @property
+    def draws_q(self):
+        """Whether the base point's q is drawn (q_mode 'random', and no
+        start on a scatterer)."""
+        return self.q_mode == "random" and not self.on_scatterer
+
 
 @dataclass(frozen=True)
 class CollisionEvent:
@@ -88,54 +94,111 @@ class CollisionEvent:
     v_out: np.ndarray
 
 
+class CellBox:
+    """The uniform cells of side `cell` over the box [lo, hi].
+
+    A point x lies in the cell floor(x / cell); flooring is monotone, so
+    every point of the box lies in a cell of the box.  `index` is a
+    point's row-major cell index in the box, and `near` lists the indices
+    of the cells near each of a batch of segments: a `PointGrid` query and
+    the reach of a run's rays take their cells from it alike.
+    """
+
+    def __init__(self, lo, hi, cell):
+        self.cell = float(cell)
+        self.lo = np.floor(np.asarray(lo, dtype=float)
+                           / self.cell).astype(np.int64)
+        self.shape = np.floor(np.asarray(hi, dtype=float)
+                              / self.cell).astype(np.int64) - self.lo + 1
+        self.strides = np.r_[np.cumprod(self.shape[:0:-1])[::-1], 1]
+        self.count = math.prod(int(s) for s in self.shape)
+
+    def index(self, pts):
+        """Float row-major cell index of each row, exact: every partial
+        sum is an integer below `count`."""
+        lin = 0.0
+        for k in range(pts.shape[1]):
+            lin = lin + (np.floor(pts[:, k] / self.cell) - self.lo[k]) \
+                * self.strides[k]
+        return lin
+
+    def margin(self, radius):
+        # in cell units a point lies within 1/2 (per axis) of its cell's
+        # center, so cells are taken within that plus radius
+        return radius / self.cell + 0.5 + 1e-9
+
+    def near(self, p0, p1, radius):
+        """(rows, lin): the box's cells holding every point within radius
+        of segment [p0[rows[m]], p1[rows[m]]], as row-major indices."""
+        rows, cells = integer_points_near_segments(
+            np.asarray(p0) / self.cell - 0.5, np.asarray(p1) / self.cell - 0.5,
+            self.margin(radius))
+        rel = cells - self.lo
+        inside = np.ones(len(rel), dtype=bool)
+        for axis in range(rel.shape[1]):
+            inside &= (rel[:, axis] >= 0) & (rel[:, axis] < self.shape[axis])
+        return rows[inside], rel[inside] @ self.strides
+
+    def bound(self, p0, p1, radius):
+        """Upper bound on the cells `near` lists per segment."""
+        return segment_cover_bound(np.asarray(p0) / self.cell,
+                                   np.asarray(p1) / self.cell,
+                                   self.margin(radius))
+
+
+class CellMask:
+    """A set of cells of a CellBox, one bit per cell of the box."""
+
+    def __init__(self, count):
+        self.bits = np.zeros((count + 7) >> 3, dtype=np.uint8)
+
+    def add(self, lin):
+        np.bitwise_or.at(self.bits, lin >> 3,
+                         np.left_shift(1, lin & 7).astype(np.uint8))
+
+    def holds(self, lin):
+        """Whether each integer cell index is in the set."""
+        return (self.bits[lin >> 3] >> (lin & 7)) & 1 == 1
+
+
 class PointGrid:
     """Fixed point set hashed into uniform cells, stored sorted by cell.
 
     It holds 8 bytes per point besides the points: the sorted int64 keys
-    cell << b | index, with 2^b >= n and cell the row-major index of the
-    point's cell in the box of cells the points occupy.  A cell's points
-    are one run of keys, found by `searchsorted`; nothing is stored per
-    cell, so the box may span far more cells than there are points.  The
-    keys must stay below 2^63: ncells * 2^b > 2^63, or ncells > 2^53,
-    raises ValueError.  The build takes each axis's cell range from the
-    column's min and max (flooring is monotone) and fills the keys
-    GRID_CHUNK rows at a time, each cell index a float sum that is exact
-    as every partial sum is an integer below ncells; it sorts them in
-    place, so it allocates nothing per point but the keys.
+    cell << b | index, with 2^b >= n and cell the point's index in a
+    CellBox.  The box is the one of `bounds` (lo, hi), which must hold
+    every point, or else that of the points' per-axis min and max.  A
+    cell's points are one run of keys, found by `searchsorted`; nothing is
+    stored per cell, so the box may span far more cells than there are
+    points.  The keys must stay below 2^63: ncells * 2^b > 2^63, or ncells
+    > 2^53, raises ValueError.  The build fills the keys GRID_CHUNK rows at
+    a time and sorts them in place, so it allocates nothing per point but
+    the keys.
+
+    reach: None, or the CellMask of the only cells a query may visit (the
+    points are those of these cells); `cover` raises RuntimeError on a
+    query that visits a cell of the box outside it.
     """
 
-    def __init__(self, points, cell_size):
+    def __init__(self, points, cell_size, bounds=None, reach=None):
         self.points = np.asarray(points, dtype=float)
-        self.cell = float(cell_size)
         n, d = self.points.shape
-        cols = [self.points[:, k] for k in range(d)]
-        if n:
-            lo = np.array([np.floor(c.min() / self.cell) for c in cols])
-            shape = np.array([np.floor(c.max() / self.cell)
-                              for c in cols]) - lo + 1
-        else:
-            lo = shape = np.zeros(d)
-        self._lo, self._shape = lo.astype(np.int64), shape.astype(np.int64)
-        self._strides = np.r_[np.cumprod(self._shape[:0:-1])[::-1], 1]
-        ncells = math.prod(int(s) for s in self._shape)
+        if bounds is None:
+            cols = [self.points[:, k] for k in range(d)]
+            bounds = ([c.min() for c in cols], [c.max() for c in cols]) \
+                if n else (np.zeros(d), np.zeros(d))
+        self.box = CellBox(*bounds, cell_size)
+        self.reach = reach
         self._bits = max(n - 1, 0).bit_length()
-        if ncells > 2 ** 53 or ncells << self._bits > 2 ** 63:
-            raise ValueError(f"{ncells} cells x {n} points overflow the "
-                             "int64 sort key")
+        if self.box.count > 2 ** 53 or self.box.count << self._bits > 2 ** 63:
+            raise ValueError(f"{self.box.count} cells x {n} points overflow "
+                             "the int64 sort key")
         self._keys = np.empty(n, dtype=np.int64)
         for a in range(0, n, GRID_CHUNK):
-            lin = 0.0
-            for k, c in enumerate(cols):
-                rel = np.floor(c[a:a + GRID_CHUNK] / self.cell) - lo[k]
-                lin = lin + rel * self._strides[k]
+            lin = self.box.index(self.points[a:a + GRID_CHUNK])
             self._keys[a:a + len(lin)] = lin.astype(np.int64) << self._bits \
                 | np.arange(a, a + len(lin))
         self._keys.sort()
-
-    def _margin(self, radius):
-        # in cell units a point lies within 1/2 (per axis) of its cell's
-        # center, so cells are taken within that plus radius
-        return radius / self.cell + 0.5 + 1e-9
 
     def cover(self, p0, p1, radius):
         """Indices of all points in cells near each segment [p0[i], p1[i]].
@@ -143,15 +206,12 @@ class PointGrid:
         Returns (rows, idx), a superset of the points within radius of
         their segment.
         """
-        rows, cells = integer_points_near_segments(
-            np.asarray(p0) / self.cell - 0.5, np.asarray(p1) / self.cell - 0.5,
-            self._margin(radius))
-        rel = cells - self._lo
-        inside = np.ones(len(rel), dtype=bool)
-        for axis in range(rel.shape[1]):
-            inside &= (rel[:, axis] >= 0) & (rel[:, axis] < self._shape[axis])
-        # outside cells drop here, empty cells (an empty run) in the expansion
-        rows, lin = rows[inside], rel[inside] @ self._strides
+        # cells outside the box drop in `near`, empty cells (an empty run)
+        # in the expansion
+        rows, lin = self.box.near(p0, p1, radius)
+        if self.reach is not None and not self.reach.holds(lin).all():
+            raise RuntimeError("a query visits cells outside the reach the "
+                               "grid was built for")
         # each cell's run, looked up in ascending cell order
         mask, order = (1 << self._bits) - 1, np.argsort(lin)
         first = lin[order] << self._bits
@@ -160,12 +220,6 @@ class PointGrid:
         stop[order] = np.searchsorted(self._keys, first | mask, side="right")
         owner, rank = repeat_with_rank(np.arange(len(lin)), stop - start)
         return rows[owner], self._keys[start[owner] + rank] & mask
-
-    def cover_bound(self, p0, p1, radius):
-        """Upper bound on the cells `cover` visits per segment."""
-        return segment_cover_bound(np.asarray(p0) / self.cell,
-                                   np.asarray(p1) / self.cell,
-                                   self._margin(radius))
 
     def query_segment(self, p0, p1, radius):
         """Points within radius of the segment [p0, p1] (one-segment cover)."""
@@ -176,23 +230,33 @@ class PointGrid:
         return pts[dist_point_segment(pts, p0, p1) <= radius]
 
 
-def poisson_realization(grain, epsilon, rng):
+def poisson_realization(grain, epsilon, rng, keep=None):
     """Fixed unit-intensity Poisson set, scaled by eps and cut to the grain.
 
-    The draws are scaled in place, and returned as they are when every one
-    lies inside the grain (a box grain keeps them all).
+    The draws are scaled in place onto the grain's bounding box, and kept
+    in draw order where they lie inside the grain (a box grain keeps them
+    all, and returns them as drawn).  keep: None, or a function of a block
+    of points that returns the rows to store; the points are then drawn
+    GRID_CHUNK rows at a time (the same doubles as one draw of them all),
+    so only a block and the rows kept are ever held.
     """
     verts = grain.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
-    vol = float(np.prod(hi - lo))
-    n = rng.poisson(vol / epsilon ** grain.dimension)
-    # rng.uniform(lo, hi, ...)'s doubles at a third of its cost
-    pts = rng.random((n, grain.dimension))
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        pts[:, k] *= b - a
-        pts[:, k] += a
-    keep = grain.contains_rows(pts)
-    return pts if keep.all() else pts[keep]
+    d = grain.dimension
+    n = rng.poisson(float(np.prod(hi - lo)) / epsilon ** d)
+    step = max(n, 1) if keep is None else GRID_CHUNK
+    parts = []
+    for a in range(0, n, step):
+        # rng.uniform(lo, hi, ...)'s doubles at a third of its cost
+        pts = rng.random((min(step, n - a), d))
+        for k, (b0, b1) in enumerate(zip(lo, hi)):
+            pts[:, k] *= b1 - b0
+            pts[:, k] += b0
+        parts.append(pts if keep is None else pts[keep(pts)])
+    pts = parts[0] if len(parts) == 1 else \
+        np.concatenate(parts or [np.empty((0, d))])
+    inside = grain.contains_rows(pts)
+    return pts if inside.all() else pts[inside]
 
 
 class MicroRuntime:
@@ -201,37 +265,43 @@ class MicroRuntime:
     Per grain it holds the scatterer store (a ScaledGrainLattice, which
     caches M^-1 and its norm, or a PointGrid) and the grain inflated by r,
     whose clip window holds every hit on that grain's balls.
+
+    rays: None, or the blocks (xs, vs) of every ray the run will trace.
+    Without rays a Poisson grain's PointGrid holds its whole realization.
+    With them it holds only the points of the cells that `first_collisions`
+    queries for those blocks (its reach, one bit per cell of the grain's
+    cell box), from the same draws, and a query outside that reach raises
+    RuntimeError; a grain no ray reaches is not drawn.
     """
 
-    def __init__(self, scene, cfg):
+    def __init__(self, scene, cfg, rays=None):
         if scene.periodic_box is not None:
             raise SceneError("microscopic runs need a finite scene")
         self.scene = scene
         self.cfg = cfg
         self.r = cfg.r
         self.epsilon = epsilon_for(cfg.r, scene.dimension)
-        self._media = {}
-        for g, m in zip(scene.grains, scene.media):
-            if m.kind == "crystal":
-                if m.mode == "random-offset":
-                    rng = streams.rng("micro.grain_offset", cfg.seed, g.id)
-                    lat = m.lattice.with_omega(rng.uniform(0.0, 1.0, scene.dimension))
-                    sgl = ScaledGrainLattice(lat, self.epsilon,
-                                             np.zeros(scene.dimension))
-                else:
-                    sgl = ScaledGrainLattice(m.lattice, self.epsilon, scene.anchor)
-                self._media[g.id] = ("crystal", sgl)
-            else:
-                rng = streams.rng("micro.poisson_points", cfg.seed, g.id)
-                pts = poisson_realization(g, self.epsilon, rng)
-                cell = max(self.epsilon, 4.0 * self.r)
-                self._media[g.id] = ("poisson", PointGrid(pts, cell))
+        # the radius of every candidate query: a hit at exactly r is kept
+        self._radius = self.r * (1.0 + 1e-12)
         self._inflated = [dataclasses.replace(g, offsets=g.offsets + self.r,
                                               vertices=None)
                           for g in scene.grains]
         allv = np.vstack([g.vertices for g in scene.grains])
         self.scene_diameter = float(np.linalg.norm(allv.max(0) - allv.min(0)))
         self.cutoff = CUTOFF_FACTOR * self.scene_diameter
+        self._media = {}
+        for j, (g, m) in enumerate(zip(scene.grains, scene.media)):
+            if m.kind == "poisson":
+                self._media[g.id] = ("poisson", self._poisson_grid(j, rays))
+            elif m.mode == "random-offset":
+                rng = streams.rng("micro.grain_offset", cfg.seed, g.id)
+                omega = rng.uniform(0.0, 1.0, scene.dimension)
+                self._media[g.id] = ("crystal", ScaledGrainLattice(
+                    m.lattice.with_omega(omega), self.epsilon,
+                    np.zeros(scene.dimension)))
+            else:
+                self._media[g.id] = ("crystal", ScaledGrainLattice(
+                    m.lattice, self.epsilon, scene.anchor))
         if cfg.resample_offsets:
             bad = [g.id for g, m in zip(scene.grains, scene.media)
                    if m.kind != "crystal" or m.mode != "random-offset"]
@@ -239,9 +309,38 @@ class MicroRuntime:
                 raise SceneError("per-sample offsets need random-offset "
                                  f"crystal media everywhere (grains {bad})")
 
-    @property
-    def _draws_q(self):
-        return self.cfg.q_mode == "random" and not self.cfg.on_scatterer
+    def _poisson_grid(self, j, rays):
+        """Grain j's PointGrid, over the cell box of its bounding box."""
+        grain = self.scene.grains[j]
+        rng = streams.rng("micro.poisson_points", self.cfg.seed, grain.id)
+        verts = grain.vertices
+        bounds = verts.min(axis=0), verts.max(axis=0)
+        cell = max(self.epsilon, 4.0 * self.r)
+        if rays is None:
+            return PointGrid(poisson_realization(grain, self.epsilon, rng),
+                             cell, bounds)
+        box = CellBox(*bounds, cell)
+        reach = CellMask(box.count)
+        for xs, vs in rays:
+            _, p0, p1 = self._window(j, xs, vs)
+            for part in _budget_slices(box.bound(p0, p1, self._radius),
+                                       ROW_BUDGET):
+                reach.add(box.near(p0[part], p1[part], self._radius)[1])
+        pts = poisson_realization(
+            grain, self.epsilon, rng,
+            lambda p: reach.holds(box.index(p).astype(np.int64))) \
+            if reach.bits.any() else np.empty((0, self.scene.dimension))
+        return PointGrid(pts, cell, bounds, reach)
+
+    def _window(self, j, xs, vs):
+        """The rays' windows on grain j inflated by r, cut at the cutoff:
+        (rows, p0, p1), the rays that have one and its end points."""
+        t0, t1, ok = clip_grain_rows(self._inflated[j], xs, vs)
+        t1 = np.minimum(t1, self.cutoff + 2.0 * self.r)
+        rows = np.flatnonzero(ok & (t0 <= self.cutoff) & (t1 > t0))
+        p0 = xs[rows] + t0[rows, None] * vs[rows]
+        p1 = xs[rows] + t1[rows, None] * vs[rows]
+        return rows, p0, p1
 
     def resample_media(self, rng, n):
         """Fresh lattice offsets for n annealed samples, in one draw.
@@ -252,12 +351,13 @@ class MicroRuntime:
         (n, d), or None when q is not drawn.
         """
         d, G = self.scene.dimension, len(self.scene.grains)
-        u = rng.uniform(0.0, 1.0, (n, G * d + (d if self._draws_q else 0)))
+        u = rng.uniform(0.0, 1.0, (n, G * d + (d if self.cfg.draws_q else 0)))
         return u[:, :G * d].reshape(n, G, d), (u[:, G * d:]
-                                               if self._draws_q else None)
+                                               if self.cfg.draws_q else None)
 
     def scatterers(self, grain_id, omega=None):
-        """Every scatterer center of the grain (omega overrides a crystal's)."""
+        """Every scatterer center of the grain (omega overrides a crystal's;
+        a Poisson grain built from rays holds only those of its reach)."""
         kind, store = self._media[grain_id]
         if kind == "crystal":
             grain = self.scene.grain_by_id(grain_id)
@@ -272,7 +372,7 @@ class MicroRuntime:
         An exact one-segment query; the engine uses the superset `_cover`.
         """
         kind, store = self._media[grain_id]
-        radius = self.r * (1.0 + 1e-12)
+        radius = self._radius
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if kind == "crystal":
@@ -287,7 +387,7 @@ class MicroRuntime:
         """
         grain = self.scene.grains[j]
         kind, store = self._media[grain.id]
-        radius = self.r * (1.0 + 1e-12)
+        radius = self._radius
         if kind == "poisson":
             rows, idx = store.cover(p0, p1, radius)
             return rows, store.points[idx]
@@ -300,9 +400,9 @@ class MicroRuntime:
 
     def _cover_bound(self, j, p0, p1):
         kind, store = self._media[self.scene.grains[j].id]
-        radius = self.r * (1.0 + 1e-12)
+        radius = self._radius
         if kind == "poisson":
-            return store.cover_bound(p0, p1, radius)
+            return store.box.bound(p0, p1, radius)
         return segment_cover_bound(store.to_lattice_coords(p0),
                                    store.to_lattice_coords(p1),
                                    store.tube_margin(radius))
@@ -353,15 +453,10 @@ def first_collisions(runtime, xs, vs, exclude=None, omegas=None):
     best_t = np.full(n, np.inf)
     best_c = np.zeros((n, d))
     best_g = np.full(n, -1, dtype=np.int64)
-    for j, (grain, inflated) in enumerate(zip(runtime.scene.grains,
-                                              runtime._inflated)):
-        t0, t1, ok = clip_grain_rows(inflated, xs, vs)
-        t1 = np.minimum(t1, cutoff + 2.0 * r)
-        rows = np.flatnonzero(ok & (t0 <= cutoff) & (t1 > t0))
+    for j, grain in enumerate(runtime.scene.grains):
+        rows, p0, p1 = runtime._window(j, xs, vs)
         if not len(rows):
             continue
-        p0 = xs[rows] + t0[rows, None] * vs[rows]
-        p1 = xs[rows] + t1[rows, None] * vs[rows]
         cost = runtime._cover_bound(j, p0, p1)
         for part in _budget_slices(cost, ROW_BUDGET):
             ray = rows[part]
@@ -447,11 +542,9 @@ def _start_points(runtime, n, q=None, omegas=None):
     lattice offsets (annealed sampling) for starts on a scatterer.
     """
     scene, cfg = runtime.scene, runtime.cfg
-    x = np.broadcast_to(scene.anchor, (n, scene.dimension))
     if not cfg.on_scatterer:
-        if cfg.q_mode == "zero":
-            return x.copy()
-        return x + runtime.epsilon * q
+        return _offset_starts(scene, cfg, n, q)
+    x = np.broadcast_to(scene.anchor, (n, scene.dimension))
     gid = cfg.start_grain
     grain = scene.grain_by_id(gid)
     kind, store = runtime._media[gid]
@@ -473,6 +566,19 @@ def _start_points(runtime, n, q=None, omegas=None):
     return centers
 
 
+def _offset_starts(scene, cfg, n, q):
+    """n base points anchor + eps q (the anchor itself for q_mode 'zero')."""
+    x = np.broadcast_to(scene.anchor, (n, scene.dimension))
+    if cfg.q_mode == "zero":
+        return x.copy()
+    return x + epsilon_for(cfg.r, scene.dimension) * q
+
+
+def _ray_origins(cfg, starts, dirs):
+    """Where the rays leave their base points: starts + r beta(v)."""
+    return starts + cfg.r * cfg.beta(dirs)
+
+
 def _trace_chunk(job):
     """First hits of one chunk of directions: (tau_1, grain ids, w1)."""
     rt, dirs, base, chunk_id = job
@@ -484,7 +590,7 @@ def _trace_chunk(job):
         rng = streams.rng("micro.chunk_offsets", cfg.seed, chunk_id)
         omegas, q = rt.resample_media(rng, n)
         starts = _start_points(rt, n, q, omegas)
-    hits = first_collisions(rt, starts + cfg.r * cfg.beta(dirs), dirs,
+    hits = first_collisions(rt, _ray_origins(cfg, starts, dirs), dirs,
                             exclude=starts if cfg.on_scatterer else None,
                             omegas=omegas)
     return hits.time, hits.grain, hits.w1
@@ -499,14 +605,32 @@ def sample_tau1_distribution(scene, cfg, n_samples, threads=1):
     per-sample offsets (and q) of each SAMPLE_CHUNK-sized chunk.  threads
     > 1 traces the chunks in worker processes; the result is the same for
     any count.
+
+    The base point and the directions come first, and the runtime is
+    built from the rays of every chunk, so a Poisson grain stores only
+    the cells those rays reach.  A start on a scatterer is the start
+    grain's center nearest the anchor, which needs that grain's store
+    first: such a run keeps its Poisson grains whole.
     """
-    rt = MicroRuntime(scene, cfg)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = streams.rng("micro.directions", cfg.seed)
-    q = rng.uniform(0.0, 1.0, (1, scene.dimension)) if rt._draws_q else None
-    base = _start_points(rt, 1, q)[0]
+    q = rng.uniform(0.0, 1.0, (1, scene.dimension)) if cfg.draws_q else None
+    rt = None
+    if cfg.on_scatterer:
+        rt = MicroRuntime(scene, cfg)
+        base = _start_points(rt, 1, q)[0]
+    else:
+        base = _offset_starts(scene, cfg, 1, q)[0]
     dirs = scattering.sample_direction(rng, scene.dimension, n_samples)
-    jobs = [(rt, dirs[i:i + SAMPLE_CHUNK], base, i // SAMPLE_CHUNK)
-            for i in range(0, n_samples, SAMPLE_CHUNK)]
+    chunks = [dirs[i:i + SAMPLE_CHUNK] for i in range(0, n_samples,
+                                                      SAMPLE_CHUNK)]
+    if rt is None:
+        poisson = any(m.kind == "poisson" for m in scene.media)
+        rt = MicroRuntime(scene, cfg, [
+            (_ray_origins(cfg, np.broadcast_to(base, c.shape), c), c)
+            for c in chunks] if poisson else None)
+    jobs = [(rt, c, base, i) for i, c in enumerate(chunks)]
     if threads > 1 and len(jobs) > 1:
         import multiprocessing
         with multiprocessing.get_context("spawn").Pool(threads) as pool:

@@ -18,14 +18,17 @@ def ks_distance(samples, cdf: Callable):
 
     Handles defective empirical laws: non-finite draws (escapes) count as
     missing mass and contribute no jumps, and the reference CDF may be
-    defective as well.
+    defective as well.  When every draw escapes the empirical CDF is 0
+    everywhere, so the distance is the reference's total mass F(inf).
     """
     samples = np.asarray(samples, dtype=float)
+    if not samples.size:
+        raise ValueError("ks_distance needs at least one draw")
     fin = np.isfinite(samples)
     values = np.sort(samples[fin])
     n = len(values)
     if n == 0:
-        return float(np.max(np.abs(0.0 - cdf(np.array([0.0])))))
+        return float(np.abs(cdf(np.array([np.inf])))[0])
     n_all = n / float(fin.mean())
     f = np.asarray(cdf(values), dtype=float)
     hi = np.arange(1, n + 1) / n_all
@@ -43,6 +46,9 @@ def ks_two_sample(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n, m = len(a), len(b)
+    for name, size in (("a", n), ("b", m)):
+        if not size:
+            raise ValueError(f"ks_two_sample: sample {name} is empty")
     both = np.concatenate([np.sort(a), np.sort(b)])
     order = np.argsort(both, kind="stable")
     both = both[order]

@@ -295,6 +295,12 @@ class TestSurvivalOracle:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+    def test_quadrature_needs_a_ray(self, tiled_crystal):
+        with pytest.raises(ValueError, match="n_mc"):
+            flight.no_collision_fraction_quadrature(
+                tiled_crystal, 1.0, 0, np.random.default_rng(0))
+
+
 class TestSurvivalCurves:
     """family_curves of the survival families against the scalar survival
     oracles."""
@@ -857,3 +863,50 @@ class TestDiffusiveScale:
         step = (r16 - r8) / (4 * 8.0)
         D, se = step.mean(), step.std() / np.sqrt(self.N)
         assert D + 4 * se < 3 / 16, (D, se)
+
+
+class TestFreePathTail:
+    """The tau_1 tail of sample_initial against the limit survival over the
+    same rays, down to a survival of 1e-4 (ROADMAP item 9, stage 1, flight
+    half)."""
+
+    N = 200_000
+    # thresholds where the mean survival is 10^-1, 10^-1.5, ..., 10^-4
+    TARGETS = 10.0 ** -np.linspace(1.0, 4.0, 7)
+
+    @staticmethod
+    def tail_pvalues(scene, xi, xs, vs):
+        """Two-sided binomial p-value of the count of xi above each
+        threshold, against n times the mean survival of the rays there.
+
+        Given the rays, a count is a sum of independent Bernoulli draws
+        with the rays' survivals; the binomial with their mean has at
+        least its variance, so the p-values are conservative.
+        """
+        from scipy.stats import binom
+        mfp = 1.0 / kernels.sigma_bar(scene.dimension)
+        grid = np.linspace(0.0, 10.0 * mfp, 161)
+        rough = harness.mean_survival_curve(scene, xs[:4000], vs[:4000], grid)
+        ts = np.interp(-np.log(TestFreePathTail.TARGETS), -np.log(rough),
+                       grid)
+        s = harness.mean_survival_curve(scene, xs, vs, ts)
+        counts = np.array([np.count_nonzero(xi > t) for t in ts])
+        n = len(xi)
+        p = 2.0 * np.minimum(binom.cdf(counts, n, s),
+                             binom.sf(counts - 1, n, s))
+        return np.minimum(p, 1.0), s
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_initial_flight_tail_follows_the_limit_survival(
+            self, d, tiled_crystal, tiled_crystal_3d):
+        scene = tiled_crystal if d == 2 else tiled_crystal_3d
+        ens = sample_initial(scene, self.N, np.random.default_rng(41))
+        # the rays sample_initial drew, drawn again from the same seed
+        rng = np.random.default_rng(41)
+        xs = flight.sample_positions(scene, self.N, rng)
+        vs = scattering.sample_direction(rng, d, self.N)
+        assert np.array_equal(xs, ens.x) and np.array_equal(vs, ens.v)
+        p, s = self.tail_pvalues(scene, ens.xi, xs, vs)
+        assert s[-1] == pytest.approx(1e-4, rel=0.5)
+        # Bonferroni over the cells at a family-wise level of 1e-3
+        assert p.min() * len(p) > 1e-3, (p, s)

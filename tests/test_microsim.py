@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyxport import ConvexGrain, make_scene, microsim, presets, scattering
+from polyxport import (ConvexGrain, make_scene, microsim, presets,
+                       scattering, streams)
 from polyxport.geometry import SceneError
 from polyxport.lattice import PoissonMedium, dist_point_segment
 from polyxport.microsim import (BetaSpec, MicroConfig, MicroRuntime,
@@ -506,3 +507,166 @@ class TestPointGrid:
         samp = microsim.sample_tau1_distribution(scene, cfg, 200)
         assert np.all(samp.escaped) and np.all(np.isinf(samp.tau1))
         assert np.all(samp.hit_grain == -1)
+
+
+def _poisson_ids(scene):
+    return [g.id for g, m in zip(scene.grains, scene.media)
+            if m.kind == "poisson"]
+
+
+class TestReach:
+    """A runtime built from a run's rays keeps only the Poisson points of
+    the cells its queries reach, from the same draws."""
+
+    RADII = {2: (1e-3, 1e-4), 3: (1e-3, 1e-4)}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("kind", ["2d-mixed", "3d-mixed"])
+    def test_hits_equal_the_whole_grains(self, kind, which, seed):
+        rng = np.random.default_rng(seed)
+        scene = oracle_scene(kind, rng)
+        cfg = MicroConfig(r=self.RADII[scene.dimension][which], seed=seed)
+        whole = MicroRuntime(scene, cfg)
+        xs, vs, exclude = oracle_rays(whole, rng, 200)
+        blocks = [slice(0, 120), slice(120, 200)]
+        rt = MicroRuntime(scene, cfg, [(xs[b], vs[b]) for b in blocks])
+        for b in blocks:
+            got = microsim.first_collisions(rt, xs[b], vs[b], exclude[b])
+            want = microsim.first_collisions(whole, xs[b], vs[b], exclude[b])
+            for a, w in zip(got, want):
+                assert np.array_equal(a, w)
+        for gid in _poisson_ids(scene):
+            assert len(rt.scatterers(gid)) <= len(whole.scatterers(gid))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("kind", ["2d-mixed", "3d-mixed"])
+    def test_sampler_matches_the_whole_grains(self, kind, which, seed,
+                                              monkeypatch):
+        # four chunks, traced in one process and in two workers, against
+        # a sampler whose runtime ignores the rays
+        scene = oracle_scene(kind, np.random.default_rng(seed))
+        cfg = MicroConfig(r=self.RADII[scene.dimension][which], seed=seed)
+        monkeypatch.setattr(microsim, "SAMPLE_CHUNK", 300)
+        built = []
+
+        class Whole(MicroRuntime):
+            def __init__(self, scene, cfg, rays=None):
+                super().__init__(scene, cfg)
+
+        class Recorded(MicroRuntime):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(microsim, "MicroRuntime", Whole)
+            want = microsim.sample_tau1_distribution(scene, cfg, 1000)
+        with monkeypatch.context() as m:
+            m.setattr(microsim, "MicroRuntime", Recorded)
+            one = microsim.sample_tau1_distribution(scene, cfg, 1000)
+        two = microsim.sample_tau1_distribution(scene, cfg, 1000, threads=2)
+        for got in (one, two):
+            for name in ("tau1", "hit_grain", "u_impact", "directions"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        ids = _poisson_ids(scene)
+        assert np.isin(want.hit_grain, ids).any()   # Poisson hits traced
+        kept = sum(len(built[0].scatterers(g)) for g in ids)
+        drawn = sum(len(Whole(scene, cfg).scatterers(g)) for g in ids)
+        # 1000 rays from one point fan over every cell of a planar grain
+        assert 0 < kept <= drawn
+        assert kept < drawn or scene.dimension == 2
+
+    @pytest.mark.parametrize("kind, r", [("2d-mixed", 1e-4),
+                                         ("3d-mixed", 1e-3)])
+    def test_kept_points_are_the_reached_cells_in_draw_order(self, kind, r):
+        # the slow realization filtered to the cells that the slow slab
+        # walk lists around every ray's window
+        rng = np.random.default_rng(4)
+        scene = oracle_scene(kind, rng)
+        cfg = MicroConfig(r=r, seed=4)
+        xs, vs, _ = oracle_rays(MicroRuntime(scene, cfg), rng, 40)
+        rt = MicroRuntime(scene, cfg, [(xs[:25], vs[:25]), (xs[25:], vs[25:])])
+        cell = max(rt.epsilon, 4.0 * r)
+        margin = r * (1.0 + 1e-12) / cell + 0.5 + 1e-9
+        for j, g in enumerate(scene.grains):
+            if g.id not in _poisson_ids(scene):
+                continue
+            reached = set()
+            for b in (slice(0, 25), slice(25, 40)):
+                _, p0, p1 = rt._window(j, xs[b], vs[b])
+                _, cells = microsim_oracles.integer_points_near_segments(
+                    p0 / cell - 0.5, p1 / cell - 0.5, margin)
+                reached.update(map(tuple, cells))
+            pts = microsim_oracles.poisson_realization(
+                g, rt.epsilon, streams.rng("micro.poisson_points", 4, g.id))
+            keep = [tuple(np.floor(p / cell).astype(np.int64)) in reached
+                    for p in pts]
+            assert 0 < sum(keep) < len(pts)
+            assert np.array_equal(rt.scatterers(g.id), pts[keep])
+
+    def test_a_query_outside_the_reach_raises(self):
+        scene = oracle_scene("3d-mixed", None)
+        cfg = MicroConfig(r=1e-3)
+        x = scene.anchor[None]
+        along = np.array([[1.0, 0.0, 0.0]])
+        aside = np.array([[1.0, 0.3, 0.2]]) / np.linalg.norm([1.0, 0.3, 0.2])
+        rt = MicroRuntime(scene, cfg, [(x, along)])
+        assert len(rt.scatterers(2))
+        microsim.first_collisions(rt, x, along)
+        with pytest.raises(RuntimeError, match="reach"):
+            microsim.first_collisions(rt, x, aside)
+        with pytest.raises(RuntimeError, match="reach"):
+            rt.candidates(2, x[0], aside[0], 0.0, 1.0)
+        # a grain that no ray reaches stores nothing, and still guards
+        away = MicroRuntime(scene, cfg, [(x, -along)])
+        assert len(away.scatterers(2)) == 0
+        with pytest.raises(RuntimeError, match="reach"):
+            microsim.first_collisions(away, x, along)
+
+    @pytest.mark.parametrize("make, gid", [
+        (lambda: presets.single_square_2d(medium="poisson"), 1),
+        (lambda: oracle_scene("3d-mixed", None), 2)])
+    def test_on_scatterer_start_on_a_poisson_grain(self, make, gid):
+        # the start is the nearest point of the whole realization, and the
+        # rays see every point of it
+        scene = make()
+        d = scene.dimension
+        cfg = MicroConfig(r=1e-3, seed=3, on_scatterer=True, start_grain=gid,
+                          beta=BetaSpec("radial", alpha=np.pi / 4))
+        samp = microsim.sample_tau1_distribution(scene, cfg, 500)
+        pts = microsim_oracles.poisson_realization(
+            scene.grain_by_id(gid), samp.epsilon,
+            streams.rng("micro.poisson_points", 3, gid))
+        base = pts[np.argmin(np.linalg.norm(pts - scene.anchor, axis=1))]
+        dirs = scattering.sample_direction(
+            streams.rng("micro.directions", 3), d, 500)
+        starts = np.broadcast_to(base, dirs.shape)
+        hits = microsim.first_collisions(
+            MicroRuntime(scene, cfg), starts + cfg.r * cfg.beta(dirs), dirs,
+            exclude=starts)
+        assert np.array_equal(samp.directions, dirs)
+        assert np.array_equal(samp.tau1, hits.time)
+        assert np.array_equal(samp.hit_grain, hits.grain)
+        assert (samp.hit_grain == gid).sum() > 50
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            microsim.sample_tau1_distribution(
+                presets.single_square_2d(), MicroConfig(r=1e-3), 0)
+
+    @pytest.mark.parametrize("r, bound_mb", [(1e-4, 2.0), (3e-5, 6.0)])
+    def test_sampler_peak_on_the_workload_scene(self, r, bound_mb):
+        # freepath-3d-mixed's scene and samples: the Poisson grain holds
+        # 1.7e5 points at r = 1e-4 and 1.9e6 at 3e-5
+        scene = oracle_scene("3d-mixed", None)
+        cfg = MicroConfig(r=r, seed=4242)
+        microsim.sample_tau1_distribution(scene, cfg, 50)
+        tracemalloc.start()
+        try:
+            microsim.sample_tau1_distribution(scene, cfg, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6, peak

@@ -43,6 +43,21 @@ class TestKS:
         assert d == pytest.approx(max(abs(0.25 - 0.1), abs(0.5 - 0.2),
                                       abs(0.25 - 0.2), abs(0.5 - 1.0 * 0.5)))
 
+    def test_all_escapes_read_the_reference_mass(self):
+        # no finite draw: the empirical CDF is 0, so the distance is the
+        # reference's total mass
+        cdf = harness.interp_cdf(np.array([0.0, 1.0, 2.0]),
+                                 np.array([0.0, 0.5, 0.7]))
+        assert stats.ks_distance(np.full(50, np.inf), cdf) == 0.7
+        assert stats.ks_distance([np.inf], lambda t: 1 - np.exp(-t)) == 1.0
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            stats.ks_distance([], lambda t: t)
+        for a, b, side in (([], [1.0], "a"), ([1.0, 2.0], [], "b")):
+            with pytest.raises(ValueError, match=f"sample {side} is empty"):
+                stats.ks_two_sample(a, b)
+
     def test_two_sample_matches_slow(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
